@@ -227,6 +227,8 @@ class LruCache(Generic[_K, _V]):
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
+    __setitem__ = put
+
     def clear(self) -> None:
         self._entries.clear()
 

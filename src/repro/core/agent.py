@@ -56,7 +56,7 @@ from repro.memory.patch import (
     AnchorIndex,
     Patch,
     apply_patch,
-    build_anchor_index,
+    cached_anchor_index,
     compute_patch_reference,
     compute_patches,
 )
@@ -412,9 +412,9 @@ class DedupAgent:
         self.base_page_cache: LruCache[tuple[int, int], bytes] = LruCache(
             base_page_cache_pages
         )
-        # Prebuilt anchor indexes keyed by (checkpoint_id, page_index);
-        # same staleness argument as the page cache above.
-        self.anchor_index_cache: LruCache[tuple[int, int], AnchorIndex] = LruCache(
+        # Prebuilt anchor indexes keyed by (checkpoint_id, page_index,
+        # level); same staleness argument as the page cache above.
+        self.anchor_index_cache: LruCache[tuple[int, int, int], AnchorIndex] = LruCache(
             anchor_index_cache_pages
         )
 
@@ -539,12 +539,12 @@ class DedupAgent:
 
         def anchor_index_for(j: int) -> AnchorIndex:
             ref = chosen[j][1]
-            key = (ref.checkpoint_id, ref.page_index)
-            cached = self.anchor_index_cache.get(key)
-            if cached is None:
-                cached = build_anchor_index(bases[j], self.patch_level)
-                self.anchor_index_cache.put(key, cached)
-            return cached
+            return cached_anchor_index(
+                self.anchor_index_cache,
+                (ref.checkpoint_id, ref.page_index),
+                bases[j],
+                self.patch_level,
+            )
 
         patches = compute_patches(
             targets, bases, level=self.patch_level, index_provider=anchor_index_for
@@ -905,7 +905,7 @@ class DedupAgent:
         )
         table = build_delta_table(
             image,
-            {segment.key: segment.content for segment in segments},
+            {segment.key: segment for segment in segments},
             content_scale=self.content_scale,
             full_size_bytes=sandbox.profile.memory_bytes,
             level=catalog.config.patch_level,

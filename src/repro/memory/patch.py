@@ -22,8 +22,7 @@ and a larger minimum match.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,28 +71,25 @@ class Patch:
     ops: tuple[CopyOp | InsertOp, ...]
     target_len: int
     base_len: int
+    #: Encoded patch size — the memory cost of keeping this page deduped.
+    #: Derived from the (immutable) ops at construction; the dedup agent
+    #: reads it repeatedly (fallback checks, unique-page cutoffs,
+    #: retained-bytes accounting), so it is a plain attribute.
+    size_bytes: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        produced = sum(op.length for op in self.ops)
-        if produced != self.target_len:
-            raise ValueError(f"ops produce {produced} bytes, target is {self.target_len}")
-
-    @cached_property
-    def size_bytes(self) -> int:
-        """Encoded patch size — the memory cost of keeping this page deduped.
-
-        Cached: the dedup agent consults it repeatedly (fallback checks,
-        unique-page cutoffs, retained-bytes accounting) and the ops are
-        immutable.  The cache lands in the instance ``__dict__`` directly,
-        which a frozen dataclass permits and ``__eq__`` ignores.
-        """
+        produced = 0
         size = _HEADER.size
         for op in self.ops:
             if isinstance(op, CopyOp):
+                produced += op.length
                 size += _COPY.size
             else:
-                size += _INSERT_HDR.size + op.length
-        return size
+                produced += len(op.data)
+                size += _INSERT_HDR.size + len(op.data)
+        if produced != self.target_len:
+            raise ValueError(f"ops produce {produced} bytes, target is {self.target_len}")
+        object.__setattr__(self, "size_bytes", size)
 
     @property
     def copied_bytes(self) -> int:
@@ -293,28 +289,25 @@ def _window_values(target_bytes: bytes) -> np.ndarray:
     return vals
 
 
-def batch_window_values(matrix: np.ndarray) -> np.ndarray:
-    """:func:`_window_values` of every row of a ``(k, n)`` uint8 matrix.
+_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
-    Row ``j`` equals ``_window_values(matrix[j].tobytes())``; the values
-    build up as eight shifted-column accumulations over the whole stack,
-    so probing ``k`` fallback targets costs ``k`` times fewer numpy
-    dispatches than per-target calls.  Requires ``n >= 8``.
-    """
-    if matrix.ndim != 2 or matrix.dtype != np.uint8:
-        raise ValueError("expected a (k, n) uint8 matrix")
-    k, n = matrix.shape
-    if n < 8:
-        raise ValueError("rows must hold at least one 8-byte window")
-    vals = np.zeros((k, n - 7), dtype=np.uint64)
-    for b in range(8):
-        vals |= matrix[:, b : n - 7 + b].astype(np.uint64) << np.uint64(8 * b)
-    return vals
+#: Smallest ``seen`` table.  A table has 8 slots per index entry, rounded
+#: up to a power of two and never below this floor, so at most one slot
+#: in eight is set however large the base.  Measured fill: level-1 page
+#: index (511 entries, 4096 slots) 11.5 %, level-2 page index (1021,
+#: 8192) 11.7 %, template segments of 8-688 KiB (836-20k entries) 6-11 %.
+_MIN_SEEN_SLOTS = 4096
+
+
+def _seen_slots(a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Slots of ``table`` for key halves ``a``: xor-folded low bits."""
+    folded = a ^ (a >> np.uint64(17)) ^ (a >> np.uint64(41))
+    return folded & np.uint64(len(table) - 1)
 
 
 @dataclass(frozen=True)
 class AnchorIndex:
-    """Prebuilt anchor index over a base buffer.
+    """Prebuilt anchor index over a base buffer, and its one probe.
 
     Each indexed window is keyed by its exact 16 bytes, packed as two
     little-endian uint64 halves (``a``, ``b``) so lookups are native
@@ -325,8 +318,8 @@ class AnchorIndex:
 
     Building the index is the expensive half of anchor matching and
     depends only on the base bytes and the level, so callers patching
-    many targets against the same base — the dedup agent's batch path,
-    where hot base pages recur across ops — build it once and reuse it.
+    many targets against the same base build it once and keep it as long
+    as the base lives (see :func:`cached_anchor_index`).
     """
 
     base_len: int
@@ -339,19 +332,64 @@ class AnchorIndex:
     #: position (a leftmost search always lands on a run start, so this
     #: replaces the ``side="right"`` search at query time).
     aend: np.ndarray
-    #: 4096-entry membership table over mixed bits of ``a`` — a probe
-    #: whose slot is unset cannot match, which filters the ~99% of probe
-    #: positions that miss before any binary search runs.
+    #: Membership table over mixed bits of ``a``, sized to the index
+    #: (see :data:`_MIN_SEEN_SLOTS`) — a probe whose slot is unset
+    #: cannot match, and the fill stays at or below one in eight, so at
+    #: least seven in eight missing positions are dropped before any
+    #: binary search runs.
     seen: np.ndarray
 
+    def probe(
+        self, target_bytes: bytes, start: int, stride: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Indexed windows of the target at ``start, start + stride, …``.
 
-_SEEN_SLOTS = 4096
-
-
-def _seen_slots(a: np.ndarray) -> np.ndarray:
-    """Table slots for key halves ``a``: xor-folded low bits."""
-    folded = a ^ (a >> np.uint64(17)) ^ (a >> np.uint64(41))
-    return folded & np.uint64(_SEEN_SLOTS - 1)
+        Returns ``(positions, base offsets)`` in position order.  With
+        ``stride`` 8 (the level-1 residue sweep) one zero-copy u64 view
+        at byte offset ``start`` holds both key halves of every probed
+        window, as its elements ``k`` and ``k + 1``; with ``stride`` 1
+        (the dense level-2 sweep) one window-value pass covers every
+        position.  The work past the ``seen`` filter is one searchsorted
+        over the surviving positions plus, where the index repeats an
+        ``a`` half, a lock-step bisection of ``b`` inside each run — no
+        per-candidate Python.
+        """
+        count = (len(target_bytes) - ANCHOR_SIZE - start) // stride + 1
+        if count <= 0 or not len(self.a):
+            return _EMPTY_I64, _EMPTY_I64
+        if stride == 8:
+            u = np.frombuffer(target_bytes, dtype="<u8", offset=start, count=count + 1)
+        else:
+            u = _window_values(target_bytes)[start:]
+        ta = u[:count]
+        sel = self.seen[_seen_slots(ta, self.seen)].nonzero()[0]
+        if not sel.size:
+            return _EMPTY_I64, _EMPTY_I64
+        ta = ta[sel]
+        tb = u[sel + 8 // stride]
+        lo = np.searchsorted(self.a, ta)
+        last = len(self.a) - 1
+        if self.has_dup_a:
+            # Leftmost ``b >= tb`` inside each run ``[lo, aend[lo])`` of
+            # the matched ``a``: every candidate halves its own run each
+            # round, so the loop runs log2(longest run) times however
+            # many candidates there are.
+            keep = (self.a[np.minimum(lo, last)] == ta).nonzero()[0]
+            sel, ta, tb, lo = sel[keep], ta[keep], tb[keep], lo[keep]
+            hi = self.aend[lo]
+            while True:
+                todo = lo < hi
+                if not todo.any():
+                    break
+                mid = (lo + hi) >> 1
+                right = todo & (self.b[np.minimum(mid, last)] < tb)
+                lo = np.where(right, mid + 1, lo)
+                hi = np.where(todo & ~right, mid, hi)
+        # ``lo`` past its run lands on another ``a`` (or, clamped, on a
+        # smaller ``b``), so one exact compare settles every candidate.
+        loc = np.minimum(lo, last)
+        hit = ((self.a[loc] == ta) & (self.b[loc] == tb)).nonzero()[0]
+        return start + stride * sel[hit], self.srcs[loc[hit]]
 
 
 def build_anchor_index(base: bytes | np.ndarray, level: int = 1) -> AnchorIndex:
@@ -366,10 +404,10 @@ def build_anchor_index(base: bytes | np.ndarray, level: int = 1) -> AnchorIndex:
             level=level,
             a=empty,
             b=empty,
-            srcs=np.empty(0, dtype=np.int64),
+            srcs=_EMPTY_I64,
             has_dup_a=False,
-            aend=np.empty(0, dtype=np.int64),
-            seen=np.zeros(_SEEN_SLOTS, dtype=bool),
+            aend=_EMPTY_I64,
+            seen=np.zeros(_MIN_SEEN_SLOTS, dtype=bool),
         )
     base_bytes = b_arr.tobytes()
     offs = np.arange(0, m, step, dtype=np.int64)
@@ -385,8 +423,8 @@ def build_anchor_index(base: bytes | np.ndarray, level: int = 1) -> AnchorIndex:
         a, b, offs = a[keep], b[keep], offs[keep]
     has_dup_a = bool((a[1:] == a[:-1]).any()) if len(a) > 1 else False
     aend = np.searchsorted(a, a, side="right")
-    seen = np.zeros(_SEEN_SLOTS, dtype=bool)
-    seen[_seen_slots(a)] = True
+    seen = np.zeros(max(_MIN_SEEN_SLOTS, 1 << (8 * len(a) - 1).bit_length()), dtype=bool)
+    seen[_seen_slots(a, seen)] = True
     return AnchorIndex(
         base_len=len(b_arr),
         level=level,
@@ -399,107 +437,19 @@ def build_anchor_index(base: bytes | np.ndarray, level: int = 1) -> AnchorIndex:
     )
 
 
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
+def cached_anchor_index(cache, key: tuple, base: bytes | np.ndarray, level: int) -> AnchorIndex:
+    """The index of ``base`` held in ``cache``, built on first use.
 
-
-def _candidates_at(
-    index: AnchorIndex,
-    target_bytes: bytes,
-    r: int,
-    vals: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matching (position, base offset) pairs at positions ``r`` mod 8.
-
-    One strided u64 view yields both key halves of every window starting
-    at ``r + 8k`` (the halves of position ``p`` are the view's elements
-    ``k`` and ``k + 1``), and one searchsorted pass matches them all
-    against the index.  Precomputed ``vals`` (window values, see
-    :func:`batch_window_values`) replace the view with a stride-8 slice
-    — ``vals[r::8]`` holds exactly the view's elements.
+    ``cache`` is any mapping with ``get`` and item assignment (a dict
+    that lives as long as the base, or an ``LruCache``); ``key`` names
+    the base's content and the entry is always keyed on ``level`` too,
+    so one cache can serve agents of different patch levels.
     """
-    n = len(target_bytes)
-    count = (n - r) // 8
-    kmax = min(count - 1, (n - ANCHOR_SIZE - r) // 8 + 1)
-    if kmax <= 0 or not len(index.a):
-        return _EMPTY_I64, _EMPTY_I64
-    if vals is None:
-        u = np.frombuffer(target_bytes, dtype="<u8", offset=r, count=count)
-    else:
-        u = vals[r::8]
-    all_a = u[:kmax]
-    sel = index.seen[_seen_slots(all_a)].nonzero()[0]
-    if not sel.size:
-        return _EMPTY_I64, _EMPTY_I64
-    ta = all_a[sel]
-    tb = u[sel + 1]
-    ks, srcs = _match_candidates(index, ta, tb, sel)
-    return r + 8 * ks, srcs
-
-
-def _candidates_all(
-    index: AnchorIndex,
-    target_bytes: bytes,
-    vals: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matching (position, base offset) pairs at *every* byte position.
-
-    The dense-probe (``probe_step == 1``) counterpart of
-    :func:`_candidates_at`: instead of eight residue sweeps concatenated
-    and re-sorted, one window-value pass covers all positions, and the
-    ``seen`` prefilter output is already in position order.  A batch
-    caller passes precomputed ``vals`` to skip even that pass.
-    """
-    n = len(target_bytes)
-    kmax = n - ANCHOR_SIZE + 1
-    if kmax <= 0 or not len(index.a):
-        return _EMPTY_I64, _EMPTY_I64
-    if vals is None:
-        vals = _window_values(target_bytes)
-    all_a = vals[:kmax]
-    sel = index.seen[_seen_slots(all_a)].nonzero()[0]
-    if not sel.size:
-        return _EMPTY_I64, _EMPTY_I64
-    ta = all_a[sel]
-    tb = vals[sel + 8]
-    return _match_candidates(index, ta, tb, sel)
-
-
-def _match_candidates(
-    index: AnchorIndex, ta: np.ndarray, tb: np.ndarray, sel: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of ``sel`` whose (ta, tb) key exists in ``index``.
-
-    Returns ``(ks, srcs)`` sorted by position, where ``ks`` is drawn from
-    ``sel`` and ``srcs`` is the matched base offset of each.
-    """
-    lo = np.searchsorted(index.a, ta)
-    loc = np.minimum(lo, len(index.a) - 1)
-    amatch = index.a[loc] == ta
-    if not index.has_dup_a:
-        hit = (amatch & (index.b[loc] == tb)).nonzero()[0]
-        ks = sel[hit]
-        srcs = index.srcs[loc[hit]]
-    else:
-        # A leftmost search lands on the start of the run of equal ``a``
-        # values, so the run's end is just a table lookup.
-        hi = index.aend[loc]
-        run = hi - lo
-        single = (amatch & (run == 1) & (index.b[loc] == tb)).nonzero()[0]
-        ks_list = sel[single].tolist()
-        srcs_list = index.srcs[loc[single]].tolist()
-        for k in (amatch & (run > 1)).nonzero()[0].tolist():
-            l, h = int(lo[k]), int(hi[k])
-            j = l + int(np.searchsorted(index.b[l:h], tb[k]))
-            if j < h and index.b[j] == tb[k]:
-                ks_list.append(int(sel[k]))
-                srcs_list.append(int(index.srcs[j]))
-        if not ks_list:
-            return _EMPTY_I64, _EMPTY_I64
-        ks = np.asarray(ks_list, dtype=np.int64)
-        srcs = np.asarray(srcs_list, dtype=np.int64)
-        order = np.argsort(ks, kind="stable")
-        ks, srcs = ks[order], srcs[order]
-    return ks, srcs
+    key = (*key, level)
+    index = cache.get(key)
+    if index is None:
+        index = cache[key] = build_anchor_index(base, level)
+    return index
 
 
 def _anchor_ops(
@@ -507,7 +457,6 @@ def _anchor_ops(
     base: np.ndarray,
     level: int,
     index: AnchorIndex | None = None,
-    window_values: np.ndarray | None = None,
 ) -> list[CopyOp | InsertOp]:
     """Greedy xdelta-style ops using an anchor-hash index over the base.
 
@@ -519,16 +468,13 @@ def _anchor_ops(
 
     The probe is vectorised: a probe from position ``p`` only ever lands
     on positions ``p + k * probe_step``, so candidate matches are
-    computed per position-residue class (lazily, one searchsorted sweep
-    each) and the greedy scan jumps straight to the next hit with a
+    computed per position-residue class (lazily, one
+    :meth:`AnchorIndex.probe` sweep for each residue the scan actually
+    visits) and the greedy scan jumps straight to the next hit with a
     binary search instead of hashing window by window.  The resulting
     ops are byte-identical to the scalar scan's.  A prebuilt ``index``
-    (see :class:`AnchorIndex`) skips re-hashing the base; a stale one
-    (wrong level or base length) is ignored and rebuilt.  Precomputed
-    ``window_values`` of the target (one row of
-    :func:`batch_window_values` — the batch path hashes the probe
-    positions of *all* its fallback targets in one call) feed the
-    candidate sweeps directly.
+    skips re-hashing the base; a stale one (wrong level or base length)
+    is ignored and rebuilt.
     """
     if index is None or index.level != level or index.base_len != len(base):
         index = build_anchor_index(base, level)
@@ -543,11 +489,7 @@ def _anchor_ops(
     def chain(residue: int) -> tuple[np.ndarray, np.ndarray]:
         cached = chains.get(residue)
         if cached is None:
-            if probe_step == 1:
-                cached = _candidates_all(index, target_bytes, window_values)
-            else:
-                cached = _candidates_at(index, target_bytes, residue, window_values)
-            chains[residue] = cached
+            cached = chains[residue] = index.probe(target_bytes, residue, probe_step)
         return cached
 
     i = 0
@@ -740,28 +682,12 @@ def compute_patches(
         runs = _batch_aligned_runs(stack_t, stack_b)
         # Size every aligned patch analytically first; only the winning
         # candidate's ops are ever materialized.  Pairs whose aligned
-        # diff is poor fall back to anchor matching — their probe
-        # positions are hashed in one batched pass over the stack rather
-        # than per target.
-        sizes = [_aligned_size_from_runs(fu, bounds) for fu, bounds in runs]
-        fallback = [pos for pos, size in enumerate(sizes) if size > threshold]
-        window_vals: dict[int, np.ndarray] = {}
-        if fallback and n >= ANCHOR_SIZE:
-            stacked = batch_window_values(stack_t[fallback])
-            window_vals = {pos: stacked[q] for q, pos in enumerate(fallback)}
-        for pos, (j, (first_unequal, bounds)) in enumerate(zip(idxs, runs)):
-            aligned_size = sizes[pos]
+        # diff is poor fall back to anchor matching.
+        for j, (first_unequal, bounds) in zip(idxs, runs):
+            aligned_size = _aligned_size_from_runs(first_unequal, bounds)
             if aligned_size > threshold:
                 alt = Patch(
-                    ops=tuple(
-                        _anchor_ops(
-                            t_arrs[j],
-                            b_arrs[j],
-                            level,
-                            index=_index_for(j),
-                            window_values=window_vals.get(pos),
-                        )
-                    ),
+                    ops=tuple(_anchor_ops(t_arrs[j], b_arrs[j], level, index=_index_for(j))),
                     target_len=n,
                     base_len=n,
                 )
@@ -769,9 +695,7 @@ def compute_patches(
                     patches[j] = alt
                     continue
             ops = _ops_from_aligned_runs(t_arrs[j].tobytes(), first_unequal, bounds)
-            patch = Patch(ops=tuple(ops), target_len=n, base_len=n)
-            patch.__dict__["size_bytes"] = aligned_size  # pre-seed the cache
-            patches[j] = patch
+            patches[j] = Patch(ops=tuple(ops), target_len=n, base_len=n)
     for j, patch in enumerate(patches):
         if patch is None:  # unequal lengths: anchor matching only
             patches[j] = compute_patch(

@@ -91,6 +91,16 @@ def _pointer_positions(content_key: str, interval: int, size: int) -> np.ndarray
     return positions
 
 
+@lru_cache(maxsize=256)
+def _shared_pointer_values(content_key: str, count: int) -> np.ndarray:
+    """The instance-independent pointer bytes of a region (read-only)."""
+    shared = rng_for("ptr-val", content_key).integers(
+        0, 256, size=(count, POINTER_SIZE), dtype=np.uint8
+    )
+    shared.setflags(write=False)
+    return shared
+
+
 def _pointer_values(content_key: str, count: int, *, aslr: bool, instance_seed: int) -> np.ndarray:
     """Pointer bytes, shape (count, POINTER_SIZE).
 
@@ -100,9 +110,7 @@ def _pointer_values(content_key: str, count: int, *, aslr: bool, instance_seed: 
     this is what degrades page fingerprints under ASLR (paper Section 7.2.1)
     while leaving byte-level redundancy nearly intact (Fig 1b).
     """
-    shared = rng_for("ptr-val", content_key).integers(
-        0, 256, size=(count, POINTER_SIZE), dtype=np.uint8
-    )
+    shared = _shared_pointer_values(content_key, count)
     if not aslr or count == 0:
         return shared
     randomized = shared.copy()

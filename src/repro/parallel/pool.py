@@ -62,7 +62,7 @@ from repro.memory.fingerprint import (
     batch_fingerprint_arrays,
     batch_page_fingerprints,
 )
-from repro.memory.patch import AnchorIndex, apply_patch_into, build_anchor_index, compute_patches
+from repro.memory.patch import AnchorIndex, apply_patch_into, cached_anchor_index, compute_patches
 
 #: Per-worker anchor-index cache (pages).  Keyed by (checkpoint_id,
 #: page_index, level); checkpoint ids are never reused in a parent
@@ -117,12 +117,7 @@ def run_task(
             bases.append(view[b0 : b0 + page_size])
 
         def index_for(j: int) -> AnchorIndex:
-            key = (*jobs[j][2], level)
-            cached = anchor_cache.get(key)
-            if cached is None:
-                cached = build_anchor_index(bases[j], level)
-                anchor_cache.put(key, cached)
-            return cached
+            return cached_anchor_index(anchor_cache, jobs[j][2], bases[j], level)
 
         patches = compute_patches(targets, bases, level=level, index_provider=index_for)
         return (

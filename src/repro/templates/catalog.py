@@ -33,6 +33,7 @@ import numpy as np
 
 from repro._util import MIB
 from repro.memory.layout import PlacedRegion, SharingScope
+from repro.memory.patch import AnchorIndex, cached_anchor_index
 from repro.memory.synth import template_region_content
 from repro.storage.store import TemplatePool
 from repro.storage.tiers import StorageConfig
@@ -100,6 +101,14 @@ class TemplateSegment:
     replica copy-on-write.  A shared replica is not droppable: its pages
     are mapped into running sandboxes."""
     last_fork_ms: float = float("-inf")
+    anchor_indexes: dict[tuple[int], AnchorIndex] = field(default_factory=dict)
+    """Patch-codec indexes of ``content`` by ``(level,)``, built by the
+    first delta that needs one and kept until the segment is retired —
+    the content is immutable, so they never go stale.  Host-side only:
+    not charged to the simulated pool."""
+
+    def anchor_index(self, level: int) -> AnchorIndex:
+        return cached_anchor_index(self.anchor_indexes, (), self.content, level)
 
     @property
     def domain(self) -> str:
@@ -266,6 +275,7 @@ class TemplateCatalog:
                 f"template segment {segment.segment_id} still has node replicas"
             )
         del self._segments[segment.key]
+        segment.anchor_indexes.clear()
         self.pool.withdraw(segment.full_bytes)
 
     # ---------------------------------------------------------- refcounts

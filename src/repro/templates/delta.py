@@ -14,12 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.memory.image import MemoryImage
 from repro.memory.layout import PlacedRegion
 from repro.memory.patch import Patch, apply_patch, compute_patches
+
+if TYPE_CHECKING:
+    from repro.templates.catalog import TemplateSegment
 
 #: Per-page bookkeeping overhead, mirroring the dedup page table's
 #: ``repro.core.agent.METADATA_BYTES_PER_PAGE`` (kept local: the agent
@@ -114,7 +118,7 @@ class TemplateDeltaTable:
 
 def build_delta_table(
     image: MemoryImage,
-    segment_content: dict[tuple[str, str, int], np.ndarray],
+    segments: dict[tuple[str, str, int], TemplateSegment],
     *,
     content_scale: float,
     full_size_bytes: int,
@@ -123,39 +127,36 @@ def build_delta_table(
 ) -> TemplateDeltaTable:
     """Factor ``image`` into segment patches + private pages.
 
-    ``segment_content`` maps each shareable region's ``(domain,
-    content_key, size)`` catalog key to the template bytes; regions
-    without an entry (including a match published under a *different*
-    dedup domain) are treated as private.  Regions are page-aligned by
+    ``segments`` maps each shareable region's ``(domain, content_key,
+    size)`` catalog key to its template segment — the patch base, and
+    the owner of the base's anchor index, which is built by the first
+    table that needs it and reused by every later one; regions without
+    an entry (including a match published under a *different* dedup
+    domain) are treated as private.  Regions are page-aligned by
     construction, so shared spans and private pages partition the image
     exactly.
     """
     shared_regions = [
         region
         for region in image.regions
-        if (domain, region.spec.content_key, region.size) in segment_content
+        if (domain, region.spec.content_key, region.size) in segments
     ]
     for region in shared_regions:
         if region.offset % image.page_size or region.size % image.page_size:
             raise ValueError(
                 f"shareable region {region.spec.name} is not page-aligned"
             )
+    keys = [(domain, region.spec.content_key, region.size) for region in shared_regions]
+    bases = [segments[key] for key in keys]
     patches = compute_patches(
         [image.data[region.offset : region.end] for region in shared_regions],
-        [
-            segment_content[(domain, region.spec.content_key, region.size)]
-            for region in shared_regions
-        ],
+        [segment.content for segment in bases],
         level=level,
+        index_provider=lambda j: bases[j].anchor_index(level),
     )
     shared = tuple(
-        SharedSpan(
-            offset=region.offset,
-            size=region.size,
-            segment_key=(domain, region.spec.content_key, region.size),
-            patch=patch,
-        )
-        for region, patch in zip(shared_regions, patches)
+        SharedSpan(offset=region.offset, size=region.size, segment_key=key, patch=patch)
+        for region, key, patch in zip(shared_regions, keys, patches)
     )
 
     covered = np.zeros(image.num_pages, dtype=bool)

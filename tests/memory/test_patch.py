@@ -114,6 +114,16 @@ class TestSerialization:
         patch, _ = self._sample_patch()
         assert patch.size_bytes == len(patch.serialize())
 
+    def test_size_bytes_is_set_at_construction_and_ignored_by_eq(self):
+        patch, _ = self._sample_patch()
+        assert vars(patch)["size_bytes"] == len(patch.serialize())
+        rebuilt = Patch(ops=patch.ops, target_len=patch.target_len, base_len=patch.base_len)
+        assert rebuilt == patch and rebuilt.size_bytes == patch.size_bytes
+        assert "size_bytes" not in repr(patch)
+        assert Patch(ops=(), target_len=0, base_len=7).size_bytes == len(
+            Patch(ops=(), target_len=0, base_len=7).serialize()
+        )
+
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             Patch.deserialize(b"garbage-bytes-here")

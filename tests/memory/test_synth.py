@@ -103,6 +103,17 @@ class TestBuildRegion:
         # Only the randomized pointer bytes differ: a small fraction.
         assert diff < len(a) * 0.05
 
+    def test_shared_pointer_values_are_memoised_read_only(self):
+        from repro.memory.synth import _pointer_values
+
+        shared = _pointer_values("test-key", 64, aslr=False, instance_seed=1)
+        assert shared is _pointer_values("test-key", 64, aslr=False, instance_seed=2)
+        assert not shared.flags.writeable
+        before = shared.copy()
+        randomized = _pointer_values("test-key", 64, aslr=True, instance_seed=3)
+        assert randomized.flags.writeable and randomized is not shared
+        assert np.array_equal(shared, before)  # the ASLR branch wrote to a copy
+
     def test_dirty_pages_only_when_executed(self):
         region = spec(dirty_page_rate=0.5)
         fresh_a = build_region(region, 32 * 4096, instance_seed=1)

@@ -3,14 +3,16 @@
 Every batch kernel of the VectorCDC-style rewrite is pinned against its
 scalar oracle here: segmented greedy thinning vs ``enforce_spacing``,
 gathered chunk hashing vs ``page_fingerprint``, the vectorised
-polynomial digest vs its pure-Python reference, batched window values vs
-the per-target pass, and the batched anchor fallback vs
-``compute_patch_reference`` — across page sizes, marker configs, ASLR'd
-synthetic images, sampling strategies, and the ``digest_bits > 64``
-fallback.
+polynomial digest vs its pure-Python reference, and the batched anchor
+fallback vs ``compute_patch_reference`` (duplicate-heavy page- and
+region-sized inputs included) — across page sizes, marker configs,
+ASLR'd synthetic images, sampling strategies, and the
+``digest_bits > 64`` fallback.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
@@ -39,8 +41,8 @@ from repro.memory.fingerprint import (
 from repro.memory.image import synthesize_image
 from repro.memory.layout import standard_layout
 from repro.memory.patch import (
-    _window_values,
-    batch_window_values,
+    apply_patch,
+    build_anchor_index,
     compute_patch_reference,
     compute_patches,
 )
@@ -220,33 +222,12 @@ class TestFixedOffsetRegressions:
 
 
 class TestBatchedAnchorProbes:
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.integers(min_value=8, max_value=200),
-        st.integers(min_value=1, max_value=4),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_batch_window_values_match_scalar(self, seed, n, rows):
-        matrix = _rng(seed).integers(0, 256, size=(rows, n), dtype=np.uint8)
-        vals = batch_window_values(matrix)
-        for j in range(rows):
-            np.testing.assert_array_equal(
-                vals[j], _window_values(matrix[j].tobytes())
-            )
-
-    def test_batch_window_values_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            batch_window_values(np.zeros(16, dtype=np.uint8))
-        with pytest.raises(ValueError):
-            batch_window_values(np.zeros((2, 4), dtype=np.uint8))
-
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
     @settings(max_examples=25, deadline=None)
     def test_fallback_patches_match_reference(self, seed, level):
         # A batch mixing aligned-good pairs with shifted pairs that force
-        # the anchor fallback (its probe positions are hashed in one
-        # batched window-value pass) must stay byte-identical to the
-        # scalar per-pair reference.
+        # the anchor fallback must stay byte-identical to the scalar
+        # per-pair reference.
         rng = _rng(seed)
         n = 512
         base = rng.integers(0, 256, size=n, dtype=np.uint8)
@@ -263,3 +244,100 @@ class TestBatchedAnchorProbes:
             for t, b in zip(targets, bases)
         ]
         assert got == expected
+
+
+@st.composite
+def duplicate_heavy_pairs(draw) -> tuple[np.ndarray, np.ndarray]:
+    """A (target, base) pair whose anchor index repeats key halves.
+
+    Bases are periodic (period 1-40), drawn from a <=2-symbol alphabet,
+    or random with long zero runs, at page size and at template-region
+    sizes; the target is the base under two different shifts with a few
+    bytes overwritten, optionally of another length.
+    """
+    n = draw(st.sampled_from([4096, 8192, 20480, 49152]))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["periodic", "two_symbol", "zero_runs"]))
+    if kind == "periodic":
+        period = draw(st.integers(min_value=1, max_value=40))
+        motif = rng.integers(0, 256, size=period, dtype=np.uint8)
+        base = np.tile(motif, n // period + 1)[:n].copy()
+        # Break the period in a few places, or every window is one key.
+        for at in rng.integers(0, n, size=draw(st.integers(0, 12))).tolist():
+            base[at] ^= 0x5A
+    elif kind == "two_symbol":
+        symbols = rng.integers(0, 256, size=draw(st.integers(1, 2)), dtype=np.uint8)
+        base = rng.choice(symbols, size=n)
+        # Long single-symbol stretches make the repeated windows.
+        for at in rng.integers(0, n, size=8).tolist():
+            base[at : at + int(rng.integers(16, 400))] = symbols[0]
+    else:
+        base = rng.integers(0, 256, size=n, dtype=np.uint8)
+        for at in rng.integers(0, n, size=12).tolist():
+            base[at : at + int(rng.integers(8, 600))] = 0
+    split = int(rng.integers(n // 4, 3 * n // 4))
+    first, second = (int(x) for x in rng.integers(1, 97, size=2))
+    target = np.concatenate(
+        [np.roll(base, first)[:split], np.roll(base, -second)[split:]]
+    )
+    for at in rng.integers(0, n, size=draw(st.integers(0, 6))).tolist():
+        target[at : at + 5] = rng.integers(0, 256, size=len(target[at : at + 5]))
+    if draw(st.booleans()):  # unequal lengths: anchor matching only
+        target = target[: n - int(rng.integers(1, 300))]
+    return target, base
+
+
+class TestDuplicateHeavyAnchorMatching:
+    @given(duplicate_heavy_pairs(), st.sampled_from([1, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_patches_match_reference_and_round_trip(self, pair, level):
+        target, base = pair
+        # Indexed and index-free: a prebuilt index must change nothing.
+        index = build_anchor_index(base, level)
+        for provider in (None, lambda j: index):
+            (got,) = compute_patches(
+                [target], [base], level=level, index_provider=provider
+            )
+            assert got == compute_patch_reference(target, base, level=level)
+            assert apply_patch(got, base) == target.tobytes()
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_probe_sweep_search_count_is_independent_of_hits(self, level):
+        """Tripwire for the per-candidate ``searchsorted`` loop.
+
+        One probe sweep over a 32 KiB low-entropy pair whose index
+        repeats ``a`` halves must make the same small number of
+        ``searchsorted`` calls whether it returns a handful of
+        candidates or thousands.
+        """
+        rng = _rng(3)
+        n = 32768
+        base = rng.choice(np.array([0, 0, 0, 7], dtype=np.uint8), size=n)
+        index = build_anchor_index(base, level)
+        assert index.has_dup_a
+        stride = 8 if level == 1 else 1
+        rich = np.roll(base, 24).tobytes()  # every probed window is indexed
+        poor = rng.integers(0, 256, size=n, dtype=np.uint8)
+        poor[1000:1400] = base[200:600]
+        poor = poor.tobytes()
+
+        searches = []
+
+        def profiler(frame, event, arg):
+            # ``np.searchsorted`` bottoms out in the ndarray method, so
+            # C-call events see both spellings.
+            if event == "c_call" and arg.__name__ == "searchsorted":
+                searches.append(arg)
+
+        counts = {}
+        for name, target_bytes in (("rich", rich), ("poor", poor)):
+            del searches[:]
+            sys.setprofile(profiler)
+            try:
+                positions, _ = index.probe(target_bytes, 0, stride)
+            finally:
+                sys.setprofile(None)
+            counts[name] = (len(searches), len(positions))
+        assert counts["rich"][1] > 20 * max(1, counts["poor"][1])
+        assert counts["rich"][1] > 1000
+        assert 1 <= counts["rich"][0] == counts["poor"][0] <= 2, counts

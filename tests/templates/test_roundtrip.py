@@ -25,7 +25,7 @@ from repro.sandbox.checkpoint import BaseCheckpoint, CheckpointStore
 from repro.sandbox.sandbox import Sandbox
 from repro.sim.network import RdmaFabric
 from repro.storage.tiers import StorageConfig
-from repro.templates.catalog import TemplateCatalog, TemplateConfig
+from repro.templates.catalog import TemplateCatalog, TemplateConfig, TemplateSegment
 from repro.templates.delta import build_delta_table, reconstruct_image
 from repro.workload.functionbench import FunctionBenchSuite
 from tests.conftest import TEST_SCALE
@@ -42,6 +42,17 @@ def segment_content_for(image):
         )
         for region in image.regions
         if TemplateCatalog.eligible(region)
+    }
+
+
+def as_segments(segment_content):
+    """Catalog-style segments over ``segment_content`` (what
+    ``build_delta_table`` patches against; forks only need the bytes)."""
+    return {
+        key: TemplateSegment(
+            segment_id=number, key=key, content=content, full_bytes=len(content)
+        )
+        for number, (key, content) in enumerate(segment_content.items(), start=1)
     }
 
 
@@ -62,7 +73,7 @@ class TestDeltaRoundTrip:
         assert segments, "every profile has shareable runtime/library regions"
         table = build_delta_table(
             image,
-            segments,
+            as_segments(segments),
             content_scale=TEST_SCALE,
             full_size_bytes=profile.memory_bytes,
         )
@@ -86,7 +97,7 @@ class TestDeltaRoundTrip:
         image = profile.synthesize(seed, content_scale=scale, executed=True)
         segments = segment_content_for(image)
         table = build_delta_table(
-            image, segments, content_scale=scale, full_size_bytes=profile.memory_bytes
+            image, as_segments(segments), content_scale=scale, full_size_bytes=profile.memory_bytes
         )
         forked = reconstruct_image(table, segments, verify=True)
         assert np.array_equal(forked.data, image.data)
@@ -103,7 +114,7 @@ class TestDeltaRoundTrip:
         segments = segment_content_for(image)
         table = build_delta_table(
             image,
-            segments,
+            as_segments(segments),
             content_scale=TEST_SCALE,
             full_size_bytes=profile.memory_bytes,
         )
@@ -122,13 +133,13 @@ class TestDeltaRoundTrip:
         partial = dict(list(segments.items())[:1])
         table = build_delta_table(
             image,
-            partial,
+            as_segments(partial),
             content_scale=TEST_SCALE,
             full_size_bytes=linalg_profile.memory_bytes,
         )
         full_table = build_delta_table(
             image,
-            segments,
+            as_segments(segments),
             content_scale=TEST_SCALE,
             full_size_bytes=linalg_profile.memory_bytes,
         )
@@ -220,3 +231,73 @@ class TestForkMatchesDedupRestore:
         assert second.segments_shared >= 1  # at minimum the runtime
         shared_keys = set(first.table.segment_keys) & set(second.table.segment_keys)
         assert shared_keys
+
+
+class TestSegmentAnchorIndexes:
+    """A segment's anchor indexes live exactly as long as the segment."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Levels of every ``build_anchor_index`` call, in order."""
+        import repro.memory.patch as patch_codec
+
+        levels = []
+        real = patch_codec.build_anchor_index
+
+        def spy(base, level=1):
+            levels.append(level)
+            return real(base, level)
+
+        monkeypatch.setattr(patch_codec, "build_anchor_index", spy)
+        return levels
+
+    def test_second_templatize_builds_no_index(
+        self, template_agent, linalg_profile, builds
+    ):
+        agent, catalog = template_agent
+        first = agent.templatize(make_sandbox(linalg_profile, seed=21))
+        segments = catalog.segments_for(first.table.segment_keys)
+        assert builds, "executed regions reach the anchor fallback"
+        assert len(builds) == sum(len(s.anchor_indexes) for s in segments)
+        del builds[:]
+        second = agent.templatize(make_sandbox(linalg_profile, seed=22))
+        assert second.segments_created == 0
+        assert builds == []
+        # Patching against the kept indexes changes nothing a fork sees.
+        for outcome, seed in ((first, 21), (second, 22)):
+            fork = agent.fork_restore(outcome.table, now=0.0, verify=True)
+            assert fork.image.checksum() == make_sandbox(
+                linalg_profile, seed=seed
+            ).image.checksum()
+
+    def test_other_level_builds_its_own_index(
+        self, template_agent, linalg_profile, builds
+    ):
+        agent, catalog = template_agent
+        outcome = agent.templatize(make_sandbox(linalg_profile, seed=23))
+        segment = next(
+            s for s in catalog.segments_for(outcome.table.segment_keys) if s.anchor_indexes
+        )
+        del builds[:]
+        assert segment.anchor_index(1).level == 1  # kept from the templatize
+        assert builds == []
+        assert segment.anchor_index(2).level == 2  # level 1 cannot serve it
+        assert segment.anchor_index(2).level == 2
+        assert builds == [2]
+
+    def test_retiring_a_segment_drops_its_indexes(
+        self, template_agent, linalg_profile, builds
+    ):
+        agent, catalog = template_agent
+        outcome = agent.templatize(make_sandbox(linalg_profile, seed=24))
+        segments = catalog.segments_for(outcome.table.segment_keys)
+        assert any(s.anchor_indexes for s in segments)
+        catalog.release(outcome.table.segment_keys)
+        for segment in segments:
+            catalog.retire(segment)
+            assert not segment.anchor_indexes
+        # Re-publishing starts over: new segments, new indexes.
+        del builds[:]
+        again = agent.templatize(make_sandbox(linalg_profile, seed=24))
+        assert again.segments_created == len(segments)
+        assert builds
