@@ -547,7 +547,11 @@ class DedupAgent:
             )
 
         patches = compute_patches(
-            targets, bases, level=self.patch_level, index_provider=anchor_index_for
+            targets,
+            bases,
+            level=self.patch_level,
+            index_provider=anchor_index_for,
+            max_size=unique_cap,
         )
         for (index, ref), patch in zip(chosen, patches):
             if patch.size_bytes >= unique_cap:

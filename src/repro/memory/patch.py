@@ -44,6 +44,18 @@ MIN_ANCHOR_MATCH = 24
 #: If the aligned patch exceeds this fraction of the target, try anchors.
 ALIGNED_FALLBACK_RATIO = 0.25
 
+#: Whole 8-byte-aligned target words inside every anchor COPY: a COPY
+#: holds an anchor and is at least ``MIN_ANCHOR_MATCH`` long, and at most
+#: 7 of its leading bytes precede the first aligned word in it.
+_COPY_MIN_WORDS = (max(MIN_ANCHOR_MATCH, ANCHOR_SIZE) - 7) // 8
+#: What :meth:`AnchorIndex.copy_bound` grants each run of windows on top
+#: of 8 bytes per window.  The COPYs whose whole words lie in one maximal
+#: run of ``w`` base-resident words are disjoint and reach less than 8
+#: bytes past either end of it, so they total at most ``8 * w + 14``
+#: bytes, and the run holds ``w - _COPY_MIN_WORDS + 1`` windows of
+#: ``_COPY_MIN_WORDS`` consecutive words.
+_COPY_RUN_SLACK = 8 * (_COPY_MIN_WORDS - 1) + 14
+
 
 @dataclass(frozen=True)
 class CopyOp:
@@ -299,10 +311,15 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _MIN_SEEN_SLOTS = 4096
 
 
-def _seen_slots(a: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Slots of ``table`` for key halves ``a``: xor-folded low bits."""
+def _seen_slots(a: np.ndarray, slots: int) -> np.ndarray:
+    """Slots of a ``slots``-entry table for u64 keys ``a``: xor-folded low bits."""
     folded = a ^ (a >> np.uint64(17)) ^ (a >> np.uint64(41))
-    return folded & np.uint64(len(table) - 1)
+    return folded & np.uint64(slots - 1)
+
+
+def _table_slots(entries: int) -> int:
+    """Membership-table size for ``entries`` keys (see :data:`_MIN_SEEN_SLOTS`)."""
+    return max(_MIN_SEEN_SLOTS, 1 << (8 * entries - 1).bit_length())
 
 
 @dataclass(frozen=True)
@@ -338,6 +355,41 @@ class AnchorIndex:
     #: least seven in eight missing positions are dropped before any
     #: binary search runs.
     seen: np.ndarray
+    #: Packed membership bits over the base's u64 word at *every* byte
+    #: offset, for :meth:`copy_bound` — built by its first call, dropped
+    #: with the index.
+    word_bits: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+
+    def copy_bound(self, target: np.ndarray, base: np.ndarray) -> int:
+        """Upper bound on the bytes any anchor patch of ``target`` COPYs.
+
+        Exact for every level and never looks at the index: each COPY
+        contains ``_COPY_MIN_WORDS`` consecutive aligned target words,
+        and each of those occurs somewhere in ``base`` (the bytes it was
+        copied from), so with ``P`` windows of that many consecutive
+        words found in the base's word table and ``R`` runs of such
+        windows, no set of COPYs covers more than
+        ``8 * P + _COPY_RUN_SLACK * R`` bytes (see :data:`_COPY_RUN_SLACK`).
+        False positives of the table only loosen the bound.  ``target``
+        must be C-contiguous; its aligned words are one zero-copy view.
+        """
+        if not len(self.a):  # base shorter than an anchor: nothing to copy
+            return 0
+        bits = self.word_bits
+        if bits is None:
+            bits = _build_word_bits(base)
+            object.__setattr__(self, "word_bits", bits)
+        words = np.frombuffer(target, dtype="<u8", count=len(target) // 8)
+        slot = _seen_slots(words, 8 * len(bits)).astype(np.intp)
+        found = (bits[slot >> 3] >> (slot & 7)) & 1
+        windows = found
+        for k in range(1, _COPY_MIN_WORDS):
+            windows = windows[:-1] & found[k:]
+        count = int(np.count_nonzero(windows))
+        if not count:
+            return 0
+        runs = int(windows[0]) + int(np.count_nonzero(windows[1:] > windows[:-1]))
+        return 8 * count + _COPY_RUN_SLACK * runs
 
     def probe(
         self, target_bytes: bytes, start: int, stride: int
@@ -362,7 +414,7 @@ class AnchorIndex:
         else:
             u = _window_values(target_bytes)[start:]
         ta = u[:count]
-        sel = self.seen[_seen_slots(ta, self.seen)].nonzero()[0]
+        sel = self.seen[_seen_slots(ta, len(self.seen))].nonzero()[0]
         if not sel.size:
             return _EMPTY_I64, _EMPTY_I64
         ta = ta[sel]
@@ -390,6 +442,18 @@ class AnchorIndex:
         loc = np.minimum(lo, last)
         hit = ((self.a[loc] == ta) & (self.b[loc] == tb)).nonzero()[0]
         return start + stride * sel[hit], self.srcs[loc[hit]]
+
+
+def _build_word_bits(base: np.ndarray) -> np.ndarray:
+    """Packed table of ``base``'s u64 word at every byte offset.
+
+    Sized like ``seen`` — 8 bits per word, so 4 KiB for a 4 KiB page and
+    at most one bit in eight set.
+    """
+    vals = _window_values(base.tobytes())
+    table = np.zeros(_table_slots(len(vals)), dtype=bool)
+    table[_seen_slots(vals, len(table))] = True
+    return np.packbits(table, bitorder="little")
 
 
 def build_anchor_index(base: bytes | np.ndarray, level: int = 1) -> AnchorIndex:
@@ -423,8 +487,8 @@ def build_anchor_index(base: bytes | np.ndarray, level: int = 1) -> AnchorIndex:
         a, b, offs = a[keep], b[keep], offs[keep]
     has_dup_a = bool((a[1:] == a[:-1]).any()) if len(a) > 1 else False
     aend = np.searchsorted(a, a, side="right")
-    seen = np.zeros(max(_MIN_SEEN_SLOTS, 1 << (8 * len(a) - 1).bit_length()), dtype=bool)
-    seen[_seen_slots(a, seen)] = True
+    seen = np.zeros(_table_slots(len(a)), dtype=bool)
+    seen[_seen_slots(a, len(seen))] = True
     return AnchorIndex(
         base_len=len(b_arr),
         level=level,
@@ -452,6 +516,13 @@ def cached_anchor_index(cache, key: tuple, base: bytes | np.ndarray, level: int)
     return index
 
 
+def _usable_index(index: AnchorIndex | None, base: np.ndarray, level: int) -> AnchorIndex:
+    """``index`` if it fits ``base`` and ``level``, else a freshly built one."""
+    if index is None or index.level != level or index.base_len != len(base):
+        return build_anchor_index(base, level)
+    return index
+
+
 def _anchor_ops(
     target: np.ndarray,
     base: np.ndarray,
@@ -476,8 +547,7 @@ def _anchor_ops(
     skips re-hashing the base; a stale one (wrong level or base length)
     is ignored and rebuilt.
     """
-    if index is None or index.level != level or index.base_len != len(base):
-        index = build_anchor_index(base, level)
+    index = _usable_index(index, base, level)
     probe_step = 8 if level <= 1 else 1
     n = len(target)
     target_bytes = target.tobytes()
@@ -645,18 +715,35 @@ def compute_patches(
     *,
     level: int = 1,
     index_provider=None,
+    max_size: int | None = None,
 ) -> list[Patch]:
     """Batched :func:`compute_patch` over pairwise ``targets``/``bases``.
 
-    Produces exactly ``[compute_patch(t, b) for t, b in zip(...)]``, but
-    equal-length pairs (the page-vs-base-page common case) are grouped by
-    length and diffed in one 2-D numpy pass, so the per-pair dispatch
-    overhead of the aligned path is paid once per batch.  Only pairs
-    whose aligned patch is poor proceed to anchor matching.
+    With ``max_size=None`` produces exactly ``[compute_patch(t, b) for
+    t, b in zip(...)]``, but equal-length pairs (the page-vs-base-page
+    common case) are grouped by length and diffed in one 2-D numpy pass,
+    so the per-pair dispatch overhead of the aligned path is paid once
+    per batch.  Only pairs whose aligned patch is poor proceed to anchor
+    matching.
+
+    ``max_size`` is the caller's discard cutoff — "I keep only patches
+    smaller than this" (the dedup agent's unique-page cap).  Then
+    ``result[j].size_bytes < max_size`` implies ``result[j]`` is
+    byte-identical to ``compute_patch(targets[j], bases[j])``, and
+    otherwise that patch is ``>= max_size`` too: ``result[j]`` is still a
+    valid patch of the pair, but may be the one-INSERT literal.  What
+    this buys: an equal-length pair that reaches the anchor fallback
+    first asks :meth:`AnchorIndex.copy_bound` whether any anchor patch
+    could come in under ``min(aligned size, max_size)``, and skips the
+    matcher — and, for a discarded pair, materialising any ops — when
+    none can.
 
     ``index_provider(j)`` may return a prebuilt :class:`AnchorIndex` for
     pair ``j`` (or ``None``); it is only consulted for pairs that reach
-    the anchor fallback, so callers can build/cache indexes lazily.
+    the anchor fallback, so callers can build/cache indexes lazily.  A
+    pair with no (or a stale) index builds one on the spot, as
+    :func:`compute_patch` does; the bound's word table hangs on whichever
+    index the pair used, so only a provided, cached index keeps it.
     """
     if len(targets) != len(bases):
         raise ValueError("targets/bases length mismatch")
@@ -683,16 +770,32 @@ def compute_patches(
         # Size every aligned patch analytically first; only the winning
         # candidate's ops are ever materialized.  Pairs whose aligned
         # diff is poor fall back to anchor matching.
-        for j, (first_unequal, bounds) in zip(idxs, runs):
+        for j, t_row, (first_unequal, bounds) in zip(idxs, stack_t, runs):
             aligned_size = _aligned_size_from_runs(first_unequal, bounds)
             if aligned_size > threshold:
-                alt = Patch(
-                    ops=tuple(_anchor_ops(t_arrs[j], b_arrs[j], level, index=_index_for(j))),
-                    target_len=n,
-                    base_len=n,
-                )
-                if alt.size_bytes < aligned_size:
-                    patches[j] = alt
+                index = _index_for(j)
+                hopeless = False
+                if max_size is not None:
+                    index = _usable_index(index, b_arrs[j], level)
+                    # Header plus the literals no COPY can cover.
+                    smallest = n + _HEADER.size - index.copy_bound(t_row, b_arrs[j])
+                    hopeless = smallest >= min(aligned_size, max_size)
+                if not hopeless:
+                    alt = Patch(
+                        ops=tuple(_anchor_ops(t_arrs[j], b_arrs[j], level, index=index)),
+                        target_len=n,
+                        base_len=n,
+                    )
+                    if alt.size_bytes < aligned_size:
+                        patches[j] = alt
+                        continue
+                elif aligned_size >= max_size:
+                    # Discarded whichever candidate wins, and the literal
+                    # is no smaller than the cutoff either:
+                    # max_size <= smallest <= n + _HEADER.size.
+                    patches[j] = Patch(
+                        ops=(InsertOp(data=t_row.tobytes()),), target_len=n, base_len=n
+                    )
                     continue
             ops = _ops_from_aligned_runs(t_arrs[j].tobytes(), first_unequal, bounds)
             patches[j] = Patch(ops=tuple(ops), target_len=n, base_len=n)

@@ -119,7 +119,9 @@ def run_task(
         def index_for(j: int) -> AnchorIndex:
             return cached_anchor_index(anchor_cache, jobs[j][2], bases[j], level)
 
-        patches = compute_patches(targets, bases, level=level, index_provider=index_for)
+        patches = compute_patches(
+            targets, bases, level=level, index_provider=index_for, max_size=unique_cap
+        )
         return (
             "patch",
             batch,

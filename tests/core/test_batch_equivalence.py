@@ -4,7 +4,10 @@ The vectorized batch path (`DedupAgent.dedup`) must be a pure
 performance transformation of the original page-at-a-time loop
 (`DedupAgent.dedup_reference`): identical page-table entries, identical
 stats and refcounts, and byte-identical restores — for both sampling
-strategies, with and without ASLR, at both patch levels.
+strategies, with and without ASLR, at both patch levels.  The images are
+executed ones: their dirty pages reach the anchor fallback, where the
+batch path alone consults the copy-coverage bound and skips the matcher
+for pages it will discard (asserted, so the pin cannot go vacuous).
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ def _make_sandbox(profile, seed: int, aslr: bool) -> Sandbox:
 )
 @pytest.mark.parametrize("aslr", [False, True])
 @pytest.mark.parametrize("level", [1, 2])
-def test_batch_path_matches_reference(suite, strategy, aslr, level):
+def test_batch_path_matches_reference(suite, strategy, aslr, level, codec_calls):
     config = FingerprintConfig(strategy=strategy)
     agent_batch, agent_ref = _build_agents(suite, config, level)
     profile = suite.get("LinAlg")
@@ -103,6 +106,8 @@ def test_batch_path_matches_reference(suite, strategy, aslr, level):
         assert (
             restored_batch.image.checksum() == outcome_batch.table.original_checksum
         )
+    # Dirty pages reached the fallback and the bound skipped some of them.
+    assert codec_calls["bound"] > codec_calls["matcher"]
 
 
 def test_cross_function_dedup_matches(suite):

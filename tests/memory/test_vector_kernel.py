@@ -7,7 +7,9 @@ polynomial digest vs its pure-Python reference, and the batched anchor
 fallback vs ``compute_patch_reference`` (duplicate-heavy page- and
 region-sized inputs included) — across page sizes, marker configs,
 ASLR'd synthetic images, sampling strategies, and the
-``digest_bits > 64`` fallback.
+``digest_bits > 64`` fallback.  The copy-coverage bound that lets
+``compute_patches(max_size=...)`` skip the anchor matcher is pinned
+against the scalar matcher's actual COPYs.
 """
 
 from __future__ import annotations
@@ -39,8 +41,14 @@ from repro.memory.fingerprint import (
     page_fingerprint,
 )
 from repro.memory.image import synthesize_image
+from repro.memory import patch as patch_module
 from repro.memory.layout import standard_layout
 from repro.memory.patch import (
+    ANCHOR_SIZE,
+    MIN_ANCHOR_MATCH,
+    AnchorIndex,
+    Patch,
+    _anchor_ops_scalar,
     apply_patch,
     build_anchor_index,
     compute_patch_reference,
@@ -247,7 +255,9 @@ class TestBatchedAnchorProbes:
 
 
 @st.composite
-def duplicate_heavy_pairs(draw) -> tuple[np.ndarray, np.ndarray]:
+def duplicate_heavy_pairs(
+    draw, sizes=(4096, 8192, 20480, 49152)
+) -> tuple[np.ndarray, np.ndarray]:
     """A (target, base) pair whose anchor index repeats key halves.
 
     Bases are periodic (period 1-40), drawn from a <=2-symbol alphabet,
@@ -255,7 +265,7 @@ def duplicate_heavy_pairs(draw) -> tuple[np.ndarray, np.ndarray]:
     sizes; the target is the base under two different shifts with a few
     bytes overwritten, optionally of another length.
     """
-    n = draw(st.sampled_from([4096, 8192, 20480, 49152]))
+    n = draw(st.sampled_from(sizes))
     rng = _rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["periodic", "two_symbol", "zero_runs"]))
     if kind == "periodic":
@@ -341,3 +351,144 @@ class TestDuplicateHeavyAnchorMatching:
         assert counts["rich"][1] > 20 * max(1, counts["poor"][1])
         assert counts["rich"][1] > 1000
         assert 1 <= counts["rich"][0] == counts["poor"][0] <= 2, counts
+
+
+#: Buffer sizes the copy-coverage bound is exercised at (one of them
+#: not a whole number of 8-byte words).
+BOUND_SIZES = (1024, 2048, 4096, 4100, 8192)
+
+
+@st.composite
+def planted_copy_pairs(draw) -> tuple[np.ndarray, np.ndarray]:
+    """A random target with stretches of a random base planted in it.
+
+    Lengths straddle the matcher's minimum and both offsets are
+    arbitrary, so COPYs start at every residue mod 8 — the worst case
+    for a bound counted in aligned words.
+    """
+    n = draw(st.sampled_from(BOUND_SIZES))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.integers(0, 256, size=n, dtype=np.uint8)
+    target = rng.integers(0, 256, size=n, dtype=np.uint8)
+    for _ in range(draw(st.integers(0, 12))):
+        length = int(rng.integers(ANCHOR_SIZE, 300))
+        src, dst = (int(x) for x in rng.integers(0, n - length, size=2))
+        target[dst : dst + length] = base[src : src + length]
+    return target, base
+
+
+bound_pairs = st.one_of(duplicate_heavy_pairs(sizes=BOUND_SIZES), planted_copy_pairs())
+
+
+def _scalar_anchor_patch(target: np.ndarray, base: np.ndarray, level: int) -> Patch:
+    ops = _anchor_ops_scalar(target, base, level)
+    return Patch(ops=tuple(ops), target_len=len(target), base_len=len(base))
+
+
+def _copy_bound_constants(min_match: int) -> tuple[int, int]:
+    """The bound's constants as the module must derive them."""
+    words = (max(min_match, ANCHOR_SIZE) - 7) // 8
+    return words, 8 * (words - 1) + 14
+
+
+class TestCopyCoverageBound:
+    @given(bound_pairs, st.sampled_from([1, 2]))
+    @settings(max_examples=120, deadline=None)
+    def test_bound_covers_the_scalar_matchers_copies(self, pair, level):
+        target, base = pair
+        scalar = _scalar_anchor_patch(target, base, level)
+        bound = build_anchor_index(base, level).copy_bound(target, base)
+        assert bound >= scalar.copied_bytes
+        assert len(target) + patch_module._HEADER.size - bound <= scalar.size_bytes
+
+    def test_constants_are_derived_from_the_matchers(self):
+        words, slack = _copy_bound_constants(MIN_ANCHOR_MATCH)
+        assert words >= 1, "a COPY must contain a whole aligned word"
+        assert (patch_module._COPY_MIN_WORDS, patch_module._COPY_RUN_SLACK) == (words, slack)
+
+    @pytest.mark.parametrize("min_match", [ANCHOR_SIZE, MIN_ANCHOR_MATCH, 32, 41])
+    def test_shortest_copy_is_covered_wherever_it_starts(self, monkeypatch, min_match):
+        """The bound must follow ``MIN_ANCHOR_MATCH``.
+
+        The shortest COPY the matcher can emit, planted at every target
+        residue mod 8 in unrelated bytes, is found by the scalar matcher
+        and covered by the bound — for the shipped constant and for
+        lowered/raised ones once the bound's constants are re-derived.
+        With the matcher lowered and the bound's constants left behind,
+        the same pairs break the bound.
+        """
+        shipped = (patch_module._COPY_MIN_WORDS, patch_module._COPY_RUN_SLACK)
+        monkeypatch.setattr(patch_module, "MIN_ANCHOR_MATCH", min_match)
+        shortest = max(min_match, ANCHOR_SIZE)
+        rng = _rng(min_match)
+        n = 1024
+        pairs = []
+        for dst in range(200, 208):
+            base = rng.integers(0, 256, size=n, dtype=np.uint8)
+            target = rng.integers(0, 256, size=n, dtype=np.uint8)
+            target[dst : dst + shortest] = base[512 : 512 + shortest]
+            pairs.append((target, base))
+
+        def violations() -> int:
+            count = 0
+            for target, base in pairs:
+                copied = _scalar_anchor_patch(target, base, 2).copied_bytes
+                assert copied >= shortest
+                count += build_anchor_index(base, 2).copy_bound(target, base) < copied
+            return count
+
+        words, slack = _copy_bound_constants(min_match)
+        monkeypatch.setattr(patch_module, "_COPY_MIN_WORDS", words)
+        monkeypatch.setattr(patch_module, "_COPY_RUN_SLACK", slack)
+        assert violations() == 0
+        if (words, slack) < shipped:
+            monkeypatch.setattr(patch_module, "_COPY_MIN_WORDS", shipped[0])
+            monkeypatch.setattr(patch_module, "_COPY_RUN_SLACK", shipped[1])
+            assert violations() > 0
+
+    @given(bound_pairs, st.sampled_from([1, 2]))
+    @settings(max_examples=80, deadline=None)
+    def test_kept_patches_are_unchanged_by_the_cutoff(self, pair, level):
+        target, base = pair
+        n = len(target)
+        reference = compute_patch_reference(target, base, level=level)
+        index = build_anchor_index(base, level)
+        for provider in (None, lambda j: index):
+            (uncut,) = compute_patches([target], [base], level=level, index_provider=provider)
+            assert uncut == reference
+            # Below the aligned-fallback threshold, mid-page, the agent's
+            # unique cap, and above the one-INSERT literal's n + 21.
+            for cutoff in (n // 10, n // 2, 3 * n // 4, n + 22):
+                (got,) = compute_patches(
+                    [target], [base], level=level, index_provider=provider, max_size=cutoff
+                )
+                assert apply_patch(got, base) == target.tobytes()
+                if len(target) != len(base) or got.size_bytes < cutoff:
+                    assert got == reference
+                else:
+                    assert reference.size_bytes >= cutoff
+
+    def test_discarded_page_is_never_probed_and_filter_is_built_once(
+        self, monkeypatch, codec_calls
+    ):
+        rng = _rng(9)
+        base = rng.integers(0, 256, size=4096, dtype=np.uint8)
+        index = build_anchor_index(base, 1)
+        probes = []
+        real_probe = AnchorIndex.probe
+        monkeypatch.setattr(
+            AnchorIndex, "probe", lambda self, *a: probes.append(a) or real_probe(self, *a)
+        )
+        for _ in range(2):  # two ops against one cached base
+            unrelated = rng.integers(0, 256, size=4096, dtype=np.uint8)
+            (got,) = compute_patches(
+                [unrelated], [base], level=1, index_provider=lambda j: index, max_size=3072
+            )
+            assert got.size_bytes >= 3072
+            assert apply_patch(got, base) == unrelated.tobytes()
+        assert not probes
+        assert codec_calls == {"bound": 2, "matcher": 0, "word_bits": 1}
+        # The same page without a cutoff does go through the matcher.
+        compute_patches([unrelated], [base], level=1, index_provider=lambda j: index)
+        assert probes
+        assert codec_calls == {"bound": 2, "matcher": 1, "word_bits": 1}

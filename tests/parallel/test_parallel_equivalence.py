@@ -140,3 +140,29 @@ def test_pool_engine_matches_serial_across_profiles(suite):
             _assert_equivalent(serial, pipelined, suite.get(function), 320, False)
     finally:
         pipelined.close()
+
+
+def test_serial_and_pooled_dedup_skip_the_same_pages(suite, codec_calls):
+    """The unique-page cutoff reaches the codec on both paths.
+
+    An executed image's dirty pages reach the anchor fallback; the
+    serial agent and the pool's ``"patch"`` task both hand
+    ``compute_patches`` their ``unique_cap``, so both consult the
+    copy-coverage bound for the same pages, skip the matcher for the
+    same pages, and build the same page table.
+    """
+    # The inline engine runs the pool's task code in this process, where
+    # the counters can see it.
+    serial, pipelined = _build_agents(
+        suite, ParallelConfig(workers=1, batch_pages=8, depth=2)
+    )
+    try:
+        seen = []
+        for agent in (serial, pipelined):
+            codec_calls.update(bound=0, matcher=0, word_bits=0)
+            outcome = agent.dedup(_make_sandbox(suite.get("LinAlg"), 330, True))
+            seen.append((dict(codec_calls), outcome.table.entries))
+        assert seen[0] == seen[1]
+        assert seen[0][0]["bound"] > seen[0][0]["matcher"]
+    finally:
+        pipelined.close()

@@ -124,6 +124,18 @@ class TestDeltaRoundTrip:
         covered = table.patched_pages + len(table.unique_pages) + len(table.zero_pages)
         assert covered == image.num_pages
 
+    def test_delta_table_runs_the_matcher_without_a_cutoff(self, linalg_profile, codec_calls):
+        """Every region patch is kept, so there is no discard cutoff to
+        bound against: regions that fall back go straight to the anchor
+        matcher and no copy-coverage word table is ever built."""
+        image = linalg_profile.synthesize(3, content_scale=TEST_SCALE, aslr=True, executed=True)
+        segments = as_segments(segment_content_for(image))
+        build_delta_table(
+            image, segments, content_scale=TEST_SCALE, full_size_bytes=linalg_profile.memory_bytes
+        )
+        assert codec_calls["matcher"] > 0
+        assert codec_calls["bound"] == codec_calls["word_bits"] == 0
+
     def test_partial_segment_content_still_round_trips(self, linalg_profile):
         """Regions without a published segment fall back to private
         pages — the table is bigger but the fork stays byte-exact."""
