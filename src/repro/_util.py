@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Generic, Hashable, Iterable, TypeVar
+from typing import Generic, Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -22,22 +22,189 @@ MIB = 1024 * 1024
 GIB = 1024 * 1024 * 1024
 
 
+_NUMPY_SCALARS = (np.integer, np.floating, np.str_, np.bool_)
+
+
 def stable_seed(*parts: object) -> int:
     """Derive a stable 64-bit seed from arbitrary hashable parts.
 
     The derivation uses SHA-256 over the ``repr`` of each part, so it is
     independent of interpreter hash randomization and stable across runs.
+    NumPy scalars hash as the Python value they hold: their own ``repr``
+    changed between NumPy 1 and 2 (``5`` became ``np.int64(5)``), and a
+    seed must not depend on the installed NumPy.
     """
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(repr(part).encode("utf-8"))
-        digest.update(b"\x1f")
-    return int.from_bytes(digest.digest()[:8], "little")
+    text = "".join(
+        [
+            repr(part.item() if isinstance(part, _NUMPY_SCALARS) else part) + "\x1f"
+            for part in parts
+        ]
+    )
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
 
 
 def rng_for(*parts: object) -> np.random.Generator:
     """Return a numpy Generator deterministically seeded from ``parts``."""
     return np.random.Generator(np.random.PCG64(stable_seed(*parts)))
+
+
+# ------------------------------------------------ batched generator seeding
+#
+# ``np.random.PCG64(seed)`` spends ~10 us turning one integer into a
+# generator state: a ``SeedSequence`` object, its entropy pool, four
+# output words, a bit generator.  The arithmetic behind it is a fixed
+# sequence of uint32 multiply/xor/shift steps (``SeedSequence``, from
+# O'Neill's ``seed_seq_fe``) followed by two steps of PCG64's 128-bit
+# LCG, and it is the same sequence for every seed below 2**128 — so it
+# runs over an array of seeds at once.  NumPy guarantees the stream of
+# both pieces (NEP 19); ``tests/test_util.py`` compares this kernel with
+# ``np.random.PCG64`` itself and is the alarm should that ever change.
+
+
+def _uint32_chain(start: int, multiplier: int, length: int) -> tuple[np.uint32, ...]:
+    """``start * multiplier**k mod 2**32`` for ``k = 0..length``."""
+    chain = [start]
+    for _ in range(length):
+        chain.append((chain[-1] * multiplier) & 0xFFFFFFFF)
+    return tuple(np.uint32(value) for value in chain)
+
+
+#: ``SeedSequence``'s two running hash constants: every ``hashmix`` step
+#: xors with one element and multiplies by the next.  Seeding makes 16
+#: steps on the first chain (4 pool words + 12 cross-mixes) and 8 on the
+#: second (the 8 output words).
+_SEED_HASH_A = _uint32_chain(0x43B0D7E5, 0x931E8875, 16)
+_SEED_HASH_B = _uint32_chain(0x8B51F9DD, 0x58F38DED, 8)
+_SEED_MIX_L = np.uint32(0xCA01F9DD)
+_SEED_MIX_R = np.uint32(0x4973F715)
+_SEED_XSHIFT = np.uint32(16)
+#: PCG64's default 128-bit LCG multiplier, as two uint64 halves.
+_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _pcg_multiply(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(hi, lo) * multiplier mod 2**128`` on uint64 arrays.
+
+    uint64 products wrap, which is the reduction wanted everywhere but
+    in the carry of ``lo * MULT_LO`` into the high half; that one comes
+    from the four 32-bit partial products.
+    """
+    a0, a1 = lo & _LOW32, lo >> _SHIFT32
+    b0, b1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _SHIFT32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    middle = (p00 >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = a1 * b1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (middle >> _SHIFT32)
+    return carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO, lo * _PCG_MULT_LO
+
+
+def pcg64_seed_states(seeds: np.ndarray) -> np.ndarray:
+    """The state ``np.random.PCG64(seed)`` starts from, for many seeds.
+
+    ``seeds`` is an array of integers in ``[0, 2**64)`` (what
+    :func:`stable_seed` returns).  Row ``i`` of the ``(n, 4)``
+    little-endian uint64 result is ``(state_lo, state_hi, inc_lo,
+    inc_hi)``: exactly ``np.random.PCG64(seeds[i]).state["state"]``
+    with each 128-bit integer split in two.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    step = 0
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal step
+        value = (value ^ _SEED_HASH_A[step]) * _SEED_HASH_A[step + 1]
+        step += 1
+        return value ^ (value >> _SEED_XSHIFT)
+
+    # The entropy pool: a seed is one or two uint32 words, and
+    # SeedSequence hashes absent words as zeros.
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    pool = [
+        hashmix(word)
+        for word in (
+            (seeds & _LOW32).astype(np.uint32),
+            (seeds >> _SHIFT32).astype(np.uint32),
+            zero,
+            zero,
+        )
+    ]
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                mixed = _SEED_MIX_L * pool[target] - _SEED_MIX_R * hashmix(pool[source])
+                pool[target] = mixed ^ (mixed >> _SEED_XSHIFT)
+    # generate_state(4, uint64): eight uint32 words, paired low-first.
+    words = []
+    for index in range(8):
+        value = (pool[index % 4] ^ _SEED_HASH_B[index]) * _SEED_HASH_B[index + 1]
+        words.append((value ^ (value >> _SEED_XSHIFT)).astype(np.uint64))
+    init_hi, init_lo, seq_hi, seq_lo = (
+        words[2 * pair] | (words[2 * pair + 1] << _SHIFT32) for pair in range(4)
+    )
+    # pcg64_srandom_r: inc = (seq << 1) | 1, then from a zero state
+    # step, add the initial state, step: state = (inc + init) * M + inc.
+    one = np.uint64(1)
+    inc_hi = (seq_hi << one) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << one) | one
+    lo = inc_lo + init_lo
+    hi = inc_hi + init_hi + (lo < inc_lo)
+    hi, lo = _pcg_multiply(hi, lo)
+    states = np.empty(seeds.shape + (4,), dtype="<u8")
+    states[..., 0] = lo + inc_lo
+    states[..., 1] = hi + inc_hi + (states[..., 0] < lo)
+    states[..., 2] = inc_lo
+    states[..., 3] = inc_hi
+    return states
+
+
+class SeededLognormal:
+    """``rng_for(*label, *key).lognormal(mean, sigma)`` for many keys,
+    bit for bit, without building a generator per key.
+
+    :meth:`prime` seeds a batch of keys in one :func:`pcg64_seed_states`
+    call; :meth:`draw` loads a key's state into the one ``PCG64`` this
+    object owns and makes the draw with numpy's own ``lognormal`` (whose
+    ziggurat tables are numpy-internal — nothing about the distribution
+    is restated here).  A key that was not primed is seeded on the spot
+    by the same kernel, as a batch of one.  Only the latest batch stays
+    primed, as 32 bytes a key.
+    """
+
+    def __init__(self, *label: object):
+        self._label = label
+        self._bit_generator = np.random.PCG64(0)
+        self._lognormal = np.random.Generator(self._bit_generator).lognormal
+        self._state = self._bit_generator.state
+        self._rows: dict[tuple, int] = {}
+        self._states = b""
+
+    def _seed(self, keys: Sequence[tuple]) -> bytes:
+        label = self._label
+        seeds = np.fromiter(
+            (stable_seed(*label, *key) for key in keys), dtype=np.uint64, count=len(keys)
+        )
+        return pcg64_seed_states(seeds).tobytes()
+
+    def prime(self, keys: Sequence[tuple]) -> None:
+        """Seed ``keys`` (tuples of the parts after the label) at once,
+        replacing the previous batch."""
+        self._states = self._seed(keys)
+        self._rows = {key: row for row, key in enumerate(keys)}
+
+    def draw(self, key: tuple, mean: float, sigma: float) -> float:
+        """One lognormal draw from the fresh generator of ``key``."""
+        row = self._rows.get(key)
+        if row is None:
+            states, offset = self._seed((key,)), 0
+        else:
+            states, offset = self._states, 32 * row
+        words = self._state["state"]
+        words["state"] = int.from_bytes(states[offset : offset + 16], "little")
+        words["inc"] = int.from_bytes(states[offset + 16 : offset + 32], "little")
+        self._bit_generator.state = self._state
+        return self._lognormal(mean, sigma)
 
 
 def hash_bytes(data: bytes, bits: int = 64) -> int:

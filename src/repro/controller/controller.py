@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
-from repro._util import hash_bytes, stable_seed
+from repro._util import SeededLognormal, hash_bytes, stable_seed
 from repro.controller.index import NodeUsageIndex, SandboxIndex
 from repro.core.agent import DedupAgent, PageKind
 from repro.core.basemgr import BaseSandboxManager
@@ -65,7 +65,6 @@ from repro.templates.catalog import TemplateCatalog, TemplatePoolFull
 from repro.templates.delta import TemplateDeltaTable
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Request
-from repro._util import rng_for
 
 if TYPE_CHECKING:
     from repro.core.agent import DedupPageTable
@@ -177,6 +176,7 @@ class ClusterController:
         # itself merge their memory; submit() enforces the invariant.
         self._tenant_of: dict[str, str] = {}
         self._function_domain: dict[str, str] = {}
+        self._exec_draws = SeededLognormal("exec-time")
 
     def _domain_for(self, function: str, tenant: str) -> str:
         """Learn/validate the function's tenant; return its dedup domain."""
@@ -200,7 +200,10 @@ class ClusterController:
         return self._by_function.setdefault(function, {})
 
     def _timers_for(self, sandbox: Sandbox) -> _SandboxTimers:
-        return self._timers.setdefault(sandbox.sandbox_id, _SandboxTimers())
+        timers = self._timers.get(sandbox.sandbox_id)
+        if timers is None:
+            timers = self._timers[sandbox.sandbox_id] = _SandboxTimers()
+        return timers
 
     def _next_instance_seed(self) -> int:
         self._instance_counter += 1
@@ -220,17 +223,24 @@ class ClusterController:
                 executed=True,
             )
 
+    def prime_exec_times(self, requests: Sequence[Request]) -> None:
+        """Seed the execution-time draws of upcoming ``requests`` in one
+        batch (the platform passes each chunk of arrivals it schedules)."""
+        self._exec_draws.prime([(r.request_id, r.function) for r in requests])
+
     def _exec_ms(self, request: Request) -> float:
         """Execution time for a request: identical across platforms.
 
         Seeded only from the request identity (not the platform), so
         Medes and every baseline replay the same work per request and
-        Figure-7a's paired comparison is apples to apples.
+        Figure-7a's paired comparison is apples to apples: the draw is
+        ``rng_for("exec-time", request_id, function).lognormal(...)``.
         """
         profile = self.suite.get(request.function)
-        rng = rng_for("exec-time", request.request_id, request.function)
         sigma = profile.exec_cv
-        sample = float(rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma))
+        sample = self._exec_draws.draw(
+            (request.request_id, request.function), -0.5 * sigma * sigma, sigma
+        )
         return profile.exec_time_ms * sample
 
     def used_bytes(self) -> int:
@@ -242,17 +252,9 @@ class ClusterController:
             return dict(self._index.live_count), dict(self._index.dedup_count)
         live: dict[str, int] = {}
         dedup: dict[str, int] = {}
-        live_states = {
-            SandboxState.WARM,
-            SandboxState.RUNNING,
-            SandboxState.DEDUPING,
-            SandboxState.DEDUP,
-            SandboxState.RESTORING,
-        }
-        dedup_states = {SandboxState.DEDUPING, SandboxState.DEDUP}
         for function, sandboxes in self._by_function.items():
-            live[function] = sum(1 for s in sandboxes.values() if s.state in live_states)
-            dedup[function] = sum(1 for s in sandboxes.values() if s.state in dedup_states)
+            live[function] = sum(1 for s in sandboxes.values() if s.state.live)
+            dedup[function] = sum(1 for s in sandboxes.values() if s.state.dedup)
         return live, dedup
 
     def build_view(self) -> ClusterView:
@@ -294,21 +296,20 @@ class ClusterController:
         for sandboxes in self._by_function.values():
             for sandbox in sandboxes.values():
                 total += 1
-                if sandbox.state in (SandboxState.WARM, SandboxState.RUNNING):
-                    warm += 1
-                elif sandbox.state in (SandboxState.DEDUP, SandboxState.DEDUPING):
-                    dedup += 1
+                warm += sandbox.state.census_warm
+                dedup += sandbox.state.dedup
         return warm, dedup, total
 
     # ----------------------------------------------------------- dispatch
 
     def submit(self, request: Request) -> None:
         """Entry point: a client request arrives at the controller."""
-        record = self.metrics.on_arrival(request.request_id, request.function, self.sim.now)
+        now = self.sim.now
+        record = self.metrics.on_arrival(request.request_id, request.function, now)
         self._domain_for(request.function, request.tenant)
-        self.policy.on_arrival(request.function, self.sim.now)
+        self.policy.on_arrival(request.function, now)
         if request.function in self.stats:
-            self.stats[request.function].record_arrival(self.sim.now)
+            self.stats[request.function].record_arrival(now)
         if not self._try_dispatch(request, record):
             self._queue.append((request, record))
             # Give the starvation path (last-resort base eviction) a
@@ -430,11 +431,12 @@ class ClusterController:
         return started
 
     def _start_warm(self, sandbox: Sandbox, request: Request, record: RequestRecord) -> None:
+        now = self.sim.now
         self._timers_for(sandbox).cancel_all()
         sandbox.busy_request_id = request.request_id
-        sandbox.transition(SandboxState.RUNNING, self.sim.now)
+        sandbox.transition(SandboxState.RUNNING, now)
         record.start_type = StartType.WARM
-        record.queued_ms = self.sim.now - record.arrival_ms
+        record.queued_ms = now - record.arrival_ms
         record.startup_ms = self.config.costs.warm_start_ms + record.retry_penalty_ms
         self._run_request(sandbox, request, record)
 
@@ -665,11 +667,12 @@ class ClusterController:
         delay = exec_ms if already_started else record.startup_ms + exec_ms
 
         def complete() -> None:
+            now = self.sim.now
             self._inflight.pop(request.request_id, None)
-            self.metrics.on_completion(record, self.sim.now)
+            self.metrics.on_completion(record, now)
             sandbox.busy_request_id = None
             sandbox.served_requests += 1
-            sandbox.transition(SandboxState.WARM, self.sim.now)
+            sandbox.transition(SandboxState.WARM, now)
             self._arm_idle_timers(sandbox)
             self._drain_queue()
 
@@ -744,20 +747,27 @@ class ClusterController:
             victims = victims + unpinned_bases
         return victims
 
-    def _reclaimable_bytes(self, node: Node, *, include_bases: bool) -> int:
-        """Memory evicting every candidate would free — unranked.
+    def _can_reclaim(self, node: Node, needed_bytes: int, *, include_bases: bool) -> bool:
+        """Would evicting every candidate on ``node`` fit ``needed_bytes``?
 
-        The placement gate only needs the *total*, so it skips the
-        ranking entirely: an O(idle) sum that stays exact under an
-        ``eviction_scan_cap`` (a capped ranked list would undercount and
-        wrongly skip nodes with enough reclaimable memory).
+        The placement gate only needs the *total*, so it ranks nothing,
+        and the total stays exact under an ``eviction_scan_cap`` (a
+        capped ranked list would undercount and wrongly skip nodes with
+        enough reclaimable memory).  The indexed path reads the node's
+        maintained counter; the scan path sums the residents.  What a
+        node cannot see — whether a base's checkpoint is pinned, which
+        template replicas the catalog's hot window protects — is only
+        summed when the rest falls short.
         """
-        total = sum(s.memory_bytes() for s in self._evictable_sandboxes(node))
-        if include_bases:
-            total += sum(
-                s.memory_bytes() for s in self._unpinned_base_sandboxes(node)
+        if self.indexed:
+            total = node.free_bytes() + node.reclaimable_bytes()
+        else:
+            total = node.free_bytes() + sum(
+                s.memory_bytes() for s in self._evictable_sandboxes(node)
             )
-        if self.templates is not None:
+        if total < needed_bytes and include_bases:
+            total += sum(s.memory_bytes() for s in self._unpinned_base_sandboxes(node))
+        if total < needed_bytes and self.templates is not None:
             # Droppable template replicas (pool copies survive; the last
             # node-DRAM replica of a hot template is exempt).
             total += sum(
@@ -766,7 +776,7 @@ class ClusterController:
                     node.node_id, self.sim.now
                 )
             )
-        return total
+        return total >= needed_bytes
 
     def _place(self, needed_bytes: int, *, allow_bases: bool = False) -> Node | None:
         """Least-used node that fits, evicting idle sandboxes if needed.
@@ -796,10 +806,7 @@ class ClusterController:
             if node.fits(needed_bytes):
                 return node
         for node in candidates:
-            reclaimable = node.free_bytes() + self._reclaimable_bytes(
-                node, include_bases=include_bases
-            )
-            if reclaimable < needed_bytes:
+            if not self._can_reclaim(node, needed_bytes, include_bases=include_bases):
                 continue
             # Re-fetch candidates each round: purging can re-enter the
             # dispatcher (queued work drains) and evict on its own.
@@ -1357,21 +1364,26 @@ class ClusterController:
         )
         self.metrics.base_ops.append(record)
         sandbox.busy_request_id = _BASE_OP_BUSY
-        if self.indexed:
-            # The busy flag changed without a state transition, so no
-            # observer fired; update candidate membership by hand.
-            self._index.refresh(sandbox)
+        self._note_candidacy_change(sandbox)
 
         def finish_base_op() -> None:
             if sandbox.busy_request_id != _BASE_OP_BUSY:
                 return  # purged (or otherwise reclaimed) mid-demarcation
             sandbox.busy_request_id = None
-            if self.indexed:
-                self._index.refresh(sandbox)
+            self._note_candidacy_change(sandbox)
             if sandbox.state is SandboxState.WARM:
                 self._arm_idle_timers(sandbox)
 
         self.sim.after(record.total_ms, finish_base_op)
+
+    def _note_candidacy_change(self, sandbox: Sandbox) -> None:
+        """``busy_request_id`` or ``is_base`` changed without a state
+        transition, so no observer fired: update by hand what they feed
+        (dispatch candidate sets, the node's reclaimable bytes)."""
+        if self.indexed:
+            self._index.refresh(sandbox)
+        if sandbox.state is not SandboxState.PURGED:
+            self.nodes[sandbox.node_id].recharge_sandbox(sandbox.sandbox_id)
 
     def _abort_dedup(self, sandbox: Sandbox) -> None:
         """Cancel an in-flight dedup op and return the sandbox to warm.

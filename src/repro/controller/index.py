@@ -37,22 +37,6 @@ from repro.sandbox.state import SandboxState
 if TYPE_CHECKING:
     from repro.sandbox.node import Node
 
-#: States in which a sandbox is serving-capable ("live" in the policy's
-#: ClusterView sense): everything between spawn completion and purge.
-LIVE_STATES = frozenset(
-    {
-        SandboxState.WARM,
-        SandboxState.RUNNING,
-        SandboxState.DEDUPING,
-        SandboxState.DEDUP,
-        SandboxState.RESTORING,
-    }
-)
-#: States counted as deduplicated (in or entering dedup).
-DEDUP_STATES = frozenset({SandboxState.DEDUPING, SandboxState.DEDUP})
-#: States counted as warm-ish by the memory-timeline census.
-CENSUS_WARM_STATES = frozenset({SandboxState.WARM, SandboxState.RUNNING})
-
 
 class SandboxIndex:
     """Candidate sets and population counters, updated in O(1) per event."""
@@ -84,16 +68,14 @@ class SandboxIndex:
     ) -> None:
         """Observer for :meth:`Sandbox.transition`."""
         function = sandbox.function
-        live_delta = (new_state in LIVE_STATES) - (old_state in LIVE_STATES)
+        live_delta = new_state.live - old_state.live
         if live_delta:
             self.live_count[function] = self.live_count.get(function, 0) + live_delta
-        dedup_delta = (new_state in DEDUP_STATES) - (old_state in DEDUP_STATES)
+        dedup_delta = new_state.dedup - old_state.dedup
         if dedup_delta:
             self.dedup_count[function] = self.dedup_count.get(function, 0) + dedup_delta
-        self.warm_census += (new_state in CENSUS_WARM_STATES) - (
-            old_state in CENSUS_WARM_STATES
-        )
-        self.dedup_census += (new_state in DEDUP_STATES) - (old_state in DEDUP_STATES)
+            self.dedup_census += dedup_delta
+        self.warm_census += new_state.census_warm - old_state.census_warm
         if new_state is SandboxState.PURGED:
             self.total -= 1
         self.refresh(sandbox)

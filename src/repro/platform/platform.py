@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import partial
 
 from repro._util import stable_seed
 from repro.controller.baselines import AdaptiveKeepAlivePolicy, FixedKeepAlivePolicy
@@ -264,20 +265,23 @@ class Platform:
         upcoming arrivals on the heap via ``Simulator.schedule_stream``;
         the eager mode pre-schedules every request up front and is kept
         as the reference the streaming equivalence tests pin against.
+        Either way the controller seeds the execution-time draws of the
+        requests in one batch as they are scheduled.
         """
         requests = trace.requests
+        submit = self.controller.submit
+        prime = self.controller.prime_exec_times
         if self.config.streamed_arrivals:
-            submit = self.controller.submit
             self.sim.schedule_stream(
                 [request.arrival_ms for request in requests],
-                lambda i: lambda request=requests[i]: submit(request),
+                lambda i: partial(submit, requests[i]),
                 chunk_size=self.config.arrival_chunk,
+                on_chunk=lambda start, stop: prime(requests[start:stop]),
             )
         else:
+            prime(requests)
             for request in requests:
-                self.sim.at(
-                    request.arrival_ms, lambda r=request: self.controller.submit(r)
-                )
+                self.sim.at(request.arrival_ms, partial(submit, request))
 
     def run(self, trace: Trace, *, tail_ms: float = RUN_TAIL_MS) -> RunReport:
         """Replay ``trace`` to completion and collect metrics.

@@ -4,8 +4,6 @@ from repro.sandbox.checkpoint import BaseCheckpoint, CheckpointStore
 from repro.sandbox.node import AccountingError, CapacityError, EvictionOrder, Node
 from repro.sandbox.sandbox import Sandbox
 from repro.sandbox.state import (
-    ASSIGNABLE_STATES,
-    FULL_FOOTPRINT_STATES,
     InvalidTransition,
     SandboxState,
     allowed_transitions,
@@ -13,13 +11,11 @@ from repro.sandbox.state import (
 )
 
 __all__ = [
-    "ASSIGNABLE_STATES",
     "AccountingError",
     "BaseCheckpoint",
     "CapacityError",
     "EvictionOrder",
     "CheckpointStore",
-    "FULL_FOOTPRINT_STATES",
     "InvalidTransition",
     "Node",
     "Sandbox",

@@ -16,7 +16,9 @@ recomputed sum survives as :meth:`recomputed_used_bytes`, asserted
 against the counter on every read when ``verify_accounting`` is set
 (tests enable it) and used directly when ``cached_accounting`` is off
 (the pre-index behaviour, kept for the throughput benchmark and the
-equivalence tests).
+equivalence tests).  A second counter, ``reclaimable_bytes``, is kept
+the same way: the charge of the residents that are evictable right
+now, which is what the placement gate asks of every node it considers.
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ class CapacityError(RuntimeError):
 
 
 class AccountingError(AssertionError):
-    """Raised when the incremental ``used`` counter drifts from the
-    recomputed per-resident sum (only checked under ``verify_accounting``)."""
+    """Raised when an incremental counter drifts from the recomputed
+    per-resident sum (only checked under ``verify_accounting``)."""
 
 
 @dataclass
@@ -107,6 +109,10 @@ class Node:
     controller's placement index subscribes here)."""
     _used: int = field(default=0, repr=False)
     _sandbox_charges: dict[int, int] = field(default_factory=dict, repr=False)
+    _reclaimable: int = field(default=0, repr=False)
+    _reclaimable_charges: dict[int, int] = field(default_factory=dict, repr=False)
+    """The part of each resident's charge that eviction could free
+    right now: all of it, or 0 while the resident is busy or a base."""
     _checkpoint_charges: dict[int, int] = field(default_factory=dict, repr=False)
     _template_charges: dict[int, int] = field(default_factory=dict, repr=False)
     """Full-scale DRAM charge per resident template-segment replica,
@@ -137,6 +143,21 @@ class Node:
     def free_bytes(self) -> int:
         return self.capacity_bytes - self.used_bytes()
 
+    def reclaimable_bytes(self) -> int:
+        """Memory that evicting every evictable resident would free."""
+        if self.verify_accounting:
+            recomputed = self.recomputed_reclaimable_bytes()
+            if recomputed != self._reclaimable:
+                raise AccountingError(
+                    f"node {self.node_id}: cached reclaimable={self._reclaimable} != "
+                    f"recomputed {recomputed}"
+                )
+        return self._reclaimable
+
+    def recomputed_reclaimable_bytes(self) -> int:
+        """The O(residents) sum ``reclaimable_bytes`` must agree with."""
+        return sum(s.memory_bytes() for s in self.sandboxes.values() if s.evictable)
+
     def fits(self, extra_bytes: int) -> bool:
         """Would admitting ``extra_bytes`` stay within the soft limit?"""
         return self.used_bytes() + extra_bytes <= self.capacity_bytes
@@ -148,16 +169,25 @@ class Node:
         if self.on_used_changed is not None:
             self.on_used_changed(self)
 
+    def _recharge(self, sandbox: Sandbox, charged: int) -> None:
+        """Re-derive a resident's charge, and whether eviction could
+        free it, from the sandbox as it is now."""
+        sandbox_id = sandbox.sandbox_id
+        charge = sandbox.memory_bytes()
+        reclaimable = charge if sandbox.evictable else 0
+        self._reclaimable += reclaimable - self._reclaimable_charges.get(sandbox_id, 0)
+        self._reclaimable_charges[sandbox_id] = reclaimable
+        if charge != charged:
+            self._sandbox_charges[sandbox_id] = charge
+            self._apply_delta(charge - charged)
+
     def _on_sandbox_transition(
         self, sandbox: Sandbox, old_state: SandboxState, new_state: SandboxState
     ) -> None:
         """Transition observer: recharge the sandbox at its new footprint."""
         charged = self._sandbox_charges.get(sandbox.sandbox_id)
-        if charged is None:
-            return  # not (or no longer) resident here
-        new_charge = sandbox.memory_bytes()
-        self._sandbox_charges[sandbox.sandbox_id] = new_charge
-        self._apply_delta(new_charge - charged)
+        if charged is not None:  # else not (or no longer) resident here
+            self._recharge(sandbox, charged)
 
     # --------------------------------------------------------- residents
 
@@ -173,10 +203,9 @@ class Node:
                 f"not {self.node_id}"
             )
         self.sandboxes[sandbox.sandbox_id] = sandbox
-        charge = sandbox.memory_bytes()
-        self._sandbox_charges[sandbox.sandbox_id] = charge
+        self._sandbox_charges[sandbox.sandbox_id] = 0
         sandbox.observers.append(self._on_sandbox_transition)
-        self._apply_delta(charge)
+        self._recharge(sandbox, 0)
 
     def remove(self, sandbox_id: int) -> Sandbox:
         try:
@@ -184,6 +213,7 @@ class Node:
         except KeyError:
             raise KeyError(f"sandbox {sandbox_id} not on node {self.node_id}") from None
         charge = self._sandbox_charges.pop(sandbox_id)
+        self._reclaimable -= self._reclaimable_charges.pop(sandbox_id)
         try:
             sandbox.observers.remove(self._on_sandbox_transition)
         except ValueError:  # pragma: no cover - defensive
@@ -231,14 +261,11 @@ class Node:
         return sum(self._template_charges.values())
 
     def recharge_sandbox(self, sandbox_id: int) -> None:
-        """Re-account a resident sandbox whose charge changed *without*
-        a lifecycle transition — a dedup table demoted to (or promoted
-        from) a lower storage tier flips ``table_tier`` in place."""
-        sandbox = self.sandboxes[sandbox_id]
-        charged = self._sandbox_charges[sandbox_id]
-        new_charge = sandbox.memory_bytes()
-        self._sandbox_charges[sandbox_id] = new_charge
-        self._apply_delta(new_charge - charged)
+        """Re-account a resident sandbox whose charge or evictability
+        changed *without* a lifecycle transition — a dedup table demoted
+        to (or promoted from) a lower storage tier flips ``table_tier``
+        in place, base demarcation flips ``is_base`` and the busy flag."""
+        self._recharge(self.sandboxes[sandbox_id], self._sandbox_charges[sandbox_id])
 
     def recharge_checkpoint(self, checkpoint_id: int) -> None:
         """Re-account a pinned checkpoint whose charge changed.

@@ -7,12 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
 
 from repro.memory.image import MemoryImage
-from repro.sandbox.state import (
-    ASSIGNABLE_STATES,
-    FULL_FOOTPRINT_STATES,
-    SandboxState,
-    check_transition,
-)
+from repro.sandbox.state import SandboxState, check_transition
 from repro.storage.tiers import StorageTier
 from repro.workload.functionbench import FunctionProfile
 
@@ -88,7 +83,7 @@ class Sandbox:
     @property
     def assignable(self) -> bool:
         """Can this sandbox be handed a request right now?"""
-        return self.state in ASSIGNABLE_STATES and self.busy_request_id is None
+        return self.state.assignable and self.busy_request_id is None
 
     @property
     def idle_warm(self) -> bool:
@@ -97,17 +92,12 @@ class Sandbox:
     @property
     def evictable(self) -> bool:
         """Idle sandboxes may be evicted; base sandboxes are pinned."""
-        if self.is_base:
-            return False
-        return self.busy_request_id is None and self.state in (
-            SandboxState.WARM,
-            SandboxState.DEDUP,
-        )
+        return not self.is_base and self.busy_request_id is None and self.state.assignable
 
     def transition(self, new_state: SandboxState, now: float) -> None:
         """Move the lifecycle forward, enforcing Figure 4b."""
-        check_transition(self.state, new_state)
         old_state = self.state
+        check_transition(old_state, new_state)
         self.state = new_state
         if new_state is SandboxState.WARM:
             self.last_idle_at = now
@@ -128,7 +118,7 @@ class Sandbox:
         if self.state is SandboxState.PURGED:
             return 0
         full = self.profile.memory_bytes
-        if self.state in FULL_FOOTPRINT_STATES:
+        if self.state.full_footprint:
             # A template-forked sandbox maps its clean template pages
             # from the node's replicas (copy-on-write), so it is charged
             # only for what it actually owns.

@@ -36,30 +36,49 @@ class SandboxState(enum.Enum):
     PURGED = "purged"
     """Removed from memory; terminal."""
 
+    # Per-state facts, as plain attributes of each member (set just
+    # below the class: annotations alone create no enum members).  A
+    # sandbox changes state twice per request and every change reads
+    # most of these; an attribute read hashes no enum member.
+    allowed: tuple["SandboxState", ...]
+    """States reachable in one transition (Figure 4b's edges)."""
+    full_footprint: bool
+    """Occupies its full warm footprint."""
+    assignable: bool
+    """May be handed a request, and may be evicted, when idle."""
+    live: bool
+    """Serving-capable in the policy's ``ClusterView`` sense:
+    everything between spawn completion and purge."""
+    dedup: bool
+    """Deduplicated, or on the way in."""
+    census_warm: bool
+    """Counted as warm-ish by the memory-timeline census."""
 
-_ALLOWED: dict[SandboxState, frozenset[SandboxState]] = {
-    SandboxState.SPAWNING: frozenset(
-        # SPAWNING -> WARM is the pre-warm path: a sandbox spawned ahead
-        # of demand becomes idle-warm without serving a request first.
-        {SandboxState.RUNNING, SandboxState.WARM, SandboxState.PURGED}
-    ),
-    SandboxState.RUNNING: frozenset({SandboxState.WARM}),
-    SandboxState.WARM: frozenset(
-        {SandboxState.RUNNING, SandboxState.DEDUPING, SandboxState.PURGED}
-    ),
-    SandboxState.DEDUPING: frozenset({SandboxState.DEDUP, SandboxState.WARM}),
-    SandboxState.DEDUP: frozenset({SandboxState.RESTORING, SandboxState.PURGED}),
-    SandboxState.RESTORING: frozenset({SandboxState.RUNNING, SandboxState.WARM}),
-    SandboxState.PURGED: frozenset(),
-}
 
-#: States in which the sandbox occupies its full warm footprint.
-FULL_FOOTPRINT_STATES = frozenset(
-    {SandboxState.SPAWNING, SandboxState.RUNNING, SandboxState.WARM, SandboxState.DEDUPING}
+def _describe(state: SandboxState, allowed: tuple[SandboxState, ...], *facts: str) -> None:
+    state.allowed = allowed
+    for name in ("full_footprint", "assignable", "live", "dedup", "census_warm"):
+        setattr(state, name, name in facts)
+
+
+_S = SandboxState
+# SPAWNING -> WARM is the pre-warm path: a sandbox spawned ahead of
+# demand becomes idle-warm without serving a request first.
+_describe(_S.SPAWNING, (_S.RUNNING, _S.WARM, _S.PURGED), "full_footprint")
+_describe(_S.RUNNING, (_S.WARM,), "full_footprint", "live", "census_warm")
+_describe(
+    _S.WARM,
+    (_S.RUNNING, _S.DEDUPING, _S.PURGED),
+    "full_footprint",
+    "assignable",
+    "live",
+    "census_warm",
 )
-
-#: States in which a sandbox may be assigned a request.
-ASSIGNABLE_STATES = frozenset({SandboxState.WARM, SandboxState.DEDUP})
+_describe(_S.DEDUPING, (_S.DEDUP, _S.WARM), "full_footprint", "live", "dedup")
+_describe(_S.DEDUP, (_S.RESTORING, _S.PURGED), "assignable", "live", "dedup")
+_describe(_S.RESTORING, (_S.RUNNING, _S.WARM), "live")
+_describe(_S.PURGED, ())
+del _S
 
 
 class InvalidTransition(RuntimeError):
@@ -68,10 +87,10 @@ class InvalidTransition(RuntimeError):
 
 def check_transition(current: SandboxState, new: SandboxState) -> None:
     """Validate a lifecycle transition, raising :class:`InvalidTransition`."""
-    if new not in _ALLOWED[current]:
+    if new not in current.allowed:
         raise InvalidTransition(f"illegal sandbox transition {current.value} -> {new.value}")
 
 
 def allowed_transitions(state: SandboxState) -> frozenset[SandboxState]:
     """The set of states reachable from ``state`` in one transition."""
-    return _ALLOWED[state]
+    return frozenset(state.allowed)

@@ -31,7 +31,6 @@ Times are floating-point **milliseconds** throughout the reproduction.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 
@@ -39,64 +38,42 @@ class SimulationError(RuntimeError):
     """Raised for inconsistent use of the simulator (e.g. past scheduling)."""
 
 
-@dataclass(slots=True)
-class _Entry:
-    time: float
-    seq: int
-    callback: Callable[[], None]
-    cancelled: bool = False
-
-    def __lt__(self, other: "_Entry") -> bool:
-        # Hand-rolled (time, seq) ordering: the dataclass-generated
-        # comparison builds two tuples per heap sift step, which is
-        # measurable across millions of heap operations.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-
 class Timer:
-    """Handle to a scheduled event; supports cancellation."""
+    """A scheduled event, and the handle that cancels it.
 
-    __slots__ = ("_entry", "_sim")
+    The heap holds ``(time, seq, timer)`` tuples: ``seq`` is unique, so
+    ordering is settled on the first two elements, compared in C, and
+    the timer itself is never compared.
+    """
 
-    def __init__(self, entry: _Entry, sim: "Simulator"):
-        self._entry = entry
-        self._sim = sim
+    __slots__ = ("time", "cancelled", "_callback", "_queued", "_sim")
 
-    @property
-    def time(self) -> float:
+    def __init__(self, time: float, callback: Callable[[], None], sim: "Simulator"):
+        self.time = time
         """Absolute fire time in ms."""
-        return self._entry.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry.cancelled
+        self.cancelled = False
+        self._callback = callback
+        self._queued = True  # occupies a heap slot: not yet popped
+        self._sim = sim
 
     @property
     def pending(self) -> bool:
         """True if the event has not fired and not been cancelled."""
-        return not self._entry.cancelled and self._entry.callback is not _fired
+        return self._queued and not self.cancelled
 
     def cancel(self) -> None:
         """Cancel the event; a no-op if it already fired.
 
-        The flag is still set on a fired entry — :meth:`Simulator.every`
+        The flag is still set on a fired timer — :meth:`Simulator.every`
         reads it to stop a series cancelled from its own callback — but
-        only entries actually occupying a heap slot count toward the
+        only timers actually occupying a heap slot count toward the
         simulator's cancelled-entry bookkeeping.
         """
-        entry = self._entry
-        if entry.cancelled:
+        if self.cancelled:
             return
-        still_queued = entry.callback is not _fired
-        entry.cancelled = True
-        if still_queued:
+        self.cancelled = True
+        if self._queued:
             self._sim._note_cancelled()
-
-
-def _fired() -> None:  # sentinel marking consumed entries
-    raise AssertionError("fired sentinel must never be called")
 
 
 #: Compact the heap only once this many cancelled entries accumulated
@@ -115,7 +92,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: list[_Entry] = []
+        self._heap: list[tuple[float, int, Timer]] = []
         self._next_seq = 0
         self._events_processed = 0
         self._cancelled = 0
@@ -158,7 +135,7 @@ class Simulator:
         the dispatch loops stay valid even when a callback's cancels
         trigger compaction mid-drain.
         """
-        self._heap[:] = [entry for entry in self._heap if not entry.cancelled]
+        self._heap[:] = [item for item in self._heap if not item[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled = 0
 
@@ -166,13 +143,16 @@ class Simulator:
 
     def at(self, time: float, callback: Callable[[], None]) -> Timer:
         """Schedule ``callback`` at absolute time ``time`` (>= now)."""
-        if time < self._now - 1e-9:
-            raise SimulationError(f"cannot schedule at {time} < now {self._now}")
+        now = self._now
+        if time < now:
+            if time < now - 1e-9:
+                raise SimulationError(f"cannot schedule at {time} < now {now}")
+            time = now
         seq = self._next_seq
         self._next_seq = seq + 1
-        entry = _Entry(time=max(time, self._now), seq=seq, callback=callback)
-        heapq.heappush(self._heap, entry)
-        return Timer(entry, self)
+        timer = Timer(time, callback, self)
+        heapq.heappush(self._heap, (time, seq, timer))
+        return timer
 
     def after(self, delay: float, callback: Callable[[], None]) -> Timer:
         """Schedule ``callback`` after ``delay`` ms."""
@@ -183,24 +163,25 @@ class Simulator:
     def every(self, interval: float, callback: Callable[[], None]) -> Timer:
         """Schedule ``callback`` every ``interval`` ms until cancelled.
 
-        Returns the timer for the *next* occurrence; cancelling it stops
-        the whole series.
+        One timer carries the whole series: each tick puts it back on
+        the heap for the next occurrence, so cancelling it — from
+        outside or from ``callback`` itself — stops the series.
         """
         if interval <= 0:
             raise SimulationError(f"non-positive interval {interval}")
-        holder: dict[str, Timer] = {}
 
         def tick() -> None:
             callback()
-            timer = holder["timer"]
-            if timer._entry.cancelled:  # noqa: SLF001 — Timer's own module
-                # The callback cancelled its own series; the fired entry
-                # carries the flag, so honour it instead of re-arming.
+            if timer.cancelled:
                 return
-            timer._entry = self.after(interval, tick)._entry  # noqa: SLF001
+            timer.time = self._now + interval
+            timer._queued = True  # noqa: SLF001 — Timer's own module
+            seq = self._next_seq
+            self._next_seq = seq + 1
+            heapq.heappush(self._heap, (timer.time, seq, timer))
 
-        holder["timer"] = self.after(interval, tick)
-        return holder["timer"]
+        timer = self.after(interval, tick)
+        return timer
 
     def schedule_stream(
         self,
@@ -208,6 +189,7 @@ class Simulator:
         make_callback: Callable[[int], Callable[[], None]],
         *,
         chunk_size: int = STREAM_CHUNK,
+        on_chunk: Callable[[int, int], None] | None = None,
     ) -> int:
         """Schedule ``make_callback(i)`` at ``times[i]`` for every ``i``,
         keeping only ~``chunk_size`` entries of the stream resident.
@@ -220,8 +202,11 @@ class Simulator:
         bit-identical to eager scheduling while resident heap state stays
         O(chunk) instead of O(len(times)).  Entries materialize chunk by
         chunk: the last entry of each chunk pushes the next one after its
-        own callback runs.  Stream entries expose no :class:`Timer` and
-        cannot be cancelled.  Returns the number of scheduled callbacks.
+        own callback runs, and ``on_chunk(start, stop)`` is told about
+        each chunk just before its entries are made (a caller batching
+        per-entry preparation hooks in here).  Stream entries expose no
+        :class:`Timer` and cannot be cancelled.  Returns the number of
+        scheduled callbacks.
         """
         count = len(times)
         if chunk_size <= 0:
@@ -235,18 +220,22 @@ class Simulator:
 
         def push_chunk(start: int) -> None:
             stop = min(start + chunk_size, count)
+            if on_chunk is not None:
+                on_chunk(start, stop)
             floor = self._now
             for i in range(start, stop):
                 time = times[i]
-                if time < floor - 1e-9:
-                    raise SimulationError(
-                        f"stream time {time} at index {i} below {floor} (unsorted?)"
-                    )
-                floor = time = max(time, floor)
+                if time < floor:
+                    if time < floor - 1e-9:
+                        raise SimulationError(
+                            f"stream time {time} at index {i} below {floor} (unsorted?)"
+                        )
+                    time = floor
+                floor = time
                 callback = make_callback(i)
                 if i == stop - 1 and stop < count:
                     callback = _chained(callback, push_chunk, stop)
-                heappush(heap, _Entry(time=time, seq=base + i, callback=callback))
+                heappush(heap, (time, base + i, Timer(time, callback, self)))
 
         def _chained(callback, refill, next_start):
             def run_and_refill() -> None:
@@ -264,15 +253,14 @@ class Simulator:
         """Run the next pending event.  Returns False when queue is empty."""
         heap = self._heap
         while heap:
-            entry = heapq.heappop(heap)
-            if entry.cancelled:
+            time, _seq, timer = heapq.heappop(heap)
+            timer._queued = False  # noqa: SLF001 — Timer's own module
+            if timer.cancelled:
                 self._cancelled -= 1
                 continue
-            self._now = entry.time
-            callback = entry.callback
-            entry.callback = _fired
+            self._now = time
             self._events_processed += 1
-            callback()
+            timer._callback()  # noqa: SLF001
             return True
         return False
 
@@ -282,20 +270,15 @@ class Simulator:
         heappop = heapq.heappop
         processed = 0
         try:
-            while heap:
-                entry = heap[0]
-                if entry.time > end_time:
-                    break
-                heappop(heap)
-                if entry.cancelled:
+            while heap and heap[0][0] <= end_time:
+                time, _seq, timer = heappop(heap)
+                timer._queued = False  # noqa: SLF001 — Timer's own module
+                if timer.cancelled:
                     self._cancelled -= 1
                     continue
-                if entry.time != self._now:
-                    self._now = entry.time
-                callback = entry.callback
-                entry.callback = _fired
+                self._now = time
                 processed += 1
-                callback()
+                timer._callback()  # noqa: SLF001
         finally:
             self._events_processed += processed
         self._now = max(self._now, end_time)
@@ -313,21 +296,19 @@ class Simulator:
         processed = 0
         try:
             while heap and remaining > 0:
-                entry = heappop(heap)
-                if entry.cancelled:
+                time, _seq, timer = heappop(heap)
+                timer._queued = False  # noqa: SLF001 — Timer's own module
+                if timer.cancelled:
                     self._cancelled -= 1
                     continue
-                if entry.time != self._now:
-                    self._now = entry.time
-                callback = entry.callback
-                entry.callback = _fired
+                self._now = time
                 processed += 1
                 remaining -= 1
-                callback()
+                timer._callback()  # noqa: SLF001
         finally:
             self._events_processed += processed
         if heap and remaining <= 0:
-            while heap and heap[0].cancelled:
+            while heap and heap[0][2].cancelled:
                 heappop(heap)
                 self._cancelled -= 1
             live = len(heap) - self._cancelled

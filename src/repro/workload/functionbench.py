@@ -10,7 +10,7 @@ measurement study's ``HTTPServe``/``ModelServe``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro._util import MIB
 from repro.memory.image import MemoryImage, synthesize_image
@@ -48,7 +48,7 @@ class FunctionProfile:
         if self.exec_time_ms <= 0 or self.memory_mb <= 0 or self.cold_start_ms <= 0:
             raise ValueError(f"profile {self.name}: times and memory must be positive")
 
-    @property
+    @cached_property
     def memory_bytes(self) -> int:
         """Full-scale footprint in bytes."""
         return int(self.memory_mb * MIB)
@@ -183,11 +183,13 @@ class FunctionBenchSuite:
     """The benchmark suite: an ordered, name-addressable set of profiles."""
 
     profiles: tuple[FunctionProfile, ...] = field(default=_PROFILES)
+    _by_name: dict[str, FunctionProfile] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [p.name for p in self.profiles]
-        if len(set(names)) != len(names):
+        by_name = {p.name: p for p in self.profiles}
+        if len(by_name) != len(self.profiles):
             raise ValueError("duplicate profile names in suite")
+        object.__setattr__(self, "_by_name", by_name)
 
     @classmethod
     def default(cls) -> "FunctionBenchSuite":
@@ -242,10 +244,10 @@ class FunctionBenchSuite:
 
     def get(self, name: str) -> FunctionProfile:
         """Look up a profile by name."""
-        for profile in self.profiles:
-            if profile.name == name:
-                return profile
-        raise KeyError(f"unknown function {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"unknown function {name!r}") from None
 
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.profiles)

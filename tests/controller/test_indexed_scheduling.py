@@ -92,6 +92,65 @@ class TestNoResidentScans:
         assert view.used_bytes > 0
 
 
+class TestPlacementGateReadsACounter:
+    """``_try_place`` asks every node whether eviction could make room;
+    the answer is a maintained number, and only the node that goes on
+    to evict looks at its residents."""
+
+    NODES = 8
+
+    def _full_cluster(self):
+        # 64 MB nodes hold three 17 MB Vanilla sandboxes and no fourth:
+        # 24 simultaneous arrivals cold-start three per node.
+        platform = build(config_overrides=dict(nodes=self.NODES, node_memory_mb=64.0))
+        for i in range(3 * self.NODES):
+            request = Request(request_id=i, function="Vanilla", arrival_ms=0.0)
+            platform.sim.at(0.0, lambda r=request: platform.controller.submit(r))
+        return platform
+
+    @staticmethod
+    def _count_evictable(monkeypatch):
+        from repro.sandbox.sandbox import Sandbox
+
+        original = Sandbox.evictable.fget
+        seen: list[int] = []
+
+        def counting(sandbox):
+            seen.append(sandbox.node_id)
+            return original(sandbox)
+
+        monkeypatch.setattr(Sandbox, "evictable", property(counting))
+        return seen
+
+    def test_failed_placement_looks_at_no_resident(self, monkeypatch):
+        platform = self._full_cluster()
+        platform.sim.run_until(600.0)  # all 24 executing: nothing evictable
+        controller = platform.controller
+        assert all(len(node.sandboxes) == 3 for node in platform.nodes)
+        assert all(node.reclaimable_bytes() == 0 for node in platform.nodes)
+        seen = self._count_evictable(monkeypatch)
+        suite = controller.suite
+        assert controller._place(suite.get("Vanilla").memory_bytes) is None
+        assert controller._place(
+            suite.get("Vanilla").memory_bytes, allow_bases=True
+        ) is None
+        assert seen == []
+
+    def test_evicting_placement_looks_at_the_chosen_node_only(self, monkeypatch):
+        platform = self._full_cluster()
+        platform.sim.run_until(2_000.0)  # all 24 idle warm
+        controller = platform.controller
+        vanilla = controller.suite.get("Vanilla").memory_bytes
+        assert all(node.reclaimable_bytes() == 3 * vanilla for node in platform.nodes)
+        seen = self._count_evictable(monkeypatch)
+        evictions = platform.metrics.evictions
+        node = controller._place(controller.suite.get("LinAlg").memory_bytes)
+        assert node is not None
+        assert platform.metrics.evictions == evictions + 2
+        assert seen and set(seen) == {node.node_id}
+        assert node.reclaimable_bytes() == node.recomputed_reclaimable_bytes() == vanilla
+
+
 class TestNoDispatchScan:
     def test_warm_dispatch_without_function_scan(self):
         """Dispatching to an idle warm sandbox reads the candidate index,

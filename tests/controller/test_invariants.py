@@ -85,6 +85,8 @@ class TestEndToEndInvariants:
             expected = sum(s.memory_bytes() for s in node.sandboxes.values())
             expected += sum(c.memory_bytes() for c in node.checkpoints.values())
             assert node.used_bytes() == expected
+            assert node.reclaimable_bytes() == node.recomputed_reclaimable_bytes()
+            assert node.reclaimable_bytes() <= expected
 
     @settings(max_examples=10, deadline=None)
     @given(arrival_lists)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,6 +91,18 @@ ARRIVALS = [
 ]
 
 
+def reclaimable_recount(node) -> int:
+    """What evicting every idle non-base resident would free, from the
+    definition (not through ``Sandbox.evictable``)."""
+    return sum(
+        sandbox.memory_bytes()
+        for sandbox in node.sandboxes.values()
+        if not sandbox.is_base
+        and sandbox.busy_request_id is None
+        and sandbox.state in (SandboxState.WARM, SandboxState.DEDUP)
+    )
+
+
 def run_with(faults):
     suite = FunctionBenchSuite.subset(list(FUNCTIONS))
     config = ClusterConfig(
@@ -138,11 +151,13 @@ class TestHealedRunsAreConsistent:
             assert checkpoint.refcount == expected.get(checkpoint.checkpoint_id, 0)
             assert checkpoint.refcount >= 0
 
-        # 4. Node used-bytes counters match the per-resident recount.
+        # 4. Node used-bytes and reclaimable-bytes counters match the
+        #    per-resident recount.
         for node in platform.nodes:
             recount = sum(s.memory_bytes() for s in node.sandboxes.values())
             recount += sum(c.memory_bytes() for c in node.checkpoints.values())
             assert node.used_bytes() == recount
+            assert node.reclaimable_bytes() == reclaimable_recount(node)
 
         # 5. The indexed control plane's census matches a full rescan.
         controller = platform.controller
@@ -171,3 +186,86 @@ class TestHealedRunsAreConsistent:
         live_counts, dedup_counts = controller.live_counts()
         assert {f: n for f, n in live_counts.items() if n} == dict(live_recount)
         assert {f: n for f, n in dedup_counts.items() if n} == dict(dedup_recount)
+
+
+class TestCountersHoldAtEveryInstant:
+    """The node counters are maintained event by event; a recount only
+    at the end of a run would let two mistakes cancel."""
+
+    #: Three functions on two 96 MB nodes, node 0 dying on the way.  With
+    #: templates: eviction parks, delta spills and unspills; without:
+    #: base demarcations, purges and table demotions.
+    ARRIVALS = [
+        (float(at), function)
+        for at, function in [
+            (0, "Vanilla"), (1, "LinAlg"), (2, "FeatureGen"), (3, "Vanilla"),
+            (9_000, "LinAlg"), (9_500, "Vanilla"), (18_000, "FeatureGen"),
+            (18_200, "LinAlg"), (29_900, "Vanilla"), (29_950, "LinAlg"),
+            (31_000, "FeatureGen"), (33_000, "Vanilla"), (45_000, "LinAlg"),
+            (46_000, "FeatureGen"), (60_000, "Vanilla"), (61_000, "LinAlg"),
+            (90_000, "FeatureGen"), (120_000, "Vanilla"),
+        ]
+    ]
+
+    @pytest.mark.parametrize("template_sharing", [True, False])
+    def test_tiering_templates_and_a_crash(self, template_sharing):
+        suite = FunctionBenchSuite.subset(["Vanilla", "LinAlg", "FeatureGen"])
+        config = ClusterConfig(
+            nodes=2,
+            node_memory_mb=96.0,
+            content_scale=1.0 / 256.0,
+            seed=5,
+            verify_restores=True,
+            checkpoint_tiering=True,
+            template_sharing=template_sharing,
+            faults=FaultsConfig(
+                schedule=FaultSchedule(
+                    node_crashes=(
+                        NodeCrash(at_ms=30_000.0, node_id=0, restart_at_ms=40_000.0),
+                    )
+                ),
+                rpc_failure_prob=0.05,
+                seed=2,
+            ),
+        )
+        platform = build_platform(
+            PlatformKind.MEDES,
+            config,
+            suite,
+            # Parked tables outlive their keep-dedup window here, so the
+            # tiering run demotes them to SSD and restores promote them.
+            medes=MedesPolicyConfig(
+                idle_period_ms=5_000.0, alpha=25.0, keep_dedup_ms=12_000.0
+            ),
+        )
+        sim = platform.sim
+        run_until = sim.run_until
+        instants = 0
+
+        def run_until_instant_by_instant(end: float) -> None:
+            nonlocal instants
+            while sim._heap and sim._heap[0][0] <= end:
+                run_until(sim._heap[0][0])
+                instants += 1
+                for node in platform.nodes:
+                    assert node.used_bytes() == node.recomputed_used_bytes()
+                    assert node.reclaimable_bytes() == reclaimable_recount(node)
+                    assert node.recomputed_reclaimable_bytes() == reclaimable_recount(node)
+            run_until(end)
+
+        sim.run_until = run_until_instant_by_instant
+        report = platform.run(Trace.from_arrivals(self.ARRIVALS))
+        metrics = report.metrics
+        assert instants > 2 * len(self.ARRIVALS)
+        assert all(r.completion_ms is not None for r in metrics.requests.values())
+        # The run went through what moves the counters without a
+        # transition, not only through warm starts.
+        assert metrics.crash_purged_sandboxes > 0
+        if template_sharing:
+            assert metrics.template_evict_parks > 0
+            assert metrics.template_delta_spills > 0
+            assert metrics.template_delta_unspill_bytes > 0
+        else:
+            assert metrics.bases_created > 0
+            assert metrics.evictions > 0
+            assert metrics.table_demotions > 0

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from repro._util import rng_for
 from repro.memory.patch import (
+    _MATCH_FIRST_SLICE,
+    _MATCH_SLICE_GROWTH,
     CopyOp,
     InsertOp,
     Patch,
+    _match_len,
     apply_patch,
     compute_patch,
 )
@@ -227,3 +230,32 @@ class TestPatchQuality:
         level2 = compute_patch(target, base, level=2)
         assert apply_patch(level2, base) == target
         assert level2.size_bytes <= level1.size_bytes
+
+
+class TestMatchLen:
+    """``_match_len`` compares in growing slices; the scalar oracle of
+    the equivalence properties shares it, so it is pinned here against
+    the definition itself."""
+
+    def test_mismatch_at_every_slice_boundary(self):
+        size = 100_000
+        a = np.frombuffer(random_bytes("match-len", size), dtype=np.uint8)
+        boundaries, edge, width = [], 0, _MATCH_FIRST_SLICE
+        while edge + width < size:
+            edge, width = edge + width, width * _MATCH_SLICE_GROWTH
+            boundaries.append(edge)
+        assert len(boundaries) >= 3  # 4096, 20480, 86016
+        for at in {0, 1, size - 1, *(b + d for b in boundaries for d in (-1, 0, 1))}:
+            b = a.copy()
+            b[at] ^= 0x01
+            assert _match_len(a, b) == at
+            # A later mismatch must not hide the first one.
+            b[size - 1] ^= 0x02
+            assert _match_len(a, b) == at
+
+    def test_common_prefix_is_capped_by_the_shorter_buffer(self):
+        a = np.frombuffer(random_bytes("match-len", 30_000), dtype=np.uint8)
+        assert _match_len(a, a.copy()) == len(a)
+        for shorter in (0, 1, 4095, 4096, 4097, 20_480, 29_999):
+            assert _match_len(a, a[:shorter]) == shorter
+            assert _match_len(a[:shorter], a) == shorter

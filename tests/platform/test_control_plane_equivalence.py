@@ -10,8 +10,10 @@ tricky paths (dedup churn, memory pressure, starvation eviction, the
 eviction-order ablations).
 
 ``verify_accounting`` is switched on for the indexed runs, so every
-``used_bytes`` read also asserts the incremental counter against the
-recomputed per-resident sum.
+``used_bytes`` and ``reclaimable_bytes`` read also asserts the
+incremental counter against the recomputed per-resident sum.  Only the
+indexed side reads those counters: the scan side's placement gate sums
+the evictable residents itself.
 """
 
 from __future__ import annotations

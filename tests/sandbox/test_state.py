@@ -5,8 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.sandbox.state import (
-    ASSIGNABLE_STATES,
-    FULL_FOOTPRINT_STATES,
     InvalidTransition,
     SandboxState,
     allowed_transitions,
@@ -66,13 +64,28 @@ def test_figure_4b_key_paths():
         check_transition(current, new)
 
 
+def _having(flag: str) -> set[SandboxState]:
+    return {state for state in SandboxState if getattr(state, flag)}
+
+
 def test_assignable_states():
-    assert SandboxState.WARM in ASSIGNABLE_STATES
-    assert SandboxState.DEDUP in ASSIGNABLE_STATES
-    assert SandboxState.RUNNING not in ASSIGNABLE_STATES
-    assert SandboxState.DEDUPING not in ASSIGNABLE_STATES
+    assert _having("assignable") == {SandboxState.WARM, SandboxState.DEDUP}
 
 
 def test_full_footprint_states():
-    assert SandboxState.WARM in FULL_FOOTPRINT_STATES
-    assert SandboxState.DEDUP not in FULL_FOOTPRINT_STATES
+    assert _having("full_footprint") == {
+        SandboxState.SPAWNING,
+        SandboxState.RUNNING,
+        SandboxState.WARM,
+        SandboxState.DEDUPING,
+    }
+
+
+def test_population_flags():
+    """The counters of the controller's index are sums of these."""
+    assert _having("live") == set(SandboxState) - {
+        SandboxState.SPAWNING,
+        SandboxState.PURGED,
+    }
+    assert _having("dedup") == {SandboxState.DEDUPING, SandboxState.DEDUP}
+    assert _having("census_warm") == {SandboxState.WARM, SandboxState.RUNNING}

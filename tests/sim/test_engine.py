@@ -287,6 +287,26 @@ class TestScheduleStream:
         sim.run()
         assert order == ["s0", "s1", "s2", "late"]
 
+    def test_stream_announces_each_chunk_before_making_it(self):
+        """``on_chunk(start, stop)`` precedes the chunk's ``make_callback``
+        calls and the chunks tile the stream."""
+        sim = Simulator()
+        log = []
+
+        def make(i):
+            log.append(i)
+            return lambda: None
+
+        sim.schedule_stream(
+            [float(i) for i in range(7)],
+            make,
+            chunk_size=3,
+            on_chunk=lambda start, stop: log.append((start, stop)),
+        )
+        assert log == [(0, 3), 0, 1, 2]
+        sim.run()
+        assert log == [(0, 3), 0, 1, 2, (3, 6), 3, 4, 5, (6, 7), 6]
+
     def test_stream_rejects_unsorted(self):
         sim = Simulator()
         with pytest.raises(SimulationError, match="unsorted"):
