@@ -91,10 +91,11 @@ UNIQUE_THRESHOLD = 0.75
 #: throughput because base pages repeat across ops on a node.
 BASE_PAGE_CACHE_PAGES = 4096
 
-#: Default capacity of the per-agent LRU cache of prebuilt anchor
-#: indexes.  Building the index is the expensive half of anchor-matching
-#: a page against its base, and the same hot base pages are patched
-#: against over and over across dedup ops on a node.
+#: Default capacity of the per-agent LRU cache of anchor indexes.
+#: Building an index's halves (the word table the discard bound reads,
+#: the sorted anchors the matcher probes) is the expensive part of the
+#: anchor fallback, and the same hot base pages are patched against
+#: over and over across dedup ops on a node.
 ANCHOR_INDEX_CACHE_PAGES = 1024
 
 
@@ -412,8 +413,8 @@ class DedupAgent:
         self.base_page_cache: LruCache[tuple[int, int], bytes] = LruCache(
             base_page_cache_pages
         )
-        # Prebuilt anchor indexes keyed by (checkpoint_id, page_index,
-        # level); same staleness argument as the page cache above.
+        # Anchor indexes keyed by (checkpoint_id, page_index, level);
+        # same staleness argument as the page cache above.
         self.anchor_index_cache: LruCache[tuple[int, int, int], AnchorIndex] = LruCache(
             anchor_index_cache_pages
         )
@@ -531,7 +532,9 @@ class DedupAgent:
         # Patch every chosen page in one batched pass: the aligned diff
         # runs as a single 2-D numpy operation over the whole batch, and
         # pages falling back to anchor matching reuse cached base-page
-        # anchor indexes (built lazily, only when a fallback needs one).
+        # anchor indexes (made only when a fallback needs one; an entry
+        # shares the page's ``bytes`` with ``base_page_cache`` and builds
+        # each of its halves on first use).
         targets = [
             data[index * page_size : (index + 1) * page_size] for index, _ in chosen
         ]

@@ -217,52 +217,26 @@ def _aligned_ops(target: np.ndarray, base: np.ndarray) -> list[CopyOp | InsertOp
     return _ops_from_aligned_runs(target.tobytes(), bool(neq[0]), bounds)
 
 
-def _batch_aligned_runs(
-    targets: np.ndarray, bases: np.ndarray
-) -> list[tuple[bool, list[int]]]:
+def _batch_aligned_runs(neq: np.ndarray) -> list[tuple[bool, list[int]]]:
     """Equal/unequal run boundaries for many equal-length pairs at once.
 
-    ``targets`` and ``bases`` are ``(k, n)`` uint8 arrays; row ``j``'s
+    ``neq`` is the ``(k, n)`` boolean ``targets != bases``; row ``j``'s
     ``(first_unequal, bounds)`` describes the same alternating runs that
-    :func:`_aligned_ops` derives, but the byte compare and run-boundary
-    extraction happen once over the whole stack (the boolean XOR of
-    adjacent columns skips the int8 widening an ``np.diff`` would need).
+    :func:`_aligned_ops` derives, but the run-boundary extraction happens
+    once over the whole stack.
     """
-    k, n = targets.shape
-    neq = targets != bases
-    rows, cols = np.nonzero(neq[:, 1:] != neq[:, :-1])
-    splits = np.searchsorted(rows, np.arange(1, k))
+    k, n = neq.shape
+    # Flat positions of the boolean XOR of adjacent columns (no int8
+    # widening as in ``np.diff``; a 2-D ``np.nonzero`` costs ten times
+    # the flat one).
+    rows, cols = np.divmod(np.flatnonzero(neq[:, 1:] != neq[:, :-1]), n - 1)
+    changes = (cols + 1).tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=k)).tolist()
     first_unequal = neq[:, 0].tolist()
     return [
-        (first_unequal[j], [0, *(change + 1).tolist(), n])
-        for j, change in enumerate(np.split(cols, splits))
+        (first_unequal[j], [0, *changes[start:end], n])
+        for j, (start, end) in enumerate(zip([0, *ends], ends))
     ]
-
-
-def _aligned_size_from_runs(first_unequal: bool, bounds: list[int]) -> int:
-    """Encoded size of the aligned patch, without materializing its ops.
-
-    Mirrors :func:`_ops_from_aligned_runs` exactly: short equal runs fold
-    into the pending literal, contiguous literals flush as one INSERT.
-    Lets the batch path defer op construction until a pair's winner is
-    known (most pairs that reach the anchor fallback never need the
-    aligned ops themselves, just this size for the comparison).
-    """
-    size = _HEADER.size
-    pend = 0
-    run_equal = not first_unequal
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        if run_equal and end - start >= MIN_COPY_RUN:
-            if pend:
-                size += _INSERT_HDR.size + pend
-                pend = 0
-            size += _COPY.size
-        else:
-            pend += end - start
-        run_equal = not run_equal
-    if pend:
-        size += _INSERT_HDR.size + pend
-    return size
 
 
 #: Bytes of the first slice a prefix comparison looks at — a page, so
@@ -298,12 +272,22 @@ def _back_match_len(target: np.ndarray, base: np.ndarray, i: int, src: int, limi
 
     ``limit`` additionally bounds the extension (the greedy scan must not
     back up into bytes already consumed by earlier ops).
+    Compared in the slices of :func:`_match_len`, growing backwards from
+    the match point: ``limit`` is the whole pending literal — hundreds of
+    KiB on a template region — and most extensions end within a few
+    bytes.
     """
     m = min(limit, src)
-    if m <= 0:
-        return 0
-    neq = np.flatnonzero(target[i - m : i] != base[src - m : src])
-    return m - (int(neq[-1]) + 1) if neq.size else m
+    done, width = 0, _MATCH_FIRST_SLICE
+    while done < m:
+        step = min(width, m - done)
+        neq = np.flatnonzero(
+            target[i - done - step : i - done] != base[src - done - step : src - done]
+        )
+        if neq.size:
+            return done + step - (int(neq[-1]) + 1)
+        done, width = done + step, width * _MATCH_SLICE_GROWTH
+    return m
 
 
 def _window_values(target_bytes: bytes) -> np.ndarray:
@@ -342,8 +326,8 @@ def _table_slots(entries: int) -> int:
 
 
 @dataclass(frozen=True)
-class AnchorIndex:
-    """Prebuilt anchor index over a base buffer, and its one probe.
+class SortedAnchors:
+    """The half of an :class:`AnchorIndex` a probe searches.
 
     Each indexed window is keyed by its exact 16 bytes, packed as two
     little-endian uint64 halves (``a``, ``b``) so lookups are native
@@ -351,15 +335,8 @@ class AnchorIndex:
     sorted by ``(a, b)`` with duplicate windows collapsed to their
     smallest base offset — a leftmost binary search therefore reproduces
     the first-offset-wins semantics of a dict built with ``setdefault``.
-
-    Building the index is the expensive half of anchor matching and
-    depends only on the base bytes and the level, so callers patching
-    many targets against the same base build it once and keep it as long
-    as the base lives (see :func:`cached_anchor_index`).
     """
 
-    base_len: int
-    level: int
     a: np.ndarray
     b: np.ndarray
     srcs: np.ndarray
@@ -374,41 +351,58 @@ class AnchorIndex:
     #: least seven in eight missing positions are dropped before any
     #: binary search runs.
     seen: np.ndarray
-    #: Packed membership bits over the base's u64 word at *every* byte
-    #: offset, for :meth:`copy_bound` — built by its first call, dropped
-    #: with the index.
-    word_bits: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
-    def copy_bound(self, target: np.ndarray, base: np.ndarray) -> int:
-        """Upper bound on the bytes any anchor patch of ``target`` COPYs.
 
-        Exact for every level and never looks at the index: each COPY
-        contains ``_COPY_MIN_WORDS`` consecutive aligned target words,
-        and each of those occurs somewhere in ``base`` (the bytes it was
-        copied from), so with ``P`` windows of that many consecutive
-        words found in the base's word table and ``R`` runs of such
-        windows, no set of COPYs covers more than
-        ``8 * P + _COPY_RUN_SLACK * R`` bytes (see :data:`_COPY_RUN_SLACK`).
-        False positives of the table only loosen the bound.  ``target``
-        must be C-contiguous; its aligned words are one zero-copy view.
-        """
-        if not len(self.a):  # base shorter than an anchor: nothing to copy
-            return 0
+class AnchorIndex:
+    """Anchor index over one base buffer, in two halves built on first use.
+
+    The *word table* (:meth:`word_table`, 4 KiB for a page) answers the
+    copy-coverage bound and is built by the first bound; the *sorted
+    anchors* (:meth:`sorted_anchors`, ≈16 KiB for a page) serve
+    :meth:`probe` and are built by the first probe, through
+    :func:`build_anchor_index`.  Both depend only on the base bytes and
+    the level, so callers patching many targets against one base keep
+    the handle as long as the base lives (see :func:`cached_anchor_index`)
+    — and a base whose pages are only ever bounded, the common case
+    under a discard cutoff, never pays for the sort.
+
+    The handle outlives the call that made it, so it holds bytes nobody
+    can change or unmap under it: ``bytes`` and read-only arrays are
+    shared as they are, a writable array (a page of a shared-memory
+    arena, say) is copied once.
+    """
+
+    __slots__ = ("base", "base_len", "level", "anchors", "word_bits")
+
+    def __init__(self, base: bytes | np.ndarray, level: int):
+        if not isinstance(base, bytes):
+            arr = _as_array(base)
+            base = arr.tobytes() if arr.flags.writeable or not arr.flags.c_contiguous else arr
+        self.base = base
+        self.base_len = len(base)
+        self.level = level
+        self.anchors: SortedAnchors | None = None
+        #: Packed membership bits over the base's u64 word at *every*
+        #: byte offset.
+        self.word_bits: np.ndarray | None = None
+
+    def sorted_anchors(self) -> SortedAnchors:
+        anchors = self.anchors
+        if anchors is None:
+            # Through the module-level builder: that is where tracing
+            # and tests count index builds.
+            anchors = self.anchors = build_anchor_index(self.base, self.level).anchors
+        return anchors
+
+    def word_table(self) -> np.ndarray:
         bits = self.word_bits
         if bits is None:
-            bits = _build_word_bits(base)
-            object.__setattr__(self, "word_bits", bits)
-        words = np.frombuffer(target, dtype="<u8", count=len(target) // 8)
-        slot = _seen_slots(words, 8 * len(bits)).astype(np.intp)
-        found = (bits[slot >> 3] >> (slot & 7)) & 1
-        windows = found
-        for k in range(1, _COPY_MIN_WORDS):
-            windows = windows[:-1] & found[k:]
-        count = int(np.count_nonzero(windows))
-        if not count:
-            return 0
-        runs = int(windows[0]) + int(np.count_nonzero(windows[1:] > windows[:-1]))
-        return 8 * count + _COPY_RUN_SLACK * runs
+            bits = self.word_bits = _build_word_bits(self.base)
+        return bits
+
+    def copy_bound(self, target: np.ndarray) -> int:
+        """:func:`_copy_bounds` of one target against this base."""
+        return _copy_bounds(target[None, :], [self])[0]
 
     def probe(
         self, target_bytes: bytes, start: int, stride: int
@@ -426,65 +420,99 @@ class AnchorIndex:
         per-candidate Python.
         """
         count = (len(target_bytes) - ANCHOR_SIZE - start) // stride + 1
-        if count <= 0 or not len(self.a):
+        if count <= 0 or self.base_len < ANCHOR_SIZE:
             return _EMPTY_I64, _EMPTY_I64
+        index = self.sorted_anchors()
         if stride == 8:
             u = np.frombuffer(target_bytes, dtype="<u8", offset=start, count=count + 1)
         else:
             u = _window_values(target_bytes)[start:]
         ta = u[:count]
-        sel = self.seen[_seen_slots(ta, len(self.seen))].nonzero()[0]
+        sel = index.seen[_seen_slots(ta, len(index.seen))].nonzero()[0]
         if not sel.size:
             return _EMPTY_I64, _EMPTY_I64
         ta = ta[sel]
         tb = u[sel + 8 // stride]
-        lo = np.searchsorted(self.a, ta)
-        last = len(self.a) - 1
-        if self.has_dup_a:
+        lo = np.searchsorted(index.a, ta)
+        last = len(index.a) - 1
+        if index.has_dup_a:
             # Leftmost ``b >= tb`` inside each run ``[lo, aend[lo])`` of
             # the matched ``a``: every candidate halves its own run each
             # round, so the loop runs log2(longest run) times however
             # many candidates there are.
-            keep = (self.a[np.minimum(lo, last)] == ta).nonzero()[0]
+            keep = (index.a[np.minimum(lo, last)] == ta).nonzero()[0]
             sel, ta, tb, lo = sel[keep], ta[keep], tb[keep], lo[keep]
-            hi = self.aend[lo]
+            hi = index.aend[lo]
             while True:
                 todo = lo < hi
                 if not todo.any():
                     break
                 mid = (lo + hi) >> 1
-                right = todo & (self.b[np.minimum(mid, last)] < tb)
+                right = todo & (index.b[np.minimum(mid, last)] < tb)
                 lo = np.where(right, mid + 1, lo)
                 hi = np.where(todo & ~right, mid, hi)
         # ``lo`` past its run lands on another ``a`` (or, clamped, on a
         # smaller ``b``), so one exact compare settles every candidate.
         loc = np.minimum(lo, last)
-        hit = ((self.a[loc] == ta) & (self.b[loc] == tb)).nonzero()[0]
-        return start + stride * sel[hit], self.srcs[loc[hit]]
+        hit = ((index.a[loc] == ta) & (index.b[loc] == tb)).nonzero()[0]
+        return start + stride * sel[hit], index.srcs[loc[hit]]
 
 
-def _build_word_bits(base: np.ndarray) -> np.ndarray:
+def _build_word_bits(base: bytes | np.ndarray) -> np.ndarray:
     """Packed table of ``base``'s u64 word at every byte offset.
 
     Sized like ``seen`` — 8 bits per word, so 4 KiB for a 4 KiB page and
     at most one bit in eight set.
     """
-    vals = _window_values(base.tobytes())
+    vals = _window_values(base)
     table = np.zeros(_table_slots(len(vals)), dtype=bool)
     table[_seen_slots(vals, len(table))] = True
     return np.packbits(table, bitorder="little")
 
 
+def _copy_bounds(targets: np.ndarray, indexes: "list[AnchorIndex]") -> list[int]:
+    """Upper bound on the bytes any anchor patch of each target row COPYs.
+
+    ``targets`` is a C-contiguous ``(k, n)`` stack and ``indexes[r]``
+    the index of row ``r``'s base, every base ``n`` bytes long.  Exact
+    for every level and never looks at the sorted anchors: each COPY
+    contains ``_COPY_MIN_WORDS`` consecutive aligned target words, and
+    each of those occurs somewhere in the base (the bytes it was copied
+    from), so with ``P`` windows of that many consecutive words found in
+    the base's word table and ``R`` runs of such windows, no set of
+    COPYs covers more than ``8 * P + _COPY_RUN_SLACK * R`` bytes (see
+    :data:`_COPY_RUN_SLACK`).  False positives of the table only loosen
+    the bound.  One pass for the stack: the rows' word tables stacked,
+    one slot computation over all aligned words, one gather.
+    """
+    k, n = targets.shape
+    if n < ANCHOR_SIZE:  # bases shorter than an anchor: nothing to copy
+        return [0] * k
+    tables = np.stack([index.word_table() for index in indexes])
+    whole = targets if n % 8 == 0 else np.ascontiguousarray(targets[:, : n - n % 8])
+    slot = _seen_slots(whole.view("<u8"), 8 * tables.shape[1])
+    # Row r's bits live at flat offset r * table bytes.
+    at = (slot >> np.uint64(3)).astype(np.intp)
+    at += (np.arange(k, dtype=np.intp) * tables.shape[1])[:, None]
+    found = (tables.reshape(-1)[at] >> (slot & np.uint64(7)).astype(np.uint8)) & np.uint8(1)
+    windows = found
+    for w in range(1, _COPY_MIN_WORDS):
+        windows = windows[:, :-1] & found[:, w:]
+    count = np.count_nonzero(windows, axis=1)
+    runs = windows[:, :1].sum(axis=1) + np.count_nonzero(
+        windows[:, 1:] > windows[:, :-1], axis=1
+    )
+    return (8 * count + _COPY_RUN_SLACK * runs).tolist()
+
+
 def build_anchor_index(base: bytes | np.ndarray, level: int = 1) -> AnchorIndex:
-    """Index the anchor windows of ``base`` for :func:`compute_patch`."""
-    b_arr = _as_array(base)
+    """An :class:`AnchorIndex` of ``base`` with its sorted anchors built."""
+    index = AnchorIndex(base, level)
     step = max(1, ANCHOR_SIZE // 2) if level <= 1 else max(1, ANCHOR_SIZE // 4)
-    m = len(b_arr) - ANCHOR_SIZE + 1
+    m = index.base_len - ANCHOR_SIZE + 1
     if m <= 0:
         empty = np.empty(0, dtype=np.uint64)
-        return AnchorIndex(
-            base_len=len(b_arr),
-            level=level,
+        index.anchors = SortedAnchors(
             a=empty,
             b=empty,
             srcs=_EMPTY_I64,
@@ -492,11 +520,11 @@ def build_anchor_index(base: bytes | np.ndarray, level: int = 1) -> AnchorIndex:
             aend=_EMPTY_I64,
             seen=np.zeros(_MIN_SEEN_SLOTS, dtype=bool),
         )
-    base_bytes = b_arr.tobytes()
+        return index
     offs = np.arange(0, m, step, dtype=np.int64)
     # One window-value pass serves both key halves (offs + 8 is at most
     # the last window start, m - 1 + 8 <= len - 8).
-    vals = _window_values(base_bytes)
+    vals = _window_values(index.base)
     a = vals[offs]
     b = vals[offs + 8]
     order = np.lexsort((offs, b, a))
@@ -508,37 +536,30 @@ def build_anchor_index(base: bytes | np.ndarray, level: int = 1) -> AnchorIndex:
     aend = np.searchsorted(a, a, side="right")
     seen = np.zeros(_table_slots(len(a)), dtype=bool)
     seen[_seen_slots(a, len(seen))] = True
-    return AnchorIndex(
-        base_len=len(b_arr),
-        level=level,
-        a=a,
-        b=b,
-        srcs=offs,
-        has_dup_a=has_dup_a,
-        aend=aend,
-        seen=seen,
-    )
+    index.anchors = SortedAnchors(a=a, b=b, srcs=offs, has_dup_a=has_dup_a, aend=aend, seen=seen)
+    return index
 
 
 def cached_anchor_index(cache, key: tuple, base: bytes | np.ndarray, level: int) -> AnchorIndex:
-    """The index of ``base`` held in ``cache``, built on first use.
+    """The index of ``base`` held in ``cache``, made on first use.
 
     ``cache`` is any mapping with ``get`` and item assignment (a dict
     that lives as long as the base, or an ``LruCache``); ``key`` names
     the base's content and the entry is always keyed on ``level`` too,
-    so one cache can serve agents of different patch levels.
+    so one cache can serve agents of different patch levels.  A new
+    entry has neither half built (see :class:`AnchorIndex`).
     """
     key = (*key, level)
     index = cache.get(key)
     if index is None:
-        index = cache[key] = build_anchor_index(base, level)
+        index = cache[key] = AnchorIndex(base, level)
     return index
 
 
 def _usable_index(index: AnchorIndex | None, base: np.ndarray, level: int) -> AnchorIndex:
-    """``index`` if it fits ``base`` and ``level``, else a freshly built one."""
+    """``index`` if it fits ``base`` and ``level``, else a fresh one."""
     if index is None or index.level != level or index.base_len != len(base):
-        return build_anchor_index(base, level)
+        return AnchorIndex(base, level)
     return index
 
 
@@ -728,6 +749,95 @@ def compute_patch(
     return Patch(ops=tuple(ops), target_len=len(t), base_len=len(b))
 
 
+def _patch_stack(
+    targets: np.ndarray,
+    bases: np.ndarray,
+    index_for,
+    level: int,
+    max_size: int | None,
+) -> list[Patch]:
+    """:func:`compute_patches` for one ``(k, n)`` stack of equal-length pairs.
+
+    ``n > 0`` and ``index_for(row)`` is the caller's provider by stack
+    row.  Rows are triaged on their count of differing bytes before any
+    run is extracted:
+
+    * *identical* (none): the single-COPY patch;
+    * *dense* (``max_size`` given and header + one INSERT header + the
+      differing bytes already reach both the fallback threshold and the
+      cutoff): every differing byte travels in an INSERT and there is at
+      least one, so that sum is a floor on the aligned patch — the row
+      falls back and its aligned patch is discarded, both settled
+      without sizing a run;
+    * *sparse* (the rest): runs extracted, aligned patch built.
+
+    Every row that falls back — all dense ones, the sparse ones over the
+    threshold — takes its copy-coverage bound in one
+    :func:`_copy_bounds` pass; a dense row the bound cannot dismiss has
+    its runs extracted after all and goes to the matcher like a sparse
+    one.  The provider is consulted once per fallback row, in row order.
+    """
+    k, n = targets.shape
+    threshold = max(64, int(n * ALIGNED_FALLBACK_RATIO))
+    neq = targets != bases
+    # Row by row: a 1-D count is SIMD-fast, the axis-wise one is not.
+    differing = [np.count_nonzero(row) for row in neq]
+    identical = [n >= MIN_COPY_RUN and not d for d in differing]
+    if max_size is None:
+        dense = [False] * k
+    else:
+        dense_from = max(threshold + 1, max_size) - _HEADER.size - _INSERT_HDR.size
+        dense = [d >= dense_from for d in differing]
+
+    def diff_rows(rows: list[int]) -> None:
+        if rows:
+            for r, (first_unequal, bounds) in zip(rows, _batch_aligned_runs(neq[rows])):
+                ops = _ops_from_aligned_runs(targets[r].tobytes(), first_unequal, bounds)
+                patches[r] = Patch(ops=tuple(ops), target_len=n, base_len=n)
+
+    def aligned_size(r: int, undiffed: int) -> int:
+        return undiffed if patches[r] is None else patches[r].size_bytes
+
+    # Each row's aligned patch, where it has been diffed, until a better
+    # candidate replaces it.
+    patches: list[Patch | None] = [
+        Patch(ops=(CopyOp(src_off=0, length=n),), target_len=n, base_len=n) if same else None
+        for same in identical
+    ]
+    diff_rows([r for r in range(k) if not (identical[r] or dense[r])])
+    fallback = [r for r in range(k) if dense[r] or aligned_size(r, 0) > threshold]
+    indexes = {r: index_for(r) for r in fallback}
+    to_matcher = fallback
+    if max_size is not None and fallback:
+        indexes = {r: _usable_index(index, bases[r], level) for r, index in indexes.items()}
+        bounds = _copy_bounds(targets[fallback], list(indexes.values()))
+        to_matcher = []
+        for r, bound in zip(fallback, bounds):
+            # A dense row's aligned patch is no smaller than the cutoff.
+            size = aligned_size(r, max_size)
+            # Header plus the literals no COPY can cover: can an anchor
+            # patch beat the aligned one and the cutoff?
+            if n + _HEADER.size - bound < min(size, max_size):
+                to_matcher.append(r)
+            elif size >= max_size:
+                # Discarded whichever candidate wins, and the literal is
+                # no smaller than the cutoff either:
+                # max_size <= n + _HEADER.size - bound <= n + _HEADER.size.
+                patches[r] = Patch(
+                    ops=(InsertOp(data=targets[r].tobytes()),), target_len=n, base_len=n
+                )
+        diff_rows([r for r in to_matcher if patches[r] is None])
+    for r in to_matcher:
+        alt = Patch(
+            ops=tuple(_anchor_ops(targets[r], bases[r], level, index=indexes[r])),
+            target_len=n,
+            base_len=n,
+        )
+        if alt.size_bytes < patches[r].size_bytes:
+            patches[r] = alt
+    return patches  # type: ignore[return-value]
+
+
 def compute_patches(
     targets: "list[bytes | np.ndarray]",
     bases: "list[bytes | np.ndarray]",
@@ -740,10 +850,10 @@ def compute_patches(
 
     With ``max_size=None`` produces exactly ``[compute_patch(t, b) for
     t, b in zip(...)]``, but equal-length pairs (the page-vs-base-page
-    common case) are grouped by length and diffed in one 2-D numpy pass,
-    so the per-pair dispatch overhead of the aligned path is paid once
-    per batch.  Only pairs whose aligned patch is poor proceed to anchor
-    matching.
+    common case) are grouped by length and diffed in one 2-D numpy pass
+    (:func:`_patch_stack`), so the per-pair dispatch overhead of the
+    aligned path is paid once per batch.  Only pairs whose aligned patch
+    is poor proceed to anchor matching.
 
     ``max_size`` is the caller's discard cutoff — "I keep only patches
     smaller than this" (the dedup agent's unique-page cap).  Then
@@ -752,17 +862,17 @@ def compute_patches(
     otherwise that patch is ``>= max_size`` too: ``result[j]`` is still a
     valid patch of the pair, but may be the one-INSERT literal.  What
     this buys: an equal-length pair that reaches the anchor fallback
-    first asks :meth:`AnchorIndex.copy_bound` whether any anchor patch
-    could come in under ``min(aligned size, max_size)``, and skips the
-    matcher — and, for a discarded pair, materialising any ops — when
-    none can.
+    first asks the copy-coverage bound (:func:`_copy_bounds`) whether
+    any anchor patch could come in under ``min(aligned size,
+    max_size)``, and skips the matcher — and, for a discarded pair,
+    sizing its runs and materialising any ops — when none can.
 
-    ``index_provider(j)`` may return a prebuilt :class:`AnchorIndex` for
-    pair ``j`` (or ``None``); it is only consulted for pairs that reach
-    the anchor fallback, so callers can build/cache indexes lazily.  A
-    pair with no (or a stale) index builds one on the spot, as
-    :func:`compute_patch` does; the bound's word table hangs on whichever
-    index the pair used, so only a provided, cached index keeps it.
+    ``index_provider(j)`` may return an :class:`AnchorIndex` for pair
+    ``j`` (or ``None``); it is only consulted for pairs that reach the
+    anchor fallback, so callers can make/cache indexes lazily.  A pair
+    with no (or a stale) index gets one on the spot, as
+    :func:`compute_patch` does; whatever half the pair builds hangs on
+    the index it used, so only a provided, cached index keeps it.
     """
     if len(targets) != len(bases):
         raise ValueError("targets/bases length mismatch")
@@ -782,42 +892,15 @@ def compute_patches(
             for j in idxs:
                 patches[j] = Patch(ops=(), target_len=0, base_len=0)
             continue
-        stack_t = np.stack([t_arrs[j] for j in idxs])
-        stack_b = np.stack([b_arrs[j] for j in idxs])
-        threshold = max(64, int(n * ALIGNED_FALLBACK_RATIO))
-        runs = _batch_aligned_runs(stack_t, stack_b)
-        # Size every aligned patch analytically first; only the winning
-        # candidate's ops are ever materialized.  Pairs whose aligned
-        # diff is poor fall back to anchor matching.
-        for j, t_row, (first_unequal, bounds) in zip(idxs, stack_t, runs):
-            aligned_size = _aligned_size_from_runs(first_unequal, bounds)
-            if aligned_size > threshold:
-                index = _index_for(j)
-                hopeless = False
-                if max_size is not None:
-                    index = _usable_index(index, b_arrs[j], level)
-                    # Header plus the literals no COPY can cover.
-                    smallest = n + _HEADER.size - index.copy_bound(t_row, b_arrs[j])
-                    hopeless = smallest >= min(aligned_size, max_size)
-                if not hopeless:
-                    alt = Patch(
-                        ops=tuple(_anchor_ops(t_arrs[j], b_arrs[j], level, index=index)),
-                        target_len=n,
-                        base_len=n,
-                    )
-                    if alt.size_bytes < aligned_size:
-                        patches[j] = alt
-                        continue
-                elif aligned_size >= max_size:
-                    # Discarded whichever candidate wins, and the literal
-                    # is no smaller than the cutoff either:
-                    # max_size <= smallest <= n + _HEADER.size.
-                    patches[j] = Patch(
-                        ops=(InsertOp(data=t_row.tobytes()),), target_len=n, base_len=n
-                    )
-                    continue
-            ops = _ops_from_aligned_runs(t_arrs[j].tobytes(), first_unequal, bounds)
-            patches[j] = Patch(ops=tuple(ops), target_len=n, base_len=n)
+        stack = _patch_stack(
+            np.concatenate([t_arrs[j] for j in idxs]).reshape(len(idxs), n),
+            np.concatenate([b_arrs[j] for j in idxs]).reshape(len(idxs), n),
+            lambda r, idxs=idxs: _index_for(idxs[r]),
+            level,
+            max_size,
+        )
+        for j, patch in zip(idxs, stack):
+            patches[j] = patch
     for j, patch in enumerate(patches):
         if patch is None:  # unequal lengths: anchor matching only
             patches[j] = compute_patch(

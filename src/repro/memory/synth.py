@@ -46,14 +46,18 @@ def common_pool() -> np.ndarray:
     return rng.integers(0, 256, size=(POOL_BLOCKS, POOL_BLOCK), dtype=np.uint8)
 
 
-@lru_cache(maxsize=256)
-def _base_content(content_key: str, common_fill: float, nblocks: int) -> np.ndarray:
-    """Base (pre-instance) content for a content key, ``nblocks`` blocks long.
+def _base_content(
+    content_key: str, common_fill: float, zero_fill: bool, size: int
+) -> np.ndarray:
+    """Base (pre-instance) content for a content key, ``size`` bytes long.
 
     Separate sub-streams are used for the pool/private decision, the pool
     indices, and the private bytes so that each is independently
-    prefix-stable in ``nblocks``.
+    prefix-stable in the number of blocks.
     """
+    if zero_fill:
+        return np.zeros(size, dtype=np.uint8)
+    nblocks = (size + POOL_BLOCK - 1) // POOL_BLOCK
     draws = rng_for("region-draw", content_key).random(nblocks)
     pool_idx = rng_for("region-poolidx", content_key).integers(0, POOL_BLOCKS, size=nblocks)
     blocks = np.empty((nblocks, POOL_BLOCK), dtype=np.uint8)
@@ -65,35 +69,46 @@ def _base_content(content_key: str, common_fill: float, nblocks: int) -> np.ndar
             0, 256, size=(nblocks, POOL_BLOCK), dtype=np.uint8
         )
         blocks[~common_mask] = private[~common_mask]
-    result = blocks.reshape(-1)
-    result.setflags(write=False)
-    return result
+    return blocks.reshape(-1)[:size]
 
 
 def base_region_content(spec: RegionSpec, size: int) -> np.ndarray:
     """Return the shared base content of ``spec`` truncated to ``size`` bytes."""
-    if spec.zero_fill:
-        return np.zeros(size, dtype=np.uint8)
-    nblocks = (size + POOL_BLOCK - 1) // POOL_BLOCK
-    return _base_content(spec.content_key, spec.common_fill, nblocks)[:size]
+    return _base_content(spec.content_key, spec.common_fill, spec.zero_fill, size)
 
 
 @lru_cache(maxsize=256)
 def _pointer_positions(content_key: str, interval: int, size: int) -> np.ndarray:
-    """Deterministic pointer-site offsets for a region (prefix-stable)."""
+    """Deterministic pointer-site offsets for a region (prefix-stable).
+
+    Sites never overlap (an interval under ``2 * POINTER_SIZE + 2`` could
+    make them, and is refused): :func:`build_region` rewrites the ASLR
+    bytes of each site on top of a template that already holds the
+    shared ones, which is only the same as writing whole pointers when
+    no site covers another's bytes.
+    """
     if interval <= 0 or size < POINTER_SIZE:
         return np.empty(0, dtype=np.int64)
     max_count = size // max(interval // 2, POINTER_SIZE) + 1
     spacings = rng_for("ptr-pos", content_key).uniform(0.5, 1.5, size=max_count) * interval
     positions = np.cumsum(spacings).astype(np.int64)
     positions = positions[positions <= size - POINTER_SIZE]
+    if positions.size > 1 and int(np.diff(positions).min()) < POINTER_SIZE:
+        raise ValueError(f"pointer_interval {interval} makes pointer sites overlap")
     positions.setflags(write=False)
     return positions
 
 
 @lru_cache(maxsize=256)
 def _shared_pointer_values(content_key: str, count: int) -> np.ndarray:
-    """The instance-independent pointer bytes of a region (read-only)."""
+    """The instance-independent pointer bytes of a region (read-only).
+
+    Without ASLR all instances embed these values.  With ASLR the high
+    ``POINTER_ASLR_BYTES`` bytes (the randomized segment base) become
+    instance-specific, scattering small diffs through the region — this
+    is what degrades page fingerprints under ASLR (paper Section 7.2.1)
+    while leaving byte-level redundancy nearly intact (Fig 1b).
+    """
     shared = rng_for("ptr-val", content_key).integers(
         0, 256, size=(count, POINTER_SIZE), dtype=np.uint8
     )
@@ -101,24 +116,24 @@ def _shared_pointer_values(content_key: str, count: int) -> np.ndarray:
     return shared
 
 
-def _pointer_values(content_key: str, count: int, *, aslr: bool, instance_seed: int) -> np.ndarray:
-    """Pointer bytes, shape (count, POINTER_SIZE).
+@lru_cache(maxsize=256)
+def _template_content(
+    content_key: str, common_fill: float, zero_fill: bool, pointer_interval: int, size: int
+) -> np.ndarray:
+    """:func:`template_region_content` by what it depends on (read-only).
 
-    Without ASLR all instances embed identical pointer values.  With ASLR
-    the high ``POINTER_ASLR_BYTES`` bytes (the randomized segment base)
-    become instance-specific, scattering small diffs through the region —
-    this is what degrades page fingerprints under ASLR (paper Section 7.2.1)
-    while leaving byte-level redundancy nearly intact (Fig 1b).
+    The one memo of region synthesis: every instance of a region starts
+    from a copy of these bytes, so the base draw and the pointer scatter
+    happen once per distinct region, not once per instance.
     """
-    shared = _shared_pointer_values(content_key, count)
-    if not aslr or count == 0:
-        return shared
-    randomized = shared.copy()
-    high = rng_for("ptr-aslr", instance_seed, content_key).integers(
-        0, 256, size=(count, POINTER_ASLR_BYTES), dtype=np.uint8
-    )
-    randomized[:, -POINTER_ASLR_BYTES:] = high
-    return randomized
+    data = _base_content(content_key, common_fill, zero_fill, size)
+    positions = _pointer_positions(content_key, pointer_interval, size)
+    if positions.size:
+        # Scatter each 8-byte pointer into place.
+        idx = positions[:, None] + np.arange(POINTER_SIZE)[None, :]
+        data[idx.reshape(-1)] = _shared_pointer_values(content_key, len(positions)).reshape(-1)
+    data.setflags(write=False)
+    return data
 
 
 def template_region_content(spec: RegionSpec, size: int) -> np.ndarray:
@@ -130,18 +145,17 @@ def template_region_content(spec: RegionSpec, size: int) -> np.ndarray:
     RUNTIME/LIBRARY regions: identical for every function that places the
     same ``(content_key, size)`` region, so one pool copy serves forks of
     all of them; per-instance divergence is carried by each sandbox's
-    delta patch against these bytes.
+    delta patch against these bytes.  Memoised and read-only: a caller
+    that individualizes the bytes copies them first.
     """
-    data = np.array(base_region_content(spec, size), dtype=np.uint8, copy=True)
-    positions = _pointer_positions(spec.content_key, spec.pointer_interval, size)
-    if positions.size:
-        values = _pointer_values(
-            spec.content_key, len(positions), aslr=False, instance_seed=0
-        )
-        idx = positions[:, None] + np.arange(POINTER_SIZE)[None, :]
-        data[idx.reshape(-1)] = values.reshape(-1)
-    data.setflags(write=False)
-    return data
+    if spec.zero_fill and spec.pointer_interval <= 0:
+        # All zero: cheaper to make than to keep.
+        data = np.zeros(size, dtype=np.uint8)
+        data.setflags(write=False)
+        return data
+    return _template_content(
+        spec.content_key, spec.common_fill, spec.zero_fill, spec.pointer_interval, size
+    )
 
 
 def _dirty_page_content(nbytes: int, rng: np.random.Generator) -> np.ndarray:
@@ -189,9 +203,10 @@ def build_region(
 ) -> np.ndarray:
     """Materialize one instance's bytes for a region.
 
-    Applies, in order: shared base content, pointer-site values, dirty
-    (rewritten) pages, per-instance copy-on-write mutations, and (under
-    ASLR) the 16-byte fine-grained shift for stack-like regions.
+    Applies, in order: the shared template (base content and pointer-site
+    values), the ASLR bytes of each pointer, dirty (rewritten) pages,
+    per-instance copy-on-write mutations, and (under ASLR) the 16-byte
+    fine-grained shift for stack-like regions.
 
     ``executed`` selects the post-execution memory state: only sandboxes
     that have served requests carry dirty pages.  Freshly-initialized
@@ -199,16 +214,18 @@ def build_region(
     across instances, which is exactly why the paper's Figure-1
     redundancy exceeds its Table-3 dedup savings.
     """
-    data = np.array(base_region_content(spec, size), dtype=np.uint8, copy=True)
+    data = template_region_content(spec, size).copy()
 
-    positions = _pointer_positions(spec.content_key, spec.pointer_interval, size)
-    if positions.size:
-        values = _pointer_values(
-            spec.content_key, len(positions), aslr=aslr, instance_seed=instance_seed
-        )
-        # Scatter each 8-byte pointer into place.
-        idx = positions[:, None] + np.arange(POINTER_SIZE)[None, :]
-        data[idx.reshape(-1)] = values.reshape(-1)
+    if aslr:
+        positions = _pointer_positions(spec.content_key, spec.pointer_interval, size)
+        if positions.size:
+            # The template holds the shared pointers; randomize each
+            # site's high bytes (the segment base) on top.
+            high = rng_for("ptr-aslr", instance_seed, spec.content_key).integers(
+                0, 256, size=(len(positions), POINTER_ASLR_BYTES), dtype=np.uint8
+            )
+            idx = positions[:, None] + np.arange(POINTER_SIZE - POINTER_ASLR_BYTES, POINTER_SIZE)
+            data[idx.reshape(-1)] = high.reshape(-1)
 
     if executed:
         _apply_dirty_pages(data, spec, instance_seed)

@@ -66,7 +66,9 @@ from repro.memory.patch import AnchorIndex, apply_patch_into, cached_anchor_inde
 
 #: Per-worker anchor-index cache (pages).  Keyed by (checkpoint_id,
 #: page_index, level); checkpoint ids are never reused in a parent
-#: process, so entries can go cold but never stale.
+#: process, so entries can go cold but never stale.  An entry builds its
+#: halves during later ops, on other arenas: it holds its own copy of
+#: the base page (made once, on the miss), never a view of the arena.
 WORKER_ANCHOR_CACHE_PAGES = 1024
 
 #: Arena segments a worker keeps mapped.  Ops only reference the arena
@@ -117,6 +119,7 @@ def run_task(
             bases.append(view[b0 : b0 + page_size])
 
         def index_for(j: int) -> AnchorIndex:
+            # ``bases[j]`` is a writable arena view: a new entry copies it.
             return cached_anchor_index(anchor_cache, jobs[j][2], bases[j], level)
 
         patches = compute_patches(

@@ -29,29 +29,31 @@ def suite() -> FunctionBenchSuite:
 
 @pytest.fixture
 def codec_calls(monkeypatch) -> dict[str, int]:
-    """Live counts of what the batched codec does at the anchor fallback.
+    """Live counts of what the batched codec does past its triage.
 
-    ``bound``: copy-coverage bounds consulted; ``matcher``: runs of the
-    vectorised anchor matcher (the scalar oracle is not counted);
-    ``word_bits``: word tables built for the bound.
+    ``run_rows``: stack rows whose equal/unequal runs were extracted;
+    ``bound``: rows that took the copy-coverage bound; ``matcher``: runs
+    of the vectorised anchor matcher (the scalar oracle is not counted);
+    ``word_bits``: word tables built for the bound; ``sorted_halves``:
+    sorted anchor halves built through the module (a test's own call of
+    an imported ``build_anchor_index`` is not counted).
     """
-    calls = {"bound": 0, "matcher": 0, "word_bits": 0}
+    calls = dict.fromkeys(("run_rows", "bound", "matcher", "word_bits", "sorted_halves"), 0)
 
-    def counted(name, real):
+    def counted(name, attr, weight=lambda *args: 1):
+        real = getattr(patch_module, attr)
+
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += weight(*args)
             return real(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(patch_module, attr, wrapper)
 
-    index_cls = patch_module.AnchorIndex
-    monkeypatch.setattr(index_cls, "copy_bound", counted("bound", index_cls.copy_bound))
-    monkeypatch.setattr(
-        patch_module, "_anchor_ops", counted("matcher", patch_module._anchor_ops)
-    )
-    monkeypatch.setattr(
-        patch_module, "_build_word_bits", counted("word_bits", patch_module._build_word_bits)
-    )
+    counted("run_rows", "_batch_aligned_runs", lambda neq: len(neq))
+    counted("bound", "_copy_bounds", lambda targets, indexes: len(indexes))
+    counted("matcher", "_anchor_ops")
+    counted("word_bits", "_build_word_bits")
+    counted("sorted_halves", "build_anchor_index")
     return calls
 
 

@@ -106,8 +106,11 @@ def test_batch_path_matches_reference(suite, strategy, aslr, level, codec_calls)
         assert (
             restored_batch.image.checksum() == outcome_batch.table.original_checksum
         )
-    # Dirty pages reached the fallback and the bound skipped some of them.
-    assert codec_calls["bound"] > codec_calls["matcher"]
+    # Dirty pages reached the fallback and the bound skipped some of them;
+    # a base was sorted only for a page the matcher ran on, and a word
+    # table built only for a page that was bounded.
+    assert codec_calls["bound"] > codec_calls["matcher"] >= codec_calls["sorted_halves"]
+    assert codec_calls["word_bits"] <= codec_calls["bound"]
 
 
 def test_cross_function_dedup_matches(suite):

@@ -14,6 +14,7 @@ from repro.memory.patch import (
     CopyOp,
     InsertOp,
     Patch,
+    _back_match_len,
     _match_len,
     apply_patch,
     compute_patch,
@@ -259,3 +260,48 @@ class TestMatchLen:
         for shorter in (0, 1, 4095, 4096, 4097, 20_480, 29_999):
             assert _match_len(a, a[:shorter]) == shorter
             assert _match_len(a[:shorter], a) == shorter
+
+
+class TestBackMatchLen:
+    """``_back_match_len`` walks the same slices backwards from the match
+    point; pinned against the definition (a byte-by-byte suffix scan)."""
+
+    @staticmethod
+    def _suffix_len(target, base, i, src, limit):
+        back = 0
+        while back < min(limit, src) and target[i - back - 1] == base[src - back - 1]:
+            back += 1
+        return back
+
+    def test_mismatch_at_every_slice_boundary(self):
+        size = 100_000
+        a = np.frombuffer(random_bytes("back-match-len", size), dtype=np.uint8)
+        boundaries, edge, width = [], 0, _MATCH_FIRST_SLICE
+        while edge + width < size:
+            edge, width = edge + width, width * _MATCH_SLICE_GROWTH
+            boundaries.append(edge)
+        assert len(boundaries) >= 3
+        # ``back`` equal bytes before the match point, then a mismatch.
+        for back in {0, 1, size - 1, *(b + d for b in boundaries for d in (-1, 0, 1))}:
+            b = a.copy()
+            b[size - 1 - back] ^= 0x01
+            assert _back_match_len(a, b, size, size, size) == back
+            # An earlier mismatch must not hide the nearest one.
+            b[0] ^= 0x02
+            assert _back_match_len(a, b, size, size, size) == back
+
+    def test_extension_is_capped_by_limit_and_by_the_base_start(self):
+        a = np.frombuffer(random_bytes("back-match-len", 30_000), dtype=np.uint8)
+        same = a.copy()
+        for cap in (0, 1, 4095, 4096, 4097, 20_480, 29_999, 30_000):
+            assert _back_match_len(a, same, 30_000, 30_000, cap) == cap  # limit binds
+            assert _back_match_len(a, same[30_000 - cap :], 30_000, cap, 30_000) == cap  # src binds
+
+    def test_matches_the_definition_at_unequal_offsets(self):
+        rng = rng_for("patch-test", "back-match-offsets")
+        base = rng.integers(0, 4, size=20_000, dtype=np.uint8)
+        target = np.concatenate([rng.integers(0, 4, size=37, dtype=np.uint8), base[:19_000]])
+        for i, src, limit in ((19_037, 19_000, 19_037), (9_000, 8_963, 5_000), (5_000, 4_000, 300)):
+            assert _back_match_len(target, base, i, src, limit) == self._suffix_len(
+                target, base, i, src, limit
+            )

@@ -12,6 +12,7 @@ from repro.memory.synth import (
     base_region_content,
     build_region,
     common_pool,
+    template_region_content,
 )
 
 
@@ -104,15 +105,35 @@ class TestBuildRegion:
         assert diff < len(a) * 0.05
 
     def test_shared_pointer_values_are_memoised_read_only(self):
-        from repro.memory.synth import _pointer_values
+        from repro.memory.synth import _shared_pointer_values
 
-        shared = _pointer_values("test-key", 64, aslr=False, instance_seed=1)
-        assert shared is _pointer_values("test-key", 64, aslr=False, instance_seed=2)
+        shared = _shared_pointer_values("test-key", 64)
+        assert shared is _shared_pointer_values("test-key", 64)
         assert not shared.flags.writeable
         before = shared.copy()
-        randomized = _pointer_values("test-key", 64, aslr=True, instance_seed=3)
-        assert randomized.flags.writeable and randomized is not shared
-        assert np.array_equal(shared, before)  # the ASLR branch wrote to a copy
+        build_region(spec(pointer_interval=256), 16 * 4096, instance_seed=3, aslr=True)
+        assert np.array_equal(shared, before)  # the ASLR bytes went into a copy
+
+    def test_template_is_memoised_read_only_and_instances_copy_it(self):
+        region = spec(pointer_interval=256, mutation_rate=0.01, dirty_page_rate=0.5)
+        template = template_region_content(region, 16 * 4096)
+        assert template is template_region_content(region, 16 * 4096)
+        # Keyed by what the bytes depend on, not by the whole spec.
+        assert template is template_region_content(
+            spec(pointer_interval=256, name="other", fraction=0.5), 16 * 4096
+        )
+        assert not template.flags.writeable
+        with pytest.raises(ValueError):
+            template[0] = 1
+        before = template.copy()
+        for aslr in (False, True):
+            built = build_region(region, 16 * 4096, instance_seed=4, aslr=aslr, executed=True)
+            assert built.flags.writeable and not np.shares_memory(built, template)
+        assert np.array_equal(template, before)
+
+    def test_overlapping_pointer_sites_are_refused(self):
+        with pytest.raises(ValueError, match="overlap"):
+            build_region(spec(pointer_interval=8), 16 * 4096, instance_seed=1)
 
     def test_dirty_pages_only_when_executed(self):
         region = spec(dirty_page_rate=0.5)
@@ -149,3 +170,48 @@ class TestBuildRegion:
         plain = build_region(region, 16 * 4096, instance_seed=3)
         with_aslr = build_region(region, 16 * 4096, instance_seed=3, aslr=True)
         assert np.array_equal(plain, with_aslr)
+
+
+def _build_region_before_the_template_memo(region, size, instance_seed, *, aslr, executed):
+    """``build_region`` as it composed a region before the template memo:
+    plain base content, whole pointers scattered per instance."""
+    from repro._util import rng_for
+    from repro.memory import synth
+
+    data = np.array(base_region_content(region, size), dtype=np.uint8, copy=True)
+    positions = synth._pointer_positions(region.content_key, region.pointer_interval, size)
+    if positions.size:
+        values = synth._shared_pointer_values(region.content_key, len(positions)).copy()
+        if aslr:
+            values[:, -synth.POINTER_ASLR_BYTES :] = rng_for(
+                "ptr-aslr", instance_seed, region.content_key
+            ).integers(0, 256, size=(len(positions), synth.POINTER_ASLR_BYTES), dtype=np.uint8)
+        idx = positions[:, None] + np.arange(synth.POINTER_SIZE)[None, :]
+        data[idx.reshape(-1)] = values.reshape(-1)
+    if executed:
+        synth._apply_dirty_pages(data, region, instance_seed)
+    if region.mutation_rate > 0.0:
+        rng = rng_for("mutations", instance_seed, region.content_key)
+        count = int(rng.poisson(size * region.mutation_rate))
+        if count:
+            pos = rng.integers(0, size, size=count)
+            data[pos] = rng.integers(0, 256, size=count, dtype=np.uint8)
+    if aslr and region.aslr is AslrBehavior.FINE:
+        shift = int(rng_for("aslr-fine", instance_seed, region.content_key).integers(0, 128))
+        data = np.roll(data, shift * 16)
+    return data
+
+
+@pytest.mark.parametrize("aslr", [False, True])
+@pytest.mark.parametrize("executed", [False, True])
+def test_build_region_bytes_are_those_of_the_pre_memo_composition(suite, aslr, executed):
+    """Every region of every FunctionBench profile, byte for byte."""
+    from tests.conftest import TEST_SCALE
+
+    for profile in suite.profiles:
+        image = profile.synthesize(5, content_scale=TEST_SCALE, aslr=aslr, executed=executed)
+        for placed in image.regions:
+            expected = _build_region_before_the_template_memo(
+                placed.spec, placed.size, 5, aslr=aslr, executed=executed
+            )
+            assert image.data[placed.offset : placed.end].tobytes() == expected.tobytes()

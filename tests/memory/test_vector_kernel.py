@@ -324,7 +324,7 @@ class TestDuplicateHeavyAnchorMatching:
         n = 32768
         base = rng.choice(np.array([0, 0, 0, 7], dtype=np.uint8), size=n)
         index = build_anchor_index(base, level)
-        assert index.has_dup_a
+        assert index.anchors.has_dup_a
         stride = 8 if level == 1 else 1
         rich = np.roll(base, 24).tobytes()  # every probed window is indexed
         poor = rng.integers(0, 256, size=n, dtype=np.uint8)
@@ -397,7 +397,7 @@ class TestCopyCoverageBound:
     def test_bound_covers_the_scalar_matchers_copies(self, pair, level):
         target, base = pair
         scalar = _scalar_anchor_patch(target, base, level)
-        bound = build_anchor_index(base, level).copy_bound(target, base)
+        bound = build_anchor_index(base, level).copy_bound(target)
         assert bound >= scalar.copied_bytes
         assert len(target) + patch_module._HEADER.size - bound <= scalar.size_bytes
 
@@ -434,7 +434,7 @@ class TestCopyCoverageBound:
             for target, base in pairs:
                 copied = _scalar_anchor_patch(target, base, 2).copied_bytes
                 assert copied >= shortest
-                count += build_anchor_index(base, 2).copy_bound(target, base) < copied
+                count += build_anchor_index(base, 2).copy_bound(target) < copied
             return count
 
         words, slack = _copy_bound_constants(min_match)
@@ -473,7 +473,7 @@ class TestCopyCoverageBound:
     ):
         rng = _rng(9)
         base = rng.integers(0, 256, size=4096, dtype=np.uint8)
-        index = build_anchor_index(base, 1)
+        index = AnchorIndex(base, 1)  # as a cache hands it out: no half built
         probes = []
         real_probe = AnchorIndex.probe
         monkeypatch.setattr(
@@ -487,8 +487,168 @@ class TestCopyCoverageBound:
             assert got.size_bytes >= 3072
             assert apply_patch(got, base) == unrelated.tobytes()
         assert not probes
-        assert codec_calls == {"bound": 2, "matcher": 0, "word_bits": 1}
+        # Dense rows: dismissed on their differing-byte count and the
+        # bound, so no run is extracted and the base is never sorted.
+        assert codec_calls == {
+            "run_rows": 0, "bound": 2, "matcher": 0, "word_bits": 1, "sorted_halves": 0
+        }
+        assert index.anchors is None and index.word_bits is not None
         # The same page without a cutoff does go through the matcher.
         compute_patches([unrelated], [base], level=1, index_provider=lambda j: index)
         assert probes
-        assert codec_calls == {"bound": 2, "matcher": 1, "word_bits": 1}
+        assert codec_calls == {
+            "run_rows": 1, "bound": 2, "matcher": 1, "word_bits": 1, "sorted_halves": 1
+        }
+
+
+#: Row lengths the triage is exercised at: below an anchor, not a whole
+#: number of words, a page, a page and a word, two pages.
+TRIAGE_SIZES = (16, 24, 4096, 4104, 8192)
+
+
+def _triage_row(rng, base: np.ndarray, kind: str) -> np.ndarray:
+    """A target of ``base`` in one of the triage's row classes (roughly)."""
+    n = len(base)
+    target = base.copy()
+    if kind == "sparse":  # a few short rewrites
+        for at in rng.integers(0, n, size=int(rng.integers(1, 5))).tolist():
+            target[at : at + 6] = rng.integers(0, 256, size=len(target[at : at + 6]))
+    elif kind == "half":  # over the fallback threshold, under most cutoffs
+        target[: n // 2] = rng.integers(0, 256, size=n // 2)
+    elif kind == "shifted":  # dense by its byte count, yet an anchor patch is small
+        target = np.roll(base, int(rng.integers(1, 40)))
+    elif kind == "dense":
+        target = rng.integers(0, 256, size=n, dtype=np.uint8)
+    return target
+
+
+@st.composite
+def triage_batches(draw):
+    n = draw(st.sampled_from(TRIAGE_SIZES))
+    k = draw(st.integers(1, 64))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["identical", "sparse", "half", "shifted", "dense"]),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    bases = [rng.integers(0, 256, size=n, dtype=np.uint8) for _ in range(k)]
+    targets = [_triage_row(rng, base, kind) for base, kind in zip(bases, kinds)]
+    return n, targets, bases
+
+
+class TestRowTriage:
+    """``compute_patches`` sorts rows by their count of differing bytes
+    before it diffs them; the contract it keeps is today's."""
+
+    @given(
+        triage_batches(),
+        st.sampled_from([1, 2]),
+        st.sampled_from(["none", "fresh", "stale-level", "stale-length"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batches_obey_the_per_pair_contract(self, batch, level, provider_kind):
+        n, targets, bases = batch
+        if provider_kind == "none":
+            provider = None
+        else:
+            made = {}
+
+            def provider(j):
+                if j not in made:
+                    if provider_kind == "fresh":
+                        made[j] = AnchorIndex(bases[j], level)
+                    elif provider_kind == "stale-level":
+                        made[j] = AnchorIndex(bases[j], 3 - level)
+                    else:
+                        made[j] = AnchorIndex(bases[j][: n - 1], level)
+                return made[j]
+
+        reference = [
+            patch_module.compute_patch(t, b, level=level) for t, b in zip(targets, bases)
+        ]
+        for cutoff in (None, n // 10, n // 2, 3 * n // 4, n + 22):
+            got = compute_patches(
+                targets, bases, level=level, index_provider=provider, max_size=cutoff
+            )
+            for patch, ref, target, base in zip(got, reference, targets, bases):
+                assert apply_patch(patch, base) == target.tobytes()
+                if cutoff is None or patch.size_bytes < cutoff:
+                    assert patch == ref
+                    assert patch.serialize() == ref.serialize()
+                else:
+                    assert ref.size_bytes >= cutoff
+
+    @given(st.sampled_from(TRIAGE_SIZES), st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2]))
+    @settings(max_examples=120, deadline=None)
+    def test_differing_byte_floor_is_under_the_aligned_patch(self, n, seed, shape):
+        rng = _rng(seed)
+        base = rng.integers(0, 256, size=n, dtype=np.uint8)
+        if shape == 0:  # random rewrites of random lengths
+            target = base.copy()
+            for at in rng.integers(0, n, size=int(rng.integers(1, 30))).tolist():
+                width = int(rng.integers(1, 200))
+                target[at : at + width] = rng.integers(0, 256, size=len(target[at : at + width]))
+        elif shape == 1:  # periodic: equal runs just under and over MIN_COPY_RUN
+            period = int(rng.integers(2, 40))
+            target = base.copy()
+            target[::period] ^= 0xFF
+        else:  # a single differing byte
+            target = base.copy()
+            target[int(rng.integers(0, n))] ^= 0x01
+        differing = int(np.count_nonzero(target != base))
+        if not differing:
+            return
+        aligned = Patch(
+            ops=tuple(patch_module._aligned_ops(target, base)), target_len=n, base_len=n
+        )
+        floor = patch_module._HEADER.size + patch_module._INSERT_HDR.size + differing
+        assert floor <= aligned.size_bytes
+
+    @given(triage_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_batched_bound_is_the_one_row_bound(self, batch):
+        _n, targets, bases = batch
+        indexes = [AnchorIndex(base, 1) for base in bases]
+        batched = patch_module._copy_bounds(np.stack(targets), indexes)
+        assert batched == [
+            index.copy_bound(target) for index, target in zip(indexes, targets)
+        ]
+
+    def test_discarded_fallback_rows_extract_no_runs_and_sort_nothing(self, codec_calls):
+        rng = _rng(11)
+        n = 4096
+        bases = [rng.integers(0, 256, size=n, dtype=np.uint8) for _ in range(12)]
+        kinds = ["identical", "sparse", "dense"] * 4
+        targets = [_triage_row(rng, base, kind) for base, kind in zip(bases, kinds)]
+        indexes = [AnchorIndex(base, 1) for base in bases]
+        got = compute_patches(
+            targets, bases, level=1, index_provider=lambda j: indexes[j], max_size=3072
+        )
+        # Only the sparse rows were diffed; the dense ones were bounded,
+        # dismissed and returned as literals without a run or a sort.
+        assert codec_calls == {
+            "run_rows": 4, "bound": 4, "matcher": 0, "word_bits": 4, "sorted_halves": 0
+        }
+        for patch, kind, index in zip(got, kinds, indexes):
+            assert (index.word_bits is not None) == (kind == "dense")
+            assert index.anchors is None
+            assert (patch.size_bytes >= 3072) == (kind == "dense")
+
+    @pytest.mark.parametrize("cutoff", [None, 3072])
+    def test_identical_rows_never_enter_run_extraction(self, codec_calls, cutoff):
+        rng = _rng(12)
+        bases = [rng.integers(0, 256, size=4096, dtype=np.uint8) for _ in range(5)]
+        got = compute_patches([b.copy() for b in bases], bases, max_size=cutoff)
+        assert codec_calls["run_rows"] == 0
+        for patch, base in zip(got, bases):
+            assert patch == patch_module.compute_patch(base, base)
+            assert patch.ops == (patch_module.CopyOp(src_off=0, length=4096),)
+
+    def test_rows_shorter_than_a_copy_run_stay_literal_when_identical(self):
+        short = np.arange(8, dtype=np.uint8)
+        (got,) = compute_patches([short], [short.copy()])
+        assert got == patch_module.compute_patch(short, short)
+        assert isinstance(got.ops[0], patch_module.InsertOp)

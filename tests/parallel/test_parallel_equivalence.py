@@ -147,9 +147,10 @@ def test_serial_and_pooled_dedup_skip_the_same_pages(suite, codec_calls):
 
     An executed image's dirty pages reach the anchor fallback; the
     serial agent and the pool's ``"patch"`` task both hand
-    ``compute_patches`` their ``unique_cap``, so both consult the
-    copy-coverage bound for the same pages, skip the matcher for the
-    same pages, and build the same page table.
+    ``compute_patches`` their ``unique_cap``, so both triage the same
+    rows, extract runs for the same rows, take the copy-coverage bound
+    for the same pages, skip the matcher — and the sort of the base —
+    for the same pages, and build the same page table.
     """
     # The inline engine runs the pool's task code in this process, where
     # the counters can see it.
@@ -159,10 +160,31 @@ def test_serial_and_pooled_dedup_skip_the_same_pages(suite, codec_calls):
     try:
         seen = []
         for agent in (serial, pipelined):
-            codec_calls.update(bound=0, matcher=0, word_bits=0)
+            codec_calls.update(dict.fromkeys(codec_calls, 0))
             outcome = agent.dedup(_make_sandbox(suite.get("LinAlg"), 330, True))
             seen.append((dict(codec_calls), outcome.table.entries))
         assert seen[0] == seen[1]
-        assert seen[0][0]["bound"] > seen[0][0]["matcher"]
+        assert seen[0][0]["bound"] > seen[0][0]["matcher"] >= seen[0][0]["sorted_halves"]
+    finally:
+        pipelined.close()
+
+
+def test_pooled_ops_survive_arena_turnover_against_cached_bases(suite):
+    """Pooled ops against the same base pages, the arena closed between them.
+
+    Each op gets a fresh shared-memory segment; by the sixth the workers
+    have evicted and closed the first ones (they keep four mapped) while
+    their anchor caches still hold index handles made during those ops.
+    A handle that kept a view of an arena page would fail the close
+    (``BufferError``, surfaced as a ``WorkerError``); the tables must
+    stay those of the serial agent throughout.
+    """
+    serial, pipelined = _build_agents(
+        suite, ParallelConfig(workers=2, batch_pages=16, depth=2)
+    )
+    try:
+        for seed in range(340, 346):
+            _assert_equivalent(serial, pipelined, suite.get("LinAlg"), seed, True)
+            pipelined.close()  # the next op stages into a new arena
     finally:
         pipelined.close()

@@ -8,7 +8,7 @@ import pytest
 from repro._util import PAGE_SIZE, LruCache, hash_bytes, hash_bytes_many
 from repro.core.costs import CostModel, StageOverlap, pipelined_ms
 from repro.memory.patch import apply_patch, apply_patch_into, compute_patch
-from repro.parallel.arena import LocalArena, ShmArena
+from repro.parallel.arena import LocalArena, ShmArena, attach_segment
 from repro.parallel.config import ParallelConfig
 from repro.parallel.pool import WorkerError, WorkerPool, run_task
 
@@ -90,6 +90,42 @@ def test_run_task_rejects_unknown_kind():
 
 
 # -------------------------------------------------------------------- pool
+
+
+def test_cached_index_does_not_pin_a_closed_arena():
+    """Two ``"patch"`` tasks against one cached base, each on an arena of
+    its own that is closed before the next op.
+
+    The index handle a worker caches builds its halves later — here the
+    word table in the first op and the sorted anchors in the second —
+    so it must own the base's bytes: a kept view of the arena page makes
+    ``SharedMemory.close()`` raise ``BufferError``.
+    """
+    rng = np.random.default_rng(5)
+    base = rng.integers(0, 256, PAGE_SIZE, dtype=np.uint8)
+    unrelated = rng.integers(0, 256, PAGE_SIZE, dtype=np.uint8)  # dismissed by the bound
+    shifted = np.roll(base, 24)  # the matcher's case
+    unique_cap = 3 * PAGE_SIZE // 4
+    anchor_cache: LruCache = LruCache(8)
+    results = []
+    for target in (unrelated, shifted):
+        arena = ShmArena(2 * PAGE_SIZE)
+        arena.view[:PAGE_SIZE] = target
+        arena.view[PAGE_SIZE : 2 * PAGE_SIZE] = base
+        shm = attach_segment(arena.token, forked=True)  # as a worker maps it
+        task = ("patch", 0, arena.token, 0, PAGE_SIZE, PAGE_SIZE, 1, unique_cap, [(0, 0, (7, 0))])
+        results.append(
+            run_task(task, lambda token: np.frombuffer(shm.buf, dtype=np.uint8), anchor_cache)
+        )
+        shm.close()
+        arena.close()
+    assert (anchor_cache.hits, anchor_cache.misses) == (1, 1)
+    index = anchor_cache.get((7, 0, 1))
+    assert isinstance(index.base, bytes) and index.base == base.tobytes()
+    assert index.word_bits is not None and index.anchors is not None
+    assert results[0][2] == [None]  # hit the unique-page cutoff
+    (patch,) = results[1][2]
+    assert patch.size_bytes < 64 and apply_patch(patch, base) == shifted.tobytes()
 
 
 def test_pool_error_propagates_and_pool_survives():

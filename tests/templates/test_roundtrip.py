@@ -291,10 +291,15 @@ class TestSegmentAnchorIndexes:
             s for s in catalog.segments_for(outcome.table.segment_keys) if s.anchor_indexes
         )
         del builds[:]
-        assert segment.anchor_index(1).level == 1  # kept from the templatize
+        kept = segment.anchor_index(1)  # from the templatize, already sorted
+        assert kept.level == 1 and kept.sorted_anchors() is kept.anchors
         assert builds == []
-        assert segment.anchor_index(2).level == 2  # level 1 cannot serve it
-        assert segment.anchor_index(2).level == 2
+        other = segment.anchor_index(2)  # level 1 cannot serve it
+        assert other.level == 2 and other.anchors is None
+        assert builds == []  # a handle sorts nothing until it is probed
+        other.sorted_anchors()
+        assert segment.anchor_index(2) is other
+        assert segment.anchor_index(2).sorted_anchors() is other.anchors
         assert builds == [2]
 
     def test_retiring_a_segment_drops_its_indexes(
