@@ -243,6 +243,35 @@ def hash_bytes_many(chunks: Iterable[bytes], bits: int = 64) -> np.ndarray:
     return words & np.uint64((1 << bits) - 1)
 
 
+def concat_ranges(range_starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices ``[s0, s0+1, ..), (s1, ..), ...`` concatenated, vectorised.
+
+    The CSR expansion: range ``i`` contributes ``lengths[i]`` consecutive
+    indices from ``range_starts[i]``."""
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    offsets = np.repeat(range_starts - (np.cumsum(lengths) - lengths), lengths)
+    return np.arange(total, dtype=np.int64) + offsets
+
+
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of the first element of every run of equal ``values``."""
+    change = np.empty(len(values), dtype=bool)
+    change[:1] = True
+    np.not_equal(values[1:], values[:-1], out=change[1:])
+    return np.flatnonzero(change)
+
+
+def run_lengths(starts: np.ndarray, total: int) -> np.ndarray:
+    """Lengths of the runs beginning at ``starts`` in ``total`` elements."""
+    lengths = np.empty_like(starts)
+    lengths[:-1] = starts[1:]
+    lengths[-1:] = total
+    lengths -= starts
+    return lengths
+
+
 def gather_chunks(data: np.ndarray, starts: np.ndarray, chunk_size: int) -> np.ndarray:
     """Gather ``chunk_size``-byte chunks of ``data`` at ``starts``.
 

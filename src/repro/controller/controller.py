@@ -1340,9 +1340,12 @@ class ClusterController:
         fingerprints = batch_page_fingerprints(
             image.data, image.page_size, agent.fingerprint_config
         )
-        for index, fingerprint in enumerate(fingerprints):
-            ref = PageRef(checkpoint.checkpoint_id, sandbox.node_id, index)
-            self.registry.register_page(ref, fingerprint, checkpoint.domain)
+        refs = [
+            PageRef(checkpoint.checkpoint_id, sandbox.node_id, index)
+            for index in range(len(fingerprints))
+        ]
+        self.registry.register_pages(refs, fingerprints, checkpoint.domain)
+        for index, ref in enumerate(refs):
             # The full-page replica index (exact content digests) backs
             # crash rehoming: byte-identical pages on surviving bases
             # can absorb a dead base's patch references unchanged.

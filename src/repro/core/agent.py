@@ -12,11 +12,11 @@ sandbox's node so restores never touch the controller (Section 4.2).
 
 Two implementations of the dedup op exist.  :meth:`DedupAgent.dedup` is
 the **batched pipeline**: zero pages are classified with one vectorized
-reduction, one marker scan fingerprints the whole image, one registry
-round-trip (``choose_base_pages``) serves every page, and base-page
-fetches are grouped by checkpoint through a per-agent LRU cache of
-decoded base pages (the same base pages are re-read constantly across
-ops on a node).  :meth:`DedupAgent.dedup_reference` is the page-at-a-time
+reduction, one marker scan fingerprints the whole image into flat digest
+arrays, one registry round-trip (``choose_base_pages``) reads those
+arrays and serves every page, and base-page fetches are grouped by
+checkpoint through a per-agent LRU cache of decoded base pages (the same
+base pages are re-read constantly across ops on a node).  :meth:`DedupAgent.dedup_reference` is the page-at-a-time
 reference implementation; property tests assert both produce identical
 page tables, and ``benchmarks/bench_dedup_throughput.py`` tracks the
 pages/sec gap.
@@ -382,6 +382,8 @@ class DedupAgent:
         """Restore working-set recorder, shared cluster-wide (tiering
         with prefetch only; None disables recording)."""
         self.fingerprint_config = fingerprint_config or FingerprintConfig()
+        if self.fingerprint_config.digest_bits > 64:
+            raise ValueError("the registry keys on uint64 digests: digest_bits must be <= 64")
         self.patch_level = patch_level
         self.unique_threshold = unique_threshold
         self.parallel = parallel

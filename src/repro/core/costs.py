@@ -152,6 +152,28 @@ class CostModel:
         )
 
 
+def _calibration_buffer(page_size: int, pages: int):
+    """Deterministic pseudo-random pages the calibration kernels run on."""
+    import numpy as np
+
+    from repro._util import rng_for
+
+    if pages <= 0:
+        raise ValueError("pages must be positive")
+    rng = rng_for("fingerprint-calibration", page_size, pages)
+    return rng.integers(0, 256, size=page_size * pages, dtype=np.uint8)
+
+
+def _best_seconds(run, repeats: int) -> float:
+    run()  # warm up
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def measure_fingerprint_us_per_page(
     page_size: int = 4096,
     pages: int = 2048,
@@ -166,19 +188,48 @@ def measure_fingerprint_us_per_page(
     Imports lazily so the cost model stays importable without numpy
     workloads in play.
     """
-    import numpy as np
-
-    from repro._util import rng_for
     from repro.memory.fingerprint import batch_page_fingerprints
 
-    if pages <= 0:
-        raise ValueError("pages must be positive")
-    rng = rng_for("fingerprint-calibration", page_size, pages)
-    data = rng.integers(0, 256, size=page_size * pages, dtype=np.uint8)
-    batch_page_fingerprints(data, page_size, config)  # warm up
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        batch_page_fingerprints(data, page_size, config)
-        best = min(best, time.perf_counter() - t0)
-    return best / pages * 1e6
+    data = _calibration_buffer(page_size, pages)
+    return (
+        _best_seconds(lambda: batch_page_fingerprints(data, page_size, config), repeats)
+        / pages
+        * 1e6
+    )
+
+
+def measure_lookup_us_per_page(
+    page_size: int = 4096,
+    pages: int = 2048,
+    bases: int = 8,
+    config=None,
+    repeats: int = 3,
+) -> float:
+    """Measured per-page cost (us) of the registry's batch lookup.
+
+    Registers the calibration buffer's pages as ``bases`` base
+    checkpoints (so every sampled digest finds a bucket of ``bases``
+    candidates, up to the registry's cap, and every choice is decided by
+    the tie-break) and times one ``choose_base_pages`` over the same
+    pages (min over ``repeats``).  This is the table-work half of
+    :attr:`CostModel.lookup_us_per_page`, whose default stays the
+    paper's Section 7.7 figure for a networked controller; opt in with
+    ``dataclasses.replace(costs, lookup_us_per_page=...)``.
+    """
+    from repro.core.registry import FingerprintRegistry, PageRef
+    from repro.memory.fingerprint import batch_page_fingerprints
+
+    if bases <= 0:
+        raise ValueError("bases must be positive")
+    data = _calibration_buffer(page_size, pages)
+    fingerprints = batch_page_fingerprints(data, page_size, config)
+    registry = FingerprintRegistry(config)
+    for base in range(bases):
+        registry.register_pages(
+            [PageRef(base + 1, base, index) for index in range(pages)], fingerprints
+        )
+    return (
+        _best_seconds(lambda: registry.choose_base_pages(fingerprints, 0), repeats)
+        / pages
+        * 1e6
+    )

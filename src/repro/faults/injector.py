@@ -164,9 +164,12 @@ class FaultInjector:
             fingerprints = batch_page_fingerprints(
                 image.data, image.page_size, self.config.fingerprint
             )
-            for index, fingerprint in enumerate(fingerprints):
-                ref = PageRef(checkpoint.checkpoint_id, checkpoint.node_id, index)
-                self.registry.register_page(ref, fingerprint, checkpoint.domain)
+            refs = [
+                PageRef(checkpoint.checkpoint_id, checkpoint.node_id, index)
+                for index in range(len(fingerprints))
+            ]
+            self.registry.register_pages(refs, fingerprints, checkpoint.domain)
+            for index, ref in enumerate(refs):
                 self.registry.register_page_location(
                     ref, hash_bytes(image.page_bytes(index)), checkpoint.domain
                 )

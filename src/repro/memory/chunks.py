@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import gather_chunks, hash_bytes, hash_rows_sha1
+from repro._util import gather_chunks, hash_bytes, hash_rows_sha1, run_lengths, run_starts
 
 #: Default chunk size in bytes (the paper's RSC size).
 DEFAULT_CHUNK_SIZE = 64
@@ -170,11 +170,8 @@ def batch_enforce_spacing(
     positions = positions.astype(np.int64, copy=False)
     pages = positions // page_size
     # Hits are sorted, so each page's hits are one contiguous segment.
-    seg_starts = np.flatnonzero(np.concatenate(([True], pages[1:] != pages[:-1])))
-    seg_of = np.repeat(
-        np.arange(len(seg_starts), dtype=np.int64),
-        np.diff(np.concatenate((seg_starts, [n]))),
-    )
+    seg_starts = run_starts(pages)
+    seg_of = np.repeat(np.arange(len(seg_starts), dtype=np.int64), run_lengths(seg_starts, n))
     index = np.arange(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
     kept_rounds: list[np.ndarray] = []

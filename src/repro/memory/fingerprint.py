@@ -13,12 +13,15 @@ tiny, which is the crux of Medes' scalability argument.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from repro._util import (
+    concat_ranges,
     gather_chunks,
     hash_bytes,
     hash_rows_sha1,
@@ -275,15 +278,6 @@ def batch_sample_chunk_offsets(
     return out
 
 
-def _concat_ranges(range_starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Indices ``[s0, s0+1, ..), (s1, ..), ...`` concatenated, vectorised."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.repeat(range_starts - (np.cumsum(lengths) - lengths), lengths)
-    return np.arange(total, dtype=np.int64) + offsets
-
-
 def batch_fingerprint_arrays(
     data: np.ndarray,
     page_size: int,
@@ -316,7 +310,7 @@ def batch_fingerprint_arrays(
         indices = np.asarray(pages, dtype=np.int64)
         bounds = np.concatenate(([0], np.cumsum(all_counts)))
         counts = all_counts[indices]
-        starts = all_starts[_concat_ranges(bounds[indices], counts)]
+        starts = all_starts[concat_ranges(bounds[indices], counts)]
         page_bases = np.repeat(indices * page_size, counts)
     matrix = gather_chunks(data, starts, cfg.chunk_size)
     if cfg.hash_kind is HashKind.POLY64:
@@ -332,22 +326,21 @@ def batch_page_fingerprints(
     config: FingerprintConfig | None = None,
     *,
     pages: np.ndarray | None = None,
-) -> list[PageFingerprint]:
+) -> Sequence[PageFingerprint]:
     """Fingerprints of ``pages`` (default: all) of a flat image buffer.
 
     Identical digests/offsets to the per-page :func:`page_fingerprint`
     reference (property-tested); the marker scan, thinning, chunk gather
     and digest batch each happen once for the whole buffer.  ``pages``
     restricts hashing to the given page indices (the dedup op skips zero
-    pages, for instance) — the returned list is aligned with it.
+    pages, for instance) — the returned sequence is aligned with it.
+    The result is a :class:`FingerprintBatch` over the kernel's arrays
+    (a plain list for the experiment-only ``digest_bits > 64``).
     """
     cfg = config or FingerprintConfig()
     if cfg.digest_bits > 64:
         return _wide_digest_fingerprints(data, page_size, cfg, pages)
-    digests, offsets, counts = batch_fingerprint_arrays(
-        data, page_size, cfg, pages=pages
-    )
-    return fingerprints_from_arrays(digests, offsets, counts)
+    return FingerprintBatch(*batch_fingerprint_arrays(data, page_size, cfg, pages=pages))
 
 
 def fingerprints_from_arrays(
@@ -367,6 +360,74 @@ def fingerprints_from_arrays(
         )
         cursor += count
     return result
+
+
+class FingerprintBatch(Sequence):
+    """The fingerprints of a run of pages, held as the kernel's arrays.
+
+    ``digests`` (uint64) and ``offsets`` (page-relative int64) are flat
+    and page-major; ``counts`` delimits them per page.  The registry's
+    batch entry points read the arrays directly (:func:`digest_arrays`),
+    so a dedup op never builds per-page objects; everything else can
+    treat the batch as a read-only sequence of :class:`PageFingerprint`
+    — ``len``, indexing, iteration and ``==`` against any sequence of
+    them — which materialises the pages it touches.
+    """
+
+    __slots__ = ("digests", "offsets", "counts")
+
+    def __init__(self, digests: np.ndarray, offsets: np.ndarray, counts: np.ndarray):
+        if len(digests) != len(offsets) or len(digests) != int(counts.sum()):
+            raise ValueError("digests/offsets/counts length mismatch")
+        self.digests = digests
+        self.offsets = offsets
+        self.counts = counts
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __iter__(self):
+        return iter(fingerprints_from_arrays(self.digests, self.offsets, self.counts))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        index = range(len(self))[index]
+        start = int(self.counts[:index].sum())
+        stop = start + int(self.counts[index])
+        return PageFingerprint(
+            digests=tuple(self.digests[start:stop].tolist()),
+            offsets=tuple(self.offsets[start:stop].tolist()),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def digest_arrays(
+    fingerprints: Sequence[PageFingerprint],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(digests, counts)`` of a fingerprint sequence, flat and page-major.
+
+    The registry's boundary: a :class:`FingerprintBatch` hands over its
+    own arrays, any other sequence of :class:`PageFingerprint` is
+    flattened once.  Digests must fit ``uint64``.
+    """
+    if isinstance(fingerprints, FingerprintBatch):
+        return fingerprints.digests, fingerprints.counts
+    counts = np.fromiter(
+        (len(fp.digests) for fp in fingerprints), np.int64, len(fingerprints)
+    )
+    digests = np.fromiter(
+        chain.from_iterable(fp.digests for fp in fingerprints),
+        np.uint64,
+        int(counts.sum()),
+    )
+    return digests, counts
 
 
 def _wide_digest_fingerprints(
@@ -391,7 +452,7 @@ def _wide_digest_fingerprints(
         indices = np.asarray(pages, dtype=np.int64)
         bounds = np.concatenate(([0], np.cumsum(all_counts)))
         counts = all_counts[indices]
-        starts = all_starts[_concat_ranges(bounds[indices], counts)]
+        starts = all_starts[concat_ranges(bounds[indices], counts)]
     matrix = gather_chunks(data, starts, cfg.chunk_size)
     flat = [hash_bytes(row.tobytes(), cfg.digest_bits) for row in matrix]
     rel = (starts - np.repeat(indices * page_size, counts)).tolist()

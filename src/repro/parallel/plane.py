@@ -41,11 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro._util import LruCache
-from repro.memory.fingerprint import (
-    PageFingerprint,
-    fingerprints_from_arrays,
-    nonzero_page_mask,
-)
+from repro.memory.fingerprint import FingerprintBatch, nonzero_page_mask
 from repro.parallel.arena import LocalArena, ShmArena
 from repro.parallel.config import ParallelConfig
 from repro.parallel.pool import WORKER_ANCHOR_CACHE_PAGES, WorkerPool, run_task
@@ -199,18 +195,11 @@ class DataPlane:
                  agent.fingerprint_config)
             )
 
-        def on_fingerprints(batch: int, raw_fps) -> bool:
+        def on_fingerprints(batch: int, arrays: tuple) -> bool:
             """Registry round-trip + base staging; True if a patch task went out."""
             _lo, _hi, abs_pages = ranges[batch]
-            if isinstance(raw_fps, tuple):  # flat-array form (digest_bits <= 64)
-                fingerprints = fingerprints_from_arrays(*raw_fps)
-            else:  # per-page tuples (wide-digest fallback)
-                fingerprints = [
-                    PageFingerprint(digests=digests, offsets=offsets)
-                    for digests, offsets in raw_fps
-                ]
             choices = agent.registry.choose_base_pages(
-                fingerprints, agent.node_id, sandbox.domain
+                FingerprintBatch(*arrays), agent.node_id, sandbox.domain
             )
             chosen: list = []
             for index, choice in zip(abs_pages, choices):

@@ -22,9 +22,7 @@ fingerprint ``("fp", batch, token, data_off, lo, hi, rel_pages,
             page_size, config)`` → ``("fp", batch, (digests,
             offsets, counts))`` — flat uint64/int64 arrays delimited
             per page by ``counts``, aligned with ``rel_pages`` (one
-            pickled buffer each instead of per-page tuples); configs
-            with ``digest_bits > 64`` fall back to ``("fp", batch,
-            [(digests, offsets), ...])`` per-page tuples
+            pickled buffer each instead of per-page tuples)
 patch       ``("patch", batch, token, data_off, bases_off,
             page_size, level, unique_cap, jobs)`` with ``jobs =
             [(page_index, slot, anchor_key), ...]`` →
@@ -57,11 +55,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from repro._util import LruCache
-from repro.memory.fingerprint import (
-    FingerprintConfig,
-    batch_fingerprint_arrays,
-    batch_page_fingerprints,
-)
+from repro.memory.fingerprint import batch_fingerprint_arrays
 from repro.memory.patch import AnchorIndex, apply_patch_into, cached_anchor_index, compute_patches
 
 #: Per-worker anchor-index cache (pages).  Keyed by (checkpoint_id,
@@ -99,14 +93,10 @@ def run_task(
         _, batch, token, data_off, lo, hi, rel_pages, page_size, config = task
         view = resolve(token)
         window = view[data_off + lo * page_size : data_off + hi * page_size]
-        cfg = config or FingerprintConfig()
-        if cfg.digest_bits <= 64:
-            arrays = batch_fingerprint_arrays(
-                window, page_size, cfg, pages=np.asarray(rel_pages, dtype=np.int64)
-            )
-            return ("fp", batch, arrays)
-        fps = batch_page_fingerprints(window, page_size, cfg, pages=rel_pages)
-        return ("fp", batch, [(fp.digests, fp.offsets) for fp in fps])
+        arrays = batch_fingerprint_arrays(
+            window, page_size, config, pages=np.asarray(rel_pages, dtype=np.int64)
+        )
+        return ("fp", batch, arrays)
     if kind == "patch":
         _, batch, token, data_off, bases_off, page_size, level, unique_cap, jobs = task
         view = resolve(token)

@@ -74,3 +74,19 @@ class TestMeasuredFingerprint:
 
         with pytest.raises(ValueError):
             measure_fingerprint_us_per_page(pages=0)
+
+
+class TestMeasuredLookup:
+    def test_measures_the_batch_lookup(self):
+        from repro.core.costs import measure_lookup_us_per_page
+
+        rate = measure_lookup_us_per_page(pages=64, bases=3, repeats=1)
+        assert 0 < rate < 1e4
+
+    def test_measure_rejects_bad_sizes(self):
+        from repro.core.costs import measure_lookup_us_per_page
+
+        with pytest.raises(ValueError):
+            measure_lookup_us_per_page(pages=0)
+        with pytest.raises(ValueError):
+            measure_lookup_us_per_page(bases=0)
