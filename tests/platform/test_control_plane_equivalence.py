@@ -1,24 +1,27 @@
-"""Indexed vs scan control plane: bit-identical run behaviour.
+"""Control-plane scenario runs against frozen per-request goldens.
 
-The indexed control plane (``ClusterConfig.indexed_control_plane``) must
-be a pure performance change: candidate sets, counters and placement
-order mirror the original scan paths exactly, so every platform run
-produces the *same* ``RunMetrics`` — same start types, same latencies,
-same evictions, same memory timeline — in both modes.  These tests pin
-that, across all three platforms and across workloads that exercise the
-tricky paths (dedup churn, memory pressure, starvation eviction, the
-eviction-order ablations).
+``tests/golden/control_plane_runs.json`` holds
+``report_to_dict(report, include_requests=True)`` of every scenario
+below: all three platforms on a dense Azure trace, and the workloads
+that exercise the tricky placement paths (eviction under pressure,
+starvation base-eviction, a queued burst, the eviction-order
+ablations).  Both control planes — the indexed one and the scan paths
+behind ``ClusterConfig.indexed_control_plane=False`` — must reproduce
+it, request by request.
 
-``verify_accounting`` is switched on for the indexed runs, so every
-``used_bytes`` and ``reclaimable_bytes`` read also asserts the
-incremental counter against the recomputed per-resident sum.  Only the
-indexed side reads those counters: the scan side's placement gate sums
-the evictable residents itself.
+``python -m tests.platform.test_control_plane_equivalence --write``
+regenerates the file through the same :func:`run_scenario` the tests
+call, refusing to write unless scan == indexed.  A PR that means to
+move a number edits the JSON in the same diff.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import pathlib
+import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -28,135 +31,176 @@ import repro.sandbox.sandbox as sandbox_module
 from repro.core.policy import MedesPolicyConfig
 from repro.platform.config import ClusterConfig
 from repro.platform.platform import PlatformKind, build_platform
+from repro.platform.report_io import report_to_dict
 from repro.sandbox.node import EvictionOrder
 from repro.workload.azure import AzureTraceGenerator
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
+
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden" / "control_plane_runs.json"
 
 SCALE = 1.0 / 256.0
 
 MEDES = MedesPolicyConfig(idle_period_ms=5_000.0, alpha=25.0)
 
 
-def run_both_modes(kind, config, suite, trace, **build_kwargs):
-    """Run one platform in scan mode and indexed mode on ``trace``."""
-    reports = {}
-    for indexed in (False, True):
-        # Sandbox/checkpoint ids are process-global counters; reset them
-        # so both runs mint identical ids and the per-op records (which
-        # embed sandbox ids) compare equal.
-        sandbox_module._sandbox_ids = itertools.count(1)
-        checkpoint_module._checkpoint_ids = itertools.count(1)
-        cfg = replace(
-            config,
-            indexed_control_plane=indexed,
-            # The cached counter only exists on the indexed path; verify
-            # it there on every read.
-            verify_accounting=indexed,
-        )
-        platform = build_platform(kind, cfg, suite, **build_kwargs)
-        reports[indexed] = platform.run(trace)
-    return reports[False], reports[True]
+def _azure(kind: PlatformKind):
+    """A dense multi-function trace with dedup churn."""
+    suite = FunctionBenchSuite.subset(["Vanilla", "LinAlg", "FeatureGen"])
+    trace = AzureTraceGenerator(seed=3).generate(6.0, suite.names())
+    config = ClusterConfig(nodes=2, node_memory_mb=512.0, content_scale=SCALE, seed=2)
+    return kind, config, suite, trace
 
 
-def assert_identical(scan_report, indexed_report):
-    assert indexed_report.duration_ms == scan_report.duration_ms
-    assert indexed_report.metrics == scan_report.metrics
+def _pressure(order: EvictionOrder = EvictionOrder.LRU):
+    """Memory pressure on one node: queueing and evictions."""
+    suite = FunctionBenchSuite.subset(["FeatureGen", "RNNModel"])
+    trace = AzureTraceGenerator(seed=5, rate_scale=8.0).generate(4.0, suite.names())
+    config = ClusterConfig(
+        nodes=1, node_memory_mb=256.0, content_scale=SCALE, seed=7, eviction_order=order
+    )
+    return PlatformKind.MEDES, config, suite, trace
+
+
+def _starvation():
+    """The desperate path: unpinned-base eviction after STARVATION_MS."""
+    suite = FunctionBenchSuite.subset(["RNNModel", "ModelTrain"])
+    trace = Trace.from_arrivals([(0.0, "RNNModel"), (20_000.0, "ModelTrain")])
+    config = ClusterConfig(nodes=1, node_memory_mb=150.0, content_scale=SCALE, seed=9)
+    return PlatformKind.MEDES, config, suite, trace
+
+
+def _queued_burst():
+    """Many simultaneously queued requests on the coalesced starvation timer."""
+    suite = FunctionBenchSuite.subset(["LinAlg"])
+    trace = Trace.from_arrivals([(float(i * 10), "LinAlg") for i in range(12)])
+    config = ClusterConfig(nodes=1, node_memory_mb=220.0, content_scale=SCALE, seed=4)
+    return PlatformKind.MEDES, config, suite, trace
+
+
+SCENARIOS = {
+    "azure/medes": lambda: _azure(PlatformKind.MEDES),
+    "azure/fixed_keep_alive": lambda: _azure(PlatformKind.FIXED_KEEP_ALIVE),
+    "azure/adaptive_keep_alive": lambda: _azure(PlatformKind.ADAPTIVE_KEEP_ALIVE),
+    "pressure/eviction": _pressure,
+    "pressure/starvation": _starvation,
+    "pressure/queued_burst": _queued_burst,
+    **{
+        f"eviction_order/{order.value}": (lambda order=order: _pressure(order))
+        for order in EvictionOrder
+    },
+}
+
+
+def run_scenario(name: str, *, indexed: bool = True) -> dict:
+    """Replay one scenario and flatten its report, requests included."""
+    kind, config, suite, trace = SCENARIOS[name]()
+    # Sandbox/checkpoint ids are process-global counters; reset them so
+    # every run mints the ids the golden was captured with.
+    sandbox_module._sandbox_ids = itertools.count(1)
+    checkpoint_module._checkpoint_ids = itertools.count(1)
+    # The cached counters only exist on the indexed path; verify them
+    # there against the recomputed per-resident sums on every read.
+    config = replace(config, indexed_control_plane=indexed, verify_accounting=indexed)
+    kwargs = {"medes": MEDES} if kind is PlatformKind.MEDES else {}
+    report = build_platform(kind, config, suite, **kwargs).run(trace)
+    return report_to_dict(report, include_requests=True)
+
+
+def _by_name(value, prefix: str = ""):
+    """Leaves of a flattened report as (dotted name, value); request
+    rows are keyed by request id so a diff names the request."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _by_name(item, f"{prefix}{key}.")
+    elif isinstance(value, list):
+        for item in value:
+            yield from _by_name(item, f"{prefix}{item['id']}.")
+    else:
+        yield prefix[:-1], value
 
 
 @pytest.fixture(scope="module")
-def azure_workload():
-    suite = FunctionBenchSuite.subset(["Vanilla", "LinAlg", "FeatureGen"])
-    trace = AzureTraceGenerator(seed=3).generate(6.0, suite.names())
-    return suite, trace
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def check(name: str, golden: dict) -> dict:
+    """Both control planes reproduce the scenario's golden; returns it."""
+    expected = dict(_by_name(golden[name]))
+    for indexed in (False, True):
+        assert dict(_by_name(run_scenario(name, indexed=indexed))) == expected
+    return golden[name]
+
+
+def test_golden_covers_exactly_the_scenarios(golden):
+    assert sorted(golden) == sorted(SCENARIOS)
 
 
 class TestAzureWorkloadEquivalence:
     """A dense multi-function trace with dedup churn on every platform."""
 
-    CONFIG = ClusterConfig(nodes=2, node_memory_mb=512.0, content_scale=SCALE, seed=2)
+    def test_medes(self, golden):
+        check("azure/medes", golden)
 
-    def test_medes(self, azure_workload):
-        suite, trace = azure_workload
-        assert_identical(
-            *run_both_modes(PlatformKind.MEDES, self.CONFIG, suite, trace, medes=MEDES)
-        )
+    def test_fixed_keep_alive(self, golden):
+        check("azure/fixed_keep_alive", golden)
 
-    def test_fixed_keep_alive(self, azure_workload):
-        suite, trace = azure_workload
-        assert_identical(
-            *run_both_modes(PlatformKind.FIXED_KEEP_ALIVE, self.CONFIG, suite, trace)
-        )
-
-    def test_adaptive_keep_alive(self, azure_workload):
-        suite, trace = azure_workload
-        assert_identical(
-            *run_both_modes(PlatformKind.ADAPTIVE_KEEP_ALIVE, self.CONFIG, suite, trace)
-        )
+    def test_adaptive_keep_alive(self, golden):
+        check("azure/adaptive_keep_alive", golden)
 
 
 class TestPressureEquivalence:
     """Memory pressure: queueing, evictions and the starvation path."""
 
-    def test_eviction_under_pressure(self):
-        suite = FunctionBenchSuite.subset(["FeatureGen", "RNNModel"])
-        config = ClusterConfig(
-            nodes=1, node_memory_mb=256.0, content_scale=SCALE, seed=7
-        )
-        trace = AzureTraceGenerator(seed=5, rate_scale=8.0).generate(4.0, suite.names())
-        scan, indexed = run_both_modes(
-            PlatformKind.MEDES, config, suite, trace, medes=MEDES
-        )
-        assert scan.metrics.evictions > 0, "workload must exercise eviction"
-        assert_identical(scan, indexed)
+    def test_eviction_under_pressure(self, golden):
+        run = check("pressure/eviction", golden)
+        assert run["metrics"]["evictions"] > 0, "workload must exercise eviction"
 
-    def test_starvation_evicts_same_base(self):
+    def test_starvation_evicts_same_base(self, golden):
         """The desperate path (unpinned-base eviction after STARVATION_MS)
         must fire at the same time and pick the same victim."""
-        suite = FunctionBenchSuite.subset(["RNNModel", "ModelTrain"])
-        config = ClusterConfig(
-            nodes=1, node_memory_mb=150.0, content_scale=SCALE, seed=9
-        )
-        trace = Trace.from_arrivals([(0.0, "RNNModel"), (20_000.0, "ModelTrain")])
-        scan, indexed = run_both_modes(
-            PlatformKind.MEDES, config, suite, trace, medes=MEDES
-        )
-        assert scan.metrics.requests[1].queued_ms > 0, "request must starve first"
-        assert_identical(scan, indexed)
+        run = check("pressure/starvation", golden)
+        assert run["metrics"]["requests"][1]["queued_ms"] > 0, "request must starve first"
 
-    def test_queued_burst_same_drain_times(self):
+    def test_queued_burst_same_drain_times(self, golden):
         """Many simultaneously queued requests: the coalesced starvation
         timer must drain them at the same instants the per-request
         timers did."""
-        suite = FunctionBenchSuite.subset(["LinAlg"])
-        config = ClusterConfig(
-            nodes=1, node_memory_mb=220.0, content_scale=SCALE, seed=4
-        )
-        arrivals = [(float(i * 10), "LinAlg") for i in range(12)]
-        trace = Trace.from_arrivals(arrivals)
-        scan, indexed = run_both_modes(
-            PlatformKind.MEDES, config, suite, trace, medes=MEDES
-        )
-        assert any(r.queued_ms > 0 for r in scan.metrics.requests.values())
-        assert_identical(scan, indexed)
+        run = check("pressure/queued_burst", golden)
+        assert any(r["queued_ms"] > 0 for r in run["metrics"]["requests"])
 
 
 class TestEvictionOrderEquivalence:
-    """Every eviction-order ablation picks the same victims in both modes."""
+    """Every eviction-order ablation picks the same victims."""
 
     @pytest.mark.parametrize("order", list(EvictionOrder))
-    def test_order(self, order):
-        suite = FunctionBenchSuite.subset(["FeatureGen", "RNNModel"])
-        config = ClusterConfig(
-            nodes=1,
-            node_memory_mb=256.0,
-            content_scale=SCALE,
-            seed=7,
-            eviction_order=order,
-        )
-        trace = AzureTraceGenerator(seed=5, rate_scale=8.0).generate(4.0, suite.names())
-        scan, indexed = run_both_modes(
-            PlatformKind.MEDES, config, suite, trace, medes=MEDES
-        )
-        assert scan.metrics.evictions > 0, "workload must exercise eviction"
-        assert_identical(scan, indexed)
+    def test_order(self, order, golden):
+        run = check(f"eviction_order/{order.value}", golden)
+        assert run["metrics"]["evictions"] > 0, "workload must exercise eviction"
+
+
+def main(argv: list[str]) -> int:
+    if argv != ["--write"]:
+        print(f"usage: python -m {__spec__.name} --write", file=sys.stderr)
+        return 2
+    runs = {}
+    for name in SCENARIOS:
+        runs[name] = run_scenario(name, indexed=True)
+        if run_scenario(name, indexed=False) != runs[name]:
+            print(f"{name}: scan != indexed; nothing written", file=sys.stderr)
+            return 1
+    # One line per request row, so a moved number diffs as its request.
+    text = re.sub(
+        r"\{\s+(\"id\"[^{}]*?)\s+\}",
+        lambda row: "{" + re.sub(r"\s*\n\s*", " ", row.group(1)) + "}",
+        json.dumps(runs, indent=1),
+    )
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(text + "\n")
+    print(f"wrote {GOLDEN} ({len(runs)} scenarios, scan == indexed on each)")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
