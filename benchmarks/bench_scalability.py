@@ -181,7 +181,6 @@ def run_curve(args: argparse.Namespace) -> dict:
             "copies": args.copies,
             "node_memory_mb": NODE_MEMORY_MB,
             "content_scale": CONTENT_SCALE,
-            "streamed_arrivals": True,
             "arrival_chunk": ClusterConfig().arrival_chunk,
             "seed": args.seed,
         },

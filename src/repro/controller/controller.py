@@ -17,13 +17,12 @@ The same controller runs the baselines: their policies simply never ask
 for deduplication (``idle_period_ms`` is None) and may request
 pre-warmed spawns (the adaptive policy).
 
-Scheduling state is **indexed** by default
-(``ClusterConfig.indexed_control_plane``): candidate sets, population
-counters and the placement order are maintained incrementally (see
+Scheduling state is **indexed**: candidate sets, population counters
+and the placement order are maintained incrementally (see
 :mod:`repro.controller.index`), so per-request control-plane work is
-independent of the sandbox population.  The original scan paths are
-preserved behind the flag and pinned to bit-identical behaviour by
-``tests/platform/test_control_plane_equivalence.py``.
+independent of the sandbox population.  The scan paths this replaced
+were last proven bit-identical at ``48cbd51``, where
+``tests/golden/control_plane_runs.json`` was frozen from both.
 """
 
 from __future__ import annotations
@@ -141,7 +140,6 @@ class ClusterController:
         self._pending_dedups: dict[int, tuple[Timer, object]] = {}
         self._instance_counter = 0
         self._draining = False
-        self.indexed = config.indexed_control_plane
         self.tiering = config.checkpoint_tiering
         self.tiered_store: TieredCheckpointStore | None = (
             store if isinstance(store, TieredCheckpointStore) else None
@@ -160,9 +158,8 @@ class ClusterController:
         (template sharing only; built lazily on first spill)."""
         self._index = SandboxIndex()
         self._usage = NodeUsageIndex(nodes)
-        if self.indexed:
-            for node in nodes:
-                node.on_used_changed = self._usage.update
+        for node in nodes:
+            node.on_used_changed = self._usage.update
         # Coalesced starvation machinery: the pending desperation
         # deadlines of queued requests (monotone, hence a deque) with a
         # single armed timer for the earliest — instead of one heap
@@ -248,14 +245,7 @@ class ClusterController:
 
     def live_counts(self) -> tuple[dict[str, int], dict[str, int]]:
         """Per-function (serving-capable count, dedup count)."""
-        if self.indexed:
-            return dict(self._index.live_count), dict(self._index.dedup_count)
-        live: dict[str, int] = {}
-        dedup: dict[str, int] = {}
-        for function, sandboxes in self._by_function.items():
-            live[function] = sum(1 for s in sandboxes.values() if s.state.live)
-            dedup[function] = sum(1 for s in sandboxes.values() if s.state.dedup)
-        return live, dedup
+        return dict(self._index.live_count), dict(self._index.dedup_count)
 
     def build_view(self) -> ClusterView:
         live, dedup = self.live_counts()
@@ -289,16 +279,8 @@ class ClusterController:
 
     def sandbox_census(self) -> tuple[int, int, int]:
         """(warm-ish, dedup, total) sandbox counts for memory sampling."""
-        if self.indexed:
-            index = self._index
-            return index.warm_census, index.dedup_census, index.total
-        warm = dedup = total = 0
-        for sandboxes in self._by_function.values():
-            for sandbox in sandboxes.values():
-                total += 1
-                warm += sandbox.state.census_warm
-                dedup += sandbox.state.dedup
-        return warm, dedup, total
+        index = self._index
+        return index.warm_census, index.dedup_census, index.total
 
     # ----------------------------------------------------------- dispatch
 
@@ -311,23 +293,21 @@ class ClusterController:
         if request.function in self.stats:
             self.stats[request.function].record_arrival(now)
         if not self._try_dispatch(request, record):
-            self._queue.append((request, record))
-            # Give the starvation path (last-resort base eviction) a
-            # chance even if no other event frees memory meanwhile.
-            if self.indexed:
-                self._note_starvation_deadline(self.sim.now + STARVATION_MS + 1.0)
-            else:
-                self.sim.after(STARVATION_MS + 1.0, self._drain_queue)
+            self._enqueue(request, record)
 
-    def _note_starvation_deadline(self, deadline: float) -> None:
-        """Record a queued request's desperation deadline.
+    def _enqueue(self, request: Request, record: RequestRecord) -> None:
+        """Queue a request nothing could serve and record its
+        desperation deadline, giving the starvation path (last-resort
+        base eviction) a chance even if no other event frees memory
+        meanwhile.
 
         One timer is armed for the earliest pending deadline; later
         deadlines wait in the deque instead of each occupying an event
         on the simulator heap (arrivals are monotone, so appends keep
         the deque sorted).
         """
-        self._starvation_deadlines.append(deadline)
+        self._queue.append((request, record))
+        self._starvation_deadlines.append(self.sim.now + STARVATION_MS + 1.0)
         if self._starvation_timer is None or not self._starvation_timer.pending:
             self._starvation_timer = self.sim.at(
                 self._starvation_deadlines[0], self._fire_starvation_timer
@@ -347,34 +327,16 @@ class ClusterController:
     def _dispatch_candidates(
         self, function: str
     ) -> tuple[list[Sandbox], list[Sandbox], list[Sandbox]]:
-        """(idle-warm, restorable-dedup, abortable-deduping) candidates.
-
-        The indexed path reads the maintained candidate sets; the scan
-        path filters the whole per-function population.  Both return
-        the same membership, and callers apply the same orderings, so
-        dispatch decisions are identical.
-        """
-        if self.indexed:
-            warm = list(self._index.idle_warm.get(function, {}).values())
-            restorable = list(self._index.restorable.get(function, {}).values())
-            abortable = (
-                list(self._index.abortable.get(function, {}).values())
-                if self.config.enable_dedup_abort
-                else []
-            )
-            return warm, restorable, abortable
-        sandboxes = self._function_sandboxes(function)
-        warm = [s for s in sandboxes.values() if s.idle_warm]
-        restorable = [
-            s
-            for s in sandboxes.values()
-            if s.state is SandboxState.DEDUP and s.busy_request_id is None
-        ]
-        abortable = [
-            s
-            for s in sandboxes.values()
-            if s.state is SandboxState.DEDUPING and s.busy_request_id is None
-        ] if self.config.enable_dedup_abort else []
+        """(idle-warm, restorable-dedup, abortable-deduping) candidates
+        of ``function``, read from the maintained candidate sets;
+        callers apply the orderings."""
+        warm = list(self._index.idle_warm.get(function, {}).values())
+        restorable = list(self._index.restorable.get(function, {}).values())
+        abortable = (
+            list(self._index.abortable.get(function, {}).values())
+            if self.config.enable_dedup_abort
+            else []
+        )
         return warm, restorable, abortable
 
     def _try_dispatch(
@@ -691,11 +653,10 @@ class ClusterController:
             domain=self._function_domain.get(profile.name, ""),
         )
         node.admit(sandbox)
-        if self.indexed:
-            # After the node's accounting observer, so index reads see
-            # up-to-date memory charges.
-            sandbox.observers.append(self._index.on_transition)
-            self._index.on_spawn(sandbox)
+        # After the node's accounting observer, so index reads see
+        # up-to-date memory charges.
+        sandbox.observers.append(self._index.on_transition)
+        self._index.on_spawn(sandbox)
         self._function_sandboxes(profile.name)[sandbox.sandbox_id] = sandbox
         self.metrics.sandboxes_created += 1
         return sandbox
@@ -728,20 +689,15 @@ class ClusterController:
         they are spared under ordinary pressure; ``include_bases`` opens
         up *unpinned* bases (refcount 0) as a genuine last resort —
         without it, an unpinned base on a full node could starve queued
-        work indefinitely.  ``eviction_scan_cap`` bounds the candidates
-        ranked per call without changing which victim is purged next
-        (the capped list is an exact prefix of the unlimited order); the
-        ranked count feeds ``metrics.eviction_candidates_scanned``, so
-        scan volume under pressure is observable either way.
+        work indefinitely.  The ranked count feeds
+        ``metrics.eviction_candidates_scanned``, so scan volume under
+        pressure is observable.
         """
-        cap = self.config.eviction_scan_cap or None
-        victims = rank_victims(
-            self._evictable_sandboxes(node), self.config.eviction_order, limit=cap
-        )
+        victims = rank_victims(self._evictable_sandboxes(node), self.config.eviction_order)
         self.metrics.eviction_candidates_scanned += len(victims)
         if include_bases:
             unpinned_bases = rank_victims(
-                self._unpinned_base_sandboxes(node), EvictionOrder.LRU, limit=cap
+                self._unpinned_base_sandboxes(node), EvictionOrder.LRU
             )
             self.metrics.eviction_candidates_scanned += len(unpinned_bases)
             victims = victims + unpinned_bases
@@ -750,21 +706,13 @@ class ClusterController:
     def _can_reclaim(self, node: Node, needed_bytes: int, *, include_bases: bool) -> bool:
         """Would evicting every candidate on ``node`` fit ``needed_bytes``?
 
-        The placement gate only needs the *total*, so it ranks nothing,
-        and the total stays exact under an ``eviction_scan_cap`` (a
-        capped ranked list would undercount and wrongly skip nodes with
-        enough reclaimable memory).  The indexed path reads the node's
-        maintained counter; the scan path sums the residents.  What a
-        node cannot see — whether a base's checkpoint is pinned, which
-        template replicas the catalog's hot window protects — is only
-        summed when the rest falls short.
+        The placement gate only needs the *total*, so it ranks nothing
+        and reads the node's maintained ``reclaimable_bytes`` counter.
+        What a node cannot see — whether a base's checkpoint is pinned,
+        which template replicas the catalog's hot window protects — is
+        only summed when the rest falls short.
         """
-        if self.indexed:
-            total = node.free_bytes() + node.reclaimable_bytes()
-        else:
-            total = node.free_bytes() + sum(
-                s.memory_bytes() for s in self._evictable_sandboxes(node)
-            )
+        total = node.free_bytes() + node.reclaimable_bytes()
         if total < needed_bytes and include_bases:
             total += sum(s.memory_bytes() for s in self._unpinned_base_sandboxes(node))
         if total < needed_bytes and self.templates is not None:
@@ -791,17 +739,11 @@ class ClusterController:
         return self._try_place(needed_bytes, include_bases=True)
 
     def _try_place(self, needed_bytes: int, *, include_bases: bool) -> Node | None:
-        # Both paths fix the candidate order at entry (evictions below
-        # do not re-rank it): the scan path by sorting a fresh list, the
-        # indexed path by snapshotting the maintained order.
+        # The candidate order is a snapshot of the maintained
+        # (used_bytes, node_id) order, fixed at entry: evictions below
+        # do not re-rank it.
         down = self._faults.health.down_nodes if self._faults is not None else frozenset()
-        if self.indexed:
-            candidates = self._usage.snapshot(exclude=down)
-        else:
-            candidates = sorted(
-                (n for n in self.nodes if n.node_id not in down),
-                key=lambda n: (n.used_bytes(), n.node_id),
-            )
+        candidates = self._usage.snapshot(exclude=down)
         for node in candidates:
             if node.fits(needed_bytes):
                 return node
@@ -1383,8 +1325,7 @@ class ClusterController:
         """``busy_request_id`` or ``is_base`` changed without a state
         transition, so no observer fired: update by hand what they feed
         (dispatch candidate sets, the node's reclaimable bytes)."""
-        if self.indexed:
-            self._index.refresh(sandbox)
+        self._index.refresh(sandbox)
         if sandbox.state is not SandboxState.PURGED:
             self.nodes[sandbox.node_id].recharge_sandbox(sandbox.sandbox_id)
 
@@ -1760,11 +1701,7 @@ class ClusterController:
         for request, record in displaced:
             self.metrics.requests_rescheduled += 1
             if not self._try_dispatch(request, record):
-                self._queue.append((request, record))
-                if self.indexed:
-                    self._note_starvation_deadline(self.sim.now + STARVATION_MS + 1.0)
-                else:
-                    self.sim.after(STARVATION_MS + 1.0, self._drain_queue)
+                self._enqueue(request, record)
         self._drain_queue()
 
     def _reconcile_dead_bases(self, dead: dict[int, BaseCheckpoint]) -> None:

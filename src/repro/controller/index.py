@@ -1,12 +1,11 @@
 """Incrementally maintained control-plane indexes.
 
-The seed controller recomputed every scheduling fact by scanning all
-sandboxes: dispatch filtered the whole per-function population for
-candidates, ``live_counts``/``sandbox_census`` re-counted states, and
-placement re-sorted every node by a freshly recomputed memory sum.  Per
-request that is O(S) work in the sandbox population S — exactly the
-control-plane scaling wall the paper's Section 4.3 distributes the
-controller to avoid.
+Recomputing a scheduling fact by scanning all sandboxes — filtering a
+function's population for dispatch candidates, re-counting states for
+``live_counts``/``sandbox_census``, re-sorting every node by a freshly
+summed memory charge for placement — is O(S) work per request in the
+sandbox population S: exactly the control-plane scaling wall the
+paper's Section 4.3 distributes the controller to avoid.
 
 This module holds the two index structures that make the per-request
 work independent of S:
@@ -20,10 +19,12 @@ work independent of S:
   so placement reads an already-sorted order instead of sorting per
   cold start.
 
-Both indexes mirror the scan results *exactly* (same membership, same
-orderings, same tie-breaks); the equivalence tests in
-``tests/platform/test_control_plane_equivalence.py`` pin indexed runs
-to bit-identical ``RunReport`` metrics against the scan paths.
+Both indexes equal what a scan would compute (same membership, same
+orderings, same tie-breaks): ``tests/controller/test_indexed_scheduling.py``
+recounts them from ``_by_function`` / ``node.sandboxes`` in the middle
+of pressured runs, and whole runs were last proven bit-identical to a
+scan-driven controller at ``48cbd51``, where
+``tests/golden/control_plane_runs.json`` was frozen from both.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class NodeUsageIndex:
     ``sorted(nodes, key=lambda n: (n.used_bytes(), n.node_id))``
     produces — without recomputing or re-sorting anything.  Updates are
     O(n) list surgery in the *node* count, which is configuration-fixed
-    and tiny next to the sandbox population the seed code scanned.
+    and tiny next to the sandbox population.
     """
 
     def __init__(self, nodes: Iterable["Node"]):

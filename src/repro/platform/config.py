@@ -67,14 +67,6 @@ class ClusterConfig:
     """Shards of the controller fingerprint registry (Section 4.3); 1
     reproduces the paper's single-controller experiments."""
     eviction_order: EvictionOrder = EvictionOrder.LRU
-    eviction_scan_cap: int = 0
-    """Bound on eviction candidates ranked per placement decision.  A
-    permanently full node re-sorts its whole idle population on every
-    cold start (quadratic thrash at cluster scale); a positive cap ranks
-    only the top ``cap`` victims per decision (a ``heapq.nsmallest``
-    prefix of the full order, so the victims chosen are identical
-    whenever fewer than ``cap`` evictions suffice).  0 (the default)
-    reproduces the unbounded full-sort behaviour bit-identically."""
     enable_dedup_abort: bool = True
     """Abort an in-flight dedup op to serve an arriving request warm
     (cheaper than a cold start); off reproduces a stricter reading of
@@ -83,27 +75,17 @@ class ClusterConfig:
     memory_sample_interval_ms: float = 10_000.0
     verify_restores: bool = False
     """Verify every restored image checksum (slow; tests enable it)."""
-    indexed_control_plane: bool = True
-    """Serve scheduling state from incrementally maintained indexes
-    (O(1) per request) instead of rescanning sandboxes and re-summing
-    node memory.  Off reproduces the pre-index scan paths exactly —
-    kept for the e2e throughput benchmark and the equivalence tests
-    that pin both modes to bit-identical RunReports."""
     verify_accounting: bool = False
     """Debug: assert every node's cached used-bytes counter against the
     recomputed per-resident sum on every read (slow; tests enable it)."""
-    streamed_arrivals: bool = True
-    """Inject trace arrivals chunk by chunk through
-    :meth:`~repro.sim.engine.Simulator.schedule_stream` instead of
-    pre-scheduling every request as its own heap entry before the run
-    starts, keeping resident arrival state O(chunk) instead of O(trace).
-    Bit-identical to eager pre-scheduling (the stream reserves the whole
-    trace's event sequence numbers up front); off reproduces the
-    pre-change eager path, kept for the streaming equivalence tests."""
     arrival_chunk: int = 4096
-    """Resident window of streamed arrival injection: how many upcoming
-    trace arrivals are scheduled on the event heap at once (only read
-    when ``streamed_arrivals`` is on)."""
+    """Resident window of arrival injection: how many upcoming trace
+    arrivals are scheduled on the event heap at once, through
+    :meth:`~repro.sim.engine.Simulator.schedule_stream`, keeping
+    resident arrival state O(chunk) instead of O(trace).  Any chunk
+    size replays bit-identically (the stream reserves the whole trace's
+    event sequence numbers up front); one chunk of the whole trace is
+    eager pre-scheduling."""
     checkpoint_tiering: bool = False
     """Tiered checkpoint storage (DESIGN.md §9): under pressure, demote
     base checkpoints to remote DRAM / local SSD and park expired dedup

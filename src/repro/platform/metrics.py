@@ -425,8 +425,7 @@ class RunMetrics:
     evictions: int = 0
     eviction_candidates_scanned: int = 0
     """Eviction candidates ranked across all placement decisions — the
-    tripwire for quadratic scan thrash on permanently full clusters
-    (bounded per decision by ``ClusterConfig.eviction_scan_cap``)."""
+    tripwire for quadratic scan thrash on permanently full clusters."""
     prewarm_spawns: int = 0
     sandboxes_created: int = 0
     bases_created: int = 0

@@ -141,7 +141,6 @@ class Platform:
             Node(
                 node_id=i,
                 capacity_bytes=config.node_capacity_bytes,
-                cached_accounting=config.indexed_control_plane,
                 verify_accounting=config.verify_accounting,
             )
             for i in range(config.nodes)
@@ -261,27 +260,20 @@ class Platform:
     def _inject_arrivals(self, trace: Trace) -> None:
         """Schedule the trace's arrivals on the simulator.
 
-        Streamed mode (the default) keeps only ``config.arrival_chunk``
-        upcoming arrivals on the heap via ``Simulator.schedule_stream``;
-        the eager mode pre-schedules every request up front and is kept
-        as the reference the streaming equivalence tests pin against.
-        Either way the controller seeds the execution-time draws of the
-        requests in one batch as they are scheduled.
+        Only ``config.arrival_chunk`` upcoming arrivals sit on the heap
+        at once (``Simulator.schedule_stream``); the controller seeds
+        the execution-time draws of each chunk's requests in one batch
+        as they are scheduled.
         """
         requests = trace.requests
         submit = self.controller.submit
         prime = self.controller.prime_exec_times
-        if self.config.streamed_arrivals:
-            self.sim.schedule_stream(
-                [request.arrival_ms for request in requests],
-                lambda i: partial(submit, requests[i]),
-                chunk_size=self.config.arrival_chunk,
-                on_chunk=lambda start, stop: prime(requests[start:stop]),
-            )
-        else:
-            prime(requests)
-            for request in requests:
-                self.sim.at(request.arrival_ms, partial(submit, request))
+        self.sim.schedule_stream(
+            [request.arrival_ms for request in requests],
+            lambda i: partial(submit, requests[i]),
+            chunk_size=self.config.arrival_chunk,
+            on_chunk=lambda start, stop: prime(requests[start:stop]),
+        )
 
     def run(self, trace: Trace, *, tail_ms: float = RUN_TAIL_MS) -> RunReport:
         """Replay ``trace`` to completion and collect metrics.
@@ -304,9 +296,9 @@ class Platform:
         # that drag down mean_memory_bytes.
         sampler.cancel()
         # Let any in-flight requests (queued under pressure) drain.  The
-        # outstanding counter is maintained by RunMetrics in both
-        # control-plane modes, so each guard check is O(1) instead of a
-        # rescan of every request record.
+        # outstanding counter is maintained by RunMetrics, so each
+        # guard check is O(1) instead of a rescan of every request
+        # record.
         guard = 0
         while self.metrics.outstanding_requests > 0:
             end += RUN_TAIL_MS

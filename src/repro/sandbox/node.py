@@ -14,17 +14,16 @@ sandbox's footprint (warm↔dedup↔restoring).  ``used_bytes``, ``fits``
 and ``free_bytes`` are therefore O(1) instead of O(residents).  The
 recomputed sum survives as :meth:`recomputed_used_bytes`, asserted
 against the counter on every read when ``verify_accounting`` is set
-(tests enable it) and used directly when ``cached_accounting`` is off
-(the pre-index behaviour, kept for the throughput benchmark and the
-equivalence tests).  A second counter, ``reclaimable_bytes``, is kept
-the same way: the charge of the residents that are evictable right
-now, which is what the placement gate asks of every node it considers.
+(tests enable it; serving every read from the recomputed sum instead
+was last proven to replay identically at ``48cbd51``).  A second
+counter, ``reclaimable_bytes``, is kept the same way: the charge of the
+residents that are evictable right now, which is what the placement
+gate asks of every node it considers.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -51,21 +50,9 @@ class EvictionOrder(enum.Enum):
 
 
 def rank_victims(
-    victims: list[Sandbox],
-    order: EvictionOrder = EvictionOrder.LRU,
-    *,
-    limit: int | None = None,
+    victims: list[Sandbox], order: EvictionOrder = EvictionOrder.LRU
 ) -> list[Sandbox]:
-    """Sort eviction ``victims`` into the configured order.
-
-    ``limit`` returns only the first ``limit`` victims — computed with a
-    heap selection instead of a full sort, so a permanently full node's
-    placement decisions cost ``O(idle)`` rather than
-    ``O(idle log idle)`` and the ranked list handed downstream stays
-    bounded.  The result is always an exact prefix of the unlimited
-    order (``heapq.nsmallest`` matches ``sorted(...)[:limit]``), so a
-    cap never changes *which* sandbox is evicted next.
-    """
+    """Sort eviction ``victims`` into the configured order."""
     if order is EvictionOrder.LRU:
         key = lambda s: (s.last_used_at, s.sandbox_id)  # noqa: E731
     elif order is EvictionOrder.LARGEST_FIRST:
@@ -74,8 +61,6 @@ def rank_victims(
         key = lambda s: stable_seed("evict", s.sandbox_id, s.last_used_at)  # noqa: E731
     else:  # pragma: no cover - exhaustive enum
         raise AssertionError(f"unhandled eviction order {order}")
-    if limit is not None and len(victims) > limit:
-        return heapq.nsmallest(limit, victims, key=key)
     return sorted(victims, key=key)
 
 
@@ -96,10 +81,6 @@ class Node:
     capacity_bytes: int
     sandboxes: dict[int, Sandbox] = field(default_factory=dict)
     checkpoints: dict[int, BaseCheckpoint] = field(default_factory=dict)
-    cached_accounting: bool = True
-    """Serve ``used_bytes`` from the incremental counter (O(1)).  Off
-    recomputes the per-resident sum on every call — the pre-index cost
-    model, kept selectable for the e2e throughput benchmark."""
     verify_accounting: bool = False
     """Debug: assert counter == recomputed sum on every read."""
     on_used_changed: Callable[["Node"], None] | None = field(
@@ -129,9 +110,7 @@ class Node:
                     f"node {self.node_id}: cached used={self._used} != "
                     f"recomputed {recomputed}"
                 )
-        if self.cached_accounting:
-            return self._used
-        return self.recomputed_used_bytes()
+        return self._used
 
     def recomputed_used_bytes(self) -> int:
         """The O(residents) sum the counter must always agree with."""
@@ -283,16 +262,7 @@ class Node:
 
     # ---------------------------------------------------------- eviction
 
-    def eviction_candidates(
-        self,
-        order: EvictionOrder = EvictionOrder.LRU,
-        *,
-        limit: int | None = None,
-    ) -> list[Sandbox]:
-        """Idle, non-base sandboxes in eviction order (default LRU).
-
-        ``limit`` returns only the first ``limit`` victims of the order
-        (see :func:`rank_victims`).
-        """
+    def eviction_candidates(self, order: EvictionOrder = EvictionOrder.LRU) -> list[Sandbox]:
+        """Idle, non-base sandboxes in eviction order (default LRU)."""
         victims = [s for s in self.sandboxes.values() if s.evictable]
-        return rank_victims(victims, order, limit=limit)
+        return rank_victims(victims, order)

@@ -1,12 +1,12 @@
-"""The indexed control plane must not scan what it claims not to scan.
+"""The control plane's indexes: O(1) reads that equal a scan's answer.
 
-Each test wires a tripwire or counter into the structure the pre-index
-code used to iterate — resident sandboxes for memory sums, the
-per-function population for dispatch and counting, the request table
-for the drain check, the event heap for starvation retries — and shows
-the indexed path never touches it.  Together with
-``test_control_plane_equivalence`` (same answers) these pin the PR's
-claim: same behaviour, O(1) work.
+The first tests wire a tripwire or counter into a structure a scan
+would iterate — resident sandboxes for memory sums, the per-function
+population for dispatch and counting, the request table for the drain
+check, the event heap for starvation retries — and show the control
+plane never touches it.  ``TestIndexInvariants`` is the other half:
+in the middle of pressured runs, every index equals a fresh recount
+from ``_by_function`` / ``node.sandboxes``.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from repro.core.policy import MedesPolicyConfig
 from repro.platform.config import ClusterConfig
 from repro.platform.metrics import StartType
 from repro.platform.platform import PlatformKind, build_platform
+from repro.sandbox.state import SandboxState
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Request, Trace
+from tests.platform.test_control_plane_equivalence import build_scenario
 
 SCALE = 1.0 / 256.0
 
@@ -183,23 +185,14 @@ class TestNoDrainScan:
 
 
 class TestCoalescedStarvationTimer:
-    def _burst_platform(self, indexed: bool):
+    def test_single_timer_for_many_queued_requests(self):
         # One node that fits a single big sandbox: a burst of arrivals
         # all queue behind it.
         platform = build(
-            config_overrides=dict(
-                nodes=1,
-                node_memory_mb=100.0,
-                indexed_control_plane=indexed,
-                seed=5,
-            ),
+            config_overrides=dict(nodes=1, node_memory_mb=100.0, seed=5),
             functions=("RNNModel",),
         )
         trace = Trace.from_arrivals([(float(i), "RNNModel") for i in range(20)])
-        return platform, trace
-
-    def test_single_timer_for_many_queued_requests(self):
-        platform, trace = self._burst_platform(indexed=True)
         probes = {}
 
         def probe():
@@ -215,58 +208,92 @@ class TestCoalescedStarvationTimer:
         assert probes["queued"] >= 15
         # Every queued request holds a slot in the deadline deque...
         assert probes["deadlines"] >= probes["queued"]
-        # ...but only ONE starvation event is armed on the heap.
+        # ...but only ONE starvation event is armed on the heap, so the
+        # heap holds fewer events than there are queued requests.
         assert probes["armed"]
-        legacy_platform, legacy_trace = self._burst_platform(indexed=False)
-        legacy_probe = {}
-        legacy_platform.sim.at(
-            100.0,
-            lambda: legacy_probe.update(pending=legacy_platform.sim.pending_events),
-        )
-        legacy_platform.run(legacy_trace)
-        # The legacy path had one retry event per queued request on the
-        # heap at the same instant; the coalesced timer removes all but
-        # one of them.
-        assert probes["pending_events"] <= legacy_probe["pending"] - (
-            probes["queued"] - 1
-        )
+        assert probes["pending_events"] < probes["queued"]
 
 
 class TestIndexInvariants:
-    """After a full run the indexes still mirror a fresh scan."""
+    """Mid-run, under pressure, the indexes equal a fresh scan."""
 
-    def _run(self):
-        platform = build(
-            config_overrides=dict(nodes=2, node_memory_mb=256.0, seed=8),
-            functions=("Vanilla", "LinAlg", "FeatureGen"),
-        )
-        arrivals = [(float(i * 700), fn) for i, fn in enumerate(
-            ["Vanilla", "LinAlg", "FeatureGen"] * 6
-        )]
-        platform.run(Trace.from_arrivals(arrivals))
-        return platform
+    @staticmethod
+    def _probe(check):
+        """Replay the pressure, starvation and burst scenarios (one node
+        each) and the two-node Azure one, calling ``check(platform)``
+        every 50 simulated ms; returns what the checks returned."""
+        seen = []
+        for name in (
+            "pressure/eviction",
+            "pressure/starvation",
+            "pressure/queued_burst",
+            "azure/medes",
+        ):
+            platform, trace = build_scenario(name)
+            platform.sim.every(50.0, lambda: seen.append(check(platform)))
+            platform.run(trace)
+        assert len(seen) > 1_000
+        return seen
 
     def test_candidate_sets_match_scan(self):
-        platform = self._run()
-        controller = platform.controller
-        for function, sandboxes in controller._by_function.items():
-            expected = {s.sandbox_id for s in sandboxes.values() if s.idle_warm}
-            assert set(controller._index.idle_warm.get(function, {})) == expected
+        def check(platform):
+            controller = platform.controller
+            index = controller._index
+            sizes = []
+            for indexed, state in (
+                (index.idle_warm, SandboxState.WARM),
+                (index.restorable, SandboxState.DEDUP),
+                (index.abortable, SandboxState.DEDUPING),
+            ):
+                scanned = {
+                    function: {
+                        s.sandbox_id
+                        for s in sandboxes.values()
+                        if s.state is state and s.busy_request_id is None
+                    }
+                    for function, sandboxes in controller._by_function.items()
+                }
+                assert {f: set(ids) for f, ids in indexed.items() if ids} == {
+                    f: ids for f, ids in scanned.items() if ids
+                }
+                sizes.append(sum(map(len, scanned.values())))
+            return sizes
+
+        # Each of the three sets was non-empty at some tick.
+        assert all(max(sizes) > 0 for sizes in zip(*self._probe(check)))
 
     def test_node_order_matches_sorted_scan(self):
-        platform = self._run()
-        controller = platform.controller
-        expected = sorted(
-            platform.nodes, key=lambda n: (n.recomputed_used_bytes(), n.node_id)
-        )
-        assert controller._usage.snapshot() == expected
+        def check(platform):
+            assert platform.controller._usage.snapshot() == sorted(
+                platform.nodes, key=lambda n: (n.recomputed_used_bytes(), n.node_id)
+            )
+            for node in platform.nodes:
+                assert node.reclaimable_bytes() == node.recomputed_reclaimable_bytes()
+            return sum(node.reclaimable_bytes() for node in platform.nodes)
+
+        assert max(self._probe(check)) > 0
 
     def test_census_matches_scan(self):
-        platform = self._run()
-        controller = platform.controller
-        index = controller._index
-        scan_total = sum(len(s) for s in controller._by_function.values())
-        assert index.total == scan_total
-        live, dedup = controller.live_counts()
-        assert all(v >= 0 for v in live.values())
-        assert all(v >= 0 for v in dedup.values())
+        def check(platform):
+            controller = platform.controller
+            population = [
+                (function, s)
+                for function, sandboxes in controller._by_function.items()
+                for s in sandboxes.values()
+            ]
+            live, dedup = controller.live_counts()
+            for counts, flag in ((live, "live"), (dedup, "dedup")):
+                scanned = {}
+                for function, s in population:
+                    scanned[function] = scanned.get(function, 0) + getattr(s.state, flag)
+                assert {f: n for f, n in counts.items() if n} == {
+                    f: n for f, n in scanned.items() if n
+                }
+            assert controller.sandbox_census() == (
+                sum(s.state.census_warm for _, s in population),
+                sum(s.state.dedup for _, s in population),
+                len(population),
+            )
+            return sum(dedup.values())
+
+        assert max(self._probe(check)) > 0

@@ -5,14 +5,18 @@
 below: all three platforms on a dense Azure trace, and the workloads
 that exercise the tricky placement paths (eviction under pressure,
 starvation base-eviction, a queued burst, the eviction-order
-ablations).  Both control planes — the indexed one and the scan paths
-behind ``ClusterConfig.indexed_control_plane=False`` — must reproduce
-it, request by request.
+ablations).  The file was frozen at ``48cbd51``, the last commit with
+two control planes (incremental indexes, and the per-request scans they
+replaced), by a writer that refused to write unless both produced it;
+the one control plane left must keep reproducing it, request by
+request.  Every scenario replays under ``verify_accounting``, so each
+``used_bytes`` / ``reclaimable_bytes`` read also asserts the node's
+counter against the recomputed per-resident sum.
 
 ``python -m tests.platform.test_control_plane_equivalence --write``
 regenerates the file through the same :func:`run_scenario` the tests
-call, refusing to write unless scan == indexed.  A PR that means to
-move a number edits the JSON in the same diff.
+call.  A PR that means to move a number edits the JSON in the same
+diff.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import repro.sandbox.checkpoint as checkpoint_module
 import repro.sandbox.sandbox as sandbox_module
 from repro.core.policy import MedesPolicyConfig
 from repro.platform.config import ClusterConfig
-from repro.platform.platform import PlatformKind, build_platform
+from repro.platform.platform import Platform, PlatformKind, build_platform
 from repro.platform.report_io import report_to_dict
 from repro.sandbox.node import EvictionOrder
 from repro.workload.azure import AzureTraceGenerator
@@ -92,19 +96,23 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name: str, *, indexed: bool = True) -> dict:
-    """Replay one scenario and flatten its report, requests included."""
+def build_scenario(name: str) -> tuple[Platform, Trace]:
+    """One scenario's platform, accounting verified on every read, and
+    the trace it replays."""
     kind, config, suite, trace = SCENARIOS[name]()
     # Sandbox/checkpoint ids are process-global counters; reset them so
     # every run mints the ids the golden was captured with.
     sandbox_module._sandbox_ids = itertools.count(1)
     checkpoint_module._checkpoint_ids = itertools.count(1)
-    # The cached counters only exist on the indexed path; verify them
-    # there against the recomputed per-resident sums on every read.
-    config = replace(config, indexed_control_plane=indexed, verify_accounting=indexed)
+    config = replace(config, verify_accounting=True)
     kwargs = {"medes": MEDES} if kind is PlatformKind.MEDES else {}
-    report = build_platform(kind, config, suite, **kwargs).run(trace)
-    return report_to_dict(report, include_requests=True)
+    return build_platform(kind, config, suite, **kwargs), trace
+
+
+def run_scenario(name: str) -> dict:
+    """Replay one scenario and flatten its report, requests included."""
+    platform, trace = build_scenario(name)
+    return report_to_dict(platform.run(trace), include_requests=True)
 
 
 def _by_name(value, prefix: str = ""):
@@ -126,10 +134,8 @@ def golden() -> dict:
 
 
 def check(name: str, golden: dict) -> dict:
-    """Both control planes reproduce the scenario's golden; returns it."""
-    expected = dict(_by_name(golden[name]))
-    for indexed in (False, True):
-        assert dict(_by_name(run_scenario(name, indexed=indexed))) == expected
+    """The scenario's run equals its golden, which is returned."""
+    assert dict(_by_name(run_scenario(name))) == dict(_by_name(golden[name]))
     return golden[name]
 
 
@@ -184,21 +190,15 @@ def main(argv: list[str]) -> int:
     if argv != ["--write"]:
         print(f"usage: python -m {__spec__.name} --write", file=sys.stderr)
         return 2
-    runs = {}
-    for name in SCENARIOS:
-        runs[name] = run_scenario(name, indexed=True)
-        if run_scenario(name, indexed=False) != runs[name]:
-            print(f"{name}: scan != indexed; nothing written", file=sys.stderr)
-            return 1
+    runs = {name: run_scenario(name) for name in SCENARIOS}
     # One line per request row, so a moved number diffs as its request.
     text = re.sub(
         r"\{\s+(\"id\"[^{}]*?)\s+\}",
         lambda row: "{" + re.sub(r"\s*\n\s*", " ", row.group(1)) + "}",
         json.dumps(runs, indent=1),
     )
-    GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(text + "\n")
-    print(f"wrote {GOLDEN} ({len(runs)} scenarios, scan == indexed on each)")
+    print(f"wrote {GOLDEN} ({len(runs)} scenarios)")
     return 0
 
 

@@ -1,14 +1,14 @@
-"""Streamed vs eager arrival injection: bit-identical run behaviour.
+"""Arrival injection: run behaviour is invariant in the chunk size.
 
-Streamed arrival injection (``ClusterConfig.streamed_arrivals``) must be
-a pure memory-footprint change: :meth:`Simulator.schedule_stream`
-reserves the whole trace's event sequence numbers up front, so every
-arrival fires at exactly the (time, seq) slot eager pre-scheduling would
-have given it and every downstream event — sandbox lifecycle, policy
-timers, dedup completions — keeps its sequence number too.  These tests
-pin the two injection modes to identical ``RunMetrics`` across platform
-kinds and trace shapes, with chunk sizes small enough to force many
-mid-run refills.
+``ClusterConfig.arrival_chunk`` must be a pure memory-footprint knob:
+:meth:`Simulator.schedule_stream` reserves the whole trace's event
+sequence numbers up front, so every arrival fires at exactly the
+(time, seq) slot eager pre-scheduling would have given it and every
+downstream event — sandbox lifecycle, policy timers, dedup completions —
+keeps its sequence number too.  One chunk holding the whole trace *is*
+eager pre-scheduling; these tests pin it to identical ``RunMetrics``
+against chunk sizes small enough to force many mid-run refills, across
+platform kinds and trace shapes.
 """
 
 from __future__ import annotations
@@ -35,17 +35,18 @@ MEDES = MedesPolicyConfig(idle_period_ms=5_000.0, alpha=25.0)
 
 
 def run_both_injections(kind, config, suite, trace, *, chunk=2, **build_kwargs):
-    """Run one platform with eager and streamed arrival injection."""
-    reports = {}
-    for streamed in (False, True):
+    """Run one platform with the whole trace as one chunk (eager), then
+    streamed in chunks of ``chunk``."""
+    reports = []
+    for arrival_chunk in (len(trace) + 1, chunk):
         # Sandbox/checkpoint ids are process-global counters; reset them
         # so both runs mint identical ids.
         sandbox_module._sandbox_ids = itertools.count(1)
         checkpoint_module._checkpoint_ids = itertools.count(1)
-        cfg = replace(config, streamed_arrivals=streamed, arrival_chunk=chunk)
+        cfg = replace(config, arrival_chunk=arrival_chunk)
         platform = build_platform(kind, cfg, suite, **build_kwargs)
-        reports[streamed] = platform.run(trace)
-    return reports[False], reports[True]
+        reports.append(platform.run(trace))
+    return reports
 
 
 def assert_identical(eager_report, streamed_report):
@@ -89,18 +90,10 @@ class TestPlatformKinds:
             )
         )
 
-    def test_scan_control_plane(self, azure_workload):
-        """Streaming composes with the scan control plane too."""
-        suite, trace = azure_workload
-        config = replace(self.CONFIG, indexed_control_plane=False)
-        assert_identical(
-            *run_both_injections(PlatformKind.MEDES, config, suite, trace, medes=MEDES)
-        )
-
 
 class TestTraceShapes:
     def test_simultaneous_arrivals_keep_fifo(self):
-        """Same-time arrivals must submit in trace order in both modes,
+        """Same-time arrivals must submit in trace order at any chunk size,
         and tie-break identically against non-arrival events."""
         suite = FunctionBenchSuite.subset(["LinAlg"])
         config = ClusterConfig(nodes=1, node_memory_mb=512.0, content_scale=SCALE)
@@ -133,7 +126,7 @@ class TestTraceShapes:
 
 class TestPropertyEquivalence:
     """Hypothesis sweep: random small traces, platform kinds and chunk
-    sizes all stay bit-identical between injection modes."""
+    sizes all stay bit-identical to the one-chunk run."""
 
     @settings(max_examples=15, deadline=None)
     @given(

@@ -115,12 +115,6 @@ class TestIncrementalAccounting:
         with pytest.raises(AccountingError, match="cached used"):
             node.used_bytes()
 
-    def test_uncached_mode_recomputes(self, linalg_profile):
-        node = Node(node_id=0, capacity_bytes=256 * MIB, cached_accounting=False)
-        sandbox = make_sandbox(linalg_profile)
-        node.admit(sandbox)
-        assert node.used_bytes() == node.recomputed_used_bytes()
-
 
 class TestEvictionCandidates:
     def test_lru_ordering(self, node, linalg_profile):

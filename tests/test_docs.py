@@ -55,3 +55,16 @@ class TestCliDocAgreement:
         for bench in (REPO_ROOT / "benchmarks").glob("bench_*.py"):
             text = bench.read_text()
             assert "write_result(" in text, bench.name
+
+    def test_documented_config_fields_exist(self):
+        """Every `ClusterConfig.<name>` in the prose names a real field,
+        so a deleted flag cannot live on in the docs."""
+        import dataclasses
+
+        from repro.platform.config import ClusterConfig
+
+        fields = {field.name for field in dataclasses.fields(ClusterConfig)}
+        for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+            text = (REPO_ROOT / doc).read_text()
+            for name in re.findall(r"`ClusterConfig\.(\w+)", text):
+                assert name in fields, f"{doc}: ClusterConfig.{name}"
