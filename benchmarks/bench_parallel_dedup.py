@@ -7,9 +7,10 @@ records two families of numbers into ``BENCH_parallel_dedup.json``:
 
 * ``wall_*`` — measured wall-clock pages/sec of the *scaled* content
   work, paired min-of-reps like ``bench_dedup_throughput``.  These are
-  honest about the machine: on a single-core box (CI runners, this
-  container — see the ``cpus`` field) forked workers cannot beat the
-  serial path in wall-clock, they only pay IPC overhead.
+  honest about the machine (see the ``cpus`` field): on one or two
+  cores, with scaled ops a few milliseconds long, forked workers
+  cannot beat the serial path in wall-clock, they only pay IPC
+  overhead.
 * ``model_*`` — the overlap cost model's full-scale data-plane time
   for the same ops (``DedupTimings`` with stage-overlap accounting vs
   the serial stage sum, checkpoint prologue excluded from both since
@@ -166,7 +167,7 @@ def run_config(
             and outcome_par.table.stats == outcome_ser.table.stats
         )
         pages += len(outcome_par.table.entries)
-        full_pages += agent_par._full_pages(len(outcome_par.table.entries))
+        full_pages += agent_par._full_scale(len(outcome_par.table.entries))[0]
         total_par += best_par
         total_ser += best_ser
         # Modeled full-scale data-plane time of this op (checkpoint

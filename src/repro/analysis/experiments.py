@@ -637,7 +637,7 @@ def run_overheads(
     # Agent-side metadata proper: the per-page dedup table entries (the
     # patches/unique pages themselves are the dedup sandboxes' state,
     # not overhead).
-    from repro.core.agent import METADATA_BYTES_PER_PAGE
+    from repro.sandbox.sandbox import METADATA_BYTES_PER_PAGE
 
     table_metadata = sum(
         int(

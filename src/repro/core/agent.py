@@ -10,16 +10,22 @@ zero pages collapse to a marker.  The resulting
 is all that remains in memory, and it is stored *locally* on the
 sandbox's node so restores never touch the controller (Section 4.2).
 
-Two implementations of the dedup op exist.  :meth:`DedupAgent.dedup` is
-the **batched pipeline**: zero pages are classified with one vectorized
-reduction, one marker scan fingerprints the whole image into flat digest
-arrays, one registry round-trip (``choose_base_pages``) reads those
-arrays and serves every page, and base-page fetches are grouped by
-checkpoint through a per-agent LRU cache of decoded base pages (the same
-base pages are re-read constantly across ops on a node).  :meth:`DedupAgent.dedup_reference` is the page-at-a-time
-reference implementation; property tests assert both produce identical
-page tables, and ``benchmarks/bench_dedup_throughput.py`` tracks the
-pages/sec gap.
+The dedup op has **one body, two drivers and one oracle**.  The body is
+:class:`_DedupOp`, the per-op accumulator that owns every
+page-classification rule: zero pages collapse in one vectorized
+reduction, one registry round-trip (``choose_base_pages``) serves a
+batch of pages from the flat digest arrays, a base on an unreachable
+peer or a patch over the unique cutoff leaves the page unique, and
+base pages are read through a per-agent LRU cache of decoded pages (the
+same base pages are re-read constantly across ops on a node).
+:meth:`DedupAgent.dedup` drives it with the whole image as one batch —
+one marker scan, one lookup, one ``compute_patches`` call; the staged
+:class:`~repro.parallel.plane.DataPlane` (``parallel=...``) drives the
+same four steps per page-range batch as worker results arrive.
+:meth:`DedupAgent.dedup_reference` is the page-at-a-time oracle, written
+out independently on purpose; property tests assert all three produce
+identical page tables, and ``benchmarks/bench_dedup_throughput.py``
+tracks the pages/sec gap.
 
 The **restore op** reverses it: base pages are fetched (one-sided RDMA
 for remote ones, batched per peer), patches are applied to recompute the
@@ -35,6 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -47,6 +54,7 @@ from repro.faults.health import RegistryUnavailable
 from repro.faults.retry import RetryExhausted, TransientFaults
 from repro.memory.fingerprint import (
     FingerprintConfig,
+    PageFingerprint,
     batch_page_fingerprints,
     nonzero_page_mask,
     page_fingerprint,
@@ -61,7 +69,7 @@ from repro.memory.patch import (
     compute_patches,
 )
 from repro.sandbox.checkpoint import BaseCheckpoint, CheckpointStore
-from repro.sandbox.sandbox import Sandbox
+from repro.sandbox.sandbox import METADATA_BYTES_PER_PAGE, Sandbox
 from repro.sim.network import RdmaFabric
 from repro.storage.prefetch import WorkingSetRecorder
 from repro.storage.store import TieredCheckpointStore
@@ -77,21 +85,17 @@ if TYPE_CHECKING:
     from repro.parallel.config import ParallelConfig
     from repro.parallel.plane import DataPlane
 
-#: Full-scale metadata bytes per page entry of a dedup table (base page
-#: address + patch descriptor), part of the dedup footprint.
-METADATA_BYTES_PER_PAGE = 40
-
 #: A patch larger than this fraction of the page is not worth keeping;
 #: the page is stored unique instead.
 UNIQUE_THRESHOLD = 0.75
 
-#: Default capacity (in pages) of the per-agent LRU cache of decoded
-#: base pages.  4096 entries of 4 KiB pages bound the cache at 16 MiB
+#: Capacity (in pages) of the per-agent LRU cache of decoded base
+#: pages.  4096 entries of 4 KiB pages bound the cache at 16 MiB
 #: full-scale — small next to one sandbox, decisive for dedup
 #: throughput because base pages repeat across ops on a node.
 BASE_PAGE_CACHE_PAGES = 4096
 
-#: Default capacity of the per-agent LRU cache of anchor indexes.
+#: Capacity of the per-agent LRU cache of anchor indexes.
 #: Building an index's halves (the word table the discard bound reads,
 #: the sorted anchors the matcher probes) is the expensive part of the
 #: anchor fallback, and the same hot base pages are patched against
@@ -187,6 +191,18 @@ class DedupPageTable:
         full_pages = max(1, round(len(self.entries) / self.content_scale))
         metadata = full_pages * METADATA_BYTES_PER_PAGE
         return int(self.retained_content_bytes / self.content_scale) + metadata
+
+    def write_unique_pages(self, out: np.ndarray) -> None:
+        """Copy the unique pages into ``out``, a zeroed buffer of the
+        image's size (zero pages are then already materialized)."""
+        page_size = self.page_size
+        for index, entry in enumerate(self.entries):
+            if entry.kind is PageKind.UNIQUE:
+                assert entry.raw is not None
+                start = index * page_size
+                out[start : start + len(entry.raw)] = np.frombuffer(
+                    entry.raw, dtype=np.uint8
+                )
 
 
 @dataclass(frozen=True)
@@ -343,6 +359,124 @@ class ForkOutcome:
     promoted_bytes: int
 
 
+class _DedupOp:
+    """One dedup op in flight: the page-classification rules and accounts.
+
+    Both drivers — :meth:`DedupAgent.dedup` (the whole image as one
+    batch) and the staged :class:`~repro.parallel.plane.DataPlane`
+    (page-range batches, in completion order) — run the same steps on
+    it: construction classifies the zero pages, then per batch of
+    fingerprinted pages :meth:`choose` picks bases, :meth:`base_page`
+    reads each chosen one and :meth:`accept` records the patches; the
+    agent turns the finished accounts into the table and its timings.
+    Every account sums order-independently and registry choices are
+    stateless within an op, so how a driver cuts and orders its batches
+    never shows in the table.
+    """
+
+    def __init__(self, agent: "DedupAgent", sandbox: Sandbox):
+        image = sandbox.image
+        if image is None:
+            raise RuntimeError(f"sandbox {sandbox.sandbox_id} has no image to dedup")
+        self.agent = agent
+        self.sandbox = sandbox
+        self.image = image
+        self.unique_cap = int(UNIQUE_THRESHOLD * image.page_size)
+        self.nonzero = nonzero_page_mask(image.data, image.page_size)
+        self.pages = np.flatnonzero(self.nonzero)
+        """Indices of the pages with content: each goes through
+        :meth:`choose` exactly once."""
+        zero_entry = PageEntry(kind=PageKind.ZERO)
+        self.entries: list[PageEntry | None] = [
+            None if nz else zero_entry for nz in self.nonzero
+        ]
+        self.zero_pages = image.num_pages - int(self.pages.size)
+        self.saved = self.zero_pages * image.page_size
+        self.unique_pages = self.patched_pages = 0
+        self.same_fn = self.cross_fn = 0
+        self.base_refs: Counter[int] = Counter()
+        self.reads_by_peer: Counter[int] = Counter()
+        self.checkpoints: dict[int, BaseCheckpoint] = {}
+        """Base checkpoints read so far, resolved once each."""
+
+    def _keep_unique(self, index: int) -> None:
+        page_size = self.image.page_size
+        start = index * page_size
+        self.entries[index] = PageEntry(
+            kind=PageKind.UNIQUE,
+            raw=self.image.data[start : start + page_size].tobytes(),
+        )
+        self.unique_pages += 1
+
+    def choose(
+        self, pages: list[int], fingerprints: Sequence[PageFingerprint]
+    ) -> list[tuple[int, PageRef]]:
+        """One registry round-trip for ``pages`` (absolute indices,
+        aligned with ``fingerprints``): the pages that got a readable
+        base, as ``(page index, base ref)``; the rest are kept unique."""
+        agent = self.agent
+        choices = agent.registry.choose_base_pages(
+            fingerprints, agent.node_id, self.sandbox.domain
+        )
+        chosen: list[tuple[int, PageRef]] = []
+        for index, choice in zip(pages, choices):
+            if choice is None:
+                self._keep_unique(index)
+                continue
+            ref, _overlap = choice
+            if ref.node_id != agent.node_id and not agent.fabric.peer_available(ref.node_id):
+                # The base's node is unreachable: keep the page unique
+                # rather than depend on state we cannot read back.
+                self._keep_unique(index)
+                continue
+            self.reads_by_peer[ref.node_id] += 1
+            chosen.append((index, ref))
+        return chosen
+
+    def base_page(self, ref: PageRef) -> bytes:
+        """Content of a chosen base page, through the agent's LRU cache."""
+        checkpoint_id = ref.checkpoint_id
+        if checkpoint_id not in self.checkpoints:
+            self.checkpoints[checkpoint_id] = self.agent.store.get(checkpoint_id)
+        return self.agent.base_page_bytes(
+            self.checkpoints[checkpoint_id], ref.page_index
+        )
+
+    def accept(
+        self, chosen: list[tuple[int, PageRef]], patches: Sequence[Patch | None]
+    ) -> None:
+        """Record a batch's patches (aligned with ``chosen``, whose base
+        pages were all read): ``None`` or a patch at or over the cutoff
+        leaves the page unique."""
+        page_size = self.image.page_size
+        for (index, ref), patch in zip(chosen, patches):
+            if patch is None or patch.size_bytes >= self.unique_cap:
+                self._keep_unique(index)
+                continue
+            self.entries[index] = PageEntry(kind=PageKind.PATCHED, base=ref, patch=patch)
+            self.patched_pages += 1
+            self.saved += page_size - patch.size_bytes
+            self.base_refs[ref.checkpoint_id] += 1
+            if self.checkpoints[ref.checkpoint_id].function == self.sandbox.function:
+                self.same_fn += 1
+            else:
+                self.cross_fn += 1
+
+    def stats(self) -> DedupStats:
+        """The finished op's counts (every page must be classified)."""
+        assert all(entry is not None for entry in self.entries)
+        return DedupStats(
+            total_pages=self.image.num_pages,
+            zero_pages=self.zero_pages,
+            unique_pages=self.unique_pages,
+            patched_pages=self.patched_pages,
+            same_function_pages=self.same_fn,
+            cross_function_pages=self.cross_fn,
+            saved_content_bytes=self.saved,
+            image_content_bytes=self.image.nbytes,
+        )
+
+
 class DedupAgent:
     """The dedup/restore executor of one node."""
 
@@ -357,10 +491,6 @@ class DedupAgent:
         content_scale: float,
         fingerprint_config: FingerprintConfig | None = None,
         patch_level: int = 1,
-        unique_threshold: float = UNIQUE_THRESHOLD,
-        base_page_cache_pages: int = BASE_PAGE_CACHE_PAGES,
-        anchor_index_cache_pages: int = ANCHOR_INDEX_CACHE_PAGES,
-        tiering: bool = False,
         recorder: WorkingSetRecorder | None = None,
         parallel: "ParallelConfig | None" = None,
         overlap_costs: "ParallelConfig | None" = None,
@@ -369,23 +499,19 @@ class DedupAgent:
     ):
         if not 0 < content_scale <= 1:
             raise ValueError("content_scale must be in (0, 1]")
-        if tiering and not isinstance(store, TieredCheckpointStore):
-            raise ValueError("tiering requires a TieredCheckpointStore")
         self.node_id = node_id
         self.registry = registry
         self.store = store
         self.fabric = fabric
         self.costs = costs
         self.content_scale = content_scale
-        self.tiering = tiering
+        self.tiering = isinstance(store, TieredCheckpointStore)
+        """Base reads are costed by residency (checkpoint tiering)."""
         self.recorder = recorder
         """Restore working-set recorder, shared cluster-wide (tiering
         with prefetch only; None disables recording)."""
         self.fingerprint_config = fingerprint_config or FingerprintConfig()
-        if self.fingerprint_config.digest_bits > 64:
-            raise ValueError("the registry keys on uint64 digests: digest_bits must be <= 64")
         self.patch_level = patch_level
-        self.unique_threshold = unique_threshold
         self.parallel = parallel
         """Run the data plane on the parallel engine (None = serial)."""
         self.overlap_costs = overlap_costs
@@ -413,12 +539,12 @@ class DedupAgent:
         # entries can only waste capacity until LRU evicts them — they
         # can never serve stale content.
         self.base_page_cache: LruCache[tuple[int, int], bytes] = LruCache(
-            base_page_cache_pages
+            BASE_PAGE_CACHE_PAGES
         )
         # Anchor indexes keyed by (checkpoint_id, page_index, level);
         # same staleness argument as the page cache above.
         self.anchor_index_cache: LruCache[tuple[int, int, int], AnchorIndex] = LruCache(
-            anchor_index_cache_pages
+            ANCHOR_INDEX_CACHE_PAGES
         )
 
     def _data_plane(self) -> "DataPlane":
@@ -437,10 +563,28 @@ class DedupAgent:
 
     # ---------------------------------------------------------------- dedup
 
-    def _full_pages(self, pages: int) -> int:
-        return max(1, round(pages / self.content_scale))
+    def _full_scale(self, pages: int) -> tuple[int, float]:
+        """Full-scale page count of a ``pages``-page scaled image, and
+        the factor that scales its page counts up to it."""
+        full_pages = max(1, round(pages / self.content_scale))
+        return full_pages, full_pages / (pages or 1)
 
-    def _base_page_bytes(self, checkpoint: BaseCheckpoint, page_index: int) -> bytes:
+    def _retry_plan(self, rpc: str) -> tuple[float, int]:
+        """``(retry_ms, retries)`` of the op's one transient-prone RPC.
+
+        Every op draws its plan BEFORE any side effect — refcounts,
+        published segments, promoted replicas, charged costs — so an
+        exhausted op leaves no state behind and the controller takes
+        the next rung of the fallback ladder.
+        """
+        if self.transients is None:
+            return 0.0, 0
+        plan = self.transients.plan(rpc)
+        if not plan.succeeded:
+            raise RetryExhausted(rpc, plan.attempts, plan.charged_ms)
+        return plan.charged_ms, plan.attempts
+
+    def base_page_bytes(self, checkpoint: BaseCheckpoint, page_index: int) -> bytes:
         """A base page's content through the per-agent LRU cache."""
         key = (checkpoint.checkpoint_id, page_index)
         cached = self.base_page_cache.get(key)
@@ -450,97 +594,61 @@ class DedupAgent:
         return cached
 
     def dedup(self, sandbox: Sandbox) -> DedupOutcome:
-        """Run the dedup op on a warm sandbox's image (batched pipeline).
+        """Run the dedup op on a warm sandbox's image.
 
-        One vectorized pass classifies zero pages, one marker scan
-        fingerprints every nonzero page, one registry round-trip picks
-        every base page, and base-page fetches are grouped by checkpoint
-        through the agent's LRU cache.  Produces a page table identical
-        to :meth:`dedup_reference` (property-tested).
+        One :class:`_DedupOp`, driven serially here or by the staged
+        data plane (``parallel=...``); either way the page table is
+        identical to :meth:`dedup_reference`'s (property-tested).
 
         Side effects: acquires refcounts on every base checkpoint the new
         page table references.  The caller (controller) is responsible
         for swapping the sandbox's image for the returned table and for
         the corresponding lifecycle transitions.
         """
-        image = sandbox.image
-        if image is None:
-            raise RuntimeError(f"sandbox {sandbox.sandbox_id} has no image to dedup")
+        op = _DedupOp(self, sandbox)
         if self.parallel is not None:
-            return self._data_plane().dedup(sandbox)
+            self._data_plane().dedup(op)
+        else:
+            self._dedup_serial(op)
+        return self._finish_dedup(
+            sandbox,
+            op.image,
+            op.entries,  # type: ignore[arg-type]
+            op.stats(),
+            op.base_refs,
+            op.reads_by_peer,
+        )
 
-        page_size = image.page_size
-        data = image.data
-        unique_cap = int(self.unique_threshold * page_size)
-        base_refs: Counter[int] = Counter()
-        reads_by_peer: Counter[int] = Counter()
-        unique_pages = patched_pages = 0
-        same_fn = cross_fn = 0
-
-        nonzero = nonzero_page_mask(data, page_size)
-        nonzero_indices = np.flatnonzero(nonzero)
-        zero_pages = image.num_pages - int(nonzero_indices.size)
-        saved = zero_pages * page_size
-        zero_entry = PageEntry(kind=PageKind.ZERO)
-        entries: list[PageEntry | None] = [
-            None if nz else zero_entry for nz in nonzero
-        ]
-
-        def keep_unique(index: int) -> None:
-            nonlocal unique_pages
-            start = index * page_size
-            entries[index] = PageEntry(
-                kind=PageKind.UNIQUE, raw=data[start : start + page_size].tobytes()
-            )
-            unique_pages += 1
-
+    def _dedup_serial(self, op: _DedupOp) -> None:
+        """The serial driver: the whole image is one batch — one marker
+        scan fingerprints every nonzero page, one registry round-trip
+        picks every base page, base-page fetches are grouped by
+        checkpoint through the LRU cache, and one ``compute_patches``
+        call patches every chosen page."""
+        page_size = op.image.page_size
+        data = op.image.data
         fingerprints = batch_page_fingerprints(
-            data, page_size, self.fingerprint_config, pages=nonzero_indices
+            data, page_size, self.fingerprint_config, pages=op.pages
         )
-        choices = self.registry.choose_base_pages(
-            fingerprints, self.node_id, sandbox.domain
-        )
+        chosen = op.choose(op.pages.tolist(), fingerprints)
 
-        # Classify pages, deferring base-page content to a grouped fetch.
-        chosen: list[tuple[int, PageRef]] = []
-        for index, choice in zip(nonzero_indices.tolist(), choices):
-            if choice is None:
-                keep_unique(index)
-                continue
-            ref, _overlap = choice
-            if ref.node_id != self.node_id and not self.fabric.peer_available(ref.node_id):
-                # The base's node is unreachable: keep the page unique
-                # rather than depend on state we cannot read back.
-                keep_unique(index)
-                continue
-            reads_by_peer[ref.node_id] += 1
-            chosen.append((index, ref))
+        # Fetch grouped by checkpoint (the order the LRU cache sees).
+        by_checkpoint: dict[int, list[int]] = defaultdict(list)
+        for j, (_index, ref) in enumerate(chosen):
+            by_checkpoint[ref.checkpoint_id].append(j)
+        bases = [b""] * len(chosen)
+        for group in by_checkpoint.values():
+            for j in group:
+                bases[j] = op.base_page(chosen[j][1])
 
-        # One checkpoint resolution per distinct base checkpoint; page
-        # content flows through the LRU cache.
-        by_checkpoint: dict[int, list[tuple[int, PageRef]]] = defaultdict(list)
-        for index, ref in chosen:
-            by_checkpoint[ref.checkpoint_id].append((index, ref))
-        base_pages: dict[int, bytes] = {}
-        checkpoint_functions: dict[int, str] = {}
-        for checkpoint_id, group in by_checkpoint.items():
-            checkpoint = self.store.get(checkpoint_id)
-            checkpoint_functions[checkpoint_id] = checkpoint.function
-            base_pages.update(
-                (index, self._base_page_bytes(checkpoint, ref.page_index))
-                for index, ref in group
-            )
-
-        # Patch every chosen page in one batched pass: the aligned diff
-        # runs as a single 2-D numpy operation over the whole batch, and
-        # pages falling back to anchor matching reuse cached base-page
-        # anchor indexes (made only when a fallback needs one; an entry
-        # shares the page's ``bytes`` with ``base_page_cache`` and builds
-        # each of its halves on first use).
+        # The aligned diff runs as a single 2-D numpy operation over the
+        # whole batch, and pages falling back to anchor matching reuse
+        # cached base-page anchor indexes (made only when a fallback
+        # needs one; an entry shares the page's ``bytes`` with
+        # ``base_page_cache`` and builds each of its halves on first use).
         targets = [
             data[index * page_size : (index + 1) * page_size] for index, _ in chosen
         ]
-        bases = [base_pages[index] for index, _ in chosen]
 
         def anchor_index_for(j: int) -> AnchorIndex:
             ref = chosen[j][1]
@@ -556,35 +664,9 @@ class DedupAgent:
             bases,
             level=self.patch_level,
             index_provider=anchor_index_for,
-            max_size=unique_cap,
+            max_size=op.unique_cap,
         )
-        for (index, ref), patch in zip(chosen, patches):
-            if patch.size_bytes >= unique_cap:
-                keep_unique(index)
-                continue
-            entries[index] = PageEntry(kind=PageKind.PATCHED, base=ref, patch=patch)
-            patched_pages += 1
-            saved += page_size - patch.size_bytes
-            base_refs[ref.checkpoint_id] += 1
-            if checkpoint_functions[ref.checkpoint_id] == sandbox.function:
-                same_fn += 1
-            else:
-                cross_fn += 1
-
-        assert all(entry is not None for entry in entries)
-        return self._finish_dedup(
-            sandbox,
-            image,
-            entries,  # type: ignore[arg-type]
-            base_refs=base_refs,
-            reads_by_peer=reads_by_peer,
-            zero_pages=zero_pages,
-            unique_pages=unique_pages,
-            patched_pages=patched_pages,
-            same_fn=same_fn,
-            cross_fn=cross_fn,
-            saved=saved,
-        )
+        op.accept(chosen, patches)
 
     def dedup_reference(self, sandbox: Sandbox) -> DedupOutcome:
         """The page-at-a-time dedup op (reference implementation).
@@ -599,7 +681,7 @@ class DedupAgent:
             raise RuntimeError(f"sandbox {sandbox.sandbox_id} has no image to dedup")
 
         page_size = image.page_size
-        unique_cap = int(self.unique_threshold * page_size)
+        unique_cap = int(UNIQUE_THRESHOLD * page_size)
         entries: list[PageEntry] = []
         base_refs: Counter[int] = Counter()
         reads_by_peer: Counter[int] = Counter()
@@ -645,52 +727,6 @@ class DedupAgent:
             else:
                 cross_fn += 1
 
-        return self._finish_dedup(
-            sandbox,
-            image,
-            entries,
-            base_refs=base_refs,
-            reads_by_peer=reads_by_peer,
-            zero_pages=zero_pages,
-            unique_pages=unique_pages,
-            patched_pages=patched_pages,
-            same_fn=same_fn,
-            cross_fn=cross_fn,
-            saved=saved,
-        )
-
-    def _finish_dedup(
-        self,
-        sandbox: Sandbox,
-        image: MemoryImage,
-        entries: list[PageEntry],
-        *,
-        base_refs: Counter[int],
-        reads_by_peer: Counter[int],
-        zero_pages: int,
-        unique_pages: int,
-        patched_pages: int,
-        same_fn: int,
-        cross_fn: int,
-        saved: int,
-    ) -> DedupOutcome:
-        """Shared tail of both dedup paths: refcounts, table, timings."""
-        # Resolve the registry RPC's transient-fault plan BEFORE touching
-        # refcounts: an exhausted op must leave no state behind.
-        retry_ms = 0.0
-        retries = 0
-        if self.transients is not None:
-            plan = self.transients.plan("registry-lookup")
-            if not plan.succeeded:
-                raise RegistryUnavailable(
-                    f"registry lookup for sandbox {sandbox.sandbox_id}: "
-                    f"all {plan.attempts} attempts timed out"
-                )
-            retry_ms = plan.charged_ms
-            retries = plan.attempts
-        for checkpoint_id, count in base_refs.items():
-            self.store.get(checkpoint_id).acquire(count)
-
         stats = DedupStats(
             total_pages=image.num_pages,
             zero_pages=zero_pages,
@@ -701,6 +737,28 @@ class DedupAgent:
             saved_content_bytes=saved,
             image_content_bytes=image.nbytes,
         )
+        return self._finish_dedup(sandbox, image, entries, stats, base_refs, reads_by_peer)
+
+    def _finish_dedup(
+        self,
+        sandbox: Sandbox,
+        image: MemoryImage,
+        entries: list[PageEntry],
+        stats: DedupStats,
+        base_refs: Counter[int],
+        reads_by_peer: Counter[int],
+    ) -> DedupOutcome:
+        """Tail of the dedup op (and of the oracle): refcounts, table, timings."""
+        try:
+            retry_ms, retries = self._retry_plan("registry-lookup")
+        except RetryExhausted as exc:
+            raise RegistryUnavailable(
+                f"registry lookup for sandbox {sandbox.sandbox_id}: "
+                f"all {exc.attempts} attempts timed out"
+            ) from exc
+        for checkpoint_id, count in base_refs.items():
+            self.store.get(checkpoint_id).acquire(count)
+
         table = DedupPageTable(
             function=sandbox.function,
             instance_seed=image.instance_seed,
@@ -715,8 +773,7 @@ class DedupAgent:
             base_refs=base_refs,
         )
 
-        full_pages = self._full_pages(image.num_pages)
-        scale_up = full_pages / max(1, image.num_pages)
+        full_pages, scale_up = self._full_scale(image.num_pages)
         read_plan = {
             peer: (int(count * scale_up), int(count * scale_up) * image.page_size)
             for peer, count in reads_by_peer.items()
@@ -734,7 +791,7 @@ class DedupAgent:
             lookup_ms=lookup_ms,
             base_read_ms=self.fabric.batch_read_ms(read_plan, local_peer=self.node_id),
             patch_ms=self.costs.patch_compute_ms(
-                max(1, round(patched_pages * scale_up))
+                max(1, round(stats.patched_pages * scale_up))
             ),
             overlap=overlap,
             retry_ms=retry_ms,
@@ -774,26 +831,17 @@ class DedupAgent:
                 by_checkpoint[entry.base.checkpoint_id].append(index)
                 patched += 1
 
-        # Resolve the base-fetch RPC's transient-fault plan before any
-        # cost is charged: exhausted retries surface RetryExhausted and
-        # the controller takes the next rung of the fallback ladder.
-        # Entirely-local fetches involve no RPC and never fail this way.
-        retry_ms = 0.0
-        retries = 0
+        # Entirely-local fetches involve no RPC and never fail transiently.
+        retry_ms, retries = 0.0, 0
         if self.transients is not None and any(
             peer != self.node_id for peer in reads_by_peer
         ):
-            plan = self.transients.plan("restore-fetch")
-            if not plan.succeeded:
-                raise RetryExhausted("restore-fetch", plan.attempts, plan.charged_ms)
-            retry_ms = plan.charged_ms
-            retries = plan.attempts
+            retry_ms, retries = self._retry_plan("restore-fetch")
 
         # Fetch the base pages first: an unreachable peer raises
         # PeerUnavailable *before* any reconstruction work, and the
         # controller falls back to a cold start.
-        full_pages = self._full_pages(len(table.entries))
-        scale_up = full_pages / max(1, len(table.entries))
+        _, scale_up = self._full_scale(len(table.entries))
         if self.tiering:
             (
                 base_read_ms,
@@ -851,21 +899,14 @@ class DedupAgent:
     ) -> np.ndarray:
         """Serial content reconstruction of ``table`` (restore op body)."""
         page_size = table.page_size
-        # Zero-initialized buffer: zero pages are already materialized.
         data = np.zeros(len(table.entries) * page_size, dtype=np.uint8)
-        for index, entry in enumerate(table.entries):
-            if entry.kind is PageKind.UNIQUE:
-                assert entry.raw is not None
-                start = index * page_size
-                data[start : start + len(entry.raw)] = np.frombuffer(
-                    entry.raw, dtype=np.uint8
-                )
+        table.write_unique_pages(data)
         for checkpoint_id, indices in by_checkpoint.items():
             checkpoint = self.store.get(checkpoint_id)
             for index in indices:
                 entry = table.entries[index]
                 assert entry.base is not None and entry.patch is not None
-                base_page = self._base_page_bytes(checkpoint, entry.base.page_index)
+                base_page = self.base_page_bytes(checkpoint, entry.base.page_index)
                 original = apply_patch(entry.patch, base_page)
                 start = index * page_size
                 data[start : start + len(original)] = np.frombuffer(
@@ -898,16 +939,7 @@ class DedupAgent:
             raise RuntimeError(
                 f"sandbox {sandbox.sandbox_id} has no image to templatize"
             )
-        # Resolve the pool write's transient-fault plan BEFORE publishing
-        # anything: an exhausted op must leave no state behind.
-        retry_ms = 0.0
-        retries = 0
-        if self.transients is not None:
-            plan = self.transients.plan("template-publish")
-            if not plan.succeeded:
-                raise RetryExhausted("template-publish", plan.attempts, plan.charged_ms)
-            retry_ms = plan.charged_ms
-            retries = plan.attempts
+        retry_ms, retries = self._retry_plan("template-publish")
 
         segments, created, publish_ms = catalog.ensure_segments(
             image.regions, sandbox.domain
@@ -922,8 +954,7 @@ class DedupAgent:
         )
         catalog.acquire(table.segment_keys)
 
-        full_pages = self._full_pages(image.num_pages)
-        scale_up = full_pages / max(1, image.num_pages)
+        full_pages, scale_up = self._full_scale(image.num_pages)
         duration_ms = (
             self.costs.checkpoint_ms(full_pages)
             + self.costs.patch_compute_ms(
@@ -961,16 +992,10 @@ class DedupAgent:
             raise RuntimeError("agent has no template catalog")
         keys = table.segment_keys
         # Forks served entirely from local replicas involve no RPC and
-        # never fail transiently; a promote is a remote-pool read and
-        # resolves its retry plan before any side effects.
-        retry_ms = 0.0
-        retries = 0
+        # never fail transiently; a promote is a remote-pool read.
+        retry_ms, retries = 0.0, 0
         if self.transients is not None and catalog.missing_on(self.node_id, keys):
-            plan = self.transients.plan("template-fork")
-            if not plan.succeeded:
-                raise RetryExhausted("template-fork", plan.attempts, plan.charged_ms)
-            retry_ms = plan.charged_ms
-            retries = plan.attempts
+            retry_ms, retries = self._retry_plan("template-fork")
 
         promoted, promoted_bytes, promote_ms = catalog.promote(
             self.node_id, keys, now
@@ -981,8 +1006,7 @@ class DedupAgent:
             verify=verify,
         )
 
-        full_pages = self._full_pages(table.num_pages)
-        scale_up = full_pages / max(1, table.num_pages)
+        _, scale_up = self._full_scale(table.num_pages)
         timings = ForkTimings(
             promote_ms=promote_ms,
             apply_ms=self.costs.patch_apply_ms(

@@ -397,8 +397,6 @@ class FingerprintRegistry:
         if max_refs_per_digest <= 0:
             raise ValueError("max_refs_per_digest must be positive")
         self.config = config or FingerprintConfig()
-        if self.config.digest_bits > 64:
-            raise ValueError("the registry keys on uint64 digests: digest_bits must be <= 64")
         self.max_refs_per_digest = max_refs_per_digest
         self.replication = 1
         self._refs = _RefTable()

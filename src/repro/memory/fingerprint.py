@@ -98,10 +98,9 @@ class FingerprintConfig:
             raise ValueError("chunk_size must exceed the 2-byte marker")
         if self.cardinality <= 0:
             raise ValueError("cardinality must be positive")
-        if not 1 <= self.digest_bits <= 160:
-            raise ValueError("digest_bits must be in [1, 160]")
-        if self.hash_kind is HashKind.POLY64 and self.digest_bits > 64:
-            raise ValueError("POLY64 digests are at most 64 bits wide")
+        if not 1 <= self.digest_bits <= 64:
+            # The registry keys on, and the batch kernel emits, uint64.
+            raise ValueError("digest_bits must be in [1, 64]")
 
 
 @dataclass(frozen=True)
@@ -285,7 +284,7 @@ def batch_fingerprint_arrays(
     *,
     pages: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fingerprint kernel's flat-array form (``digest_bits <= 64``).
+    """The fingerprint kernel's flat-array form.
 
     Returns ``(digests, offsets, counts)``: uint64 chunk digests and
     page-relative int64 chunk offsets, concatenated page-major over the
@@ -297,8 +296,6 @@ def batch_fingerprint_arrays(
     boundary (arrays pickle flat, no per-page tuple traffic).
     """
     cfg = config or FingerprintConfig()
-    if cfg.digest_bits > 64:
-        raise ValueError("flat fingerprint arrays require digest_bits <= 64")
     all_starts, all_counts = batch_sample_chunk_starts(data, page_size, cfg)
     if pages is None:
         starts = all_starts
@@ -326,7 +323,7 @@ def batch_page_fingerprints(
     config: FingerprintConfig | None = None,
     *,
     pages: np.ndarray | None = None,
-) -> Sequence[PageFingerprint]:
+) -> "FingerprintBatch":
     """Fingerprints of ``pages`` (default: all) of a flat image buffer.
 
     Identical digests/offsets to the per-page :func:`page_fingerprint`
@@ -334,13 +331,9 @@ def batch_page_fingerprints(
     and digest batch each happen once for the whole buffer.  ``pages``
     restricts hashing to the given page indices (the dedup op skips zero
     pages, for instance) — the returned sequence is aligned with it.
-    The result is a :class:`FingerprintBatch` over the kernel's arrays
-    (a plain list for the experiment-only ``digest_bits > 64``).
+    The result is a :class:`FingerprintBatch` over the kernel's arrays.
     """
-    cfg = config or FingerprintConfig()
-    if cfg.digest_bits > 64:
-        return _wide_digest_fingerprints(data, page_size, cfg, pages)
-    return FingerprintBatch(*batch_fingerprint_arrays(data, page_size, cfg, pages=pages))
+    return FingerprintBatch(*batch_fingerprint_arrays(data, page_size, config, pages=pages))
 
 
 def fingerprints_from_arrays(
@@ -428,42 +421,3 @@ def digest_arrays(
         int(counts.sum()),
     )
     return digests, counts
-
-
-def _wide_digest_fingerprints(
-    data: np.ndarray,
-    page_size: int,
-    cfg: FingerprintConfig,
-    pages: np.ndarray | None,
-) -> list[PageFingerprint]:
-    """Batch fingerprints for ``digest_bits > 64`` (experiment-only).
-
-    Wide digests exceed the uint64 array dtype, so each gathered chunk
-    is digested through the scalar big-int :func:`hash_bytes`; chunk
-    selection and the gather still run vectorised.
-    """
-    num_pages = len(data) // page_size
-    all_starts, all_counts = batch_sample_chunk_starts(data, page_size, cfg)
-    if pages is None:
-        indices = np.arange(num_pages, dtype=np.int64)
-        counts = all_counts
-        starts = all_starts
-    else:
-        indices = np.asarray(pages, dtype=np.int64)
-        bounds = np.concatenate(([0], np.cumsum(all_counts)))
-        counts = all_counts[indices]
-        starts = all_starts[concat_ranges(bounds[indices], counts)]
-    matrix = gather_chunks(data, starts, cfg.chunk_size)
-    flat = [hash_bytes(row.tobytes(), cfg.digest_bits) for row in matrix]
-    rel = (starts - np.repeat(indices * page_size, counts)).tolist()
-    result: list[PageFingerprint] = []
-    cursor = 0
-    for count in counts.tolist():
-        result.append(
-            PageFingerprint(
-                digests=tuple(flat[cursor : cursor + count]),
-                offsets=tuple(rel[cursor : cursor + count]),
-            )
-        )
-        cursor += count
-    return result

@@ -17,6 +17,13 @@ behalf of a :class:`~repro.core.agent.DedupAgent`:
   distinct base; patched pages are reconstructed by apply tasks
   writing straight into the arena's output region.
 
+What a page becomes — zero, unique, patched against which base — is
+not decided here: both this driver and the serial
+:meth:`DedupAgent.dedup` feed the agent's per-op accumulator
+(``choose`` → ``base_page`` → ``accept`` per batch), and this module
+keeps only what is its own: page ranges, the arena layout, slot
+staging and the submit/collect loop.
+
 The pipeline produces bit-identical page tables and images to the
 serial :meth:`DedupAgent.dedup`/:meth:`DedupAgent.restore` paths for
 any ``workers``/``batch_pages``/``depth`` (property-tested): batches
@@ -35,19 +42,19 @@ no subprocesses, no shared memory.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro._util import LruCache
-from repro.memory.fingerprint import FingerprintBatch, nonzero_page_mask
+from repro.memory.fingerprint import FingerprintBatch
 from repro.parallel.arena import LocalArena, ShmArena
 from repro.parallel.config import ParallelConfig
 from repro.parallel.pool import WORKER_ANCHOR_CACHE_PAGES, WorkerPool, run_task
 
 if TYPE_CHECKING:
-    from repro.core.agent import DedupAgent, DedupOutcome, DedupPageTable
+    from repro.core.agent import DedupAgent, DedupPageTable, _DedupOp
 
 
 class InlineExecutor:
@@ -128,38 +135,11 @@ class DataPlane:
 
     # ---------------------------------------------------------------- dedup
 
-    def dedup(self, sandbox) -> "DedupOutcome":
-        """The dedup op over the staged pipeline (see module docstring)."""
-        from repro.core.agent import PageEntry, PageKind
-
+    def dedup(self, op: "_DedupOp") -> None:
+        """Drive ``op`` over the staged pipeline (see module docstring)."""
         agent = self.agent
-        image = sandbox.image
-        assert image is not None
-        page_size = image.page_size
-        data = image.data
-        num_pages = image.num_pages
-        unique_cap = int(agent.unique_threshold * page_size)
-
-        base_refs: Counter[int] = Counter()
-        reads_by_peer: Counter[int] = Counter()
-        unique_pages = patched_pages = 0
-        same_fn = cross_fn = 0
-
-        nonzero = nonzero_page_mask(data, page_size)
-        zero_pages = num_pages - int(np.count_nonzero(nonzero))
-        saved = zero_pages * page_size
-        zero_entry = PageEntry(kind=PageKind.ZERO)
-        entries: list[PageEntry | None] = [
-            None if nz else zero_entry for nz in nonzero
-        ]
-
-        def keep_unique(index: int) -> None:
-            nonlocal unique_pages
-            start = index * page_size
-            entries[index] = PageEntry(
-                kind=PageKind.UNIQUE, raw=data[start : start + page_size].tobytes()
-            )
-            unique_pages += 1
+        page_size = op.image.page_size
+        num_pages = op.image.num_pages
 
         # Contiguous page-range batches; ranges with no nonzero page
         # produce no work.  Cutting at page boundaries keeps the marker
@@ -169,22 +149,20 @@ class DataPlane:
         ranges: list[tuple[int, int, list[int]]] = []
         for lo in range(0, num_pages, batch_pages):
             hi = min(lo + batch_pages, num_pages)
-            abs_pages = [lo + off for off, nz in enumerate(nonzero[lo:hi]) if nz]
+            abs_pages = [lo + off for off, nz in enumerate(op.nonzero[lo:hi]) if nz]
             if abs_pages:
                 ranges.append((lo, hi, abs_pages))
 
         # Arena layout: [image | base-page slots].  At most one slot per
         # chosen page (slots deduplicate per distinct base page).
-        total_nonzero = sum(len(abs_pages) for _, _, abs_pages in ranges)
         data_off = 0
         bases_off = num_pages * page_size
         token, view = self.executor.ensure_arena(
-            bases_off + total_nonzero * page_size
+            bases_off + len(op.pages) * page_size
         )
-        view[data_off : data_off + num_pages * page_size] = data
+        view[data_off : data_off + num_pages * page_size] = op.image.data
 
         slot_of: dict[tuple[int, int], int] = {}
-        checkpoint_functions: dict[int, str] = {}
         chosen_of_batch: dict[int, list] = {}
 
         def submit_fp(batch: int) -> None:
@@ -197,64 +175,26 @@ class DataPlane:
 
         def on_fingerprints(batch: int, arrays: tuple) -> bool:
             """Registry round-trip + base staging; True if a patch task went out."""
-            _lo, _hi, abs_pages = ranges[batch]
-            choices = agent.registry.choose_base_pages(
-                FingerprintBatch(*arrays), agent.node_id, sandbox.domain
-            )
-            chosen: list = []
-            for index, choice in zip(abs_pages, choices):
-                if choice is None:
-                    keep_unique(index)
-                    continue
-                ref, _overlap = choice
-                if ref.node_id != agent.node_id and not agent.fabric.peer_available(
-                    ref.node_id
-                ):
-                    keep_unique(index)
-                    continue
-                reads_by_peer[ref.node_id] += 1
-                chosen.append((index, ref))
+            chosen = op.choose(ranges[batch][2], FingerprintBatch(*arrays))
             if not chosen:
                 return False
             jobs = []
             for index, ref in chosen:
-                checkpoint_id = ref.checkpoint_id
-                if checkpoint_id not in checkpoint_functions:
-                    checkpoint_functions[checkpoint_id] = agent.store.get(
-                        checkpoint_id
-                    ).function
-                key = (checkpoint_id, ref.page_index)
+                key = (ref.checkpoint_id, ref.page_index)
                 slot = slot_of.get(key)
                 if slot is None:
-                    slot = len(slot_of)
-                    slot_of[key] = slot
-                    page = agent._base_page_bytes(  # noqa: SLF001 — plane is the agent's data-plane half
-                        agent.store.get(checkpoint_id), ref.page_index
-                    )
+                    slot = slot_of[key] = len(slot_of)
                     start = bases_off + slot * page_size
-                    view[start : start + page_size] = np.frombuffer(page, np.uint8)
+                    view[start : start + page_size] = np.frombuffer(
+                        op.base_page(ref), np.uint8
+                    )
                 jobs.append((index, slot, key))
             chosen_of_batch[batch] = chosen
             self.executor.submit(
                 ("patch", batch, token, data_off, bases_off, page_size,
-                 agent.patch_level, unique_cap, jobs)
+                 agent.patch_level, op.unique_cap, jobs)
             )
             return True
-
-        def on_patches(batch: int, patches: list) -> None:
-            nonlocal patched_pages, saved, same_fn, cross_fn
-            for (index, ref), patch in zip(chosen_of_batch.pop(batch), patches):
-                if patch is None:  # hit the unique-page cutoff in the worker
-                    keep_unique(index)
-                    continue
-                entries[index] = PageEntry(kind=PageKind.PATCHED, base=ref, patch=patch)
-                patched_pages += 1
-                saved += page_size - patch.size_bytes
-                base_refs[ref.checkpoint_id] += 1
-                if checkpoint_functions[ref.checkpoint_id] == sandbox.function:
-                    same_fn += 1
-                else:
-                    cross_fn += 1
 
         next_fp = 0
         in_flight = 0
@@ -272,23 +212,8 @@ class DataPlane:
                     in_flight += 1
                 if on_fingerprints(result[1], result[2]):
                     in_flight += 1
-            else:
-                on_patches(result[1], result[2])
-
-        assert all(entry is not None for entry in entries)
-        return agent._finish_dedup(  # noqa: SLF001 — plane is the agent's data-plane half
-            sandbox,
-            image,
-            entries,  # type: ignore[arg-type]
-            base_refs=base_refs,
-            reads_by_peer=reads_by_peer,
-            zero_pages=zero_pages,
-            unique_pages=unique_pages,
-            patched_pages=patched_pages,
-            same_fn=same_fn,
-            cross_fn=cross_fn,
-            saved=saved,
-        )
+            else:  # patches; None marks the unique-page cutoff hit in the worker
+                op.accept(chosen_of_batch.pop(result[1]), result[2])
 
     # -------------------------------------------------------------- restore
 
@@ -301,8 +226,6 @@ class DataPlane:
         costing and failure checks; this only reconstructs bytes.
         Returns a fresh writable array of the full image.
         """
-        from repro.core.agent import PageKind
-
         agent = self.agent
         page_size = table.page_size
         num_pages = len(table.entries)
@@ -323,19 +246,12 @@ class DataPlane:
 
         for slot, key in enumerate(slot_of):
             slot_of[key] = slot
-            checkpoint = agent.store.get(key[0])
-            page = agent._base_page_bytes(checkpoint, key[1])  # noqa: SLF001
+            page = agent.base_page_bytes(agent.store.get(key[0]), key[1])
             start = bases_off + slot * page_size
             view[start : start + page_size] = np.frombuffer(page, np.uint8)
 
         # Unique pages are parent-local bytes; write them directly.
-        for index, entry in enumerate(table.entries):
-            if entry.kind is PageKind.UNIQUE:
-                assert entry.raw is not None
-                start = out_off + index * page_size
-                view[start : start + len(entry.raw)] = np.frombuffer(
-                    entry.raw, np.uint8
-                )
+        table.write_unique_pages(out)
 
         jobs: list = []
         for checkpoint_id, indices in by_checkpoint.items():

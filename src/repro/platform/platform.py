@@ -154,7 +154,6 @@ class Platform:
                 costs=config.costs,
                 content_scale=config.content_scale,
                 fingerprint_config=config.fingerprint,
-                tiering=config.checkpoint_tiering,
                 recorder=self.recorder,
                 overlap_costs=config.parallel if config.parallel_data_plane else None,
                 transients=self.faults.transients if self.faults is not None else None,

@@ -16,6 +16,11 @@ TransitionObserver = Callable[["Sandbox", SandboxState, SandboxState], None]
 
 _sandbox_ids = itertools.count(1)
 
+#: Full-scale metadata bytes per page entry of a retained table (base
+#: page address + patch descriptor), part of every parked sandbox's
+#: footprint — dedup page tables and template delta tables alike.
+METADATA_BYTES_PER_PAGE = 40
+
 
 @runtime_checkable
 class RetainedState(Protocol):

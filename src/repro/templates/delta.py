@@ -21,14 +21,10 @@ import numpy as np
 from repro.memory.image import MemoryImage
 from repro.memory.layout import PlacedRegion
 from repro.memory.patch import Patch, apply_patch, compute_patches
+from repro.sandbox.sandbox import METADATA_BYTES_PER_PAGE
 
 if TYPE_CHECKING:
     from repro.templates.catalog import TemplateSegment
-
-#: Per-page bookkeeping overhead, mirroring the dedup page table's
-#: ``repro.core.agent.METADATA_BYTES_PER_PAGE`` (kept local: the agent
-#: imports this module, so importing it back would cycle).
-METADATA_BYTES_PER_PAGE = 40
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,6 @@ def tiered_harness(linalg_profile):
         fabric=fabric,
         costs=CostModel(),
         content_scale=SCALE,
-        tiering=True,
     )
     base_image = linalg_profile.synthesize(900, content_scale=SCALE, executed=True)
     checkpoint = BaseCheckpoint(

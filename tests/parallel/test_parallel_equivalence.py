@@ -7,6 +7,11 @@ refcounts) and byte-identical restored images, across profiles and
 ASLR.  ``workers=1`` (the inline engine, the default ParallelConfig)
 is the pinned configuration the ISSUE's acceptance criteria names;
 ``workers>1`` exercises the forked shared-memory pool.
+
+The page-classification rules live once, in the agent's per-op
+accumulator; the scenarios here feed both drivers the inputs those
+rules branch on — a base whose node is unreachable, a non-global dedup
+domain, a transient-RPC fault stream — not just the healthy default.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from hypothesis import strategies as st
 from repro.core.agent import DedupAgent
 from repro.core.costs import CostModel
 from repro.core.registry import FingerprintRegistry, PageRef
+from repro.faults.retry import RetryPolicy, TransientFaults
 from repro.memory.fingerprint import FingerprintConfig, image_fingerprints
 from repro.parallel import ParallelConfig
 from repro.sandbox.checkpoint import BaseCheckpoint, CheckpointStore
@@ -25,30 +31,56 @@ from repro.sim.network import RdmaFabric
 from tests.conftest import TEST_SCALE
 
 
-def _build_agents(suite, parallel: ParallelConfig):
-    """A serial and a parallel agent over one shared store + registry."""
+#: The rules' unhappy inputs, all at once: the Vanilla base's node is
+#: down (its pages must stay unique), sandbox and bases live in a
+#: non-global domain, and RPCs fail transiently.
+HOSTILE = {"domain": "tenant-a", "failed_node": 2, "rpc_failure_prob": 0.4}
+
+
+def _transients(probability: float) -> TransientFaults | None:
+    """Each agent's own copy of one fault stream, so the same ops draw
+    the same plans.  Seed 9 at p=0.4 retries on its first draws and
+    exhausts none of its first 24."""
+    if not probability:
+        return None
+    return TransientFaults(probability, RetryPolicy(), seed=9)
+
+
+def _build_agents(
+    suite,
+    parallel: ParallelConfig | None,
+    *,
+    config: FingerprintConfig | None = None,
+    level: int = 1,
+    domain: str = "",
+    failed_node: int | None = None,
+    rpc_failure_prob: float = 0.0,
+):
+    """Two agents — a serial one and one on ``parallel`` (``None``: a
+    second serial one) — over one shared store + registry.
+
+    The registry holds a same-function base (LinAlg, node 1) and a
+    cross-function base (Vanilla, node 2), registered under ``domain``,
+    so base choice exercises both.
+    """
     store = CheckpointStore()
-    config = FingerprintConfig()
+    config = config or FingerprintConfig()
     registry = FingerprintRegistry(config)
     fabric = RdmaFabric()
-    serial = DedupAgent(
-        0,
-        registry=registry,
-        store=store,
-        fabric=fabric,
-        costs=CostModel(),
-        content_scale=TEST_SCALE,
-        fingerprint_config=config,
-    )
-    pipelined = DedupAgent(
-        0,
-        registry=registry,
-        store=store,
-        fabric=fabric,
-        costs=CostModel(),
-        content_scale=TEST_SCALE,
-        fingerprint_config=config,
-        parallel=parallel,
+    serial, pipelined = (
+        DedupAgent(
+            0,
+            registry=registry,
+            store=store,
+            fabric=fabric,
+            costs=CostModel(),
+            content_scale=TEST_SCALE,
+            fingerprint_config=config,
+            patch_level=level,
+            parallel=engine,
+            transients=_transients(rpc_failure_prob),
+        )
+        for engine in (None, parallel)
     )
     for function, seed, node in [("LinAlg", 100, 1), ("Vanilla", 101, 2)]:
         profile = suite.get(function)
@@ -63,22 +95,41 @@ def _build_agents(suite, parallel: ParallelConfig):
         store.add(checkpoint)
         for index, fingerprint in enumerate(image_fingerprints(image, config)):
             registry.register_page(
-                PageRef(checkpoint.checkpoint_id, node, index), fingerprint
+                PageRef(checkpoint.checkpoint_id, node, index), fingerprint, domain
             )
+    if failed_node is not None:
+        fabric.fail_peer(failed_node)
     return serial, pipelined
 
 
-def _make_sandbox(profile, seed: int, aslr: bool) -> Sandbox:
+def _make_sandbox(profile, seed: int, aslr: bool, domain: str = "") -> Sandbox:
     sandbox = Sandbox(profile=profile, node_id=0, instance_seed=seed, created_at=0.0)
+    sandbox.domain = domain
     sandbox.image = profile.synthesize(
         seed, content_scale=TEST_SCALE, aslr=aslr, executed=True
     )
     return sandbox
 
 
-def _assert_equivalent(serial: DedupAgent, pipelined: DedupAgent, profile, seed, aslr):
-    outcome_serial = serial.dedup(_make_sandbox(profile, seed, aslr))
-    outcome_parallel = pipelined.dedup(_make_sandbox(profile, seed, aslr))
+def _assert_scenario_bit(scenario: dict, outcomes: list) -> None:
+    """The scenario reached the rules it is there for."""
+    base_nodes = {
+        entry.base.node_id
+        for outcome in outcomes
+        for entry in outcome.table.entries
+        if entry.base is not None
+    }
+    assert base_nodes == {1, 2} - {scenario.get("failed_node")}
+    retries = sum(outcome.timings.retries for outcome in outcomes)
+    assert (retries > 0) == bool(scenario.get("rpc_failure_prob"))
+    assert all(outcome.table.stats.patched_pages for outcome in outcomes)
+
+
+def _assert_equivalent(
+    serial: DedupAgent, pipelined: DedupAgent, profile, seed, aslr, domain: str = ""
+):
+    outcome_serial = serial.dedup(_make_sandbox(profile, seed, aslr, domain))
+    outcome_parallel = pipelined.dedup(_make_sandbox(profile, seed, aslr, domain))
 
     assert outcome_parallel.table.entries == outcome_serial.table.entries
     assert outcome_parallel.table.stats == outcome_serial.table.stats
@@ -96,6 +147,7 @@ def _assert_equivalent(serial: DedupAgent, pipelined: DedupAgent, profile, seed,
         == restored_serial.image.data.tobytes()
     )
     assert restored_parallel.timings == restored_serial.timings
+    return outcome_serial
 
 
 @settings(max_examples=15)
@@ -106,40 +158,61 @@ def _assert_equivalent(serial: DedupAgent, pipelined: DedupAgent, profile, seed,
     batch_pages=st.integers(min_value=1, max_value=64),
     depth=st.integers(min_value=1, max_value=5),
     seed=st.integers(min_value=300, max_value=305),
+    domain=st.sampled_from(["", "tenant-a"]),
+    failed_node=st.sampled_from([None, 1, 2]),
+    rpc_failure_prob=st.sampled_from([0.0, 0.4]),
 )
 def test_parallel_pipeline_matches_serial(
-    suite, function, aslr, workers, batch_pages, depth, seed
+    suite, function, aslr, workers, batch_pages, depth, seed,
+    domain, failed_node, rpc_failure_prob,
 ):
     parallel = ParallelConfig(workers=workers, batch_pages=batch_pages, depth=depth)
-    serial, pipelined = _build_agents(suite, parallel)
+    serial, pipelined = _build_agents(
+        suite,
+        parallel,
+        domain=domain,
+        failed_node=failed_node,
+        rpc_failure_prob=rpc_failure_prob,
+    )
     try:
-        _assert_equivalent(serial, pipelined, suite.get(function), seed, aslr)
+        _assert_equivalent(serial, pipelined, suite.get(function), seed, aslr, domain)
     finally:
         pipelined.close()
 
 
 def test_default_workers1_pinned_bit_identical(suite):
     """The acceptance-criteria pin: default ParallelConfig == serial."""
-    serial, pipelined = _build_agents(suite, ParallelConfig())
-    assert pipelined.parallel == ParallelConfig(workers=1, batch_pages=512, depth=4)
-    try:
-        for function in ("Vanilla", "LinAlg", "ImagePro"):
-            for aslr in (False, True):
-                _assert_equivalent(serial, pipelined, suite.get(function), 310, aslr)
-    finally:
-        pipelined.close()
+    for scenario in ({}, HOSTILE):
+        serial, pipelined = _build_agents(suite, ParallelConfig(), **scenario)
+        assert pipelined.parallel == ParallelConfig(workers=1, batch_pages=512, depth=4)
+        domain = scenario.get("domain", "")
+        try:
+            outcomes = [
+                _assert_equivalent(
+                    serial, pipelined, suite.get(function), 310, aslr, domain
+                )
+                for function in ("Vanilla", "LinAlg", "ImagePro")
+                for aslr in (False, True)
+            ]
+        finally:
+            pipelined.close()
+        _assert_scenario_bit(scenario, outcomes)
 
 
 def test_pool_engine_matches_serial_across_profiles(suite):
     """The forked shm pool (workers=2), non-property smoke for CI."""
-    serial, pipelined = _build_agents(
-        suite, ParallelConfig(workers=2, batch_pages=16, depth=3)
-    )
-    try:
-        for function in ("Vanilla", "LinAlg", "ImagePro"):
-            _assert_equivalent(serial, pipelined, suite.get(function), 320, False)
-    finally:
-        pipelined.close()
+    for scenario in ({}, HOSTILE):
+        serial, pipelined = _build_agents(
+            suite, ParallelConfig(workers=2, batch_pages=16, depth=3), **scenario
+        )
+        try:
+            for function in ("Vanilla", "LinAlg", "ImagePro"):
+                _assert_equivalent(
+                    serial, pipelined, suite.get(function), 320, False,
+                    scenario.get("domain", ""),
+                )
+        finally:
+            pipelined.close()
 
 
 def test_serial_and_pooled_dedup_skip_the_same_pages(suite, codec_calls):

@@ -38,7 +38,6 @@ def build_harness(profile, *, remote_dram_mb: float, recorder=None):
         fabric=fabric,
         costs=CostModel(),
         content_scale=TEST_SCALE,
-        tiering=True,
         recorder=recorder,
     )
     base_image = profile.synthesize(700, content_scale=TEST_SCALE, executed=True)
