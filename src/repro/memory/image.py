@@ -16,7 +16,7 @@ import numpy as np
 
 from repro._util import PAGE_SIZE, rng_for
 from repro.memory.layout import ImageLayout, PlacedRegion, RegionSpec, SharingScope
-from repro.memory.synth import build_region
+from repro.memory.synth import DIRTY_PAGE_BYTES, fill_regions
 
 #: Maximum number of zero guard pages inserted between regions under ASLR
 #: (models page-granular mmap-base randomization).
@@ -118,28 +118,28 @@ def synthesize_image(
             identical, different seeds diverge exactly as the region model
             dictates.
         aslr: Enable address-space layout randomization effects.
-        page_size: Bytes per page.
+        executed: Synthesize the post-execution state (dirty pages).
+        page_size: Bytes per page; dirty pages are ``DIRTY_PAGE_BYTES``
+            long, so an executed image takes no other.
     """
+    if executed and page_size != DIRTY_PAGE_BYTES:
+        raise ValueError(
+            f"executed images are dirtied in {DIRTY_PAGE_BYTES}-byte pages; page_size={page_size}"
+        )
     planned = layout.place(total_bytes, page_size)
     guard_rng = rng_for("aslr-guards", instance_seed, layout.function) if aslr else None
 
-    parts: list[np.ndarray] = []
     placed: list[PlacedRegion] = []
     offset = 0
     for region in planned:
         if guard_rng is not None:
-            guards = int(guard_rng.integers(0, MAX_GUARD_PAGES + 1))
-            if guards:
-                parts.append(np.zeros(guards * page_size, dtype=np.uint8))
-                offset += guards * page_size
-        content = build_region(
-            region.spec, region.size, instance_seed, aslr=aslr, executed=executed
-        )
-        parts.append(content)
+            offset += int(guard_rng.integers(0, MAX_GUARD_PAGES + 1)) * page_size
         placed.append(PlacedRegion(spec=region.spec, offset=offset, size=region.size))
         offset += region.size
 
-    data = np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
+    # Guard pages are what the regions leave untouched.
+    data = np.zeros(offset, dtype=np.uint8)
+    fill_regions(data, placed, instance_seed, aslr=aslr, executed=executed)
     return MemoryImage(
         function=layout.function,
         instance_seed=instance_seed,

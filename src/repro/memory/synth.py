@@ -12,12 +12,14 @@ interpreter images do).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from repro._util import rng_for
-from repro.memory.layout import AslrBehavior, RegionSpec
+from repro.memory.layout import AslrBehavior, PlacedRegion, RegionSpec
 
 #: Size of the content assembly block in bytes.
 POOL_BLOCK = 128
@@ -158,39 +160,261 @@ def template_region_content(spec: RegionSpec, size: int) -> np.ndarray:
     )
 
 
-def _dirty_page_content(nbytes: int, rng: np.random.Generator) -> np.ndarray:
-    """Instance-private content of a rewritten page.
+# --------------------------------------------- dirty pages from raw words
+#
+# A dirty page is defined by three ``Generator`` calls on the region's
+# "dirty-pages" stream: ``integers`` over all of ``uint8`` for its 32
+# blocks of bytes, ``random(32) < DIRTY_POOL_SHARE`` for which blocks
+# come from the common pool instead, and ``integers(0, POOL_BLOCKS, k)``
+# for which pool block each of those ``k`` is
+# (``tests/oracles/synth_scalar.py``).  All three are fixed arithmetic on
+# PCG64's 64-bit output words (DESIGN.md section 19), so the words are
+# drawn once per region with ``random_raw`` and decoded for a whole
+# image at a time.  ``tests/memory/test_synth_kernel.py`` compares the
+# result with those calls and is the alarm should numpy ever change how
+# it consumes the stream.
 
-    A DIRTY_POOL_SHARE mix of common-pool blocks and private bytes: the
-    page keeps some chunk-level redundancy (visible to the Section-2
-    study and exploitable by sub-page patching) but no longer matches any
-    base page wholesale.
+#: Blocks, and so block choices, per dirty page.
+_PAGE_BLOCKS = DIRTY_PAGE_BYTES // POOL_BLOCK
+#: Words holding a page's bytes: ``uint8`` draws are the little-endian
+#: bytes of successive 32-bit draws, and those are the low then the high
+#: half of successive words.
+_PAGE_WORDS = DIRTY_PAGE_BYTES // 8
+#: What a dirty page consumes when no pool index is rejected: its bytes,
+#: a whole word per block choice, half a word per pool index.
+_WORDS_PER_DIRTY_PAGE = _PAGE_WORDS + _PAGE_BLOCKS + _PAGE_BLOCKS // 2
+#: Lemire's bounded draw: index ``(half * POOL_BLOCKS) >> 32``, redrawn
+#: when the product's low 32 bits are under ``2**32 % POOL_BLOCKS``.
+_POOL_SCALE = np.uint64(POOL_BLOCKS)
+_LEMIRE_THRESHOLD = np.uint64(2**32 % POOL_BLOCKS)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _pool_choice_limit(share: float) -> np.uint64:
+    """The word below which ``Generator.random() < share``.
+
+    ``random`` returns ``(word >> 11) * 2**-53``; the shift and the
+    scaling are both exact, so the comparison can be made on the word.
     """
-    nblocks = (nbytes + POOL_BLOCK - 1) // POOL_BLOCK
-    blocks = rng.integers(0, 256, size=(nblocks, POOL_BLOCK), dtype=np.uint8)
-    common_mask = rng.random(nblocks) < DIRTY_POOL_SHARE
-    if common_mask.any():
-        idx = rng.integers(0, POOL_BLOCKS, size=int(common_mask.sum()))
-        blocks[common_mask] = common_pool()[idx]
-    return blocks.reshape(-1)[:nbytes]
+    return np.uint64(math.ceil(share * 2**53) << 11)
+
+
+_POOL_CHOICE_LIMIT = _pool_choice_limit(DIRTY_POOL_SHARE)
+
+
+def _locate_draws(
+    chosen: bytes, spans: Sequence[tuple[int, int]], rejecting: frozenset[int] = frozenset()
+) -> tuple[list[int], list[int], list[tuple[int, int]]] | None:
+    """Where in the word buffer each dirty page's draws fall.
+
+    ``chosen[w]`` says whether word ``w`` read as a block choice picks the
+    pool; ``spans`` lists ``(dirty pages, words)`` per generator, in
+    buffer order; ``rejecting`` holds the half-word positions a Lemire
+    draw would reject.  Returns the byte offset each page's content
+    starts at, the half-word position of every pool-index draw in draw
+    order (rejected ones included), and ``(page, half-word)`` for pages
+    whose first four bytes lie elsewhere than just before the rest — or
+    None when a generator's pages need more words than it was given.
+
+    PCG64 serves 32-bit draws from one buffered word: an odd number of
+    them leaves the high half pending, the next 32-bit draw (a pool
+    index, or a page's first four bytes) takes it, and 64-bit draws (the
+    block choices) pass it by.  A page entered with a half-word pending
+    therefore ends with one pending too, and sits four bytes off the
+    word grid.
+    """
+    starts: list[int] = []
+    draws: list[int] = []
+    strays: list[tuple[int, int]] = []
+    count = chosen.count
+    end = 0
+    for ndirty, nwords in spans:
+        word, pending = end, -1
+        end += nwords
+        for _ in range(ndirty):
+            if pending < 0:
+                starts.append(8 * word)
+            else:
+                starts.append(8 * word - 4)
+                if pending != 2 * word - 1:
+                    # The previous page drew no pool index past its own
+                    # pending half-word, which lies before its choices.
+                    strays.append((len(starts) - 1, pending))
+                pending = 2 * (word + _PAGE_WORDS) - 1
+            choices = word + _PAGE_WORDS
+            word = choices + _PAGE_BLOCKS
+            wanted = count(1, choices, word)
+            if wanted:
+                if pending >= 0:
+                    draws.append(pending)
+                    wanted -= pending not in rejecting
+                    pending = -1
+                first = 2 * word
+                halves = wanted
+                if rejecting:
+                    while short := wanted - halves + sum(
+                        first <= half < first + halves for half in rejecting
+                    ):
+                        halves += short
+                draws.extend(range(first, first + halves))
+                word += (halves + 1) >> 1
+                if halves & 1:
+                    pending = first + halves
+        if word > end:
+            return None
+    return starts, draws, strays
+
+
+def _dirty_pages_from_words(
+    words: np.ndarray, spans: Sequence[tuple[int, int]]
+) -> np.ndarray | None:
+    """The dirty pages numpy draws from ``words``, one ``DIRTY_PAGE_BYTES`` row each.
+
+    ``words`` are the ``random_raw`` output of one generator after
+    another and ``spans`` their ``(dirty pages, words)`` counts.  None
+    when some generator's pages need more words than it was given.
+    """
+    words = words.astype("<u8", copy=False)
+    halves = words.view("<u4")
+    chosen = words < _POOL_CHOICE_LIMIT
+    chosen_bytes = chosen.tobytes()
+    rejecting: frozenset[int] = frozenset()
+    while True:
+        located = _locate_draws(chosen_bytes, spans, rejecting)
+        if located is None:
+            return None
+        starts, draws, strays = located
+        scaled = halves[np.array(draws, dtype=np.intp)].astype(np.uint64) * _POOL_SCALE
+        kept = (scaled & _LOW32) >= _LEMIRE_THRESHOLD
+        if rejecting or kept.all():
+            break
+        # 2**-26 a draw.  A rejected draw is consumed all the same, so
+        # every later draw of its generator moves: locate them again,
+        # knowing every half-word that rejects.
+        rejects = (halves.astype(np.uint64) * _POOL_SCALE & _LOW32) < _LEMIRE_THRESHOLD
+        rejecting = frozenset(np.flatnonzero(rejects).tolist())
+
+    raw = words.view(np.uint8)
+    offsets = np.array(starts, dtype=np.intp)
+    # Row b of each window array is the buffer from position b on: one
+    # fancy index copies every page (or run of choices) out as a row.
+    page_windows = np.ndarray(
+        (raw.size - DIRTY_PAGE_BYTES + 1, DIRTY_PAGE_BYTES), np.uint8, raw, strides=(1, 1)
+    )
+    pages = page_windows[offsets]
+    for row, half in strays:
+        pages[row, :4] = raw[4 * half : 4 * half + 4]
+    choice_windows = np.ndarray(
+        (chosen.size - _PAGE_BLOCKS + 1, _PAGE_BLOCKS), np.bool_, chosen, strides=(1, 1)
+    )
+    # A page's choices follow its last byte, itself at most half a word
+    # short of a word boundary.
+    pool_blocks = np.flatnonzero(choice_windows[(offsets + (DIRTY_PAGE_BYTES + 4)) >> 3])
+    pages.reshape(-1, POOL_BLOCK)[pool_blocks] = common_pool()[scaled[kept] >> _SHIFT32]
+    return pages
 
 
 def _apply_dirty_pages(
-    data: np.ndarray,
-    spec: RegionSpec,
+    image: np.ndarray,
+    placed: Sequence[PlacedRegion],
     instance_seed: int,
+    words_per_page: int = _WORDS_PER_DIRTY_PAGE,
 ) -> None:
-    """Rewrite a per-instance selection of whole pages in-place."""
-    if spec.dirty_page_rate <= 0.0:
+    """Rewrite a per-instance selection of whole pages of each region in-place.
+
+    Instance-private content: a DIRTY_POOL_SHARE mix of common-pool
+    blocks and private bytes, so a dirty page keeps some chunk-level
+    redundancy (visible to the Section-2 study and exploitable by
+    sub-page patching) but no longer matches any base page wholesale.
+    """
+    # Per region with dirty pages: its pages as rows, which of them, its words.
+    jobs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for region in placed:
+        rate = region.spec.dirty_page_rate
+        npages = region.size // DIRTY_PAGE_BYTES
+        if rate <= 0.0 or npages == 0:
+            continue
+        rng = rng_for("dirty-pages", instance_seed, region.spec.content_key)
+        dirty = np.flatnonzero(rng.random(npages) < rate)
+        if dirty.size:
+            rows = image[region.offset : region.offset + npages * DIRTY_PAGE_BYTES]
+            raw = rng.bit_generator.random_raw(dirty.size * words_per_page)
+            jobs.append((rows.reshape(npages, DIRTY_PAGE_BYTES), dirty, raw))
+    if not jobs:
         return
-    npages = len(data) // DIRTY_PAGE_BYTES
-    if npages == 0:
+    pages = _dirty_pages_from_words(
+        np.concatenate([raw for _, _, raw in jobs]),
+        [(len(dirty), len(raw)) for _, dirty, raw in jobs],
+    )
+    if pages is None:
+        # Rejected pool indices outran the spare words (every block of a
+        # page from the pool, then a redraw): the streams are a function
+        # of the seed, so start over with room to spare.
+        _apply_dirty_pages(image, placed, instance_seed, 2 * words_per_page)
         return
-    rng = rng_for("dirty-pages", instance_seed, spec.content_key)
-    dirty = np.flatnonzero(rng.random(npages) < spec.dirty_page_rate)
-    for page in dirty:
-        start = int(page) * DIRTY_PAGE_BYTES
-        data[start : start + DIRTY_PAGE_BYTES] = _dirty_page_content(DIRTY_PAGE_BYTES, rng)
+    done = 0
+    for rows, dirty, _ in jobs:
+        rows[dirty] = pages[done : done + len(dirty)]
+        done += len(dirty)
+
+
+def fill_regions(
+    image: np.ndarray,
+    placed: Sequence[PlacedRegion],
+    instance_seed: int,
+    *,
+    aslr: bool = False,
+    executed: bool = False,
+) -> None:
+    """Materialize one instance's bytes for each placed region, inside ``image``.
+
+    Applies to every region, in order: the shared template (base content
+    and pointer-site values), the ASLR bytes of each pointer, dirty
+    (rewritten) pages, per-instance copy-on-write mutations, and (under
+    ASLR) the 16-byte fine-grained shift for stack-like regions.  Bytes
+    of ``image`` outside the regions are left alone.
+
+    ``executed`` selects the post-execution memory state: only sandboxes
+    that have served requests carry dirty pages.  Freshly-initialized
+    checkpoints (the Section-2 measurement study) are nearly identical
+    across instances, which is exactly why the paper's Figure-1
+    redundancy exceeds its Table-3 dedup savings.
+    """
+    for region in placed:
+        spec = region.spec
+        data = image[region.offset : region.end]
+        data[:] = template_region_content(spec, region.size)
+        if aslr:
+            positions = _pointer_positions(spec.content_key, spec.pointer_interval, region.size)
+            if positions.size:
+                # The template holds the shared pointers; randomize each
+                # site's high bytes (the segment base) on top.
+                high = rng_for("ptr-aslr", instance_seed, spec.content_key).integers(
+                    0, 256, size=(len(positions), POINTER_ASLR_BYTES), dtype=np.uint8
+                )
+                idx = positions[:, None] + np.arange(
+                    POINTER_SIZE - POINTER_ASLR_BYTES, POINTER_SIZE
+                )
+                data[idx.reshape(-1)] = high.reshape(-1)
+
+    if executed:
+        _apply_dirty_pages(image, placed, instance_seed)
+
+    for region in placed:
+        spec = region.spec
+        data = image[region.offset : region.end]
+        if spec.mutation_rate > 0.0:
+            rng = rng_for("mutations", instance_seed, spec.content_key)
+            count = int(rng.poisson(region.size * spec.mutation_rate))
+            if count:
+                pos = rng.integers(0, region.size, size=count)
+                data[pos] = rng.integers(0, 256, size=count, dtype=np.uint8)
+        if aslr and spec.aslr is AslrBehavior.FINE:
+            shift_units = int(
+                rng_for("aslr-fine", instance_seed, spec.content_key).integers(0, 128)
+            )
+            data[:] = np.roll(data, shift_units * 16)
 
 
 def build_region(
@@ -201,44 +425,9 @@ def build_region(
     aslr: bool = False,
     executed: bool = False,
 ) -> np.ndarray:
-    """Materialize one instance's bytes for a region.
-
-    Applies, in order: the shared template (base content and pointer-site
-    values), the ASLR bytes of each pointer, dirty (rewritten) pages,
-    per-instance copy-on-write mutations, and (under ASLR) the 16-byte
-    fine-grained shift for stack-like regions.
-
-    ``executed`` selects the post-execution memory state: only sandboxes
-    that have served requests carry dirty pages.  Freshly-initialized
-    checkpoints (the Section-2 measurement study) are nearly identical
-    across instances, which is exactly why the paper's Figure-1
-    redundancy exceeds its Table-3 dedup savings.
-    """
-    data = template_region_content(spec, size).copy()
-
-    if aslr:
-        positions = _pointer_positions(spec.content_key, spec.pointer_interval, size)
-        if positions.size:
-            # The template holds the shared pointers; randomize each
-            # site's high bytes (the segment base) on top.
-            high = rng_for("ptr-aslr", instance_seed, spec.content_key).integers(
-                0, 256, size=(len(positions), POINTER_ASLR_BYTES), dtype=np.uint8
-            )
-            idx = positions[:, None] + np.arange(POINTER_SIZE - POINTER_ASLR_BYTES, POINTER_SIZE)
-            data[idx.reshape(-1)] = high.reshape(-1)
-
-    if executed:
-        _apply_dirty_pages(data, spec, instance_seed)
-
-    if spec.mutation_rate > 0.0:
-        rng = rng_for("mutations", instance_seed, spec.content_key)
-        count = int(rng.poisson(size * spec.mutation_rate))
-        if count:
-            pos = rng.integers(0, size, size=count)
-            data[pos] = rng.integers(0, 256, size=count, dtype=np.uint8)
-
-    if aslr and spec.aslr is AslrBehavior.FINE:
-        shift_units = int(rng_for("aslr-fine", instance_seed, spec.content_key).integers(0, 128))
-        data = np.roll(data, shift_units * 16)
-
+    """One instance's bytes for a region: :func:`fill_regions` of it alone."""
+    data = np.empty(size, dtype=np.uint8)
+    fill_regions(
+        data, (PlacedRegion(spec, 0, size),), instance_seed, aslr=aslr, executed=executed
+    )
     return data

@@ -50,6 +50,11 @@ class TestSynthesizeImage:
         image = synthesize_image(layout, 256 * 1024, instance_seed=1, executed=True)
         assert image.executed
 
+    def test_executed_image_refuses_a_page_size_dirty_pages_are_not_cut_at(self, layout):
+        assert synthesize_image(layout, 256 * 1024, instance_seed=1, page_size=8192).page_size == 8192
+        with pytest.raises(ValueError, match="4096-byte pages"):
+            synthesize_image(layout, 256 * 1024, instance_seed=1, executed=True, page_size=8192)
+
 
 class TestMemoryImageAccess:
     def test_page_views(self, linalg_image):

@@ -14,6 +14,7 @@ from repro.memory.synth import (
     common_pool,
     template_region_content,
 )
+from tests.oracles import synth_scalar
 
 
 def spec(**overrides) -> RegionSpec:
@@ -172,36 +173,6 @@ class TestBuildRegion:
         assert np.array_equal(plain, with_aslr)
 
 
-def _build_region_before_the_template_memo(region, size, instance_seed, *, aslr, executed):
-    """``build_region`` as it composed a region before the template memo:
-    plain base content, whole pointers scattered per instance."""
-    from repro._util import rng_for
-    from repro.memory import synth
-
-    data = np.array(base_region_content(region, size), dtype=np.uint8, copy=True)
-    positions = synth._pointer_positions(region.content_key, region.pointer_interval, size)
-    if positions.size:
-        values = synth._shared_pointer_values(region.content_key, len(positions)).copy()
-        if aslr:
-            values[:, -synth.POINTER_ASLR_BYTES :] = rng_for(
-                "ptr-aslr", instance_seed, region.content_key
-            ).integers(0, 256, size=(len(positions), synth.POINTER_ASLR_BYTES), dtype=np.uint8)
-        idx = positions[:, None] + np.arange(synth.POINTER_SIZE)[None, :]
-        data[idx.reshape(-1)] = values.reshape(-1)
-    if executed:
-        synth._apply_dirty_pages(data, region, instance_seed)
-    if region.mutation_rate > 0.0:
-        rng = rng_for("mutations", instance_seed, region.content_key)
-        count = int(rng.poisson(size * region.mutation_rate))
-        if count:
-            pos = rng.integers(0, size, size=count)
-            data[pos] = rng.integers(0, 256, size=count, dtype=np.uint8)
-    if aslr and region.aslr is AslrBehavior.FINE:
-        shift = int(rng_for("aslr-fine", instance_seed, region.content_key).integers(0, 128))
-        data = np.roll(data, shift * 16)
-    return data
-
-
 @pytest.mark.parametrize("aslr", [False, True])
 @pytest.mark.parametrize("executed", [False, True])
 def test_build_region_bytes_are_those_of_the_pre_memo_composition(suite, aslr, executed):
@@ -211,7 +182,7 @@ def test_build_region_bytes_are_those_of_the_pre_memo_composition(suite, aslr, e
     for profile in suite.profiles:
         image = profile.synthesize(5, content_scale=TEST_SCALE, aslr=aslr, executed=executed)
         for placed in image.regions:
-            expected = _build_region_before_the_template_memo(
+            expected = synth_scalar.build_region(
                 placed.spec, placed.size, 5, aslr=aslr, executed=executed
             )
             assert image.data[placed.offset : placed.end].tobytes() == expected.tobytes()
