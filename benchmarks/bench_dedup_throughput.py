@@ -3,9 +3,9 @@
 The dedup op is Medes' dominant overhead (Section 7.7), so its
 throughput caps every other experiment's scale.  This benchmark times
 :meth:`DedupAgent.dedup` (the vectorized batch pipeline) against
-:meth:`DedupAgent.dedup_reference` (the original page-at-a-time loop:
-per-page ``page_fingerprint``, per-page ``choose_base_page``, and a
-fresh ``store.get`` per patched page) on identical inputs, and records
+``tests/oracles/dedup_scalar.py::dedup_reference`` (the original
+page-at-a-time loop: per-page ``page_fingerprint``, per-page
+``choose_base_page``, and a fresh ``store.get`` per patched page) on identical inputs, and records
 pages/sec for both into ``BENCH_dedup_throughput.json`` at the repo
 root — the start of the perf trajectory.
 
@@ -20,9 +20,10 @@ scanning case), so both are reported.
 
 Run standalone for the full matrix::
 
-    PYTHONPATH=src python benchmarks/bench_dedup_throughput.py
+    PYTHONPATH=src:. python benchmarks/bench_dedup_throughput.py
 
-or via pytest for a reduced smoke configuration.
+from the repo root (the reference lives in ``tests/oracles/``), or via
+pytest for a reduced smoke configuration.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from repro.sandbox.checkpoint import BaseCheckpoint, CheckpointStore
 from repro.sandbox.sandbox import Sandbox
 from repro.sim.network import RdmaFabric
 from repro.workload.functionbench import FunctionBenchSuite
+from tests.oracles.dedup_scalar import dedup_reference
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT_JSON = REPO_ROOT / "BENCH_dedup_throughput.json"
@@ -109,7 +111,7 @@ def run_config(
     agent_ref = _make_agent(profile, profile_name, scale, level)
     for k in range(2):  # warm caches and allocator
         agent_batch.dedup(make_sandbox(200 + k))
-        agent_ref.dedup_reference(make_sandbox(200 + k))
+        dedup_reference(agent_ref, make_sandbox(200 + k))
 
     total_batch = total_ref = 0.0
     pages = 0
@@ -127,7 +129,7 @@ def run_config(
             best_batch = min(best_batch, dt)
             batch_samples.append(op_pages / dt)
             t0 = time.perf_counter()
-            agent_ref.dedup_reference(s_ref)
+            dedup_reference(agent_ref, s_ref)
             dt = time.perf_counter() - t0
             best_ref = min(best_ref, dt)
             ref_samples.append(op_pages / dt)

@@ -10,7 +10,7 @@ zero pages collapse to a marker.  The resulting
 is all that remains in memory, and it is stored *locally* on the
 sandbox's node so restores never touch the controller (Section 4.2).
 
-The dedup op has **one body, two drivers and one oracle**.  The body is
+The dedup op has **one body, run two ways**.  The body is
 :class:`_DedupOp`, the per-op accumulator that owns every
 page-classification rule: zero pages collapse in one vectorized
 reduction, one registry round-trip (``choose_base_pages``) serves a
@@ -22,10 +22,10 @@ same base pages are re-read constantly across ops on a node).
 one marker scan, one lookup, one ``compute_patches`` call; the staged
 :class:`~repro.parallel.plane.DataPlane` (``parallel=...``) drives the
 same four steps per page-range batch as worker results arrive.
-:meth:`DedupAgent.dedup_reference` is the page-at-a-time oracle, written
-out independently on purpose; property tests assert all three produce
-identical page tables, and ``benchmarks/bench_dedup_throughput.py``
-tracks the pages/sec gap.
+Property tests assert both produce the page tables of a page-at-a-time
+oracle written out independently of this module
+(``tests/oracles/dedup_scalar.py``), and
+``benchmarks/bench_dedup_throughput.py`` tracks the pages/sec gap.
 
 The **restore op** reverses it: base pages are fetched (one-sided RDMA
 for remote ones, batched per peer), patches are applied to recompute the
@@ -57,7 +57,6 @@ from repro.memory.fingerprint import (
     PageFingerprint,
     batch_page_fingerprints,
     nonzero_page_mask,
-    page_fingerprint,
 )
 from repro.memory.image import MemoryImage
 from repro.memory.patch import (
@@ -65,7 +64,6 @@ from repro.memory.patch import (
     Patch,
     apply_patch,
     cached_anchor_index,
-    compute_patch_reference,
     compute_patches,
 )
 from repro.sandbox.checkpoint import BaseCheckpoint, CheckpointStore
@@ -598,7 +596,7 @@ class DedupAgent:
 
         One :class:`_DedupOp`, driven serially here or by the staged
         data plane (``parallel=...``); either way the page table is
-        identical to :meth:`dedup_reference`'s (property-tested).
+        identical to the page-at-a-time oracle's (property-tested).
 
         Side effects: acquires refcounts on every base checkpoint the new
         page table references.  The caller (controller) is responsible
@@ -668,77 +666,6 @@ class DedupAgent:
         )
         op.accept(chosen, patches)
 
-    def dedup_reference(self, sandbox: Sandbox) -> DedupOutcome:
-        """The page-at-a-time dedup op (reference implementation).
-
-        Semantically identical to :meth:`dedup` — per-page fingerprints,
-        per-page registry calls, per-page base fetches straight from the
-        store — kept as the ground truth the batched pipeline is
-        property-tested against, and as the benchmark baseline.
-        """
-        image = sandbox.image
-        if image is None:
-            raise RuntimeError(f"sandbox {sandbox.sandbox_id} has no image to dedup")
-
-        page_size = image.page_size
-        unique_cap = int(UNIQUE_THRESHOLD * page_size)
-        entries: list[PageEntry] = []
-        base_refs: Counter[int] = Counter()
-        reads_by_peer: Counter[int] = Counter()
-        zero_pages = unique_pages = patched_pages = 0
-        same_fn = cross_fn = 0
-        saved = 0
-
-        for index in range(image.num_pages):
-            page = image.page(index)
-            if not page.any():
-                entries.append(PageEntry(kind=PageKind.ZERO))
-                zero_pages += 1
-                saved += page_size
-                continue
-            fingerprint = page_fingerprint(page, self.fingerprint_config)
-            choice = self.registry.choose_base_page(
-                fingerprint, self.node_id, sandbox.domain
-            )
-            if choice is None:
-                entries.append(PageEntry(kind=PageKind.UNIQUE, raw=page.tobytes()))
-                unique_pages += 1
-                continue
-            ref, _overlap = choice
-            if ref.node_id != self.node_id and not self.fabric.peer_available(ref.node_id):
-                # The base's node is unreachable: keep the page unique
-                # rather than depend on state we cannot read back.
-                entries.append(PageEntry(kind=PageKind.UNIQUE, raw=page.tobytes()))
-                unique_pages += 1
-                continue
-            reads_by_peer[ref.node_id] += 1
-            base_page = self.store.get(ref.checkpoint_id).page_bytes(ref.page_index)
-            patch = compute_patch_reference(page, base_page, level=self.patch_level)
-            if patch.size_bytes >= unique_cap:
-                entries.append(PageEntry(kind=PageKind.UNIQUE, raw=page.tobytes()))
-                unique_pages += 1
-                continue
-            entries.append(PageEntry(kind=PageKind.PATCHED, base=ref, patch=patch))
-            patched_pages += 1
-            saved += page_size - patch.size_bytes
-            base_refs[ref.checkpoint_id] += 1
-            if self.store.get(ref.checkpoint_id).function == sandbox.function:
-                same_fn += 1
-            else:
-                cross_fn += 1
-
-        stats = DedupStats(
-            total_pages=image.num_pages,
-            zero_pages=zero_pages,
-            unique_pages=unique_pages,
-            patched_pages=patched_pages,
-            same_function_pages=same_fn,
-            cross_function_pages=cross_fn,
-            saved_content_bytes=saved,
-            image_content_bytes=image.nbytes,
-        )
-        return self._finish_dedup(sandbox, image, entries, stats, base_refs, reads_by_peer)
-
     def _finish_dedup(
         self,
         sandbox: Sandbox,
@@ -748,7 +675,7 @@ class DedupAgent:
         base_refs: Counter[int],
         reads_by_peer: Counter[int],
     ) -> DedupOutcome:
-        """Tail of the dedup op (and of the oracle): refcounts, table, timings."""
+        """Tail of the dedup op (and of its test oracle): refcounts, table, timings."""
         try:
             retry_ms, retries = self._retry_plan("registry-lookup")
         except RetryExhausted as exc:

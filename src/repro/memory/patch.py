@@ -242,7 +242,8 @@ def _batch_aligned_runs(neq: np.ndarray) -> list[tuple[bool, list[int]]]:
 #: Bytes of the first slice a prefix comparison looks at — a page, so
 #: what is left of a page is compared in one piece: three slices cost a
 #: page pair 8 µs where one costs 3 — and the factor each further slice
-#: grows by.
+#: grows by.  The matcher's probe windows grow the same way, so a page
+#: is probed in one window too.
 _MATCH_FIRST_SLICE = 4096
 _MATCH_SLICE_GROWTH = 4
 
@@ -405,28 +406,33 @@ class AnchorIndex:
         return _copy_bounds(target[None, :], [self])[0]
 
     def probe(
-        self, target_bytes: bytes, start: int, stride: int
+        self, target_bytes: bytes, start: int, stride: int, stop: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Indexed windows of the target at ``start, start + stride, …``.
 
-        Returns ``(positions, base offsets)`` in position order.  With
-        ``stride`` 8 (the level-1 residue sweep) one zero-copy u64 view
-        at byte offset ``start`` holds both key halves of every probed
-        window, as its elements ``k`` and ``k + 1``; with ``stride`` 1
-        (the dense level-2 sweep) one window-value pass covers every
-        position.  The work past the ``seen`` filter is one searchsorted
-        over the surviving positions plus, where the index repeats an
-        ``a`` half, a lock-step bisection of ``b`` inside each run — no
+        Returns ``(positions, base offsets)`` in position order: every
+        hit of the unbounded sweep at a position below ``stop`` (no
+        bound when ``None``).  With ``stride`` 8 (the level-1 residue
+        sweep) one zero-copy u64 view at byte offset ``start`` holds
+        both key halves of every probed window, as its elements ``k``
+        and ``k + 1``; with ``stride`` 1 (the dense level-2 sweep) one
+        window-value pass over the probed slice covers every position.
+        The work past the ``seen`` filter is one searchsorted over the
+        surviving positions plus, where the index repeats an ``a`` half,
+        a lock-step bisection of ``b`` inside each run — no
         per-candidate Python.
         """
         count = (len(target_bytes) - ANCHOR_SIZE - start) // stride + 1
+        if stop is not None:
+            count = min(count, (stop - start + stride - 1) // stride)
         if count <= 0 or self.base_len < ANCHOR_SIZE:
             return _EMPTY_I64, _EMPTY_I64
         index = self.sorted_anchors()
         if stride == 8:
             u = np.frombuffer(target_bytes, dtype="<u8", offset=start, count=count + 1)
         else:
-            u = _window_values(target_bytes)[start:]
+            # Both key halves of the last probed window: count + 15 bytes.
+            u = _window_values(memoryview(target_bytes)[start : start + count + 15])
         ta = u[:count]
         sel = index.seen[_seen_slots(ta, len(index.seen))].nonzero()[0]
         if not sel.size:
@@ -579,37 +585,53 @@ def _anchor_ops(
 
     The probe is vectorised: a probe from position ``p`` only ever lands
     on positions ``p + k * probe_step``, so candidate matches are
-    computed per position-residue class (lazily, one
-    :meth:`AnchorIndex.probe` sweep for each residue the scan actually
-    visits) and the greedy scan jumps straight to the next hit with a
-    binary search instead of hashing window by window.  The resulting
-    ops are byte-identical to the scalar scan's.  A prebuilt ``index``
-    skips re-hashing the base; a stale one (wrong level or base length)
-    is ignored and rebuilt.
+    computed per position-residue class and the greedy scan jumps
+    straight to the next hit with a binary search instead of hashing
+    window by window.  Each residue is probed lazily, in windows that
+    start where the scan is: ``_MATCH_FIRST_SLICE`` bytes wide, growing
+    by ``_MATCH_SLICE_GROWTH`` each time a window runs out of hits under
+    the scan, and back to the first width when the scan has jumped past
+    the window (a COPY ran over it).  A page fits one window; a template
+    region mostly COPYs, so most of it is never probed.  The scan
+    position never decreases and a window's hits are exactly the full
+    sweep's hits inside it, so the first hit at or after the scan is the
+    same as with whole sweeps and the ops are byte-identical to the
+    scalar scan's.  A prebuilt ``index`` skips re-hashing the base; a
+    stale one (wrong level or base length) is ignored and rebuilt.
     """
     index = _usable_index(index, base, level)
     probe_step = 8 if level <= 1 else 1
     n = len(target)
+    last = n - ANCHOR_SIZE  # last position a window fits at
     target_bytes = target.tobytes()
     ops: list[CopyOp | InsertOp] = []
     pending_start = 0
 
-    chains: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def chain(residue: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = chains.get(residue)
-        if cached is None:
-            cached = chains[residue] = index.probe(target_bytes, residue, probe_step)
-        return cached
+    # Per residue: the end of its probed positions, the last window's
+    # hits and that window's width.
+    windows: dict[int, tuple[int, np.ndarray, np.ndarray, int]] = {}
+    unprobed = (0, _EMPTY_I64, _EMPTY_I64, 0)
 
     i = 0
     while True:
         # Probe forward from i for the next match >= MIN_ANCHOR_MATCH.
         accepted = None
         while True:
-            cpos, csrcs = chain(i % probe_step)
+            residue = i % probe_step
+            hi, cpos, csrcs, width = windows.get(residue, unprobed)
             j = np.searchsorted(cpos, i)
-            if j >= len(cpos):
+            while j == len(cpos) and max(i, hi) <= last:
+                # No hit at or after i below hi: probe the next window.
+                # It starts at or after i, so its first hit is the next.
+                if i < hi:
+                    start, width = hi, width * _MATCH_SLICE_GROWTH
+                else:
+                    start, width = i, _MATCH_FIRST_SLICE
+                hi = start + width
+                cpos, csrcs = index.probe(target_bytes, start, probe_step, hi)
+                windows[residue] = (hi, cpos, csrcs, width)
+                j = 0
+            if j == len(cpos):
                 break
             c, src = int(cpos[j]), int(csrcs[j])
             fwd = ANCHOR_SIZE + _match_len(target[c + ANCHOR_SIZE :], base[src + ANCHOR_SIZE :])
@@ -630,89 +652,6 @@ def _anchor_ops(
     if pending_start < n:
         ops.append(InsertOp(data=target_bytes[pending_start:]))
     return ops
-
-
-def _anchor_ops_scalar(
-    target: np.ndarray, base: np.ndarray, level: int
-) -> list[CopyOp | InsertOp]:
-    """Reference anchor matcher: the straightforward window-by-window scan.
-
-    This is the original page-at-a-time implementation — a dict of base
-    windows probed one target window at a time — kept verbatim as the
-    behavioural oracle for :func:`_anchor_ops` (the vectorised scan must
-    produce byte-identical ops) and as the honest baseline the batch
-    pipeline's throughput is measured against.
-    """
-    step = max(1, ANCHOR_SIZE // 2) if level <= 1 else max(1, ANCHOR_SIZE // 4)
-    probe_step = 8 if level <= 1 else 1
-    base_bytes = base.tobytes()
-    index: dict[bytes, int] = {}
-    for off in range(0, len(base_bytes) - ANCHOR_SIZE + 1, step):
-        index.setdefault(base_bytes[off : off + ANCHOR_SIZE], off)
-
-    target_bytes = target.tobytes()
-    ops: list[CopyOp | InsertOp] = []
-    pending_start = 0
-    i = 0
-    n = len(target_bytes)
-    while i <= n - ANCHOR_SIZE:
-        src = index.get(target_bytes[i : i + ANCHOR_SIZE])
-        if src is None:
-            i += probe_step
-            continue
-        # Extend forward from the anchor.
-        fwd = ANCHOR_SIZE + _match_len(target[i + ANCHOR_SIZE :], base[src + ANCHOR_SIZE :])
-        # Extend backward into the pending literal run.
-        back = 0
-        while (
-            i - back > pending_start
-            and src - back > 0
-            and target_bytes[i - back - 1] == base_bytes[src - back - 1]
-        ):
-            back += 1
-        length = fwd + back
-        if length < MIN_ANCHOR_MATCH:
-            i += probe_step
-            continue
-        lit_end = i - back
-        if lit_end > pending_start:
-            ops.append(InsertOp(data=target_bytes[pending_start:lit_end]))
-        ops.append(CopyOp(src_off=src - back, length=length))
-        i = i - back + length
-        pending_start = i
-    if pending_start < n:
-        ops.append(InsertOp(data=target_bytes[pending_start:]))
-    return ops
-
-
-def compute_patch_reference(
-    target: bytes | np.ndarray,
-    base: bytes | np.ndarray,
-    *,
-    level: int = 1,
-) -> Patch:
-    """Reference :func:`compute_patch`: one page at a time, no indexes.
-
-    Same fallback policy and byte-identical output, but anchor matching
-    uses the scalar window-by-window scan.  The per-page dedup path uses
-    this so batch-vs-reference comparisons measure the vectorised
-    pipeline against the unoptimised original, not against itself.
-    """
-    t = _as_array(target)
-    b = _as_array(base)
-    if len(t) == len(b):
-        ops = _aligned_ops(t, b)
-        patch = Patch(ops=tuple(ops), target_len=len(t), base_len=len(b))
-        if patch.size_bytes <= max(64, int(len(t) * ALIGNED_FALLBACK_RATIO)):
-            return patch
-        alt = Patch(
-            ops=tuple(_anchor_ops_scalar(t, b, level)),
-            target_len=len(t),
-            base_len=len(b),
-        )
-        return alt if alt.size_bytes < patch.size_bytes else patch
-    ops = _anchor_ops_scalar(t, b, level)
-    return Patch(ops=tuple(ops), target_len=len(t), base_len=len(b))
 
 
 def compute_patch(

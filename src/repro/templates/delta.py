@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.memory.image import MemoryImage
 from repro.memory.layout import PlacedRegion
-from repro.memory.patch import Patch, apply_patch, compute_patches
+from repro.memory.patch import Patch, apply_patch_into, compute_patches
 from repro.sandbox.sandbox import METADATA_BYTES_PER_PAGE
 
 if TYPE_CHECKING:
@@ -193,10 +193,10 @@ def reconstruct_image(
     """Fork: re-apply the delta over template content, byte-exactly."""
     buffer = np.zeros(table.num_pages * table.page_size, dtype=np.uint8)
     for span in table.shared:
-        base = segment_content[span.segment_key]
-        restored = apply_patch(span.patch, base)
-        buffer[span.offset : span.offset + span.size] = np.frombuffer(
-            restored, dtype=np.uint8
+        apply_patch_into(
+            span.patch,
+            segment_content[span.segment_key],
+            buffer[span.offset : span.offset + span.size],
         )
     for index, data in table.unique_pages.items():
         start = index * table.page_size

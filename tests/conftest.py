@@ -36,9 +36,12 @@ def codec_calls(monkeypatch) -> dict[str, int]:
     of the vectorised anchor matcher (the scalar oracle is not counted);
     ``word_bits``: word tables built for the bound; ``sorted_halves``:
     sorted anchor halves built through the module (a test's own call of
-    an imported ``build_anchor_index`` is not counted).
+    an imported ``build_anchor_index`` is not counted); ``probed``:
+    target positions :meth:`AnchorIndex.probe` was asked to look up.
     """
-    calls = dict.fromkeys(("run_rows", "bound", "matcher", "word_bits", "sorted_halves"), 0)
+    calls = dict.fromkeys(
+        ("run_rows", "bound", "matcher", "word_bits", "sorted_halves", "probed"), 0
+    )
 
     def counted(name, attr, weight=lambda *args: 1):
         real = getattr(patch_module, attr)
@@ -54,6 +57,15 @@ def codec_calls(monkeypatch) -> dict[str, int]:
     counted("matcher", "_anchor_ops")
     counted("word_bits", "_build_word_bits")
     counted("sorted_halves", "build_anchor_index")
+
+    real_probe = patch_module.AnchorIndex.probe
+
+    def probe(index, target_bytes, start, stride, stop=None):
+        end = len(target_bytes) - patch_module.ANCHOR_SIZE + 1
+        calls["probed"] += len(range(start, end if stop is None else min(end, stop), stride))
+        return real_probe(index, target_bytes, start, stride, stop)
+
+    monkeypatch.setattr(patch_module.AnchorIndex, "probe", probe)
     return calls
 
 

@@ -2,9 +2,10 @@
 
 The vectorized batch path (`DedupAgent.dedup`) must be a pure
 performance transformation of the original page-at-a-time loop
-(`DedupAgent.dedup_reference`): identical page-table entries, identical
-stats and refcounts, and byte-identical restores — for both sampling
-strategies, with and without ASLR, at both patch levels.  The images are
+(`tests/oracles/dedup_scalar.py::dedup_reference`): identical page-table
+entries, identical stats and refcounts, and byte-identical restores —
+for both sampling strategies, with and without ASLR, at both patch
+levels.  The images are
 executed ones: their dirty pages reach the anchor fallback, where the
 batch path alone consults the copy-coverage bound and skips the matcher
 for pages it will discard (asserted, so the pin cannot go vacuous).
@@ -19,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.memory.fingerprint import FingerprintConfig, SamplingStrategy
+from tests.oracles.dedup_scalar import dedup_reference
 from tests.parallel.test_parallel_equivalence import (
     _assert_scenario_bit,
     _build_agents,
@@ -52,8 +54,8 @@ def test_batch_path_matches_reference(suite, strategy, aslr, level, codec_calls)
         outcomes = []
         for seed in (300, 301, 302):
             outcome_batch = agent_batch.dedup(_make_sandbox(profile, seed, aslr, domain))
-            outcome_ref = agent_ref.dedup_reference(
-                _make_sandbox(profile, seed, aslr, domain)
+            outcome_ref = dedup_reference(
+                agent_ref, _make_sandbox(profile, seed, aslr, domain)
             )
             outcomes.append(outcome_batch)
 
@@ -93,8 +95,8 @@ def test_cross_function_dedup_matches(suite):
         outcomes = []
         for seed in (400, 401):
             outcome_batch = agent_batch.dedup(_make_sandbox(profile, seed, False, domain))
-            outcome_ref = agent_ref.dedup_reference(
-                _make_sandbox(profile, seed, False, domain)
+            outcome_ref = dedup_reference(
+                agent_ref, _make_sandbox(profile, seed, False, domain)
             )
             outcomes.append(outcome_batch)
             assert outcome_batch.table.entries == outcome_ref.table.entries

@@ -10,7 +10,9 @@ ASLR'd synthetic images and sampling strategies.  Digests wider than
 the registry's ``uint64`` column are refused by the config itself.
 The copy-coverage bound that lets
 ``compute_patches(max_size=...)`` skip the anchor matcher is pinned
-against the scalar matcher's actual COPYs.
+against the scalar matcher's actual COPYs, and the matcher's windowed
+probes against the window-by-window scan on template-region-sized pairs.
+The scalar oracles live in ``tests/oracles/patch_scalar.py``.
 """
 
 from __future__ import annotations
@@ -49,12 +51,11 @@ from repro.memory.patch import (
     MIN_ANCHOR_MATCH,
     AnchorIndex,
     Patch,
-    _anchor_ops_scalar,
     apply_patch,
     build_anchor_index,
-    compute_patch_reference,
     compute_patches,
 )
+from tests.oracles.patch_scalar import _anchor_ops_scalar, compute_patch_reference
 
 MARKER_BYTE = 0x77
 
@@ -488,14 +489,18 @@ class TestCopyCoverageBound:
         # Dense rows: dismissed on their differing-byte count and the
         # bound, so no run is extracted and the base is never sorted.
         assert codec_calls == {
-            "run_rows": 0, "bound": 2, "matcher": 0, "word_bits": 1, "sorted_halves": 0
+            "run_rows": 0, "bound": 2, "matcher": 0, "word_bits": 1, "sorted_halves": 0,
+            "probed": 0,
         }
         assert index.anchors is None and index.word_bits is not None
         # The same page without a cutoff does go through the matcher.
         compute_patches([unrelated], [base], level=1, index_provider=lambda j: index)
         assert probes
+        # One window holds the page: residue 0 at every position a
+        # window fits, and no hit sends the scan to another residue.
         assert codec_calls == {
-            "run_rows": 1, "bound": 2, "matcher": 1, "word_bits": 1, "sorted_halves": 1
+            "run_rows": 1, "bound": 2, "matcher": 1, "word_bits": 1, "sorted_halves": 1,
+            "probed": (4096 - ANCHOR_SIZE) // 8 + 1,
         }
 
 
@@ -628,7 +633,8 @@ class TestRowTriage:
         # Only the sparse rows were diffed; the dense ones were bounded,
         # dismissed and returned as literals without a run or a sort.
         assert codec_calls == {
-            "run_rows": 4, "bound": 4, "matcher": 0, "word_bits": 4, "sorted_halves": 0
+            "run_rows": 4, "bound": 4, "matcher": 0, "word_bits": 4, "sorted_halves": 0,
+            "probed": 0,
         }
         for patch, kind, index in zip(got, kinds, indexes):
             assert (index.word_bits is not None) == (kind == "dense")
@@ -650,3 +656,113 @@ class TestRowTriage:
         (got,) = compute_patches([short], [short.copy()])
         assert got == patch_module.compute_patch(short, short)
         assert isinstance(got.ops[0], patch_module.InsertOp)
+
+
+#: Where the windows of a residue first probed at position 0 end while
+#: the scan finds nothing: the first window, then each next one four
+#: times wider (``_MATCH_FIRST_SLICE``, ``_MATCH_SLICE_GROWTH``).
+WINDOW_EDGES = (4096, 20480, 86016)
+
+
+@st.composite
+def windowed_pairs(draw) -> tuple[np.ndarray, np.ndarray]:
+    """A (target, base) pair of 8-96 KiB, the sizes of template regions.
+
+    ``planted``: stretches of a random base planted in a random target
+    across the window edges, so a COPY's anchor and its start or end sit
+    in different windows; ``rolled``: the base rolled by 16·u bytes (FINE
+    ASLR) with a few pages rewritten, so the scan jumps past windows and
+    grows new ones through the rewritten pages; ``duplicate``: a
+    duplicate-heavy pair.  Some targets are cut or extended to another
+    length than the base's.
+    """
+    kind = draw(st.sampled_from(["planted", "rolled", "duplicate"]))
+    if kind == "duplicate":
+        return draw(duplicate_heavy_pairs(sizes=(8192, 20488, 49152, 98304)))
+    n = draw(st.integers(8 * 1024, 96 * 1024))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.integers(0, 256, size=n, dtype=np.uint8)
+    if kind == "planted":
+        target = rng.integers(0, 256, size=n, dtype=np.uint8)
+        edges = [edge for edge in WINDOW_EDGES if edge < n - 600]
+        others = rng.integers(600, n - 600, size=draw(st.integers(0, 6))).tolist()
+        for at in edges + others:
+            length = int(rng.integers(MIN_ANCHOR_MATCH, 600))
+            src = int(rng.integers(2 * length + 32, n - length))
+            if draw(st.booleans()):
+                # Starts at ``at``, and the base repeats the stretch from
+                # its 2nd and from its 9th byte on at lower offsets: a
+                # scan whose next window began one probe past ``at``
+                # (at either level) would copy from a repeat.
+                dst = at
+                src -= (src - dst) % 8
+                step = 8 * (length // 8 + 1)
+                low = 8 * int(rng.integers(0, (src - 2 * step) // 8))
+                for skip, dup in ((1, low), (8, low + step)):
+                    base[dup : dup + length - skip] = base[src + skip : src + length]
+            else:
+                dst = at - int(rng.integers(1, length))
+                if draw(st.booleans()):  # on the probe grid of a level-1 scan
+                    src -= (src - dst) % 8
+            target[dst : dst + length] = base[src : src + length]
+    else:
+        target = np.roll(base, 16 * draw(st.integers(1, 127)))
+        for page in rng.integers(0, n // 4096, size=draw(st.integers(0, 6))).tolist():
+            target[page * 4096 : (page + 1) * 4096] = rng.integers(0, 256, size=4096)
+    change = draw(st.sampled_from(["equal", "cut", "extended"]))
+    if change == "cut":
+        target = target[: n - int(rng.integers(1, 5000))]
+    elif change == "extended":
+        extra = rng.integers(0, 256, size=int(rng.integers(1, 5000)), dtype=np.uint8)
+        target = np.concatenate([target, extra])
+    return target, base
+
+
+class TestWindowedProbes:
+    """The matcher probes each residue in growing windows from the scan
+    position; its ops must be the window-by-window scan's."""
+
+    @given(windowed_pairs(), st.sampled_from([1, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_windowed_matcher_matches_the_scalar_scan(self, pair, level):
+        target, base = pair
+        assert patch_module._anchor_ops(target, base, level) == _anchor_ops_scalar(
+            target, base, level
+        )
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 8]), st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bounded_probe_is_a_prefix_of_the_sweep(self, seed, stride, low_entropy, data):
+        rng = _rng(seed)
+        n = data.draw(st.integers(ANCHOR_SIZE, 12288))
+        high = 2 if low_entropy else 256  # low entropy: duplicate keys, many hits
+        base = rng.integers(0, high, size=n, dtype=np.uint8)
+        target = np.roll(base, data.draw(st.integers(0, 64)))
+        target[rng.integers(0, n, size=n // 64)] ^= 0x11
+        target_bytes = target.tobytes()
+        index = build_anchor_index(base, 1 if stride == 8 else 2)
+        start = data.draw(st.integers(0, n))
+        stop = data.draw(st.integers(start - 16, n + 64))
+        positions, srcs = index.probe(target_bytes, start, stride)
+        got_positions, got_srcs = index.probe(target_bytes, start, stride, stop)
+        keep = positions < stop
+        np.testing.assert_array_equal(got_positions, positions[keep])
+        np.testing.assert_array_equal(got_srcs, srcs[keep])
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_rolled_region_probes_at_most_two_first_windows(self, codec_calls, level):
+        """Tripwire for whole-residue sweeps.
+
+        A 224 KiB region rolled by a FINE-ASLR shift is two COPYs, both
+        anchored in the first window the scan probes; a whole-residue
+        sweep probes every position of the residue (28,671 at level 1).
+        """
+        rng = _rng(21)
+        n = 224 * 1024
+        base = rng.integers(0, 256, size=n, dtype=np.uint8)
+        target = np.roll(base, 16 * 37)
+        (patch,) = compute_patches([target], [base], level=level)
+        assert [type(op) for op in patch.ops] == [patch_module.CopyOp] * 2
+        assert codec_calls["matcher"] == 1
+        stride = 8 if level == 1 else 1
+        assert 0 < codec_calls["probed"] <= 2 * patch_module._MATCH_FIRST_SLICE // stride
