@@ -30,7 +30,9 @@ oracle written out independently of this module
 The **restore op** reverses it: base pages are fetched (one-sided RDMA
 for remote ones, batched per peer), patches are applied to recompute the
 original pages, and the checkpoint is resumed.  The returned image is
-byte-identical to the pre-dedup image — tests assert this.
+byte-identical to the pre-dedup image — tests assert this, and
+``restore(verify=True)`` checks it page by page against the digest
+column the dedup op recorded, naming the first page that differs.
 
 All durations are charged at full-sandbox scale even though the content
 operations run on scaled images (see the cost model's docstring).
@@ -150,7 +152,7 @@ class DedupStats:
         return self.saved_content_bytes / self.image_content_bytes
 
 
-@dataclass
+@dataclass(eq=False)
 class DedupPageTable:
     """The resident representation of a deduplicated sandbox.
 
@@ -164,9 +166,11 @@ class DedupPageTable:
     page_size: int
     content_scale: float
     aslr: bool
+    executed: bool
     regions: tuple
     entries: tuple[PageEntry, ...]
-    original_checksum: str
+    page_digests: np.ndarray
+    """The original image's :meth:`MemoryImage.page_digests` column."""
     full_size_bytes: int
     stats: DedupStats
     base_refs: Counter[int] = field(default_factory=Counter)
@@ -189,6 +193,18 @@ class DedupPageTable:
         full_pages = max(1, round(len(self.entries) / self.content_scale))
         metadata = full_pages * METADATA_BYTES_PER_PAGE
         return int(self.retained_content_bytes / self.content_scale) + metadata
+
+    def describe_page(self, index: int) -> str:
+        """Page ``index``'s class, for a failed-verify message."""
+        entry = self.entries[index]
+        if entry.kind is not PageKind.PATCHED:
+            return f"page {index} is {entry.kind.value}"
+        assert entry.base is not None and entry.patch is not None
+        return (
+            f"page {index} is patched against base (checkpoint "
+            f"{entry.base.checkpoint_id}, page {entry.base.page_index}) "
+            f"with a {entry.patch.size_bytes}-byte patch"
+        )
 
     def write_unique_pages(self, out: np.ndarray) -> None:
         """Copy the unique pages into ``out``, a zeroed buffer of the
@@ -692,9 +708,10 @@ class DedupAgent:
             page_size=image.page_size,
             content_scale=self.content_scale,
             aslr=image.aslr,
+            executed=image.executed,
             regions=image.regions,
             entries=tuple(entries),
-            original_checksum=image.checksum(),
+            page_digests=image.page_digests(),
             full_size_bytes=sandbox.profile.memory_bytes,
             stats=stats,
             base_refs=base_refs,
@@ -799,11 +816,14 @@ class DedupAgent:
             page_size=page_size,
             regions=table.regions,
             aslr=table.aslr,
+            executed=table.executed,
         )
-        if verify and image.checksum() != table.original_checksum:
+        if verify and not np.array_equal(image.page_digests(), table.page_digests):
+            bad = image.differing_pages(table.page_digests)
             raise RuntimeError(
-                f"restore of {table.function} produced a corrupted image "
-                f"({image.checksum()} != {table.original_checksum})"
+                f"restore of {table.function}/{table.instance_seed} produced a "
+                f"corrupted image: {bad.size} bad page(s); first bad "
+                + table.describe_page(int(bad[0]))
             )
 
         timings = RestoreTimings(

@@ -4,13 +4,17 @@ A :class:`MemoryImage` is what CRIU's memory dump is to the real Medes:
 the checkpointed memory state of one sandbox, addressable by page.  The
 dedup agent fingerprints, patches and reconstructs these images; tests
 assert byte-exact round trips.
+
+Each image carries a per-page digest column (:meth:`MemoryImage.page_digests`)
+that dedup and template tables record and restores compare against, so
+a failed verify names the page that differs (DESIGN.md "Page digests").
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,6 +25,19 @@ from repro.memory.synth import DIRTY_PAGE_BYTES, fill_regions
 #: Maximum number of zero guard pages inserted between regions under ASLR
 #: (models page-granular mmap-base randomization).
 MAX_GUARD_PAGES = 2
+
+
+@lru_cache(maxsize=8)
+def _digest_keys(page_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two lanes' word keys for ``page_size``-byte pages.
+
+    Fixed per page size and drawn from ``shake_256`` of a label, so they
+    do not depend on numpy's random stream.
+    """
+    words = page_size // 8
+    stream = hashlib.shake_256(f"medes-page-digest/{page_size}".encode()).digest(16 * words)
+    keys = np.frombuffer(stream, dtype="<u8")  # read-only: a view of bytes
+    return keys[:words], keys[words:]
 
 
 @dataclass(frozen=True)
@@ -48,6 +65,8 @@ class MemoryImage:
     def __post_init__(self) -> None:
         if self.data.dtype != np.uint8:
             raise ValueError("image data must be uint8")
+        if self.page_size <= 0 or self.page_size % 8:
+            raise ValueError("page_size must be a positive multiple of 8 bytes")
         if len(self.data) % self.page_size != 0:
             raise ValueError("image length must be a multiple of page_size")
         self.data.setflags(write=False)
@@ -79,17 +98,40 @@ class MemoryImage:
             yield i, self.page(i)
 
     @cached_property
-    def _checksum(self) -> str:
-        return hashlib.sha1(self.data).hexdigest()
+    def _page_digests(self) -> np.ndarray:
+        key_a, key_b = _digest_keys(self.page_size)
+        words = np.ascontiguousarray(self.data).view("<u8")
+        words = words.reshape(self.num_pages, self.page_size // 8)
+        digests = np.empty((self.num_pages, 2), dtype=np.uint64)
+        np.matmul(words, key_a, out=digests[:, 0])
+        np.matmul(words.view(">u8"), key_b, out=digests[:, 1])
+        digests.setflags(write=False)
+        return digests
+
+    def page_digests(self) -> np.ndarray:
+        """Read-only ``(num_pages, 2)`` uint64 digest column, one row per page.
+
+        Two linear lanes over the page's little-endian uint64 words,
+        summed mod 2**64: lane A weighs the words, lane B the same words
+        byte-swapped, each by its own fixed key.  A bit change that one
+        lane can shift out of the top of the word, the other sees near
+        the bottom, so any fixed change to a page goes unseen with
+        probability at most 2**-58 over the keys.  A zero page digests to
+        ``(0, 0)``.  Computed once per image (the buffer is frozen in
+        ``__post_init__``, so the column can never go stale).
+        """
+        return self._page_digests
 
     def checksum(self) -> str:
-        """SHA-1 hex digest of the full image (for round-trip assertions).
+        """Short hex digest of the whole image (for round-trip assertions),
+        derived from :meth:`page_digests` — so calling it computes and
+        caches the column."""
+        return hashlib.blake2b(self._page_digests, digest_size=16).hexdigest()
 
-        Computed once per image: the buffer is frozen in
-        ``__post_init__``, so the digest can never go stale, and hashing
-        the array directly avoids materializing a full copy.
-        """
-        return self._checksum
+    def differing_pages(self, digests: np.ndarray) -> np.ndarray:
+        """Indices of the pages whose digest is not the row of ``digests``
+        (a column recorded from the image this one should equal)."""
+        return np.flatnonzero((self._page_digests != digests).any(axis=1))
 
     def region_of(self, offset: int) -> RegionSpec | None:
         """The region covering byte ``offset``, or None for guard pages."""

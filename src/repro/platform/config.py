@@ -74,7 +74,8 @@ class ClusterConfig:
     cold_start_mode: ColdStartMode = ColdStartMode.STANDARD
     memory_sample_interval_ms: float = 10_000.0
     verify_restores: bool = False
-    """Verify every restored image checksum (slow; tests enable it)."""
+    """Check every restored and forked image page by page against the
+    digest column its table recorded (tests and the ledger enable it)."""
     verify_accounting: bool = False
     """Debug: assert every node's cached used-bytes counter against the
     recomputed per-resident sum on every read (slow; tests enable it)."""

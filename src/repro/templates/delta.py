@@ -57,7 +57,8 @@ class TemplateDeltaTable:
     executed: bool
     num_pages: int
     full_size_bytes: int
-    original_checksum: str
+    page_digests: np.ndarray
+    """The original image's :meth:`MemoryImage.page_digests` column."""
     regions: tuple[PlacedRegion, ...]
     shared: tuple[SharedSpan, ...]
     unique_pages: dict[int, bytes]
@@ -110,6 +111,16 @@ class TemplateDeltaTable:
         if total == 0:
             return 0.0
         return 1.0 - min(1.0, self.retained_content_bytes / total)
+
+    def describe_page(self, index: int) -> str:
+        """Page ``index``'s class, for a failed-verify message."""
+        offset = index * self.page_size
+        for span in self.shared:
+            if span.offset <= offset < span.offset + span.size:
+                return f"page {index} is in a shared span of segment {span.segment_key}"
+        if index in self.unique_pages:
+            return f"page {index} is literal"
+        return f"page {index} is zero"
 
 
 def build_delta_table(
@@ -176,7 +187,7 @@ def build_delta_table(
         executed=image.executed,
         num_pages=image.num_pages,
         full_size_bytes=full_size_bytes,
-        original_checksum=image.checksum(),
+        page_digests=image.page_digests(),
         regions=image.regions,
         shared=shared,
         unique_pages=unique_pages,
@@ -210,9 +221,11 @@ def reconstruct_image(
         aslr=table.aslr,
         executed=table.executed,
     )
-    if verify and image.checksum() != table.original_checksum:
+    if verify and not np.array_equal(image.page_digests(), table.page_digests):
+        bad = image.differing_pages(table.page_digests)
         raise RuntimeError(
             f"template fork of sandbox image {table.function}/{table.instance_seed} "
-            "failed checksum verification"
+            f"failed verification: {bad.size} bad page(s); first bad "
+            + table.describe_page(int(bad[0]))
         )
     return image

@@ -8,6 +8,7 @@ failed nodes.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.agent import DedupAgent, PageKind
@@ -106,7 +107,7 @@ class TestAgentUnderFailure:
         fabric.fail_peer(1)
         fabric.restore_peer(1)
         restored = agent.restore(outcome.table, verify=True)
-        assert restored.image.checksum() == outcome.table.original_checksum
+        assert np.array_equal(restored.image.page_digests(), outcome.table.page_digests)
 
     def test_dedup_avoids_failed_base_nodes(self, agent_harness):
         agent, fabric, profile = agent_harness
@@ -120,7 +121,7 @@ class TestAgentUnderFailure:
         )
         # The sandbox still round-trips (everything local/unique/zero).
         restored = agent.restore(outcome.table, verify=True)
-        assert restored.image.checksum() == outcome.table.original_checksum
+        assert np.array_equal(restored.image.page_digests(), outcome.table.page_digests)
 
 
 @pytest.fixture
@@ -197,7 +198,7 @@ class TestTieredAgentUnderFailure:
         # The disaggregated pool is not on node 1: the restore proceeds.
         agent.base_page_cache.clear()
         restored = agent.restore(outcome.table, verify=True)
-        assert restored.image.checksum() == outcome.table.original_checksum
+        assert np.array_equal(restored.image.page_digests(), outcome.table.page_digests)
 
     def test_ssd_restore_succeeds_after_heal(self, tiered_harness):
         from repro.storage.tiers import TierAccount
@@ -210,7 +211,7 @@ class TestTieredAgentUnderFailure:
         fabric.restore_peer(1)
         agent.base_page_cache.clear()
         restored = agent.restore(outcome.table, verify=True)
-        assert restored.image.checksum() == outcome.table.original_checksum
+        assert np.array_equal(restored.image.page_digests(), outcome.table.page_digests)
 
 
 class TestPlatformFallback:

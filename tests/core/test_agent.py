@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.agent import DedupAgent, PageKind
+from repro.core.agent import DedupAgent, PageEntry, PageKind
 from repro.core.costs import CostModel
 from repro.core.registry import FingerprintRegistry, PageRef
 from repro.memory.fingerprint import FingerprintConfig, page_fingerprint
@@ -108,7 +109,7 @@ class TestDedupOp:
         assert stats.unique_pages + stats.zero_pages == stats.total_pages
         # Round trip still works with no bases at all.
         restored = agent.restore(outcome.table, verify=True)
-        assert restored.image.checksum() == outcome.table.original_checksum
+        assert np.array_equal(restored.image.page_digests(), outcome.table.page_digests)
 
     def test_dedup_requires_image(self, harness, linalg_profile):
         agent, *_ = harness
@@ -146,13 +147,49 @@ class TestRestoreOp:
         assert timings.restore_ms == agent.costs.restore_fixed_ms
         assert timings.total_ms < linalg_profile.cold_start_ms
 
-    def test_corruption_detected(self, harness, linalg_profile):
+    def test_corruption_detected(self, harness, linalg_profile, monkeypatch):
+        """One patched page comes back wrong: the message names it, its
+        base and its patch."""
+        import repro.core.agent as agent_module
+
         agent, *_ = harness
-        outcome = agent.dedup(make_sandbox(linalg_profile))
-        tampered = outcome.table
-        tampered.original_checksum = "0" * 40
-        with pytest.raises(RuntimeError, match="corrupted"):
-            agent.restore(tampered, verify=True)
+        table = agent.dedup(make_sandbox(linalg_profile)).table
+        index, entry = next(
+            (i, e) for i, e in enumerate(table.entries) if e.kind is PageKind.PATCHED
+        )
+        real = agent_module.apply_patch
+
+        def corrupt_one(patch, base):
+            page = real(patch, base)
+            if patch is entry.patch:
+                page = bytes([page[0] ^ 1]) + page[1:]
+            return page
+
+        monkeypatch.setattr(agent_module, "apply_patch", corrupt_one)
+        with pytest.raises(RuntimeError, match="corrupted") as failure:
+            agent.restore(table, verify=True)
+        message = str(failure.value)
+        assert "1 bad page(s)" in message
+        assert (
+            f"first bad page {index} is patched against base "
+            f"(checkpoint {entry.base.checkpoint_id}, page {entry.base.page_index}) "
+            f"with a {entry.patch.size_bytes}-byte patch"
+        ) in message
+        # Unverified, the same restore goes through.
+        agent.restore(table, verify=False)
+
+    def test_corrupted_unique_page_is_named(self, harness, linalg_profile):
+        agent, *_ = harness
+        table = agent.dedup(make_sandbox(linalg_profile)).table
+        index, entry = next(
+            (i, e) for i, e in enumerate(table.entries) if e.kind is PageKind.UNIQUE
+        )
+        assert entry.raw is not None
+        entries = list(table.entries)
+        entries[index] = PageEntry(kind=PageKind.UNIQUE, raw=bytes(len(entry.raw)))
+        table.entries = tuple(entries)
+        with pytest.raises(RuntimeError, match=f"first bad page {index} is unique$"):
+            agent.restore(table, verify=True)
 
     def test_restore_does_not_release_refs(self, harness, linalg_profile):
         agent, _store, _registry, checkpoint = harness
@@ -204,7 +241,7 @@ class TestCrossFunctionDedup:
         assert stats.cross_function_pages > 0
         assert stats.same_function_pages == 0
         restored = agent.restore(outcome.table, verify=True)
-        assert restored.image.checksum() == outcome.table.original_checksum
+        assert np.array_equal(restored.image.page_digests(), outcome.table.page_digests)
 
 
 class TestPageEntry:

@@ -17,6 +17,7 @@ branch on.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.memory.fingerprint import FingerprintConfig, SamplingStrategy
@@ -62,9 +63,8 @@ def test_batch_path_matches_reference(suite, strategy, aslr, level, codec_calls)
             assert outcome_batch.table.entries == outcome_ref.table.entries
             assert outcome_batch.table.stats == outcome_ref.table.stats
             assert outcome_batch.table.base_refs == outcome_ref.table.base_refs
-            assert (
-                outcome_batch.table.original_checksum
-                == outcome_ref.table.original_checksum
+            assert np.array_equal(
+                outcome_batch.table.page_digests, outcome_ref.table.page_digests
             )
             assert outcome_batch.timings == outcome_ref.timings
 
@@ -73,8 +73,8 @@ def test_batch_path_matches_reference(suite, strategy, aslr, level, codec_calls)
             assert (
                 restored_batch.image.data.tobytes() == restored_ref.image.data.tobytes()
             )
-            assert (
-                restored_batch.image.checksum() == outcome_batch.table.original_checksum
+            assert np.array_equal(
+                restored_batch.image.page_digests(), outcome_batch.table.page_digests
             )
             assert restored_batch.timings == restored_ref.timings
         _assert_scenario_bit(scenario, outcomes)

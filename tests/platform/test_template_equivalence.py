@@ -138,7 +138,7 @@ class TestTemplatesOnBehaviour:
         assert metrics.template_promote_bytes > 0
 
     def test_forks_verify_byte_exact(self):
-        """Every fork re-checksums its image when verification is on."""
+        """Every fork is checked page by page when verification is on."""
         suite, config, trace = pressure_workload()
         config = replace(config, template_sharing=True, verify_restores=True)
         report = build_platform(PlatformKind.MEDES, config, suite, medes=MEDES).run(trace)

@@ -130,7 +130,7 @@ class TestTieringOnBehaviour:
             assert any(op.prefetched for op in metrics.restore_ops)
 
     def test_cold_tables_restore_correctly(self):
-        """Restores from SSD-parked tables must still verify checksums."""
+        """Restores from SSD-parked tables must still verify page by page."""
         suite, config, trace = pressure_workload()
         config = replace(config, checkpoint_tiering=True, verify_restores=True)
         report = build_platform(PlatformKind.MEDES, config, suite, medes=MEDES).run(trace)

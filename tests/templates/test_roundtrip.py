@@ -21,6 +21,7 @@ from repro.core.costs import CostModel
 from repro.core.registry import FingerprintRegistry, PageRef
 from repro.memory.fingerprint import page_fingerprint
 from repro.memory.synth import template_region_content
+from repro.parallel import ParallelConfig
 from repro.sandbox.checkpoint import BaseCheckpoint, CheckpointStore
 from repro.sandbox.sandbox import Sandbox
 from repro.sim.network import RdmaFabric
@@ -160,8 +161,66 @@ class TestDeltaRoundTrip:
         assert table.retained_content_bytes > full_table.retained_content_bytes
 
 
-@pytest.fixture
-def template_agent(linalg_profile):
+class TestForkVerifyNamesThePage:
+    """A fork that comes back wrong says which page and what kind."""
+
+    @pytest.fixture
+    def parked(self, linalg_profile):
+        image = linalg_profile.synthesize(5, content_scale=TEST_SCALE, executed=True)
+        segments = segment_content_for(image)
+        table = build_delta_table(
+            image,
+            as_segments(segments),
+            content_scale=TEST_SCALE,
+            full_size_bytes=linalg_profile.memory_bytes,
+        )
+        return table, segments
+
+    def test_span_page(self, parked, monkeypatch):
+        import repro.templates.delta as delta
+
+        table, segments = parked
+        span = table.shared[-1]
+        real = delta.apply_patch_into
+
+        def corrupt_one(patch, base, out):
+            real(patch, base, out)
+            if patch is span.patch:
+                out[table.page_size + 7] ^= 0x80
+
+        monkeypatch.setattr(delta, "apply_patch_into", corrupt_one)
+        with pytest.raises(RuntimeError) as failure:
+            reconstruct_image(table, segments, verify=True)
+        index = span.offset // table.page_size + 1
+        assert str(failure.value).endswith(
+            f"failed verification: 1 bad page(s); first bad page {index} "
+            f"is in a shared span of segment {span.segment_key}"
+        )
+
+    def test_literal_page(self, parked):
+        table, segments = parked
+        index, data = next(iter(table.unique_pages.items()))
+        table.unique_pages[index] = data[:-1] + bytes([data[-1] ^ 1])
+        with pytest.raises(RuntimeError) as failure:
+            reconstruct_image(table, segments, verify=True)
+        assert str(failure.value).endswith(
+            f"1 bad page(s); first bad page {index} is literal"
+        )
+
+    def test_zero_page(self, parked):
+        table, segments = parked
+        index = table.zero_pages[-1]
+        digests = table.page_digests.copy()
+        digests[index] = (1, 1)
+        table.page_digests = digests
+        with pytest.raises(RuntimeError) as failure:
+            reconstruct_image(table, segments, verify=True)
+        assert str(failure.value).endswith(
+            f"1 bad page(s); first bad page {index} is zero"
+        )
+
+
+def build_template_agent(linalg_profile, parallel=None) -> tuple[DedupAgent, TemplateCatalog]:
     """A node-0 agent with a catalog AND a LinAlg base checkpoint on
     node 1, so both park/restore paths are available on the same state
     (the remote base makes the dedup restore pay its base-read cost)."""
@@ -178,6 +237,7 @@ def template_agent(linalg_profile):
         costs=CostModel(),
         content_scale=TEST_SCALE,
         templates=catalog,
+        parallel=parallel,
     )
     base_image = linalg_profile.synthesize(100, content_scale=TEST_SCALE, executed=True)
     checkpoint = BaseCheckpoint(
@@ -196,10 +256,40 @@ def template_agent(linalg_profile):
     return agent, catalog
 
 
+@pytest.fixture
+def template_agent(linalg_profile):
+    return build_template_agent(linalg_profile)
+
+
 def make_sandbox(profile, seed=200) -> Sandbox:
     sandbox = Sandbox(profile=profile, node_id=0, instance_seed=seed, created_at=0.0)
     sandbox.image = profile.synthesize(seed, content_scale=TEST_SCALE, executed=True)
     return sandbox
+
+
+#: Everything a restored or forked image must carry over besides its bytes.
+METADATA_FIELDS = ("function", "instance_seed", "page_size", "regions", "aslr", "executed")
+
+
+@pytest.mark.parametrize("parallel", [None, ParallelConfig(workers=2)], ids=["serial", "workers2"])
+@pytest.mark.parametrize("aslr", [False, True])
+@pytest.mark.parametrize("executed", [False, True])
+def test_restore_and_fork_keep_metadata(linalg_profile, parallel, aslr, executed):
+    """Both parking paths give back the image, metadata included."""
+    agent, _catalog = build_template_agent(linalg_profile, parallel)
+    try:
+        sandbox = Sandbox(profile=linalg_profile, node_id=0, instance_seed=31, created_at=0.0)
+        sandbox.image = original = linalg_profile.synthesize(
+            31, content_scale=TEST_SCALE, aslr=aslr, executed=executed
+        )
+        restored = agent.restore(agent.dedup(sandbox).table, verify=True).image
+        forked = agent.fork_restore(agent.templatize(sandbox).table, now=0.0, verify=True).image
+    finally:
+        agent.close()
+    for image in (restored, forked):
+        assert np.array_equal(image.data, original.data)
+        for name in METADATA_FIELDS:
+            assert getattr(image, name) == getattr(original, name), name
 
 
 class TestForkMatchesDedupRestore:

@@ -70,6 +70,78 @@ class TestCliDocAgreement:
                 assert name in fields, f"{doc}: ClusterConfig.{name}"
 
 
+#: Top-level defs (and methods of top-level classes) of 8+ lines in
+#: ``src/`` that nothing else in ``src/`` names, each with who calls it.
+#: "debt" entries are reached only by tests and wait to get a shipping
+#: caller, move to ``tests/oracles/`` or be deleted (ROADMAP item 1(c)).
+UNREFERENCED_ALLOWED = {
+    "repro._util:hash_bytes_many": "bench: inline comparator of bench_fingerprint_kernel",
+    "repro.core.basemgr:BaseSandboxManager.retire_unreferenced": "tracer binds it",
+    "repro.core.costs:measure_fingerprint_us_per_page": "debt: calibration helper, tests only",
+    "repro.core.costs:measure_lookup_us_per_page": "debt: calibration helper, tests only",
+    "repro.core.registry:FingerprintRegistry.choose_base_page": "tracer binds it; benches call it",
+    "repro.core.registry:FingerprintRegistry.shard_for": "debt: tests only",
+    "repro.memory.patch:Patch.deserialize": "debt: tests only (serialize round trip)",
+    "repro.memory.synth:build_region": "tracer binds it",
+    "repro.platform.metrics:RunMetrics.latency_percentile": "benches and the ledger",
+    "repro.platform.metrics:RunMetrics.mttr_ms": "bench: bench_fault_recovery",
+    "repro.platform.platform:Platform.cluster_snapshot": "example: examples/failure_injection.py",
+    "repro.storage.store:TieredCheckpointStore.fetch_cost_ms": "tracer binds it",
+    "repro.tenancy.attack:run_attack": "bench: bench_tenant_isolation",
+    "repro.workload.azure:ClusterTraceGenerator": "bench: bench_scalability and the ledger",
+    "repro.workload.functionbench:FunctionBenchSuite.subset": "benches and examples",
+    "repro.workload.trace:Trace.with_tenants": "bench: bench_tenant_isolation and the ledger",
+}
+
+
+class TestNoUnreferencedCode:
+    """Code in ``src/`` that only tests reach drifts from the code that
+    replaced it; the allow-list above may shrink, never grow."""
+
+    @staticmethod
+    def unreferenced() -> set[str]:
+        import ast
+
+        src = REPO_ROOT / "src"
+        trees = {path: ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))}
+        names: set[str] = set()
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rpartition(".")[2])
+        found = set()
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        for path, tree in trees.items():
+            module = ".".join(path.relative_to(src).with_suffix("").parts)
+            for node in tree.body:
+                if not isinstance(node, defs):
+                    continue
+                members = [(node.name, node)]
+                if isinstance(node, ast.ClassDef):
+                    members += [
+                        (f"{node.name}.{sub.name}", sub)
+                        for sub in node.body
+                        if isinstance(sub, defs)
+                    ]
+                for qualname, member in members:
+                    dunder = member.name.startswith("__") and member.name.endswith("__")
+                    long = member.end_lineno - member.lineno + 1 >= 8
+                    if long and not dunder and member.name not in names:
+                        found.add(f"{module}:{qualname}")
+        return found
+
+    def test_nothing_new_is_unreferenced(self):
+        found = self.unreferenced()
+        new = found - UNREFERENCED_ALLOWED.keys()
+        assert not new, f"only tests reach these: {sorted(new)}"
+        stale = UNREFERENCED_ALLOWED.keys() - found
+        assert not stale, f"referenced or gone now; drop from the allow-list: {sorted(stale)}"
+
+
 class TestNoProcessGlobalIds:
     """Ids belong to a run: the controller numbers its sandboxes and each
     checkpoint store its checkpoints, so no output depends on what else
