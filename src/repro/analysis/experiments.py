@@ -566,7 +566,11 @@ def run_fig16(
         label = str(cardinality)
         metrics = report.metrics
         cold[label] = metrics.cold_starts()
-        slowdowns[label] = [r.slowdown for r in metrics.completed_records()]
+        done = metrics.completion_timeline
+        exec_ms = done.column("exec_ms")
+        slowdowns[label] = np.divide(
+            done.column("e2e_ms"), exec_ms, out=np.ones_like(exec_ms), where=exec_ms > 0
+        ).tolist()
         restores[label] = (
             float(np.mean([r.total_ms for r in metrics.restore_ops]))
             if metrics.restore_ops

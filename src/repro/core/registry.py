@@ -630,21 +630,6 @@ class FingerprintRegistry:
         reporting): every shard, times the replication factor."""
         return sum(shard.memory_bytes() for shard in self.shards) * self.replication
 
-    def shard_for(self, digest: int, n_shards: int | None = None) -> int:
-        """Key-partitioned shard placement (the Section 4.3 scaling path),
-        among this registry's shards unless ``n_shards`` says otherwise.
-
-        Lookups are independent per digest, so the registry distributes
-        by digest.  Sharding is orthogonal to tenancy: a digest routes to
-        the same shard whatever its domain, and the domain partition
-        lives inside each shard.
-        """
-        if n_shards is None:
-            n_shards = len(self.shards)
-        if n_shards <= 0:
-            raise ValueError("n_shards must be positive")
-        return digest % n_shards
-
 
 class ShardedFingerprintRegistry(FingerprintRegistry):
     """A key-partitioned fingerprint registry (paper Section 4.3).
@@ -653,7 +638,7 @@ class ShardedFingerprintRegistry(FingerprintRegistry):
     controller can be distributed by sharding the digest space across
     controller nodes; chain replication provides fault tolerance.  This
     is :class:`FingerprintRegistry` over ``n_shards`` shards — each digest
-    routes to ``shard_for(digest)`` and every answer equals the
+    routes to shard ``digest % n_shards`` and every answer equals the
     single-shard registry's.  ``replication`` models the chain length:
     inserts are charged to every replica (for overhead accounting) while
     reads are served by the tail.

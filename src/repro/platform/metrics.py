@@ -1,6 +1,6 @@
-"""Run metrics: request records, start counters, memory timeline.
+"""Run metrics: the request log, start counters, memory timeline.
 
-Every platform run produces a :class:`RunMetrics` with one record per
+Every platform run produces a :class:`RunMetrics` with a log of every
 request (start type, queueing, startup and end-to-end latency), dedup-op
 and restore-op records, a sampled cluster-memory timeline, and sandbox
 population counts — everything the evaluation's tables and figures are
@@ -10,7 +10,7 @@ derived from.
 from __future__ import annotations
 
 import enum
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Iterator
 
@@ -30,8 +30,8 @@ class StartType(enum.Enum):
     delta (DESIGN.md §14) — between WARM and DEDUP on the start ladder."""
 
 
-#: Integer codes for the array-backed completion timeline (a request
-#: that never started — crash-displaced and re-queued records mid-run —
+#: Integer codes for the request log's start column (a request that
+#: never started — crash-displaced and re-queued records mid-run —
 #: carries ``None`` and is coded ``-1``).
 START_CODES: dict[StartType | None, int] = {
     None: -1,
@@ -40,13 +40,16 @@ START_CODES: dict[StartType | None, int] = {
     StartType.DEDUP: 2,
     StartType.TEMPLATE: 3,
 }
+_START_OF_CODE = {code: start for start, code in START_CODES.items()}
 
 
 @dataclass(slots=True)
 class RequestRecord:
     """Lifecycle of one request through the platform.
 
-    Slotted: cluster-scale replays keep millions of these resident."""
+    Only requests in flight live as these objects; a completed one is a
+    row of its run's :class:`RequestLog` and reads back as a fresh
+    record."""
 
     request_id: int
     function: str
@@ -234,22 +237,6 @@ class TemplateSample:
 
 
 @dataclass(frozen=True, slots=True)
-class CompletionSample:
-    """One completed request, array-backed for vectorized percentiles.
-
-    Appended by :meth:`RunMetrics.on_completion`; ``start_code`` is the
-    :data:`START_CODES` integer so per-start-type latency percentiles are
-    one numpy mask instead of a scan over millions of records.
-    """
-
-    time_ms: float
-    start_code: int
-    queued_ms: float
-    startup_ms: float
-    e2e_ms: float
-
-
-@dataclass(frozen=True, slots=True)
 class MemorySample:
     """Cluster memory usage at one sampling instant."""
 
@@ -330,7 +317,7 @@ class ColumnTimeline:
     def append_row(self, *values) -> None:
         """Fast path: append one sample from positional field values."""
         size = self._size
-        if size >= len(self._columns[0]):
+        if size >= self._columns[0].size:
             self._grow(size + 1)
         for column, value in zip(self._columns, values):
             column[size] = value
@@ -378,6 +365,142 @@ class ColumnTimeline:
         return f"ColumnTimeline({self._sample_type.__name__}, n={self._size})"
 
 
+@dataclass(frozen=True, slots=True)
+class _RequestRow:
+    """A completed :class:`RequestRecord`, function and start type coded."""
+
+    request_id: int
+    function_code: int
+    arrival_ms: float
+    start_code: int
+    queued_ms: float
+    startup_ms: float
+    exec_ms: float
+    completion_ms: float
+    retry_penalty_ms: float
+
+
+class _CompletedRows(ColumnTimeline):
+    """Completed requests in completion order, also ``completion_timeline``:
+    ``time_ms`` is the completion column and ``e2e_ms`` is completion −
+    arrival, the float64 subtraction of :attr:`RequestRecord.e2e_ms`."""
+
+    __slots__ = ()
+
+    def column(self, name: str) -> np.ndarray:
+        if name == "e2e_ms":
+            return super().column("completion_ms") - super().column("arrival_ms")
+        return super().column("completion_ms" if name == "time_ms" else name)
+
+    def take(self, rows: np.ndarray) -> list[list]:
+        """Each field over ``rows``, as lists of Python numbers."""
+        return [column[: self._size][rows].tolist() for column in self._columns]
+
+    def values_at(self, row: int) -> list:
+        """The fields of one row, as Python numbers."""
+        return [column.item(row) for column in self._columns]
+
+
+def _as_record(names: list[str], request_id, code, arrival, start, *times) -> RequestRecord:
+    return RequestRecord(request_id, names[code], arrival, _START_OF_CODE[start], *times)
+
+
+class RequestLog:
+    """Every request of one run: a mapping from id to
+    :class:`RequestRecord`, in arrival order like the dict it replaces.
+
+    ``inflight`` holds the live records the controller writes;
+    :meth:`RunMetrics.on_completion` turns one into a row of ``rows`` and
+    drops the object.  ``arrivals`` keeps the ids in arrival order, which
+    completion order is not.  A completed request reads back as a fresh
+    record equal to the one that completed.  Ids are unique in a run.
+    """
+
+    __slots__ = ("inflight", "rows", "codes", "arrivals", "arrived", "_index")
+
+    def __init__(self) -> None:
+        self.inflight: dict[int, RequestRecord] = {}
+        self.rows = _CompletedRows(_RequestRow)
+        self.codes: dict[str, int] = {}  # function → code, in arrival order
+        self.arrivals = np.empty(64, dtype=np.int64)
+        self.arrived = 0
+        self._index: tuple[int, np.ndarray, np.ndarray, list[str]] | None = None
+
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """Completed ids sorted, the row of each, and the function names;
+        rebuilt on the first read after a completion."""
+        size = len(self.rows)
+        if self._index is None or self._index[0] != size:
+            ids = self.rows.column("request_id")
+            order = np.argsort(ids, kind="stable")
+            self._index = (size, ids[order], order, list(self.codes))
+        return self._index[1:]
+
+    def rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """Row of each request id, ``-1`` where it has not completed."""
+        keys, order, _ = self._sorted()
+        if not keys.size:
+            return np.full(len(ids), -1, dtype=np.int64)
+        at = np.searchsorted(keys, ids).clip(max=keys.size - 1)
+        return np.where(keys[at] == ids, order[at], -1)
+
+    def completed_rows(self) -> np.ndarray:
+        """Rows of the completed requests, in arrival order."""
+        rows = self.rows_of(self.arrivals[: self.arrived])
+        return rows[rows >= 0]
+
+    def of_function(self, function: str) -> np.ndarray:
+        """Mask over the rows: those of ``function``."""
+        return self.rows.column("function_code") == self.codes.get(function, -1)
+
+    def records(self, rows: np.ndarray) -> Iterator[RequestRecord]:
+        """A fresh record for each of ``rows``, in that order."""
+        _, _, names = self._sorted()
+        for values in zip(*self.rows.take(rows)):
+            yield _as_record(names, *values)
+
+    def get(self, request_id: int, default: RequestRecord | None = None):
+        record = self.inflight.get(request_id)
+        if record is not None:
+            return record
+        keys, order, names = self._sorted()
+        at = keys.searchsorted(request_id)
+        if at < keys.size and keys.item(at) == request_id:
+            return _as_record(names, *self.rows.values_at(order.item(at)))
+        return default
+
+    def __getitem__(self, request_id: int) -> RequestRecord:
+        if (record := self.get(request_id)) is None:
+            raise KeyError(request_id)
+        return record
+
+    def __contains__(self, request_id: object) -> bool:
+        return self.get(request_id) is not None
+
+    def __len__(self) -> int:
+        return len(self.inflight) + len(self.rows)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.arrivals[: self.arrived].tolist())
+
+    def items(self) -> Iterator[tuple[int, RequestRecord]]:
+        ids = self.arrivals[: self.arrived]
+        rows = self.rows_of(ids)
+        done = self.records(rows[rows >= 0])
+        for request_id, row in zip(ids.tolist(), rows.tolist()):
+            yield request_id, self.inflight[request_id] if row < 0 else next(done)
+
+    def values(self) -> Iterator[RequestRecord]:
+        return (record for _, record in self.items())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RequestLog):
+            return NotImplemented
+        # The same records, completed in the same order.
+        ids = self.rows.column("request_id"), other.rows.column("request_id")
+        return np.array_equal(*ids) and dict(self.items()) == dict(other.items())
+
+
 @dataclass(frozen=True)
 class FaultEventRecord:
     """One injected fault or heal, as it fired (DESIGN.md §11)."""
@@ -414,7 +537,8 @@ class RunMetrics:
     """Everything measured during one platform run."""
 
     platform_name: str
-    requests: dict[int, RequestRecord] = field(default_factory=dict)
+    requests: RequestLog = field(default_factory=RequestLog)
+    """Every request by id, in arrival order (a mapping of records)."""
     dedup_ops: list[DedupOpRecord] = field(default_factory=list)
     restore_ops: list[RestoreOpRecord] = field(default_factory=list)
     base_ops: list[BaseOpRecord] = field(default_factory=list)
@@ -455,10 +579,6 @@ class RunMetrics:
     anchor_index_cache_hits: int = 0
     """Prebuilt anchor-index LRU hits summed over every agent."""
     anchor_index_cache_misses: int = 0
-    outstanding_requests: int = 0
-    """Arrived-but-not-completed requests, maintained by
-    :meth:`on_arrival`/:meth:`on_completion` so the platform's drain
-    loop is an O(1) counter check instead of a scan of every record."""
     fault_events: list[FaultEventRecord] = field(default_factory=list)
     """Injected faults and heals, in firing order (empty without faults)."""
     availability_timeline: list[AvailabilitySample] = field(default_factory=list)
@@ -494,11 +614,6 @@ class RunMetrics:
     shard_rebuild_ms: float = 0.0
     """Charged time rebuilding lost registry shards from surviving
     agents' base checkpoints."""
-    completion_timeline: ColumnTimeline = field(
-        default_factory=lambda: ColumnTimeline(CompletionSample)
-    )
-    """Array-backed per-completion latencies, fed by :meth:`on_completion`
-    (the vectorized reader behind :meth:`latency_percentile`)."""
     template_ops: list[TemplateOpRecord] = field(default_factory=list)
     """Templatize ops (empty unless template sharing is on)."""
     template_forks: list[TemplateForkRecord] = field(default_factory=list)
@@ -541,71 +656,87 @@ class RunMetrics:
     """SSD bytes read back by forks of spilled sandboxes (the charged
     leg on the start path)."""
 
+    @property
+    def outstanding_requests(self) -> int:
+        """Arrived-but-not-completed requests (the drain loop's check)."""
+        return len(self.requests.inflight)
+
+    @property
+    def completion_timeline(self) -> ColumnTimeline:
+        """Completed requests in completion order (``len`` and ``column``)."""
+        return self.requests.rows
+
     # -------------------------------------------------------------- record
 
     def on_arrival(self, request_id: int, function: str, now: float) -> RequestRecord:
         record = RequestRecord(request_id=request_id, function=function, arrival_ms=now)
-        self.requests[request_id] = record
-        self.outstanding_requests += 1
+        log = self.requests
+        log.inflight[request_id] = record
+        if function not in log.codes:
+            log.codes[function] = len(log.codes)
+        arrived = log.arrived
+        if arrived == log.arrivals.size:
+            log.arrivals = np.concatenate((log.arrivals, log.arrivals))
+        log.arrivals[arrived] = request_id
+        log.arrived = arrived + 1
         return record
 
     def on_completion(self, record: RequestRecord, now: float) -> None:
-        """Mark ``record`` complete and retire it from the outstanding count."""
+        """Mark ``record`` complete: it leaves the in-flight dict and
+        becomes one row of the log."""
         if record.completion_ms is not None:
             raise RuntimeError(f"request {record.request_id} completed twice")
         record.completion_ms = now
-        self.outstanding_requests -= 1
-        self.completion_timeline.append_row(
-            now,
+        log = self.requests
+        del log.inflight[record.request_id]
+        log.rows.append_row(
+            record.request_id,
+            log.codes[record.function],
+            record.arrival_ms,
             START_CODES[record.start_type],
             record.queued_ms,
             record.startup_ms,
-            now - record.arrival_ms,
+            record.exec_ms,
+            now,
+            record.retry_penalty_ms,
         )
 
     def completed_records(self) -> list[RequestRecord]:
-        return [r for r in self.requests.values() if r.completion_ms is not None]
+        log = self.requests
+        return list(log.records(log.completed_rows()))
 
     # ------------------------------------------------------------- derive
 
     def start_counts(self, function: str | None = None) -> Counter[StartType]:
-        counts: Counter[StartType] = Counter()
-        for record in self.completed_records():
-            if record.start_type is None:
-                # Completed without ever dispatching (e.g. displaced by a
-                # node crash and re-queued): there is no start to count,
-                # and a None key would poison every ``Counter[StartType]``
-                # consumer downstream (report sorting crashes on it).
-                continue
-            if function is None or record.function == function:
-                counts[record.start_type] += 1
-        return counts
+        codes = self.completion_timeline.column("start_code")
+        if function is not None:
+            codes = codes[self.requests.of_function(function)]
+        # Code -1 (completed without ever dispatching, e.g. displaced by a
+        # node crash and re-queued) has no start to count, and a None key
+        # would poison every ``Counter[StartType]`` consumer downstream.
+        counts = np.bincount(codes + 1, minlength=len(START_CODES)).tolist()
+        return Counter({s: n for s in StartType if (n := counts[START_CODES[s] + 1])})
 
     def cold_starts(self, function: str | None = None) -> int:
         return self.start_counts(function)[StartType.COLD]
 
     def cold_starts_by_function(self) -> dict[str, int]:
-        counts: dict[str, int] = defaultdict(int)
-        for record in self.completed_records():
-            if record.start_type is StartType.COLD:
-                counts[record.function] += 1
-        return dict(counts)
+        """Cold starts per function, keyed in order of each function's
+        first cold-started request (arrival order)."""
+        log = self.requests
+        rows = log.completed_rows()
+        rows = rows[log.rows.column("start_code")[rows] == START_CODES[StartType.COLD]]
+        codes = log.rows.column("function_code")[rows]
+        seen, first = np.unique(codes, return_index=True)
+        counts = np.bincount(codes).tolist()
+        names = list(log.codes)
+        return {names[code]: counts[code] for code in seen[np.argsort(first)].tolist()}
 
     def e2e_percentile(self, pct: float, function: str | None = None) -> float:
-        values = [
-            r.e2e_ms
-            for r in self.completed_records()
-            if function is None or r.function == function
-        ]
-        return percentile(values, pct)
+        return self.latency_percentile(pct, function=function)
 
     def startup_percentile(self, pct: float, function: str | None = None) -> float:
-        values = [
-            r.startup_ms
-            for r in self.completed_records()
-            if function is None or r.function == function
-        ]
-        return percentile(values, pct)
+        return self.latency_percentile(pct, metric="startup", function=function)
 
     def latency_percentile(
         self,
@@ -613,23 +744,26 @@ class RunMetrics:
         *,
         start_type: StartType | None = None,
         metric: str = "e2e",
+        function: str | None = None,
     ) -> float:
         """Latency percentile over completed requests, vectorized.
 
-        Reads the array-backed completion timeline instead of scanning
-        request records; ``start_type`` restricts to one rung of the
-        start ladder (``None`` keeps every completed request, matching
-        :meth:`e2e_percentile`).  ``metric`` selects ``"e2e"``,
-        ``"startup"`` or ``"queued"``.  Returns ``nan`` when no request
-        of that start type completed.
+        ``start_type`` restricts to one rung of the start ladder and
+        ``function`` to one function (``None`` keeps every completed
+        request).  ``metric`` selects ``"e2e"``, ``"startup"`` or
+        ``"queued"``.  Returns ``nan`` when no request of that selection
+        completed.
         """
         if metric not in ("e2e", "startup", "queued"):
             raise ValueError(f"unknown latency metric {metric!r}")
-        values = self.completion_timeline.column(f"{metric}_ms")
+        rows = self.completion_timeline
+        values = rows.column(f"{metric}_ms")
+        keep = np.ones(len(values), dtype=bool)
         if start_type is not None:
-            codes = self.completion_timeline.column("start_code")
-            values = values[codes == START_CODES[start_type]]
-        return percentile(values, pct)
+            keep &= rows.column("start_code") == START_CODES[start_type]
+        if function is not None:
+            keep &= self.requests.of_function(function)
+        return percentile(values[keep], pct)
 
     def mean_memory_bytes(self) -> float:
         timeline = self.memory_timeline
@@ -685,10 +819,7 @@ class RunMetrics:
         return sum(durations) / len(durations)
 
     def functions(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for record in self.requests.values():
-            seen.setdefault(record.function, None)
-        return tuple(seen)
+        return tuple(self.requests.codes)
 
 
 def improvement_factors(
@@ -699,16 +830,16 @@ def improvement_factors(
     """Per-request e2e ratios baseline/improved (Figure 7a's CDF).
 
     Requests are paired by id — both runs must have replayed the same
-    trace.  A factor above 1 means ``improved`` was faster.
+    trace.  A factor above 1 means ``improved`` was faster.  Factors are
+    in the baseline's arrival order.
     """
-    factors: list[float] = []
-    for request_id, base_record in baseline.requests.items():
-        other = improved.requests.get(request_id)
-        if other is None or base_record.completion_ms is None or other.completion_ms is None:
-            continue
-        if function is not None and base_record.function != function:
-            continue
-        if other.e2e_ms <= 0:
-            continue
-        factors.append(base_record.e2e_ms / other.e2e_ms)
-    return factors
+    ours, theirs = baseline.requests, improved.requests
+    rows = ours.completed_rows()
+    if function is not None:
+        rows = rows[ours.of_function(function)[rows]]
+    paired = theirs.rows_of(ours.rows.column("request_id")[rows])
+    rows, paired = rows[paired >= 0], paired[paired >= 0]
+    base_e2e = ours.rows.column("e2e_ms")[rows]
+    other_e2e = theirs.rows.column("e2e_ms")[paired]
+    faster = other_e2e > 0
+    return (base_e2e[faster] / other_e2e[faster]).tolist()

@@ -21,7 +21,7 @@ def metrics_to_dict(metrics: RunMetrics, *, include_requests: bool = False) -> d
     counts = metrics.start_counts()
     result: dict = {
         "platform": metrics.platform_name,
-        "requests_completed": len(metrics.completed_records()),
+        "requests_completed": len(metrics.completion_timeline),
         "starts": {start.value: counts.get(start, 0) for start in StartType},
         "cold_starts_by_function": metrics.cold_starts_by_function(),
         "e2e_ms": {

@@ -69,6 +69,35 @@ def codec_calls(monkeypatch) -> dict[str, int]:
     return calls
 
 
+@pytest.fixture
+def log_reads(monkeypatch) -> list[str]:
+    """Names of the request-log read paths called so far, in order.
+
+    Every read of a completed request goes through the log's sorted-id
+    index (``_sorted``), ``__iter__`` walks the arrival order, and the
+    column readers of :class:`RunMetrics` go through the completed rows'
+    ``column``.  Arrival and completion write the log without calling
+    any of these.
+    """
+    from repro.platform.metrics import RequestLog
+
+    reads: list[str] = []
+
+    def counted(cls, attr):
+        real = getattr(cls, attr)
+
+        def wrapper(self, *args, **kwargs):
+            reads.append(attr)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    for attr in ("_sorted", "__iter__"):
+        counted(RequestLog, attr)
+    counted(type(RequestLog().rows), "column")
+    return reads
+
+
 @pytest.fixture(scope="session")
 def small_suite() -> FunctionBenchSuite:
     return FunctionBenchSuite.subset(["Vanilla", "LinAlg", "RNNModel"])

@@ -51,16 +51,6 @@ class _Tripwire:
         self._trip()
 
 
-class _ValuesCountingDict(dict):
-    """A dict that counts full-table iterations."""
-
-    values_calls = 0
-
-    def values(self):
-        self.values_calls += 1
-        return super().values()
-
-
 class TestNoResidentScans:
     def test_used_bytes_without_touching_residents(self):
         """fits/free_bytes/used_bytes serve from the counter: they must
@@ -169,18 +159,16 @@ class TestNoDispatchScan:
 
 
 class TestNoDrainScan:
-    def test_drain_check_is_counter_not_scan(self):
-        """Platform.run's drain loop consults the outstanding-requests
-        counter; the request table is never iterated during the run."""
+    def test_drain_check_is_counter_not_scan(self, log_reads):
+        """Platform.run's drain loop consults the in-flight count; the
+        request log is never read during the run."""
         platform = build()
-        counting = _ValuesCountingDict()
-        platform.metrics.requests = counting
         trace = Trace.from_arrivals(
             [(float(i * 500), "Vanilla") for i in range(8)]
         )
         platform.run(trace)
-        assert len(counting) == 8
-        assert counting.values_calls == 0
+        assert log_reads == []
+        assert len(platform.metrics.requests) == 8
         assert platform.metrics.outstanding_requests == 0
 
 

@@ -102,9 +102,3 @@ class TestAccountingAndStats:
             registry.register_page(ref(page=page), fp(page * 10, page * 10 + 1))
         assert registry.memory_bytes() > empty
         assert registry.digest_count == 20
-
-    def test_shard_for_stable_partition(self):
-        registry = FingerprintRegistry()
-        assert registry.shard_for(12345, 4) == 12345 % 4
-        with pytest.raises(ValueError):
-            registry.shard_for(1, 0)

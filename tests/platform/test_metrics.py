@@ -21,11 +21,15 @@ from repro.platform.metrics import (
 
 
 def completed(metrics: RunMetrics, request_id: int, function: str, *,
-              arrival: float, e2e: float, start: StartType) -> RequestRecord:
+              arrival: float, e2e: float, start: StartType | None,
+              queued: float = 0.0, startup: float = 0.0) -> RequestRecord:
+    """Arrive and complete a request the way the controller does."""
     record = metrics.on_arrival(request_id, function, arrival)
     record.start_type = start
+    record.queued_ms = queued
+    record.startup_ms = startup
     record.exec_ms = e2e / 2
-    record.completion_ms = arrival + e2e
+    metrics.on_completion(record, arrival + e2e)
     return record
 
 
@@ -77,6 +81,14 @@ class TestAggregation:
         assert metrics.e2e_percentile(100) == 500.0
         assert metrics.e2e_percentile(0, "a") == 20.0
         assert math.isnan(metrics.e2e_percentile(50, "missing"))
+
+    def test_readers_of_one_run_agree(self, metrics):
+        """Regression: the fixture used to set ``completion_ms`` by hand,
+        so ``e2e_percentile(50)`` read 75.0 where ``latency_percentile``
+        read NaN, and 5 requests were outstanding with 4 completed."""
+        assert metrics.e2e_percentile(50) == metrics.latency_percentile(50) == 75.0
+        assert metrics.outstanding_requests == 1
+        assert len(metrics.completion_timeline) == len(metrics.completed_records()) == 4
 
     def test_functions(self, metrics):
         assert metrics.functions() == ("a", "b")
@@ -252,20 +264,6 @@ class TestMttr:
         assert metrics.mttr_ms() == 0.0
 
 
-def finished(metrics: RunMetrics, request_id: int, function: str, *,
-             arrival: float, e2e: float, start: StartType | None,
-             queued: float = 0.0, startup: float = 0.0) -> RequestRecord:
-    """Complete a request through ``on_completion`` so it lands in the
-    completion timeline (unlike :func:`completed`, which bypasses it)."""
-    record = metrics.on_arrival(request_id, function, arrival)
-    record.start_type = start
-    record.queued_ms = queued
-    record.startup_ms = startup
-    record.exec_ms = e2e / 2
-    metrics.on_completion(record, arrival + e2e)
-    return record
-
-
 class TestStartCountsSkipNoneStarts:
     """Regression: a request completed without ever dispatching (e.g.
     displaced by a node crash and re-queued) has ``start_type=None``;
@@ -274,8 +272,8 @@ class TestStartCountsSkipNoneStarts:
 
     def test_none_start_type_not_counted(self):
         metrics = RunMetrics(platform_name="test")
-        finished(metrics, 0, "a", arrival=0.0, e2e=10.0, start=StartType.COLD)
-        finished(metrics, 1, "a", arrival=1.0, e2e=10.0, start=None)
+        completed(metrics, 0, "a", arrival=0.0, e2e=10.0, start=StartType.COLD)
+        completed(metrics, 1, "a", arrival=1.0, e2e=10.0, start=None)
         counts = metrics.start_counts()
         assert None not in counts
         assert counts[StartType.COLD] == 1
@@ -285,7 +283,7 @@ class TestStartCountsSkipNoneStarts:
 
     def test_none_start_still_a_completed_record(self):
         metrics = RunMetrics(platform_name="test")
-        finished(metrics, 0, "a", arrival=0.0, e2e=10.0, start=None)
+        completed(metrics, 0, "a", arrival=0.0, e2e=10.0, start=None)
         assert len(metrics.completed_records()) == 1
         assert metrics.cold_starts() == 0
 
@@ -294,15 +292,15 @@ class TestLatencyPercentile:
     @pytest.fixture
     def metrics(self) -> RunMetrics:
         metrics = RunMetrics(platform_name="test")
-        finished(metrics, 0, "a", arrival=0.0, e2e=100.0,
+        completed(metrics, 0, "a", arrival=0.0, e2e=100.0,
                  start=StartType.COLD, queued=5.0, startup=80.0)
-        finished(metrics, 1, "a", arrival=10.0, e2e=20.0,
+        completed(metrics, 1, "a", arrival=10.0, e2e=20.0,
                  start=StartType.WARM, queued=1.0, startup=0.0)
-        finished(metrics, 2, "b", arrival=20.0, e2e=500.0,
+        completed(metrics, 2, "b", arrival=20.0, e2e=500.0,
                  start=StartType.COLD, queued=9.0, startup=400.0)
-        finished(metrics, 3, "b", arrival=30.0, e2e=50.0,
+        completed(metrics, 3, "b", arrival=30.0, e2e=50.0,
                  start=StartType.DEDUP, queued=2.0, startup=30.0)
-        finished(metrics, 4, "b", arrival=40.0, e2e=40.0,
+        completed(metrics, 4, "b", arrival=40.0, e2e=40.0,
                  start=StartType.TEMPLATE, queued=2.0, startup=20.0)
         return metrics
 
@@ -327,7 +325,7 @@ class TestLatencyPercentile:
     def test_empty_selection_is_nan(self):
         fresh = RunMetrics(platform_name="empty")
         assert math.isnan(fresh.latency_percentile(50))
-        finished(fresh, 0, "a", arrival=0.0, e2e=10.0, start=StartType.COLD)
+        completed(fresh, 0, "a", arrival=0.0, e2e=10.0, start=StartType.COLD)
         # No template-started requests completed in this run.
         assert math.isnan(fresh.latency_percentile(50, start_type=StartType.TEMPLATE))
 
@@ -338,7 +336,7 @@ class TestLatencyPercentile:
     def test_incomplete_requests_not_in_timeline(self):
         metrics = RunMetrics(platform_name="test")
         metrics.on_arrival(0, "a", 0.0)  # never completes
-        finished(metrics, 1, "a", arrival=1.0, e2e=30.0, start=StartType.WARM)
+        completed(metrics, 1, "a", arrival=1.0, e2e=30.0, start=StartType.WARM)
         assert len(metrics.completion_timeline) == 1
         assert metrics.latency_percentile(50) == 30.0
 

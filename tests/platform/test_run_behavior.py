@@ -49,7 +49,7 @@ class TestRunMechanics:
     def test_empty_trace_runs(self, tiny_suite):
         platform = build_platform(PlatformKind.MEDES, small_config(), tiny_suite)
         report = platform.run(Trace(requests=()))
-        assert report.metrics.requests == {}
+        assert len(report.metrics.requests) == 0
         assert report.metrics.sandboxes_created == 0
 
     def test_prewarm_spawns_counted(self, tiny_suite):

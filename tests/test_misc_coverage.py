@@ -3,6 +3,8 @@ by the per-module suites)."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -71,9 +73,10 @@ class TestMetricsEdges:
             record = metrics.on_arrival(i, "f", 0.0)
             record.start_type = StartType.WARM
             record.startup_ms = startup
-            record.completion_ms = 100.0
+            metrics.on_completion(record, 100.0)
         assert metrics.startup_percentile(50) == 20.0
-        assert metrics.startup_percentile(50, "missing") != metrics.startup_percentile(50) or True
+        assert metrics.startup_percentile(50, "f") == 20.0
+        assert math.isnan(metrics.startup_percentile(50, "missing"))
 
     def test_dedup_share_zero_without_sandboxes(self):
         assert RunMetrics(platform_name="t").dedup_share() == 0.0
