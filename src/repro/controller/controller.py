@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro._util import SeededLognormal, hash_bytes, stable_seed
 from repro.controller.index import NodeUsageIndex, SandboxIndex
@@ -281,6 +281,34 @@ class ClusterController:
         index = self._index
         return index.warm_census, index.dedup_census, index.total
 
+    def inflight_tables(self) -> dict[int, object]:
+        """Tables of the dedup and templatize ops in flight, by sandbox
+        id; each op holds its references from the moment it starts."""
+        return {sandbox_id: op.table for sandbox_id, (_, op) in self._pending_dedups.items()}
+
+    def recount(self) -> Iterator[str]:
+        """Recount the controller's bookkeeping — indexes, held requests,
+        parked-table LRUs, delta SSD accounts — from the nodes' residents
+        and the request log; yields one message per disagreement."""
+        residents = [s for node in self.nodes for s in node.sandboxes.values()]
+        yield from self._index.recount(residents)
+        yield from self._usage.recount()
+        held = [request.request_id for request, _ in self._queue] + list(self._inflight)
+        if sorted(held) != sorted(self.metrics.requests.inflight):
+            yield f"requests held: queued or scheduled {sorted(held)}, not the log's in flight"
+        parked = {s.sandbox_id: s for s in residents if s.table_tier is not None}
+        spilled = {i for i, s in parked.items() if isinstance(s.dedup_table, TemplateDeltaTable)}
+        if (self._cold.keys(), self._spilled.keys()) != (parked.keys() - spilled, spilled):
+            yield f"parked tables: LRUs {[*self._cold, *self._spilled]}, not {list(parked)}"
+        spill_bytes: Counter[int] = Counter()
+        for sandbox_id in spilled:
+            sandbox = parked[sandbox_id]
+            spill_bytes[sandbox.node_id] += sandbox.dedup_table.retained_full_bytes
+        for node in self.nodes:
+            account = self._delta_ssd.get(node.node_id)
+            if (account.used_bytes if account else 0) != spill_bytes[node.node_id]:
+                yield f"delta SSD: node {node.node_id}: deltas hold {spill_bytes[node.node_id]}"
+
     # ----------------------------------------------------------- dispatch
 
     def submit(self, request: Request) -> None:
@@ -463,13 +491,12 @@ class ClusterController:
                 base_read_ms=timings.base_read_ms,
                 compute_ms=timings.compute_ms,
                 restore_ms=timings.restore_ms,
+                fetch_ms=timings.fetch_ms,
                 prefetched=timings.prefetched,
                 miss_read_ms=timings.miss_read_ms,
                 prefetch_hit_pages=timings.prefetch_hit_pages,
                 prefetch_miss_pages=timings.prefetch_miss_pages,
                 promote_ms=promote_ms,
-                overlap_workers=timings.overlap.workers if timings.overlap else 0,
-                overlap_batches=timings.overlap.batches if timings.overlap else 0,
                 retry_ms=timings.retry_ms,
                 retries=timings.retries,
             )

@@ -20,17 +20,17 @@ work independent of S:
   cold start.
 
 Both indexes equal what a scan would compute (same membership, same
-orderings, same tie-breaks): ``tests/controller/test_indexed_scheduling.py``
-recounts them from ``_by_function`` / ``node.sandboxes`` in the middle
-of pressured runs, and whole runs were last proven bit-identical to a
-scan-driven controller at ``48cbd51``, where
+orderings, same tie-breaks): each has a ``recount`` that compares it
+with a scan, which :func:`repro.invariants.check` runs at the end of
+every replay (and tests at every instant), and whole runs were last
+proven bit-identical to a scan-driven controller at ``48cbd51``, where
 ``tests/golden/control_plane_runs.json`` was frozen from both.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.sandbox.sandbox import Sandbox
 from repro.sandbox.state import SandboxState
@@ -106,6 +106,43 @@ class SandboxIndex:
             return
         target.setdefault(function, {})[sandbox.sandbox_id] = sandbox
 
+    def recount(self, sandboxes: Iterable[Sandbox]) -> Iterator[str]:
+        """Scan ``sandboxes`` (every resident) into each set and counter
+        by its definition, without the event paths above, and yield a
+        message per one the maintained index disagrees on."""
+        scan = SandboxIndex()
+        for sandbox in sandboxes:
+            function, state = sandbox.function, sandbox.state
+            scan.total += 1
+            scan.live_count[function] = scan.live_count.get(function, 0) + state.live
+            scan.dedup_count[function] = scan.dedup_count.get(function, 0) + state.dedup
+            scan.warm_census += state.census_warm
+            scan.dedup_census += state.dedup
+            for candidates, idle_state in (
+                (scan.idle_warm, SandboxState.WARM),
+                (scan.restorable, SandboxState.DEDUP),
+                (scan.abortable, SandboxState.DEDUPING),
+            ):
+                if state is idle_state and sandbox.busy_request_id is None:
+                    candidates.setdefault(function, {})[sandbox.sandbox_id] = sandbox
+        for name, held in vars(self).items():
+            if _nonempty(held) != _nonempty(vars(scan)[name]):
+                yield (
+                    f"dispatch index: {name}: holds {_nonempty(held)}, "
+                    f"the residents give {_nonempty(vars(scan)[name])}"
+                )
+
+
+def _nonempty(field):
+    """An index field without its empty buckets and zero counts."""
+    if not isinstance(field, dict):
+        return field
+    return {
+        key: set(value) if isinstance(value, dict) else value
+        for key, value in field.items()
+        if value
+    }
+
 
 class NodeUsageIndex:
     """Nodes in ``(used_bytes, node_id)`` order, maintained incrementally.
@@ -148,3 +185,9 @@ class NodeUsageIndex:
             for _, node_id in self._order
             if node_id not in exclude
         ]
+
+    def recount(self) -> Iterator[str]:
+        """Yield a message if the order is not the nodes' charges sorted."""
+        keys = sorted((node.used_bytes(), node_id) for node_id, node in self._nodes.items())
+        if self._order != keys or sorted(self._keys.values()) != keys:
+            yield f"node order: holds {self._order}, the nodes' charges sort to {keys}"

@@ -303,7 +303,8 @@ class RestoreTimings:
     retries: int = 0
 
     @property
-    def total_ms(self) -> float:
+    def fetch_ms(self) -> float:
+        """Base reads plus patch application on the critical path."""
         compute_ms = self.compute_ms
         if self.overlap is not None:
             compute_ms /= self.overlap.workers
@@ -311,15 +312,17 @@ class RestoreTimings:
             # Recorded-working-set restores already overlap the one
             # batched prefetch with compute; overlap only divides the
             # compute side further.
-            fetch = max(self.base_read_ms, compute_ms) + self.miss_read_ms
-        elif self.overlap is not None:
-            fetch = (
+            return max(self.base_read_ms, compute_ms) + self.miss_read_ms
+        if self.overlap is not None:
+            return (
                 pipelined_ms((self.base_read_ms, compute_ms), self.overlap.batches)
                 + self.miss_read_ms
             )
-        else:
-            fetch = self.base_read_ms + compute_ms
-        return fetch + self.restore_ms + self.retry_ms
+        return self.base_read_ms + compute_ms
+
+    @property
+    def total_ms(self) -> float:
+        return self.fetch_ms + self.restore_ms + self.retry_ms
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -114,7 +114,8 @@ class _RefTable:
         self.domain_of: dict[int, str] = {}
         self._ids: dict[PageRef, int] = {}
         self._ids_of: dict[int, list[int]] = defaultdict(list)
-        self._free: list[int] = []
+        self.free: list[int] = []
+        """Ids of retired checkpoints' refs, reused first; no row names one."""
 
     def claim(self, checkpoint_id: int, domain: str) -> None:
         existing = self.domain_of.setdefault(checkpoint_id, domain)
@@ -126,7 +127,7 @@ class _RefTable:
 
     def intern(self, refs: Sequence[PageRef]) -> np.ndarray:
         """Dense ids of ``refs``, allocating ids for unseen ones."""
-        ids, table, free = self._ids, self.refs, self._free
+        ids, table, free = self._ids, self.refs, self.free
         capacity = self.columns.shape[1]
         if len(table) + len(refs) > capacity:  # room even if every ref is new
             grown = np.empty((3, 2 * (len(table) + len(refs))), dtype=np.int64)
@@ -156,7 +157,7 @@ class _RefTable:
         for ref_id in self._ids_of.pop(checkpoint_id, ()):
             del self._ids[self.refs[ref_id]]
             self.refs[ref_id] = None
-            self._free.append(ref_id)
+            self.free.append(ref_id)
 
 
 class _Rows:
@@ -620,6 +621,40 @@ class FingerprintRegistry:
     def checkpoint_domain(self, checkpoint_id: int) -> str | None:
         """The domain a checkpoint registered under (None if absent)."""
         return self._refs.domain_of.get(checkpoint_id)
+
+    def recount(self, claims: dict[int, str]) -> Iterator[str]:
+        """Yield a message per broken rule: the domain claims equal
+        ``claims`` (each registered checkpoint's domain); in every shard
+        and domain, rows are sorted, buckets hold at most
+        ``max_refs_per_digest`` refs, ``digest_count`` is the distinct
+        digests, no row names a free-listed id, and every ref of the
+        rows and the replica index is of a checkpoint claiming it."""
+        refs, cap = self._refs, self.max_refs_per_digest
+        if refs.domain_of != claims:
+            yield f"registry claims: claims {refs.domain_of}, checkpoints registered {claims}"
+        free = np.array(refs.free, dtype=np.int64)
+        for index, shard in enumerate(self.shards):
+            for domain, rows in shard.rows.items():
+                where = f"shard {index}, domain {domain!r}"
+                starts = run_starts(rows.digests)
+                owners = np.unique(refs.columns[_CHECKPOINT][rows.ref_ids]).tolist()
+                if np.any(rows.digests[1:] < rows.digests[:-1]):
+                    yield f"registry rows sorted: {where}: digests out of order"
+                if len(starts) != rows.digest_count:
+                    yield f"registry digest count: {where}: {rows.digest_count} != {len(starts)}"
+                if np.any(run_lengths(starts, len(rows)) > cap):
+                    yield f"registry bucket cap: {where}: a bucket holds over {cap} refs"
+                if np.isin(rows.ref_ids, free).any():
+                    yield f"registry free ids: {where}: a row names a free-listed id"
+                if {refs.domain_of.get(owner) for owner in owners} - {domain}:
+                    yield f"registry domain: {where}: rows name another domain's checkpoints"
+            for domain, buckets in shard.locations.items():
+                where = f"shard {index}, domain {domain!r}"
+                owners = {ref.checkpoint_id for bucket in buckets.values() for ref in bucket}
+                if max(map(len, buckets.values()), default=0) > cap:
+                    yield f"registry bucket cap: {where}: a replica bucket holds over {cap} refs"
+                if {refs.domain_of.get(owner) for owner in owners} - {domain}:
+                    yield f"registry domain: {where}: replicas name another domain's checkpoints"
 
     @property
     def digest_count(self) -> int:

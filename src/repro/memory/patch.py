@@ -26,13 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_MAGIC = b"MP"
-_VERSION = 1
+#: Encoded layouts: a patch's ``size_bytes`` is its header plus its ops
+#: (tests/oracles/patch_wire.py writes and reads the encoding).
 _HEADER = struct.Struct("<2sBBIII")  # magic, version, flags, target_len, base_len, op_count
 _COPY = struct.Struct("<BII")  # tag, src_off, length
 _INSERT_HDR = struct.Struct("<BI")  # tag, length
-_TAG_COPY = 0x01
-_TAG_INSERT = 0x02
 
 #: Minimum run of equal bytes worth a COPY op on the aligned path.  A COPY
 #: costs 9 bytes of op encoding, so shorter runs are cheaper as literals.
@@ -112,60 +110,6 @@ class Patch:
     def literal_bytes(self) -> int:
         """Bytes carried literally inside the patch."""
         return sum(op.length for op in self.ops if isinstance(op, InsertOp))
-
-    def serialize(self) -> bytes:
-        """Encode to the on-wire/in-memory byte format."""
-        parts = [_HEADER.pack(_MAGIC, _VERSION, 0, self.target_len, self.base_len, len(self.ops))]
-        for op in self.ops:
-            if isinstance(op, CopyOp):
-                parts.append(_COPY.pack(_TAG_COPY, op.src_off, op.length))
-            else:
-                parts.append(_INSERT_HDR.pack(_TAG_INSERT, op.length))
-                parts.append(op.data)
-        return b"".join(parts)
-
-    @classmethod
-    def deserialize(cls, blob: bytes) -> "Patch":
-        """Decode a patch previously produced by :meth:`serialize`.
-
-        Raises :class:`ValueError` for any malformed input — truncation at
-        any boundary, a bad magic/version, an unknown op tag, or ops that
-        do not reconstruct ``target_len`` bytes — never ``IndexError`` or
-        ``struct.error``.
-        """
-        if len(blob) < _HEADER.size:
-            raise ValueError("patch blob truncated: missing header")
-        magic, version, _flags, target_len, base_len, op_count = _HEADER.unpack_from(blob, 0)
-        if magic != _MAGIC or version != _VERSION:
-            raise ValueError("not a valid patch blob")
-        pos = _HEADER.size
-        ops: list[CopyOp | InsertOp] = []
-        for _ in range(op_count):
-            if pos >= len(blob):
-                raise ValueError("patch blob truncated: missing op tag")
-            tag = blob[pos]
-            if tag == _TAG_COPY:
-                if pos + _COPY.size > len(blob):
-                    raise ValueError("patch blob truncated: partial COPY op")
-                _, src_off, length = _COPY.unpack_from(blob, pos)
-                ops.append(CopyOp(src_off=src_off, length=length))
-                pos += _COPY.size
-            elif tag == _TAG_INSERT:
-                if pos + _INSERT_HDR.size > len(blob):
-                    raise ValueError("patch blob truncated: partial INSERT header")
-                _, length = _INSERT_HDR.unpack_from(blob, pos)
-                pos += _INSERT_HDR.size
-                if pos + length > len(blob):
-                    raise ValueError("patch blob truncated: partial INSERT data")
-                ops.append(InsertOp(data=bytes(blob[pos : pos + length])))
-                pos += length
-            else:
-                raise ValueError(f"unknown op tag {tag:#x}")
-        try:
-            patch = cls(ops=tuple(ops), target_len=target_len, base_len=base_len)
-        except ValueError as exc:
-            raise ValueError(f"inconsistent patch blob: {exc}") from exc
-        return patch
 
 
 def _as_array(buf: bytes | np.ndarray) -> np.ndarray:

@@ -131,6 +131,9 @@ class RestoreOpRecord:
     base_read_ms: float
     compute_ms: float
     restore_ms: float
+    fetch_ms: float
+    """Base reads plus patch application on the op's critical path
+    (``RestoreTimings.fetch_ms``: prefetch and stage overlap applied)."""
     prefetched: bool = False
     """Base reads were issued as one recorded-working-set prefetch
     overlapping patch application (DESIGN.md §9)."""
@@ -141,33 +144,13 @@ class RestoreOpRecord:
     promote_ms: float = 0.0
     """Charged tier promotions (parked table read-back, checkpoint
     promotion) serialized before the restore proper."""
-    overlap_workers: int = 0
-    """Parallel-data-plane workers the compute phase divided across
-    (0 = serial accounting; mirrors ``RestoreTimings.overlap``)."""
-    overlap_batches: int = 0
-    """Page batches the op software-pipelined over (0 = serial)."""
     retry_ms: float = 0.0
     """Transient-RPC timeout/backoff latency charged to the op (faults)."""
     retries: int = 0
 
     @property
     def total_ms(self) -> float:
-        compute_ms = self.compute_ms
-        if self.overlap_workers:
-            compute_ms /= self.overlap_workers
-        if self.prefetched:
-            fetch = max(self.base_read_ms, compute_ms) + self.miss_read_ms
-        elif self.overlap_batches > 1:
-            ramp = (self.base_read_ms + compute_ms) / self.overlap_batches
-            steady = (
-                max(self.base_read_ms, compute_ms)
-                * (self.overlap_batches - 1)
-                / self.overlap_batches
-            )
-            fetch = ramp + steady + self.miss_read_ms
-        else:
-            fetch = self.base_read_ms + compute_ms
-        return fetch + self.restore_ms + self.promote_ms + self.retry_ms
+        return self.fetch_ms + self.restore_ms + self.promote_ms + self.retry_ms
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from repro.core.registry import FingerprintRegistry, ShardedFingerprintRegistry
 from repro.faults.health import FaultDomainHealth, FaultRuntime
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import TransientFaults
+from repro.invariants import check
 from repro.platform.config import ClusterConfig, ColdStartMode
 from repro.platform.metrics import RunMetrics
 from repro.sandbox.checkpoint import CheckpointStore
@@ -279,7 +280,9 @@ class Platform:
 
         The simulation runs until every request has completed and a tail
         of quiet time has elapsed (so background dedup ops finish), but
-        lifecycle timers beyond that point are not waited for.
+        lifecycle timers beyond that point are not waited for.  The
+        drained state is then recounted by :func:`repro.invariants.check`,
+        which raises ``AccountingError`` on the first broken invariant.
         """
         if self.injector is not None:
             self.injector.arm()
@@ -305,6 +308,7 @@ class Platform:
             self.sim.run_until(end)
             if guard > 10_000:
                 raise RuntimeError("run did not drain; requests stuck in queue")
+        check(self)
         if self.recorder is not None:
             self.metrics.prefetch_recordings = self.recorder.recordings
             self.metrics.prefetched_restores = self.recorder.prefetched_restores

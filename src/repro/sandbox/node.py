@@ -69,8 +69,9 @@ class CapacityError(RuntimeError):
 
 
 class AccountingError(AssertionError):
-    """Raised when an incremental counter drifts from the recomputed
-    per-resident sum (only checked under ``verify_accounting``)."""
+    """Raised when a maintained counter drifts from its recount: on a
+    node read under ``verify_accounting``, or by
+    :func:`repro.invariants.check` for any invariant of the system."""
 
 
 @dataclass

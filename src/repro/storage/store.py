@@ -23,7 +23,9 @@ property test pins down.  Only the *cost* of reaching them changes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.sandbox.checkpoint import BaseCheckpoint, CheckpointStore
 from repro.storage.tiers import StorageConfig, StorageTier, TierAccount
@@ -238,6 +240,24 @@ class TieredCheckpointStore(CheckpointStore):
             self.ssd[node_id].release(nbytes)
 
     # ----------------------------------------------------- observability
+
+    def recount(self, parked: dict[int, tuple[int, int]]) -> Iterator[str]:
+        """Recount the tier accounts from the checkpoints held and
+        ``parked`` (sandbox id -> node id, bytes of every dedup table the
+        sandboxes keep on SSD); yields one message per disagreement."""
+        if self._tables != parked:
+            yield f"parked tables: the store holds {sorted(self._tables)}, not {sorted(parked)}"
+        held: Counter[int | str] = Counter()
+        for node_id, nbytes in parked.values():
+            held[node_id] += nbytes
+        for checkpoint in self:
+            if checkpoint.tier is StorageTier.REMOTE_DRAM:
+                held["remote"] += checkpoint.full_size_bytes
+            elif checkpoint.tier is StorageTier.LOCAL_SSD:
+                held[checkpoint.node_id] += checkpoint.full_size_bytes
+        for where, account in [("remote", self.remote_dram), *self.ssd.items()]:
+            if account.used_bytes != held[where]:
+                yield f"tier accounts: {where}: charged {account.used_bytes} != {held[where]}"
 
     def tier_used_bytes(self) -> dict[StorageTier, int]:
         """Current occupancy of the non-DRAM tiers (full-scale bytes)."""

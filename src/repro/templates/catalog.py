@@ -27,7 +27,9 @@ Residency model:
 from __future__ import annotations
 
 import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -37,6 +39,9 @@ from repro.memory.patch import AnchorIndex, cached_anchor_index
 from repro.memory.synth import template_region_content
 from repro.storage.store import TemplatePool
 from repro.storage.tiers import StorageConfig
+
+if TYPE_CHECKING:
+    from repro.templates.delta import TemplateDeltaTable
 
 #: Catalog key of one template segment: the requester's dedup domain,
 #: the region's content identity and its placed (scaled) size.  Two
@@ -380,6 +385,35 @@ class TemplateCatalog:
         return dropped
 
     # ------------------------------------------------------ observability
+
+    def recount(
+        self,
+        tables: Iterable[TemplateDeltaTable],
+        sharers: Iterable[tuple[int, tuple[SegmentKey, ...]]],
+    ) -> Iterator[str]:
+        """Recount refcounts, ``live_deltas``, sharers and pool bytes from
+        ``tables`` (every live delta table, parked or in flight) and
+        ``sharers`` (each live sandbox's node and copy-on-write segment
+        keys); yields one message per disagreement."""
+        refs: Counter[SegmentKey] = Counter()
+        tables = list(tables)
+        for table in tables:
+            refs.update(table.segment_keys)
+        shared: dict[SegmentKey, Counter[int]] = defaultdict(Counter)
+        for node_id, keys in sharers:
+            for key in keys:
+                shared[key][node_id] += 1
+        if self.live_deltas != len(tables):
+            yield f"live deltas: counts {self.live_deltas}, {len(tables)} tables live"
+        for key in refs.keys() | shared.keys() | self._segments.keys():
+            segment = self._segments.get(key)
+            if segment is None or segment.refcount != refs[key]:
+                yield f"segment refcount: {key}: {refs[key]} live, {segment and segment.refcount}"
+            elif segment.sharers != shared.get(key, {}):
+                yield f"template sharers: {key}: {segment.sharers}, live forks {shared[key]}"
+        published = sum(segment.full_bytes for segment in self._segments.values())
+        if self.pool.used_bytes != published:
+            yield f"template pool bytes: charged {self.pool.used_bytes} != {published}"
 
     def replica_bytes(self, node_id: int | None = None) -> int:
         """Node-DRAM replica bytes on one node (or cluster-wide)."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, settings
 
-from repro._util import MIB
+from repro.invariants import check
 from repro.memory import patch as patch_module
 from repro.workload.functionbench import FunctionBenchSuite
 
@@ -96,6 +96,25 @@ def log_reads(monkeypatch) -> list[str]:
         counted(RequestLog, attr)
     counted(type(RequestLog().rows), "column")
     return reads
+
+
+def check_every_instant(platform, probe=lambda platform: platform.sim.now) -> list:
+    """Make ``platform``'s next run call ``invariants.check`` after every
+    simulated instant; returns what ``probe(platform)`` gave after each
+    check (by default the instant), filled in as the run goes."""
+    sim = platform.sim
+    run_until = sim.run_until
+    checked: list = []
+
+    def instant_by_instant(end: float) -> None:
+        while sim._heap and sim._heap[0][0] <= end:
+            run_until(sim._heap[0][0])
+            check(platform)
+            checked.append(probe(platform))
+        run_until(end)
+
+    sim.run_until = instant_by_instant
+    return checked
 
 
 @pytest.fixture(scope="session")

@@ -7,17 +7,17 @@ preference, the dedup lifecycle, base management, eviction and queueing.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 
 from repro.core.policy import MedesPolicyConfig
+from repro.invariants import check
 from repro.platform.config import ClusterConfig
 from repro.platform.metrics import StartType
 from repro.platform.platform import PlatformKind, build_platform
 from repro.sandbox.state import SandboxState
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
+from tests.conftest import check_every_instant
 
 SCALE = 1.0 / 256.0
 
@@ -110,20 +110,15 @@ class TestDedupLifecycle:
 
     def test_refcounts_consistent_at_end(self, pair_suite):
         platform, _ = run_medes(self._dedup_trace(), pair_suite)
-        expected: Counter[int] = Counter()
-        for node in platform.nodes:
-            for sandbox in node.sandboxes.values():
-                if sandbox.dedup_table is not None:
-                    expected.update(sandbox.dedup_table.base_refs)
-        for checkpoint in platform.store:
-            assert checkpoint.refcount == expected.get(checkpoint.checkpoint_id, 0)
+        check(platform)
 
     def test_node_accounting_matches_entities(self, pair_suite):
-        platform, _ = run_medes(self._dedup_trace(), pair_suite)
-        for node in platform.nodes:
-            expected = sum(s.memory_bytes() for s in node.sandboxes.values())
-            expected += sum(c.memory_bytes() for c in node.checkpoints.values())
-            assert node.used_bytes() == expected
+        platform = build_platform(
+            PlatformKind.MEDES, config(), pair_suite, medes=medes_config()
+        )
+        instants = check_every_instant(platform)
+        platform.run(self._dedup_trace())
+        assert len(instants) > 3
 
     def test_dedup_sandbox_smaller_than_warm(self, pair_suite):
         platform, report = run_medes(self._dedup_trace(), pair_suite)

@@ -15,6 +15,7 @@ from repro.core.agent import DedupAgent, PageKind
 from repro.core.costs import CostModel
 from repro.core.policy import MedesPolicyConfig
 from repro.core.registry import FingerprintRegistry, PageRef
+from repro.invariants import check
 from repro.memory.fingerprint import page_fingerprint
 from repro.platform.config import ClusterConfig
 from repro.platform.metrics import StartType
@@ -249,8 +250,7 @@ class TestPlatformFallback:
             for node in platform.nodes:
                 for sandbox in node.sandboxes.values():
                     assert sandbox.state is not SandboxState.DEDUP
-        for checkpoint in platform.store:
-            assert checkpoint.refcount >= 0
+        check(platform)
 
     def test_cold_start_fallback_with_tiering(self):
         """The tiered platform falls back to cold identically when the
@@ -283,10 +283,5 @@ class TestPlatformFallback:
             for node in platform.nodes:
                 for sandbox in node.sandboxes.values():
                     assert sandbox.state is not SandboxState.DEDUP
-        for checkpoint in platform.store:
-            assert checkpoint.refcount >= 0
-        # Tier accounting never underflowed or leaked.
-        from repro.storage.store import TieredCheckpointStore
-
-        assert isinstance(platform.store, TieredCheckpointStore)
-        assert platform.store.remote_dram.used_bytes >= 0
+        # Refcounts and tier accounts neither underflowed nor leaked.
+        check(platform)

@@ -5,19 +5,21 @@ would iterate — resident sandboxes for memory sums, the per-function
 population for dispatch and counting, the request table for the drain
 check, the event heap for starvation retries — and show the control
 plane never touches it.  ``TestIndexInvariants`` is the other half:
-in the middle of pressured runs, every index equals a fresh recount
-from ``_by_function`` / ``node.sandboxes``.
+in the middle of pressured runs, every index equals a scan of the
+nodes' residents (``repro.invariants.check``).
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.core.policy import MedesPolicyConfig
 from repro.platform.config import ClusterConfig
 from repro.platform.metrics import StartType
 from repro.platform.platform import PlatformKind, build_platform
-from repro.sandbox.state import SandboxState
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Request, Trace
+from tests.conftest import check_every_instant
 from tests.platform.test_control_plane_equivalence import build_scenario
 
 SCALE = 1.0 / 256.0
@@ -203,14 +205,30 @@ class TestCoalescedStarvationTimer:
 
 
 class TestIndexInvariants:
-    """Mid-run, under pressure, the indexes equal a fresh scan."""
+    """Mid-run, under pressure, every index equals a scan: the pressure,
+    starvation and burst scenarios (one node each) and the two-node
+    Azure one run under ``check_every_instant``, whose recount covers
+    the candidate sets, the census and the node order.  Each test shows
+    its index was exercised at some checked instant."""
 
-    @staticmethod
-    def _probe(check):
-        """Replay the pressure, starvation and burst scenarios (one node
-        each) and the two-node Azure one, calling ``check(platform)``
-        every 50 simulated ms; returns what the checks returned."""
-        seen = []
+    @pytest.fixture(scope="class")
+    def sizes(self):
+        """Per checked instant: the three candidate sets' sizes, the
+        dedup census, the cluster's reclaimable bytes and the placement
+        order of the node ids."""
+
+        def probe(platform):
+            controller = platform.controller
+            index = controller._index
+            sets = (index.idle_warm, index.restorable, index.abortable)
+            return (
+                *(sum(map(len, s.values())) for s in sets),
+                index.dedup_census,
+                sum(node.reclaimable_bytes() for node in platform.nodes),
+                tuple(node.node_id for node in controller._usage.snapshot()),
+            )
+
+        runs = []
         for name in (
             "pressure/eviction",
             "pressure/starvation",
@@ -218,70 +236,21 @@ class TestIndexInvariants:
             "azure/medes",
         ):
             platform, trace = build_scenario(name)
-            platform.sim.every(50.0, lambda: seen.append(check(platform)))
+            runs.append(check_every_instant(platform, probe))
             platform.run(trace)
-        assert len(seen) > 1_000
-        return seen
+        assert all(runs)
+        return [instant for run in runs for instant in run]
 
-    def test_candidate_sets_match_scan(self):
-        def check(platform):
-            controller = platform.controller
-            index = controller._index
-            sizes = []
-            for indexed, state in (
-                (index.idle_warm, SandboxState.WARM),
-                (index.restorable, SandboxState.DEDUP),
-                (index.abortable, SandboxState.DEDUPING),
-            ):
-                scanned = {
-                    function: {
-                        s.sandbox_id
-                        for s in sandboxes.values()
-                        if s.state is state and s.busy_request_id is None
-                    }
-                    for function, sandboxes in controller._by_function.items()
-                }
-                assert {f: set(ids) for f, ids in indexed.items() if ids} == {
-                    f: ids for f, ids in scanned.items() if ids
-                }
-                sizes.append(sum(map(len, scanned.values())))
-            return sizes
+    def test_node_order_matches_sorted_scan(self, sizes):
+        # The two-node run reorders its nodes; idle residents were
+        # reclaimable at some instant.
+        assert len({order for *_, order in sizes}) > 2
+        assert max(reclaimable for *_, reclaimable, _ in sizes) > 0
 
-        # Each of the three sets was non-empty at some tick.
-        assert all(max(sizes) > 0 for sizes in zip(*self._probe(check)))
+    def test_census_matches_scan(self, sizes):
+        assert max(census for *_, census, _, _ in sizes) > 0
 
-    def test_node_order_matches_sorted_scan(self):
-        def check(platform):
-            assert platform.controller._usage.snapshot() == sorted(
-                platform.nodes, key=lambda n: (n.recomputed_used_bytes(), n.node_id)
-            )
-            for node in platform.nodes:
-                assert node.reclaimable_bytes() == node.recomputed_reclaimable_bytes()
-            return sum(node.reclaimable_bytes() for node in platform.nodes)
-
-        assert max(self._probe(check)) > 0
-
-    def test_census_matches_scan(self):
-        def check(platform):
-            controller = platform.controller
-            population = [
-                (function, s)
-                for function, sandboxes in controller._by_function.items()
-                for s in sandboxes.values()
-            ]
-            live, dedup = controller.live_counts()
-            for counts, flag in ((live, "live"), (dedup, "dedup")):
-                scanned = {}
-                for function, s in population:
-                    scanned[function] = scanned.get(function, 0) + getattr(s.state, flag)
-                assert {f: n for f, n in counts.items() if n} == {
-                    f: n for f, n in scanned.items() if n
-                }
-            assert controller.sandbox_census() == (
-                sum(s.state.census_warm for _, s in population),
-                sum(s.state.dedup for _, s in population),
-                len(population),
-            )
-            return sum(dedup.values())
-
-        assert max(self._probe(check)) > 0
+    def test_candidate_sets_match_scan(self, sizes):
+        # An idle sandbox is warm, a finished op's restorable and an op
+        # in flight abortable: each set held one at some instant.
+        assert all(max(column) > 0 for column in list(zip(*sizes))[:3])

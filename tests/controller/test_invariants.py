@@ -1,25 +1,34 @@
 """Property-based end-to-end invariants of the platform.
 
-Hypothesis generates small arbitrary traces; after every run, the
-platform must satisfy the core invariants regardless of the arrival
-pattern: every request completes exactly once, refcounts balance,
-memory accounting is consistent, and restores are byte-exact.
+Hypothesis generates small arbitrary traces and feature mixes; after
+every run, the platform must satisfy the core invariants regardless of
+the arrival pattern: every request completes exactly once and restores
+are byte-exact, and :func:`repro.invariants.check` — refcounts, node,
+tier and template accounting, dispatch indexes, registry partitions —
+holds at every simulated instant.  ``TestCheckNamesTheBrokenInvariant``
+plants one corruption per invariant to show the checker names it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.policy import MedesPolicyConfig
+from repro.faults.schedule import FaultSchedule, FaultsConfig, NodeCrash
+from repro.invariants import check
 from repro.platform.config import ClusterConfig
 from repro.platform.metrics import StartType
 from repro.platform.platform import PlatformKind, build_platform
+from repro.sandbox.node import AccountingError
+from repro.templates.catalog import TemplateConfig
+from repro.tenancy.domains import DedupDomainMode, TenantConfig
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
+from tests.conftest import check_every_instant
+from tests.faults.test_recovery_invariants import fault_configs
 
 FUNCTIONS = ("Vanilla", "LinAlg", "RNNModel")
 
@@ -32,24 +41,70 @@ arrival_lists = st.lists(
     max_size=12,
 )
 
+#: Bursts of one to three near-simultaneous arrivals, so sandboxes of a
+#: function coexist and idle together; the gaps between bursts let
+#: parked sandboxes (idle 5 s, then a ~1.3 s op) be restored or expire.
+bursty_arrivals = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 500.0, 7_500.0, 9_000.0, 14_000.0, 30_000.0]),
+        st.sampled_from(FUNCTIONS),
+        st.integers(1, 3),
+    ),
+    min_size=1,
+    max_size=8,
+).map(
+    lambda bursts: [
+        (sum(gap for gap, _, _ in bursts[: k + 1]) + i, fn)
+        for k, (_, fn, n) in enumerate(bursts)
+        for i in range(n)
+    ]
+)
 
-def run_platform(arrivals, *, node_memory_mb=256.0):
-    suite = FunctionBenchSuite.subset(list(FUNCTIONS))
-    trace = Trace.from_arrivals(arrivals)
+#: Every default-off feature, each drawn independently; a drawn fault
+#: schedule heals inside the trace (tests/faults/test_recovery_invariants).
+#: Tiering gets 256 MB nodes: on 100 MB ones its SSD-parked tables never
+#: expire, keep their bases pinned, and a queued RNNModel starves for
+#: good (ROADMAP item 4).
+feature_mixes = st.fixed_dictionaries(
+    {
+        "checkpoint_tiering": st.booleans(),
+        "template_sharing": st.booleans(),
+        # A zero hot window lets placement drop any unshared replica.
+        "templates": st.sampled_from([TemplateConfig(), TemplateConfig(hot_window_ms=0.0)]),
+        "dedup_domains": st.sampled_from(
+            [TenantConfig(), TenantConfig(mode=DedupDomainMode.PER_TENANT)]
+        ),
+        "registry_shards": st.sampled_from([1, 2]),
+        "parallel_data_plane": st.booleans(),
+        "faults": st.none() | fault_configs,
+        "node_memory_mb": st.sampled_from([100.0, 256.0]),
+    }
+).map(lambda mix: {**mix, "node_memory_mb": 256.0} if mix["checkpoint_tiering"] else mix)
+tenant_labels = st.fixed_dictionaries(
+    {name: st.sampled_from(("alice", "bob")) for name in FUNCTIONS}
+)
+
+
+def build(*, node_memory_mb=256.0, medes=None, **features):
     config = ClusterConfig(
         nodes=2,
         node_memory_mb=node_memory_mb,
         content_scale=1.0 / 256.0,
         seed=5,
         verify_restores=True,
+        **features,
     )
-    platform = build_platform(
+    return build_platform(
         PlatformKind.MEDES,
         config,
-        suite,
-        medes=MedesPolicyConfig(idle_period_ms=5_000.0, alpha=25.0),
+        FunctionBenchSuite.subset(list(FUNCTIONS)),
+        medes=medes or MedesPolicyConfig(idle_period_ms=5_000.0, alpha=25.0),
     )
-    report = platform.run(trace)
+
+
+def run_platform(arrivals, **cluster):
+    platform = build(**cluster)
+    report = platform.run(Trace.from_arrivals(arrivals))
     return platform, report
 
 
@@ -67,26 +122,43 @@ class TestEndToEndInvariants:
     @settings(max_examples=15, deadline=None)
     @given(arrival_lists)
     def test_refcounts_balance(self, arrivals):
-        platform, _ = run_platform(arrivals)
-        expected: Counter[int] = Counter()
-        for node in platform.nodes:
-            for sandbox in node.sandboxes.values():
-                if sandbox.dedup_table is not None:
-                    expected.update(sandbox.dedup_table.base_refs)
-        for checkpoint in platform.store:
-            assert checkpoint.refcount == expected.get(checkpoint.checkpoint_id, 0)
-            assert checkpoint.refcount >= 0
+        """Refcounts equal the tables holding them, in flight or parked,
+        at every instant."""
+        platform = build()
+        refcounts = check_every_instant(
+            platform, lambda p: sum(checkpoint.refcount for checkpoint in p.store)
+        )
+        platform.run(Trace.from_arrivals(arrivals))
+        assert refcounts and min(refcounts) >= 0
 
     @settings(max_examples=15, deadline=None)
     @given(arrival_lists)
     def test_node_accounting_consistent(self, arrivals):
-        platform, _ = run_platform(arrivals)
-        for node in platform.nodes:
-            expected = sum(s.memory_bytes() for s in node.sandboxes.values())
-            expected += sum(c.memory_bytes() for c in node.checkpoints.values())
-            assert node.used_bytes() == expected
-            assert node.reclaimable_bytes() == node.recomputed_reclaimable_bytes()
-            assert node.reclaimable_bytes() <= expected
+        """Node counters equal their recounts at every instant, and no
+        node could reclaim more than it holds."""
+        platform = build()
+        within = check_every_instant(
+            platform, lambda p: all(n.reclaimable_bytes() <= n.used_bytes() for n in p.nodes)
+        )
+        platform.run(Trace.from_arrivals(arrivals))
+        assert within and all(within)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bursty_arrivals, tenant_labels, feature_mixes)
+    def test_recounts_hold_at_every_instant(self, arrivals, tenant_of, features):
+        # Parked state outlives a short keep-dedup window, so tiering
+        # demotes tables and templates spill deltas.
+        platform = build(
+            medes=MedesPolicyConfig(
+                idle_period_ms=5_000.0, alpha=25.0, keep_dedup_ms=12_000.0
+            ),
+            **features,
+        )
+        instants = check_every_instant(platform)
+        labelled = [(at, fn, tenant_of[fn]) for at, fn in arrivals]
+        report = platform.run(Trace.from_arrivals(labelled))
+        assert len(report.metrics.requests) == len(arrivals)
+        assert len(instants) > len({at for at, _ in arrivals})
 
     @settings(max_examples=10, deadline=None)
     @given(arrival_lists)
@@ -104,3 +176,116 @@ class TestEndToEndInvariants:
         for record in report.metrics.requests.values():
             floor = record.exec_ms + record.startup_ms + record.queued_ms
             assert record.e2e_ms >= floor - 1e-6
+
+
+# ------------------------------------------------------------- mutations
+
+
+@pytest.fixture(scope="module")
+def finished():
+    """A drained run with every feature on: tiering, templates (a pool
+    small enough that some parks fall to the dedup rung, so bases and
+    registry rows exist too), per-tenant domains, two registry shards,
+    the parallel data plane and a healed node crash."""
+    tenant = {"Vanilla": "alice", "LinAlg": "bob", "RNNModel": "bob"}
+    arrivals = [
+        (0.0, "Vanilla"), (1.0, "Vanilla"), (2.0, "LinAlg"), (3.0, "LinAlg"),
+        (4.0, "RNNModel"), (5.0, "RNNModel"), (26_000.0, "Vanilla"),
+        (26_010.0, "LinAlg"), (26_020.0, "RNNModel"), (60_000.0, "Vanilla"),
+        (61_000.0, "LinAlg"), (62_000.0, "RNNModel"), (100_000.0, "Vanilla"),
+        (100_001.0, "Vanilla"), (101_000.0, "LinAlg"),
+    ]  # fmt: skip
+    platform, _ = run_platform(
+        [(at, fn, tenant[fn]) for at, fn in arrivals],
+        node_memory_mb=128.0,
+        checkpoint_tiering=True,
+        template_sharing=True,
+        templates=TemplateConfig(pool_mb=8.0),
+        dedup_domains=TenantConfig(mode=DedupDomainMode.PER_TENANT),
+        registry_shards=2,
+        parallel_data_plane=True,
+        faults=FaultsConfig(
+            schedule=FaultSchedule(
+                node_crashes=(NodeCrash(at_ms=40_000.0, node_id=1, restart_at_ms=50_000.0),)
+            )
+        ),
+    )
+    return platform
+
+
+def _rows(platform):
+    """The first shard and domain whose rows hold two distinct digests."""
+    return next(
+        (shard, domain, rows)
+        for shard in platform.registry.shards
+        for domain, rows in shard.rows.items()
+        if len(np.unique(rows.digests)) > 1
+    )
+
+
+def _segment(platform):
+    return next(iter(platform.templates._segments.values()))
+
+
+def _bump(mp, owner, attr, by=1):
+    mp.setattr(owner, attr, getattr(owner, attr) + by)
+
+
+def _misdefine_evictable(platform, mp):
+    idle = next(
+        s
+        for node in platform.nodes
+        for s in node.sandboxes.values()
+        if not s.is_base and s.busy_request_id is None
+    )
+    mp.setattr(idle.state, "assignable", not idle.state.assignable)
+
+
+def _drop_idle_warm(platform, mp):
+    bucket = next(b for b in platform.controller._index.idle_warm.values() if b)
+    mp.delitem(bucket, next(iter(bucket)))
+
+
+def _swap_first_and_last_rows(platform, mp):
+    rows = _rows(platform)[2]
+    for column in ("digests", "ref_ids"):
+        values = getattr(rows, column).copy()
+        values[[0, -1]] = values[[-1, 0]]
+        mp.setattr(rows, column, values)
+
+
+def _rename_domain(platform, mp):
+    shard, domain, rows = _rows(platform)
+    mp.delitem(shard.rows, domain)
+    mp.setitem(shard.rows, "tenant:mallory", rows)
+
+
+#: Invariant name -> a corruption that breaks it alone.
+CORRUPTIONS = {
+    "request log": lambda p, mp: _bump(mp, p.metrics.requests.rows, "_size", -1),
+    "requests held": lambda p, mp: mp.setitem(p.controller._inflight, -1, None),
+    "node used bytes": lambda p, mp: _bump(mp, p.nodes[0], "_used"),
+    "reclaimable bytes": lambda p, mp: _bump(mp, p.nodes[0], "_reclaimable"),
+    "evictable": _misdefine_evictable,
+    "checkpoint refcount": lambda p, mp: _bump(mp, next(iter(p.store)), "refcount"),
+    "segment refcount": lambda p, mp: _bump(mp, _segment(p), "refcount"),
+    "template sharers": lambda p, mp: mp.setitem(_segment(p).sharers, 99, 1),
+    "template pool bytes": lambda p, mp: _bump(mp, p.templates.pool.account, "used_bytes"),
+    "tier accounts": lambda p, mp: _bump(mp, p.store.ssd[0], "used_bytes"),
+    "dispatch index": _drop_idle_warm,
+    "node order": lambda p, mp: mp.setattr(p.controller._usage, "_order", []),
+    "registry claims": lambda p, mp: mp.setattr(p.registry._refs, "domain_of", {}),
+    "registry rows sorted": _swap_first_and_last_rows,
+    "registry domain": _rename_domain,
+    "registry free ids": lambda p, mp: mp.setattr(
+        p.registry._refs, "free", [int(_rows(p)[2].ref_ids[0])]
+    ),
+}
+
+
+class TestCheckNamesTheBrokenInvariant:
+    @pytest.mark.parametrize("invariant", list(CORRUPTIONS))
+    def test_named(self, finished, monkeypatch, invariant):
+        CORRUPTIONS[invariant](finished, monkeypatch)
+        with pytest.raises(AccountingError, match=f"^{invariant}: "):
+            check(finished)

@@ -3,12 +3,11 @@
 Node crashes, registry-shard outages and link faults are injected on
 the simulator clock; every run must complete all requests (degradation,
 never failure), reconcile refcounts, and surface the recovery in the
-fault metrics (availability timeline, MTTR, fallback counters).
+fault metrics (availability timeline, MTTR, fallback counters).  A run
+returns only once every request completed; ``check`` recounts the rest.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import pytest
 
@@ -21,9 +20,9 @@ from repro.faults.schedule import (
     NodeCrash,
     ShardOutage,
 )
+from repro.invariants import check
 from repro.platform.config import ClusterConfig
 from repro.platform.platform import PlatformKind, build_platform
-from repro.sandbox.state import SandboxState
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
 
@@ -45,21 +44,6 @@ def run_faulty(faults, *, arrivals, nodes=2, node_memory_mb=512.0, seed=4, **cfg
     platform = build_platform(PlatformKind.MEDES, config, suite, medes=MEDES)
     report = platform.run(Trace.from_arrivals(arrivals))
     return platform, report
-
-
-def assert_consistent(platform):
-    """Refcounts and node accounting match a from-scratch recount."""
-    expected: Counter[int] = Counter()
-    for node in platform.nodes:
-        for sandbox in node.sandboxes.values():
-            if sandbox.dedup_table is not None:
-                expected.update(sandbox.dedup_table.base_refs)
-    for checkpoint in platform.store:
-        assert checkpoint.refcount == expected.get(checkpoint.checkpoint_id, 0)
-    for node in platform.nodes:
-        recount = sum(s.memory_bytes() for s in node.sandboxes.values())
-        recount += sum(c.memory_bytes() for c in node.checkpoints.values())
-        assert node.used_bytes() == recount
 
 
 #: Dedup state forms by ~10 s (idle period 5 s); the 26 s burst leaves
@@ -86,13 +70,11 @@ class TestNodeCrash:
         )
         platform, report = run_faulty(faults, arrivals=DEDUP_WORKLOAD)
         assert len(report.metrics.requests) == len(DEDUP_WORKLOAD)
-        for record in report.metrics.requests.values():
-            assert record.completion_ms is not None
         assert platform.faults is not None
         assert 1 in platform.faults.health.down_nodes
         # Nothing lives on (or was placed onto) the dead node.
         assert not platform.nodes[1].sandboxes
-        assert_consistent(platform)
+        check(platform)
 
     def test_crash_purges_and_reconciles(self):
         faults = FaultsConfig(
@@ -104,7 +86,7 @@ class TestNodeCrash:
         events = [e.kind for e in metrics.fault_events]
         assert events.count("node-crash") == 1
         assert metrics.availability_timeline[0].nodes_up == 1
-        assert_consistent(platform)
+        check(platform)
 
     def test_restart_restores_capacity_and_mttr(self):
         faults = FaultsConfig(
@@ -125,7 +107,7 @@ class TestNodeCrash:
         # The restarted node is usable again: post-restart requests may
         # land there, and the final health sample shows full capacity.
         assert metrics.availability_timeline[-1].nodes_up == 2
-        assert_consistent(platform)
+        check(platform)
 
     def test_mid_restore_crash_is_survived(self):
         """Crash while restores/requests are in flight on the dead node:
@@ -138,10 +120,8 @@ class TestNodeCrash:
                 node_crashes=(NodeCrash(at_ms=40_060.0, node_id=0),)
             )
         )
-        platform, report = run_faulty(faults, arrivals=arrivals)
-        for record in report.metrics.requests.values():
-            assert record.completion_ms is not None
-        assert_consistent(platform)
+        platform, _ = run_faulty(faults, arrivals=arrivals)
+        check(platform)
 
     def test_both_fallback_counters_surface(self):
         """A crash wiping node 1 forces the restore fallback ladder; the
@@ -182,9 +162,7 @@ class TestShardOutage:
         assert metrics.mttr_ms() > 40_000.0
         assert platform.faults is not None
         assert platform.faults.health.registry_available()
-        for record in report.metrics.requests.values():
-            assert record.completion_ms is not None
-        assert_consistent(platform)
+        check(platform)
 
     def test_registry_rebuilt_from_surviving_agents(self):
         platform, _ = run_faulty(self.OUTAGE, arrivals=DEDUP_WORKLOAD)
@@ -216,12 +194,10 @@ class TestLinkFaults:
             )
         )
         platform, report = run_faulty(faults, arrivals=DEDUP_WORKLOAD)
-        for record in report.metrics.requests.values():
-            assert record.completion_ms is not None
         kinds = [e.kind for e in report.metrics.fault_events]
         assert kinds == ["link-degraded", "link-restored"]
         assert platform.fabric.link_factor(1) == 1.0
-        assert_consistent(platform)
+        check(platform)
 
     def test_partition_keeps_dedup_state_for_post_heal(self):
         """A partitioned (not crashed) base node: restores fall back but
@@ -234,12 +210,10 @@ class TestLinkFaults:
             )
         )
         platform, report = run_faulty(faults, arrivals=DEDUP_WORKLOAD)
-        for record in report.metrics.requests.values():
-            assert record.completion_ms is not None
         # No sandbox was purged for base-unavailability: the partition
         # branch keeps them; crash-purge counters stay zero.
         assert report.metrics.crash_purged_sandboxes == 0
-        assert_consistent(platform)
+        check(platform)
 
 
 class TestTransientRpcFaults:
@@ -256,18 +230,14 @@ class TestTransientRpcFaults:
             r.retry_penalty_ms for r in metrics.requests.values()
         )
         assert charged + exhausted_charge == pytest.approx(metrics.retry_backoff_ms)
-        for record in metrics.requests.values():
-            assert record.completion_ms is not None
-        assert_consistent(platform)
+        check(platform)
 
     def test_exhaustion_falls_through_not_fails(self):
         """Near-certain transient failure: every remote fetch exhausts
         its retries, yet the run completes via warm/cold fallbacks."""
         faults = FaultsConfig(rpc_failure_prob=0.95, seed=9)
-        platform, report = run_faulty(faults, arrivals=DEDUP_WORKLOAD)
-        for record in report.metrics.requests.values():
-            assert record.completion_ms is not None
-        assert_consistent(platform)
+        platform, _ = run_faulty(faults, arrivals=DEDUP_WORKLOAD)
+        check(platform)
 
 
 class TestPurgedBaseRegression:
@@ -283,25 +253,15 @@ class TestPurgedBaseRegression:
         # The 60s arrivals dispatch right after the crash: any dedup
         # candidate patched against node-1 bases must be skipped (purged
         # or re-homed), never half-released.
-        platform, report = run_faulty(faults, arrivals=DEDUP_WORKLOAD)
-        for record in report.metrics.requests.values():
-            assert record.completion_ms is not None
+        platform, _ = run_faulty(faults, arrivals=DEDUP_WORKLOAD)
         # No sandbox still references a dead checkpoint.
-        live_ids = {c.checkpoint_id for c in platform.store}
-        for node in platform.nodes:
-            for sandbox in node.sandboxes.values():
-                if sandbox.dedup_table is not None:
-                    for cid in sandbox.dedup_table.base_refs:
-                        assert cid in live_ids
-        assert_consistent(platform)
+        check(platform)
 
     def test_reconciliation_under_memory_pressure(self):
         faults = FaultsConfig(
             schedule=FaultSchedule(node_crashes=(NodeCrash(at_ms=45_000.0, node_id=1),))
         )
-        platform, report = run_faulty(
+        platform, _ = run_faulty(
             faults, arrivals=DEDUP_WORKLOAD, node_memory_mb=160.0
         )
-        for record in report.metrics.requests.values():
-            assert record.completion_ms is not None
-        assert_consistent(platform)
+        check(platform)

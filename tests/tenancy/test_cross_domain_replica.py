@@ -23,6 +23,7 @@ from repro._util import hash_bytes
 from repro.core.policy import MedesPolicyConfig
 from repro.core.registry import PageRef
 from repro.faults.schedule import FaultSchedule, FaultsConfig, NodeCrash
+from repro.invariants import check
 from repro.platform.config import ClusterConfig
 from repro.platform.platform import PlatformKind, build_platform
 from repro.sandbox.checkpoint import BaseCheckpoint
@@ -70,21 +71,11 @@ def run_crash(dedup_domains):
 class TestStructuralPartition:
     def test_crash_recovery_never_crosses_domains(self):
         platform, report = run_crash(TenantConfig(mode=DedupDomainMode.PER_TENANT))
-        for record in report.metrics.requests.values():
-            assert record.completion_ms is not None
         # The partition kept foreign replicas invisible: recovery ran
         # (reconciliation, possibly rehomes) without a single candidate
         # even reaching the domain check.
         assert report.metrics.cross_domain_replica_skips == 0
-        live = {c.checkpoint_id: c for c in platform.store}
-        for node in platform.nodes:
-            for sandbox in node.sandboxes.values():
-                table = sandbox.dedup_table
-                if table is None:
-                    continue
-                for cid in getattr(table, "base_refs", ()):
-                    if cid in live:
-                        assert live[cid].domain == sandbox.domain
+        check(platform)
 
 
 class TestDefenceInDepth:

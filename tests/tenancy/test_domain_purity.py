@@ -15,12 +15,12 @@ run (dedup + template sharing + sharded or plain registry):
 
 from __future__ import annotations
 
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from repro.core.policy import MedesPolicyConfig
+from repro.invariants import check
 from repro.platform.config import ClusterConfig
 from repro.platform.platform import PlatformKind, build_platform
 from repro.tenancy.domains import DedupDomainMode, TenantConfig
@@ -99,50 +99,19 @@ class TestDomainPurity:
             policy, tenant_of, scenario["shards"], scenario["seed"]
         )
         expected = {fn: policy.domain_of(tenant_of[fn]) for fn in FUNCTIONS}
-
-        for record in report.metrics.requests.values():
-            assert record.completion_ms is not None
-
-        # Checkpoints carry their function's domain; the registry agrees.
-        registry = platform.registry
+        # Checkpoints, sandboxes and segments carry their function's
+        # domain under this policy; check() proves the registry's
+        # partitions and every live table stay inside those domains.
         for checkpoint in platform.store:
             assert checkpoint.domain == expected[checkpoint.function]
-            if checkpoint.registered:
-                claimed = registry.checkpoint_domain(checkpoint.checkpoint_id)
-                assert claimed == checkpoint.domain
-
-        # Registry partitions are pure: a domain's tables only hold refs
-        # of checkpoints claimed by that domain.
-        live = {c.checkpoint_id: c for c in platform.store}
-        for domain in registry.domains():
-            assert domain in set(expected.values())
-            for refs in registry.domain_digests(domain).values():
-                for ref in refs:
-                    assert registry.checkpoint_domain(ref.checkpoint_id) == domain
-                    if ref.checkpoint_id in live:
-                        assert live[ref.checkpoint_id].domain == domain
-            for refs in registry.domain_locations(domain).values():
-                for ref in refs:
-                    assert registry.checkpoint_domain(ref.checkpoint_id) == domain
-
-        # Sandboxes: dedup bases and template segments are same-domain.
         for node in platform.nodes:
             for sandbox in node.sandboxes.values():
                 assert sandbox.domain == expected[sandbox.function]
-                table = sandbox.dedup_table
-                if table is None:
-                    continue
-                for cid in getattr(table, "base_refs", ()):
-                    if cid in live:
-                        assert live[cid].domain == sandbox.domain
-                for key in getattr(table, "segment_keys", ()):
-                    assert key[0] == sandbox.domain
-
-        # The template catalog never forked a segment across domains.
+        domains = set(expected.values())
+        assert set(platform.registry.domains()) <= domains
         if platform.templates is not None:
-            for key in platform.templates._segments:
-                assert key[0] in set(expected.values())
-
+            assert {key[0] for key in platform.templates._segments} <= domains
+        check(platform)
         # The structural partition held, so the defence-in-depth counter
         # never fired.
         assert report.metrics.cross_domain_replica_skips == 0

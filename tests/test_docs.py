@@ -80,7 +80,6 @@ UNREFERENCED_ALLOWED = {
     "repro.core.costs:measure_fingerprint_us_per_page": "debt: calibration helper, tests only",
     "repro.core.costs:measure_lookup_us_per_page": "debt: calibration helper, tests only",
     "repro.core.registry:FingerprintRegistry.choose_base_page": "tracer binds it; benches call it",
-    "repro.memory.patch:Patch.deserialize": "debt: tests only (serialize round trip)",
     "repro.memory.synth:build_region": "tracer binds it",
     "repro.platform.metrics:RunMetrics.mttr_ms": "bench: bench_fault_recovery",
     "repro.platform.platform:Platform.cluster_snapshot": "example: examples/failure_injection.py",

