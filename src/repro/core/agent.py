@@ -10,19 +10,16 @@ zero pages collapse to a marker.  The resulting
 is all that remains in memory, and it is stored *locally* on the
 sandbox's node so restores never touch the controller (Section 4.2).
 
-The dedup op has **one body, run two ways**.  The body is
-:class:`_DedupOp`, the per-op accumulator that owns every
-page-classification rule: zero pages collapse in one vectorized
-reduction, one registry round-trip (``choose_base_pages``) serves a
-batch of pages from the flat digest arrays, a base on an unreachable
-peer or a patch over the unique cutoff leaves the page unique, and
-base pages are read through a per-agent LRU cache of decoded pages (the
-same base pages are re-read constantly across ops on a node).
-:meth:`DedupAgent.dedup` drives it with the whole image as one batch —
-one marker scan, one lookup, one ``compute_patches`` call; the staged
-:class:`~repro.parallel.plane.DataPlane` (``parallel=...``) drives the
-same four steps per page-range batch as worker results arrive.
-Property tests assert both produce the page tables of a page-at-a-time
+The dedup op's rules live in :class:`_DedupOp`, the per-op accumulator
+that owns every page-classification rule: zero pages collapse in one
+vectorized reduction, one registry round-trip (``choose_base_pages``)
+serves the image's pages from the flat digest arrays, a base on an
+unreachable peer or a patch over the unique cutoff leaves the page
+unique, and base pages are read through a per-agent LRU cache of
+decoded pages (the same base pages are re-read constantly across ops
+on a node).  :meth:`DedupAgent.dedup` drives it with the whole image as
+one batch — one marker scan, one lookup, one ``compute_patches`` call.
+Property tests assert it produces the page tables of a page-at-a-time
 oracle written out independently of this module
 (``tests/oracles/dedup_scalar.py``), and
 ``benchmarks/bench_dedup_throughput.py`` tracks the pages/sec gap.
@@ -45,12 +42,11 @@ import math
 from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro._util import LruCache
-from repro.core.costs import CostModel, StageOverlap, pipelined_ms
+from repro.core.costs import PIPELINE_BATCH_PAGES, CostModel, pipelined_ms
 from repro.core.registry import FingerprintRegistry, PageRef
 from repro.faults.health import RegistryUnavailable
 from repro.faults.retry import RetryExhausted, TransientFaults
@@ -80,10 +76,6 @@ from repro.templates.delta import (
     build_delta_table,
     reconstruct_image,
 )
-
-if TYPE_CHECKING:
-    from repro.parallel.config import ParallelConfig
-    from repro.parallel.plane import DataPlane
 
 #: A patch larger than this fraction of the page is not worth keeping;
 #: the page is stored unique instead.
@@ -223,14 +215,12 @@ class DedupPageTable:
 class DedupTimings:
     """Phase durations of one dedup op (full-scale ms).
 
-    With stage-overlap accounting (``overlap`` set — the parallel data
-    plane's timing model, DESIGN.md §10), the post-checkpoint stages are
-    software-pipelined over the op's batches: fingerprinting and patch
-    compute divide across the workers, the registry round-trips and the
-    fabric reads of base pages do not, and the total charges the
-    pipeline's critical path instead of the stage sum.  The checkpoint
-    (runtime freeze + dump) stays a serial prologue — it cannot overlap
-    work on pages that do not exist yet.
+    With stage-overlap accounting (``batches`` set — the cost model of
+    DESIGN.md §10), the post-checkpoint stages are software-pipelined
+    over the op's page batches and the total charges the pipeline's
+    critical path instead of the stage sum.  The checkpoint (runtime
+    freeze + dump) stays a serial prologue — it cannot overlap work on
+    pages that do not exist yet.
     """
 
     checkpoint_ms: float
@@ -238,7 +228,8 @@ class DedupTimings:
     lookup_ms: float
     base_read_ms: float
     patch_ms: float
-    overlap: StageOverlap | None = None
+    batches: int | None = None
+    """Page batches the stages pipeline over (None = serial stage sum)."""
     retry_ms: float = 0.0
     """Transient-RPC timeout/backoff latency (serial prologue; fault
     layer only — zero otherwise)."""
@@ -246,7 +237,7 @@ class DedupTimings:
 
     @property
     def total_ms(self) -> float:
-        if self.overlap is None:
+        if self.batches is None:
             return (
                 self.checkpoint_ms
                 + self.fingerprint_ms
@@ -255,15 +246,8 @@ class DedupTimings:
                 + self.patch_ms
                 + self.retry_ms
             )
-        stages = (
-            self.fingerprint_ms / self.overlap.workers,
-            self.lookup_ms,
-            self.base_read_ms,
-            self.patch_ms / self.overlap.workers,
-        )
-        return self.checkpoint_ms + self.retry_ms + pipelined_ms(
-            stages, self.overlap.batches
-        )
+        stages = (self.fingerprint_ms, self.lookup_ms, self.base_read_ms, self.patch_ms)
+        return self.checkpoint_ms + self.retry_ms + pipelined_ms(stages, self.batches)
 
 
 @dataclass(frozen=True)
@@ -279,7 +263,9 @@ class RestoreTimings:
     With checkpoint tiering, a recorded-working-set restore issues its
     base reads as one prefetch that overlaps patch application, so the
     total charges ``max(base_read, compute)`` plus a serial demand-miss
-    read; first-touch restores keep the serial sum.
+    read; first-touch restores keep the serial sum.  With stage-overlap
+    accounting (``batches`` set), the base reads and patch application
+    pipeline over the op's page batches instead.
     """
 
     base_read_ms: float
@@ -294,9 +280,9 @@ class RestoreTimings:
     """Serial read of pages the recorded working set lacked."""
     prefetch_hit_pages: int = 0
     prefetch_miss_pages: int = 0
-    overlap: StageOverlap | None = None
-    """Stage-overlap accounting (parallel data plane): patch apply
-    divides across workers and pipelines against the base reads."""
+    batches: int | None = None
+    """Page batches base reads and patch application pipeline over
+    (None = serial sum)."""
     retry_ms: float = 0.0
     """Transient-RPC timeout/backoff latency (serial prologue; fault
     layer only — zero otherwise)."""
@@ -305,20 +291,16 @@ class RestoreTimings:
     @property
     def fetch_ms(self) -> float:
         """Base reads plus patch application on the critical path."""
-        compute_ms = self.compute_ms
-        if self.overlap is not None:
-            compute_ms /= self.overlap.workers
         if self.prefetched:
             # Recorded-working-set restores already overlap the one
-            # batched prefetch with compute; overlap only divides the
-            # compute side further.
-            return max(self.base_read_ms, compute_ms) + self.miss_read_ms
-        if self.overlap is not None:
+            # batched prefetch with compute.
+            return max(self.base_read_ms, self.compute_ms) + self.miss_read_ms
+        if self.batches is not None:
             return (
-                pipelined_ms((self.base_read_ms, compute_ms), self.overlap.batches)
+                pipelined_ms((self.base_read_ms, self.compute_ms), self.batches)
                 + self.miss_read_ms
             )
-        return self.base_read_ms + compute_ms
+        return self.base_read_ms + self.compute_ms
 
     @property
     def total_ms(self) -> float:
@@ -379,16 +361,11 @@ class ForkOutcome:
 class _DedupOp:
     """One dedup op in flight: the page-classification rules and accounts.
 
-    Both drivers — :meth:`DedupAgent.dedup` (the whole image as one
-    batch) and the staged :class:`~repro.parallel.plane.DataPlane`
-    (page-range batches, in completion order) — run the same steps on
-    it: construction classifies the zero pages, then per batch of
-    fingerprinted pages :meth:`choose` picks bases, :meth:`base_page`
-    reads each chosen one and :meth:`accept` records the patches; the
-    agent turns the finished accounts into the table and its timings.
-    Every account sums order-independently and registry choices are
-    stateless within an op, so how a driver cuts and orders its batches
-    never shows in the table.
+    :meth:`DedupAgent.dedup` runs its steps with the whole image as one
+    batch: construction classifies the zero pages, :meth:`choose` picks
+    bases for the fingerprinted pages, :meth:`base_page` reads each
+    chosen one and :meth:`accept` records the patches; the agent turns
+    the finished accounts into the table and its timings.
     """
 
     def __init__(self, agent: "DedupAgent", sandbox: Sandbox):
@@ -509,8 +486,7 @@ class DedupAgent:
         fingerprint_config: FingerprintConfig | None = None,
         patch_level: int = 1,
         recorder: WorkingSetRecorder | None = None,
-        parallel: "ParallelConfig | None" = None,
-        overlap_costs: "ParallelConfig | None" = None,
+        stage_overlap: bool = False,
         transients: TransientFaults | None = None,
         templates: TemplateCatalog | None = None,
     ):
@@ -529,13 +505,11 @@ class DedupAgent:
         with prefetch only; None disables recording)."""
         self.fingerprint_config = fingerprint_config or FingerprintConfig()
         self.patch_level = patch_level
-        self.parallel = parallel
-        """Run the data plane on the parallel engine (None = serial)."""
-        self.overlap_costs = overlap_costs
-        """Charge dedup/restore timings with stage-overlap accounting
-        for this parallel shape (None = serial stage sums).  Independent
-        of ``parallel``: the simulator models the overlap without
-        needing real worker processes."""
+        self.stage_overlap = stage_overlap
+        """Charge dedup/restore timings with stage-overlap accounting:
+        the stages pipeline over batches of :data:`PIPELINE_BATCH_PAGES`
+        pages, one registry round-trip per batch (False = serial stage
+        sums)."""
         self.transients = transients
         """Seeded transient-RPC failure model (fault layer; None = RPCs
         never fail transiently).  Registry lookups and remote base-page
@@ -546,7 +520,6 @@ class DedupAgent:
         self.templates = templates
         """Cluster-wide template catalog (DESIGN.md §14; None unless
         ``template_sharing`` is on)."""
-        self._plane: "DataPlane | None" = None
         self.dedup_ops = 0
         self.restore_ops = 0
         self.templatize_ops = 0
@@ -563,20 +536,6 @@ class DedupAgent:
         self.anchor_index_cache: LruCache[tuple[int, int, int], AnchorIndex] = LruCache(
             ANCHOR_INDEX_CACHE_PAGES
         )
-
-    def _data_plane(self) -> "DataPlane":
-        if self._plane is None:
-            from repro.parallel.plane import DataPlane
-
-            assert self.parallel is not None
-            self._plane = DataPlane(self, self.parallel)
-        return self._plane
-
-    def close(self) -> None:
-        """Release the parallel data plane's arena (idempotent)."""
-        if self._plane is not None:
-            self._plane.close()
-            self._plane = None
 
     # ---------------------------------------------------------------- dedup
 
@@ -613,9 +572,8 @@ class DedupAgent:
     def dedup(self, sandbox: Sandbox) -> DedupOutcome:
         """Run the dedup op on a warm sandbox's image.
 
-        One :class:`_DedupOp`, driven serially here or by the staged
-        data plane (``parallel=...``); either way the page table is
-        identical to the page-at-a-time oracle's (property-tested).
+        One :class:`_DedupOp`, whose page table is identical to the
+        page-at-a-time oracle's (property-tested).
 
         Side effects: acquires refcounts on every base checkpoint the new
         page table references.  The caller (controller) is responsible
@@ -623,10 +581,7 @@ class DedupAgent:
         the corresponding lifecycle transitions.
         """
         op = _DedupOp(self, sandbox)
-        if self.parallel is not None:
-            self._data_plane().dedup(op)
-        else:
-            self._dedup_serial(op)
+        self._classify(op)
         return self._finish_dedup(
             sandbox,
             op.image,
@@ -636,9 +591,9 @@ class DedupAgent:
             op.reads_by_peer,
         )
 
-    def _dedup_serial(self, op: _DedupOp) -> None:
-        """The serial driver: the whole image is one batch — one marker
-        scan fingerprints every nonzero page, one registry round-trip
+    def _classify(self, op: _DedupOp) -> None:
+        """Classify every page of ``op`` as one batch — one marker scan
+        fingerprints every nonzero page, one registry round-trip
         picks every base page, base-page fetches are grouped by
         checkpoint through the LRU cache, and one ``compute_patches``
         call patches every chosen page."""
@@ -725,13 +680,13 @@ class DedupAgent:
             peer: (int(count * scale_up), int(count * scale_up) * image.page_size)
             for peer, count in reads_by_peer.items()
         }
-        overlap = self._stage_overlap(full_pages)
-        if overlap is None:
+        batches = self._stage_overlap(full_pages)
+        if batches is None:
             lookup_ms = self.costs.lookup_ms(full_pages)
         else:
             # Batched registry front end: one RPC per batch, table work
             # per page (Section 4.3's batched registry traffic).
-            lookup_ms = self.costs.lookup_batched_ms(full_pages, overlap.batches)
+            lookup_ms = self.costs.lookup_batched_ms(full_pages, batches)
         timings = DedupTimings(
             checkpoint_ms=self.costs.checkpoint_ms(full_pages),
             fingerprint_ms=self.costs.fingerprint_ms(full_pages),
@@ -740,19 +695,19 @@ class DedupAgent:
             patch_ms=self.costs.patch_compute_ms(
                 max(1, round(stats.patched_pages * scale_up))
             ),
-            overlap=overlap,
+            batches=batches,
             retry_ms=retry_ms,
             retries=retries,
         )
         self.dedup_ops += 1
         return DedupOutcome(table=table, timings=timings)
 
-    def _stage_overlap(self, full_pages: int) -> StageOverlap | None:
-        """The op's stage-overlap shape under ``overlap_costs`` (or None)."""
-        if self.overlap_costs is None:
+    def _stage_overlap(self, full_pages: int) -> int | None:
+        """Page batches an op over ``full_pages`` pipelines over under
+        stage-overlap accounting (None without it)."""
+        if not self.stage_overlap:
             return None
-        batches = max(1, math.ceil(full_pages / self.overlap_costs.batch_pages))
-        return StageOverlap(workers=self.overlap_costs.workers, batches=batches)
+        return max(1, math.ceil(full_pages / PIPELINE_BATCH_PAGES))
 
     # -------------------------------------------------------------- restore
 
@@ -807,11 +762,7 @@ class DedupAgent:
             miss_read_ms = 0.0
             hit_pages = miss_pages = 0
 
-        if self.parallel is not None:
-            data = self._data_plane().reconstruct(table, by_checkpoint)
-        else:
-            data = self._reconstruct(table, by_checkpoint)
-
+        data = self._reconstruct(table, by_checkpoint)
         image = MemoryImage(
             function=table.function,
             instance_seed=table.instance_seed,
@@ -837,7 +788,7 @@ class DedupAgent:
             miss_read_ms=miss_read_ms,
             prefetch_hit_pages=hit_pages,
             prefetch_miss_pages=miss_pages,
-            overlap=self._stage_overlap(max(1, round(patched * scale_up))),
+            batches=self._stage_overlap(max(1, round(patched * scale_up))),
             retry_ms=retry_ms,
             retries=retries,
         )

@@ -22,15 +22,21 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
+#: Pages per batch of the stage-overlap cost model: an op's pages are
+#: split into batches of this size, each one registry round-trip, and
+#: the post-checkpoint stages software-pipeline over the batches.
+PIPELINE_BATCH_PAGES = 512
+
+
 def pipelined_ms(stages: Sequence[float], batches: int) -> float:
     """Critical path of ``stages`` software-pipelined over ``batches``.
 
     With the op's pages split into ``batches`` equal batches and every
-    stage free to work on a different batch concurrently (the parallel
-    data plane's structure), the makespan is one batch through every
-    stage (the ramp, ``sum/batches``) plus the bottleneck stage's
-    remaining batches (``max * (batches-1)/batches``).  ``batches=1``
-    degenerates to the serial sum.
+    stage free to work on a different batch concurrently, the makespan
+    is one batch through every stage (the ramp, ``sum/batches``) plus
+    the bottleneck stage's remaining batches (``max *
+    (batches-1)/batches``).  ``batches=1`` degenerates to the serial
+    sum.
     """
     if batches < 1:
         raise ValueError("batches must be positive")
@@ -38,27 +44,6 @@ def pipelined_ms(stages: Sequence[float], batches: int) -> float:
     if batches == 1 or not stages:
         return total
     return total / batches + max(stages) * (batches - 1) / batches
-
-
-@dataclass(frozen=True)
-class StageOverlap:
-    """How a dedup/restore op's stages overlap (parallel data plane).
-
-    ``workers`` divides the compute-bound stages (fingerprint, patch
-    compute/apply); the registry round-trip and the base-page fabric
-    reads are I/O against shared services and do not scale with local
-    workers.  ``batches`` is how many page batches the op was split
-    into — the software-pipelining depth of the timing model.
-    """
-
-    workers: int
-    batches: int
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
-        if self.batches < 1:
-            raise ValueError("batches must be positive")
 
 
 @dataclass(frozen=True)

@@ -312,9 +312,9 @@ class AnchorIndex:
     under a discard cutoff, never pays for the sort.
 
     The handle outlives the call that made it, so it holds bytes nobody
-    can change or unmap under it: ``bytes`` and read-only arrays are
-    shared as they are, a writable array (a page of a shared-memory
-    arena, say) is copied once.
+    can change under it: ``bytes`` and read-only arrays are shared as
+    they are, a writable array (a caller's scratch buffer, say) is
+    copied once.
     """
 
     __slots__ = ("base", "base_len", "level", "anchors", "word_bits")
@@ -814,9 +814,8 @@ def apply_patch_into(patch: Patch, base: bytes | np.ndarray, out: np.ndarray) ->
     """:func:`apply_patch`, writing the target into a caller-owned buffer.
 
     ``out`` must be a uint8 array of exactly ``patch.target_len`` bytes —
-    typically a view into a restore op's shared-memory output region, so
-    worker processes reconstruct pages in place with no intermediate
-    ``bytes`` object crossing the process boundary.
+    typically a view into the image being reconstructed, so a page is
+    written in place with no intermediate ``bytes`` object.
     """
     b = _as_array(base)
     if len(b) != patch.base_len:

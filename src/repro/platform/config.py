@@ -9,7 +9,6 @@ from repro._util import MIB, PAGE_SIZE
 from repro.core.costs import CostModel
 from repro.faults.schedule import FaultsConfig
 from repro.memory.fingerprint import FingerprintConfig
-from repro.parallel.config import ParallelConfig
 from repro.sandbox.node import EvictionOrder
 from repro.sim.network import RdmaConfig
 from repro.storage.tiers import StorageConfig
@@ -100,15 +99,12 @@ class ClusterConfig:
     """Capacities and device timings of the non-DRAM tiers (only read
     when ``checkpoint_tiering`` is on)."""
     parallel_data_plane: bool = False
-    """Charge dedup/restore ops with the parallel data plane's
-    stage-overlap timing model (DESIGN.md §10): compute stages divide
-    across ``parallel.workers``, registry round-trips are batched, and
-    the post-checkpoint stages software-pipeline over page batches.
-    Off (the default) reproduces the serial stage-sum accounting
-    bit-identically."""
-    parallel: ParallelConfig = field(default_factory=ParallelConfig)
-    """Shape of the parallel data plane (only read when
-    ``parallel_data_plane`` is on)."""
+    """Charge dedup/restore ops with the batched, pipelined stage-cost
+    model (DESIGN.md §10): registry round-trips are batched and the
+    post-checkpoint stages software-pipeline over page batches.  Off
+    (the default) reproduces the serial stage-sum accounting
+    bit-identically.  No worker processes run; the name stays because
+    benchmark workloads set it."""
     template_sharing: bool = False
     """Forkable template checkpoints (DESIGN.md §14): factor shared
     RUNTIME/LIBRARY regions into cross-function template segments in a

@@ -156,7 +156,7 @@ class Platform:
                 content_scale=config.content_scale,
                 fingerprint_config=config.fingerprint,
                 recorder=self.recorder,
-                overlap_costs=config.parallel if config.parallel_data_plane else None,
+                stage_overlap=config.parallel_data_plane,
                 transients=self.faults.transients if self.faults is not None else None,
                 templates=self.templates,
             )

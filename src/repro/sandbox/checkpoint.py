@@ -18,7 +18,6 @@ full footprint once the owner is purged.
 from __future__ import annotations
 
 import itertools
-import uuid
 from dataclasses import dataclass
 
 from repro.memory.image import MemoryImage
@@ -114,11 +113,6 @@ class CheckpointStore:
 
     def __init__(self) -> None:
         self._ids = itertools.count(1)
-        self.token = uuid.uuid4().int
-        """Identity of this store in caches that outlive it (the pool
-        workers' anchor indexes, keyed per store because checkpoint ids
-        are per store).  Selects cache entries only; never reaches
-        simulated output."""
         self._by_id: dict[int, BaseCheckpoint] = {}
         # Per-function index so for_function never scans the cluster
         # (same discipline as the controller's SandboxIndex, PR 2).

@@ -7,11 +7,17 @@ import pytest
 
 from repro.core.agent import DedupAgent, PageEntry, PageKind
 from repro.core.costs import CostModel
+from repro.core.policy import MedesPolicyConfig
 from repro.core.registry import FingerprintRegistry, PageRef
 from repro.memory.fingerprint import FingerprintConfig, page_fingerprint
+from repro.platform.config import ClusterConfig
+from repro.platform.metrics import StartType
+from repro.platform.platform import PlatformKind, build_platform
 from repro.sandbox.checkpoint import BaseCheckpoint, CheckpointStore
 from repro.sandbox.sandbox import Sandbox
 from repro.sim.network import RdmaFabric
+from repro.workload.azure import AzureTraceGenerator
+from repro.workload.functionbench import FunctionBenchSuite
 from tests.conftest import TEST_SCALE
 
 
@@ -204,6 +210,55 @@ class TestRestoreOp:
         agent.restore(outcome.table)
         assert agent.dedup_ops == 1
         assert agent.restore_ops == 1
+
+
+class TestBasePageCache:
+    """The per-agent cache of decoded base pages: a dedup op populates
+    it (misses), a warm restore of the same table is served from it
+    (hits), and a platform run surfaces the totals in ``RunMetrics``."""
+
+    def test_warm_restore_hits_base_page_cache(self, harness, linalg_profile):
+        agent, *_ = harness
+        outcome = agent.dedup(make_sandbox(linalg_profile, seed=700))
+        assert outcome.table.stats.patched_pages > 0
+        misses_after_dedup = agent.base_page_cache.misses
+        assert misses_after_dedup > 0, "dedup populates the cache via misses"
+        hits_after_dedup = agent.base_page_cache.hits
+
+        agent.restore(outcome.table, verify=True)
+        assert agent.base_page_cache.hits > hits_after_dedup, (
+            "a warm restore re-reads the base pages the dedup op just cached"
+        )
+        assert agent.base_page_cache.misses == misses_after_dedup
+
+    def test_run_metrics_surface_cache_counters(self):
+        suite = FunctionBenchSuite.replicated(["Vanilla", "LinAlg"], 2)
+        trace = AzureTraceGenerator(seed=21).generate(8, suite.names())
+        config = ClusterConfig(
+            nodes=2,
+            node_memory_mb=256.0,
+            content_scale=TEST_SCALE,
+            seed=3,
+            verify_restores=True,
+        )
+        platform = build_platform(
+            PlatformKind.MEDES,
+            config,
+            suite,
+            medes=MedesPolicyConfig(alpha=25.0, idle_period_ms=10_000.0),
+        )
+        metrics = platform.run(trace).metrics
+        assert metrics.dedup_ops and metrics.start_counts()[StartType.DEDUP]
+        assert metrics.base_page_cache_misses == sum(
+            a.base_page_cache.misses for a in platform.agents.values()
+        )
+        assert metrics.base_page_cache_hits == sum(
+            a.base_page_cache.hits for a in platform.agents.values()
+        )
+        assert metrics.base_page_cache_misses > 0
+        assert metrics.base_page_cache_hits > 0, (
+            "dedup starts replay base pages the dedup op already decoded"
+        )
 
 
 class TestCrossFunctionDedup:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.costs import CostModel
+from repro.core.costs import CostModel, pipelined_ms
 
 
 @pytest.fixture
@@ -84,3 +84,30 @@ class TestMeasuredLookup:
             measure_lookup_us_per_page(pages=0)
         with pytest.raises(ValueError):
             measure_lookup_us_per_page(bases=0)
+
+
+class TestOverlapCostModel:
+    def test_pipelined_ms_degenerates_and_bounds(self):
+        stages = (4.0, 10.0, 2.0)
+        assert pipelined_ms(stages, 1) == pytest.approx(sum(stages))
+        many = pipelined_ms(stages, 1000)
+        assert many == pytest.approx(max(stages), rel=0.01)
+        for batches in (2, 4, 8):
+            total = pipelined_ms(stages, batches)
+            assert max(stages) < total < sum(stages)
+        with pytest.raises(ValueError):
+            pipelined_ms(stages, 0)
+
+    def test_lookup_batched_ms_never_exceeds_serial(self, costs):
+        pages = 4096
+        serial = costs.lookup_ms(pages)
+        assert costs.lookup_batched_ms(pages, pages * 2) == pytest.approx(serial)
+        batched = costs.lookup_batched_ms(pages, 8)
+        assert batched < serial
+        # one batch = one RPC + per-page table work
+        assert costs.lookup_batched_ms(pages, 1) == pytest.approx(
+            (costs.lookup_rpc_us + pages * (costs.lookup_us_per_page - costs.lookup_rpc_us))
+            / 1e3
+        )
+        with pytest.raises(ValueError):
+            costs.lookup_batched_ms(pages, 0)

@@ -7,17 +7,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro._util import rng_for
+from repro._util import PAGE_SIZE, rng_for
 from repro.memory.patch import (
     _MATCH_FIRST_SLICE,
     _MATCH_SLICE_GROWTH,
+    AnchorIndex,
     CopyOp,
     InsertOp,
     Patch,
     _back_match_len,
     _match_len,
     apply_patch,
+    apply_patch_into,
     compute_patch,
+    compute_patches,
 )
 from tests.oracles.patch_wire import MAGIC, VERSION, deserialize, serialize
 
@@ -99,6 +102,44 @@ class TestRoundTrip:
             target = data.draw(st.binary(min_size=0, max_size=2048))
         patch = compute_patch(target, base)
         assert apply_patch(patch, base) == target
+
+
+def test_apply_patch_into_matches_apply_patch():
+    rng = np.random.default_rng(0)
+    base = rng.integers(0, 256, PAGE_SIZE, dtype=np.uint8)
+    target = base.copy()
+    target[100:200] = rng.integers(0, 256, 100, dtype=np.uint8)
+    patch = compute_patch(target, base)
+    out = np.zeros(PAGE_SIZE, dtype=np.uint8)
+    apply_patch_into(patch, base, out)
+    assert out.tobytes() == apply_patch(patch, base)
+    assert out.tobytes() == target.tobytes()
+
+
+def test_apply_patch_into_validates_lengths():
+    base = np.zeros(PAGE_SIZE, dtype=np.uint8)
+    patch = compute_patch(base, base)
+    with pytest.raises(ValueError):
+        apply_patch_into(patch, base[:-1], np.zeros(PAGE_SIZE, dtype=np.uint8))
+    with pytest.raises(ValueError):
+        apply_patch_into(patch, base, np.zeros(PAGE_SIZE - 1, dtype=np.uint8))
+
+
+def test_anchor_index_copies_a_writable_base():
+    """A cached index outlives the call that built it, so it owns the
+    bytes of a writable base (a read-only one is shared as it is): a
+    later write to the buffer cannot change what it matches."""
+    rng = np.random.default_rng(5)
+    buffer = rng.integers(0, 256, PAGE_SIZE, dtype=np.uint8)
+    base = buffer.tobytes()
+    index = AnchorIndex(buffer, 1)
+    assert isinstance(index.base, bytes) and index.base == base
+    buffer[:] = 0
+    shifted = np.roll(np.frombuffer(base, dtype=np.uint8), 24)  # the matcher's case
+    (patch,) = compute_patches([shifted], [base], index_provider=lambda j: index)
+    assert patch.size_bytes < 64 and apply_patch(patch, base) == shifted.tobytes()
+    read_only = np.frombuffer(base, dtype=np.uint8)
+    assert AnchorIndex(read_only, 1).base is read_only
 
 
 class TestSerialization:

@@ -21,7 +21,6 @@ from repro.core.costs import CostModel
 from repro.core.registry import FingerprintRegistry, PageRef
 from repro.memory.fingerprint import page_fingerprint
 from repro.memory.synth import template_region_content
-from repro.parallel import ParallelConfig
 from repro.sandbox.checkpoint import BaseCheckpoint, CheckpointStore
 from repro.sandbox.sandbox import Sandbox
 from repro.sim.network import RdmaFabric
@@ -220,7 +219,7 @@ class TestForkVerifyNamesThePage:
         )
 
 
-def build_template_agent(linalg_profile, parallel=None) -> tuple[DedupAgent, TemplateCatalog]:
+def build_template_agent(linalg_profile) -> tuple[DedupAgent, TemplateCatalog]:
     """A node-0 agent with a catalog AND a LinAlg base checkpoint on
     node 1, so both park/restore paths are available on the same state
     (the remote base makes the dedup restore pay its base-read cost)."""
@@ -237,7 +236,6 @@ def build_template_agent(linalg_profile, parallel=None) -> tuple[DedupAgent, Tem
         costs=CostModel(),
         content_scale=TEST_SCALE,
         templates=catalog,
-        parallel=parallel,
     )
     base_image = linalg_profile.synthesize(100, content_scale=TEST_SCALE, executed=True)
     checkpoint = BaseCheckpoint(
@@ -271,21 +269,17 @@ def make_sandbox(profile, seed=200) -> Sandbox:
 METADATA_FIELDS = ("function", "instance_seed", "page_size", "regions", "aslr", "executed")
 
 
-@pytest.mark.parametrize("parallel", [None, ParallelConfig(workers=2)], ids=["serial", "workers2"])
 @pytest.mark.parametrize("aslr", [False, True])
 @pytest.mark.parametrize("executed", [False, True])
-def test_restore_and_fork_keep_metadata(linalg_profile, parallel, aslr, executed):
+def test_restore_and_fork_keep_metadata(linalg_profile, aslr, executed):
     """Both parking paths give back the image, metadata included."""
-    agent, _catalog = build_template_agent(linalg_profile, parallel)
-    try:
-        sandbox = Sandbox(profile=linalg_profile, node_id=0, instance_seed=31, created_at=0.0)
-        sandbox.image = original = linalg_profile.synthesize(
-            31, content_scale=TEST_SCALE, aslr=aslr, executed=executed
-        )
-        restored = agent.restore(agent.dedup(sandbox).table, verify=True).image
-        forked = agent.fork_restore(agent.templatize(sandbox).table, now=0.0, verify=True).image
-    finally:
-        agent.close()
+    agent, _catalog = build_template_agent(linalg_profile)
+    sandbox = Sandbox(profile=linalg_profile, node_id=0, instance_seed=31, created_at=0.0)
+    sandbox.image = original = linalg_profile.synthesize(
+        31, content_scale=TEST_SCALE, aslr=aslr, executed=executed
+    )
+    restored = agent.restore(agent.dedup(sandbox).table, verify=True).image
+    forked = agent.fork_restore(agent.templatize(sandbox).table, now=0.0, verify=True).image
     for image in (restored, forked):
         assert np.array_equal(image.data, original.data)
         for name in METADATA_FIELDS:

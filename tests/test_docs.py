@@ -70,6 +70,24 @@ class TestCliDocAgreement:
                 assert name in fields, f"{doc}: ClusterConfig.{name}"
 
 
+#: CHANGES.md entries after this line say what changed, what moved and
+#: what was left, in at most :data:`CHANGES_ENTRY_BYTES` bytes each.
+CHANGES_CAP_MARKER = "<!-- Each entry below: at most 1,200 bytes. -->"
+CHANGES_ENTRY_BYTES = 1200
+
+
+class TestChangesLog:
+    def test_new_entries_stay_short(self):
+        text = (REPO_ROOT / "CHANGES.md").read_text()
+        assert CHANGES_CAP_MARKER in text
+        capped = text.split(CHANGES_CAP_MARKER, 1)[1]
+        entries = [line for line in capped.splitlines() if line.startswith("- ")]
+        assert entries, "no entry under the cap marker"
+        for entry in entries:
+            size = len(entry.encode())
+            assert size <= CHANGES_ENTRY_BYTES, f"{entry[:40]}... is {size} bytes"
+
+
 #: Top-level defs (and methods of top-level classes) of 8+ lines in
 #: ``src/`` that nothing else in ``src/`` names, each with who calls it.
 #: "debt" entries are reached only by tests and wait to get a shipping

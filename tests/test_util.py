@@ -15,6 +15,7 @@ from repro._util import (
     fmt_bytes,
     fmt_ms,
     hash_bytes,
+    hash_bytes_many,
     pcg64_seed_states,
     percentile,
     rng_for,
@@ -183,6 +184,17 @@ class TestHashBytes:
         if a != b:
             # Not a collision proof, just a sanity property on samples.
             assert hash_bytes(a) != hash_bytes(b) or len(a) + len(b) > 0
+
+    def test_hash_bytes_many_matches_scalar(self):
+        chunks = [bytes([i] * 64) for i in range(20)] + [b"", b"x"]
+        for bits in (8, 32, 63, 64):
+            batched = hash_bytes_many(chunks, bits)
+            assert batched.dtype == np.uint64
+            assert batched.tolist() == [hash_bytes(c, bits) for c in chunks]
+        with pytest.raises(ValueError):
+            hash_bytes_many(chunks, 65)
+        with pytest.raises(ValueError):
+            hash_bytes_many(chunks, 0)
 
 
 class TestRoundUp:
