@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro._util import SeededLognormal, hash_bytes, stable_seed
 from repro.controller.index import NodeUsageIndex, SandboxIndex
@@ -64,7 +64,6 @@ from repro.storage.tiers import StorageTier, TierAccount
 from repro.templates.catalog import TemplateCatalog, TemplatePoolFull
 from repro.templates.delta import TemplateDeltaTable
 from repro.workload.functionbench import FunctionBenchSuite
-from repro.workload.trace import Request
 
 if TYPE_CHECKING:
     from repro.core.agent import DedupPageTable
@@ -128,16 +127,16 @@ class ClusterController:
         """Cluster-wide template catalog (DESIGN.md §14; None unless
         ``template_sharing`` is on — every template code path below is
         gated on it, so the off configuration is bit-identical)."""
-        #: request_id -> (completion timer, sandbox, request, record) of
+        #: request_id -> (completion timer, sandbox, record) of
         #: every request with a scheduled future event (startup or exec);
         #: a node crash cancels and re-dispatches the affected entries.
-        self._inflight: dict[int, tuple[Timer, Sandbox, Request, RequestRecord]] = {}
+        self._inflight: dict[int, tuple[Timer, Sandbox, RequestRecord]] = {}
         #: Node mid-crash-reconciliation (suppresses demote-on-purge of
         #: checkpoints whose device just died with the node).
         self._crashed_node: int | None = None
         self._by_function: dict[str, dict[int, Sandbox]] = {}
         self._timers: dict[int, _SandboxTimers] = {}
-        self._queue: list[tuple[Request, RequestRecord]] = []
+        self._queue: list[RequestRecord] = []
         self._pending_dedups: dict[int, tuple[Timer, object]] = {}
         #: Sandbox ids, numbered per run; each also names the sandbox's
         #: instance seed.
@@ -219,12 +218,12 @@ class ClusterController:
                 executed=True,
             )
 
-    def prime_exec_times(self, requests: Sequence[Request]) -> None:
-        """Seed the execution-time draws of upcoming ``requests`` in one
-        batch (the platform passes each chunk of arrivals it schedules)."""
-        self._exec_draws.prime([(r.request_id, r.function) for r in requests])
+    def prime_exec_times(self, request_ids: Iterable[int], functions: Iterable[str]) -> None:
+        """Seed the execution-time draws of upcoming requests in one batch
+        (the platform passes each chunk of arrivals it schedules)."""
+        self._exec_draws.prime(list(zip(request_ids, functions)))
 
-    def _exec_ms(self, request: Request) -> float:
+    def _exec_ms(self, record: RequestRecord) -> float:
         """Execution time for a request: identical across platforms.
 
         Seeded only from the request identity (not the platform), so
@@ -232,10 +231,10 @@ class ClusterController:
         Figure-7a's paired comparison is apples to apples: the draw is
         ``rng_for("exec-time", request_id, function).lognormal(...)``.
         """
-        profile = self.suite.get(request.function)
+        profile = self.suite.get(record.function)
         sigma = profile.exec_cv
         sample = self._exec_draws.draw(
-            (request.request_id, request.function), -0.5 * sigma * sigma, sigma
+            (record.request_id, record.function), -0.5 * sigma * sigma, sigma
         )
         return profile.exec_time_ms * sample
 
@@ -293,9 +292,11 @@ class ClusterController:
         residents = [s for node in self.nodes for s in node.sandboxes.values()]
         yield from self._index.recount(residents)
         yield from self._usage.recount()
-        held = [request.request_id for request, _ in self._queue] + list(self._inflight)
-        if sorted(held) != sorted(self.metrics.requests.inflight):
-            yield f"requests held: queued or scheduled {sorted(held)}, not the log's in flight"
+        held = [*self._queue, *(record for _, _, record in self._inflight.values())]
+        log = self.metrics.requests.inflight
+        ids = sorted(record.request_id for record in held)
+        if ids != sorted(log) or any(log[r.request_id] is not r for r in held):
+            yield f"requests held: queued or scheduled {ids}, not the log's in-flight records"
         parked = {s.sandbox_id: s for s in residents if s.table_tier is not None}
         spilled = {i for i, s in parked.items() if isinstance(s.dedup_table, TemplateDeltaTable)}
         if (self._cold.keys(), self._spilled.keys()) != (parked.keys() - spilled, spilled):
@@ -311,18 +312,19 @@ class ClusterController:
 
     # ----------------------------------------------------------- dispatch
 
-    def submit(self, request: Request) -> None:
-        """Entry point: a client request arrives at the controller."""
+    def submit(self, request_id: int, function: str, tenant: str = "") -> None:
+        """Entry point: a client request arrives at the controller.  Its
+        log record is the one object the controller carries for it."""
         now = self.sim.now
-        record = self.metrics.on_arrival(request.request_id, request.function, now)
-        self._domain_for(request.function, request.tenant)
-        self.policy.on_arrival(request.function, now)
-        if request.function in self.stats:
-            self.stats[request.function].record_arrival(now)
-        if not self._try_dispatch(request, record):
-            self._enqueue(request, record)
+        record = self.metrics.on_arrival(request_id, function, now)
+        self._domain_for(function, tenant)
+        self.policy.on_arrival(function, now)
+        if function in self.stats:
+            self.stats[function].record_arrival(now)
+        if not self._try_dispatch(record):
+            self._enqueue(record)
 
-    def _enqueue(self, request: Request, record: RequestRecord) -> None:
+    def _enqueue(self, record: RequestRecord) -> None:
         """Queue a request nothing could serve and record its
         desperation deadline, giving the starvation path (last-resort
         base eviction) a chance even if no other event frees memory
@@ -333,7 +335,7 @@ class ClusterController:
         on the simulator heap (arrivals are monotone, so appends keep
         the deque sorted).
         """
-        self._queue.append((request, record))
+        self._queue.append(record)
         self._starvation_deadlines.append(self.sim.now + STARVATION_MS + 1.0)
         if self._starvation_timer is None or not self._starvation_timer.pending:
             self._starvation_timer = self.sim.at(
@@ -366,15 +368,13 @@ class ClusterController:
         )
         return warm, restorable, abortable
 
-    def _try_dispatch(
-        self, request: Request, record: RequestRecord, *, desperate: bool = False
-    ) -> bool:
-        function = request.function
+    def _try_dispatch(self, record: RequestRecord, *, desperate: bool = False) -> bool:
+        function = record.function
         warm_candidates, dedup_candidates, deduping = self._dispatch_candidates(function)
 
         if warm_candidates:
             sandbox = max(warm_candidates, key=lambda s: (s.last_used_at, s.sandbox_id))
-            self._start_warm(sandbox, request, record)
+            self._start_warm(sandbox, record)
             return True
 
         dedup_candidates.sort(key=lambda s: (s.last_used_at, s.sandbox_id), reverse=True)
@@ -395,9 +395,9 @@ class ClusterController:
         failed_dedup = False
         for sandbox in dedup_candidates:
             if isinstance(sandbox.dedup_table, TemplateDeltaTable):
-                started = self._start_template(sandbox, request, record)
+                started = self._start_template(sandbox, record)
             else:
-                started = self._start_dedup(sandbox, request, record)
+                started = self._start_dedup(sandbox, record)
             if started:
                 return True
             failed_dedup = True
@@ -410,27 +410,27 @@ class ClusterController:
         if deduping:
             sandbox = max(deduping, key=lambda s: (s.last_used_at, s.sandbox_id))
             self._abort_dedup(sandbox)
-            self._start_warm(sandbox, request, record)
+            self._start_warm(sandbox, record)
             return True
 
-        started = self._start_cold(request, record, desperate=desperate)
+        started = self._start_cold(record, desperate=desperate)
         if started and failed_dedup:
             # The restore fallback chain bottomed out at a cold start.
             self.metrics.restore_cold_fallbacks += 1
         return started
 
-    def _start_warm(self, sandbox: Sandbox, request: Request, record: RequestRecord) -> None:
+    def _start_warm(self, sandbox: Sandbox, record: RequestRecord) -> None:
         now = self.sim.now
         self._timers_for(sandbox).cancel_all()
-        sandbox.busy_request_id = request.request_id
+        sandbox.busy_request_id = record.request_id
         sandbox.transition(SandboxState.RUNNING, now)
         record.start_type = StartType.WARM
         record.queued_ms = now - record.arrival_ms
         record.startup_ms = self.config.costs.warm_start_ms + record.retry_penalty_ms
-        self._run_request(sandbox, request, record)
+        self._run_request(sandbox, record)
 
-    def _start_dedup(self, sandbox: Sandbox, request: Request, record: RequestRecord) -> bool:
-        """Serve ``request`` by restoring a dedup sandbox.
+    def _start_dedup(self, sandbox: Sandbox, record: RequestRecord) -> bool:
+        """Serve ``record``'s request by restoring a dedup sandbox.
 
         Returns False when the restore cannot proceed, after walking the
         fallback chain (DESIGN.md §11): transient fetch failures already
@@ -479,7 +479,7 @@ class ClusterController:
             else:
                 break
         self._timers_for(sandbox).cancel_all()
-        sandbox.busy_request_id = request.request_id
+        sandbox.busy_request_id = record.request_id
         sandbox.transition(SandboxState.RESTORING, self.sim.now)
         timings = outcome.timings
         startup_ms = timings.total_ms + promote_ms + record.retry_penalty_ms
@@ -519,16 +519,16 @@ class ClusterController:
             sandbox.dedup_table = None
             self._release_base_refs(table)
             self.basemgr.note_dedup(sandbox.function, -1)
-            self._run_request(sandbox, request, record, already_started=True)
+            self._run_request(sandbox, record, already_started=True)
 
         timer = self.sim.after(startup_ms, finish_restore)
-        self._inflight[request.request_id] = (timer, sandbox, request, record)
+        self._inflight[record.request_id] = (timer, sandbox, record)
         return True
 
     def _start_template(
-        self, sandbox: Sandbox, request: Request, record: RequestRecord
+        self, sandbox: Sandbox, record: RequestRecord
     ) -> bool:
-        """Serve ``request`` by forking a template-parked sandbox.
+        """Serve ``record``'s request by forking a template-parked sandbox.
 
         The fork promotes any segment the node lacks (charged pool read,
         pinned to the node's DRAM as a fork cache) and applies the
@@ -559,7 +559,7 @@ class ClusterController:
         self.metrics.template_promotions += len(outcome.promoted)
         self.metrics.template_promote_bytes += outcome.promoted_bytes
         self._timers_for(sandbox).cancel_all()
-        sandbox.busy_request_id = request.request_id
+        sandbox.busy_request_id = record.request_id
         sandbox.transition(SandboxState.RESTORING, self.sim.now)
         timings = outcome.timings
         startup_ms = timings.total_ms + unspill_ms + record.retry_penalty_ms
@@ -607,21 +607,21 @@ class ClusterController:
             sandbox.transition(SandboxState.RUNNING, self.sim.now)
             sandbox.dedup_table = None
             self.templates.release(table.segment_keys)
-            self._run_request(sandbox, request, record, already_started=True)
+            self._run_request(sandbox, record, already_started=True)
 
         timer = self.sim.after(startup_ms, finish_fork)
-        self._inflight[request.request_id] = (timer, sandbox, request, record)
+        self._inflight[record.request_id] = (timer, sandbox, record)
         return True
 
     def _start_cold(
-        self, request: Request, record: RequestRecord, *, desperate: bool = False
+        self, record: RequestRecord, *, desperate: bool = False
     ) -> bool:
-        profile = self.suite.get(request.function)
+        profile = self.suite.get(record.function)
         node = self._place(profile.memory_bytes, allow_bases=desperate)
         if node is None:
             return False
         sandbox = self._spawn(profile, node)
-        sandbox.busy_request_id = request.request_id
+        sandbox.busy_request_id = record.request_id
         record.start_type = StartType.COLD
         record.queued_ms = self.sim.now - record.arrival_ms
         cold_ms = (
@@ -635,28 +635,27 @@ class ClusterController:
             if sandbox.state is not SandboxState.SPAWNING:
                 return  # crash-purged mid-spawn; the request re-dispatched
             sandbox.transition(SandboxState.RUNNING, self.sim.now)
-            self._run_request(sandbox, request, record, already_started=True)
+            self._run_request(sandbox, record, already_started=True)
 
         timer = self.sim.after(cold_ms, finish_spawn)
-        self._inflight[request.request_id] = (timer, sandbox, request, record)
+        self._inflight[record.request_id] = (timer, sandbox, record)
         return True
 
     def _run_request(
         self,
         sandbox: Sandbox,
-        request: Request,
         record: RequestRecord,
         *,
         already_started: bool = False,
     ) -> None:
         """Schedule execution; startup (unless already elapsed) + exec."""
-        exec_ms = self._exec_ms(request)
+        exec_ms = self._exec_ms(record)
         record.exec_ms = exec_ms
         delay = exec_ms if already_started else record.startup_ms + exec_ms
 
         def complete() -> None:
             now = self.sim.now
-            self._inflight.pop(request.request_id, None)
+            self._inflight.pop(record.request_id, None)
             self.metrics.on_completion(record, now)
             sandbox.busy_request_id = None
             sandbox.served_requests += 1
@@ -665,7 +664,7 @@ class ClusterController:
             self._drain_queue()
 
         timer = self.sim.after(delay, complete)
-        self._inflight[request.request_id] = (timer, sandbox, request, record)
+        self._inflight[record.request_id] = (timer, sandbox, record)
 
     # ------------------------------------------------------------- spawn
 
@@ -1022,11 +1021,11 @@ class ClusterController:
             return
         self._draining = True
         try:
-            remaining: list[tuple[Request, RequestRecord]] = []
-            for request, record in self._queue:
+            remaining: list[RequestRecord] = []
+            for record in self._queue:
                 desperate = self.sim.now - record.arrival_ms > STARVATION_MS
-                if not self._try_dispatch(request, record, desperate=desperate):
-                    remaining.append((request, record))
+                if not self._try_dispatch(record, desperate=desperate):
+                    remaining.append(record)
             self._queue = remaining
         finally:
             self._draining = False
@@ -1695,16 +1694,16 @@ class ClusterController:
         self._draining = True  # purges must not re-enter dispatch mid-sweep
         self._crashed_node = node_id
         node = self.nodes[node_id]
-        displaced: list[tuple[Request, RequestRecord]] = []
+        displaced: list[RequestRecord] = []
         try:
             for request_id in [
                 rid
-                for rid, (_, sandbox, _, _) in self._inflight.items()
+                for rid, (_, sandbox, _) in self._inflight.items()
                 if sandbox.node_id == node_id
             ]:
-                timer, _, request, record = self._inflight.pop(request_id)
+                timer, _, record = self._inflight.pop(request_id)
                 timer.cancel()
-                displaced.append((request, record))
+                displaced.append(record)
             for sandbox in list(node.sandboxes.values()):
                 self._crash_purge(sandbox)
                 self.metrics.crash_purged_sandboxes += 1
@@ -1726,10 +1725,10 @@ class ClusterController:
         finally:
             self._draining = False
             self._crashed_node = None
-        for request, record in displaced:
+        for record in displaced:
             self.metrics.requests_rescheduled += 1
-            if not self._try_dispatch(request, record):
-                self._enqueue(request, record)
+            if not self._try_dispatch(record):
+                self._enqueue(record)
         self._drain_queue()
 
     def _reconcile_dead_bases(self, dead: dict[int, BaseCheckpoint]) -> None:

@@ -261,18 +261,29 @@ class Platform:
         """Schedule the trace's arrivals on the simulator.
 
         Only ``config.arrival_chunk`` upcoming arrivals sit on the heap
-        at once (``Simulator.schedule_stream``); the controller seeds
-        the execution-time draws of each chunk's requests in one batch
-        as they are scheduled.
+        at once (``Simulator.schedule_stream``).  Each chunk's labels
+        are decoded from the trace's columns in one pass, and the
+        controller seeds the chunk's execution-time draws in one batch;
+        an arrival is then a call ``submit(request_id, function, tenant)``.
         """
-        requests = trace.requests
         submit = self.controller.submit
         prime = self.controller.prime_exec_times
+        chunk: list = [0, [], []]  # first row, its functions, its tenants
+
+        def on_chunk(start: int, stop: int) -> None:
+            functions, tenants = trace.labels(start, stop)
+            chunk[:] = start, functions, tenants
+            prime(range(start, stop), functions)
+
+        def arrival(i: int) -> partial:
+            start, functions, tenants = chunk
+            return partial(submit, i, functions[i - start], tenants[i - start])
+
         self.sim.schedule_stream(
-            [request.arrival_ms for request in requests],
-            lambda i: partial(submit, requests[i]),
+            trace.arrival_ms,
+            arrival,
             chunk_size=self.config.arrival_chunk,
-            on_chunk=lambda start, stop: prime(requests[start:stop]),
+            on_chunk=on_chunk,
         )
 
     def run(self, trace: Trace, *, tail_ms: float = RUN_TAIL_MS) -> RunReport:

@@ -194,7 +194,8 @@ class Simulator:
         """Schedule ``make_callback(i)`` at ``times[i]`` for every ``i``,
         keeping only ~``chunk_size`` entries of the stream resident.
 
-        ``times`` must be sorted non-decreasing with ``times[0] >= now``.
+        ``times`` (a list, tuple or numpy column) must be sorted
+        non-decreasing with ``times[0] >= now``.
         The whole stream's sequence numbers are reserved immediately:
         entry ``i`` is created with the exact (time, seq) pair that
         ``self.at(times[i], make_callback(i))`` called up front — before
@@ -223,8 +224,10 @@ class Simulator:
             if on_chunk is not None:
                 on_chunk(start, stop)
             floor = self._now
-            for i in range(start, stop):
-                time = times[i]
+            window = times[start:stop]
+            if not isinstance(window, (list, tuple)):
+                window = window.tolist()  # a numpy column: Python floats
+            for i, time in enumerate(window, start):
                 if time < floor:
                     if time < floor - 1e-9:
                         raise SimulationError(

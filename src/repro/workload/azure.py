@@ -183,16 +183,21 @@ class AzureTraceGenerator:
         if duration_min <= 0:
             raise ValueError("duration_min must be positive")
         duration_ms = duration_min * 60_000.0
-        arrivals: list[tuple[float, str, str]] = []
-        for index, function in enumerate(functions):
-            spec = self.pattern_for(function, index)
-            rng = rng_for("azure-arrivals", self.seed, function)
-            tenant = (tenant_of or {}).get(function, "")
-            arrivals.extend(
-                (float(t), function, tenant)
-                for t in sample_arrivals(spec, duration_ms, rng)
+        times = [
+            sample_arrivals(
+                self.pattern_for(function, index),
+                duration_ms,
+                rng_for("azure-arrivals", self.seed, function),
             )
-        return Trace.from_arrivals(arrivals)
+            for index, function in enumerate(functions)
+        ]
+        ids = [np.full(len(part), index) for index, part in enumerate(times)]
+        return Trace.from_arrays(
+            np.concatenate([np.empty(0), *times]),
+            np.concatenate([np.empty(0, dtype=np.int64), *ids]),
+            list(functions),
+            [(tenant_of or {}).get(function, "") for function in functions],
+        )
 
 
 #: Cluster-mix pattern cycle: the characterization's mass is on steady
@@ -317,7 +322,7 @@ class ClusterTraceGenerator:
             times_parts.append(times)
             ids_parts.append(np.full(times.size, index, dtype=np.int64))
         if not times_parts:
-            return Trace(requests=())
+            return Trace.from_arrivals([])
         times = np.concatenate(times_parts)
         ids = np.concatenate(ids_parts)
         # Shared diurnal envelope over the merged cluster load.

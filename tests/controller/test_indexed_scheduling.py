@@ -18,7 +18,7 @@ from repro.platform.config import ClusterConfig
 from repro.platform.metrics import StartType
 from repro.platform.platform import PlatformKind, build_platform
 from repro.workload.functionbench import FunctionBenchSuite
-from repro.workload.trace import Request, Trace
+from repro.workload.trace import Trace
 from tests.conftest import check_every_instant
 from tests.platform.test_control_plane_equivalence import build_scenario
 
@@ -98,8 +98,7 @@ class TestPlacementGateReadsACounter:
         # 24 simultaneous arrivals cold-start three per node.
         platform = build(config_overrides=dict(nodes=self.NODES, node_memory_mb=64.0))
         for i in range(3 * self.NODES):
-            request = Request(request_id=i, function="Vanilla", arrival_ms=0.0)
-            platform.sim.at(0.0, lambda r=request: platform.controller.submit(r))
+            platform.sim.at(0.0, lambda i=i: platform.controller.submit(i, "Vanilla"))
         return platform
 
     @staticmethod
@@ -154,8 +153,7 @@ class TestNoDispatchScan:
         controller = platform.controller
         assert controller._index.idle_warm.get("Vanilla"), "no idle warm sandbox"
         controller._function_sandboxes = _Tripwire("_function_sandboxes")
-        request = Request(request_id=999, function="Vanilla", arrival_ms=platform.sim.now)
-        controller.submit(request)
+        controller.submit(999, "Vanilla")
         record = platform.metrics.requests[999]
         assert record.start_type is StartType.WARM
 

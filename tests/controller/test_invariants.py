@@ -20,7 +20,7 @@ from repro.core.policy import MedesPolicyConfig
 from repro.faults.schedule import FaultSchedule, FaultsConfig, NodeCrash
 from repro.invariants import check
 from repro.platform.config import ClusterConfig
-from repro.platform.metrics import StartType
+from repro.platform.metrics import RequestRecord, StartType
 from repro.platform.platform import PlatformKind, build_platform
 from repro.sandbox.node import AccountingError
 from repro.templates.catalog import TemplateConfig
@@ -263,7 +263,9 @@ def _rename_domain(platform, mp):
 #: Invariant name -> a corruption that breaks it alone.
 CORRUPTIONS = {
     "request log": lambda p, mp: _bump(mp, p.metrics.requests.rows, "_size", -1),
-    "requests held": lambda p, mp: mp.setitem(p.controller._inflight, -1, None),
+    "requests held": lambda p, mp: mp.setitem(
+        p.controller._inflight, -1, (None, None, RequestRecord(-1, "Vanilla", 0.0))
+    ),
     "node used bytes": lambda p, mp: _bump(mp, p.nodes[0], "_used"),
     "reclaimable bytes": lambda p, mp: _bump(mp, p.nodes[0], "_reclaimable"),
     "evictable": _misdefine_evictable,

@@ -29,6 +29,8 @@ from repro.platform.platform import PlatformKind, build_platform
 from repro.platform.report_io import metrics_to_dict
 from repro.workload.azure import ClusterTraceGenerator
 from repro.workload.functionbench import FunctionBenchSuite
+from repro.workload.trace import Request, Trace
+from tests.conftest import check_every_instant
 from tests.oracles import request_records as oracle
 
 FUNCTIONS = ("f", "g", "h")
@@ -243,3 +245,26 @@ def test_drained_replay_keeps_no_record_objects():
     assert platform.metrics.outstanding_requests == 0
     assert len(platform.metrics.completion_timeline) == len(trace)
     assert records_alive() == alive
+
+
+def test_replay_builds_no_request_and_holds_each_record_once(monkeypatch):
+    """The trace stays columns through a replay: no ``Request`` row is
+    made.  At every instant, the controller holds each queued or
+    scheduled request as the log's own in-flight record, once (the
+    ``requests held`` recount of ``repro.invariants.check``)."""
+    trace = Trace.from_arrivals([(float(i * 10), "LinAlg") for i in range(12)])
+    config = ClusterConfig(nodes=1, node_memory_mb=256.0, content_scale=1.0 / 1024.0)
+    suite = FunctionBenchSuite.subset(["LinAlg"])
+    platform = build_platform(PlatformKind.FIXED_KEEP_ALIVE, config, suite)
+    held = check_every_instant(
+        platform, lambda p: (len(p.controller._queue), len(p.controller._inflight))
+    )
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a replay built a Request")
+
+    monkeypatch.setattr(Request, "__init__", no_rows)
+    platform.run(trace)
+    assert max(queued for queued, _ in held) > 0, "no request ever queued"
+    assert max(scheduled for _, scheduled in held) > 1
+    assert len(platform.metrics.completion_timeline) == len(trace)

@@ -48,7 +48,7 @@ class TestRunMechanics:
 
     def test_empty_trace_runs(self, tiny_suite):
         platform = build_platform(PlatformKind.MEDES, small_config(), tiny_suite)
-        report = platform.run(Trace(requests=()))
+        report = platform.run(Trace.from_arrivals([]))
         assert len(report.metrics.requests) == 0
         assert report.metrics.sandboxes_created == 0
 

@@ -112,7 +112,7 @@ class TestTraceShapes:
         config = ClusterConfig(nodes=1, content_scale=SCALE)
         assert_identical(
             *run_both_injections(
-                PlatformKind.MEDES, config, suite, Trace(requests=()), medes=MEDES
+                PlatformKind.MEDES, config, suite, Trace.from_arrivals([]), medes=MEDES
             )
         )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -249,7 +250,9 @@ class TestCancelledBookkeeping:
 
 
 class TestScheduleStream:
-    def test_stream_matches_eager_order(self):
+    @pytest.mark.parametrize("column", [list, np.array])
+    def test_stream_matches_eager_order(self, column):
+        """A list and a numpy column stream alike, on Python-float times."""
         times = [1.0, 2.0, 2.0, 3.0, 7.5, 7.5, 7.5, 9.0]
         eager_sim = Simulator()
         eager_seen = []
@@ -260,12 +263,13 @@ class TestScheduleStream:
         stream_sim = Simulator()
         stream_seen = []
         stream_sim.schedule_stream(
-            times,
+            column(times),
             lambda i: lambda: stream_seen.append((stream_sim.now, i)),
             chunk_size=3,
         )
         stream_sim.run()
         assert stream_seen == eager_seen
+        assert {type(now) for now, _ in stream_seen} == {float}
 
     def test_stream_keeps_window_resident(self):
         times = [float(i) for i in range(100)]
