@@ -250,10 +250,8 @@ class TestCancelledBookkeeping:
 
 
 class TestScheduleStream:
-    @pytest.mark.parametrize("column", [list, np.array])
-    def test_stream_matches_eager_order(self, column):
-        """A list and a numpy column stream alike, on Python-float times."""
-        times = [1.0, 2.0, 2.0, 3.0, 7.5, 7.5, 7.5, 9.0]
+    @staticmethod
+    def _eager_and_streamed(times, column):
         eager_sim = Simulator()
         eager_seen = []
         for i, t in enumerate(times):
@@ -263,11 +261,22 @@ class TestScheduleStream:
         stream_sim = Simulator()
         stream_seen = []
         stream_sim.schedule_stream(
-            column(times),
+            column,
             lambda i: lambda: stream_seen.append((stream_sim.now, i)),
             chunk_size=3,
         )
         stream_sim.run()
+        return eager_seen, stream_seen
+
+    def test_stream_matches_eager_order(self):
+        times = [1.0, 2.0, 2.0, 3.0, 7.5, 7.5, 7.5, 9.0]
+        eager_seen, stream_seen = self._eager_and_streamed(times, times)
+        assert stream_seen == eager_seen
+
+    def test_stream_numpy_column_matches_eager_order(self):
+        """A numpy column streams like a list, on Python-float times."""
+        times = [1.0, 2.0, 2.0, 3.0, 7.5, 7.5, 7.5, 9.0]
+        eager_seen, stream_seen = self._eager_and_streamed(times, np.array(times))
         assert stream_seen == eager_seen
         assert {type(now) for now, _ in stream_seen} == {float}
 
