@@ -60,7 +60,7 @@ from repro.sandbox.state import SandboxState
 from repro.sim.engine import Simulator, Timer
 from repro.sim.network import PeerUnavailable
 from repro.storage.store import TieredCheckpointStore
-from repro.storage.tiers import StorageTier, TierAccount
+from repro.storage.tiers import StorageTier
 from repro.templates.catalog import TemplateCatalog, TemplatePoolFull
 from repro.templates.delta import TemplateDeltaTable
 from repro.workload.functionbench import FunctionBenchSuite
@@ -146,18 +146,12 @@ class ClusterController:
         self.tiered_store: TieredCheckpointStore | None = (
             store if isinstance(store, TieredCheckpointStore) else None
         )
-        if self.tiering and self.tiered_store is None:
-            raise ValueError("checkpoint_tiering requires a TieredCheckpointStore")
-        self._cold: dict[int, Sandbox] = {}
-        """Dedup sandboxes whose table is parked on SSD, in demote order
-        (the SSD-pressure LRU; tiering only)."""
-        self._spilled: dict[int, Sandbox] = {}
-        """Template sandboxes whose delta is parked on local SSD
-        ("template-cold"), in spill order — the SSD-pressure LRU
-        (template sharing only)."""
-        self._delta_ssd: dict[int, TierAccount] = {}
-        """Per-node SSD capacity accounts for spilled template deltas
-        (template sharing only; built lazily on first spill)."""
+        if (self.tiering or templates is not None) and self.tiered_store is None:
+            raise ValueError("an SSD tier (tiering, templates) needs a TieredCheckpointStore")
+        self._parked: dict[int, Sandbox] = {}
+        """Sandboxes whose table — a patch table or a template delta —
+        is parked on their node's SSD, in park order: the SSD-pressure
+        LRU."""
         self._index = SandboxIndex()
         self._usage = NodeUsageIndex(nodes)
         for node in nodes:
@@ -267,13 +261,10 @@ class ClusterController:
         )
 
     @property
-    def cold_parked_tables(self) -> int:
-        """Dedup sandboxes whose patch table is parked on SSD (tiering).
-
-        Public read for observability (the platform's tier sampler);
-        keeps callers off the controller's private LRU structures.
-        """
-        return len(self._cold)
+    def parked_tables(self) -> int:
+        """Sandboxes whose table is parked on SSD (the platform's tier
+        sampler reads it)."""
+        return len(self._parked)
 
     def sandbox_census(self) -> tuple[int, int, int]:
         """(warm-ish, dedup, total) sandbox counts for memory sampling."""
@@ -287,8 +278,8 @@ class ClusterController:
 
     def recount(self) -> Iterator[str]:
         """Recount the controller's bookkeeping — indexes, held requests,
-        parked-table LRUs, delta SSD accounts — from the nodes' residents
-        and the request log; yields one message per disagreement."""
+        the parked-table LRU — from the nodes' residents and the request
+        log; yields one message per disagreement."""
         residents = [s for node in self.nodes for s in node.sandboxes.values()]
         yield from self._index.recount(residents)
         yield from self._usage.recount()
@@ -297,18 +288,9 @@ class ClusterController:
         ids = sorted(record.request_id for record in held)
         if ids != sorted(log) or any(log[r.request_id] is not r for r in held):
             yield f"requests held: queued or scheduled {ids}, not the log's in-flight records"
-        parked = {s.sandbox_id: s for s in residents if s.table_tier is not None}
-        spilled = {i for i, s in parked.items() if isinstance(s.dedup_table, TemplateDeltaTable)}
-        if (self._cold.keys(), self._spilled.keys()) != (parked.keys() - spilled, spilled):
-            yield f"parked tables: LRUs {[*self._cold, *self._spilled]}, not {list(parked)}"
-        spill_bytes: Counter[int] = Counter()
-        for sandbox_id in spilled:
-            sandbox = parked[sandbox_id]
-            spill_bytes[sandbox.node_id] += sandbox.dedup_table.retained_full_bytes
-        for node in self.nodes:
-            account = self._delta_ssd.get(node.node_id)
-            if (account.used_bytes if account else 0) != spill_bytes[node.node_id]:
-                yield f"delta SSD: node {node.node_id}: deltas hold {spill_bytes[node.node_id]}"
+        parked = {s.sandbox_id for s in residents if s.table_tier is not None}
+        if self._parked.keys() != parked:
+            yield f"parked tables: LRU {list(self._parked)}, not {sorted(parked)}"
 
     # ----------------------------------------------------------- dispatch
 
@@ -443,11 +425,10 @@ class ClusterController:
         """
         assert sandbox.dedup_table is not None
         agent = self.agents[sandbox.node_id]
-        promote_ms = 0.0
+        # Read a parked table back from SSD and bring hot demoted
+        # checkpoints home before the restore proper.
+        promote_ms = self._unpark_table(sandbox)
         if self.tiering:
-            # Read a parked ("dedup-cold") table back from SSD and bring
-            # hot demoted checkpoints home before the restore proper.
-            promote_ms += self._promote_table(sandbox)
             promote_ms += self._promote_checkpoints(sandbox.dedup_table)
         rehome_attempted = False
         while True:
@@ -549,10 +530,10 @@ class ClusterController:
             record.retry_penalty_ms += exc.charged_ms
             self.metrics.template_fork_fallbacks += 1
             return False
-        # A spilled ("template-cold") delta reads back from the pool
-        # first — charged into the fork's promote leg, after the fork is
-        # known to proceed so a failed attempt leaves the spill intact.
-        unspill_ms = self._unspill_delta(sandbox)
+        # A parked delta reads back from the node's SSD first — charged
+        # into the fork's promote leg, after the fork is known to
+        # proceed so a failed attempt leaves it parked.
+        unspill_ms = self._unpark_table(sandbox)
         node = self.nodes[sandbox.node_id]
         for segment in outcome.promoted:
             node.pin_template(segment.segment_id, segment.full_bytes)
@@ -690,13 +671,9 @@ class ClusterController:
 
     def _evictable_sandboxes(self, node: Node) -> list[Sandbox]:
         """Node's purgeable idle victims, unranked."""
-        victims = [s for s in node.sandboxes.values() if s.evictable]
-        if self.tiering or self.templates is not None:
-            # Dedup-cold / template-cold sandboxes hold no DRAM (their
-            # table lives on SSD or in the remote template pool); purging
-            # them frees nothing and destroys restorable state.
-            victims = [s for s in victims if s.table_tier is None]
-        return victims
+        # A sandbox whose table is parked on SSD holds no DRAM: purging
+        # it frees nothing and destroys restorable state.
+        return [s for s in node.sandboxes.values() if s.evictable and s.table_tier is None]
 
     def _unpinned_base_sandboxes(self, node: Node) -> list[Sandbox]:
         """Node's last-resort base victims (refcount 0), unranked."""
@@ -800,34 +777,21 @@ class ClusterController:
                     victim = next(
                         (v for v in victims if self._has_other_copy(v)), victim
                     )
-                if (
-                    self.tiering
-                    and victim.state is SandboxState.DEDUP
-                    and self._demote_table(victim)
-                ):
-                    # Demote-before-purge: the table moved to SSD, its
-                    # DRAM is free and the sandbox stays restorable.
+                if victim.state is SandboxState.DEDUP and self._park_table(victim):
+                    # Park-before-purge: the table moved to the node's
+                    # SSD, its DRAM is free and the sandbox stays
+                    # restorable at the charged SSD read.
                     continue
                 if (
                     self.templates is not None
                     and victim.state is SandboxState.WARM
                     and self._park_victim_as_template(victim)
                 ):
-                    # Park-before-purge: the warm victim shrank to its
-                    # template delta, so its next start is a fork rather
-                    # than a cold start.  If the freed slack is still
-                    # not enough, the loop comes back around and the
-                    # spill rung below demotes the delta to the pool.
-                    continue
-                if (
-                    self.templates is not None
-                    and victim.state is SandboxState.DEDUP
-                    and self._spill_delta(victim)
-                ):
-                    # Spill-before-purge: the parked delta moved to the
-                    # remote-DRAM pool ("template-cold"), its node DRAM
-                    # is free, and the sandbox stays fork-restorable at
-                    # the charged pool-read cost.
+                    # Template-park-before-purge: the warm victim shrank
+                    # to its template delta, so its next start is a fork
+                    # rather than a cold start.  If the freed slack is
+                    # still not enough, the loop comes back around and
+                    # the rung above parks the delta on SSD.
                     continue
                 self._purge(victim, reason="evicted")
                 self.metrics.evictions += 1
@@ -876,7 +840,7 @@ class ClusterController:
         purges) when the pool cannot take the segments or the publish's
         transient-RPC plan is exhausted.
 
-        Last-copy gated, like the spill rung: parking a *redundant*
+        Last-copy gated, like a delta's SSD park: parking a *redundant*
         warm victim trades its full footprint for a delta the function
         will likely never fork (another sandbox already serves it), and
         under exactly the pressure that is evicting — the retained
@@ -902,99 +866,9 @@ class ClusterController:
         # between the full footprint and the retained delta, and the
         # paired warm charge's entropy never crosses the wire.  If that
         # slack is still not enough, the eviction loop comes back around
-        # and the spill rung demotes this same delta to local SSD — the
-        # demotion is paid lazily, only under sustained pressure.
+        # and parks this same delta on local SSD — the demotion is paid
+        # lazily, only under sustained pressure.
         return True
-
-    def _delta_ssd_account(self, node_id: int) -> TierAccount:
-        """The node's SSD capacity account for spilled template deltas."""
-        account = self._delta_ssd.get(node_id)
-        if account is None:
-            assert self.templates is not None
-            config = self.templates.pool.config
-            account = TierAccount(capacity_bytes=config.ssd_capacity_bytes)
-            self._delta_ssd[node_id] = account
-        return account
-
-    def _spill_delta(self, sandbox: Sandbox) -> bool:
-        """Demote a parked template delta onto the node's local SSD.
-
-        The template analogue of :meth:`_demote_table`'s dedup-cold rung
-        (§9 parks cold dedup tables on SSD the same way): the sandbox's
-        node-DRAM charge drops to zero while it stays fork-restorable —
-        the next fork reads the delta back at the charged SSD cost
-        before applying it over the replicas.  The delta never crosses
-        the fabric: only template *segments* get remote-DRAM durability
-        (they are shared and must survive node crashes); a per-function
-        delta dies with its node exactly like the warm image it came
-        from, so shipping it to the pool buys nothing but wire traffic.
-
-        Only the *last* live copy of a function's state is worth
-        keeping: purging a redundant delta costs nothing (another
-        sandbox still averts the cold start), while purging the last
-        one turns the function's next arrival into a cold start.  The
-        last-copy gate keeps spill traffic bounded by the function
-        count, not the eviction rate.
-
-        Under SSD pressure the node's oldest spilled delta is purged to
-        make room (the coldest restorable state in the system); returns
-        False when even that cannot fit the new delta.
-        """
-        assert self.templates is not None
-        table = sandbox.dedup_table
-        if (
-            sandbox.state is not SandboxState.DEDUP
-            or sandbox.busy_request_id is not None
-            or sandbox.table_tier is not None
-            or not isinstance(table, TemplateDeltaTable)
-        ):
-            return False
-        if self._has_other_copy(sandbox):
-            return False  # redundant copy: purging it loses nothing
-        nbytes = table.retained_full_bytes
-        ssd = self._delta_ssd_account(sandbox.node_id)
-        while not ssd.fits(nbytes):
-            victim = next(
-                (s for s in self._spilled.values() if s.node_id == sandbox.node_id),
-                None,
-            )
-            if victim is None:
-                return False
-            self._purge(victim, reason="ssd-pressure")
-            if not (
-                sandbox.state is SandboxState.DEDUP
-                and sandbox.busy_request_id is None
-                and sandbox.table_tier is None
-            ):
-                # The purge re-entered the dispatcher and this
-                # sandbox was claimed for a fork meanwhile.
-                return False
-        ssd.charge(nbytes)
-        self._timers_for(sandbox).cancel_all()
-        sandbox.table_tier = StorageTier.LOCAL_SSD
-        self.nodes[sandbox.node_id].recharge_sandbox(sandbox.sandbox_id)
-        self._spilled[sandbox.sandbox_id] = sandbox
-        self.metrics.template_delta_spills += 1
-        self.metrics.template_delta_spill_bytes += nbytes
-        return True
-
-    def _unspill_delta(self, sandbox: Sandbox) -> float:
-        """Read a spilled ("template-cold") delta back from the node's
-        SSD for a fork; returns the charged read cost (0.0 when never
-        spilled)."""
-        if sandbox.table_tier is None:
-            return 0.0
-        assert self.templates is not None
-        table = sandbox.dedup_table
-        assert isinstance(table, TemplateDeltaTable)
-        nbytes = table.retained_full_bytes
-        cost_ms = self.templates.pool.config.ssd_read_ms(nbytes)
-        self._delta_ssd_account(sandbox.node_id).release(nbytes)
-        sandbox.table_tier = None
-        self.nodes[sandbox.node_id].recharge_sandbox(sandbox.sandbox_id)
-        self._spilled.pop(sandbox.sandbox_id, None)
-        self.metrics.template_delta_unspill_bytes += nbytes
-        return cost_ms
 
     def spawn_prewarmed(self, function: str) -> bool:
         """Spawn a sandbox ahead of demand (adaptive policy pre-warming)."""
@@ -1126,97 +1000,105 @@ class ClusterController:
 
     def _on_keep_dedup_expiry(self, sandbox: Sandbox) -> None:
         if sandbox.state is SandboxState.DEDUP and sandbox.busy_request_id is None:
-            if (
-                self.tiering
-                and not isinstance(sandbox.dedup_table, TemplateDeltaTable)
-                and self._demote_table(sandbox)
+            if not isinstance(sandbox.dedup_table, TemplateDeltaTable) and self._park_table(
+                sandbox
             ):
-                # Dedup-cold: the patch table parks on SSD instead of
-                # dying; the sandbox stays restorable at SSD read cost.
+                # The patch table parks on SSD instead of dying; the
+                # sandbox stays restorable at SSD read cost.
                 return
             self._purge(sandbox, reason="keep-dedup")
 
     # ------------------------------------------------------------- tiering
 
-    def _demote_table(self, sandbox: Sandbox) -> bool:
-        """Park a DEDUP sandbox's patch table on its node's SSD.
+    def _park_table(self, sandbox: Sandbox) -> bool:
+        """Park an idle DEDUP sandbox's table on its node's SSD.
 
-        Returns False when the sandbox is no longer demotable (already
-        cold, or reclaimed by a re-entrant dispatch while we purged cold
-        victims for SSD room) or when the SSD cannot make room.
+        One path for both table kinds: the node-DRAM charge drops to
+        zero, the store's per-node SSD account takes the bytes, and the
+        next restore or fork reads the table back at the charged SSD
+        cost (:meth:`_unpark_table`).  A patch table parks only under
+        ``checkpoint_tiering``.  A template delta parks only as its
+        function's last live copy: purging a redundant one loses
+        nothing, so the gate bounds SSD traffic by the function count,
+        not the eviction rate.  A delta never crosses the fabric — it
+        dies with its node like the warm image it came from.
+
+        Under SSD pressure the node's oldest parked table is purged to
+        make room.  Returns False when the sandbox is not parkable (or
+        was claimed by a re-entrant dispatch while room was made) or
+        the SSD cannot fit the table.
         """
-        store = self.tiered_store
-        assert store is not None
-        if sandbox.table_tier is not None:
-            return False
         table = sandbox.dedup_table
-        assert table is not None
-        if isinstance(table, TemplateDeltaTable):
-            # Template deltas demote through the template pool
-            # (:meth:`_spill_delta`), never through the SSD tier.
+        delta = isinstance(table, TemplateDeltaTable)
+        if not self._parkable(sandbox) or (
+            self._has_other_copy(sandbox) if delta else not self.tiering
+        ):
             return False
+        store = self.tiered_store
+        assert store is not None and table is not None
         nbytes = table.retained_full_bytes
         node_id = sandbox.node_id
         while not store.ssd_fits(node_id, nbytes):
-            # SSD pressure: retire the oldest cold table on this node.
-            victim = next(
-                (s for s in self._cold.values() if s.node_id == node_id), None
-            )
+            victim = next((s for s in self._parked.values() if s.node_id == node_id), None)
             if victim is None:
                 return False
             self._purge(victim, reason="ssd-pressure")
-            if not (
-                sandbox.state is SandboxState.DEDUP
-                and sandbox.busy_request_id is None
-                and sandbox.table_tier is None
-            ):
-                # The purge re-entered the dispatcher and this sandbox
-                # was claimed for a restore meanwhile.
+            if not self._parkable(sandbox):
                 return False
         cost_ms = store.demote_table(sandbox.sandbox_id, node_id, nbytes)
         self._timers_for(sandbox).cancel_all()
         sandbox.table_tier = StorageTier.LOCAL_SSD
         self.nodes[node_id].recharge_sandbox(sandbox.sandbox_id)
-        self._cold[sandbox.sandbox_id] = sandbox
-        self.metrics.table_demotions += 1
-        self.metrics.tier_ops.append(
-            TierOpRecord(
-                time_ms=self.sim.now,
-                kind="demote",
-                subject="table",
-                tier=StorageTier.LOCAL_SSD.value,
-                nbytes=nbytes,
-                cost_ms=cost_ms,
-            )
-        )
+        self._parked[sandbox.sandbox_id] = sandbox
+        if delta:
+            self.metrics.template_delta_spills += 1
+            self.metrics.template_delta_spill_bytes += nbytes
+        else:
+            self.metrics.table_demotions += 1
+            self._note_tier_op("demote", "table", StorageTier.LOCAL_SSD, nbytes, cost_ms)
         self._drain_queue()  # the freed DRAM may admit queued work
         return True
 
-    def _promote_table(self, sandbox: Sandbox) -> float:
-        """Read a parked table back from SSD for a restore; returns the
-        charged read cost (0.0 when the table was never parked)."""
-        store = self.tiered_store
-        assert store is not None
-        location = store.table_location(sandbox.sandbox_id)
-        if location is None:
+    @staticmethod
+    def _parkable(sandbox: Sandbox) -> bool:
+        return (
+            sandbox.state is SandboxState.DEDUP
+            and sandbox.busy_request_id is None
+            and sandbox.table_tier is None
+        )
+
+    def _unpark_table(self, sandbox: Sandbox) -> float:
+        """Read a parked table back from SSD for a restore or fork;
+        returns the charged read cost (0.0 when it was not parked)."""
+        if sandbox.table_tier is None:
             return 0.0
-        _node_id, nbytes = location
+        store = self.tiered_store
+        assert store is not None and sandbox.dedup_table is not None
+        nbytes = sandbox.dedup_table.retained_full_bytes
         cost_ms = store.promote_table(sandbox.sandbox_id)
         sandbox.table_tier = None
         self.nodes[sandbox.node_id].recharge_sandbox(sandbox.sandbox_id)
-        self._cold.pop(sandbox.sandbox_id, None)
-        self.metrics.table_promotions += 1
+        del self._parked[sandbox.sandbox_id]
+        if isinstance(sandbox.dedup_table, TemplateDeltaTable):
+            self.metrics.template_delta_unspill_bytes += nbytes
+        else:
+            self.metrics.table_promotions += 1
+            self._note_tier_op("promote", "table", StorageTier.NODE_DRAM, nbytes, cost_ms)
+        return cost_ms
+
+    def _note_tier_op(
+        self, kind: str, subject: str, tier: StorageTier, nbytes: int, cost_ms: float
+    ) -> None:
         self.metrics.tier_ops.append(
             TierOpRecord(
                 time_ms=self.sim.now,
-                kind="promote",
-                subject="table",
-                tier=StorageTier.NODE_DRAM.value,
+                kind=kind,
+                subject=subject,
+                tier=tier.value,
                 nbytes=nbytes,
                 cost_ms=cost_ms,
             )
         )
-        return cost_ms
 
     def _promote_checkpoints(self, table) -> float:
         """Bring demoted base checkpoints a restore will read back into
@@ -1243,16 +1125,7 @@ class ClusterController:
             move = store.promote_checkpoint(checkpoint)
             node.recharge_checkpoint(checkpoint.checkpoint_id)
             self.metrics.checkpoint_promotions += 1
-            self.metrics.tier_ops.append(
-                TierOpRecord(
-                    time_ms=self.sim.now,
-                    kind="promote",
-                    subject="checkpoint",
-                    tier=StorageTier.NODE_DRAM.value,
-                    nbytes=move.nbytes,
-                    cost_ms=move.cost_ms,
-                )
-            )
+            self._note_tier_op("promote", "checkpoint", move.tier, move.nbytes, move.cost_ms)
             total_ms += move.cost_ms
         return total_ms
 
@@ -1266,16 +1139,7 @@ class ClusterController:
             return False
         self.nodes[checkpoint.node_id].recharge_checkpoint(checkpoint.checkpoint_id)
         self.metrics.checkpoint_demotions += 1
-        self.metrics.tier_ops.append(
-            TierOpRecord(
-                time_ms=self.sim.now,
-                kind="demote",
-                subject="checkpoint",
-                tier=move.tier.value,
-                nbytes=move.nbytes,
-                cost_ms=move.cost_ms,
-            )
-        )
+        self._note_tier_op("demote", "checkpoint", move.tier, move.nbytes, move.cost_ms)
         return True
 
     # -------------------------------------------------------------- dedup
@@ -1805,24 +1669,18 @@ class ClusterController:
                 sandbox.transition(SandboxState.WARM, self.sim.now)
         if sandbox.state is SandboxState.DEDUP:
             assert sandbox.dedup_table is not None
+            if sandbox.table_tier is not None:
+                # A parked table dies with its sandbox: release its SSD.
+                assert self.tiered_store is not None
+                self.tiered_store.release_table(sandbox.sandbox_id)
+                del self._parked[sandbox.sandbox_id]
+                sandbox.table_tier = None
             if isinstance(sandbox.dedup_table, TemplateDeltaTable):
                 assert self.templates is not None
-                if sandbox.table_tier is not None:
-                    # A spilled delta dies with its sandbox (and its
-                    # node): release the SSD bytes it held.
-                    self._delta_ssd_account(sandbox.node_id).release(
-                        sandbox.dedup_table.retained_full_bytes
-                    )
-                    self._spilled.pop(sandbox.sandbox_id, None)
-                    sandbox.table_tier = None
                 self.templates.release(sandbox.dedup_table.segment_keys)
             else:
                 self._release_base_refs(sandbox.dedup_table)
                 self.basemgr.note_dedup(sandbox.function, -1)
-                if self.tiering:
-                    assert self.tiered_store is not None
-                    self.tiered_store.release_table(sandbox.sandbox_id)
-                    self._cold.pop(sandbox.sandbox_id, None)
         self._end_template_sharing(sandbox)
         sandbox.transition(SandboxState.PURGED, self.sim.now)
         sandbox.dedup_table = None

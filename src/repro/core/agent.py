@@ -486,6 +486,7 @@ class DedupAgent:
         fingerprint_config: FingerprintConfig | None = None,
         patch_level: int = 1,
         recorder: WorkingSetRecorder | None = None,
+        tiering: bool = False,
         stage_overlap: bool = False,
         transients: TransientFaults | None = None,
         templates: TemplateCatalog | None = None,
@@ -498,7 +499,9 @@ class DedupAgent:
         self.fabric = fabric
         self.costs = costs
         self.content_scale = content_scale
-        self.tiering = isinstance(store, TieredCheckpointStore)
+        if tiering and not isinstance(store, TieredCheckpointStore):
+            raise ValueError("tiering needs a TieredCheckpointStore")
+        self.tiering = tiering
         """Base reads are costed by residency (checkpoint tiering)."""
         self.recorder = recorder
         """Restore working-set recorder, shared cluster-wide (tiering

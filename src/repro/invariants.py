@@ -80,7 +80,7 @@ def _problems(platform: Platform) -> Iterator[str]:
             {
                 s.sandbox_id: (s.node_id, s.dedup_table.retained_full_bytes)
                 for s in residents.values()
-                if s.table_tier is not None and not isinstance(s.dedup_table, TemplateDeltaTable)
+                if s.table_tier is not None
             }
         )
     yield from platform.controller.recount()

@@ -253,7 +253,8 @@ class TierSample:
     remote_dram_bytes: int
     ssd_bytes: int
     cold_tables: int
-    """Dedup sandboxes whose patch table is parked on SSD."""
+    """Sandboxes whose table (patch table or template delta) is parked
+    on SSD."""
 
 
 class ColumnTimeline:
@@ -545,7 +546,7 @@ class RunMetrics:
     checkpoint_demotions: int = 0
     checkpoint_promotions: int = 0
     table_demotions: int = 0
-    """Dedup patch tables parked on SSD instead of purged ("dedup-cold")."""
+    """Dedup patch tables parked on SSD instead of purged."""
     table_promotions: int = 0
     """Parked tables read back for a restore."""
     prefetch_recordings: int = 0
@@ -627,11 +628,11 @@ class RunMetrics:
     """Warm eviction victims parked as template deltas instead of purged
     (park-before-purge): their next start is a fork, not a cold start."""
     template_delta_spills: int = 0
-    """Parked deltas demoted to node-local SSD ("template-cold")
-    instead of purged: node DRAM frees fully, the sandbox stays
-    fork-restorable at the charged SSD-read cost.  Node-local, like
-    §9's dedup-cold tables — only shared template *segments* get
-    remote-DRAM durability; a spilled delta dies with its node."""
+    """Parked deltas moved to node-local SSD instead of purged, through
+    the same park path as §9's patch tables: node DRAM frees fully, the
+    sandbox stays fork-restorable at the charged SSD-read cost.  Only
+    shared template *segments* get remote-DRAM durability; a parked
+    delta dies with its node."""
     template_delta_spill_bytes: int = 0
     """SSD bytes written by those spills (node-local, never crosses the
     fabric)."""

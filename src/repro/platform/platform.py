@@ -104,16 +104,19 @@ class Platform:
             self.registry = FingerprintRegistry(
                 config.fingerprint, max_refs_per_digest=config.max_refs_per_digest
             )
-        if config.checkpoint_tiering:
+        # Tiering and template sharing both park tables on node SSD,
+        # whose accounts the tiered store keeps.
+        if config.checkpoint_tiering or config.template_sharing:
             self.store: CheckpointStore = TieredCheckpointStore(
                 config.storage, nodes=config.nodes
             )
-            self.recorder = (
-                WorkingSetRecorder() if config.storage.prefetch else None
-            )
         else:
             self.store = CheckpointStore()
-            self.recorder = None
+        self.recorder = (
+            WorkingSetRecorder()
+            if config.checkpoint_tiering and config.storage.prefetch
+            else None
+        )
         self.basemgr = BaseSandboxManager(self.store, threshold=config.base_threshold)
         if config.faults is not None:
             self.faults: FaultRuntime | None = FaultRuntime(
@@ -156,6 +159,7 @@ class Platform:
                 content_scale=config.content_scale,
                 fingerprint_config=config.fingerprint,
                 recorder=self.recorder,
+                tiering=config.checkpoint_tiering,
                 stage_overlap=config.parallel_data_plane,
                 transients=self.faults.transients if self.faults is not None else None,
                 templates=self.templates,
@@ -246,7 +250,7 @@ class Platform:
                 self.sim.now,
                 occupancy[StorageTier.REMOTE_DRAM],
                 occupancy[StorageTier.LOCAL_SSD],
-                self.controller.cold_parked_tables,
+                self.controller.parked_tables,
             )
         if self.templates is not None:
             self.metrics.template_timeline.append_row(

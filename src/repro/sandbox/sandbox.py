@@ -54,8 +54,8 @@ class Sandbox:
     is_base: bool = False
     base_checkpoint_id: int | None = None
     table_tier: StorageTier | None = None
-    """Residency of the dedup page table when off node DRAM (the
-    "dedup-cold" state, checkpoint tiering only); ``None`` means DRAM."""
+    """Residency of the dedup table (patch table or template delta) when
+    parked off node DRAM; ``None`` means DRAM."""
     template_cow_bytes: int = 0
     """Full-scale bytes a template-forked sandbox shares copy-on-write
     with its node's template replicas — unwritten template pages, the
@@ -132,7 +132,7 @@ class Sandbox:
         retained = self.dedup_table.retained_full_bytes
         if self.state is SandboxState.DEDUP:
             if self.table_tier is not None:
-                return 0  # table parked on a lower tier ("dedup-cold")
+                return 0  # table parked on a lower tier
             return retained
         if self.state is SandboxState.RESTORING:
             return full + retained

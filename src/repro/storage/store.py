@@ -7,9 +7,10 @@ cluster-wide directory of base checkpoints, with two additions:
   capacity accounting and charged demote/promote operations that move it
   between ``NODE_DRAM``, the cluster-wide ``REMOTE_DRAM`` pool and the
   owning node's ``LOCAL_SSD``; and
-* **dedup patch tables** of expired sandboxes can be parked on the
-  owning node's SSD (the "dedup-cold" residency) instead of being
-  purged, through the ``*_table`` methods.
+* the **tables** of parked sandboxes — dedup patch tables and template
+  deltas — can be moved to the owning node's SSD instead of being
+  purged, through the ``*_table`` methods; the per-node SSD accounts
+  are the one place both kinds are charged.
 
 The store only moves bytes between *accounts* and returns the charged
 cost in milliseconds; the controller decides *when* to demote (eviction
@@ -80,8 +81,8 @@ class TemplatePool:
 
 
 class TieredCheckpointStore(CheckpointStore):
-    """A :class:`CheckpointStore` whose checkpoints (and parked dedup
-    patch tables) have residency tiers with bounded capacities."""
+    """A :class:`CheckpointStore` whose checkpoints (and parked tables)
+    have residency tiers with bounded capacities."""
 
     def __init__(self, config: StorageConfig, *, nodes: int) -> None:
         super().__init__()
@@ -198,13 +199,14 @@ class TieredCheckpointStore(CheckpointStore):
         the node's fate — DESIGN.md §9)."""
         return checkpoint.tier is StorageTier.REMOTE_DRAM
 
-    # ------------------------------------------------- dedup-cold tables
+    # ------------------------------------------------------ parked tables
 
     def ssd_fits(self, node_id: int, nbytes: int) -> bool:
         return self.ssd[node_id].fits(nbytes)
 
     def demote_table(self, sandbox_id: int, node_id: int, nbytes: int) -> float:
-        """Park a dedup patch table on ``node_id``'s SSD ("dedup-cold").
+        """Park a sandbox's table (patch table or template delta) on
+        ``node_id``'s SSD.
 
         Returns the charged SSD write cost.  The caller keeps the table
         object itself (it is the sandbox's ``dedup_table``); the store
@@ -243,7 +245,7 @@ class TieredCheckpointStore(CheckpointStore):
 
     def recount(self, parked: dict[int, tuple[int, int]]) -> Iterator[str]:
         """Recount the tier accounts from the checkpoints held and
-        ``parked`` (sandbox id -> node id, bytes of every dedup table the
+        ``parked`` (sandbox id -> node id, bytes of every table the
         sandboxes keep on SSD); yields one message per disagreement."""
         if self._tables != parked:
             yield f"parked tables: the store holds {sorted(self._tables)}, not {sorted(parked)}"

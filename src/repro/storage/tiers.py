@@ -12,8 +12,8 @@ that frozen state can *demote* to instead of dying:
   TrEnv/CXL-style far-memory tier): DRAM latency plus a fabric hop, a
   single cluster-wide capacity.
 * ``LOCAL_SSD`` — the worker's NVMe drive: per-node capacity, read cost
-  dominated by device latency + sequential bandwidth.  Patch tables of
-  expired dedup sandboxes also land here (the "dedup-cold" residency).
+  dominated by device latency + sequential bandwidth.  Parked tables
+  (dedup patch tables, template deltas) also land here.
 
 Costs are charged per *batched* operation: a restore issues one
 sequential read per tier channel, so a transfer of ``n`` bytes pays one

@@ -40,6 +40,7 @@ def build_harness(profile, *, remote_dram_mb: float, recorder=None):
         costs=CostModel(),
         content_scale=TEST_SCALE,
         recorder=recorder,
+        tiering=True,
     )
     base_image = profile.synthesize(700, content_scale=TEST_SCALE, executed=True)
     checkpoint = BaseCheckpoint(
