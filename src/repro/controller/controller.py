@@ -998,13 +998,26 @@ class ClusterController:
         if delay is not None:
             self.sim.after(delay, lambda: self.spawn_prewarmed(function))
 
+    def _arm_keep_dedup(self, sandbox: Sandbox) -> None:
+        self._timers_for(sandbox).keep_dedup = self.sim.after(
+            self.policy.keep_dedup_ms(sandbox.function),
+            lambda: self._on_keep_dedup_expiry(sandbox),
+        )
+
     def _on_keep_dedup_expiry(self, sandbox: Sandbox) -> None:
+        """A parked sandbox lives for its keep-dedup window (paper §5).
+
+        An expiring patch table in DRAM parks on SSD (tiering) for one
+        fresh window instead of dying; a table already parked — by
+        eviction or by its own first expiry — is purged, so no parked
+        state outlives its clock or pins its bases for good.
+        """
         if sandbox.state is SandboxState.DEDUP and sandbox.busy_request_id is None:
             if not isinstance(sandbox.dedup_table, TemplateDeltaTable) and self._park_table(
                 sandbox
             ):
-                # The patch table parks on SSD instead of dying; the
-                # sandbox stays restorable at SSD read cost.
+                if sandbox.table_tier is not None:  # not restored by the park's drain
+                    self._arm_keep_dedup(sandbox)
                 return
             self._purge(sandbox, reason="keep-dedup")
 
@@ -1016,12 +1029,13 @@ class ClusterController:
         One path for both table kinds: the node-DRAM charge drops to
         zero, the store's per-node SSD account takes the bytes, and the
         next restore or fork reads the table back at the charged SSD
-        cost (:meth:`_unpark_table`).  A patch table parks only under
-        ``checkpoint_tiering``.  A template delta parks only as its
-        function's last live copy: purging a redundant one loses
-        nothing, so the gate bounds SSD traffic by the function count,
-        not the eviction rate.  A delta never crosses the fabric — it
-        dies with its node like the warm image it came from.
+        cost (:meth:`_unpark_table`).  Parking leaves the keep-dedup
+        clock running (:meth:`_on_keep_dedup_expiry`).  A patch table
+        parks only under ``checkpoint_tiering``.  A template delta parks
+        only as its function's last live copy: purging a redundant one
+        loses nothing, so the gate bounds SSD traffic by the function
+        count, not the eviction rate.  A delta never crosses the fabric:
+        it dies with its node like the warm image it came from.
 
         Under SSD pressure the node's oldest parked table is purged to
         make room.  Returns False when the sandbox is not parkable (or
@@ -1046,7 +1060,6 @@ class ClusterController:
             if not self._parkable(sandbox):
                 return False
         cost_ms = store.demote_table(sandbox.sandbox_id, node_id, nbytes)
-        self._timers_for(sandbox).cancel_all()
         sandbox.table_tier = StorageTier.LOCAL_SSD
         self.nodes[node_id].recharge_sandbox(sandbox.sandbox_id)
         self._parked[sandbox.sandbox_id] = sandbox
@@ -1290,11 +1303,7 @@ class ClusterController:
                     retries=outcome.timings.retries,
                 )
             )
-            timers = self._timers_for(sandbox)
-            timers.keep_dedup = self.sim.after(
-                self.policy.keep_dedup_ms(sandbox.function),
-                lambda: self._on_keep_dedup_expiry(sandbox),
-            )
+            self._arm_keep_dedup(sandbox)
             self._drain_queue()  # the freed memory may admit queued work
 
         timer = self.sim.after(outcome.timings.total_ms, finish_dedup)
@@ -1362,11 +1371,7 @@ class ClusterController:
                 retained_full_bytes=outcome.table.retained_full_bytes,
             )
         )
-        timers = self._timers_for(sandbox)
-        timers.keep_dedup = self.sim.after(
-            self.policy.keep_dedup_ms(sandbox.function),
-            lambda: self._on_keep_dedup_expiry(sandbox),
-        )
+        self._arm_keep_dedup(sandbox)
 
     def _end_template_sharing(self, sandbox: Sandbox) -> None:
         """Unshare a forked sandbox's copy-on-write template pages.

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator
 
-from repro.sandbox.node import AccountingError
+from repro.sandbox.node import AccountingError, Node
 from repro.sandbox.state import SandboxState
 from repro.storage.store import TieredCheckpointStore
 from repro.templates.delta import TemplateDeltaTable
@@ -29,6 +29,31 @@ def check(platform: Platform) -> None:
     the first broken invariant of ``platform``."""
     for problem in _problems(platform):
         raise AccountingError(problem)
+
+
+def liveness(platform: Platform) -> AccountingError:
+    """The error for a run whose requests never drain: each request still
+    waiting (id, function, footprint) and what each node holds against
+    it (free bytes, bytes of bases pinned by dedup tables)."""
+    waiting = ", ".join(
+        f"#{record.request_id} {record.function} "
+        f"({platform.suite.get(record.function).memory_bytes} B)"
+        for _, record in sorted(platform.metrics.requests.inflight.items())
+    )
+    nodes = "; ".join(
+        f"node {node.node_id}: {node.free_bytes()} B free, "
+        f"{_pinned_base_bytes(node)} B in pinned bases"
+        for node in platform.nodes
+    )
+    return AccountingError(f"liveness: never started: {waiting}; {nodes}")
+
+
+def _pinned_base_bytes(node: Node) -> int:
+    pinned = [checkpoint for checkpoint in node.checkpoints.values() if checkpoint.pinned]
+    owners = [node.sandboxes.get(checkpoint.owner_sandbox_id) for checkpoint in pinned]
+    return sum(checkpoint.memory_bytes() for checkpoint in pinned) + sum(
+        owner.memory_bytes() for owner in owners if owner is not None
+    )
 
 
 def _problems(platform: Platform) -> Iterator[str]:

@@ -22,7 +22,7 @@ from repro.core.registry import FingerprintRegistry, ShardedFingerprintRegistry
 from repro.faults.health import FaultDomainHealth, FaultRuntime
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import TransientFaults
-from repro.invariants import check
+from repro.invariants import check, liveness
 from repro.platform.config import ClusterConfig, ColdStartMode
 from repro.platform.metrics import RunMetrics
 from repro.sandbox.checkpoint import CheckpointStore
@@ -297,7 +297,8 @@ class Platform:
         of quiet time has elapsed (so background dedup ops finish), but
         lifecycle timers beyond that point are not waited for.  The
         drained state is then recounted by :func:`repro.invariants.check`,
-        which raises ``AccountingError`` on the first broken invariant.
+        which raises ``AccountingError`` on the first broken invariant; a
+        run that never drains raises a ``liveness`` one.
         """
         if self.injector is not None:
             self.injector.arm()
@@ -322,7 +323,7 @@ class Platform:
             guard += 1
             self.sim.run_until(end)
             if guard > 10_000:
-                raise RuntimeError("run did not drain; requests stuck in queue")
+                raise liveness(self)
         check(self)
         if self.recorder is not None:
             self.metrics.prefetch_recordings = self.recorder.recordings

@@ -219,10 +219,6 @@ class TieredCheckpointStore(CheckpointStore):
         self.demotions += 1
         return self.config.ssd_write_ms(nbytes)
 
-    def table_location(self, sandbox_id: int) -> tuple[int, int] | None:
-        """(node_id, nbytes) of a parked table, or None if not parked."""
-        return self._tables.get(sandbox_id)
-
     def promote_table(self, sandbox_id: int) -> float:
         """Read a parked table back for a restore; returns the SSD read
         cost and releases the SSD account."""

@@ -62,9 +62,6 @@ bursty_arrivals = st.lists(
 
 #: Every default-off feature, each drawn independently; a drawn fault
 #: schedule heals inside the trace (tests/faults/test_recovery_invariants).
-#: Tiering gets 256 MB nodes: on 100 MB ones its SSD-parked tables never
-#: expire, keep their bases pinned, and a queued RNNModel starves for
-#: good (ROADMAP item 4).
 feature_mixes = st.fixed_dictionaries(
     {
         "checkpoint_tiering": st.booleans(),
@@ -79,7 +76,7 @@ feature_mixes = st.fixed_dictionaries(
         "faults": st.none() | fault_configs,
         "node_memory_mb": st.sampled_from([100.0, 256.0]),
     }
-).map(lambda mix: {**mix, "node_memory_mb": 256.0} if mix["checkpoint_tiering"] else mix)
+)
 tenant_labels = st.fixed_dictionaries(
     {name: st.sampled_from(("alice", "bob")) for name in FUNCTIONS}
 )
@@ -146,8 +143,8 @@ class TestEndToEndInvariants:
     @settings(max_examples=60, deadline=None)
     @given(bursty_arrivals, tenant_labels, feature_mixes)
     def test_recounts_hold_at_every_instant(self, arrivals, tenant_of, features):
-        # Parked state outlives a short keep-dedup window, so tiering
-        # demotes tables and templates spill deltas.
+        # A short keep-dedup window, so within the trace tiering parks
+        # tables on SSD, templates park deltas there, and both expire.
         platform = build(
             medes=MedesPolicyConfig(
                 idle_period_ms=5_000.0, alpha=25.0, keep_dedup_ms=12_000.0
@@ -274,6 +271,7 @@ CORRUPTIONS = {
     "template sharers": lambda p, mp: mp.setitem(_segment(p).sharers, 99, 1),
     "template pool bytes": lambda p, mp: _bump(mp, p.templates.pool.account, "used_bytes"),
     "tier accounts": lambda p, mp: _bump(mp, p.store.ssd[0], "used_bytes"),
+    "parked tables": lambda p, mp: mp.setitem(p.controller._parked, -1, None),
     "dispatch index": _drop_idle_warm,
     "node order": lambda p, mp: mp.setattr(p.controller._usage, "_order", []),
     "registry claims": lambda p, mp: mp.setattr(p.registry._refs, "domain_of", {}),

@@ -1,0 +1,99 @@
+"""Parked state keeps its keep-dedup clock (paper §5, Fig 15).
+
+A table parked on SSD — a patch table under checkpoint tiering or a
+template delta — still belongs to a dedup sandbox, so it expires like
+one: parked by its own keep-dedup expiry, a patch table gets one fresh
+window; parked by eviction, a table keeps the window it had.  Either
+way it is purged when the window closes, which releases the bases its
+table pins, so queued work behind them can run.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core.policy import MedesPolicyConfig
+from repro.platform.config import ClusterConfig
+from repro.platform.platform import PlatformKind, build_platform
+from repro.sandbox.node import AccountingError
+from repro.workload.functionbench import FunctionBenchSuite
+from repro.workload.trace import Trace
+from tests.conftest import check_every_instant
+
+KEEP_DEDUP_MS = 12_000.0
+
+
+def build(*, nodes=2, node_memory_mb=100.0, **features):
+    config = ClusterConfig(
+        nodes=nodes,
+        node_memory_mb=node_memory_mb,
+        content_scale=1.0 / 256.0,
+        seed=5,
+        verify_restores=True,
+        checkpoint_tiering=True,
+        **features,
+    )
+    return build_platform(
+        PlatformKind.MEDES,
+        config,
+        FunctionBenchSuite.subset(["Vanilla", "LinAlg", "RNNModel"]),
+        medes=MedesPolicyConfig(
+            idle_period_ms=5_000.0, alpha=25.0, keep_dedup_ms=KEEP_DEDUP_MS
+        ),
+    )
+
+
+def test_parked_tables_expire_so_a_large_function_runs():
+    """LinAlg's parked tables pin the Vanilla bases; once they expire,
+    the starvation path may evict those bases and the 90 MB RNNModel
+    fits on a 100 MB node."""
+    linalg = [14_000, 14_001, 30_000, 30_001, 44_000, 60_000, 74_000, 82_000]
+    arrivals = sorted(
+        [(0.0, "Vanilla"), (14_000.0, "Vanilla"), (82_500.0, "RNNModel")]
+        + [(float(at), "LinAlg") for at in linalg]
+    )
+    platform = build()
+    check_every_instant(platform)
+    metrics = platform.run(Trace.from_arrivals(arrivals)).metrics
+    assert metrics.table_demotions > 0
+    assert len(metrics.requests) == len(arrivals)
+    assert all(record.completion_ms is not None for record in metrics.requests.values())
+
+
+@pytest.mark.parametrize(
+    ("arrivals", "template_sharing"),
+    [
+        # Two LinAlg sandboxes idle; one dedups, and its keep-dedup
+        # expiry parks the patch table on SSD.
+        ([(0.0, "LinAlg"), (1.0, "LinAlg")], False),
+        # The second RNNModel evicts the last LinAlg: it parks as a
+        # template delta, and the same eviction moves the delta to SSD.
+        ([(0.0, "LinAlg"), (3_000.0, "RNNModel"), (3_001.0, "RNNModel")], True),
+    ],
+    ids=["patch-table", "template-delta"],
+)
+def test_a_parked_table_is_purged_one_window_after_it_parks(arrivals, template_sharing):
+    platform = build(template_sharing=template_sharing)
+    parked = check_every_instant(platform, lambda p: (p.sim.now, p.controller.parked_tables))
+    metrics = platform.run(Trace.from_arrivals(arrivals)).metrics
+    changes = [(now, count) for (now, count), (_, was) in zip(parked[1:], parked) if count != was]
+    assert [count for _, count in changes] == [1, 0]
+    (parked_at, _), (purged_at, _) = changes
+    assert purged_at == pytest.approx(parked_at + KEEP_DEDUP_MS)
+    if template_sharing:
+        assert (metrics.template_delta_spills, metrics.table_demotions) == (1, 0)
+    else:
+        assert (metrics.template_delta_spills, metrics.table_demotions) == (0, 1)
+
+
+def test_a_run_that_cannot_drain_names_what_waits():
+    """RNNModel (90 MB) fits on no 64 MB node: the run stops with a
+    liveness error naming the request, its footprint and each node."""
+    platform = build(nodes=2, node_memory_mb=64.0)
+    with pytest.raises(AccountingError) as raised:
+        platform.run(Trace.from_arrivals([(0.0, "RNNModel")]))
+    assert str(raised.value) == (
+        "liveness: never started: #0 RNNModel (94371840 B); "
+        "node 0: 67108864 B free, 0 B in pinned bases; "
+        "node 1: 67108864 B free, 0 B in pinned bases"
+    )

@@ -131,13 +131,15 @@ class TestCountersHoldAtEveryInstant:
     #: Three functions on two 96 MB nodes, node 0 dying on the way.  With
     #: templates: replica drops, eviction parks, delta spills and
     #: unspills; without: base demarcations, purges and table demotions.
+    #: LinAlg at 41 s forks the delta parked at 31 s inside its
+    #: keep-dedup window.
     ARRIVALS = [
         (float(at), function)
         for at, function in [
             (0, "Vanilla"), (1, "LinAlg"), (2, "FeatureGen"), (3, "Vanilla"),
             (9_000, "LinAlg"), (9_500, "Vanilla"), (18_000, "FeatureGen"),
             (18_200, "LinAlg"), (29_900, "Vanilla"), (29_950, "LinAlg"),
-            (31_000, "FeatureGen"), (33_000, "Vanilla"), (45_000, "LinAlg"),
+            (31_000, "FeatureGen"), (33_000, "Vanilla"), (41_000, "LinAlg"), (45_000, "LinAlg"),
             (46_000, "FeatureGen"), (60_000, "Vanilla"), (61_000, "LinAlg"),
             (90_000, "FeatureGen"), (120_000, "Vanilla"),
         ]

@@ -65,8 +65,7 @@ from tests.oracles.patch_wire import serialize
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden" / "data_plane_run.json"
 
-#: Two tenants; RNNModel stays off the tiered nodes (its 90 MB would
-#: starve behind SSD-parked tables, ROADMAP item 3).
+#: Two tenants, four functions.
 TENANT_OF = {"Vanilla": "alice", "LinAlg": "alice", "FeatureGen": "bob", "ImagePro": "bob"}
 
 
@@ -110,7 +109,11 @@ def build_scenario() -> tuple[Platform, Trace]:
         PlatformKind.MEDES,
         config,
         suite,
-        medes=MedesPolicyConfig(idle_period_ms=5_000.0, alpha=25.0, keep_dedup_ms=12_000.0),
+        # A parked table lives one keep-dedup window in DRAM and, parked
+        # on SSD by its expiry, one more: 60 s each lets the trace's
+        # arrivals restore some (prefetched, and failing over to cold
+        # during the partition).
+        medes=MedesPolicyConfig(idle_period_ms=5_000.0, alpha=25.0, keep_dedup_ms=60_000.0),
     )
     return platform, trace
 

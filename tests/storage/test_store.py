@@ -141,11 +141,11 @@ class TestDedupColdTables:
     def test_demote_and_promote_table(self, store):
         cost = store.demote_table(77, node_id=0, nbytes=1 * MIB)
         assert cost > 0
-        assert store.table_location(77) == (0, 1 * MIB)
+        assert list(store.recount({77: (0, 1 * MIB)})) == []
         assert store.ssd[0].used_bytes == 1 * MIB
         read_cost = store.promote_table(77)
         assert read_cost > 0
-        assert store.table_location(77) is None
+        assert list(store.recount({})) == []
         assert store.ssd[0].used_bytes == 0
 
     def test_double_demote_rejected(self, store):
