@@ -25,6 +25,11 @@ GIB = 1024 * 1024 * 1024
 _NUMPY_SCALARS = (np.integer, np.floating, np.str_, np.bool_)
 
 
+def _seed_part(part: object) -> str:
+    """The text :func:`stable_seed` hashes for one part."""
+    return repr(part.item() if isinstance(part, _NUMPY_SCALARS) else part) + "\x1f"
+
+
 def stable_seed(*parts: object) -> int:
     """Derive a stable 64-bit seed from arbitrary hashable parts.
 
@@ -34,12 +39,7 @@ def stable_seed(*parts: object) -> int:
     changed between NumPy 1 and 2 (``5`` became ``np.int64(5)``), and a
     seed must not depend on the installed NumPy.
     """
-    text = "".join(
-        [
-            repr(part.item() if isinstance(part, _NUMPY_SCALARS) else part) + "\x1f"
-            for part in parts
-        ]
-    )
+    text = "".join([_seed_part(part) for part in parts])
     return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
 
 
@@ -159,52 +159,81 @@ def pcg64_seed_states(seeds: np.ndarray) -> np.ndarray:
     return states
 
 
+#: ``hashlib``'s digest method, to map over a batch of hash objects.
+_SHA256_DIGEST = type(hashlib.sha256()).digest
+
+
 class SeededLognormal:
     """``rng_for(*label, *key).lognormal(mean, sigma)`` for many keys,
     bit for bit, without building a generator per key.
 
-    :meth:`prime` seeds a batch of keys in one :func:`pcg64_seed_states`
-    call; :meth:`draw` loads a key's state into the one ``PCG64`` this
-    object owns and makes the draw with numpy's own ``lognormal`` (whose
-    ziggurat tables are numpy-internal — nothing about the distribution
-    is restated here).  A key that was not primed is seeded on the spot
-    by the same kernel, as a batch of one.  Only the latest batch stays
-    primed, as 32 bytes a key.
+    :meth:`prime` draws a whole batch of keys at once.  It builds every
+    key's seed text — the exact text :func:`stable_seed` hashes, with
+    the text of each distinct string part cached — hashes the batch,
+    seeds it in one :func:`pcg64_seed_states` call, then loads each
+    state into the one ``PCG64`` this object owns and draws with
+    numpy's own ``lognormal`` (whose ziggurat tables are numpy-internal:
+    nothing about the distribution is restated here).  :meth:`draw`
+    reads a primed key's value; a key outside the latest batch is drawn
+    on the spot, as a batch of one.
     """
 
     def __init__(self, *label: object):
-        self._label = label
+        self._label = "".join([_seed_part(part) for part in label])
+        self._texts: dict[str, str] = {}
         self._bit_generator = np.random.PCG64(0)
         self._lognormal = np.random.Generator(self._bit_generator).lognormal
         self._state = self._bit_generator.state
-        self._rows: dict[tuple, int] = {}
-        self._states = b""
+        self._drawn: dict[tuple, float] = {}
 
-    def _seed(self, keys: Sequence[tuple]) -> bytes:
-        label = self._label
-        seeds = np.fromiter(
-            (stable_seed(*label, *key) for key in keys), dtype=np.uint64, count=len(keys)
-        )
-        return pcg64_seed_states(seeds).tobytes()
+    def _column_texts(self, column: tuple) -> list[str]:
+        """The seed text of every part in one column of keys."""
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            return [f"{part!r}\x1f" for part in column]
+        if kinds <= {str, np.str_}:
+            texts = self._texts
+            for part in set(column).difference(texts):
+                texts[part] = _seed_part(part)
+            return [texts[part] for part in column]
+        return [_seed_part(part) for part in column]
 
-    def prime(self, keys: Sequence[tuple]) -> None:
-        """Seed ``keys`` (tuples of the parts after the label) at once,
-        replacing the previous batch."""
-        self._states = self._seed(keys)
-        self._rows = {key: row for row, key in enumerate(keys)}
+    def _draw_many(
+        self, keys: Sequence[tuple], means: Sequence[float], sigmas: Sequence[float]
+    ) -> list[float]:
+        columns = [self._column_texts(column) for column in zip(*keys)]
+        texts = [self._label + "".join(parts) for parts in zip(*columns)]
+        # stable_seed reads the first 8 bytes of each 32-byte digest.
+        digests = b"".join(map(_SHA256_DIGEST, map(hashlib.sha256, map(str.encode, texts))))
+        states = pcg64_seed_states(np.frombuffer(digests, dtype="<u8")[::4])
+        bit_generator, state, lognormal = self._bit_generator, self._state, self._lognormal
+        words = state["state"]
+        values = [0.0] * len(texts)
+        for row, ((lo, hi, inc_lo, inc_hi), mean, sigma) in enumerate(
+            zip(states.tolist(), means, sigmas)
+        ):
+            words["state"] = hi << 64 | lo
+            words["inc"] = inc_hi << 64 | inc_lo
+            bit_generator.state = state
+            values[row] = lognormal(mean, sigma)
+        return values
+
+    def prime(
+        self, keys: Sequence[tuple], means: Sequence[float], sigmas: Sequence[float]
+    ) -> None:
+        """Draw ``keys`` (tuples of the parts after the label, all of one
+        length), key ``i`` with ``means[i]`` and ``sigmas[i]``, replacing
+        the previous batch."""
+        self._drawn = dict(zip(keys, self._draw_many(keys, means, sigmas)))
 
     def draw(self, key: tuple, mean: float, sigma: float) -> float:
-        """One lognormal draw from the fresh generator of ``key``."""
-        row = self._rows.get(key)
-        if row is None:
-            states, offset = self._seed((key,)), 0
-        else:
-            states, offset = self._states, 32 * row
-        words = self._state["state"]
-        words["state"] = int.from_bytes(states[offset : offset + 16], "little")
-        words["inc"] = int.from_bytes(states[offset + 16 : offset + 32], "little")
-        self._bit_generator.state = self._state
-        return self._lognormal(mean, sigma)
+        """One lognormal draw from the fresh generator of ``key``.  A
+        primed key returns the value :meth:`prime` drew for it, with the
+        parameters given there."""
+        value = self._drawn.get(key)
+        if value is None:
+            value = self._draw_many((key,), (mean,), (sigma,))[0]
+        return value
 
 
 def hash_bytes(data: bytes, bits: int = 64) -> int:

@@ -28,9 +28,10 @@ were last proven bit-identical at ``48cbd51``, where
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro._util import SeededLognormal, hash_bytes, stable_seed
 from repro.controller.index import NodeUsageIndex, SandboxIndex
@@ -76,6 +77,10 @@ STARVATION_MS = 5_000.0
 #: Sentinel ``busy_request_id`` marking a sandbox mid-base-demarcation
 #: (checkpoint + registry registration); real request ids are >= 0.
 _BASE_OP_BUSY = -1
+
+#: Dispatch order among a function's candidates: most recently used
+#: first, the higher sandbox id on a tie.
+_MRU = operator.attrgetter("last_used_at", "sandbox_id")
 
 
 @dataclass
@@ -212,10 +217,14 @@ class ClusterController:
                 executed=True,
             )
 
-    def prime_exec_times(self, request_ids: Iterable[int], functions: Iterable[str]) -> None:
-        """Seed the execution-time draws of upcoming requests in one batch
+    def prime_exec_times(self, request_ids: Iterable[int], functions: Sequence[str]) -> None:
+        """Draw the execution times of upcoming requests as one column
         (the platform passes each chunk of arrivals it schedules)."""
-        self._exec_draws.prime(list(zip(request_ids, functions)))
+        sigma_of = {function: self.suite.get(function).exec_cv for function in set(functions)}
+        sigmas = [sigma_of[function] for function in functions]
+        self._exec_draws.prime(
+            list(zip(request_ids, functions)), [-0.5 * s * s for s in sigmas], sigmas
+        )
 
     def _exec_ms(self, record: RequestRecord) -> float:
         """Execution time for a request: identical across platforms.
@@ -335,31 +344,21 @@ class ClusterController:
                 self._starvation_deadlines[0], self._fire_starvation_timer
             )
 
-    def _dispatch_candidates(
-        self, function: str
-    ) -> tuple[list[Sandbox], list[Sandbox], list[Sandbox]]:
-        """(idle-warm, restorable-dedup, abortable-deduping) candidates
-        of ``function``, read from the maintained candidate sets;
-        callers apply the orderings."""
-        warm = list(self._index.idle_warm.get(function, {}).values())
-        restorable = list(self._index.restorable.get(function, {}).values())
-        abortable = (
+    def _try_dispatch(self, record: RequestRecord, *, desperate: bool = False) -> bool:
+        function = record.function
+        warm = self._index.idle_warm.get(function)
+        if warm:
+            self._start_warm(max(warm.values(), key=_MRU), record)
+            return True
+
+        dedup_candidates = sorted(
+            self._index.restorable.get(function, {}).values(), key=_MRU, reverse=True
+        )
+        deduping = (
             list(self._index.abortable.get(function, {}).values())
             if self.config.enable_dedup_abort
             else []
         )
-        return warm, restorable, abortable
-
-    def _try_dispatch(self, record: RequestRecord, *, desperate: bool = False) -> bool:
-        function = record.function
-        warm_candidates, dedup_candidates, deduping = self._dispatch_candidates(function)
-
-        if warm_candidates:
-            sandbox = max(warm_candidates, key=lambda s: (s.last_used_at, s.sandbox_id))
-            self._start_warm(sandbox, record)
-            return True
-
-        dedup_candidates.sort(key=lambda s: (s.last_used_at, s.sandbox_id), reverse=True)
         if self.templates is not None:
             # Template forks are the cheaper restore (no base fetches),
             # so they outrank dedup restores in the start ladder: warm >
@@ -390,7 +389,7 @@ class ClusterController:
         # A sandbox mid-dedup is cheaper to reclaim than a cold start:
         # abort the (background) dedup op and serve the request warm.
         if deduping:
-            sandbox = max(deduping, key=lambda s: (s.last_used_at, s.sandbox_id))
+            sandbox = max(deduping, key=_MRU)
             self._abort_dedup(sandbox)
             self._start_warm(sandbox, record)
             return True

@@ -637,7 +637,8 @@ class FingerprintRegistry:
             for domain, rows in shard.rows.items():
                 where = f"shard {index}, domain {domain!r}"
                 starts = run_starts(rows.digests)
-                owners = np.unique(refs.columns[_CHECKPOINT][rows.ref_ids]).tolist()
+                owners = np.sort(refs.columns[_CHECKPOINT][rows.ref_ids])
+                owners = owners[run_starts(owners)].tolist()
                 if np.any(rows.digests[1:] < rows.digests[:-1]):
                     yield f"registry rows sorted: {where}: digests out of order"
                 if len(starts) != rows.digest_count:
@@ -704,7 +705,7 @@ class ShardedFingerprintRegistry(FingerprintRegistry):
         """Each distinct digest of the batch is resolved once, on the
         shard owning it — the communication the sharded controller
         actually performs (page-level stats still count every page)."""
-        return len(np.unique(digests))
+        return len(run_starts(np.sort(digests)))
 
     def load_imbalance(self) -> float:
         """Max-shard / mean-shard digest load (1.0 = perfectly even)."""

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.core.registry import (
@@ -140,3 +145,37 @@ class TestPlatformIntegration:
         report = platform.run(trace)
         assert all(r.completion_ms is not None for r in report.metrics.requests.values())
         assert isinstance(platform.registry, ShardedFingerprintRegistry)
+
+    def test_replay_imports_no_masked_arrays(self):
+        """A sharded replay, its drain-time recount included, leaves
+        ``numpy.ma`` unimported: importing it costs 10-24 ms, and plain
+        ``np.unique`` reaches it through ``np.ma.is_masked``."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro.core.policy import MedesPolicyConfig
+            from repro.platform.config import ClusterConfig
+            from repro.platform.platform import PlatformKind, build_platform
+            from repro.workload.functionbench import FunctionBenchSuite
+            from repro.workload.trace import Trace
+
+            config = ClusterConfig(
+                nodes=2, node_memory_mb=256.0, content_scale=1.0 / 256.0, registry_shards=4
+            )
+            trace = Trace.from_arrivals(
+                [(t, "Vanilla") for t in (0.0, 1.0, 2.0, 26_000.0, 60_000.0)]
+            )
+            suite = FunctionBenchSuite.subset(["Vanilla"])
+            medes = MedesPolicyConfig(idle_period_ms=5_000.0, alpha=25.0)
+            platform = build_platform(PlatformKind.MEDES, config, suite, medes=medes)
+            platform.run(trace)
+            assert platform.registry.stats.digest_lookups > 0
+            print("numpy.ma" in sys.modules)
+            """
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.split() == ["False"]

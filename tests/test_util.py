@@ -117,39 +117,67 @@ def _reference_draw(request_id, function, sigma) -> float:
     return float(rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma))
 
 
-request_keys = st.tuples(
-    st.integers(-(2**70), 2**70), st.text(max_size=12)
+#: Ids as Python ints (past 64 bits too) and as NumPy ints; names with
+#: quotes, backslashes and non-ASCII characters, whose ``repr`` escapes
+#: or keeps them.
+request_ids = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**32 - 1).map(np.uint32),
 )
+names = st.one_of(
+    st.text(max_size=12),
+    st.text(max_size=6).map(np.str_),
+    st.sampled_from(["Vanilla", "it's", 'say "hi"', "both'\"", "back\\slash", "naïve", "λ→∞", "\x1f"]),
+)
+request_keys = st.tuples(request_ids, names)
 sigmas = st.floats(min_value=1e-6, max_value=3.0, allow_nan=False)
+
+
+def _prime(sampler, keys, sigma) -> None:
+    sampler.prime(keys, [-0.5 * sigma * sigma] * len(keys), [sigma] * len(keys))
 
 
 class TestSeededLognormal:
     @given(
         st.lists(request_keys, min_size=1, max_size=12, unique=True),
         st.lists(request_keys, max_size=12, unique=True),
+        st.lists(request_keys, max_size=6, unique=True),
         sigmas,
     )
-    @example([(0, "Vanilla")], [(1, "Vanilla~3")], 0.08)
+    @example([(0, "Vanilla")], [(1, "Vanilla~3")], [(2, "it's")], 0.08)
+    @example([(np.int64(7), 'say "hi"'), (8, "naïve")], [(np.int64(9), "back\\slash")], [], 0.3)
     @settings(max_examples=100, deadline=None)
-    def test_draws_equal_rng_for(self, first_chunk, second_chunk, sigma):
-        """Primed, never primed, and primed a chunk ago: every draw is
-        the one a fresh ``rng_for`` generator makes."""
+    def test_draws_equal_rng_for(self, first_chunk, second_chunk, never_primed, sigma):
+        """Keys of the primed chunk, keys never primed, and keys of a
+        replaced chunk: every draw is the one a fresh ``rng_for``
+        generator makes."""
+        never_primed = [k for k in never_primed if k not in first_chunk + second_chunk]
         sampler = SeededLognormal("exec-time")
         mean = -0.5 * sigma * sigma
-        assert sampler.draw(first_chunk[0], mean, sigma) == _reference_draw(
-            *first_chunk[0], sigma
-        )
-        sampler.prime(first_chunk)
-        for key in first_chunk:
-            assert sampler.draw(key, mean, sigma) == _reference_draw(*key, sigma)
-        sampler.prime(second_chunk)  # the chunk boundary: first_chunk is gone
-        for key in first_chunk + second_chunk:
-            assert sampler.draw(key, mean, sigma) == _reference_draw(*key, sigma)
+
+        def assert_reference(keys):
+            for key in keys:
+                assert sampler.draw(key, mean, sigma) == _reference_draw(*key, sigma)
+
+        assert_reference(never_primed)
+        _prime(sampler, first_chunk, sigma)
+        assert_reference(first_chunk + never_primed)
+        _prime(sampler, second_chunk, sigma)  # the chunk boundary: first_chunk is replaced
+        assert_reference(second_chunk + first_chunk + never_primed)
+
+    def test_each_key_drawn_with_its_own_parameters(self):
+        keys = [(i, f"f{i % 3}") for i in range(9)]
+        sigmas = [0.05 * (1 + i % 3) for i in range(9)]
+        sampler = SeededLognormal("exec-time")
+        sampler.prime(keys, [-0.5 * s * s for s in sigmas], sigmas)
+        for key, sigma in zip(keys, sigmas):
+            assert sampler.draw(key, -0.5 * sigma * sigma, sigma) == _reference_draw(*key, sigma)
 
     def test_draws_do_not_depend_on_order_or_repetition(self):
         keys = [(i, "LinAlg") for i in range(6)]
         sampler = SeededLognormal("exec-time")
-        sampler.prime(keys)
+        sampler.prime(keys, [0.0] * 6, [0.2] * 6)
         forward = [sampler.draw(key, 0.0, 0.2) for key in keys]
         backward = [sampler.draw(key, 0.0, 0.2) for key in reversed(keys)]
         assert forward == backward[::-1]
