@@ -424,11 +424,8 @@ class ClusterController:
         """
         assert sandbox.dedup_table is not None
         agent = self.agents[sandbox.node_id]
-        # Read a parked table back from SSD and bring hot demoted
-        # checkpoints home before the restore proper.
-        promote_ms = self._unpark_table(sandbox)
-        if self.tiering:
-            promote_ms += self._promote_checkpoints(sandbox.dedup_table)
+        # Bring hot demoted checkpoints home before the restore proper.
+        promote_ms = self._promote_checkpoints(sandbox.dedup_table) if self.tiering else 0.0
         rehome_attempted = False
         while True:
             try:
@@ -458,6 +455,9 @@ class ClusterController:
                 return False
             else:
                 break
+        # A parked table reads back from SSD only now that the restore
+        # proceeds: a failed attempt leaves it parked.
+        promote_ms += self._unpark_table(sandbox)
         self._timers_for(sandbox).cancel_all()
         sandbox.busy_request_id = record.request_id
         sandbox.transition(SandboxState.RESTORING, self.sim.now)

@@ -13,9 +13,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.policy import MedesPolicyConfig
+from repro.faults.retry import RetryExhausted
 from repro.platform.config import ClusterConfig
+from repro.platform.metrics import StartType
 from repro.platform.platform import PlatformKind, build_platform
 from repro.sandbox.node import AccountingError
+from repro.storage.tiers import StorageTier
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
 from tests.conftest import check_every_instant
@@ -60,18 +63,23 @@ def test_parked_tables_expire_so_a_large_function_runs():
     assert all(record.completion_ms is not None for record in metrics.requests.values())
 
 
-@pytest.mark.parametrize(
+#: Each case parks one LinAlg table on SSD, for one keep-dedup window.
+PARKS_ONE_TABLE = pytest.mark.parametrize(
     ("arrivals", "template_sharing"),
     [
         # Two LinAlg sandboxes idle; one dedups, and its keep-dedup
-        # expiry parks the patch table on SSD.
+        # expiry parks the patch table on SSD (19.8-31.8 s).
         ([(0.0, "LinAlg"), (1.0, "LinAlg")], False),
         # The second RNNModel evicts the last LinAlg: it parks as a
-        # template delta, and the same eviction moves the delta to SSD.
+        # template delta, and the same eviction moves the delta to SSD
+        # (3.0-15.0 s).
         ([(0.0, "LinAlg"), (3_000.0, "RNNModel"), (3_001.0, "RNNModel")], True),
     ],
     ids=["patch-table", "template-delta"],
 )
+
+
+@PARKS_ONE_TABLE
 def test_a_parked_table_is_purged_one_window_after_it_parks(arrivals, template_sharing):
     platform = build(template_sharing=template_sharing)
     parked = check_every_instant(platform, lambda p: (p.sim.now, p.controller.parked_tables))
@@ -84,6 +92,59 @@ def test_a_parked_table_is_purged_one_window_after_it_parks(arrivals, template_s
         assert (metrics.template_delta_spills, metrics.table_demotions) == (1, 0)
     else:
         assert (metrics.template_delta_spills, metrics.table_demotions) == (0, 1)
+
+
+@PARKS_ONE_TABLE
+def test_a_failed_start_leaves_the_table_parked(arrivals, template_sharing, monkeypatch):
+    """The agent's ops are all-or-nothing, so a restore or fork that
+    exhausts its retries reads nothing back: the table stays parked on
+    SSD, the node's DRAM is not recharged, and the request pays the
+    failed attempts on its cold start."""
+    # The patch case's LinAlg base is warm: the first late arrival
+    # takes it, and the second reaches the parked table.
+    late_ms = 13_000.0 if template_sharing else 20_000.0
+    late = [(late_ms, "LinAlg")] * (1 if template_sharing else 2)
+    platform = build(template_sharing=template_sharing)
+    controller, metrics = platform.controller, platform.metrics
+    attempts, snapshots = [], []
+
+    def fail(*args, **kwargs):
+        attempts.append(platform.sim.now)
+        raise RetryExhausted("restore-fetch", 3, 7.5)
+
+    def snapshot(sandbox, residents):
+        """What a failed start must leave alone; the node's charge
+        leaves out the sandboxes spawned since ``residents``."""
+        node = platform.nodes[sandbox.node_id]
+        spawned = [s for s in node.sandboxes.values() if s.sandbox_id not in residents]
+        return (
+            sandbox.table_tier,
+            controller.parked_tables,
+            metrics.table_promotions,
+            list(metrics.tier_ops),
+            node.used_bytes() - sum(s.memory_bytes() for s in spawned),
+        )
+
+    def arm():
+        (sandbox,) = [s for n in platform.nodes for s in n.sandboxes.values() if s.table_tier]
+        monkeypatch.setattr(
+            platform.agents[sandbox.node_id],
+            "fork_restore" if template_sharing else "restore",
+            fail,
+        )
+        residents = set(platform.nodes[sandbox.node_id].sandboxes)
+        snapshots.append(snapshot(sandbox, residents))
+        platform.sim.at(late_ms + 0.5, lambda: snapshots.append(snapshot(sandbox, residents)))
+
+    platform.sim.at(late_ms - 1.0, arm)
+    platform.run(Trace.from_arrivals(arrivals + late))
+    assert attempts == [late_ms]
+    before, after = snapshots
+    assert before[0] is StorageTier.LOCAL_SSD
+    assert after == before
+    record = metrics.requests[len(arrivals) + len(late) - 1]
+    assert record.start_type is StartType.COLD
+    assert record.retry_penalty_ms == 7.5
 
 
 def test_a_run_that_cannot_drain_names_what_waits():
