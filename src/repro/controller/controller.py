@@ -83,6 +83,14 @@ _BASE_OP_BUSY = -1
 _MRU = operator.attrgetter("last_used_at", "sandbox_id")
 
 
+def _parked_order(sandbox: Sandbox) -> tuple[bool, float, int]:
+    """Dispatch order among a function's parked candidates (descending):
+    template deltas first — a fork fetches no base pages, so the start
+    ladder is warm > template > dedup > cold — then most recent first."""
+    table = sandbox.dedup_table
+    return isinstance(table, TemplateDeltaTable), sandbox.last_used_at, sandbox.sandbox_id
+
+
 @dataclass
 class _SandboxTimers:
     idle: Timer | None = None
@@ -351,40 +359,22 @@ class ClusterController:
             self._start_warm(max(warm.values(), key=_MRU), record)
             return True
 
-        dedup_candidates = sorted(
-            self._index.restorable.get(function, {}).values(), key=_MRU, reverse=True
+        parked = sorted(
+            self._index.restorable.get(function, {}).values(), key=_parked_order, reverse=True
         )
         deduping = (
             list(self._index.abortable.get(function, {}).values())
             if self.config.enable_dedup_abort
             else []
         )
-        if self.templates is not None:
-            # Template forks are the cheaper restore (no base fetches),
-            # so they outrank dedup restores in the start ladder: warm >
-            # template > dedup > cold.  Stable partition, so within each
-            # flavour the MRU order above is preserved.
-            dedup_candidates = [
-                s
-                for s in dedup_candidates
-                if isinstance(s.dedup_table, TemplateDeltaTable)
-            ] + [
-                s
-                for s in dedup_candidates
-                if not isinstance(s.dedup_table, TemplateDeltaTable)
-            ]
         failed_dedup = False
-        for sandbox in dedup_candidates:
-            if isinstance(sandbox.dedup_table, TemplateDeltaTable):
-                started = self._start_template(sandbox, record)
-            else:
-                started = self._start_dedup(sandbox, record)
-            if started:
+        for sandbox in parked:
+            if self._start_parked(sandbox, record):
                 return True
             failed_dedup = True
-            # That candidate's restore failed (retry storm, partition,
-            # or unreachable bases past rehoming); try the next intact
-            # dedup sandbox before the remaining options.
+            # That candidate's restore or fork failed (retry storm,
+            # partition, or unreachable bases past rehoming); try the
+            # next parked sandbox before the remaining options.
 
         # A sandbox mid-dedup is cheaper to reclaim than a cold start:
         # abort the (background) dedup op and serve the request warm.
@@ -410,186 +400,135 @@ class ClusterController:
         record.startup_ms = self.config.costs.warm_start_ms + record.retry_penalty_ms
         self._run_request(sandbox, record)
 
-    def _start_dedup(self, sandbox: Sandbox, record: RequestRecord) -> bool:
-        """Serve ``record``'s request by restoring a dedup sandbox.
+    def _start_parked(self, sandbox: Sandbox, record: RequestRecord) -> bool:
+        """Serve ``record``'s request by restarting a parked sandbox: a
+        restore from its patch table, or a fork from its template delta.
 
-        Returns False when the restore cannot proceed, after walking the
-        fallback chain (DESIGN.md §11): transient fetch failures already
-        retried inside the agent; a dead base peer triggers one rehoming
-        attempt onto surviving replicas of the same pages
-        (``max_refs_per_digest`` gives the candidates); only then is the
-        broken dedup sandbox purged (its state cannot be reconstructed)
-        and the caller falls through to another start path (Section
-        4.1.3's base-unavailability concern).
+        Returns False when the op cannot proceed, after walking the
+        fallback chain (DESIGN.md §11): transient fetch or promote
+        failures already retried inside the agent; a restore whose base
+        peer died tries one rehoming onto surviving replicas of the same
+        pages (``max_refs_per_digest`` gives the candidates), and only
+        then is the broken sandbox purged (Section 4.1.3's
+        base-unavailability concern).  A fork reads the remote pool, so
+        it never meets a dead peer.  Any other failed attempt leaves the
+        sandbox parked and intact (the agent's ops are all-or-nothing),
+        and the caller falls through to another start path.
         """
-        assert sandbox.dedup_table is not None
+        table = sandbox.dedup_table
+        assert table is not None
+        fork = isinstance(table, TemplateDeltaTable)
         agent = self.agents[sandbox.node_id]
-        # Bring hot demoted checkpoints home before the restore proper.
-        promote_ms = self._promote_checkpoints(sandbox.dedup_table) if self.tiering else 0.0
-        rehome_attempted = False
+        verify = self.config.verify_restores
+        # Bring hot demoted checkpoints home before a restore proper.
+        promote_ms = self._promote_checkpoints(table) if self.tiering and not fork else 0.0
+        rehomed = False
         while True:
             try:
-                outcome = agent.restore(
-                    sandbox.dedup_table, verify=self.config.verify_restores
-                )
+                if fork:
+                    outcome = agent.fork_restore(table, now=self.sim.now, verify=verify)
+                else:
+                    outcome = agent.restore(table, verify=verify)
+                break
             except RetryExhausted as exc:
                 # Transient RPC storm: the attempts' time is real latency
                 # the request pays on whatever start path succeeds next.
-                # The sandbox itself is intact — keep it restorable.
                 record.retry_penalty_ms += exc.charged_ms
+                if fork:
+                    self.metrics.template_fork_fallbacks += 1
                 return False
             except PeerUnavailable as exc:
                 if self._faults is not None and self._faults.health.node_up(exc.peer):
                     # Link partition, not a dead node: the base state
                     # still exists, so keep the sandbox for post-heal.
                     return False
-                dead = self._unreachable_refs(sandbox.dedup_table)
-                if (
-                    not rehome_attempted
-                    and dead
-                    and self._try_rehome(sandbox, dead)
-                ):
-                    rehome_attempted = True
+                dead = self._unreachable_refs(table)
+                if not rehomed and dead and self._try_rehome(sandbox, dead):
+                    rehomed = True
                     continue
                 self._purge(sandbox, reason="base-unavailable")
                 return False
-            else:
-                break
-        # A parked table reads back from SSD only now that the restore
-        # proceeds: a failed attempt leaves it parked.
+        # The SSD read-back follows the op, so a failed attempt leaves
+        # the table parked; it is charged into the promote leg.
         promote_ms += self._unpark_table(sandbox)
-        self._timers_for(sandbox).cancel_all()
-        sandbox.busy_request_id = record.request_id
-        sandbox.transition(SandboxState.RESTORING, self.sim.now)
+        now = self.sim.now
         timings = outcome.timings
         startup_ms = timings.total_ms + promote_ms + record.retry_penalty_ms
-        self.metrics.restore_ops.append(
-            RestoreOpRecord(
-                function=sandbox.function,
-                sandbox_id=sandbox.sandbox_id,
-                started_ms=self.sim.now,
-                base_read_ms=timings.base_read_ms,
-                compute_ms=timings.compute_ms,
-                restore_ms=timings.restore_ms,
-                fetch_ms=timings.fetch_ms,
-                prefetched=timings.prefetched,
-                miss_read_ms=timings.miss_read_ms,
-                prefetch_hit_pages=timings.prefetch_hit_pages,
-                prefetch_miss_pages=timings.prefetch_miss_pages,
-                promote_ms=promote_ms,
-                retry_ms=timings.retry_ms,
-                retries=timings.retries,
+        if fork:
+            node = self.nodes[sandbox.node_id]
+            for segment in outcome.promoted:
+                node.pin_template(segment.segment_id, segment.full_bytes)
+            self.metrics.template_promotions += len(outcome.promoted)
+            self.metrics.template_promote_bytes += outcome.promoted_bytes
+            self.metrics.template_forks.append(
+                TemplateForkRecord(
+                    function=sandbox.function,
+                    sandbox_id=sandbox.sandbox_id,
+                    started_ms=now,
+                    promote_ms=timings.promote_ms + promote_ms,
+                    apply_ms=timings.apply_ms,
+                    restore_ms=timings.restore_ms,
+                    promoted_bytes=outcome.promoted_bytes,
+                    patched_pages=table.patched_pages,
+                    unique_pages=len(table.unique_pages),
+                    zero_pages=len(table.zero_pages),
+                    retry_ms=timings.retry_ms,
+                    retries=timings.retries,
+                    cow_shared_bytes=table.cow_shareable_full_bytes,
+                )
             )
-        )
-        if sandbox.function in self.stats:
-            self.stats[sandbox.function].record_dedup_start(startup_ms)
-        record.start_type = StartType.DEDUP
-        record.queued_ms = self.sim.now - record.arrival_ms
-        record.startup_ms = startup_ms
-
-        def finish_restore() -> None:
-            table = sandbox.dedup_table
-            assert table is not None
-            sandbox.image = outcome.image
-            # Transition out of RESTORING while the table is still set:
-            # accounting observers recompute memory_bytes() on every
-            # transition, and a table-less RESTORING sandbox has no
-            # defined footprint.
-            sandbox.transition(SandboxState.RUNNING, self.sim.now)
-            sandbox.dedup_table = None
-            self._release_base_refs(table)
-            self.basemgr.note_dedup(sandbox.function, -1)
-            self._run_request(sandbox, record, already_started=True)
-
-        timer = self.sim.after(startup_ms, finish_restore)
-        self._inflight[record.request_id] = (timer, sandbox, record)
-        return True
-
-    def _start_template(
-        self, sandbox: Sandbox, record: RequestRecord
-    ) -> bool:
-        """Serve ``record``'s request by forking a template-parked sandbox.
-
-        The fork promotes any segment the node lacks (charged pool read,
-        pinned to the node's DRAM as a fork cache) and applies the
-        per-function delta over the replicas.  Returns False when the
-        promote's transient-RPC plan is exhausted — the sandbox stays
-        parked and intact, and the caller walks down the ladder
-        (another candidate, then dedup, then cold).
-        """
-        table = sandbox.dedup_table
-        assert isinstance(table, TemplateDeltaTable)
-        assert self.templates is not None
-        agent = self.agents[sandbox.node_id]
-        try:
-            outcome = agent.fork_restore(
-                table, now=self.sim.now, verify=self.config.verify_restores
+        else:
+            self.metrics.restore_ops.append(
+                RestoreOpRecord(
+                    function=sandbox.function,
+                    sandbox_id=sandbox.sandbox_id,
+                    started_ms=now,
+                    base_read_ms=timings.base_read_ms,
+                    compute_ms=timings.compute_ms,
+                    restore_ms=timings.restore_ms,
+                    fetch_ms=timings.fetch_ms,
+                    prefetched=timings.prefetched,
+                    miss_read_ms=timings.miss_read_ms,
+                    prefetch_hit_pages=timings.prefetch_hit_pages,
+                    prefetch_miss_pages=timings.prefetch_miss_pages,
+                    promote_ms=promote_ms,
+                    retry_ms=timings.retry_ms,
+                    retries=timings.retries,
+                )
             )
-        except RetryExhausted as exc:
-            record.retry_penalty_ms += exc.charged_ms
-            self.metrics.template_fork_fallbacks += 1
-            return False
-        # A parked delta reads back from the node's SSD first — charged
-        # into the fork's promote leg, after the fork is known to
-        # proceed so a failed attempt leaves it parked.
-        unspill_ms = self._unpark_table(sandbox)
-        node = self.nodes[sandbox.node_id]
-        for segment in outcome.promoted:
-            node.pin_template(segment.segment_id, segment.full_bytes)
-        self.metrics.template_promotions += len(outcome.promoted)
-        self.metrics.template_promote_bytes += outcome.promoted_bytes
         self._timers_for(sandbox).cancel_all()
         sandbox.busy_request_id = record.request_id
-        sandbox.transition(SandboxState.RESTORING, self.sim.now)
-        timings = outcome.timings
-        startup_ms = timings.total_ms + unspill_ms + record.retry_penalty_ms
-        self.metrics.template_forks.append(
-            TemplateForkRecord(
-                function=sandbox.function,
-                sandbox_id=sandbox.sandbox_id,
-                started_ms=self.sim.now,
-                promote_ms=timings.promote_ms + unspill_ms,
-                apply_ms=timings.apply_ms,
-                restore_ms=timings.restore_ms,
-                promoted_bytes=outcome.promoted_bytes,
-                patched_pages=table.patched_pages,
-                unique_pages=len(table.unique_pages),
-                zero_pages=len(table.zero_pages),
-                retry_ms=timings.retry_ms,
-                retries=timings.retries,
-                cow_shared_bytes=table.cow_shareable_full_bytes,
-            )
-        )
+        sandbox.transition(SandboxState.RESTORING, now)
         if sandbox.function in self.stats:
-            # Template forks feed the same startup estimator as dedup
-            # restores: both are the policy's "parked restart" latency.
+            # Forks and restores feed one startup estimator: both are
+            # the policy's "parked restart" latency.
             self.stats[sandbox.function].record_dedup_start(startup_ms)
-        record.start_type = StartType.TEMPLATE
-        record.queued_ms = self.sim.now - record.arrival_ms
+        record.start_type = StartType.TEMPLATE if fork else StartType.DEDUP
+        record.queued_ms = now - record.arrival_ms
         record.startup_ms = startup_ms
 
-        def finish_fork() -> None:
-            table = sandbox.dedup_table
-            assert isinstance(table, TemplateDeltaTable)
-            assert self.templates is not None
+        def finish() -> None:
             sandbox.image = outcome.image
-            cow = table.cow_shareable_full_bytes
+            cow = table.cow_shareable_full_bytes if fork else 0
             if cow > 0:
                 # The fork maps clean template pages copy-on-write from
                 # the node's replicas: the sandbox is charged only for
                 # the pages it owns, and the shared replicas stay pinned
                 # until it parks or dies (see _end_template_sharing).
+                assert self.templates is not None
                 sandbox.template_cow_bytes = cow
                 sandbox.template_share_keys = table.segment_keys
                 self.templates.add_sharers(table.segment_keys, sandbox.node_id)
-            # As in finish_restore: transition while the table is still
-            # set so accounting observers see a defined footprint.
+            # Transition out of RESTORING while the table is still set:
+            # accounting observers recompute memory_bytes() on every
+            # transition, and a table-less RESTORING sandbox has no
+            # defined footprint.
             sandbox.transition(SandboxState.RUNNING, self.sim.now)
+            self._release_table(sandbox)
             sandbox.dedup_table = None
-            self.templates.release(table.segment_keys)
             self._run_request(sandbox, record, already_started=True)
 
-        timer = self.sim.after(startup_ms, finish_fork)
+        timer = self.sim.after(startup_ms, finish)
         self._inflight[record.request_id] = (timer, sandbox, record)
         return True
 
@@ -1395,6 +1334,13 @@ class ClusterController:
         else:
             self._release_base_refs(table)
 
+    def _release_table(self, sandbox: Sandbox) -> None:
+        """Release what a sandbox's own table holds; a patch table also
+        leaves its function's dedup count.  The caller drops the table."""
+        self._release_retained(sandbox.dedup_table)
+        if not isinstance(sandbox.dedup_table, TemplateDeltaTable):
+            self.basemgr.note_dedup(sandbox.function, -1)
+
     def _release_base_refs(self, table) -> None:
         for checkpoint_id, count in table.base_refs.items():
             checkpoint = self.store.get(checkpoint_id)
@@ -1532,17 +1478,9 @@ class ClusterController:
         if sandbox.state is SandboxState.PURGED:
             return
         if sandbox.state is SandboxState.RESTORING:
-            table = sandbox.dedup_table
-            assert table is not None
-            sandbox.dedup_table = None
             sandbox.busy_request_id = None
             sandbox.transition(SandboxState.WARM, self.sim.now)
-            if isinstance(table, TemplateDeltaTable):
-                assert self.templates is not None
-                self.templates.release(table.segment_keys)
-            else:
-                self._release_base_refs(table)
-                self.basemgr.note_dedup(sandbox.function, -1)
+            self._release_table(sandbox)
         elif sandbox.state is SandboxState.RUNNING:
             sandbox.busy_request_id = None
             sandbox.transition(SandboxState.WARM, self.sim.now)
@@ -1679,12 +1617,7 @@ class ClusterController:
                 self.tiered_store.release_table(sandbox.sandbox_id)
                 del self._parked[sandbox.sandbox_id]
                 sandbox.table_tier = None
-            if isinstance(sandbox.dedup_table, TemplateDeltaTable):
-                assert self.templates is not None
-                self.templates.release(sandbox.dedup_table.segment_keys)
-            else:
-                self._release_base_refs(sandbox.dedup_table)
-                self.basemgr.note_dedup(sandbox.function, -1)
+            self._release_table(sandbox)
         self._end_template_sharing(sandbox)
         sandbox.transition(SandboxState.PURGED, self.sim.now)
         sandbox.dedup_table = None

@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.policy import MedesPolicyConfig
+from repro.faults.retry import RetryExhausted
 from repro.invariants import check
 from repro.platform.config import ClusterConfig
 from repro.platform.metrics import StartType
 from repro.platform.platform import PlatformKind, build_platform
 from repro.sandbox.state import SandboxState
 from repro.sim.network import PeerUnavailable
+from repro.templates.catalog import TemplatePoolFull
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
 from tests.conftest import check_every_instant
@@ -168,6 +170,55 @@ class TestMultiCandidateDispatch:
         remaining = platform.controller._function_sandboxes("Vanilla")
         assert len(remaining) == 2
 
+
+    def test_template_fork_is_tried_before_newer_patch_tables(self, pair_suite):
+        """Parked candidates go template first, then most recent first:
+        an older template delta is tried before two newer patch tables,
+        and when its fork fails the newest patch table restores."""
+        platform = build_platform(
+            PlatformKind.MEDES, config(template_sharing=True), pair_suite, medes=medes()
+        )
+        agent = platform.agents[0]
+        real_templatize, real_restore = agent.templatize, agent.restore
+        calls, templatized = [], []
+
+        def owner(table):
+            sandboxes = platform.nodes[0].sandboxes.values()
+            return next(s.sandbox_id for s in sandboxes if s.dedup_table is table)
+
+        def templatize_once(sandbox):
+            # The first idle sandbox parks as a delta; then the pool is
+            # full and the rest fall down to the base and dedup rungs.
+            if templatized:
+                raise TemplatePoolFull("pool full")
+            templatized.append(sandbox.sandbox_id)
+            return real_templatize(sandbox)
+
+        def failing_fork(table, *, now, verify=False):
+            calls.append(("fork", owner(table)))
+            raise RetryExhausted("template-fork", 3, 1.0)
+
+        def recorded_restore(table, *, verify=False):
+            calls.append(("restore", owner(table)))
+            return real_restore(table, verify=verify)
+
+        def arm():
+            agent.fork_restore = failing_fork
+            agent.restore = recorded_restore
+
+        agent.templatize = templatize_once
+        platform.sim.at(11_999.0, arm)
+        # Sandboxes 1-4 go idle in spawn order: 1 parks as a delta, 4
+        # becomes the base, 2 and 3 dedup against it.  At t=12.0 s the
+        # base serves request 4 warm; request 5 walks the parked ones.
+        trace = Trace.from_arrivals(
+            [(float(at), "Vanilla") for at in range(4)]
+            + [(12_000.0, "Vanilla"), (12_000.5, "Vanilla")]
+        )
+        records = platform.run(trace).metrics.requests
+        assert calls == [("fork", 1), ("restore", 3)]
+        assert records[4].start_type is StartType.WARM
+        assert records[5].start_type is StartType.DEDUP
 
 class TestBaseOpAccounting:
     def test_base_demarcation_charged_and_recorded(self, pair_suite):
