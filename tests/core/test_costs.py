@@ -56,36 +56,6 @@ class TestPaperAnchors:
         assert 1.0 <= costs.warm_start_ms <= 20.0
 
 
-class TestMeasuredFingerprint:
-    def test_measures_the_batch_kernel(self):
-        from repro.core.costs import measure_fingerprint_us_per_page
-
-        rate = measure_fingerprint_us_per_page(pages=64, repeats=1)
-        assert 0 < rate < 1e4  # sane band: the kernel is well under 10 ms/page
-
-    def test_measure_rejects_bad_pages(self):
-        from repro.core.costs import measure_fingerprint_us_per_page
-
-        with pytest.raises(ValueError):
-            measure_fingerprint_us_per_page(pages=0)
-
-
-class TestMeasuredLookup:
-    def test_measures_the_batch_lookup(self):
-        from repro.core.costs import measure_lookup_us_per_page
-
-        rate = measure_lookup_us_per_page(pages=64, bases=3, repeats=1)
-        assert 0 < rate < 1e4
-
-    def test_measure_rejects_bad_sizes(self):
-        from repro.core.costs import measure_lookup_us_per_page
-
-        with pytest.raises(ValueError):
-            measure_lookup_us_per_page(pages=0)
-        with pytest.raises(ValueError):
-            measure_lookup_us_per_page(bases=0)
-
-
 class TestOverlapCostModel:
     def test_pipelined_ms_degenerates_and_bounds(self):
         stages = (4.0, 10.0, 2.0)

@@ -95,8 +95,6 @@ class TestChangesLog:
 UNREFERENCED_ALLOWED = {
     "repro._util:hash_bytes_many": "bench: inline comparator of bench_fingerprint_kernel",
     "repro.core.basemgr:BaseSandboxManager.retire_unreferenced": "tracer binds it",
-    "repro.core.costs:measure_fingerprint_us_per_page": "debt: calibration helper, tests only",
-    "repro.core.costs:measure_lookup_us_per_page": "debt: calibration helper, tests only",
     "repro.core.registry:FingerprintRegistry.choose_base_page": "tracer binds it; benches call it",
     "repro.memory.synth:build_region": "tracer binds it",
     "repro.platform.metrics:RunMetrics.mttr_ms": "bench: bench_fault_recovery",
