@@ -75,12 +75,6 @@ class ClusterConfig:
     verify_restores: bool = False
     """Check every restored and forked image page by page against the
     digest column its table recorded (tests and the ledger enable it)."""
-    verify_accounting: bool = False
-    """Debug: assert every node's used- and reclaimable-bytes counters
-    against their per-resident recounts on every read (slow; the
-    equivalence tests enable it).  Every run, with or without it,
-    ends in :func:`repro.invariants.check`, which recounts those
-    counters and the rest of the system once after drain."""
     arrival_chunk: int = 4096
     """Resident window of arrival injection: how many upcoming trace
     arrivals are scheduled on the event heap at once, through

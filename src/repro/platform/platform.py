@@ -142,11 +142,7 @@ class Platform:
             else None
         )
         self.nodes = [
-            Node(
-                node_id=i,
-                capacity_bytes=config.node_capacity_bytes,
-                verify_accounting=config.verify_accounting,
-            )
+            Node(node_id=i, capacity_bytes=config.node_capacity_bytes)
             for i in range(config.nodes)
         ]
         self.agents = {

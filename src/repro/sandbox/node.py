@@ -12,13 +12,13 @@ on admit/remove/pin/unpin and — via a transition observer it installs on
 every admitted sandbox — on lifecycle transitions that change a
 sandbox's footprint (warm↔dedup↔restoring).  ``used_bytes``, ``fits``
 and ``free_bytes`` are therefore O(1) instead of O(residents).  The
-recomputed sum survives as :meth:`recomputed_used_bytes`, asserted
-against the counter on every read when ``verify_accounting`` is set
-(tests enable it; serving every read from the recomputed sum instead
-was last proven to replay identically at ``48cbd51``).  A second
-counter, ``reclaimable_bytes``, is kept the same way: the charge of the
-residents that are evictable right now, which is what the placement
-gate asks of every node it considers.
+recomputed sum survives as :meth:`recomputed_used_bytes`, which
+:func:`repro.invariants.check` asserts against the counter (serving
+every read from the recomputed sum instead was last proven to replay
+identically at ``48cbd51``).  A second counter, ``reclaimable_bytes``,
+is kept the same way: the charge of the residents that are evictable
+right now, which is what the placement gate asks of every node it
+considers; :meth:`recomputed_reclaimable_bytes` is its recount.
 """
 
 from __future__ import annotations
@@ -69,9 +69,8 @@ class CapacityError(RuntimeError):
 
 
 class AccountingError(AssertionError):
-    """Raised when a maintained counter drifts from its recount: on a
-    node read under ``verify_accounting``, or by
-    :func:`repro.invariants.check` for any invariant of the system."""
+    """Raised by :func:`repro.invariants.check` when a maintained counter
+    or any other invariant of the system drifts from its recount."""
 
 
 @dataclass
@@ -82,8 +81,6 @@ class Node:
     capacity_bytes: int
     sandboxes: dict[int, Sandbox] = field(default_factory=dict)
     checkpoints: dict[int, BaseCheckpoint] = field(default_factory=dict)
-    verify_accounting: bool = False
-    """Debug: assert counter == recomputed sum on every read."""
     on_used_changed: Callable[["Node"], None] | None = field(
         default=None, repr=False, compare=False
     )
@@ -104,13 +101,6 @@ class Node:
 
     def used_bytes(self) -> int:
         """Current full-scale memory charge on this node."""
-        if self.verify_accounting:
-            recomputed = self.recomputed_used_bytes()
-            if recomputed != self._used:
-                raise AccountingError(
-                    f"node {self.node_id}: cached used={self._used} != "
-                    f"recomputed {recomputed}"
-                )
         return self._used
 
     def recomputed_used_bytes(self) -> int:
@@ -125,13 +115,6 @@ class Node:
 
     def reclaimable_bytes(self) -> int:
         """Memory that evicting every evictable resident would free."""
-        if self.verify_accounting:
-            recomputed = self.recomputed_reclaimable_bytes()
-            if recomputed != self._reclaimable:
-                raise AccountingError(
-                    f"node {self.node_id}: cached reclaimable={self._reclaimable} != "
-                    f"recomputed {recomputed}"
-                )
         return self._reclaimable
 
     def recomputed_reclaimable_bytes(self) -> int:

@@ -135,18 +135,6 @@ class AttackResult:
     mean_miss_startup_ms: float
     report: RunReport = field(repr=False)
 
-    @property
-    def hit_startups(self) -> tuple[float, ...]:
-        return tuple(
-            o.second_startup_ms for o in self.observations if o.kind == "hit"
-        )
-
-    @property
-    def miss_startups(self) -> tuple[float, ...]:
-        return tuple(
-            o.second_startup_ms for o in self.observations if o.kind == "miss"
-        )
-
 
 def victim_profile() -> FunctionProfile:
     return FunctionProfile(

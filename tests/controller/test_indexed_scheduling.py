@@ -19,7 +19,6 @@ from repro.platform.metrics import StartType
 from repro.platform.platform import PlatformKind, build_platform
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
-from tests.conftest import check_every_instant
 from tests.platform.test_control_plane_equivalence import build_scenario
 
 SCALE = 1.0 / 256.0
@@ -233,9 +232,9 @@ class TestIndexInvariants:
             "pressure/queued_burst",
             "azure/medes",
         ):
-            platform, trace = build_scenario(name)
-            runs.append(check_every_instant(platform, probe))
+            platform, trace, probes = build_scenario(name, probe)
             platform.run(trace)
+            runs.append(probes)
         assert all(runs)
         return [instant for run in runs for instant in run]
 

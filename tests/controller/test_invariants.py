@@ -6,10 +6,14 @@ the arrival pattern: every request completes exactly once and restores
 are byte-exact, and :func:`repro.invariants.check` — refcounts, node,
 tier and template accounting, dispatch indexes, registry partitions —
 holds at every simulated instant.  ``TestCheckNamesTheBrokenInvariant``
-plants one corruption per invariant to show the checker names it.
+plants one corruption per invariant to show the checker names it, and
+``TestLostNodeUpdate`` shows a drifted node counter is caught at the
+instant it drifts.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -22,13 +26,14 @@ from repro.invariants import check
 from repro.platform.config import ClusterConfig
 from repro.platform.metrics import RequestRecord, StartType
 from repro.platform.platform import PlatformKind, build_platform
-from repro.sandbox.node import AccountingError
+from repro.sandbox.node import AccountingError, Node
 from repro.templates.catalog import TemplateConfig
 from repro.tenancy.domains import DedupDomainMode, TenantConfig
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
 from tests.conftest import check_every_instant
 from tests.faults.test_recovery_invariants import fault_configs
+from tests.platform.test_control_plane_equivalence import build_scenario
 
 FUNCTIONS = ("Vanilla", "LinAlg", "RNNModel")
 
@@ -289,3 +294,36 @@ class TestCheckNamesTheBrokenInvariant:
         CORRUPTIONS[invariant](finished, monkeypatch)
         with pytest.raises(AccountingError, match=f"^{invariant}: "):
             check(finished)
+
+
+class TestLostNodeUpdate:
+    """A node counter that misses an update (the 3rd admission adds one
+    byte too many) fails the check at the instant it drifts, long before
+    the check ``Platform.run`` makes after drain."""
+
+    SCENARIO = "pressure/eviction"
+
+    @pytest.fixture(scope="class")
+    def clean_instants(self) -> int:
+        platform, trace, instants = build_scenario(self.SCENARIO)
+        platform.run(trace)
+        return len(instants)
+
+    @pytest.mark.parametrize(
+        "counter,invariant",
+        [("_used", "node used bytes"), ("_reclaimable", "reclaimable bytes")],
+    )
+    def test_caught_at_its_instant(self, monkeypatch, clean_instants, counter, invariant):
+        admit = Node.admit
+        admissions = itertools.count(1)
+
+        def lossy_admit(node, sandbox):
+            admit(node, sandbox)
+            if next(admissions) == 3:
+                setattr(node, counter, getattr(node, counter) + 1)
+
+        monkeypatch.setattr(Node, "admit", lossy_admit)
+        platform, trace, instants = build_scenario(self.SCENARIO)
+        with pytest.raises(AccountingError, match=f"^{invariant}: "):
+            platform.run(trace)
+        assert len(instants) < clean_instants

@@ -9,9 +9,10 @@ ablations).  The file was frozen at ``48cbd51``, the last commit with
 two control planes (incremental indexes, and the per-request scans they
 replaced), by a writer that refused to write unless both produced it;
 the one control plane left must keep reproducing it, request by
-request.  Every scenario replays under ``verify_accounting``, so each
-``used_bytes`` / ``reclaimable_bytes`` read also asserts the node's
-counter against the recomputed per-resident sum.
+request.  Every scenario replays under
+:func:`tests.conftest.check_every_instant`, so after each simulated
+instant :func:`repro.invariants.check` recounts every node's counters,
+refcounts and dispatch indexes against the residents that pin them.
 
 ``python -m tests.platform.test_control_plane_equivalence --write``
 regenerates the file through the same :func:`run_scenario` the tests
@@ -25,7 +26,6 @@ import json
 import pathlib
 import re
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -37,6 +37,7 @@ from repro.sandbox.node import EvictionOrder
 from repro.workload.azure import AzureTraceGenerator
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
+from tests.conftest import check_every_instant
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden" / "control_plane_runs.json"
 
@@ -93,18 +94,22 @@ SCENARIOS = {
 }
 
 
-def build_scenario(name: str) -> tuple[Platform, Trace]:
-    """One scenario's platform, accounting verified on every read, and
-    the trace it replays."""
+def build_scenario(
+    name: str, probe=lambda platform: platform.sim.now
+) -> tuple[Platform, Trace, list]:
+    """One scenario's platform, set to check every invariant after each
+    simulated instant, the trace it replays, and the list
+    :func:`check_every_instant` fills with ``probe(platform)`` as the
+    run goes."""
     kind, config, suite, trace = SCENARIOS[name]()
-    config = replace(config, verify_accounting=True)
     kwargs = {"medes": MEDES} if kind is PlatformKind.MEDES else {}
-    return build_platform(kind, config, suite, **kwargs), trace
+    platform = build_platform(kind, config, suite, **kwargs)
+    return platform, trace, check_every_instant(platform, probe)
 
 
 def run_scenario(name: str) -> dict:
     """Replay one scenario and flatten its report, requests included."""
-    platform, trace = build_scenario(name)
+    platform, trace, _ = build_scenario(name)
     return report_to_dict(platform.run(trace), include_requests=True)
 
 

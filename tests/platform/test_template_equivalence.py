@@ -23,6 +23,7 @@ from repro.templates.catalog import TemplateConfig
 from repro.workload.azure import AzureTraceGenerator
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
+from tests.conftest import check_every_instant
 
 SCALE = 1.0 / 256.0
 
@@ -123,8 +124,10 @@ class TestTemplatesOnBehaviour:
 
     def test_pressure_exercises_templates(self):
         suite, config, trace = pressure_workload()
-        config = replace(config, template_sharing=True, verify_accounting=True)
-        report = build_platform(PlatformKind.MEDES, config, suite, medes=MEDES).run(trace)
+        config = replace(config, template_sharing=True)
+        platform = build_platform(PlatformKind.MEDES, config, suite, medes=MEDES)
+        check_every_instant(platform)
+        report = platform.run(trace)
         metrics = report.metrics
         assert metrics.template_ops, "idle sandboxes must park as templates"
         assert metrics.template_forks, "repeat arrivals must fork templates"

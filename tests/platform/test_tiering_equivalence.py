@@ -25,6 +25,7 @@ from repro.storage.tiers import StorageConfig
 from repro.workload.azure import AzureTraceGenerator
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
+from tests.conftest import check_every_instant
 
 SCALE = 1.0 / 256.0
 
@@ -119,8 +120,10 @@ class TestTieringOnBehaviour:
 
     def test_pressure_exercises_tiers(self):
         suite, config, trace = pressure_workload()
-        config = replace(config, checkpoint_tiering=True, verify_accounting=True)
-        report = build_platform(PlatformKind.MEDES, config, suite, medes=MEDES).run(trace)
+        config = replace(config, checkpoint_tiering=True)
+        platform = build_platform(PlatformKind.MEDES, config, suite, medes=MEDES)
+        check_every_instant(platform)
+        report = platform.run(trace)
         metrics = report.metrics
         assert metrics.table_demotions > 0, "pressure must park tables on SSD"
         assert metrics.tier_ops, "tier moves must be recorded"

@@ -155,6 +155,30 @@ class TestNoUnreferencedCode:
         assert not stale, f"referenced or gone now; drop from the allow-list: {sorted(stale)}"
 
 
+class TestNoDeadConfigField:
+    """Every ``ClusterConfig`` field is read as an attribute somewhere in
+    ``src/`` outside ``config.py``, so a knob nothing reads fails here
+    instead of riding along."""
+
+    def test_every_field_is_read(self):
+        import ast
+        import dataclasses
+
+        from repro.platform.config import ClusterConfig
+
+        src = REPO_ROOT / "src"
+        config = src / "repro" / "platform" / "config.py"
+        read = {
+            node.attr
+            for path in src.rglob("*.py")
+            if path != config
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+        }
+        fields = [field.name for field in dataclasses.fields(ClusterConfig)]
+        assert [name for name in fields if name not in read] == []
+
+
 class TestNoProcessGlobalIds:
     """Ids belong to a run: the controller numbers its sandboxes and each
     checkpoint store its checkpoints, so no output depends on what else
