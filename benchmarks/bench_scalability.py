@@ -49,7 +49,7 @@ if __package__ in (None, ""):  # script mode: `python benchmarks/bench_scalabili
 from benchmarks.conftest import write_result
 from repro.analysis.tables import render_table
 from repro.platform.config import ClusterConfig
-from repro.platform.platform import PlatformKind, build_platform
+from repro.platform.platform import ARRIVAL_CHUNK, PlatformKind, build_platform
 from repro.workload.azure import ClusterTraceGenerator
 from repro.workload.functionbench import FunctionBenchSuite
 
@@ -181,7 +181,7 @@ def run_curve(args: argparse.Namespace) -> dict:
             "copies": args.copies,
             "node_memory_mb": NODE_MEMORY_MB,
             "content_scale": CONTENT_SCALE,
-            "arrival_chunk": ClusterConfig().arrival_chunk,
+            "arrival_chunk": ARRIVAL_CHUNK,
             "seed": args.seed,
         },
         "points": points,

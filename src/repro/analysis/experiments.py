@@ -26,7 +26,7 @@ from repro.core.optimizer import Objective
 from repro.core.policy import MedesPolicyConfig
 from repro.memory.fingerprint import FingerprintConfig
 from repro.platform.comparison import Comparison, run_comparison
-from repro.platform.config import ClusterConfig
+from repro.platform.config import ClusterConfig, ColdStartMode
 from repro.platform.platform import PlatformKind, build_platform
 from repro.workload.azure import AzureTraceGenerator
 from repro.workload.functionbench import REPRESENTATIVE_SUBSET, FunctionBenchSuite
@@ -419,11 +419,11 @@ def run_fig13(
 ) -> Fig13Result:
     """Figure 13: Catalyzer-style cold starts, with and without Medes."""
     suite, trace = representative_workload(duration_min, seed)
-    config = config or representative_config()
-    emulated = build_platform(
-        PlatformKind.FIXED_KEEP_ALIVE, config, suite, catalyzer=True
-    ).run(trace)
-    combined = build_platform(PlatformKind.MEDES, config, suite, catalyzer=True).run(trace)
+    config = replace(
+        config or representative_config(), cold_start_mode=ColdStartMode.CATALYZER
+    )
+    emulated = build_platform(PlatformKind.FIXED_KEEP_ALIVE, config, suite).run(trace)
+    combined = build_platform(PlatformKind.MEDES, config, suite).run(trace)
     return Fig13Result(
         cold_starts={
             "Emulated Catalyzer": emulated.metrics.cold_starts(),

@@ -28,6 +28,7 @@ were last proven bit-identical at ``48cbd51``, where
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import Counter, deque
 from dataclasses import dataclass, replace
@@ -120,8 +121,8 @@ class ClusterController:
         registry: FingerprintRegistry,
         store: CheckpointStore,
         basemgr: BaseSandboxManager,
+        faults: FaultRuntime,
         stats: dict[str, FunctionStats] | None = None,
-        faults: "FaultRuntime | None" = None,
         templates: TemplateCatalog | None = None,
     ):
         self.sim = sim
@@ -271,9 +272,7 @@ class ClusterController:
             used_bytes=self.used_bytes(),
             capacity_bytes=self.config.cluster_capacity_bytes,
             rate_shares=shares,
-            registry_available=(
-                self._faults is None or self._faults.health.registry_available()
-            ),
+            registry_available=self._faults.health.registry_available(),
             templates_available=self.templates is not None,
         )
 
@@ -438,7 +437,7 @@ class ClusterController:
                     self.metrics.template_fork_fallbacks += 1
                 return False
             except PeerUnavailable as exc:
-                if self._faults is not None and self._faults.health.node_up(exc.peer):
+                if self._faults.health.node_up(exc.peer):
                     # Link partition, not a dead node: the base state
                     # still exists, so keep the sandbox for post-heal.
                     return False
@@ -659,12 +658,12 @@ class ClusterController:
             total += sum(s.memory_bytes() for s in self._unpinned_base_sandboxes(node))
         if total < needed_bytes and self.templates is not None:
             # Droppable template replicas (pool copies survive; the last
-            # node-DRAM replica of a hot template is exempt).
+            # node-DRAM replica of a hot template is exempt, except on
+            # the starvation pass).
+            now = math.inf if include_bases else self.sim.now
             total += sum(
                 segment.full_bytes
-                for segment in self.templates.evictable_replicas(
-                    node.node_id, self.sim.now
-                )
+                for segment in self.templates.evictable_replicas(node.node_id, now)
             )
         return total >= needed_bytes
 
@@ -684,8 +683,7 @@ class ClusterController:
         # The candidate order is a snapshot of the maintained
         # (used_bytes, node_id) order, fixed at entry: evictions below
         # do not re-rank it.
-        down = self._faults.health.down_nodes if self._faults is not None else frozenset()
-        candidates = self._usage.snapshot(exclude=down)
+        candidates = self._usage.snapshot(exclude=self._faults.health.down_nodes)
         for node in candidates:
             if node.fits(needed_bytes):
                 return node
@@ -702,6 +700,9 @@ class ClusterController:
                     continue
                 victims = self._eviction_candidates(node, include_bases=include_bases)
                 if not victims:
+                    # Starvation's last rung: hot templates' last replicas.
+                    if include_bases and self._drop_one_replica(node, hot=True):
+                        continue
                     break
                 victim = victims[0]
                 if self.templates is not None:
@@ -746,15 +747,18 @@ class ClusterController:
             for other in self._function_sandboxes(sandbox.function).values()
         )
 
-    def _drop_one_replica(self, node: Node) -> bool:
+    def _drop_one_replica(self, node: Node, *, hot: bool = False) -> bool:
         """Evict the coldest droppable template replica on ``node``.
 
         Never strands a parked delta: the pool copy is authoritative and
         the catalog's hot-window guard keeps the last node-DRAM replica
-        of any recently forked template in place.
+        of any recently forked template in place, unless ``hot`` (no
+        fork is recent at an unbounded clock).  False without a catalog.
         """
-        assert self.templates is not None
-        victims = self.templates.evictable_replicas(node.node_id, self.sim.now)
+        if self.templates is None:
+            return False
+        now = math.inf if hot else self.sim.now
+        victims = self.templates.evictable_replicas(node.node_id, now)
         if not victims:
             return False
         segment = victims[0]
@@ -869,9 +873,7 @@ class ClusterController:
             # Base sandboxes stay warm while they anchor dedup state.
             timers.idle = self.sim.after(idle_period, lambda: self._on_idle_expiry(sandbox))
             return
-        registry_down = (
-            self._faults is not None and not self._faults.health.registry_available()
-        )
+        registry_down = not self._faults.health.registry_available()
         if registry_down and self.templates is None:
             # Degradation ladder (DESIGN.md §11): with a registry shard
             # down no new dedup ops are admitted; stay warm and re-ask
@@ -1395,9 +1397,7 @@ class ClusterController:
         for replica in self.registry.replicas_for(ref):
             if replica.checkpoint_id in dead:
                 continue
-            if self._faults is not None and not self._faults.health.node_up(
-                replica.node_id
-            ):
+            if not self._faults.health.node_up(replica.node_id):
                 continue
             try:
                 checkpoint = self.store.get(replica.checkpoint_id)
@@ -1423,7 +1423,7 @@ class ClusterController:
         the caller purges.  Refcounts move atomically — acquire the new
         bases, then release the dead ones exactly once.
         """
-        if self._faults is None or not self._faults.health.registry_available():
+        if not self._faults.health.registry_available():
             return False
         table = sandbox.dedup_table
         assert table is not None

@@ -5,8 +5,8 @@ The package is the chaos layer of the reproduction: a seeded, clock-driven
 registry shards and degrades links mid-run, plus the retry/backoff machinery
 (:class:`~repro.faults.retry.TransientFaults`) that makes base-page fetches
 and registry RPCs resilient to per-op transient failures.  Everything hangs
-off ``ClusterConfig.faults``; the default (``None``) leaves every run
-bit-identical to a build without this package.
+off ``ClusterConfig.faults``; the default, an empty ``FaultsConfig()``,
+injects nothing and leaves healthy runs unchanged.
 """
 
 from repro.faults.health import FaultDomainHealth, FaultRuntime, RegistryUnavailable

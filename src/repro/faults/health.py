@@ -62,7 +62,7 @@ class FaultRuntime:
 
     Bundles the static config with the mutable health state and the
     transient-RPC model, so the controller and agents take a single
-    optional handle (``None`` = fault layer disabled)."""
+    handle.  Every platform builds one; an empty config injects nothing."""
 
     config: FaultsConfig
     health: FaultDomainHealth

@@ -4,24 +4,21 @@ A :class:`FaultSchedule` is a static, validated description of every
 injected fault — node crashes (optionally followed by a restart),
 registry-shard outages (data loss, then rebuild from surviving agents),
 and link faults (latency degradation or full partition).  Together with
-the per-op transient-RPC failure probability and its
-:class:`~repro.faults.retry.RetryPolicy` it forms :class:`FaultsConfig`,
-the value of ``ClusterConfig.faults``.
+the per-op transient-RPC failure probability it forms
+:class:`FaultsConfig`, the value of ``ClusterConfig.faults``.
 
 Determinism contract: the schedule carries only absolute simulated
 times; the only randomness anywhere in the fault layer flows through the
 counter-keyed streams of :class:`~repro.faults.retry.TransientFaults`.
 A run under a fixed config and trace therefore reproduces bit-for-bit —
-including every crash, retry and jittered backoff — and
-``ClusterConfig.faults=None`` is pinned bit-identical to a build without
-the fault layer at all.
+including every crash, retry and jittered backoff.  The layer is always
+built; an empty ``FaultsConfig()`` (the default) injects nothing, and
+the control-plane golden pins such runs to their pre-fault-layer output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro.faults.retry import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -161,17 +158,14 @@ class FaultSchedule:
 class FaultsConfig:
     """The ``ClusterConfig.faults`` knob.
 
-    ``None`` (the field default on :class:`ClusterConfig`) disables the
-    fault layer entirely; an empty ``FaultsConfig()`` enables the layer
-    but injects nothing — the equivalence tests pin both to bit-identical
-    ``RunMetrics``.
+    The default, an empty ``FaultsConfig()``, injects nothing.  Retries
+    follow the default :class:`~repro.faults.retry.RetryPolicy`.
     """
 
     schedule: FaultSchedule = field(default_factory=FaultSchedule)
     rpc_failure_prob: float = 0.0
     """Per-attempt transient failure probability of remote RPCs."""
 
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     seed: int = 0
     """Extra seed mixed into the transient-fault random streams."""
 

@@ -34,7 +34,8 @@ def check(platform: Platform) -> None:
 def liveness(platform: Platform) -> AccountingError:
     """The error for a run whose requests never drain: each request still
     waiting (id, function, footprint) and what each node holds against
-    it (free bytes, bytes of bases pinned by dedup tables)."""
+    it (free bytes, bytes of bases pinned by dedup tables, bytes of
+    template replicas)."""
     waiting = ", ".join(
         f"#{record.request_id} {record.function} "
         f"({platform.suite.get(record.function).memory_bytes} B)"
@@ -42,7 +43,8 @@ def liveness(platform: Platform) -> AccountingError:
     )
     nodes = "; ".join(
         f"node {node.node_id}: {node.free_bytes()} B free, "
-        f"{_pinned_base_bytes(node)} B in pinned bases"
+        f"{_pinned_base_bytes(node)} B in pinned bases, "
+        f"{node.template_replica_bytes()} B in template replicas"
         for node in platform.nodes
     )
     return AccountingError(f"liveness: never started: {waiting}; {nodes}")

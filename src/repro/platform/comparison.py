@@ -100,7 +100,6 @@ def run_comparison(
     kinds: tuple[PlatformKind, ...] = DEFAULT_KINDS,
     medes: MedesPolicyConfig | None = None,
     fixed_keep_alive_ms: float = 600_000.0,
-    catalyzer: bool = False,
 ) -> Comparison:
     """Replay ``trace`` on each platform kind and collect the reports."""
     comparison = Comparison(trace=trace, suite=suite, config=config)
@@ -111,7 +110,6 @@ def run_comparison(
             suite,
             medes=medes,
             fixed_keep_alive_ms=fixed_keep_alive_ms,
-            catalyzer=catalyzer,
         )
         report = platform.run(trace)
         comparison.reports[report.platform_name] = report

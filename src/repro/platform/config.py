@@ -5,12 +5,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro._util import MIB, PAGE_SIZE
+from repro._util import MIB
 from repro.core.costs import CostModel
 from repro.faults.schedule import FaultsConfig
 from repro.memory.fingerprint import FingerprintConfig
 from repro.sandbox.node import EvictionOrder
-from repro.sim.network import RdmaConfig
 from repro.storage.tiers import StorageConfig
 from repro.templates.catalog import TemplateConfig
 from repro.tenancy.domains import TenantConfig
@@ -48,20 +47,16 @@ class ClusterConfig:
     nodes: int = 4
     node_memory_mb: float = 2048.0
     content_scale: float = 1.0 / 64.0
-    page_size: int = PAGE_SIZE
     aslr: bool = False
     seed: int = 0
-    rdma: RdmaConfig = field(default_factory=RdmaConfig)
     costs: CostModel = field(default_factory=CostModel)
     fingerprint: FingerprintConfig = field(default_factory=FingerprintConfig)
-    base_threshold: int = 40
     base_savings_threshold: float = 0.45
     """Demarcate a function's first base sandbox only when a trial dedup
     against the existing (cross-function) bases saves less than this
     fraction — the paper's own measurement that ~67% of deduped pages
     match a *different* function makes per-function bases often
     unnecessary, and base checkpoints are expensive pinned state."""
-    max_refs_per_digest: int = 8
     registry_shards: int = 1
     """Shards of the controller fingerprint registry (Section 4.3); 1
     reproduces the paper's single-controller experiments."""
@@ -71,18 +66,9 @@ class ClusterConfig:
     (cheaper than a cold start); off reproduces a stricter reading of
     the paper, where DEDUPING sandboxes are simply unavailable."""
     cold_start_mode: ColdStartMode = ColdStartMode.STANDARD
-    memory_sample_interval_ms: float = 10_000.0
     verify_restores: bool = False
     """Check every restored and forked image page by page against the
     digest column its table recorded (tests and the ledger enable it)."""
-    arrival_chunk: int = 4096
-    """Resident window of arrival injection: how many upcoming trace
-    arrivals are scheduled on the event heap at once, through
-    :meth:`~repro.sim.engine.Simulator.schedule_stream`, keeping
-    resident arrival state O(chunk) instead of O(trace).  Any chunk
-    size replays bit-identically (the stream reserves the whole trace's
-    event sequence numbers up front); one chunk of the whole trace is
-    eager pre-scheduling."""
     checkpoint_tiering: bool = False
     """Tiered checkpoint storage (DESIGN.md §9): under pressure, demote
     base checkpoints to remote DRAM / local SSD and park expired dedup
@@ -117,16 +103,15 @@ class ClusterConfig:
     (``DedupDomainMode.OFF``) maps every tenant to the single global
     domain and is pinned bit-identical to the pre-tenancy platform by
     the equivalence tests."""
-    faults: FaultsConfig | None = None
+    faults: FaultsConfig = field(default_factory=FaultsConfig)
     """Fault injection and recovery (DESIGN.md §11): a seeded
     :class:`~repro.faults.schedule.FaultSchedule` of node crashes,
     registry-shard outages and link faults, plus per-op transient RPC
-    failures with retry/backoff.  ``None`` (the default) disables the
-    fault layer entirely and is pinned bit-identical to a build without
-    it; an empty ``FaultsConfig()`` enables the layer but injects
-    nothing — also bit-identical, by the equivalence tests.  All fault
-    randomness is seeded (``seed`` + ``faults.seed``), so a faulted run
-    reproduces bit-for-bit."""
+    failures with retry/backoff.  The fault layer is always built; the
+    default ``FaultsConfig()`` injects nothing, and the control-plane
+    golden pins such runs to the same ``RunMetrics`` as before the layer
+    existed.  All fault randomness is seeded (``seed`` + ``faults.seed``),
+    so a faulted run reproduces bit-for-bit."""
 
     def __post_init__(self) -> None:
         if self.nodes <= 0:
@@ -135,12 +120,8 @@ class ClusterConfig:
             raise ValueError("node_memory_mb must be positive")
         if not 0 < self.content_scale <= 1:
             raise ValueError("content_scale must be in (0, 1]")
-        if self.base_threshold <= 0:
-            raise ValueError("base_threshold must be positive")
         if self.registry_shards <= 0:
             raise ValueError("registry_shards must be positive")
-        if self.arrival_chunk <= 0:
-            raise ValueError("arrival_chunk must be positive")
 
     @property
     def node_capacity_bytes(self) -> int:

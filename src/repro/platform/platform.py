@@ -9,7 +9,7 @@ trace against it, returning a :class:`RunReport`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 from repro._util import stable_seed
@@ -21,7 +21,7 @@ from repro.core.policy import FunctionStats, LifecyclePolicy, MedesPolicy, Medes
 from repro.core.registry import FingerprintRegistry, ShardedFingerprintRegistry
 from repro.faults.health import FaultDomainHealth, FaultRuntime
 from repro.faults.injector import FaultInjector
-from repro.faults.retry import TransientFaults
+from repro.faults.retry import RetryPolicy, TransientFaults
 from repro.invariants import check, liveness
 from repro.platform.config import ClusterConfig, ColdStartMode
 from repro.platform.metrics import RunMetrics
@@ -38,6 +38,11 @@ from repro.workload.trace import Trace
 
 #: Quiet time after the last arrival before a run is considered drained.
 RUN_TAIL_MS = 60_000.0
+#: Period of the cluster memory sampler (Fig 2 and Fig 9 timelines).
+MEMORY_SAMPLE_INTERVAL_MS = 10_000.0
+#: Upcoming arrivals resident on the event heap at once
+#: (``Simulator.schedule_stream``); any size replays bit-identically.
+ARRIVAL_CHUNK = 4096
 
 
 class PlatformKind(enum.Enum):
@@ -93,17 +98,13 @@ class Platform:
         self.suite = suite
         self.sim = Simulator()
         self.metrics = RunMetrics(platform_name=name)
-        self.fabric = RdmaFabric(config.rdma)
+        self.fabric = RdmaFabric()
         if config.registry_shards > 1:
             self.registry = ShardedFingerprintRegistry(
-                config.registry_shards,
-                config.fingerprint,
-                max_refs_per_digest=config.max_refs_per_digest,
+                config.registry_shards, config.fingerprint
             )
         else:
-            self.registry = FingerprintRegistry(
-                config.fingerprint, max_refs_per_digest=config.max_refs_per_digest
-            )
+            self.registry = FingerprintRegistry(config.fingerprint)
         # Tiering and template sharing both park tables on node SSD,
         # whose accounts the tiered store keeps.
         if config.checkpoint_tiering or config.template_sharing:
@@ -117,21 +118,16 @@ class Platform:
             if config.checkpoint_tiering and config.storage.prefetch
             else None
         )
-        self.basemgr = BaseSandboxManager(self.store, threshold=config.base_threshold)
-        if config.faults is not None:
-            self.faults: FaultRuntime | None = FaultRuntime(
-                config=config.faults,
-                health=FaultDomainHealth(
-                    nodes=config.nodes, shards=config.registry_shards
-                ),
-                transients=TransientFaults(
-                    config.faults.rpc_failure_prob,
-                    config.faults.retry,
-                    seed=stable_seed("transient-rpc", config.seed, config.faults.seed),
-                ),
-            )
-        else:
-            self.faults = None
+        self.basemgr = BaseSandboxManager(self.store)
+        self.faults = FaultRuntime(
+            config=config.faults,
+            health=FaultDomainHealth(nodes=config.nodes, shards=config.registry_shards),
+            transients=TransientFaults(
+                config.faults.rpc_failure_prob,
+                RetryPolicy(),
+                seed=stable_seed("transient-rpc", config.seed, config.faults.seed),
+            ),
+        )
         self.templates: TemplateCatalog | None = (
             TemplateCatalog(
                 config.templates,
@@ -157,7 +153,7 @@ class Platform:
                 recorder=self.recorder,
                 tiering=config.checkpoint_tiering,
                 stage_overlap=config.parallel_data_plane,
-                transients=self.faults.transients if self.faults is not None else None,
+                transients=self.faults.transients,
                 templates=self.templates,
             )
             for node in self.nodes
@@ -177,19 +173,15 @@ class Platform:
             faults=self.faults,
             templates=self.templates,
         )
-        self.injector: FaultInjector | None = (
-            FaultInjector(
-                sim=self.sim,
-                config=config,
-                runtime=self.faults,
-                fabric=self.fabric,
-                registry=self.registry,
-                controller=self.controller,
-                store=self.store,
-                metrics=self.metrics,
-            )
-            if self.faults is not None
-            else None
+        self.injector = FaultInjector(
+            sim=self.sim,
+            config=config,
+            runtime=self.faults,
+            fabric=self.fabric,
+            registry=self.registry,
+            controller=self.controller,
+            store=self.store,
+            metrics=self.metrics,
         )
 
     def cluster_snapshot(self) -> dict:
@@ -260,7 +252,7 @@ class Platform:
     def _inject_arrivals(self, trace: Trace) -> None:
         """Schedule the trace's arrivals on the simulator.
 
-        Only ``config.arrival_chunk`` upcoming arrivals sit on the heap
+        Only ``ARRIVAL_CHUNK`` upcoming arrivals sit on the heap
         at once (``Simulator.schedule_stream``).  Each chunk's labels
         are decoded from the trace's columns in one pass, and the
         controller seeds the chunk's execution-time draws in one batch;
@@ -282,7 +274,7 @@ class Platform:
         self.sim.schedule_stream(
             trace.arrival_ms,
             arrival,
-            chunk_size=self.config.arrival_chunk,
+            chunk_size=ARRIVAL_CHUNK,
             on_chunk=on_chunk,
         )
 
@@ -296,12 +288,9 @@ class Platform:
         which raises ``AccountingError`` on the first broken invariant; a
         run that never drains raises a ``liveness`` one.
         """
-        if self.injector is not None:
-            self.injector.arm()
+        self.injector.arm()
         self._inject_arrivals(trace)
-        sampler = self.sim.every(
-            self.config.memory_sample_interval_ms, self._sample_memory
-        )
+        sampler = self.sim.every(MEMORY_SAMPLE_INTERVAL_MS, self._sample_memory)
 
         end = trace.duration_ms + tail_ms
         self.sim.run_until(end)
@@ -337,11 +326,10 @@ class Platform:
         self.metrics.anchor_index_cache_misses = sum(
             a.anchor_index_cache.misses for a in agents
         )
-        if self.faults is not None:
-            transients = self.faults.transients
-            self.metrics.rpc_retries = transients.retried_attempts
-            self.metrics.retry_backoff_ms = transients.charged_backoff_ms
-            self.metrics.rpc_exhausted_ops = transients.exhausted_ops
+        transients = self.faults.transients
+        self.metrics.rpc_retries = transients.retried_attempts
+        self.metrics.retry_backoff_ms = transients.charged_backoff_ms
+        self.metrics.rpc_exhausted_ops = transients.exhausted_ops
         return RunReport(
             platform_name=self.name,
             config=self.config,
@@ -357,7 +345,6 @@ def build_platform(
     *,
     medes: MedesPolicyConfig | None = None,
     fixed_keep_alive_ms: float = 600_000.0,
-    catalyzer: bool = False,
 ) -> Platform:
     """Construct one of the evaluated platforms.
 
@@ -368,11 +355,11 @@ def build_platform(
         medes: Medes policy knobs (P1/P2 objective, periods); defaults
             to the latency objective with the paper's settings.
         fixed_keep_alive_ms: Keep-alive window of the fixed baseline.
-        catalyzer: Emulate Catalyzer's template restore for cold starts
-            (Section 7.6) on top of the chosen platform.
+
+    A ``config.cold_start_mode`` of ``CATALYZER`` (Section 7.6) appends
+    ``+catalyzer`` to the platform's name.
     """
-    if catalyzer:
-        config = replace(config, cold_start_mode=ColdStartMode.CATALYZER)
+    suffix = "+catalyzer" if config.cold_start_mode is ColdStartMode.CATALYZER else ""
     if kind is PlatformKind.MEDES:
         policy_config = medes or MedesPolicyConfig()
         stats = {
@@ -382,14 +369,13 @@ def build_platform(
         policy = MedesPolicy(
             policy_config, warm_start_ms=config.costs.warm_start_ms, stats=stats
         )
-        name = "medes+catalyzer" if catalyzer else "medes"
-        return Platform(name=name, config=config, suite=suite, policy=policy, stats=stats)
+        return Platform(
+            name="medes" + suffix, config=config, suite=suite, policy=policy, stats=stats
+        )
     if kind is PlatformKind.FIXED_KEEP_ALIVE:
         policy = FixedKeepAlivePolicy(fixed_keep_alive_ms)
-        name = f"{policy.name}+catalyzer" if catalyzer else policy.name
-        return Platform(name=name, config=config, suite=suite, policy=policy)
+        return Platform(name=policy.name + suffix, config=config, suite=suite, policy=policy)
     if kind is PlatformKind.ADAPTIVE_KEEP_ALIVE:
         policy = AdaptiveKeepAlivePolicy()
-        name = f"{policy.name}+catalyzer" if catalyzer else policy.name
-        return Platform(name=name, config=config, suite=suite, policy=policy)
+        return Platform(name=policy.name + suffix, config=config, suite=suite, policy=policy)
     raise AssertionError(f"unhandled platform kind {kind}")

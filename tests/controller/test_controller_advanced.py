@@ -138,12 +138,17 @@ class TestMultiCandidateDispatch:
         )
         agent = platform.agents[0]
         real_restore = agent.restore
+        down_nodes = platform.faults.health.down_nodes
         calls = {"n": 0}
 
         def flaky_restore(table, *, verify=False):
             calls["n"] += 1
             if calls["n"] == 1:
+                # Node 1 is down for this call, so the controller reads
+                # a dead peer (not a partition) and purges the sandbox.
+                down_nodes.add(1)
                 raise PeerUnavailable(1)
+            down_nodes.discard(1)
             return real_restore(table, verify=verify)
 
         platform.sim.at(11_999.0, lambda: setattr(agent, "restore", flaky_restore))

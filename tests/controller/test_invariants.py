@@ -78,7 +78,7 @@ feature_mixes = st.fixed_dictionaries(
         ),
         "registry_shards": st.sampled_from([1, 2]),
         "parallel_data_plane": st.booleans(),
-        "faults": st.none() | fault_configs,
+        "faults": st.just(FaultsConfig()) | fault_configs,
         "node_memory_mb": st.sampled_from([100.0, 256.0]),
     }
 )

@@ -155,6 +155,28 @@ def test_a_run_that_cannot_drain_names_what_waits():
         platform.run(Trace.from_arrivals([(0.0, "RNNModel")]))
     assert str(raised.value) == (
         "liveness: never started: #0 RNNModel (94371840 B); "
-        "node 0: 67108864 B free, 0 B in pinned bases; "
-        "node 1: 67108864 B free, 0 B in pinned bases"
+        "node 0: 67108864 B free, 0 B in pinned bases, 0 B in template replicas; "
+        "node 1: 67108864 B free, 0 B in pinned bases, 0 B in template replicas"
     )
+
+
+def test_hot_template_replicas_cannot_starve_a_queued_request():
+    """The last RNNModel finds no sandbox or delta live, only the last
+    replicas of templates forked within the hot window (42 MB on node 0,
+    8 + 6 MB on node 1).  The starvation pass drops them — the pool
+    copies survive — so the request runs instead of waiting forever."""
+    arrivals = [
+        (0.0, "RNNModel"),
+        (7_500.0, "LinAlg"),
+        (15_000.0, "RNNModel"),
+        (24_000.0, "LinAlg"),
+        (24_001.0, "LinAlg"),
+        (24_002.0, "LinAlg"),
+        (38_000.0, "RNNModel"),
+    ]
+    platform = build(template_sharing=True)
+    check_every_instant(platform)
+    metrics = platform.run(Trace.from_arrivals(arrivals)).metrics
+    assert all(record.completion_ms is not None for record in metrics.requests.values())
+    assert metrics.start_counts() == {StartType.COLD: 5, StartType.TEMPLATE: 2}
+    assert metrics.template_replica_evictions > 0

@@ -18,7 +18,7 @@ import sys
 import textwrap
 
 #: Primitive calls of the replay below over its requests, as measured.
-MEASURED_CALLS_PER_REQUEST = 341_853 / 3_705
+MEASURED_CALLS_PER_REQUEST = 337_731 / 3_705
 BOUND = MEASURED_CALLS_PER_REQUEST * 1.02
 
 SCRIPT = textwrap.dedent(
@@ -34,9 +34,7 @@ SCRIPT = textwrap.dedent(
     trace = ClusterTraceGenerator(seed=17).generate(
         6.0, suite.names(), target_requests=4_000
     )
-    config = ClusterConfig(
-        nodes=8, node_memory_mb=3072.0, content_scale=1.0 / 1024.0, arrival_chunk=512
-    )
+    config = ClusterConfig(nodes=8, node_memory_mb=3072.0, content_scale=1.0 / 1024.0)
     platform = build_platform(PlatformKind.FIXED_KEEP_ALIVE, config, suite)
     profile = cProfile.Profile()
     profile.enable()

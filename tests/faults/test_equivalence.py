@@ -1,14 +1,11 @@
 """``ClusterConfig.faults`` determinism contract.
 
-``faults=None`` (the default) must be pinned bit-identical — same
-``RunMetrics``, same duration — to a run with the fault layer *enabled
-but injecting nothing* (``FaultsConfig()``), across every platform kind
-and eviction-order ablation.  This is what lets the fault layer ride in
-the hot path unconditionally: enabling it cannot perturb a healthy run
-by a single float.
-
-Separately, a faulty run under a fixed seed must reproduce itself
-bit-for-bit (the seeded-chaos half of the determinism contract).
+A faulty run under a fixed seed must reproduce itself bit-for-bit (the
+seeded-chaos half of the determinism contract).  The other half — the
+always-on fault layer injecting nothing leaves a healthy run unchanged —
+is carried by ``tests/golden/control_plane_runs.json``: it was frozen
+from runs without the fault layer, on every platform kind and
+eviction-order ablation, and every run now builds the layer.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from repro.core.policy import MedesPolicyConfig
 from repro.faults.schedule import FaultSchedule, FaultsConfig, NodeCrash
 from repro.platform.config import ClusterConfig
 from repro.platform.platform import PlatformKind, build_platform
-from repro.sandbox.node import EvictionOrder
 from repro.workload.azure import AzureTraceGenerator
 from repro.workload.functionbench import FunctionBenchSuite
 
@@ -30,14 +26,10 @@ SCALE = 1.0 / 256.0
 MEDES = MedesPolicyConfig(idle_period_ms=5_000.0, alpha=25.0)
 
 
-def _build_kwargs(kind):
-    return {"medes": MEDES} if kind is PlatformKind.MEDES else {}
-
-
-def run_with_faults(kind, config, suite, trace, faults):
-    """One run of ``config`` with ``faults`` in place."""
+def run_with_faults(config, suite, trace, faults):
+    """One Medes run of ``config`` with ``faults`` in place."""
     platform = build_platform(
-        kind, replace(config, faults=faults), suite, **_build_kwargs(kind)
+        PlatformKind.MEDES, replace(config, faults=faults), suite, medes=MEDES
     )
     return platform.run(trace)
 
@@ -47,39 +39,6 @@ def workload():
     suite = FunctionBenchSuite.subset(["Vanilla", "LinAlg", "FeatureGen"])
     trace = AzureTraceGenerator(seed=3).generate(4.0, suite.names())
     return suite, trace
-
-
-class TestDisabledVsEmptyLayer:
-    """faults=None == FaultsConfig() to the bit, on every platform."""
-
-    CONFIG = ClusterConfig(nodes=2, node_memory_mb=512.0, content_scale=SCALE, seed=2)
-
-    @pytest.mark.parametrize("kind", list(PlatformKind))
-    def test_platform_kinds(self, kind, workload):
-        suite, trace = workload
-        disabled = run_with_faults(kind, self.CONFIG, suite, trace, None)
-        empty = run_with_faults(kind, self.CONFIG, suite, trace, FaultsConfig())
-        assert empty.duration_ms == disabled.duration_ms
-        assert empty.metrics == disabled.metrics
-
-    @pytest.mark.parametrize("order", list(EvictionOrder))
-    def test_eviction_orders_under_pressure(self, order):
-        suite = FunctionBenchSuite.subset(["FeatureGen", "RNNModel"])
-        config = ClusterConfig(
-            nodes=1,
-            node_memory_mb=256.0,
-            content_scale=SCALE,
-            seed=7,
-            eviction_order=order,
-        )
-        trace = AzureTraceGenerator(seed=5, rate_scale=8.0).generate(3.0, suite.names())
-        disabled = run_with_faults(PlatformKind.MEDES, config, suite, trace, None)
-        empty = run_with_faults(
-            PlatformKind.MEDES, config, suite, trace, FaultsConfig()
-        )
-        assert disabled.metrics.evictions > 0, "workload must exercise eviction"
-        assert empty.duration_ms == disabled.duration_ms
-        assert empty.metrics == disabled.metrics
 
 
 class TestSeededChaosReproduces:
@@ -98,8 +57,8 @@ class TestSeededChaosReproduces:
         config = ClusterConfig(
             nodes=2, node_memory_mb=512.0, content_scale=SCALE, seed=2
         )
-        first = run_with_faults(PlatformKind.MEDES, config, suite, trace, self.FAULTS)
-        second = run_with_faults(PlatformKind.MEDES, config, suite, trace, self.FAULTS)
+        first = run_with_faults(config, suite, trace, self.FAULTS)
+        second = run_with_faults(config, suite, trace, self.FAULTS)
         assert first.duration_ms == second.duration_ms
         assert first.metrics == second.metrics
         assert first.metrics.fault_events, "the crash must have been injected"
@@ -111,7 +70,7 @@ class TestSeededChaosReproduces:
         )
         probed = FaultsConfig(rpc_failure_prob=0.3, seed=13)
         reseeded = FaultsConfig(rpc_failure_prob=0.3, seed=14)
-        first = run_with_faults(PlatformKind.MEDES, config, suite, trace, probed)
-        second = run_with_faults(PlatformKind.MEDES, config, suite, trace, reseeded)
+        first = run_with_faults(config, suite, trace, probed)
+        second = run_with_faults(config, suite, trace, reseeded)
         # Both complete; the retry streams differ under different seeds.
         assert first.metrics.rpc_retries > 0 or second.metrics.rpc_retries > 0

@@ -70,7 +70,6 @@ class TestNodeCrash:
         )
         platform, report = run_faulty(faults, arrivals=DEDUP_WORKLOAD)
         assert len(report.metrics.requests) == len(DEDUP_WORKLOAD)
-        assert platform.faults is not None
         assert 1 in platform.faults.health.down_nodes
         # Nothing lives on (or was placed onto) the dead node.
         assert not platform.nodes[1].sandboxes
@@ -101,7 +100,6 @@ class TestNodeCrash:
         kinds = [e.kind for e in metrics.fault_events]
         assert kinds == ["node-crash", "node-restored"]
         assert metrics.mttr_ms() == pytest.approx(30_000.0)
-        assert platform.faults is not None
         assert not platform.faults.health.down_nodes
         assert platform.fabric.peer_available(1)
         # The restarted node is usable again: post-restart requests may
@@ -160,7 +158,6 @@ class TestShardOutage:
         assert kinds.count("shard-restored") == 1
         # MTTR includes the charged rebuild: strictly > the raw outage.
         assert metrics.mttr_ms() > 40_000.0
-        assert platform.faults is not None
         assert platform.faults.health.registry_available()
         check(platform)
 

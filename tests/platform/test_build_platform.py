@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.controller.baselines import AdaptiveKeepAlivePolicy, FixedKeepAlivePolicy
@@ -48,18 +50,15 @@ class TestBuildPlatform:
         assert isinstance(platform.controller.policy, AdaptiveKeepAlivePolicy)
 
     def test_catalyzer_flag_changes_name_and_mode(self, small_config, tiny_suite):
-        platform = build_platform(
-            PlatformKind.MEDES, small_config, tiny_suite, catalyzer=True
-        )
-        assert platform.name == "medes+catalyzer"
-        assert platform.config.cold_start_mode is ColdStartMode.CATALYZER
-        baseline = build_platform(
-            PlatformKind.FIXED_KEEP_ALIVE, small_config, tiny_suite, catalyzer=True
-        )
-        assert baseline.name.endswith("+catalyzer")
-
-    def test_catalyzer_does_not_mutate_input_config(self, small_config, tiny_suite):
-        build_platform(PlatformKind.MEDES, small_config, tiny_suite, catalyzer=True)
+        """``cold_start_mode`` alone selects Catalyzer; it names the
+        platform of every kind."""
+        catalyzer = replace(small_config, cold_start_mode=ColdStartMode.CATALYZER)
+        for kind in PlatformKind:
+            platform = build_platform(kind, catalyzer, tiny_suite)
+            assert platform.name.endswith("+catalyzer")
+            assert platform.config.cold_start_mode is ColdStartMode.CATALYZER
+            standard = build_platform(kind, small_config, tiny_suite)
+            assert platform.name == standard.name + "+catalyzer"
         assert small_config.cold_start_mode is ColdStartMode.STANDARD
 
     def test_agents_share_registry_and_store(self, small_config, tiny_suite):

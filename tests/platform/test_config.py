@@ -25,7 +25,6 @@ class TestValidation:
             {"node_memory_mb": 0},
             {"content_scale": 0.0},
             {"content_scale": 1.5},
-            {"base_threshold": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -126,20 +126,17 @@ class TestDrainLoop:
     @staticmethod
     def _pressured_platform():
         suite = FunctionBenchSuite.subset(["LinAlg"])
-        config = ClusterConfig(
-            nodes=1,
-            node_memory_mb=384.0,
-            content_scale=SCALE,
-            memory_sample_interval_ms=1_000.0,
-        )
+        config = ClusterConfig(nodes=1, node_memory_mb=384.0, content_scale=SCALE)
         return suite, build_platform(PlatformKind.MEDES, config, suite)
 
-    def test_sampler_stops_when_trace_ends(self):
+    def test_sampler_stops_when_trace_ends(self, monkeypatch):
         """Regression: the memory sampler used to keep ticking through
         drain-guard extensions, appending quiet-period samples that
         dragged down mean_memory_bytes."""
+        from repro.platform import platform as platform_module
         from repro.workload.trace import Trace
 
+        monkeypatch.setattr(platform_module, "MEMORY_SAMPLE_INTERVAL_MS", 1_000.0)
         suite, platform = self._pressured_platform()
         trace = Trace.from_arrivals([(float(i * 500), "LinAlg") for i in range(10)])
         # A tail too short for the in-flight requests: the drain guard

@@ -1,6 +1,7 @@
 """Arrival injection: run behaviour is invariant in the chunk size.
 
-``ClusterConfig.arrival_chunk`` must be a pure memory-footprint knob:
+``repro.platform.platform.ARRIVAL_CHUNK`` must be a pure memory-footprint
+constant:
 :meth:`Simulator.schedule_stream` reserves the whole trace's event
 sequence numbers up front, so every arrival fires at exactly the
 (time, seq) slot eager pre-scheduling would have given it and every
@@ -13,7 +14,7 @@ platform kinds and trace shapes.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.policy import MedesPolicyConfig
 from repro.platform.config import ClusterConfig
+from repro.platform import platform as platform_module
 from repro.platform.platform import PlatformKind, build_platform
 from repro.workload.azure import AzureTraceGenerator
 from repro.workload.functionbench import FunctionBenchSuite
@@ -36,9 +38,9 @@ def run_both_injections(kind, config, suite, trace, *, chunk=2, **build_kwargs):
     streamed in chunks of ``chunk``."""
     reports = []
     for arrival_chunk in (len(trace) + 1, chunk):
-        cfg = replace(config, arrival_chunk=arrival_chunk)
-        platform = build_platform(kind, cfg, suite, **build_kwargs)
-        reports.append(platform.run(trace))
+        platform = build_platform(kind, config, suite, **build_kwargs)
+        with mock.patch.object(platform_module, "ARRIVAL_CHUNK", arrival_chunk):
+            reports.append(platform.run(trace))
     return reports
 
 

@@ -69,6 +69,19 @@ class TestCliDocAgreement:
             for name in re.findall(r"`ClusterConfig\.(\w+)", text):
                 assert name in fields, f"{doc}: ClusterConfig.{name}"
 
+    def test_config_table_has_one_row_per_field(self):
+        """DESIGN.md's ``ClusterConfig`` table names each field in
+        exactly one row, and nothing else."""
+        import dataclasses
+
+        from repro.platform.config import ClusterConfig
+
+        text = (REPO_ROOT / "DESIGN.md").read_text()
+        section = text.split("### `ClusterConfig` fields", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+        fields = [field.name for field in dataclasses.fields(ClusterConfig)]
+        assert sorted(rows) == sorted(fields)
+
 
 #: CHANGES.md entries after this line say what changed, what moved and
 #: what was left, in at most :data:`CHANGES_ENTRY_BYTES` bytes each.
@@ -155,10 +168,21 @@ class TestNoUnreferencedCode:
         assert not stale, f"referenced or gone now; drop from the allow-list: {sorted(stale)}"
 
 
+def _reads_a_config(node) -> bool:
+    """``config.<field>`` or ``<anything>.config.<field>``."""
+    import ast
+
+    value = node.value
+    if isinstance(value, ast.Name):
+        return value.id == "config"
+    return isinstance(value, ast.Attribute) and value.attr == "config"
+
+
 class TestNoDeadConfigField:
-    """Every ``ClusterConfig`` field is read as an attribute somewhere in
-    ``src/`` outside ``config.py``, so a knob nothing reads fails here
-    instead of riding along."""
+    """Every ``ClusterConfig`` field is read through a config object
+    (``config.<field>`` or ``<x>.config.<field>``) somewhere in ``src/``
+    outside ``config.py``, so a knob nothing reads fails here instead of
+    riding along on another object's attribute of the same name."""
 
     def test_every_field_is_read(self):
         import ast
@@ -173,7 +197,7 @@ class TestNoDeadConfigField:
             for path in src.rglob("*.py")
             if path != config
             for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Attribute)
+            if isinstance(node, ast.Attribute) and _reads_a_config(node)
         }
         fields = [field.name for field in dataclasses.fields(ClusterConfig)]
         assert [name for name in fields if name not in read] == []
