@@ -59,6 +59,12 @@ class TestBuildPlatform:
             assert platform.config.cold_start_mode is ColdStartMode.CATALYZER
             standard = build_platform(kind, small_config, tiny_suite)
             assert platform.name == standard.name + "+catalyzer"
+
+    def test_catalyzer_does_not_mutate_input_config(self, small_config, tiny_suite):
+        catalyzer = replace(small_config, cold_start_mode=ColdStartMode.CATALYZER)
+        snapshot = replace(catalyzer)
+        build_platform(PlatformKind.MEDES, catalyzer, tiny_suite)
+        assert catalyzer == snapshot
         assert small_config.cold_start_mode is ColdStartMode.STANDARD
 
     def test_agents_share_registry_and_store(self, small_config, tiny_suite):
