@@ -424,8 +424,8 @@ _V = TypeVar("_V")
 class LruCache(Generic[_K, _V]):
     """A small bounded mapping with least-recently-used eviction.
 
-    Used by the dedup agent to keep decoded base pages hot across ops on
-    a node (the same base pages are re-read constantly).  ``get`` marks
+    Used by the checkpoint store to keep base pages hot across dedup
+    ops (the same base pages are re-read constantly).  ``get`` marks
     an entry most-recently-used; inserting past ``capacity`` evicts the
     oldest entry.  Hit/miss counters support overhead reporting.
     """
@@ -457,6 +457,11 @@ class LruCache(Generic[_K, _V]):
 
     def clear(self) -> None:
         self._entries.clear()
+
+    def drop_prefix(self, head: object) -> None:
+        """Drop every entry whose key is a tuple starting with ``head``."""
+        for key in [key for key in self._entries if key[0] == head]:  # type: ignore[index]
+            del self._entries[key]
 
     def __len__(self) -> int:
         return len(self._entries)

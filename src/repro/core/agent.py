@@ -15,10 +15,11 @@ that owns every page-classification rule: zero pages collapse in one
 vectorized reduction, one registry round-trip (``choose_base_pages``)
 serves the image's pages from the flat digest arrays, a base on an
 unreachable peer or a patch over the unique cutoff leaves the page
-unique, and base pages are read through a per-agent LRU cache of
-decoded pages (the same base pages are re-read constantly across ops
-on a node).  :meth:`DedupAgent.dedup` drives it with the whole image as
-one batch — one marker scan, one lookup, one ``compute_patches`` call.
+unique, and base pages are read through the checkpoint store's LRU
+cache of page views, shared by every agent (the same base pages are
+re-read constantly across ops in the cluster).
+:meth:`DedupAgent.dedup` drives it with the whole image as one batch —
+one marker scan, one lookup, one ``compute_patches`` call.
 Property tests assert it produces the page tables of a page-at-a-time
 oracle written out independently of this module
 (``tests/oracles/dedup_scalar.py``), and
@@ -45,7 +46,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import LruCache
 from repro.core.costs import PIPELINE_BATCH_PAGES, CostModel, pipelined_ms
 from repro.core.registry import FingerprintRegistry, PageRef
 from repro.faults.health import RegistryUnavailable
@@ -60,7 +60,7 @@ from repro.memory.image import MemoryImage
 from repro.memory.patch import (
     AnchorIndex,
     Patch,
-    apply_patch,
+    apply_patch_into,
     cached_anchor_index,
     compute_patches,
 )
@@ -80,19 +80,6 @@ from repro.templates.delta import (
 #: A patch larger than this fraction of the page is not worth keeping;
 #: the page is stored unique instead.
 UNIQUE_THRESHOLD = 0.75
-
-#: Capacity (in pages) of the per-agent LRU cache of decoded base
-#: pages.  4096 entries of 4 KiB pages bound the cache at 16 MiB
-#: full-scale — small next to one sandbox, decisive for dedup
-#: throughput because base pages repeat across ops on a node.
-BASE_PAGE_CACHE_PAGES = 4096
-
-#: Capacity of the per-agent LRU cache of anchor indexes.
-#: Building an index's halves (the word table the discard bound reads,
-#: the sorted anchors the matcher probes) is the expensive part of the
-#: anchor fallback, and the same hot base pages are patched against
-#: over and over across dedup ops on a node.
-ANCHOR_INDEX_CACHE_PAGES = 1024
 
 
 class PageKind(enum.Enum):
@@ -427,8 +414,8 @@ class _DedupOp:
             chosen.append((index, ref))
         return chosen
 
-    def base_page(self, ref: PageRef) -> bytes:
-        """Content of a chosen base page, through the agent's LRU cache."""
+    def base_page(self, ref: PageRef) -> np.ndarray:
+        """Read-only view of a chosen base page, through the store's cache."""
         checkpoint_id = ref.checkpoint_id
         if checkpoint_id not in self.checkpoints:
             self.checkpoints[checkpoint_id] = self.agent.store.get(checkpoint_id)
@@ -527,18 +514,11 @@ class DedupAgent:
         self.restore_ops = 0
         self.templatize_ops = 0
         self.fork_ops = 0
-        # Decoded base pages keyed by (checkpoint_id, page_index).  An
-        # agent reads one store, which never reuses a checkpoint id, so
-        # a retired checkpoint's entries can only waste capacity until
-        # LRU evicts them — they can never serve stale content.
-        self.base_page_cache: LruCache[tuple[int, int], bytes] = LruCache(
-            BASE_PAGE_CACHE_PAGES
-        )
-        # Anchor indexes keyed by (checkpoint_id, page_index, level);
-        # same staleness argument as the page cache above.
-        self.anchor_index_cache: LruCache[tuple[int, int, int], AnchorIndex] = LruCache(
-            ANCHOR_INDEX_CACHE_PAGES
-        )
+        # The store's caches, shared by every agent reading it.  Ids
+        # are never reused and a checkpoint's entries are purged on
+        # remove, so no entry is stale or pins a retired image.
+        self.base_page_cache = store.page_cache
+        self.anchor_index_cache = store.anchor_cache
 
     # ---------------------------------------------------------------- dedup
 
@@ -563,12 +543,12 @@ class DedupAgent:
             raise RetryExhausted(rpc, plan.attempts, plan.charged_ms)
         return plan.charged_ms, plan.attempts
 
-    def base_page_bytes(self, checkpoint: BaseCheckpoint, page_index: int) -> bytes:
-        """A base page's content through the per-agent LRU cache."""
+    def base_page_bytes(self, checkpoint: BaseCheckpoint, page_index: int) -> np.ndarray:
+        """Read-only view of a base page, through the store's LRU cache."""
         key = (checkpoint.checkpoint_id, page_index)
         cached = self.base_page_cache.get(key)
         if cached is None:
-            cached = checkpoint.page_bytes(page_index)
+            cached = checkpoint.image.page(page_index)
             self.base_page_cache.put(key, cached)
         return cached
 
@@ -611,7 +591,7 @@ class DedupAgent:
         by_checkpoint: dict[int, list[int]] = defaultdict(list)
         for j, (_index, ref) in enumerate(chosen):
             by_checkpoint[ref.checkpoint_id].append(j)
-        bases = [b""] * len(chosen)
+        bases: list[np.ndarray] = [None] * len(chosen)  # type: ignore[list-item]
         for group in by_checkpoint.values():
             for j in group:
                 bases[j] = op.base_page(chosen[j][1])
@@ -619,7 +599,7 @@ class DedupAgent:
         # The aligned diff runs as a single 2-D numpy operation over the
         # whole batch, and pages falling back to anchor matching reuse
         # cached base-page anchor indexes (made only when a fallback
-        # needs one; an entry shares the page's ``bytes`` with
+        # needs one; an entry shares the page's read-only view with
         # ``base_page_cache`` and builds each of its halves on first use).
         targets = [
             data[index * page_size : (index + 1) * page_size] for index, _ in chosen
@@ -718,8 +698,9 @@ class DedupAgent:
         """Run the restore op: rebuild the original image from the table.
 
         Base-page fetches are grouped by checkpoint and served through
-        the agent's LRU cache; the output buffer starts zeroed so zero
-        pages cost nothing to materialize.
+        the store's LRU cache; each patch is applied in place into the
+        output buffer, which starts zeroed so zero pages cost nothing
+        to materialize.
 
         Does *not* release base refcounts — the controller does that once
         the sandbox is warm again (the base pages must stay pinned until
@@ -810,11 +791,11 @@ class DedupAgent:
             for index in indices:
                 entry = table.entries[index]
                 assert entry.base is not None and entry.patch is not None
-                base_page = self.base_page_bytes(checkpoint, entry.base.page_index)
-                original = apply_patch(entry.patch, base_page)
                 start = index * page_size
-                data[start : start + len(original)] = np.frombuffer(
-                    original, dtype=np.uint8
+                apply_patch_into(
+                    entry.patch,
+                    self.base_page_bytes(checkpoint, entry.base.page_index),
+                    data[start : start + entry.patch.target_len],
                 )
         return data
 

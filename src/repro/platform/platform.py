@@ -315,17 +315,12 @@ class Platform:
             self.metrics.prefetched_restores = self.recorder.prefetched_restores
             self.metrics.prefetch_hit_pages = self.recorder.hit_pages
             self.metrics.prefetch_miss_pages = self.recorder.miss_pages
-        agents = self.agents.values()
-        self.metrics.base_page_cache_hits = sum(a.base_page_cache.hits for a in agents)
-        self.metrics.base_page_cache_misses = sum(
-            a.base_page_cache.misses for a in agents
-        )
-        self.metrics.anchor_index_cache_hits = sum(
-            a.anchor_index_cache.hits for a in agents
-        )
-        self.metrics.anchor_index_cache_misses = sum(
-            a.anchor_index_cache.misses for a in agents
-        )
+        # Every agent shares the store's caches: count each hit once.
+        pages, anchors = self.store.page_cache, self.store.anchor_cache
+        self.metrics.base_page_cache_hits = pages.hits
+        self.metrics.base_page_cache_misses = pages.misses
+        self.metrics.anchor_index_cache_hits = anchors.hits
+        self.metrics.anchor_index_cache_misses = anchors.misses
         transients = self.faults.transients
         self.metrics.rpc_retries = transients.retried_attempts
         self.metrics.retry_backoff_ms = transients.charged_backoff_ms

@@ -20,8 +20,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from repro._util import LruCache
 from repro.memory.image import MemoryImage
 from repro.storage.tiers import StorageTier
+
+#: Capacity (in pages) of the store's cache of base-page views: base
+#: pages repeat across dedup ops on every node.
+BASE_PAGE_CACHE_PAGES = 4096
+
+#: Capacity of the store's cache of anchor indexes, whose halves are
+#: the expensive part of the anchor fallback.
+ANCHOR_INDEX_CACHE_PAGES = 1024
 
 
 @dataclass(eq=False)
@@ -94,10 +103,6 @@ class BaseCheckpoint:
             return int(self.full_size_bytes * self.cow_overhead_fraction)
         return self.full_size_bytes
 
-    def page_bytes(self, index: int) -> bytes:
-        """Content of page ``index`` (what an RDMA read returns)."""
-        return self.image.page_bytes(index)
-
 
 class CheckpointStore:
     """Cluster-wide directory of base checkpoints, addressable by id.
@@ -109,10 +114,19 @@ class CheckpointStore:
 
     The store numbers the checkpoints it holds, from 1; ids are never
     reused within a store, but two stores both hold a checkpoint 1.
+
+    Base pages live once in the cluster, so the store also owns the
+    caches every agent reading it shares: ``page_cache`` maps
+    ``(checkpoint_id, page_index)`` to a read-only view of the page,
+    ``anchor_cache`` maps ``(checkpoint_id, page_index, level)`` to its
+    ``AnchorIndex``.  :meth:`remove` drops a checkpoint's entries, so
+    no view pins a retired image.
     """
 
     def __init__(self) -> None:
         self._ids = itertools.count(1)
+        self.page_cache = LruCache(BASE_PAGE_CACHE_PAGES)
+        self.anchor_cache = LruCache(ANCHOR_INDEX_CACHE_PAGES)
         self._by_id: dict[int, BaseCheckpoint] = {}
         # Per-function index so for_function never scans the cluster
         # (same discipline as the controller's SandboxIndex, PR 2).
@@ -135,7 +149,8 @@ class CheckpointStore:
         return checkpoint
 
     def remove(self, checkpoint_id: int) -> BaseCheckpoint:
-        """Drop a checkpoint; refuses while it is still pinned."""
+        """Drop a checkpoint and its cache entries; refuses while it is
+        still pinned."""
         checkpoint = self.get(checkpoint_id)
         if checkpoint.pinned:
             raise RuntimeError(
@@ -145,6 +160,8 @@ class CheckpointStore:
         del bucket[checkpoint_id]
         if not bucket:
             del self._by_function[checkpoint.function]
+        self.page_cache.drop_prefix(checkpoint_id)
+        self.anchor_cache.drop_prefix(checkpoint_id)
         return self._by_id.pop(checkpoint_id)
 
     def for_function(self, function: str) -> list[BaseCheckpoint]:

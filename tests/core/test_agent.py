@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -21,19 +24,22 @@ from repro.workload.functionbench import FunctionBenchSuite
 from tests.conftest import TEST_SCALE
 
 
-@pytest.fixture
-def harness(linalg_profile):
-    """A node-0 agent with a LinAlg base checkpoint on node 1."""
-    store = CheckpointStore()
-    registry = FingerprintRegistry()
-    agent = DedupAgent(
-        0,
+def make_agent(node_id, store, registry):
+    return DedupAgent(
+        node_id,
         registry=registry,
         store=store,
         fabric=RdmaFabric(),
         costs=CostModel(),
         content_scale=TEST_SCALE,
     )
+
+
+def build_harness(linalg_profile):
+    """A node-0 agent with a LinAlg base checkpoint on node 1."""
+    store = CheckpointStore()
+    registry = FingerprintRegistry()
+    agent = make_agent(0, store, registry)
     base_image = linalg_profile.synthesize(100, content_scale=TEST_SCALE, executed=True)
     checkpoint = BaseCheckpoint(
         function="LinAlg",
@@ -49,6 +55,11 @@ def harness(linalg_profile):
             page_fingerprint(base_image.page(index)),
         )
     return agent, store, registry, checkpoint
+
+
+@pytest.fixture
+def harness(linalg_profile):
+    return build_harness(linalg_profile)
 
 
 def make_sandbox(profile, seed=200) -> Sandbox:
@@ -163,15 +174,14 @@ class TestRestoreOp:
         index, entry = next(
             (i, e) for i, e in enumerate(table.entries) if e.kind is PageKind.PATCHED
         )
-        real = agent_module.apply_patch
+        real = agent_module.apply_patch_into
 
-        def corrupt_one(patch, base):
-            page = real(patch, base)
+        def corrupt_one(patch, base, out):
+            real(patch, base, out)
             if patch is entry.patch:
-                page = bytes([page[0] ^ 1]) + page[1:]
-            return page
+                out[0] ^= 1
 
-        monkeypatch.setattr(agent_module, "apply_patch", corrupt_one)
+        monkeypatch.setattr(agent_module, "apply_patch_into", corrupt_one)
         with pytest.raises(RuntimeError, match="corrupted") as failure:
             agent.restore(table, verify=True)
         message = str(failure.value)
@@ -213,9 +223,11 @@ class TestRestoreOp:
 
 
 class TestBasePageCache:
-    """The per-agent cache of decoded base pages: a dedup op populates
-    it (misses), a warm restore of the same table is served from it
-    (hits), and a platform run surfaces the totals in ``RunMetrics``."""
+    """The checkpoint store's cache of base-page views, shared by every
+    agent reading the store: a dedup op populates it (misses), a warm
+    restore of the same table is served from it (hits), a retired
+    checkpoint leaves it, and a platform run surfaces its counters in
+    ``RunMetrics``."""
 
     def test_warm_restore_hits_base_page_cache(self, harness, linalg_profile):
         agent, *_ = harness
@@ -230,6 +242,37 @@ class TestBasePageCache:
             "a warm restore re-reads the base pages the dedup op just cached"
         )
         assert agent.base_page_cache.misses == misses_after_dedup
+
+    def test_a_page_one_agent_read_is_a_hit_for_another(self, harness):
+        agent, store, registry, checkpoint = harness
+        peer = make_agent(1, store, registry)
+        assert peer.base_page_cache is agent.base_page_cache is store.page_cache
+        agent.base_page_bytes(checkpoint, 3)
+        view = peer.base_page_bytes(checkpoint, 3)
+        assert (store.page_cache.hits, store.page_cache.misses) == (1, 1)
+        assert not view.flags.writeable
+        assert np.shares_memory(view, checkpoint.image.data), "a view, not a copy"
+
+    def test_retired_checkpoint_image_is_freed(self, linalg_profile):
+        agent, store, _registry, checkpoint = build_harness(linalg_profile)
+        outcome = agent.dedup(make_sandbox(linalg_profile, seed=700))
+        agent.restore(outcome.table, verify=True)
+        assert store.page_cache.hits > 0, "the restore read through the cache"
+        checkpoint_id, pages = checkpoint.checkpoint_id, checkpoint.image.num_pages
+        page_keys = [(checkpoint_id, page) for page in range(pages)]
+        anchor_keys = [(*key, agent.patch_level) for key in page_keys]
+        assert any(key in store.page_cache for key in page_keys)
+        assert any(key in store.anchor_cache for key in anchor_keys)
+        image = weakref.ref(checkpoint.image)
+        buffer = weakref.ref(checkpoint.image.data)
+
+        checkpoint.release(outcome.table.base_refs[checkpoint_id])
+        store.remove(checkpoint_id)
+        del checkpoint
+        gc.collect()
+        assert image() is None and buffer() is None, "a cached view pins the image"
+        assert not any(key in store.page_cache for key in page_keys)
+        assert not any(key in store.anchor_cache for key in anchor_keys)
 
     def test_run_metrics_surface_cache_counters(self):
         suite = FunctionBenchSuite.replicated(["Vanilla", "LinAlg"], 2)
@@ -249,11 +292,15 @@ class TestBasePageCache:
         )
         metrics = platform.run(trace).metrics
         assert metrics.dedup_ops and metrics.start_counts()[StartType.DEDUP]
-        assert metrics.base_page_cache_misses == sum(
-            a.base_page_cache.misses for a in platform.agents.values()
+        pages, anchors = platform.store.page_cache, platform.store.anchor_cache
+        assert all(a.base_page_cache is pages for a in platform.agents.values())
+        assert (metrics.base_page_cache_hits, metrics.base_page_cache_misses) == (
+            pages.hits,
+            pages.misses,
         )
-        assert metrics.base_page_cache_hits == sum(
-            a.base_page_cache.hits for a in platform.agents.values()
+        assert (metrics.anchor_index_cache_hits, metrics.anchor_index_cache_misses) == (
+            anchors.hits,
+            anchors.misses,
         )
         assert metrics.base_page_cache_misses > 0
         assert metrics.base_page_cache_hits > 0, (

@@ -67,7 +67,7 @@ def dedup_reference(agent: DedupAgent, sandbox: Sandbox) -> DedupOutcome:
             unique_pages += 1
             continue
         reads_by_peer[ref.node_id] += 1
-        base_page = agent.store.get(ref.checkpoint_id).page_bytes(ref.page_index)
+        base_page = agent.store.get(ref.checkpoint_id).image.page_bytes(ref.page_index)
         patch = compute_patch_reference(page, base_page, level=agent.patch_level)
         if patch.size_bytes >= unique_cap:
             entries.append(PageEntry(kind=PageKind.UNIQUE, raw=page.tobytes()))

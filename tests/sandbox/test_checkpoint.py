@@ -50,9 +50,6 @@ class TestMemoryAccounting:
         checkpoint.owner_resident = False
         assert checkpoint.memory_bytes() == checkpoint.full_size_bytes
 
-    def test_page_bytes_reads_image(self, checkpoint):
-        assert checkpoint.page_bytes(0) == checkpoint.image.page_bytes(0)
-
 
 class TestCowValidation:
     @pytest.mark.parametrize("fraction", [-0.01, 1.01, 10.0])
