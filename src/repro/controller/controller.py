@@ -216,7 +216,9 @@ class ClusterController:
         """Lazily synthesize the (post-execution) memory image.
 
         Images are only materialized when content actually matters — a
-        dedup op or base demarcation — which keeps long runs cheap.
+        dedup op or base demarcation — which keeps long runs cheap.  An
+        op releases the image once it has read it; if the op is aborted,
+        this re-synthesizes it byte for byte.
         """
         if sandbox.image is None:
             sandbox.image = sandbox.profile.synthesize(
@@ -1176,8 +1178,9 @@ class ClusterController:
     def _abort_dedup(self, sandbox: Sandbox) -> None:
         """Cancel an in-flight dedup op and return the sandbox to warm.
 
-        The refcounts the op acquired are rolled back; the memory
-        checkpoint is simply dropped (the warm image never went away).
+        The refcounts the op acquired are rolled back and the table is
+        dropped; the sandbox is warm without an image until the next op
+        that reads content re-synthesizes it (:meth:`_ensure_image`).
         """
         pending = self._pending_dedups.pop(sandbox.sandbox_id, None)
         if pending is None:
@@ -1193,6 +1196,8 @@ class ClusterController:
         Returns True when the trial dedup saved too little — the cluster
         lacks base coverage for this function's content — and the
         sandbox was demarcated as a base instead of deduplicating.
+        Otherwise the op's table holds all the sandbox keeps, and the
+        image is released at once rather than when the op lands.
         """
         self._timers_for(sandbox).cancel_all()
         sandbox.transition(SandboxState.DEDUPING, self.sim.now)
@@ -1215,12 +1220,12 @@ class ClusterController:
             sandbox.transition(SandboxState.WARM, self.sim.now)
             self._make_base(sandbox)
             return True
+        sandbox.image = None
         started = self.sim.now
 
         def finish_dedup() -> None:
             self._pending_dedups.pop(sandbox.sandbox_id, None)
             sandbox.dedup_table = outcome.table
-            sandbox.image = None
             sandbox.dedup_count += 1
             self._end_template_sharing(sandbox)
             sandbox.transition(SandboxState.DEDUP, self.sim.now)
@@ -1258,7 +1263,8 @@ class ClusterController:
         or the pool write's transient-RPC plan was exhausted.  Either
         way no state was created (the agent's op is all-or-nothing), the
         sandbox is untouched, and the caller falls back to the dedup
-        rung of the ladder.
+        rung of the ladder.  On success the delta holds all the sandbox
+        keeps, and the image is released at once.
         """
         self._ensure_image(sandbox)
         agent = self.agents[sandbox.node_id]
@@ -1267,6 +1273,7 @@ class ClusterController:
         except (TemplatePoolFull, RetryExhausted):
             self.metrics.template_pool_rejections += 1
             return False
+        sandbox.image = None
         self._timers_for(sandbox).cancel_all()
         sandbox.transition(SandboxState.DEDUPING, self.sim.now)
         started = self.sim.now
@@ -1550,7 +1557,7 @@ class ClusterController:
                         and dead_ids & set(pending[1].table.base_refs)
                     ):
                         # The op's output would reference dead bases;
-                        # abort it (the warm image never went away).
+                        # abort it (the image is re-synthesized on demand).
                         self._abort_dedup(sandbox)
                         self.metrics.crash_reconciled_refs += sum(
                             count
@@ -1607,7 +1614,7 @@ class ClusterController:
             self._release_retained(outcome.table)
             if sandbox.state is SandboxState.DEDUPING:
                 # Figure 4b has no DEDUPING -> PURGED edge; the aborted
-                # op leaves the warm image intact, so exit via WARM.
+                # op leaves an image-less warm sandbox, so exit via WARM.
                 sandbox.transition(SandboxState.WARM, self.sim.now)
         if sandbox.state is SandboxState.DEDUP:
             assert sandbox.dedup_table is not None

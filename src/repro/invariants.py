@@ -74,6 +74,9 @@ def _problems(platform: Platform) -> Iterator[str]:
             idle = not s.is_base and s.busy_request_id is None
             if s.evictable != (idle and s.state in (SandboxState.WARM, SandboxState.DEDUP)):
                 yield f"evictable: sandbox {s.sandbox_id} in {s.state.value}: {s.evictable}"
+            parked = s.state in (SandboxState.DEDUPING, SandboxState.DEDUP, SandboxState.RESTORING)
+            if parked and s.image is not None:
+                yield f"parked image: sandbox {s.sandbox_id} in {s.state.value} holds its image"
         if node.reclaimable_bytes() != node.recomputed_reclaimable_bytes():
             yield f"reclaimable bytes: node {node.node_id}: {node.reclaimable_bytes()} != recount"
         replicas = catalog.replica_bytes(node.node_id) if catalog is not None else 0

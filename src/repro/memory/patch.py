@@ -41,6 +41,8 @@ ANCHOR_SIZE = 16
 MIN_ANCHOR_MATCH = 24
 #: If the aligned patch exceeds this fraction of the target, try anchors.
 ALIGNED_FALLBACK_RATIO = 0.25
+#: Rows per :func:`_patch_stack` call: bounds a large batch's transient stacks.
+STACK_ROWS = 64
 
 #: Whole 8-byte-aligned target words inside every anchor COPY: a COPY
 #: holds an anchor and is at least ``MIN_ANCHOR_MATCH`` long, and at most
@@ -733,10 +735,10 @@ def compute_patches(
 
     With ``max_size=None`` produces exactly ``[compute_patch(t, b) for
     t, b in zip(...)]``, but equal-length pairs (the page-vs-base-page
-    common case) are grouped by length and diffed in one 2-D numpy pass
-    (:func:`_patch_stack`), so the per-pair dispatch overhead of the
-    aligned path is paid once per batch.  Only pairs whose aligned patch
-    is poor proceed to anchor matching.
+    common case) are grouped by length and diffed in 2-D numpy passes of
+    up to ``STACK_ROWS`` rows (:func:`_patch_stack`), so the per-pair
+    dispatch overhead of the aligned path is paid once per block.  Only
+    pairs whose aligned patch is poor proceed to anchor matching.
 
     ``max_size`` is the caller's discard cutoff — "I keep only patches
     smaller than this" (the dedup agent's unique-page cap).  Then
@@ -775,15 +777,17 @@ def compute_patches(
             for j in idxs:
                 patches[j] = Patch(ops=(), target_len=0, base_len=0)
             continue
-        stack = _patch_stack(
-            np.concatenate([t_arrs[j] for j in idxs]).reshape(len(idxs), n),
-            np.concatenate([b_arrs[j] for j in idxs]).reshape(len(idxs), n),
-            lambda r, idxs=idxs: _index_for(idxs[r]),
-            level,
-            max_size,
-        )
-        for j, patch in zip(idxs, stack):
-            patches[j] = patch
+        for at in range(0, len(idxs), STACK_ROWS):
+            block = idxs[at : at + STACK_ROWS]
+            stack = _patch_stack(
+                np.concatenate([t_arrs[j] for j in block]).reshape(len(block), n),
+                np.concatenate([b_arrs[j] for j in block]).reshape(len(block), n),
+                lambda r, block=block: _index_for(block[r]),
+                level,
+                max_size,
+            )
+            for j, patch in zip(block, stack):
+                patches[j] = patch
     for j, patch in enumerate(patches):
         if patch is None:  # unequal lengths: anchor matching only
             patches[j] = compute_patch(

@@ -34,8 +34,8 @@ class Sandbox:
     """One sandbox instance on a node.
 
     The sandbox owns its memory image while warm and its dedup page
-    table while deduplicated; the two are never resident together except
-    transiently during dedup/restore ops.
+    table while deduplicated; a dedup op drops the image when it starts,
+    and only a landing restore holds both, for one event.
     """
 
     profile: FunctionProfile

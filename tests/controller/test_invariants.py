@@ -27,6 +27,7 @@ from repro.platform.config import ClusterConfig
 from repro.platform.metrics import RequestRecord, StartType
 from repro.platform.platform import PlatformKind, build_platform
 from repro.sandbox.node import AccountingError, Node
+from repro.sandbox.state import SandboxState
 from repro.templates.catalog import TemplateConfig
 from repro.tenancy.domains import DedupDomainMode, TenantConfig
 from repro.workload.functionbench import FunctionBenchSuite
@@ -243,6 +244,12 @@ def _misdefine_evictable(platform, mp):
     mp.setattr(idle.state, "assignable", not idle.state.assignable)
 
 
+def _attach_image(platform, mp):
+    residents = [s for node in platform.nodes for s in node.sandboxes.values()]
+    parked = next(s for s in residents if s.state is SandboxState.DEDUP)
+    mp.setattr(parked, "image", next(s.image for s in residents if s.image is not None))
+
+
 def _drop_idle_warm(platform, mp):
     bucket = next(b for b in platform.controller._index.idle_warm.values() if b)
     mp.delitem(bucket, next(iter(bucket)))
@@ -271,6 +278,7 @@ CORRUPTIONS = {
     "node used bytes": lambda p, mp: _bump(mp, p.nodes[0], "_used"),
     "reclaimable bytes": lambda p, mp: _bump(mp, p.nodes[0], "_reclaimable"),
     "evictable": _misdefine_evictable,
+    "parked image": _attach_image,
     "checkpoint refcount": lambda p, mp: _bump(mp, next(iter(p.store)), "refcount"),
     "segment refcount": lambda p, mp: _bump(mp, _segment(p), "refcount"),
     "template sharers": lambda p, mp: mp.setitem(_segment(p).sharers, 99, 1),

@@ -643,6 +643,34 @@ class TestRowTriage:
             assert patch == patch_module.compute_patch(base, base)
             assert patch.ops == (patch_module.CopyOp(src_off=0, length=4096),)
 
+    @pytest.mark.parametrize("cutoff", [None, 3072])
+    def test_blocks_change_no_patch_and_no_provider_order(self, monkeypatch, cutoff):
+        # triage_batches draws at most 64 rows, one block: cross blocks here.
+        rng = _rng(13)
+        kinds = ["identical", "sparse", "half", "shifted", "dense"] * 10
+        bases = [rng.integers(0, 256, size=4096, dtype=np.uint8) for _ in kinds]
+        targets = [_triage_row(rng, base, kind) for base, kind in zip(bases, kinds)]
+        indexes = [AnchorIndex(base, 1) for base in bases]
+
+        def run() -> tuple[list[Patch], list[int]]:
+            asked: list[int] = []
+
+            def provider(j):
+                asked.append(j)
+                return indexes[j]
+
+            got = compute_patches(
+                targets, bases, level=1, index_provider=provider, max_size=cutoff
+            )
+            return got, asked
+
+        whole, whole_asked = run()
+        monkeypatch.setattr(patch_module, "STACK_ROWS", 3)
+        blocked, blocked_asked = run()
+        assert blocked == whole
+        assert blocked_asked == whole_asked == sorted(set(whole_asked))
+        assert whole_asked  # some rows fell back
+
     def test_rows_shorter_than_a_copy_run_stay_literal_when_identical(self):
         short = np.arange(8, dtype=np.uint8)
         (got,) = compute_patches([short], [short.copy()])
