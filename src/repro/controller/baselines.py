@@ -38,6 +38,8 @@ ADAPTIVE_MIN_MS = 30_000.0
 ADAPTIVE_MAX_MS = 20 * 60_000.0
 #: Observations needed before trusting the histogram.
 ADAPTIVE_MIN_SAMPLES = 5
+#: Keep-alive window while the histogram is untrusted.
+ADAPTIVE_DEFAULT_KEEP_ALIVE_MS = 600_000.0
 #: Pre-warm lead time before the predicted next arrival.
 PREWARM_LEAD_MS = 2_000.0
 #: Regularity bound (IT coefficient of variation) enabling pre-warming.
@@ -91,15 +93,8 @@ class _FunctionHistory:
 class AdaptiveKeepAlivePolicy:
     """Histogram-driven keep-alive with pre-warming (Azure style)."""
 
-    def __init__(
-        self,
-        *,
-        default_keep_alive_ms: float = 600_000.0,
-        percentile: float = ADAPTIVE_PERCENTILE,
-    ):
+    def __init__(self) -> None:
         self.name = "adaptive-ka"
-        self.default_keep_alive_ms = default_keep_alive_ms
-        self.percentile = percentile
         self._history: dict[str, _FunctionHistory] = {}
 
     def _entry(self, function: str) -> _FunctionHistory:
@@ -111,8 +106,8 @@ class AdaptiveKeepAlivePolicy:
     def keep_alive_ms(self, function: str, now: float) -> float:
         intervals = self._entry(function).intervals
         if len(intervals) < ADAPTIVE_MIN_SAMPLES:
-            return self.default_keep_alive_ms
-        window = float(np.percentile(intervals, self.percentile)) * ADAPTIVE_MARGIN
+            return ADAPTIVE_DEFAULT_KEEP_ALIVE_MS
+        window = float(np.percentile(intervals, ADAPTIVE_PERCENTILE)) * ADAPTIVE_MARGIN
         return float(min(max(window, ADAPTIVE_MIN_MS), ADAPTIVE_MAX_MS))
 
     def idle_period_ms(self, function: str) -> float | None:

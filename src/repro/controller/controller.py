@@ -38,6 +38,7 @@ from repro._util import SeededLognormal, hash_bytes, stable_seed
 from repro.controller.index import NodeUsageIndex, SandboxIndex
 from repro.core.agent import DedupAgent, PageKind
 from repro.core.basemgr import BaseSandboxManager
+from repro.core.costs import COSTS
 from repro.core.policy import ClusterView, Decision, FunctionStats, LifecyclePolicy
 from repro.core.registry import FingerprintRegistry, PageRef
 from repro.faults.health import RegistryUnavailable
@@ -224,7 +225,6 @@ class ClusterController:
             sandbox.image = sandbox.profile.synthesize(
                 sandbox.instance_seed,
                 content_scale=self.config.content_scale,
-                aslr=self.config.aslr,
                 executed=True,
             )
 
@@ -398,7 +398,7 @@ class ClusterController:
         sandbox.transition(SandboxState.RUNNING, now)
         record.start_type = StartType.WARM
         record.queued_ms = now - record.arrival_ms
-        record.startup_ms = self.config.costs.warm_start_ms + record.retry_penalty_ms
+        record.startup_ms = COSTS.warm_start_ms + record.retry_penalty_ms
         self._run_request(sandbox, record)
 
     def _start_parked(self, sandbox: Sandbox, record: RequestRecord) -> bool:
@@ -546,7 +546,7 @@ class ClusterController:
         record.queued_ms = self.sim.now - record.arrival_ms
         cold_ms = (
             self.config.cold_start_ms(profile)
-            + self.config.costs.spawn_placement_ms
+            + COSTS.spawn_placement_ms
             + record.retry_penalty_ms
         )
         record.startup_ms = cold_ms
@@ -765,7 +765,6 @@ class ClusterController:
             return False
         segment = victims[0]
         self.templates.drop_replica(node.node_id, segment)
-        self.templates.replica_evictions += 1
         node.unpin_template(segment.segment_id)
         self.metrics.template_replica_evictions += 1
         return True
@@ -822,7 +821,7 @@ class ClusterController:
             return False
         sandbox = self._spawn(profile, node)
         self.metrics.prewarm_spawns += 1
-        cold_ms = self.config.cold_start_ms(profile) + self.config.costs.spawn_placement_ms
+        cold_ms = self.config.cold_start_ms(profile) + COSTS.spawn_placement_ms
 
         def finish_spawn() -> None:
             if sandbox.state is not SandboxState.SPAWNING:
@@ -1144,14 +1143,13 @@ class ClusterController:
         sandbox.base_checkpoint_id = checkpoint.checkpoint_id
         self.metrics.bases_created += 1
 
-        costs = self.config.costs
         full_pages = max(1, round(image.num_pages / self.config.content_scale))
         record = BaseOpRecord(
             function=sandbox.function,
             sandbox_id=sandbox.sandbox_id,
             started_ms=self.sim.now,
-            checkpoint_ms=costs.checkpoint_ms(full_pages),
-            register_ms=costs.register_ms(full_pages),
+            checkpoint_ms=COSTS.checkpoint_ms(full_pages),
+            register_ms=COSTS.register_ms(full_pages),
         )
         self.metrics.base_ops.append(record)
         sandbox.busy_request_id = _BASE_OP_BUSY

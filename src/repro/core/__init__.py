@@ -11,7 +11,7 @@ from repro.core.agent import (
     RestoreOutcome,
     RestoreTimings,
 )
-from repro.core.basemgr import DEFAULT_BASE_THRESHOLD, BaseSandboxManager
+from repro.core.basemgr import BASE_THRESHOLD, BaseSandboxManager
 from repro.core.costs import CostModel
 from repro.core.optimizer import (
     FunctionModel,
@@ -40,10 +40,10 @@ from repro.core.registry import (
 )
 
 __all__ = [
+    "BASE_THRESHOLD",
     "BaseSandboxManager",
     "ClusterView",
     "CostModel",
-    "DEFAULT_BASE_THRESHOLD",
     "Decision",
     "DedupAgent",
     "DedupOutcome",

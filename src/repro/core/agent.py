@@ -834,7 +834,7 @@ class DedupAgent:
             {segment.key: segment for segment in segments},
             content_scale=self.content_scale,
             full_size_bytes=sandbox.profile.memory_bytes,
-            level=catalog.config.patch_level,
+            level=self.patch_level,
             domain=sandbox.domain,
         )
         catalog.acquire(table.segment_keys)

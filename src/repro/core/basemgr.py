@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.sandbox.checkpoint import BaseCheckpoint, CheckpointStore
 
 #: The paper's D/B threshold.
-DEFAULT_BASE_THRESHOLD = 40
+BASE_THRESHOLD = 40
 
 
 @dataclass
@@ -27,11 +27,8 @@ class _FunctionBases:
 class BaseSandboxManager:
     """Decides when a function needs another base sandbox."""
 
-    def __init__(self, store: CheckpointStore, *, threshold: int = DEFAULT_BASE_THRESHOLD):
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
+    def __init__(self, store: CheckpointStore):
         self.store = store
-        self.threshold = threshold
         self._functions: dict[str, _FunctionBases] = {}
 
     def _entry(self, function: str) -> _FunctionBases:
@@ -55,7 +52,7 @@ class BaseSandboxManager:
         bases = len(entry.checkpoints)
         if bases == 0:
             return True
-        return entry.dedup_count / bases > self.threshold
+        return entry.dedup_count / bases > BASE_THRESHOLD
 
     def add_base(self, checkpoint: BaseCheckpoint) -> None:
         """Record a newly-demarcated base checkpoint."""

@@ -123,3 +123,6 @@ class CostModel:
     def register_ms(self, full_pages: int) -> float:
         return full_pages * self.base_register_us_per_page / 1e3
 
+
+#: The cost model every platform charges: the paper's anchors above.
+COSTS = CostModel()

@@ -399,7 +399,6 @@ class FingerprintRegistry:
             raise ValueError("max_refs_per_digest must be positive")
         self.config = config or FingerprintConfig()
         self.max_refs_per_digest = max_refs_per_digest
-        self.replication = 1
         self._refs = _RefTable()
         self.shards = [_Shard(self._refs)]
         # Front-end routing metadata for the replica index: which
@@ -663,8 +662,8 @@ class FingerprintRegistry:
 
     def memory_bytes(self) -> int:
         """Estimated registry footprint (for controller-overhead
-        reporting): every shard, times the replication factor."""
-        return sum(shard.memory_bytes() for shard in self.shards) * self.replication
+        reporting), summed over every shard."""
+        return sum(shard.memory_bytes() for shard in self.shards)
 
 
 class ShardedFingerprintRegistry(FingerprintRegistry):
@@ -672,12 +671,11 @@ class ShardedFingerprintRegistry(FingerprintRegistry):
 
     Accesses to the registry are independent per-digest lookups, so the
     controller can be distributed by sharding the digest space across
-    controller nodes; chain replication provides fault tolerance.  This
-    is :class:`FingerprintRegistry` over ``n_shards`` shards — each digest
+    controller nodes (the paper adds chain replication for fault
+    tolerance, which this model does not charge).  This is
+    :class:`FingerprintRegistry` over ``n_shards`` shards — each digest
     routes to shard ``digest % n_shards`` and every answer equals the
-    single-shard registry's.  ``replication`` models the chain length:
-    inserts are charged to every replica (for overhead accounting) while
-    reads are served by the tail.
+    single-shard registry's.
 
     Tenancy: the domain partition lives *inside* each shard (sharding is
     by digest, orthogonal to domains), so a rebuilt shard reconstructs
@@ -691,14 +689,10 @@ class ShardedFingerprintRegistry(FingerprintRegistry):
         config: FingerprintConfig | None = None,
         *,
         max_refs_per_digest: int = 8,
-        replication: int = 1,
     ):
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
-        if replication <= 0:
-            raise ValueError("replication must be positive")
         super().__init__(config, max_refs_per_digest=max_refs_per_digest)
-        self.replication = replication
         self.shards = [_Shard(self._refs) for _ in range(n_shards)]
 
     def _digest_lookups(self, digests: np.ndarray, distinct: np.ndarray) -> int:

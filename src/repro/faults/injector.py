@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro._util import hash_bytes
+from repro.core.costs import COSTS
 from repro.core.registry import PageRef
 from repro.memory.fingerprint import batch_page_fingerprints
 
@@ -147,7 +148,7 @@ class FaultInjector:
             full_pages = max(
                 1, round(checkpoint.image.num_pages / self.config.content_scale)
             )
-            total += self.config.costs.register_ms(full_pages)
+            total += COSTS.register_ms(full_pages)
         return total / self.registry.n_shards
 
     def _finish_shard_heal(self, shard: int) -> None:

@@ -7,7 +7,7 @@ fingerprints, chunk hashing, binary patching, and the Section-2
 redundancy measurement -- are the paper's, implemented on real bytes.
 """
 
-from repro.memory.chunks import DEFAULT_CHUNK_SIZE, DEFAULT_DIGEST_BITS, hash_chunk
+from repro.memory.chunks import DEFAULT_CHUNK_SIZE, DEFAULT_DIGEST_BITS
 from repro.memory.fingerprint import (
     DEFAULT_CARDINALITY,
     FingerprintConfig,
@@ -47,7 +47,6 @@ __all__ = [
     "SharingScope",
     "apply_patch",
     "compute_patch",
-    "hash_chunk",
     "image_fingerprints",
     "measure_redundancy",
     "page_fingerprint",

@@ -1,28 +1,21 @@
-"""Chunk-level hashing primitives.
+"""Chunk-level scanning primitives.
 
 Medes identifies redundancy at a 64-byte chunk granularity (Section
-4.1.1).  This module provides the hashing and scanning primitives shared
-by the page fingerprints (dedup path) and the Section-2 measurement
-study: SHA-1 chunk digests (truncatable, to model smaller fingerprint
-tables and their collisions) and the vectorised rolling 2-byte values
-used for value sampling.
+4.1.1).  This module holds the chunk constants and the value-sampling
+scan of the page fingerprints: the vectorised rolling 2-byte values,
+marker positions and their minimum spacing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro._util import hash_bytes, run_lengths, run_starts
+from repro._util import run_lengths, run_starts
 
 #: Default chunk size in bytes (the paper's RSC size).
 DEFAULT_CHUNK_SIZE = 64
 #: Default digest width for chunk hashes.
 DEFAULT_DIGEST_BITS = 64
-
-
-def hash_chunk(chunk: bytes, bits: int = DEFAULT_DIGEST_BITS) -> int:
-    """Digest of one chunk, truncated to ``bits`` bits."""
-    return hash_bytes(chunk, bits)
 
 
 def rolling_last2(data: np.ndarray) -> np.ndarray:

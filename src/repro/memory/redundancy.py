@@ -83,8 +83,6 @@ def measure_redundancy(
     subject: MemoryImage | np.ndarray,
     reference: MemoryImage | np.ndarray,
     chunk_size: int = 64,
-    *,
-    digest_bits: int = 64,
 ) -> RedundancyResult:
     """Redundancy of ``subject`` (B) with respect to ``reference`` (A).
 
@@ -100,7 +98,7 @@ def measure_redundancy(
 
     table: dict[int, list[int]] = defaultdict(list)
     for offset in _sampled_offsets(len(a_bytes), chunk_size):
-        bucket = table[hash_bytes(a_bytes[offset : offset + chunk_size], digest_bits)]
+        bucket = table[hash_bytes(a_bytes[offset : offset + chunk_size])]
         if len(bucket) < MAX_CANDIDATES_PER_DIGEST:
             bucket.append(offset)
 
@@ -111,7 +109,7 @@ def measure_redundancy(
     for offset in _sampled_offsets(len(b_bytes), chunk_size):
         probed += 1
         chunk = b_bytes[offset : offset + chunk_size]
-        candidates = table.get(hash_bytes(chunk, digest_bits))
+        candidates = table.get(hash_bytes(chunk))
         if not candidates:
             continue
         best: tuple[int, int] | None = None

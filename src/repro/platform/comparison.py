@@ -97,20 +97,13 @@ def run_comparison(
     suite: FunctionBenchSuite,
     config: ClusterConfig,
     *,
-    kinds: tuple[PlatformKind, ...] = DEFAULT_KINDS,
     medes: MedesPolicyConfig | None = None,
-    fixed_keep_alive_ms: float = 600_000.0,
 ) -> Comparison:
-    """Replay ``trace`` on each platform kind and collect the reports."""
+    """Replay ``trace`` on each of :data:`DEFAULT_KINDS` and collect the
+    reports."""
     comparison = Comparison(trace=trace, suite=suite, config=config)
-    for kind in kinds:
-        platform = build_platform(
-            kind,
-            config,
-            suite,
-            medes=medes,
-            fixed_keep_alive_ms=fixed_keep_alive_ms,
-        )
+    for kind in DEFAULT_KINDS:
+        platform = build_platform(kind, config, suite, medes=medes)
         report = platform.run(trace)
         comparison.reports[report.platform_name] = report
     return comparison

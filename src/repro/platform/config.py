@@ -6,7 +6,6 @@ import enum
 from dataclasses import dataclass, field
 
 from repro._util import MIB
-from repro.core.costs import CostModel
 from repro.faults.schedule import FaultsConfig
 from repro.memory.fingerprint import FingerprintConfig
 from repro.sandbox.node import EvictionOrder
@@ -47,9 +46,7 @@ class ClusterConfig:
     nodes: int = 4
     node_memory_mb: float = 2048.0
     content_scale: float = 1.0 / 64.0
-    aslr: bool = False
     seed: int = 0
-    costs: CostModel = field(default_factory=CostModel)
     fingerprint: FingerprintConfig = field(default_factory=FingerprintConfig)
     base_savings_threshold: float = 0.45
     """Demarcate a function's first base sandbox only when a trial dedup

@@ -17,6 +17,7 @@ from repro.controller.baselines import AdaptiveKeepAlivePolicy, FixedKeepAlivePo
 from repro.controller.controller import ClusterController
 from repro.core.agent import DedupAgent
 from repro.core.basemgr import BaseSandboxManager
+from repro.core.costs import COSTS
 from repro.core.policy import FunctionStats, LifecyclePolicy, MedesPolicy, MedesPolicyConfig
 from repro.core.registry import FingerprintRegistry, ShardedFingerprintRegistry
 from repro.faults.health import FaultDomainHealth, FaultRuntime
@@ -147,7 +148,7 @@ class Platform:
                 registry=self.registry,
                 store=self.store,
                 fabric=self.fabric,
-                costs=config.costs,
+                costs=COSTS,
                 content_scale=config.content_scale,
                 fingerprint_config=config.fingerprint,
                 recorder=self.recorder,
@@ -362,7 +363,7 @@ def build_platform(
             for profile in suite
         }
         policy = MedesPolicy(
-            policy_config, warm_start_ms=config.costs.warm_start_ms, stats=stats
+            policy_config, warm_start_ms=COSTS.warm_start_ms, stats=stats
         )
         return Platform(
             name="medes" + suffix, config=config, suite=suite, policy=policy, stats=stats

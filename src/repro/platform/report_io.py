@@ -71,7 +71,6 @@ def report_to_dict(report: RunReport, *, include_requests: bool = False) -> dict
             "nodes": config.nodes,
             "node_memory_mb": config.node_memory_mb,
             "content_scale": config.content_scale,
-            "aslr": config.aslr,
             "seed": config.seed,
             "registry_shards": config.registry_shards,
             "cold_start_mode": config.cold_start_mode.value,

@@ -16,33 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class RdmaConfig:
-    """Fabric parameters (defaults model the paper's 10 Gbps testbed)."""
+# Fabric constants of the paper's 10 Gbps testbed (Section 7.1).
 
-    read_latency_us: float = 5.0
-    """One-sided READ latency for the first operation to a peer."""
-
-    pipelined_op_us: float = 0.6
-    """Incremental cost of each further pipelined READ to the same peer."""
-
-    bandwidth_gbps: float = 10.0
-    """Line rate used for payload serialisation."""
-
-    local_copy_us_per_kb: float = 0.05
-    """Cost of a local memory copy, per KiB."""
-
-    def __post_init__(self) -> None:
-        if (
-            min(
-                self.read_latency_us,
-                self.pipelined_op_us,
-                self.bandwidth_gbps,
-                self.local_copy_us_per_kb,
-            )
-            <= 0
-        ):
-            raise ValueError("RDMA parameters must be positive")
+#: One-sided READ latency for the first operation to a peer.
+READ_LATENCY_US = 5.0
+#: Incremental cost of each further pipelined READ to the same peer.
+PIPELINED_OP_US = 0.6
+#: Line rate used for payload serialisation.
+BANDWIDTH_GBPS = 10.0
+#: Cost of a local memory copy, per KiB.
+LOCAL_COPY_US_PER_KB = 0.05
 
 
 @dataclass
@@ -74,8 +57,7 @@ class PeerUnavailable(RuntimeError):
 class RdmaFabric:
     """Cost model for base-page reads during dedup and restore ops."""
 
-    def __init__(self, config: RdmaConfig | None = None):
-        self.config = config or RdmaConfig()
+    def __init__(self) -> None:
         self.stats = TransferStats()
         self._failed_peers: set = set()
         self._degraded: dict = {}
@@ -124,7 +106,7 @@ class RdmaFabric:
 
     def _serialize_ms(self, nbytes: int) -> float:
         bits = nbytes * 8
-        return bits / (self.config.bandwidth_gbps * 1e9) * 1e3
+        return bits / (BANDWIDTH_GBPS * 1e9) * 1e3
 
     def read_ms(self, nbytes: int, *, local: bool) -> float:
         """Latency of a single read of ``nbytes``."""
@@ -133,10 +115,10 @@ class RdmaFabric:
         if local:
             self.stats.local_reads += 1
             self.stats.local_bytes += nbytes
-            return (nbytes / 1024) * self.config.local_copy_us_per_kb / 1e3
+            return (nbytes / 1024) * LOCAL_COPY_US_PER_KB / 1e3
         self.stats.remote_reads += 1
         self.stats.remote_bytes += nbytes
-        return self.config.read_latency_us / 1e3 + self._serialize_ms(nbytes)
+        return READ_LATENCY_US / 1e3 + self._serialize_ms(nbytes)
 
     def batch_read_ms(self, reads_by_peer: dict[object, tuple[int, int]], *, local_peer: object) -> float:
         """Latency of a batched multi-peer page fetch.
@@ -173,13 +155,13 @@ class RdmaFabric:
             if peer == local_peer:
                 self.stats.local_reads += ops
                 self.stats.local_bytes += nbytes
-                cost = (nbytes / 1024) * self.config.local_copy_us_per_kb / 1e3
+                cost = (nbytes / 1024) * LOCAL_COPY_US_PER_KB / 1e3
             else:
                 self.stats.remote_reads += ops
                 self.stats.remote_bytes += nbytes
                 cost = (
-                    self.config.read_latency_us / 1e3
-                    + (ops - 1) * self.config.pipelined_op_us / 1e3
+                    READ_LATENCY_US / 1e3
+                    + (ops - 1) * PIPELINED_OP_US / 1e3
                     + self._serialize_ms(nbytes)
                 )
                 factor = self._degraded.get(peer)

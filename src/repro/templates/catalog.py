@@ -66,16 +66,11 @@ class TemplateConfig:
     """A template forked within this window is *hot*: its last node-DRAM
     replica is exempt from placement eviction."""
 
-    patch_level: int = 1
-    """Patch codec effort level for delta construction (as in dedup)."""
-
     def __post_init__(self) -> None:
         if self.pool_mb < 0:
             raise ValueError("template pool_mb must be non-negative")
         if self.hot_window_ms < 0:
             raise ValueError("template hot_window_ms must be non-negative")
-        if self.patch_level < 0:
-            raise ValueError("template patch_level must be non-negative")
 
 
 class TemplatePoolFull(RuntimeError):
@@ -159,7 +154,6 @@ class TemplateCatalog:
         """Shareable regions served by an already-published segment."""
         self.promotions = 0
         self.promoted_bytes = 0
-        self.replica_evictions = 0
 
     # ---------------------------------------------------------- identity
 

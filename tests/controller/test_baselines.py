@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.controller.baselines import (
+    ADAPTIVE_DEFAULT_KEEP_ALIVE_MS,
     ADAPTIVE_MAX_MS,
     ADAPTIVE_MIN_MS,
     AdaptiveKeepAlivePolicy,
@@ -39,10 +40,10 @@ class TestFixedKeepAlive:
 
 class TestAdaptiveKeepAlive:
     def test_default_until_enough_samples(self):
-        policy = AdaptiveKeepAlivePolicy(default_keep_alive_ms=123_000.0)
+        policy = AdaptiveKeepAlivePolicy()
         policy.on_arrival("f", 0.0)
         policy.on_arrival("f", 60_000.0)
-        assert policy.keep_alive_ms("f", 60_000.0) == 123_000.0
+        assert policy.keep_alive_ms("f", 60_000.0) == ADAPTIVE_DEFAULT_KEEP_ALIVE_MS
 
     def test_window_tracks_interarrivals(self):
         policy = AdaptiveKeepAlivePolicy()
@@ -66,7 +67,7 @@ class TestAdaptiveKeepAlive:
         policy = AdaptiveKeepAlivePolicy()
         for i in range(20):
             policy.on_arrival("a", i * 60_000.0)
-        assert policy.keep_alive_ms("b", 0.0) == policy.default_keep_alive_ms
+        assert policy.keep_alive_ms("b", 0.0) == ADAPTIVE_DEFAULT_KEEP_ALIVE_MS
 
     def test_never_dedups(self):
         policy = AdaptiveKeepAlivePolicy()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.costs import COSTS
 from repro.core.policy import MedesPolicyConfig
 from repro.faults.retry import RetryExhausted
 from repro.invariants import check
@@ -240,8 +241,7 @@ class TestBaseOpAccounting:
         assert record.checkpoint_ms > 0
         assert record.register_ms > 0
         assert record.total_ms == record.checkpoint_ms + record.register_ms
-        costs = platform.controller.config.costs
-        assert record.checkpoint_ms >= costs.checkpoint_fixed_ms
+        assert record.checkpoint_ms >= COSTS.checkpoint_fixed_ms
 
 
 class TestStarvationPath:

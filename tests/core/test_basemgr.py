@@ -26,25 +26,25 @@ def make_checkpoint(profile, function="LinAlg", seed=1) -> BaseCheckpoint:
 
 class TestDemarcation:
     def test_first_dedup_needs_base(self, store):
-        manager = BaseSandboxManager(store, threshold=40)
+        manager = BaseSandboxManager(store)
         assert manager.needs_new_base("LinAlg")
 
     def test_no_new_base_below_threshold(self, store, linalg_profile):
-        manager = BaseSandboxManager(store, threshold=40)
+        manager = BaseSandboxManager(store)
         manager.add_base(make_checkpoint(linalg_profile))
         for _ in range(40):
             manager.note_dedup("LinAlg", +1)
         assert not manager.needs_new_base("LinAlg")  # D/B == 40, not > 40
 
     def test_new_base_above_threshold(self, store, linalg_profile):
-        manager = BaseSandboxManager(store, threshold=40)
+        manager = BaseSandboxManager(store)
         manager.add_base(make_checkpoint(linalg_profile))
         for _ in range(41):
             manager.note_dedup("LinAlg", +1)
         assert manager.needs_new_base("LinAlg")
 
     def test_second_base_resets_ratio(self, store, linalg_profile):
-        manager = BaseSandboxManager(store, threshold=40)
+        manager = BaseSandboxManager(store)
         manager.add_base(make_checkpoint(linalg_profile, seed=1))
         for _ in range(41):
             manager.note_dedup("LinAlg", +1)
@@ -52,14 +52,10 @@ class TestDemarcation:
         assert not manager.needs_new_base("LinAlg")  # 41 / 2 < 40
 
     def test_functions_tracked_independently(self, store, linalg_profile):
-        manager = BaseSandboxManager(store, threshold=40)
+        manager = BaseSandboxManager(store)
         manager.add_base(make_checkpoint(linalg_profile, function="A", seed=1))
         assert manager.needs_new_base("B")
         assert not manager.needs_new_base("A")
-
-    def test_rejects_bad_threshold(self, store):
-        with pytest.raises(ValueError):
-            BaseSandboxManager(store, threshold=0)
 
 
 class TestBookkeeping:

@@ -99,13 +99,6 @@ class TestShardingProperties:
             sharded.register_page(ref(page=page), fp(*digests))
         assert sharded.load_imbalance() < 1.5
 
-    def test_replication_multiplies_memory(self):
-        plain = ShardedFingerprintRegistry(2, replication=1)
-        replicated = ShardedFingerprintRegistry(2, replication=3)
-        for registry in (plain, replicated):
-            registry.register_page(ref(), fp(1, 2, 3))
-        assert replicated.memory_bytes() == 3 * plain.memory_bytes()
-
     def test_stats_aggregate(self):
         sharded = ShardedFingerprintRegistry(3)
         sharded.register_page(ref(), fp(1, 2, 3))
@@ -117,8 +110,6 @@ class TestShardingProperties:
     def test_validation(self):
         with pytest.raises(ValueError):
             ShardedFingerprintRegistry(0)
-        with pytest.raises(ValueError):
-            ShardedFingerprintRegistry(2, replication=0)
 
     def test_empty_imbalance_is_one(self):
         assert ShardedFingerprintRegistry(4).load_imbalance() == 1.0

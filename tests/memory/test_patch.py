@@ -228,10 +228,11 @@ class TestDeserializeHardening:
         with pytest.raises(ValueError, match="inconsistent patch blob"):
             deserialize(blob)
 
-    def test_trailing_garbage_ignored_ops_still_validated(self):
-        # Extra bytes past the declared op list do not crash the decoder.
-        blob = self._multi_op_blob() + b"\x00\x01\x02"
-        assert deserialize(blob[: len(blob) - 3]).target_len == 200
+    def test_trailing_bytes_rejected(self):
+        blob = self._multi_op_blob()
+        assert deserialize(blob).target_len == 200
+        with pytest.raises(ValueError, match="past its last op"):
+            deserialize(blob + b"\x00\x01\x02")
 
 
 class TestValidation:

@@ -28,12 +28,13 @@ def serialize(patch: Patch) -> bytes:
 
 
 def deserialize(blob: bytes) -> Patch:
-    """Decode a blob :func:`serialize` wrote; any malformed blob raises
-    :class:`ValueError`, never ``IndexError`` or ``struct.error``."""
+    """Decode a blob :func:`serialize` wrote; any other blob, one with
+    bytes past its last op included, raises :class:`ValueError`, never
+    ``IndexError`` or ``struct.error``."""
     if len(blob) < _HEADER.size:
         raise ValueError("patch blob truncated: missing header")
-    magic, version, _flags, target_len, base_len, op_count = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC or version != VERSION:
+    magic, version, flags, target_len, base_len, op_count = _HEADER.unpack_from(blob, 0)
+    if magic != MAGIC or version != VERSION or flags != 0:
         raise ValueError("not a valid patch blob")
     pos = _HEADER.size
     ops: list[CopyOp | InsertOp] = []
@@ -58,6 +59,8 @@ def deserialize(blob: bytes) -> Patch:
             pos += length
         else:
             raise ValueError(f"unknown op tag {tag:#x}")
+    if pos != len(blob):
+        raise ValueError(f"patch blob has {len(blob) - pos} bytes past its last op")
     try:
         return Patch(ops=tuple(ops), target_len=target_len, base_len=base_len)
     except ValueError as exc:

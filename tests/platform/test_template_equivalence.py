@@ -34,7 +34,6 @@ MEDES = MedesPolicyConfig(idle_period_ms=5_000.0, alpha=25.0)
 PERTURBED_TEMPLATES = TemplateConfig(
     pool_mb=0.0,
     hot_window_ms=0.0,
-    patch_level=0,
 )
 
 
