@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 
 from repro._util import MIB, fmt_bytes, fmt_ms
-from repro.core.agent import DedupAgent, PageKind
+from repro.core.agent import DedupAgent
 from repro.core.costs import CostModel
 from repro.core.registry import FingerprintRegistry, PageRef
 from repro.memory.fingerprint import page_fingerprint
@@ -78,8 +78,7 @@ def main() -> None:
     stats = table.stats
     print(f"   pages: {stats.total_pages} total = {stats.zero_pages} zero + "
           f"{stats.patched_pages} patched + {stats.unique_pages} unique")
-    patch_sizes = [e.patch.size_bytes for e in table.entries
-                   if e.kind is PageKind.PATCHED]
+    patch_sizes = [patch.size_bytes for patch in table.patches]
     print(f"   mean patch size: {sum(patch_sizes) / len(patch_sizes):.0f} B "
           f"(vs {table.page_size} B pages)")
     print(f"   memory: {profile.memory_mb:g} MB warm -> "

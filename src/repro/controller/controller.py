@@ -31,12 +31,12 @@ import itertools
 import math
 import operator
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro._util import SeededLognormal, hash_bytes, stable_seed
 from repro.controller.index import NodeUsageIndex, SandboxIndex
-from repro.core.agent import DedupAgent, PageKind
+from repro.core.agent import DedupAgent
 from repro.core.basemgr import BaseSandboxManager
 from repro.core.costs import COSTS
 from repro.core.policy import ClusterView, Decision, FunctionStats, LifecyclePolicy
@@ -1432,41 +1432,34 @@ class ClusterController:
             return False
         table = sandbox.dedup_table
         assert table is not None
-        replacements: dict[PageRef, PageRef] = {}
-        for entry in table.entries:
-            if entry.kind is not PageKind.PATCHED:
+        columns = (table.base_checkpoint, table.base_node, table.base_page)
+        replicas: dict[PageRef, PageRef] = {}
+        moves: list[tuple[int, PageRef]] = []
+        for j, checkpoint_id in enumerate(table.base_checkpoint.tolist()):
+            if checkpoint_id not in dead:
                 continue
-            assert entry.base is not None
-            if entry.base.checkpoint_id not in dead:
-                continue
-            if entry.base in replacements:
-                continue
-            replica = self._replica_for(entry.base, dead, sandbox.node_id, sandbox.domain)
-            if replica is None:
-                return False
-            replacements[entry.base] = replica
-        if not replacements:
+            ref = PageRef(*(int(column[j]) for column in columns))
+            if ref not in replicas:
+                replica = self._replica_for(ref, dead, sandbox.node_id, sandbox.domain)
+                if replica is None:
+                    return False
+                replicas[ref] = replica
+            moves.append((j, replicas[ref]))
+        if not moves:
             return False
-        new_entries = tuple(
-            replace(entry, base=replacements[entry.base])
-            if entry.kind is PageKind.PATCHED and entry.base in replacements
-            else entry
-            for entry in table.entries
-        )
-        new_refs: Counter[int] = Counter()
-        for entry in new_entries:
-            if entry.kind is PageKind.PATCHED:
-                assert entry.base is not None
-                new_refs[entry.base.checkpoint_id] += 1
         moved = sum(
             count
             for checkpoint_id, count in table.base_refs.items()
             if checkpoint_id in dead
         )
+        for j, replica in moves:
+            table.base_checkpoint[j] = replica.checkpoint_id
+            table.base_node[j] = replica.node_id
+            table.base_page[j] = replica.page_index
+        new_refs = Counter(table.base_checkpoint.tolist())
         for checkpoint_id, count in new_refs.items():
             self.store.get(checkpoint_id).acquire(count)
         self._release_base_refs(table)
-        table.entries = new_entries
         table.base_refs = new_refs
         self.metrics.restore_replica_fallbacks += 1
         self.metrics.crash_reconciled_refs += moved

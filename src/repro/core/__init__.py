@@ -6,7 +6,6 @@ from repro.core.agent import (
     DedupPageTable,
     DedupStats,
     DedupTimings,
-    PageEntry,
     PageKind,
     RestoreOutcome,
     RestoreTimings,
@@ -57,7 +56,6 @@ __all__ = [
     "MedesPolicy",
     "MedesPolicyConfig",
     "Objective",
-    "PageEntry",
     "PageKind",
     "PageRef",
     "RegistryStats",

@@ -40,9 +40,10 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,32 +83,13 @@ from repro.templates.delta import (
 UNIQUE_THRESHOLD = 0.75
 
 
-class PageKind(enum.Enum):
-    """Disposition of one page after the dedup op."""
+class PageKind(enum.IntEnum):
+    """Disposition of one page after the dedup op: the codes of
+    :attr:`DedupPageTable.entries`."""
 
-    ZERO = "zero"
-    UNIQUE = "unique"
-    PATCHED = "patched"
-
-
-@dataclass(frozen=True)
-class PageEntry:
-    """One page's dedup record."""
-
-    kind: PageKind
-    base: PageRef | None = None
-    patch: Patch | None = None
-    raw: bytes | None = None
-
-    def retained_bytes(self) -> int:
-        """Scaled content bytes this entry keeps resident."""
-        if self.kind is PageKind.ZERO:
-            return 0
-        if self.kind is PageKind.UNIQUE:
-            assert self.raw is not None
-            return len(self.raw)
-        assert self.patch is not None
-        return self.patch.size_bytes
+    ZERO = 0
+    UNIQUE = 1
+    PATCHED = 2
 
 
 @dataclass(frozen=True)
@@ -133,11 +115,15 @@ class DedupStats:
 
 @dataclass(eq=False)
 class DedupPageTable:
-    """The resident representation of a deduplicated sandbox.
+    """The resident representation of a deduplicated sandbox, as columns.
 
-    Also records everything needed to rebuild the original
-    :class:`MemoryImage` (its metadata fields), so restores reconstruct
-    a byte-identical image.
+    ``entries`` holds one :class:`PageKind` code per page.  The patched
+    pages, in page order, have one row each in ``patched`` (page index),
+    ``base_checkpoint``, ``base_node`` and ``base_page`` (the base's
+    :class:`PageRef` fields) and ``patches``; ``unique`` holds the unique
+    pages' bytes, one row per page in page order.  Also records
+    everything needed to rebuild the original :class:`MemoryImage` (its
+    metadata fields), so restores reconstruct a byte-identical image.
     """
 
     function: str
@@ -147,24 +133,25 @@ class DedupPageTable:
     aslr: bool
     executed: bool
     regions: tuple
-    entries: tuple[PageEntry, ...]
+    entries: np.ndarray
+    patched: np.ndarray
+    base_checkpoint: np.ndarray
+    base_node: np.ndarray
+    base_page: np.ndarray
+    patches: tuple[Patch, ...]
+    unique: np.ndarray
     page_digests: np.ndarray
     """The original image's :meth:`MemoryImage.page_digests` column."""
     full_size_bytes: int
     stats: DedupStats
     base_refs: Counter[int] = field(default_factory=Counter)
     """checkpoint_id -> number of page references (refcount holdings)."""
-    _retained_content_bytes: int | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def retained_content_bytes(self) -> int:
         """Scaled bytes resident (patches + unique pages), cached —
         node accounting queries this on every placement decision."""
-        if self._retained_content_bytes is None:
-            self._retained_content_bytes = sum(
-                entry.retained_bytes() for entry in self.entries
-            )
-        return self._retained_content_bytes
+        return self.unique.nbytes + sum(patch.size_bytes for patch in self.patches)
 
     @property
     def retained_full_bytes(self) -> int:
@@ -175,27 +162,31 @@ class DedupPageTable:
 
     def describe_page(self, index: int) -> str:
         """Page ``index``'s class, for a failed-verify message."""
-        entry = self.entries[index]
-        if entry.kind is not PageKind.PATCHED:
-            return f"page {index} is {entry.kind.value}"
-        assert entry.base is not None and entry.patch is not None
+        kind = PageKind(self.entries[index])
+        if kind is not PageKind.PATCHED:
+            return f"page {index} is {kind.name.lower()}"
+        row = int(np.searchsorted(self.patched, index))
         return (
             f"page {index} is patched against base (checkpoint "
-            f"{entry.base.checkpoint_id}, page {entry.base.page_index}) "
-            f"with a {entry.patch.size_bytes}-byte patch"
+            f"{self.base_checkpoint[row]}, page {self.base_page[row]}) "
+            f"with a {self.patches[row].size_bytes}-byte patch"
         )
 
     def write_unique_pages(self, out: np.ndarray) -> None:
         """Copy the unique pages into ``out``, a zeroed buffer of the
         image's size (zero pages are then already materialized)."""
-        page_size = self.page_size
-        for index, entry in enumerate(self.entries):
-            if entry.kind is PageKind.UNIQUE:
-                assert entry.raw is not None
-                start = index * page_size
-                out[start : start + len(entry.raw)] = np.frombuffer(
-                    entry.raw, dtype=np.uint8
-                )
+        rows = out.reshape(len(self.entries), self.page_size)
+        rows[self.entries == PageKind.UNIQUE] = self.unique
+
+
+def checkpoint_order(checkpoints: np.ndarray) -> np.ndarray:
+    """Positions of ``checkpoints`` grouped by value: groups in order of
+    first appearance, positions ascending within each — the order base
+    pages are read in, which the LRU cache's hit counts depend on."""
+    _, first, inverse = np.unique(checkpoints, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return np.argsort(rank[inverse], kind="stable")
 
 
 @dataclass(frozen=True)
@@ -363,38 +354,28 @@ class _DedupOp:
         self.sandbox = sandbox
         self.image = image
         self.unique_cap = int(UNIQUE_THRESHOLD * image.page_size)
-        self.nonzero = nonzero_page_mask(image.data, image.page_size)
-        self.pages = np.flatnonzero(self.nonzero)
+        nonzero = nonzero_page_mask(image.data, image.page_size)
+        self.pages = np.flatnonzero(nonzero)
         """Indices of the pages with content: each goes through
         :meth:`choose` exactly once."""
-        zero_entry = PageEntry(kind=PageKind.ZERO)
-        self.entries: list[PageEntry | None] = [
-            None if nz else zero_entry for nz in self.nonzero
-        ]
+        self.kinds = np.where(nonzero, PageKind.UNIQUE, PageKind.ZERO).astype(np.uint8)
+        """Each page's :class:`PageKind` code; a content page stays
+        unique unless :meth:`accept` patches it."""
+        self.patched: list[tuple[int, PageRef, Patch]] = []
         self.zero_pages = image.num_pages - int(self.pages.size)
         self.saved = self.zero_pages * image.page_size
-        self.unique_pages = self.patched_pages = 0
         self.same_fn = self.cross_fn = 0
         self.base_refs: Counter[int] = Counter()
         self.reads_by_peer: Counter[int] = Counter()
         self.checkpoints: dict[int, BaseCheckpoint] = {}
         """Base checkpoints read so far, resolved once each."""
 
-    def _keep_unique(self, index: int) -> None:
-        page_size = self.image.page_size
-        start = index * page_size
-        self.entries[index] = PageEntry(
-            kind=PageKind.UNIQUE,
-            raw=self.image.data[start : start + page_size].tobytes(),
-        )
-        self.unique_pages += 1
-
     def choose(
         self, pages: list[int], fingerprints: Sequence[PageFingerprint]
     ) -> list[tuple[int, PageRef]]:
         """One registry round-trip for ``pages`` (absolute indices,
         aligned with ``fingerprints``): the pages that got a readable
-        base, as ``(page index, base ref)``; the rest are kept unique."""
+        base, as ``(page index, base ref)``; the rest stay unique."""
         agent = self.agent
         choices = agent.registry.choose_base_pages(
             fingerprints, agent.node_id, self.sandbox.domain
@@ -402,13 +383,11 @@ class _DedupOp:
         chosen: list[tuple[int, PageRef]] = []
         for index, choice in zip(pages, choices):
             if choice is None:
-                self._keep_unique(index)
                 continue
             ref, _overlap = choice
             if ref.node_id != agent.node_id and not agent.fabric.peer_available(ref.node_id):
                 # The base's node is unreachable: keep the page unique
                 # rather than depend on state we cannot read back.
-                self._keep_unique(index)
                 continue
             self.reads_by_peer[ref.node_id] += 1
             chosen.append((index, ref))
@@ -426,16 +405,15 @@ class _DedupOp:
     def accept(
         self, chosen: list[tuple[int, PageRef]], patches: Sequence[Patch | None]
     ) -> None:
-        """Record a batch's patches (aligned with ``chosen``, whose base
-        pages were all read): ``None`` or a patch at or over the cutoff
-        leaves the page unique."""
+        """Record a batch's patches (aligned with ``chosen``, in page
+        order, whose base pages were all read): ``None`` or a patch at or
+        over the cutoff leaves the page unique."""
         page_size = self.image.page_size
         for (index, ref), patch in zip(chosen, patches):
             if patch is None or patch.size_bytes >= self.unique_cap:
-                self._keep_unique(index)
                 continue
-            self.entries[index] = PageEntry(kind=PageKind.PATCHED, base=ref, patch=patch)
-            self.patched_pages += 1
+            self.kinds[index] = PageKind.PATCHED
+            self.patched.append((index, ref, patch))
             self.saved += page_size - patch.size_bytes
             self.base_refs[ref.checkpoint_id] += 1
             if self.checkpoints[ref.checkpoint_id].function == self.sandbox.function:
@@ -444,13 +422,13 @@ class _DedupOp:
                 self.cross_fn += 1
 
     def stats(self) -> DedupStats:
-        """The finished op's counts (every page must be classified)."""
-        assert all(entry is not None for entry in self.entries)
+        """The finished op's counts."""
+        patched = len(self.patched)
         return DedupStats(
             total_pages=self.image.num_pages,
             zero_pages=self.zero_pages,
-            unique_pages=self.unique_pages,
-            patched_pages=self.patched_pages,
+            unique_pages=int(self.pages.size) - patched,
+            patched_pages=patched,
             same_function_pages=self.same_fn,
             cross_function_pages=self.cross_fn,
             saved_content_bytes=self.saved,
@@ -568,7 +546,8 @@ class DedupAgent:
         return self._finish_dedup(
             sandbox,
             op.image,
-            op.entries,  # type: ignore[arg-type]
+            op.kinds,
+            op.patched,
             op.stats(),
             op.base_refs,
             op.reads_by_peer,
@@ -588,13 +567,10 @@ class DedupAgent:
         chosen = op.choose(op.pages.tolist(), fingerprints)
 
         # Fetch grouped by checkpoint (the order the LRU cache sees).
-        by_checkpoint: dict[int, list[int]] = defaultdict(list)
-        for j, (_index, ref) in enumerate(chosen):
-            by_checkpoint[ref.checkpoint_id].append(j)
         bases: list[np.ndarray] = [None] * len(chosen)  # type: ignore[list-item]
-        for group in by_checkpoint.values():
-            for j in group:
-                bases[j] = op.base_page(chosen[j][1])
+        checkpoints = np.array([ref.checkpoint_id for _, ref in chosen], dtype=np.int64)
+        for j in checkpoint_order(checkpoints).tolist():
+            bases[j] = op.base_page(chosen[j][1])
 
         # The aligned diff runs as a single 2-D numpy operation over the
         # whole batch, and pages falling back to anchor matching reuse
@@ -627,12 +603,17 @@ class DedupAgent:
         self,
         sandbox: Sandbox,
         image: MemoryImage,
-        entries: list[PageEntry],
+        kinds: np.ndarray,
+        patched: Sequence[tuple[int, PageRef, Patch]],
         stats: DedupStats,
         base_refs: Counter[int],
         reads_by_peer: Counter[int],
     ) -> DedupOutcome:
-        """Tail of the dedup op (and of its test oracle): refcounts, table, timings."""
+        """Tail of the dedup op (and of its test oracle): refcounts, table, timings.
+
+        ``kinds`` holds each page's :class:`PageKind` code and ``patched``
+        the patched pages' ``(page, base, patch)`` in page order.
+        """
         try:
             retry_ms, retries = self._retry_plan("registry-lookup")
         except RetryExhausted as exc:
@@ -643,6 +624,9 @@ class DedupAgent:
         for checkpoint_id, count in base_refs.items():
             self.store.get(checkpoint_id).acquire(count)
 
+        rows = [(page, ref.checkpoint_id, ref.node_id, ref.page_index) for page, ref, _ in patched]
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
+        pages, checkpoints, nodes, base_pages = columns
         table = DedupPageTable(
             function=sandbox.function,
             instance_seed=image.instance_seed,
@@ -651,7 +635,13 @@ class DedupAgent:
             aslr=image.aslr,
             executed=image.executed,
             regions=image.regions,
-            entries=tuple(entries),
+            entries=kinds,
+            patched=pages,
+            base_checkpoint=checkpoints,
+            base_node=nodes,
+            base_page=base_pages,
+            patches=tuple(patch for _, _, patch in patched),
+            unique=image.data.reshape(image.num_pages, image.page_size)[kinds == PageKind.UNIQUE],
             page_digests=image.page_digests(),
             full_size_bytes=sandbox.profile.memory_bytes,
             stats=stats,
@@ -707,15 +697,8 @@ class DedupAgent:
         the restore completes).
         """
         page_size = table.page_size
-        reads_by_peer: Counter[int] = Counter()
-        by_checkpoint: dict[int, list[int]] = defaultdict(list)
-        patched = 0
-        for index, entry in enumerate(table.entries):
-            if entry.kind is PageKind.PATCHED:
-                assert entry.base is not None
-                reads_by_peer[entry.base.node_id] += 1
-                by_checkpoint[entry.base.checkpoint_id].append(index)
-                patched += 1
+        reads_by_peer = Counter(table.base_node.tolist())
+        patched = len(table.patches)
 
         # Entirely-local fetches involve no RPC and never fail transiently.
         retry_ms, retries = 0.0, 0
@@ -746,7 +729,7 @@ class DedupAgent:
             miss_read_ms = 0.0
             hit_pages = miss_pages = 0
 
-        data = self._reconstruct(table, by_checkpoint)
+        data = self._reconstruct(table)
         image = MemoryImage(
             function=table.function,
             instance_seed=table.instance_seed,
@@ -779,24 +762,24 @@ class DedupAgent:
         self.restore_ops += 1
         return RestoreOutcome(image=image, timings=timings)
 
-    def _reconstruct(
-        self, table: DedupPageTable, by_checkpoint: dict[int, list[int]]
-    ) -> np.ndarray:
-        """Serial content reconstruction of ``table`` (restore op body)."""
-        page_size = table.page_size
-        data = np.zeros(len(table.entries) * page_size, dtype=np.uint8)
+    def _reconstruct(self, table: DedupPageTable) -> np.ndarray:
+        """Serial content reconstruction of ``table`` (restore op body):
+        patched pages grouped by base checkpoint, in page order within
+        each group."""
+        data = np.zeros(len(table.entries) * table.page_size, dtype=np.uint8)
         table.write_unique_pages(data)
-        for checkpoint_id, indices in by_checkpoint.items():
-            checkpoint = self.store.get(checkpoint_id)
-            for index in indices:
-                entry = table.entries[index]
-                assert entry.base is not None and entry.patch is not None
-                start = index * page_size
-                apply_patch_into(
-                    entry.patch,
-                    self.base_page_bytes(checkpoint, entry.base.page_index),
-                    data[start : start + entry.patch.target_len],
-                )
+        rows = data.reshape(len(table.entries), table.page_size)
+        checkpoints = table.base_checkpoint.tolist()
+        pages, base_pages = table.patched.tolist(), table.base_page.tolist()
+        checkpoint = None
+        for j in checkpoint_order(table.base_checkpoint).tolist():
+            if checkpoint is None or checkpoint.checkpoint_id != checkpoints[j]:
+                checkpoint = self.store.get(checkpoints[j])
+            apply_patch_into(
+                table.patches[j],
+                self.base_page_bytes(checkpoint, base_pages[j]),
+                rows[pages[j]],
+            )
         return data
 
     # ---------------------------------------------------- template forks
@@ -945,15 +928,12 @@ class DedupAgent:
 
         hit_by_checkpoint: Counter[int] = Counter()
         miss_by_checkpoint: Counter[int] = Counter()
-        for entry in table.entries:
-            if entry.kind is not PageKind.PATCHED:
-                continue
-            assert entry.base is not None
-            address = (entry.base.checkpoint_id, entry.base.page_index)
+        addresses = list(zip(table.base_checkpoint.tolist(), table.base_page.tolist()))
+        for address in addresses:
             if recorded is not None and address in recorded:
-                hit_by_checkpoint[entry.base.checkpoint_id] += 1
+                hit_by_checkpoint[address[0]] += 1
             else:
-                miss_by_checkpoint[entry.base.checkpoint_id] += 1
+                miss_by_checkpoint[address[0]] += 1
 
         if recorded is None:
             # First touch: one serial demand read, then record the set.
@@ -961,14 +941,7 @@ class DedupAgent:
                 miss_by_checkpoint, page_size, scale_up
             )
             if self.recorder is not None and key is not None:
-                self.recorder.record(
-                    key,
-                    frozenset(
-                        (entry.base.checkpoint_id, entry.base.page_index)
-                        for entry in table.entries
-                        if entry.kind is PageKind.PATCHED and entry.base is not None
-                    ),
-                )
+                self.recorder.record(key, frozenset(addresses))
             return base_read_ms, False, 0.0, 0, 0
 
         base_read_ms = self._channel_read_ms(hit_by_checkpoint, page_size, scale_up)

@@ -25,7 +25,7 @@ from repro.memory.layout import (
     SharingScope,
     standard_layout,
 )
-from repro.memory.patch import CopyOp, InsertOp, Patch, apply_patch, compute_patch
+from repro.memory.patch import Patch, apply_patch, compute_patch
 from repro.memory.redundancy import RedundancyResult, measure_redundancy, redundancy_matrix
 
 __all__ = [
@@ -33,10 +33,8 @@ __all__ = [
     "DEFAULT_DIGEST_BITS",
     "DEFAULT_CARDINALITY",
     "AslrBehavior",
-    "CopyOp",
     "FingerprintConfig",
     "ImageLayout",
-    "InsertOp",
     "MemoryImage",
     "PageFingerprint",
     "Patch",

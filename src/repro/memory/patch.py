@@ -4,7 +4,9 @@ A patch expresses a *target* buffer as a sequence of COPY ops (byte
 ranges of a *base* buffer) and INSERT ops (literal bytes).  For similar
 pages the patch is far smaller than the page; for unrelated pages it
 degenerates to one big INSERT, which the dedup agent detects and stores
-as a unique page instead.
+as a unique page instead.  A :class:`Patch` is its wire encoding: the
+encoders pack the ops straight into bytes and :func:`apply_patch_into`
+decodes them, so a kept patch is one object and one ``bytes``.
 
 Two matching strategies are combined:
 
@@ -22,15 +24,19 @@ and a larger minimum match.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-#: Encoded layouts: a patch's ``size_bytes`` is its header plus its ops
-#: (tests/oracles/patch_wire.py writes and reads the encoding).
+#: The wire format: a header, then each op — an INSERT's literal bytes
+#: follow its record.
 _HEADER = struct.Struct("<2sBBIII")  # magic, version, flags, target_len, base_len, op_count
 _COPY = struct.Struct("<BII")  # tag, src_off, length
 _INSERT_HDR = struct.Struct("<BI")  # tag, length
+MAGIC = b"MP"
+VERSION = 1
+TAG_COPY = 0x01
+TAG_INSERT = 0x02
 
 #: Minimum run of equal bytes worth a COPY op on the aligned path.  A COPY
 #: costs 9 bytes of op encoding, so shorter runs are cheaper as literals.
@@ -57,61 +63,60 @@ _COPY_MIN_WORDS = (max(MIN_ANCHOR_MATCH, ANCHOR_SIZE) - 7) // 8
 _COPY_RUN_SLACK = 8 * (_COPY_MIN_WORDS - 1) + 14
 
 
-@dataclass(frozen=True)
-class CopyOp:
-    """Copy ``length`` bytes from ``src_off`` in the base buffer."""
+def _header(blob: bytes) -> tuple[int, int, int]:
+    """``(target_len, base_len, op_count)`` of a patch blob's header."""
+    if len(blob) < _HEADER.size:
+        raise ValueError("patch blob truncated: missing header")
+    magic, version, flags, target_len, base_len, op_count = _HEADER.unpack_from(blob)
+    if magic != MAGIC or version != VERSION or flags:
+        raise ValueError("not a valid patch blob")
+    return target_len, base_len, op_count
 
-    src_off: int
-    length: int
 
+class Patch:
+    """A delta from a base buffer to a target buffer, as its wire bytes.
 
-@dataclass(frozen=True)
-class InsertOp:
-    """Insert literal bytes."""
+    ``blob`` is the header, then the ops in target order.  Its length is
+    ``size_bytes``, the memory cost of keeping a page deduped.
+    """
 
-    data: bytes
+    __slots__ = ("blob",)
+
+    def __init__(self, blob: bytes):
+        self.blob = blob
 
     @property
-    def length(self) -> int:
-        return len(self.data)
+    def size_bytes(self) -> int:
+        return len(self.blob)
 
-
-@dataclass(frozen=True)
-class Patch:
-    """A delta from a base buffer to a target buffer."""
-
-    ops: tuple[CopyOp | InsertOp, ...]
-    target_len: int
-    base_len: int
-    #: Encoded patch size — the memory cost of keeping this page deduped.
-    #: Derived from the (immutable) ops at construction; the dedup agent
-    #: reads it repeatedly (fallback checks, unique-page cutoffs,
-    #: retained-bytes accounting), so it is a plain attribute.
-    size_bytes: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        produced = 0
-        size = _HEADER.size
-        for op in self.ops:
-            if isinstance(op, CopyOp):
-                produced += op.length
-                size += _COPY.size
-            else:
-                produced += len(op.data)
-                size += _INSERT_HDR.size + len(op.data)
-        if produced != self.target_len:
-            raise ValueError(f"ops produce {produced} bytes, target is {self.target_len}")
-        object.__setattr__(self, "size_bytes", size)
+    @property
+    def target_len(self) -> int:
+        return _header(self.blob)[0]
 
     @property
     def copied_bytes(self) -> int:
         """Bytes sourced from the base buffer (the deduplicated volume)."""
-        return sum(op.length for op in self.ops if isinstance(op, CopyOp))
+        blob = self.blob
+        copied, pos = 0, _HEADER.size
+        for _ in range(_header(blob)[2]):
+            if blob[pos] == TAG_COPY:
+                copied += _COPY.unpack_from(blob, pos)[2]
+                pos += _COPY.size
+            else:
+                pos += _INSERT_HDR.size + _INSERT_HDR.unpack_from(blob, pos)[1]
+        return copied
 
-    @property
-    def literal_bytes(self) -> int:
-        """Bytes carried literally inside the patch."""
-        return sum(op.length for op in self.ops if isinstance(op, InsertOp))
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Patch) and self.blob == other.blob
+
+    def __repr__(self) -> str:
+        return f"Patch({self.size_bytes} B)"
+
+
+def _seal(parts: list[bytes], target_len: int, base_len: int, op_count: int) -> Patch:
+    """The patch of the op records ``parts[1:]``; ``parts[0]`` holds the header's place."""
+    parts[0] = _HEADER.pack(MAGIC, VERSION, 0, target_len, base_len, op_count)
+    return Patch(b"".join(parts))
 
 
 def _as_array(buf: bytes | np.ndarray) -> np.ndarray:
@@ -122,45 +127,52 @@ def _as_array(buf: bytes | np.ndarray) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.uint8)
 
 
-def _ops_from_aligned_runs(
-    target_bytes: bytes, first_unequal: bool, bounds: list[int]
-) -> list[CopyOp | InsertOp]:
-    """Build aligned ops from precomputed equal/unequal run boundaries.
+def _patch_from_runs(target_bytes: bytes, first_unequal: bool, bounds: list[int]) -> Patch:
+    """The aligned patch from precomputed equal/unequal run boundaries.
 
     Runs strictly alternate equal/unequal, so only the first run's kind
     is needed.  Pending literal runs are contiguous between COPY
     emissions, so they flush as one slice of the target bytes.
     """
-    ops: list[CopyOp | InsertOp] = []
+    pack_copy, pack_insert = _COPY.pack, _INSERT_HDR.pack
+    parts = [b""]
+    ops = 0
     pend_start = -1
     pend_end = 0
     run_equal = not first_unequal
     for start, end in zip(bounds[:-1], bounds[1:]):
         if run_equal and end - start >= MIN_COPY_RUN:
             if pend_start >= 0:
-                ops.append(InsertOp(data=target_bytes[pend_start:pend_end]))
+                parts += (
+                    pack_insert(TAG_INSERT, pend_end - pend_start),
+                    target_bytes[pend_start:pend_end],
+                )
                 pend_start = -1
-            ops.append(CopyOp(src_off=start, length=end - start))
+                ops += 1
+            parts.append(pack_copy(TAG_COPY, start, end - start))
+            ops += 1
         else:
             if pend_start < 0:
                 pend_start = start
             pend_end = end
         run_equal = not run_equal
     if pend_start >= 0:
-        ops.append(InsertOp(data=target_bytes[pend_start:pend_end]))
-    return ops
+        parts += (pack_insert(TAG_INSERT, pend_end - pend_start), target_bytes[pend_start:pend_end])
+        ops += 1
+    n = len(target_bytes)
+    return _seal(parts, n, n, ops)
 
 
-def _aligned_ops(target: np.ndarray, base: np.ndarray) -> list[CopyOp | InsertOp]:
-    """Ops for equal-length buffers using a vectorised same-offset diff."""
+def _aligned_patch(target: np.ndarray, base: np.ndarray) -> Patch:
+    """Patch of equal-length buffers from a vectorised same-offset diff."""
     n = len(target)
     if n == 0:
-        return []
+        return _seal([b""], 0, 0, 0)
     neq = target != base
     # Boundaries of equal/unequal runs.
     change = np.flatnonzero(np.diff(neq.astype(np.int8)))
     bounds = [0, *(change + 1).tolist(), n]
-    return _ops_from_aligned_runs(target.tobytes(), bool(neq[0]), bounds)
+    return _patch_from_runs(target.tobytes(), bool(neq[0]), bounds)
 
 
 def _batch_aligned_runs(neq: np.ndarray) -> list[tuple[bool, list[int]]]:
@@ -168,7 +180,7 @@ def _batch_aligned_runs(neq: np.ndarray) -> list[tuple[bool, list[int]]]:
 
     ``neq`` is the ``(k, n)`` boolean ``targets != bases``; row ``j``'s
     ``(first_unequal, bounds)`` describes the same alternating runs that
-    :func:`_aligned_ops` derives, but the run-boundary extraction happens
+    :func:`_aligned_patch` derives, but the run-boundary extraction happens
     once over the whole stack.
     """
     k, n = neq.shape
@@ -515,13 +527,13 @@ def _usable_index(index: AnchorIndex | None, base: np.ndarray, level: int) -> An
     return index
 
 
-def _anchor_ops(
+def _anchor_patch(
     target: np.ndarray,
     base: np.ndarray,
     level: int,
     index: AnchorIndex | None = None,
-) -> list[CopyOp | InsertOp]:
-    """Greedy xdelta-style ops using an anchor-hash index over the base.
+) -> Patch:
+    """Greedy xdelta-style patch using an anchor-hash index over the base.
 
     ``level`` trades patch size for speed, like xdelta3's compression
     levels: level 1 (the paper's choice, for fast restores) probes the
@@ -550,7 +562,8 @@ def _anchor_ops(
     n = len(target)
     last = n - ANCHOR_SIZE  # last position a window fits at
     target_bytes = target.tobytes()
-    ops: list[CopyOp | InsertOp] = []
+    parts = [b""]
+    ops = 0
     pending_start = 0
 
     # Per residue: the end of its probed positions, the last window's
@@ -591,13 +604,19 @@ def _anchor_ops(
         c, src, length, back = accepted
         lit_end = c - back
         if lit_end > pending_start:
-            ops.append(InsertOp(data=target_bytes[pending_start:lit_end]))
-        ops.append(CopyOp(src_off=src - back, length=length))
+            parts += (
+                _INSERT_HDR.pack(TAG_INSERT, lit_end - pending_start),
+                target_bytes[pending_start:lit_end],
+            )
+            ops += 1
+        parts.append(_COPY.pack(TAG_COPY, src - back, length))
+        ops += 1
         i = lit_end + length
         pending_start = i
     if pending_start < n:
-        ops.append(InsertOp(data=target_bytes[pending_start:]))
-    return ops
+        parts += (_INSERT_HDR.pack(TAG_INSERT, n - pending_start), target_bytes[pending_start:])
+        ops += 1
+    return _seal(parts, n, len(base), ops)
 
 
 def compute_patch(
@@ -620,18 +639,12 @@ def compute_patch(
     t = _as_array(target)
     b = _as_array(base)
     if len(t) == len(b):
-        ops = _aligned_ops(t, b)
-        patch = Patch(ops=tuple(ops), target_len=len(t), base_len=len(b))
+        patch = _aligned_patch(t, b)
         if patch.size_bytes <= max(64, int(len(t) * ALIGNED_FALLBACK_RATIO)):
             return patch
-        alt = Patch(
-            ops=tuple(_anchor_ops(t, b, level, index=anchor_index)),
-            target_len=len(t),
-            base_len=len(b),
-        )
+        alt = _anchor_patch(t, b, level, index=anchor_index)
         return alt if alt.size_bytes < patch.size_bytes else patch
-    ops = _anchor_ops(t, b, level, index=anchor_index)
-    return Patch(ops=tuple(ops), target_len=len(t), base_len=len(b))
+    return _anchor_patch(t, b, level, index=anchor_index)
 
 
 def _patch_stack(
@@ -677,18 +690,15 @@ def _patch_stack(
     def diff_rows(rows: list[int]) -> None:
         if rows:
             for r, (first_unequal, bounds) in zip(rows, _batch_aligned_runs(neq[rows])):
-                ops = _ops_from_aligned_runs(targets[r].tobytes(), first_unequal, bounds)
-                patches[r] = Patch(ops=tuple(ops), target_len=n, base_len=n)
+                patches[r] = _patch_from_runs(targets[r].tobytes(), first_unequal, bounds)
 
     def aligned_size(r: int, undiffed: int) -> int:
         return undiffed if patches[r] is None else patches[r].size_bytes
 
     # Each row's aligned patch, where it has been diffed, until a better
-    # candidate replaces it.
-    patches: list[Patch | None] = [
-        Patch(ops=(CopyOp(src_off=0, length=n),), target_len=n, base_len=n) if same else None
-        for same in identical
-    ]
+    # candidate replaces it; the identical rows share one single-COPY patch.
+    single_copy = _seal([b"", _COPY.pack(TAG_COPY, 0, n)], n, n, 1)
+    patches: list[Patch | None] = [single_copy if same else None for same in identical]
     diff_rows([r for r in range(k) if not (identical[r] or dense[r])])
     fallback = [r for r in range(k) if dense[r] or aligned_size(r, 0) > threshold]
     indexes = {r: index_for(r) for r in fallback}
@@ -708,16 +718,12 @@ def _patch_stack(
                 # Discarded whichever candidate wins, and the literal is
                 # no smaller than the cutoff either:
                 # max_size <= n + _HEADER.size - bound <= n + _HEADER.size.
-                patches[r] = Patch(
-                    ops=(InsertOp(data=targets[r].tobytes()),), target_len=n, base_len=n
+                patches[r] = _seal(
+                    [b"", _INSERT_HDR.pack(TAG_INSERT, n), targets[r].tobytes()], n, n, 1
                 )
         diff_rows([r for r in to_matcher if patches[r] is None])
     for r in to_matcher:
-        alt = Patch(
-            ops=tuple(_anchor_ops(targets[r], bases[r], level, index=indexes[r])),
-            target_len=n,
-            base_len=n,
-        )
+        alt = _anchor_patch(targets[r], bases[r], level, index=indexes[r])
         if alt.size_bytes < patches[r].size_bytes:
             patches[r] = alt
     return patches  # type: ignore[return-value]
@@ -750,7 +756,7 @@ def compute_patches(
     first asks the copy-coverage bound (:func:`_copy_bounds`) whether
     any anchor patch could come in under ``min(aligned size,
     max_size)``, and skips the matcher — and, for a discarded pair,
-    sizing its runs and materialising any ops — when none can.
+    sizing its runs and encoding them — when none can.
 
     ``index_provider(j)`` may return an :class:`AnchorIndex` for pair
     ``j`` (or ``None``); it is only consulted for pairs that reach the
@@ -775,7 +781,7 @@ def compute_patches(
     for n, idxs in by_len.items():
         if n == 0:
             for j in idxs:
-                patches[j] = Patch(ops=(), target_len=0, base_len=0)
+                patches[j] = _seal([b""], 0, 0, 0)
             continue
         for at in range(0, len(idxs), STACK_ROWS):
             block = idxs[at : at + STACK_ROWS]
@@ -798,40 +804,61 @@ def compute_patches(
 
 def apply_patch(patch: Patch, base: bytes | np.ndarray) -> bytes:
     """Reconstruct the target buffer from ``patch`` and ``base``."""
-    b = _as_array(base)
-    if len(b) != patch.base_len:
-        raise ValueError(f"base length {len(b)} != patch base_len {patch.base_len}")
-    out = bytearray()
-    for op in patch.ops:
-        if isinstance(op, CopyOp):
-            if op.src_off + op.length > len(b):
-                raise ValueError("COPY op out of base bounds")
-            out += b[op.src_off : op.src_off + op.length].tobytes()
-        else:
-            out += op.data
-    if len(out) != patch.target_len:
-        raise AssertionError("patch application produced wrong length")
-    return bytes(out)
+    out = np.empty(patch.target_len, dtype=np.uint8)
+    apply_patch_into(patch, base, out)
+    return out.tobytes()
 
 
 def apply_patch_into(patch: Patch, base: bytes | np.ndarray, out: np.ndarray) -> None:
-    """:func:`apply_patch`, writing the target into a caller-owned buffer.
+    """Decode ``patch`` against ``base``, writing the target into ``out``.
 
     ``out`` must be a uint8 array of exactly ``patch.target_len`` bytes —
     typically a view into the image being reconstructed, so a page is
-    written in place with no intermediate ``bytes`` object.
+    written in place with no intermediate ``bytes`` object.  Any blob the
+    encoders could not have written — bad header, truncated or unknown
+    op, a COPY outside the base, ops that do not produce exactly
+    ``target_len`` bytes, bytes past the last op — raises
+    :class:`ValueError`; no write lands outside ``out`` and no read
+    outside ``base``.
     """
+    blob = patch.blob
+    target_len, base_len, op_count = _header(blob)
     b = _as_array(base)
-    if len(b) != patch.base_len:
-        raise ValueError(f"base length {len(b)} != patch base_len {patch.base_len}")
-    if len(out) != patch.target_len:
-        raise ValueError(f"out length {len(out)} != patch target_len {patch.target_len}")
-    cursor = 0
-    for op in patch.ops:
-        if isinstance(op, CopyOp):
-            if op.src_off + op.length > len(b):
+    if len(b) != base_len:
+        raise ValueError(f"base length {len(b)} != patch base_len {base_len}")
+    if len(out) != target_len:
+        raise ValueError(f"out length {len(out)} != patch target_len {target_len}")
+    src, dst, wire = memoryview(b), memoryview(out), memoryview(blob)
+    end = len(blob)
+    pos, cursor = _HEADER.size, 0
+    for _ in range(op_count):
+        if pos >= end:
+            raise ValueError("patch blob truncated: missing op tag")
+        tag = blob[pos]
+        if tag == TAG_COPY:
+            if pos + _COPY.size > end:
+                raise ValueError("patch blob truncated: partial COPY op")
+            _, src_off, length = _COPY.unpack_from(blob, pos)
+            pos += _COPY.size
+            if src_off + length > base_len:
                 raise ValueError("COPY op out of base bounds")
-            out[cursor : cursor + op.length] = b[op.src_off : op.src_off + op.length]
+            chunk = src[src_off : src_off + length]
+        elif tag == TAG_INSERT:
+            if pos + _INSERT_HDR.size > end:
+                raise ValueError("patch blob truncated: partial INSERT header")
+            length = _INSERT_HDR.unpack_from(blob, pos)[1]
+            pos += _INSERT_HDR.size
+            if pos + length > end:
+                raise ValueError("patch blob truncated: partial INSERT data")
+            chunk = wire[pos : pos + length]
+            pos += length
         else:
-            out[cursor : cursor + op.length] = np.frombuffer(op.data, dtype=np.uint8)
-        cursor += op.length
+            raise ValueError(f"unknown op tag {tag:#x}")
+        if cursor + length > target_len:
+            raise ValueError(f"ops produce more than target_len {target_len} bytes")
+        dst[cursor : cursor + length] = chunk
+        cursor += length
+    if pos != end:
+        raise ValueError(f"patch blob has {end - pos} bytes past its last op")
+    if cursor != target_len:
+        raise ValueError(f"ops produce {cursor} bytes, target is {target_len}")

@@ -54,7 +54,7 @@ def codec_calls(monkeypatch) -> dict[str, int]:
 
     counted("run_rows", "_batch_aligned_runs", lambda neq: len(neq))
     counted("bound", "_copy_bounds", lambda targets, indexes: len(indexes))
-    counted("matcher", "_anchor_ops")
+    counted("matcher", "_anchor_patch")
     counted("word_bits", "_build_word_bits")
     counted("sorted_halves", "build_anchor_index")
 

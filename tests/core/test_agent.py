@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core.agent import DedupAgent, PageEntry, PageKind
+from repro.core.agent import DedupAgent, PageKind
 from repro.core.costs import CostModel
 from repro.core.policy import MedesPolicyConfig
 from repro.core.registry import FingerprintRegistry, PageRef
@@ -171,14 +171,12 @@ class TestRestoreOp:
 
         agent, *_ = harness
         table = agent.dedup(make_sandbox(linalg_profile)).table
-        index, entry = next(
-            (i, e) for i, e in enumerate(table.entries) if e.kind is PageKind.PATCHED
-        )
+        index, patch = int(table.patched[0]), table.patches[0]
         real = agent_module.apply_patch_into
 
-        def corrupt_one(patch, base, out):
-            real(patch, base, out)
-            if patch is entry.patch:
+        def corrupt_one(applied, base, out):
+            real(applied, base, out)
+            if applied is patch:
                 out[0] ^= 1
 
         monkeypatch.setattr(agent_module, "apply_patch_into", corrupt_one)
@@ -188,8 +186,8 @@ class TestRestoreOp:
         assert "1 bad page(s)" in message
         assert (
             f"first bad page {index} is patched against base "
-            f"(checkpoint {entry.base.checkpoint_id}, page {entry.base.page_index}) "
-            f"with a {entry.patch.size_bytes}-byte patch"
+            f"(checkpoint {table.base_checkpoint[0]}, page {table.base_page[0]}) "
+            f"with a {patch.size_bytes}-byte patch"
         ) in message
         # Unverified, the same restore goes through.
         agent.restore(table, verify=False)
@@ -197,13 +195,8 @@ class TestRestoreOp:
     def test_corrupted_unique_page_is_named(self, harness, linalg_profile):
         agent, *_ = harness
         table = agent.dedup(make_sandbox(linalg_profile)).table
-        index, entry = next(
-            (i, e) for i, e in enumerate(table.entries) if e.kind is PageKind.UNIQUE
-        )
-        assert entry.raw is not None
-        entries = list(table.entries)
-        entries[index] = PageEntry(kind=PageKind.UNIQUE, raw=bytes(len(entry.raw)))
-        table.entries = tuple(entries)
+        index = int(np.flatnonzero(table.entries == PageKind.UNIQUE)[0])
+        table.unique[0] = 0
         with pytest.raises(RuntimeError, match=f"first bad page {index} is unique$"):
             agent.restore(table, verify=True)
 
@@ -349,11 +342,32 @@ class TestCrossFunctionDedup:
 class TestPageEntry:
     def test_retained_bytes_by_kind(self, harness, linalg_profile):
         agent, *_ = harness
-        outcome = agent.dedup(make_sandbox(linalg_profile))
-        for entry in outcome.table.entries:
-            if entry.kind is PageKind.ZERO:
-                assert entry.retained_bytes() == 0
-            elif entry.kind is PageKind.UNIQUE:
-                assert entry.retained_bytes() == 4096
-            else:
-                assert 0 < entry.retained_bytes() < 4096 * 0.75
+        table = agent.dedup(make_sandbox(linalg_profile)).table
+        kinds = table.entries
+        # Zero pages keep nothing; a unique page keeps its 4096 bytes; a
+        # patch is kept only under the unique cutoff.
+        assert table.unique.shape == (np.count_nonzero(kinds == PageKind.UNIQUE), 4096)
+        assert table.patched.tolist() == np.flatnonzero(kinds == PageKind.PATCHED).tolist()
+        assert all(0 < patch.size_bytes < 4096 * 0.75 for patch in table.patches)
+        assert table.retained_content_bytes == table.unique.nbytes + sum(
+            patch.size_bytes for patch in table.patches
+        )
+
+    def test_page_columns_hold_no_per_page_objects(self, harness, linalg_profile):
+        """Per page a table keeps array rows, plus one slotted patch
+        holding only its bytes per patched page: nothing the cyclic
+        collector walks page by page."""
+        agent, *_ = harness
+        table = agent.dedup(make_sandbox(linalg_profile)).table
+        columns = (
+            table.entries,
+            table.patched,
+            table.base_checkpoint,
+            table.base_node,
+            table.base_page,
+            table.unique,
+        )
+        assert not any(gc.is_tracked(column) for column in columns)
+        assert len(table.patches) == table.stats.patched_pages > 0
+        for patch in table.patches:
+            assert isinstance(patch.blob, bytes) and not hasattr(patch, "__dict__")

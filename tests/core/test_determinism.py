@@ -70,9 +70,7 @@ class TestDedupDeterminism:
         assert np.array_equal(first.table.page_digests, second.table.page_digests)
         assert first.table.retained_content_bytes == second.table.retained_content_bytes
         assert first.table.stats == second.table.stats
-        assert [e.kind for e in first.table.entries] == [
-            e.kind for e in second.table.entries
-        ]
+        assert np.array_equal(first.table.entries, second.table.entries)
         assert first.timings == second.timings
 
 

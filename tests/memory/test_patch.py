@@ -12,8 +12,6 @@ from repro.memory.patch import (
     _MATCH_FIRST_SLICE,
     _MATCH_SLICE_GROWTH,
     AnchorIndex,
-    CopyOp,
-    InsertOp,
     Patch,
     _back_match_len,
     _match_len,
@@ -22,7 +20,24 @@ from repro.memory.patch import (
     compute_patch,
     compute_patches,
 )
-from tests.oracles.patch_wire import MAGIC, VERSION, deserialize, serialize
+from tests.oracles.patch_wire import (
+    HEADER,
+    INSERT_HDR,
+    MAGIC,
+    TAG_INSERT,
+    VERSION,
+    CopyOp,
+    InsertOp,
+    OpPatch,
+    apply_ops,
+    deserialize,
+    serialize,
+)
+
+
+def encoded(*ops, target_len: int, base_len: int) -> Patch:
+    """The codec's patch of the oracle's ``ops``."""
+    return Patch(serialize(OpPatch(ops=ops, target_len=target_len, base_len=base_len)))
 
 
 def random_bytes(tag: str, n: int) -> bytes:
@@ -151,39 +166,46 @@ class TestSerialization:
         return patch, base
 
     def test_serialize_roundtrip(self):
+        """The codec's bytes are the oracle's encoding of the oracle's decode."""
         patch, base = self._sample_patch()
-        decoded = deserialize(serialize(patch))
-        assert decoded == patch
-        assert apply_patch(decoded, base) == apply_patch(patch, base)
+        decoded = deserialize(patch.blob)
+        assert serialize(decoded) == patch.blob
+        assert decoded.target_len == patch.target_len
+        assert apply_ops(decoded, base) == apply_patch(patch, base)
 
     def test_size_bytes_matches_encoding(self):
         patch, _ = self._sample_patch()
-        assert patch.size_bytes == len(serialize(patch))
+        assert patch.size_bytes == len(serialize(deserialize(patch.blob)))
 
     def test_size_bytes_is_set_at_construction_and_ignored_by_eq(self):
+        """``size_bytes`` is the blob's length, and patches compare by bytes."""
         patch, _ = self._sample_patch()
-        assert vars(patch)["size_bytes"] == len(serialize(patch))
-        rebuilt = Patch(ops=patch.ops, target_len=patch.target_len, base_len=patch.base_len)
-        assert rebuilt == patch and rebuilt.size_bytes == patch.size_bytes
-        assert "size_bytes" not in repr(patch)
-        assert Patch(ops=(), target_len=0, base_len=7).size_bytes == len(
-            serialize(Patch(ops=(), target_len=0, base_len=7))
-        )
+        rebuilt = Patch(bytes(patch.blob))
+        assert rebuilt == patch
+        assert rebuilt.size_bytes == len(patch.blob)
+        assert not hasattr(patch, "__dict__")
+        assert encoded(target_len=0, base_len=7).size_bytes == HEADER.size
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             deserialize(b"garbage-bytes-here")
+        with pytest.raises(ValueError, match="not a valid patch blob"):
+            apply_patch(Patch(b"garbage-bytes-here"), b"")
 
     def test_copied_plus_literal_equals_target(self):
         patch, _ = self._sample_patch()
-        assert patch.copied_bytes + patch.literal_bytes == patch.target_len
+        ops = deserialize(patch.blob).ops
+        copied = sum(op.length for op in ops if isinstance(op, CopyOp))
+        literal = sum(op.length for op in ops if isinstance(op, InsertOp))
+        assert copied + literal == patch.target_len
+        assert patch.copied_bytes == copied
 
 
 class TestDeserializeHardening:
     """Malformed blobs must raise ValueError, never struct.error/IndexError."""
 
     def _multi_op_blob(self) -> bytes:
-        patch = Patch(
+        patch = OpPatch(
             ops=(
                 CopyOp(src_off=0, length=100),
                 InsertOp(data=b"x" * 40),
@@ -197,9 +219,13 @@ class TestDeserializeHardening:
     def test_truncation_at_every_boundary(self):
         blob = self._multi_op_blob()
         assert deserialize(blob).target_len == 200  # sanity
+        base = np.zeros(4096, dtype=np.uint8)
+        apply_patch_into(Patch(blob), base, np.empty(200, dtype=np.uint8))
         for cut in range(len(blob)):
             with pytest.raises(ValueError):
                 deserialize(blob[:cut])
+            with pytest.raises(ValueError):
+                apply_patch_into(Patch(blob[:cut]), base, np.empty(200, dtype=np.uint8))
 
     def test_bad_magic(self):
         blob = bytearray(self._multi_op_blob())
@@ -214,17 +240,13 @@ class TestDeserializeHardening:
             deserialize(bytes(blob))
 
     def test_unknown_op_tag(self):
-        from repro.memory.patch import _HEADER
-
         blob = bytearray(self._multi_op_blob())
-        blob[_HEADER.size] = 0x7F  # first op's tag byte
+        blob[HEADER.size] = 0x7F  # first op's tag byte
         with pytest.raises(ValueError, match="unknown op tag"):
             deserialize(bytes(blob))
 
     def test_inconsistent_target_len(self):
-        from repro.memory.patch import _HEADER
-
-        blob = _HEADER.pack(MAGIC, VERSION, 0, 999, 0, 0)
+        blob = HEADER.pack(MAGIC, VERSION, 0, 999, 0, 0)
         with pytest.raises(ValueError, match="inconsistent patch blob"):
             deserialize(blob)
 
@@ -238,15 +260,18 @@ class TestDeserializeHardening:
 class TestValidation:
     def test_ops_must_produce_target_len(self):
         with pytest.raises(ValueError):
-            Patch(ops=(InsertOp(data=b"abc"),), target_len=5, base_len=0)
+            OpPatch(ops=(InsertOp(data=b"abc"),), target_len=5, base_len=0)
+        short = HEADER.pack(MAGIC, VERSION, 0, 5, 0, 1) + INSERT_HDR.pack(TAG_INSERT, 3) + b"abc"
+        with pytest.raises(ValueError, match="produce 3 bytes"):
+            apply_patch(Patch(short), b"")
 
     def test_apply_rejects_wrong_base_length(self):
-        patch = Patch(ops=(CopyOp(src_off=0, length=4),), target_len=4, base_len=4)
+        patch = encoded(CopyOp(src_off=0, length=4), target_len=4, base_len=4)
         with pytest.raises(ValueError, match="base length"):
             apply_patch(patch, b"too-long-base")
 
     def test_apply_rejects_out_of_bounds_copy(self):
-        patch = Patch(ops=(CopyOp(src_off=2, length=4),), target_len=4, base_len=4)
+        patch = encoded(CopyOp(src_off=2, length=4), target_len=4, base_len=4)
         with pytest.raises(ValueError, match="bounds"):
             apply_patch(patch, b"abcd")
 

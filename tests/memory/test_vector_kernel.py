@@ -55,7 +55,12 @@ from repro.memory.patch import (
     build_anchor_index,
     compute_patches,
 )
-from tests.oracles.patch_scalar import _anchor_ops_scalar, compute_patch_reference
+from tests.oracles.patch_scalar import (
+    _aligned_ops_scalar,
+    _anchor_ops_scalar,
+    compute_patch_reference,
+)
+from tests.oracles.patch_wire import CopyOp, InsertOp, OpPatch, deserialize, serialize
 
 MARKER_BYTE = 0x77
 
@@ -374,7 +379,7 @@ bound_pairs = st.one_of(duplicate_heavy_pairs(sizes=BOUND_SIZES), planted_copy_p
 
 def _scalar_anchor_patch(target: np.ndarray, base: np.ndarray, level: int) -> Patch:
     ops = _anchor_ops_scalar(target, base, level)
-    return Patch(ops=tuple(ops), target_len=len(target), base_len=len(base))
+    return Patch(serialize(OpPatch(ops=tuple(ops), target_len=len(target), base_len=len(base))))
 
 
 def _copy_bound_constants(min_match: int) -> tuple[int, int]:
@@ -596,9 +601,8 @@ class TestRowTriage:
         differing = int(np.count_nonzero(target != base))
         if not differing:
             return
-        aligned = Patch(
-            ops=tuple(patch_module._aligned_ops(target, base)), target_len=n, base_len=n
-        )
+        aligned = patch_module._aligned_patch(target, base)
+        assert deserialize(aligned.blob).ops == tuple(_aligned_ops_scalar(target, base))
         floor = patch_module._HEADER.size + patch_module._INSERT_HDR.size + differing
         assert floor <= aligned.size_bytes
 
@@ -641,7 +645,7 @@ class TestRowTriage:
         assert codec_calls["run_rows"] == 0
         for patch, base in zip(got, bases):
             assert patch == patch_module.compute_patch(base, base)
-            assert patch.ops == (patch_module.CopyOp(src_off=0, length=4096),)
+            assert deserialize(patch.blob).ops == (CopyOp(src_off=0, length=4096),)
 
     @pytest.mark.parametrize("cutoff", [None, 3072])
     def test_blocks_change_no_patch_and_no_provider_order(self, monkeypatch, cutoff):
@@ -675,7 +679,7 @@ class TestRowTriage:
         short = np.arange(8, dtype=np.uint8)
         (got,) = compute_patches([short], [short.copy()])
         assert got == patch_module.compute_patch(short, short)
-        assert isinstance(got.ops[0], patch_module.InsertOp)
+        assert isinstance(deserialize(got.blob).ops[0], InsertOp)
 
 
 #: Where the windows of a residue first probed at position 0 end while
@@ -746,9 +750,8 @@ class TestWindowedProbes:
     @settings(max_examples=60, deadline=None)
     def test_windowed_matcher_matches_the_scalar_scan(self, pair, level):
         target, base = pair
-        assert patch_module._anchor_ops(target, base, level) == _anchor_ops_scalar(
-            target, base, level
-        )
+        got = patch_module._anchor_patch(target, base, level)
+        assert deserialize(got.blob).ops == tuple(_anchor_ops_scalar(target, base, level))
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 8]), st.booleans(), st.data())
     @settings(max_examples=80, deadline=None)
@@ -782,7 +785,7 @@ class TestWindowedProbes:
         base = rng.integers(0, 256, size=n, dtype=np.uint8)
         target = np.roll(base, 16 * 37)
         (patch,) = compute_patches([target], [base], level=level)
-        assert [type(op) for op in patch.ops] == [patch_module.CopyOp] * 2
+        assert [type(op) for op in deserialize(patch.blob).ops] == [CopyOp] * 2
         assert codec_calls["matcher"] == 1
         stride = 8 if level == 1 else 1
         assert 0 < codec_calls["probed"] <= 2 * patch_module._MATCH_FIRST_SLICE // stride

@@ -6,20 +6,23 @@ base fetches straight from the store, patches from the scalar codec
 oracle — written out independently of the agent's ``_DedupOp`` on
 purpose.  It is the ground truth the batched pipeline is property-tested
 against (``tests/core/test_batch_equivalence.py``) and the baseline
-``benchmarks/bench_dedup_throughput.py`` times it against.  Only the
-tail — refcounts, the page table, the timings — is the agent's own.
+``benchmarks/bench_dedup_throughput.py`` times it against.  It decides
+each page's kind and patch itself; only the tail — refcounts, the page
+table's columns built from those decisions, the timings — is the
+agent's own.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from repro.core.agent import (
     UNIQUE_THRESHOLD,
     DedupAgent,
     DedupOutcome,
     DedupStats,
-    PageEntry,
     PageKind,
 )
 from repro.memory.fingerprint import page_fingerprint
@@ -39,7 +42,8 @@ def dedup_reference(agent: DedupAgent, sandbox: Sandbox) -> DedupOutcome:
 
     page_size = image.page_size
     unique_cap = int(UNIQUE_THRESHOLD * page_size)
-    entries: list[PageEntry] = []
+    kinds: list[PageKind] = []
+    patched: list = []
     base_refs: Counter[int] = Counter()
     reads_by_peer: Counter[int] = Counter()
     zero_pages = unique_pages = patched_pages = 0
@@ -49,31 +53,32 @@ def dedup_reference(agent: DedupAgent, sandbox: Sandbox) -> DedupOutcome:
     for index in range(image.num_pages):
         page = image.page(index)
         if not page.any():
-            entries.append(PageEntry(kind=PageKind.ZERO))
+            kinds.append(PageKind.ZERO)
             zero_pages += 1
             saved += page_size
             continue
         fingerprint = page_fingerprint(page, agent.fingerprint_config)
         choice = agent.registry.choose_base_page(fingerprint, agent.node_id, sandbox.domain)
         if choice is None:
-            entries.append(PageEntry(kind=PageKind.UNIQUE, raw=page.tobytes()))
+            kinds.append(PageKind.UNIQUE)
             unique_pages += 1
             continue
         ref, _overlap = choice
         if ref.node_id != agent.node_id and not agent.fabric.peer_available(ref.node_id):
             # The base's node is unreachable: keep the page unique
             # rather than depend on state we cannot read back.
-            entries.append(PageEntry(kind=PageKind.UNIQUE, raw=page.tobytes()))
+            kinds.append(PageKind.UNIQUE)
             unique_pages += 1
             continue
         reads_by_peer[ref.node_id] += 1
         base_page = agent.store.get(ref.checkpoint_id).image.page_bytes(ref.page_index)
         patch = compute_patch_reference(page, base_page, level=agent.patch_level)
         if patch.size_bytes >= unique_cap:
-            entries.append(PageEntry(kind=PageKind.UNIQUE, raw=page.tobytes()))
+            kinds.append(PageKind.UNIQUE)
             unique_pages += 1
             continue
-        entries.append(PageEntry(kind=PageKind.PATCHED, base=ref, patch=patch))
+        kinds.append(PageKind.PATCHED)
+        patched.append((index, ref, patch))
         patched_pages += 1
         saved += page_size - patch.size_bytes
         base_refs[ref.checkpoint_id] += 1
@@ -92,4 +97,6 @@ def dedup_reference(agent: DedupAgent, sandbox: Sandbox) -> DedupOutcome:
         saved_content_bytes=saved,
         image_content_bytes=image.nbytes,
     )
-    return agent._finish_dedup(sandbox, image, entries, stats, base_refs, reads_by_peer)
+    return agent._finish_dedup(
+        sandbox, image, np.array(kinds, dtype=np.uint8), patched, stats, base_refs, reads_by_peer
+    )

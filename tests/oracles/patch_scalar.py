@@ -2,11 +2,12 @@
 
 :func:`_anchor_ops_scalar` is the original page-at-a-time matcher — a
 dict of base windows probed one target window at a time — kept as the
-behavioural oracle for ``repro.memory.patch._anchor_ops`` (the
-vectorised, windowed scan must produce byte-identical ops).
-:func:`compute_patch_reference` is ``compute_patch`` with that matcher
-in place of the vectorised one: same fallback policy, byte-identical
-output, no indexes.  The per-page dedup oracle
+behavioural oracle for ``repro.memory.patch._anchor_patch`` (the
+vectorised, windowed scan must produce byte-identical patches).
+:func:`_aligned_ops_scalar` is the same-offset diff, one equal run at a
+time.  :func:`compute_patch_reference` is ``compute_patch`` built from
+these two and encoded by the wire oracle: same fallback policy,
+byte-identical output, no indexes.  The per-page dedup oracle
 (:mod:`tests.oracles.dedup_scalar`) patches with it, so batch-vs-reference
 comparisons measure the vectorised pipeline against the unoptimised
 original, not against itself.
@@ -20,7 +21,31 @@ from __future__ import annotations
 import numpy as np
 
 from repro.memory import patch as codec
-from repro.memory.patch import CopyOp, InsertOp, Patch
+from repro.memory.patch import Patch
+from tests.oracles.patch_wire import CopyOp, InsertOp, OpPatch, serialize
+
+
+def _aligned_ops_scalar(target: np.ndarray, base: np.ndarray) -> list[CopyOp | InsertOp]:
+    """Reference aligned diff: every equal run of at least ``MIN_COPY_RUN``
+    bytes is a COPY, the bytes between COPYs one INSERT."""
+    target_bytes = target.tobytes()
+    edges = np.diff(np.concatenate(([0], (target == base).astype(np.int8), [0])))
+    starts, ends = np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()
+    ops: list[CopyOp | InsertOp] = []
+    pending = 0
+    for start, end in zip(starts, ends):
+        if end - start >= codec.MIN_COPY_RUN:
+            if start > pending:
+                ops.append(InsertOp(data=target_bytes[pending:start]))
+            ops.append(CopyOp(src_off=start, length=end - start))
+            pending = end
+    if pending < len(target_bytes):
+        ops.append(InsertOp(data=target_bytes[pending:]))
+    return ops
+
+
+def _encode(ops: list[CopyOp | InsertOp], target_len: int, base_len: int) -> Patch:
+    return Patch(serialize(OpPatch(ops=tuple(ops), target_len=target_len, base_len=base_len)))
 
 
 def _anchor_ops_scalar(
@@ -80,15 +105,9 @@ def compute_patch_reference(
     t = codec._as_array(target)
     b = codec._as_array(base)
     if len(t) == len(b):
-        ops = codec._aligned_ops(t, b)
-        patch = Patch(ops=tuple(ops), target_len=len(t), base_len=len(b))
+        patch = _encode(_aligned_ops_scalar(t, b), len(t), len(b))
         if patch.size_bytes <= max(64, int(len(t) * codec.ALIGNED_FALLBACK_RATIO)):
             return patch
-        alt = Patch(
-            ops=tuple(_anchor_ops_scalar(t, b, level)),
-            target_len=len(t),
-            base_len=len(b),
-        )
+        alt = _encode(_anchor_ops_scalar(t, b, level), len(t), len(b))
         return alt if alt.size_bytes < patch.size_bytes else patch
-    ops = _anchor_ops_scalar(t, b, level)
-    return Patch(ops=tuple(ops), target_len=len(t), base_len=len(b))
+    return _encode(_anchor_ops_scalar(t, b, level), len(t), len(b))

@@ -46,6 +46,7 @@ import pathlib
 import sys
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.core.agent import DedupAgent, PageKind
@@ -61,7 +62,6 @@ from repro.workload.azure import AzureTraceGenerator
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
 from tests.conftest import check_every_instant
-from tests.oracles.patch_wire import serialize
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden" / "data_plane_run.json"
 
@@ -121,21 +121,21 @@ def build_scenario() -> tuple[Platform, Trace]:
 def _dedup_line(agent: DedupAgent, outcome) -> list:
     table, timings = outcome.table, outcome.timings
     pages = unique = 0
-    local = remote = 0
-    for index, entry in enumerate(table.entries):
-        base, patch = entry.base, entry.patch
-        if entry.kind is PageKind.PATCHED:
-            assert base is not None and patch is not None
-            ref = (base.checkpoint_id, base.node_id, base.page_index)
-            patch_fields = (patch.size_bytes, zlib.crc32(serialize(patch)))
-            local += base.node_id == agent.node_id
-            remote += base.node_id != agent.node_id
-        else:
-            ref = patch_fields = ()
-        pages = zlib.crc32(repr((index, entry.kind.value, ref, patch_fields)).encode(), pages)
-        if entry.kind is PageKind.UNIQUE:
-            assert entry.raw is not None
-            unique = zlib.crc32(entry.raw, zlib.crc32(index.to_bytes(4, "little"), unique))
+    refs = zip(table.base_checkpoint.tolist(), table.base_node.tolist(), table.base_page.tolist())
+    patched = dict(zip(table.patched.tolist(), zip(refs, table.patches)))
+    local = sum(node_id == agent.node_id for node_id in table.base_node.tolist())
+    remote = len(table.patches) - local
+    for index, code in enumerate(table.entries.tolist()):
+        kind = PageKind(code)
+        ref = patch_fields = ()
+        if kind is PageKind.PATCHED:
+            ref, patch = patched[index]
+            patch_fields = (patch.size_bytes, zlib.crc32(patch.blob))
+        # The kind's old string value keeps the frozen hashes.
+        pages = zlib.crc32(repr((index, kind.name.lower(), ref, patch_fields)).encode(), pages)
+    unique_index = np.flatnonzero(table.entries == PageKind.UNIQUE).tolist()
+    for index, page in zip(unique_index, table.unique):
+        unique = zlib.crc32(page.tobytes(), zlib.crc32(index.to_bytes(4, "little"), unique))
     stats = table.stats
     return [
         stats.zero_pages,
@@ -159,15 +159,14 @@ def _tier_reads(agent: DedupAgent, table) -> list[int]:
     """Patched pages a restore of ``table`` reads from local DRAM, peer
     DRAM, the far-memory pool and SSD, by where each base is now."""
     reads = dict.fromkeys(("local", "peer", StorageTier.REMOTE_DRAM, StorageTier.LOCAL_SSD), 0)
-    for entry in table.entries:
-        if entry.kind is PageKind.PATCHED:
-            checkpoint = agent.store.get(entry.base.checkpoint_id)
-            if checkpoint.tier is not StorageTier.NODE_DRAM:
-                reads[checkpoint.tier] += 1
-            elif checkpoint.node_id == agent.node_id:
-                reads["local"] += 1
-            else:
-                reads["peer"] += 1
+    for checkpoint_id in table.base_checkpoint.tolist():
+        checkpoint = agent.store.get(checkpoint_id)
+        if checkpoint.tier is not StorageTier.NODE_DRAM:
+            reads[checkpoint.tier] += 1
+        elif checkpoint.node_id == agent.node_id:
+            reads["local"] += 1
+        else:
+            reads["peer"] += 1
     return list(reads.values())
 
 

@@ -139,11 +139,9 @@ class TestDefenceInDepth:
         # The victim's base dies; the planted twin is the only replica.
         dead = {base_id}
         skips_before = controller.metrics.cross_domain_replica_skips
-        entry_base = next(
-            entry.base
-            for entry in sandbox.dedup_table.entries
-            if entry.base is not None and entry.base.checkpoint_id == base_id
-        )
+        table = sandbox.dedup_table
+        row = table.base_checkpoint.tolist().index(base_id)
+        entry_base = PageRef(base_id, int(table.base_node[row]), int(table.base_page[row]))
         assert (
             controller._replica_for(entry_base, dead, sandbox.node_id, sandbox.domain)
             is None

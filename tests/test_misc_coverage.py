@@ -10,10 +10,10 @@ import pytest
 
 from repro._util import rng_for
 from repro.controller.baselines import HISTOGRAM_MAX_MS, AdaptiveKeepAlivePolicy
-from repro.memory.patch import compute_patch
+from repro.memory.patch import Patch, apply_patch, compute_patch
 from repro.platform.metrics import RunMetrics, StartType
 from repro.sim.engine import Simulator
-from tests.oracles.patch_wire import deserialize, serialize
+from tests.oracles.patch_wire import deserialize
 
 
 class TestSimulatorTimers:
@@ -42,14 +42,18 @@ class TestPatchEdges:
     def test_deserialize_unknown_tag(self):
         base = rng_for("misc-patch").integers(0, 256, 256, dtype=np.uint8).tobytes()
         patch = compute_patch(base, base)
-        blob = bytearray(serialize(patch))
+        blob = bytearray(patch.blob)
         blob[16] = 0x7F  # corrupt the first op tag
         with pytest.raises(ValueError, match="tag"):
             deserialize(bytes(blob))
+        with pytest.raises(ValueError, match="tag"):
+            apply_patch(Patch(bytes(blob)), base)
 
     def test_truncated_blob_rejected(self):
         with pytest.raises(Exception):
             deserialize(b"MP")
+        with pytest.raises(ValueError):
+            apply_patch(Patch(b"MP"), b"")
 
 
 class TestAdaptiveHistogramEdges:
