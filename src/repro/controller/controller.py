@@ -219,7 +219,8 @@ class ClusterController:
         Images are only materialized when content actually matters — a
         dedup op or base demarcation — which keeps long runs cheap.  An
         op releases the image once it has read it; if the op is aborted,
-        this re-synthesizes it byte for byte.
+        this re-synthesizes it byte for byte.  The same bytes replace a
+        forked sandbox's kept delta, so it never holds both.
         """
         if sandbox.image is None:
             sandbox.image = sandbox.profile.synthesize(
@@ -227,6 +228,7 @@ class ClusterController:
                 content_scale=self.config.content_scale,
                 executed=True,
             )
+            sandbox.kept_delta = None
 
     def prime_exec_times(self, request_ids: Iterable[int], functions: Sequence[str]) -> None:
         """Draw the execution times of upcoming requests as one column
@@ -471,7 +473,7 @@ class ClusterController:
                     restore_ms=timings.restore_ms,
                     promoted_bytes=outcome.promoted_bytes,
                     patched_pages=table.patched_pages,
-                    unique_pages=len(table.unique_pages),
+                    unique_pages=table.unique_index.size,
                     zero_pages=len(table.zero_pages),
                     retry_ms=timings.retry_ms,
                     retries=timings.retries,
@@ -509,7 +511,12 @@ class ClusterController:
         record.startup_ms = startup_ms
 
         def finish() -> None:
-            sandbox.image = outcome.image
+            # A forked sandbox keeps its delta, not the rebuilt image:
+            # the delta is what its next template park would encode.
+            if fork:
+                sandbox.kept_delta = table
+            else:
+                sandbox.image = outcome.image
             cow = table.cow_shareable_full_bytes if fork else 0
             if cow > 0:
                 # The fork maps clean template pages copy-on-write from
@@ -794,7 +801,8 @@ class ClusterController:
         assert self.templates is not None
         if self._has_other_copy(sandbox):
             return False
-        self._ensure_image(sandbox)
+        if sandbox.kept_delta is None:
+            self._ensure_image(sandbox)
         agent = self.agents[sandbox.node_id]
         try:
             outcome = agent.templatize(sandbox)
@@ -1262,16 +1270,17 @@ class ClusterController:
         way no state was created (the agent's op is all-or-nothing), the
         sandbox is untouched, and the caller falls back to the dedup
         rung of the ladder.  On success the delta holds all the sandbox
-        keeps, and the image is released at once.
+        keeps, and the image (or kept delta) is released at once.
         """
-        self._ensure_image(sandbox)
+        if sandbox.kept_delta is None:
+            self._ensure_image(sandbox)
         agent = self.agents[sandbox.node_id]
         try:
             outcome = agent.templatize(sandbox)
         except (TemplatePoolFull, RetryExhausted):
             self.metrics.template_pool_rejections += 1
             return False
-        sandbox.image = None
+        sandbox.image = sandbox.kept_delta = None
         self._timers_for(sandbox).cancel_all()
         sandbox.transition(SandboxState.DEDUPING, self.sim.now)
         started = self.sim.now
@@ -1289,7 +1298,7 @@ class ClusterController:
         """Land a finished templatize op: attach the delta, park the
         sandbox, record the op, and arm the keep-dedup expiry."""
         sandbox.dedup_table = outcome.table
-        sandbox.image = None
+        sandbox.image = sandbox.kept_delta = None
         sandbox.dedup_count += 1
         self._end_template_sharing(sandbox)
         sandbox.transition(SandboxState.DEDUP, self.sim.now)
@@ -1619,7 +1628,7 @@ class ClusterController:
         self._end_template_sharing(sandbox)
         sandbox.transition(SandboxState.PURGED, self.sim.now)
         sandbox.dedup_table = None
-        sandbox.image = None
+        sandbox.image = sandbox.kept_delta = None
         self.nodes[sandbox.node_id].remove(sandbox.sandbox_id)
         self._function_sandboxes(sandbox.function).pop(sandbox.sandbox_id, None)
         if sandbox.is_base and sandbox.base_checkpoint_id is not None:

@@ -792,7 +792,9 @@ class DedupAgent:
         charged write, all-or-nothing), factors the image into segment
         patches plus private pages, and acquires a catalog reference per
         segment.  No registry traffic, no fingerprinting, no base-page
-        fetches: the segments *are* the bases.
+        fetches: the segments *are* the bases.  A forked sandbox's kept
+        delta is reused as is: its content, the eligible regions and
+        the segments' bytes are all fixed, so factoring would rebuild it.
 
         Raises :class:`repro.templates.catalog.TemplatePoolFull` (pool
         cannot fit the new segments) or :class:`RetryExhausted` (pool
@@ -802,27 +804,28 @@ class DedupAgent:
         catalog = self.templates
         if catalog is None:
             raise RuntimeError("agent has no template catalog")
-        image = sandbox.image
-        if image is None:
+        image, table = sandbox.image, sandbox.kept_delta
+        if image is None and table is None:
             raise RuntimeError(
                 f"sandbox {sandbox.sandbox_id} has no image to templatize"
             )
         retry_ms, retries = self._retry_plan("template-publish")
 
         segments, created, publish_ms = catalog.ensure_segments(
-            image.regions, sandbox.domain
+            (image if table is None else table).regions, sandbox.domain
         )
-        table = build_delta_table(
-            image,
-            {segment.key: segment for segment in segments},
-            content_scale=self.content_scale,
-            full_size_bytes=sandbox.profile.memory_bytes,
-            level=self.patch_level,
-            domain=sandbox.domain,
-        )
+        if table is None:
+            table = build_delta_table(
+                image,
+                {segment.key: segment for segment in segments},
+                content_scale=self.content_scale,
+                full_size_bytes=sandbox.profile.memory_bytes,
+                level=self.patch_level,
+                domain=sandbox.domain,
+            )
         catalog.acquire(table.segment_keys)
 
-        full_pages, scale_up = self._full_scale(image.num_pages)
+        full_pages, scale_up = self._full_scale(table.num_pages)
         duration_ms = (
             self.costs.checkpoint_ms(full_pages)
             + self.costs.patch_compute_ms(

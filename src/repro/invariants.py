@@ -64,6 +64,7 @@ def _problems(platform: Platform) -> Iterator[str]:
     tables = [(s, s.dedup_table) for s in residents.values() if s.dedup_table is not None]
     tables += [(residents[i], t) for i, t in platform.controller.inflight_tables().items()]
     checkpoints = {checkpoint.checkpoint_id: checkpoint for checkpoint in store}
+    kept: list = []  # (sandbox, its kept delta), for the table domain check
 
     if log.arrived != len(log.inflight) + len(log.rows):
         yield f"request log: {log.arrived} arrived != {len(log.inflight)} + {len(log.rows)} done"
@@ -77,6 +78,11 @@ def _problems(platform: Platform) -> Iterator[str]:
             parked = s.state in (SandboxState.DEDUPING, SandboxState.DEDUP, SandboxState.RESTORING)
             if parked and s.image is not None:
                 yield f"parked image: sandbox {s.sandbox_id} in {s.state.value} holds its image"
+            if s.kept_delta is not None:
+                kept.append((s, s.kept_delta))
+                if parked or s.image is not None:
+                    also = " and its image" if s.image is not None else ""
+                    yield f"kept delta: sandbox {s.sandbox_id} in {s.state.value} keeps it{also}"
         if node.reclaimable_bytes() != node.recomputed_reclaimable_bytes():
             yield f"reclaimable bytes: node {node.node_id}: {node.reclaimable_bytes()} != recount"
         replicas = catalog.replica_bytes(node.node_id) if catalog is not None else 0
@@ -84,7 +90,7 @@ def _problems(platform: Platform) -> Iterator[str]:
             yield f"node template charges: node {node.node_id}: the catalog places {replicas}"
 
     held: Counter[int] = Counter()
-    for sandbox, table in tables:
+    for sandbox, table in tables + kept:
         if isinstance(table, TemplateDeltaTable):
             domains = {key[0] for key in table.segment_keys}
         else:

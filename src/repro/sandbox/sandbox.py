@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
 from repro.memory.image import MemoryImage
 from repro.sandbox.state import SandboxState, check_transition
 from repro.storage.tiers import StorageTier
 from repro.workload.functionbench import FunctionProfile
+
+if TYPE_CHECKING:
+    from repro.templates.delta import TemplateDeltaTable
 
 #: Signature of a transition observer: (sandbox, old_state, new_state).
 TransitionObserver = Callable[["Sandbox", SandboxState, SandboxState], None]
@@ -35,7 +38,9 @@ class Sandbox:
 
     The sandbox owns its memory image while warm and its dedup page
     table while deduplicated; a dedup op drops the image when it starts,
-    and only a landing restore holds both, for one event.
+    and only a landing restore holds both, for one event.  A warm
+    sandbox forked from a template delta keeps that delta instead of
+    the rebuilt image, and holds at most one of the two.
     """
 
     profile: FunctionProfile
@@ -48,6 +53,11 @@ class Sandbox:
     run; 0 means not placed by a platform."""
     image: MemoryImage | None = None
     dedup_table: RetainedState | None = None
+    kept_delta: TemplateDeltaTable | None = None
+    """The template delta a fork rebuilt this warm sandbox from: its
+    content without the bytes, which its next template park reuses.  It
+    holds no catalog references; whatever needs bytes re-synthesizes the
+    image and drops it."""
     last_used_at: float = 0.0
     last_idle_at: float = 0.0
     busy_request_id: int | None = None

@@ -61,17 +61,17 @@ class TemplateDeltaTable:
     """The original image's :meth:`MemoryImage.page_digests` column."""
     regions: tuple[PlacedRegion, ...]
     shared: tuple[SharedSpan, ...]
-    unique_pages: dict[int, bytes]
-    """Literal content of private non-zero pages, by page index."""
-    zero_pages: tuple[int, ...]
+    unique_index: np.ndarray
+    """Page indices (int64, ascending) of the private non-zero pages."""
+    unique: np.ndarray
+    """Their literal content: one read-only ``page_size`` row each."""
+    zero_pages: np.ndarray
     """Indices of all-zero pages outside the shared spans (implicit)."""
 
     @cached_property
     def retained_content_bytes(self) -> int:
         """Scaled bytes this table keeps resident while parked."""
-        return sum(span.patch.size_bytes for span in self.shared) + sum(
-            len(data) for data in self.unique_pages.values()
-        )
+        return sum(span.patch.size_bytes for span in self.shared) + self.unique.nbytes
 
     @property
     def retained_full_bytes(self) -> int:
@@ -118,7 +118,7 @@ class TemplateDeltaTable:
         for span in self.shared:
             if span.offset <= offset < span.offset + span.size:
                 return f"page {index} is in a shared span of segment {span.segment_key}"
-        if index in self.unique_pages:
+        if index in self.unique_index:
             return f"page {index} is literal"
         return f"page {index} is zero"
 
@@ -172,11 +172,9 @@ def build_delta_table(
         covered[start : start + span.size // image.page_size] = True
     pages = image.data.reshape(image.num_pages, image.page_size)
     nonzero = pages.any(axis=1)
-    unique_pages = {
-        int(index): pages[index].tobytes()
-        for index in np.flatnonzero(~covered & nonzero)
-    }
-    zero_pages = tuple(int(index) for index in np.flatnonzero(~covered & ~nonzero))
+    unique_index = np.flatnonzero(~covered & nonzero).astype(np.int64, copy=False)
+    unique = pages[unique_index]
+    unique.flags.writeable = False
 
     return TemplateDeltaTable(
         function=image.function,
@@ -190,8 +188,9 @@ def build_delta_table(
         page_digests=image.page_digests(),
         regions=image.regions,
         shared=shared,
-        unique_pages=unique_pages,
-        zero_pages=zero_pages,
+        unique_index=unique_index,
+        unique=unique,
+        zero_pages=np.flatnonzero(~covered & ~nonzero),
     )
 
 
@@ -209,9 +208,7 @@ def reconstruct_image(
             segment_content[span.segment_key],
             buffer[span.offset : span.offset + span.size],
         )
-    for index, data in table.unique_pages.items():
-        start = index * table.page_size
-        buffer[start : start + table.page_size] = np.frombuffer(data, dtype=np.uint8)
+    buffer.reshape(table.num_pages, table.page_size)[table.unique_index] = table.unique
     image = MemoryImage(
         function=table.function,
         instance_seed=table.instance_seed,

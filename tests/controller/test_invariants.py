@@ -29,6 +29,7 @@ from repro.platform.platform import PlatformKind, build_platform
 from repro.sandbox.node import AccountingError, Node
 from repro.sandbox.state import SandboxState
 from repro.templates.catalog import TemplateConfig
+from repro.templates.delta import TemplateDeltaTable
 from repro.tenancy.domains import DedupDomainMode, TenantConfig
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
@@ -250,6 +251,12 @@ def _attach_image(platform, mp):
     mp.setattr(parked, "image", next(s.image for s in residents if s.image is not None))
 
 
+def _keep_delta_while_parked(platform, mp):
+    residents = [s for node in platform.nodes for s in node.sandboxes.values()]
+    parked = next(s for s in residents if isinstance(s.dedup_table, TemplateDeltaTable))
+    mp.setattr(parked, "kept_delta", parked.dedup_table)
+
+
 def _drop_idle_warm(platform, mp):
     bucket = next(b for b in platform.controller._index.idle_warm.values() if b)
     mp.delitem(bucket, next(iter(bucket)))
@@ -279,6 +286,7 @@ CORRUPTIONS = {
     "reclaimable bytes": lambda p, mp: _bump(mp, p.nodes[0], "_reclaimable"),
     "evictable": _misdefine_evictable,
     "parked image": _attach_image,
+    "kept delta": _keep_delta_while_parked,
     "checkpoint refcount": lambda p, mp: _bump(mp, next(iter(p.store)), "refcount"),
     "segment refcount": lambda p, mp: _bump(mp, _segment(p), "refcount"),
     "template sharers": lambda p, mp: mp.setitem(_segment(p).sharers, 99, 1),

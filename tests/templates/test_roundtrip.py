@@ -121,7 +121,7 @@ class TestDeltaRoundTrip:
         assert table.retained_content_bytes < image.nbytes
         assert 0.0 < table.savings_fraction < 1.0
         # Page partition is exact: shared spans + uniques + zeros.
-        covered = table.patched_pages + len(table.unique_pages) + len(table.zero_pages)
+        covered = table.patched_pages + len(table.unique_index) + len(table.zero_pages)
         assert covered == image.num_pages
 
     def test_delta_table_runs_the_matcher_without_a_cutoff(self, linalg_profile, codec_calls):
@@ -198,8 +198,10 @@ class TestForkVerifyNamesThePage:
 
     def test_literal_page(self, parked):
         table, segments = parked
-        index, data = next(iter(table.unique_pages.items()))
-        table.unique_pages[index] = data[:-1] + bytes([data[-1] ^ 1])
+        index = int(table.unique_index[0])
+        unique = table.unique.copy()
+        unique[0, -1] ^= 1
+        table.unique = unique
         with pytest.raises(RuntimeError) as failure:
             reconstruct_image(table, segments, verify=True)
         assert str(failure.value).endswith(
