@@ -263,19 +263,13 @@ class ClusterController:
 
     def build_view(self) -> ClusterView:
         live, dedup = self.live_counts()
-        now = self.sim.now
-        rates = {fn: st.mean_rate(now) for fn, st in self.stats.items()}
-        total_rate = sum(rates.values())
-        shares = (
-            {fn: rate / total_rate for fn, rate in rates.items()} if total_rate > 0 else {}
-        )
         return ClusterView(
-            now=now,
+            now=self.sim.now,
             live_counts=live,
             dedup_counts=dedup,
             used_bytes=self.used_bytes(),
             capacity_bytes=self.config.cluster_capacity_bytes,
-            rate_shares=shares,
+            function_stats=self.stats,
             registry_available=self._faults.health.registry_available(),
             templates_available=self.templates is not None,
         )
@@ -516,7 +510,7 @@ class ClusterController:
             if fork:
                 sandbox.kept_delta = table
             else:
-                sandbox.image = outcome.image
+                sandbox.image, sandbox.kept_choices = outcome.image, table.memo
             cow = table.cow_shareable_full_bytes if fork else 0
             if cow > 0:
                 # The fork maps clean template pages copy-on-write from
@@ -1226,7 +1220,7 @@ class ClusterController:
             sandbox.transition(SandboxState.WARM, self.sim.now)
             self._make_base(sandbox)
             return True
-        sandbox.image = None
+        sandbox.image = sandbox.kept_choices = None
         started = self.sim.now
 
         def finish_dedup() -> None:
@@ -1280,7 +1274,7 @@ class ClusterController:
         except (TemplatePoolFull, RetryExhausted):
             self.metrics.template_pool_rejections += 1
             return False
-        sandbox.image = sandbox.kept_delta = None
+        sandbox.image = sandbox.kept_delta = sandbox.kept_choices = None
         self._timers_for(sandbox).cancel_all()
         sandbox.transition(SandboxState.DEDUPING, self.sim.now)
         started = self.sim.now
@@ -1298,7 +1292,7 @@ class ClusterController:
         """Land a finished templatize op: attach the delta, park the
         sandbox, record the op, and arm the keep-dedup expiry."""
         sandbox.dedup_table = outcome.table
-        sandbox.image = sandbox.kept_delta = None
+        sandbox.image = sandbox.kept_delta = sandbox.kept_choices = None
         sandbox.dedup_count += 1
         self._end_template_sharing(sandbox)
         sandbox.transition(SandboxState.DEDUP, self.sim.now)
@@ -1628,7 +1622,7 @@ class ClusterController:
         self._end_template_sharing(sandbox)
         sandbox.transition(SandboxState.PURGED, self.sim.now)
         sandbox.dedup_table = None
-        sandbox.image = sandbox.kept_delta = None
+        sandbox.image = sandbox.kept_delta = sandbox.kept_choices = None
         self.nodes[sandbox.node_id].remove(sandbox.sandbox_id)
         self._function_sandboxes(sandbox.function).pop(sandbox.sandbox_id, None)
         if sandbox.is_base and sandbox.base_checkpoint_id is not None:

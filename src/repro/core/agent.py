@@ -52,6 +52,7 @@ from repro.core.registry import FingerprintRegistry, PageRef
 from repro.faults.health import RegistryUnavailable
 from repro.faults.retry import RetryExhausted, TransientFaults
 from repro.memory.fingerprint import (
+    FingerprintBatch,
     FingerprintConfig,
     PageFingerprint,
     batch_page_fingerprints,
@@ -113,6 +114,37 @@ class DedupStats:
         return self.saved_content_bytes / self.image_content_bytes
 
 
+@dataclass(frozen=True, eq=False)
+class DedupMemo:
+    """What a dedup op decided, kept for its sandbox's next op (DESIGN.md §7).
+
+    An executed image is a pure function of (function, instance seed),
+    so a restored sandbox's next op reads the same bytes.  It reuses
+    ``digests`` and ``counts`` (the nonzero pages' fingerprints, all the
+    registry reads) and still asks the registry; a page whose fresh
+    base equals its row of ``pairs`` at the same ``level`` takes that
+    row's outcome.  A pair's outcome depends only on the two pages'
+    bytes, the level and the cutoff, and a checkpoint id is never
+    reused, so the reuse is exact.
+    """
+
+    level: int
+    digests: np.ndarray
+    counts: np.ndarray
+    pairs: np.ndarray
+    """``(page, checkpoint, base page)`` of each page that got a base, by page."""
+    outcomes: tuple[Patch | None, ...]
+    """Each pair's kept patch (shared with the table), or ``None`` if discarded."""
+
+    def rows(self, pairs: np.ndarray, level: int) -> list[int]:
+        """Each of ``pairs``' row here, or -1 where this memo did not
+        decide that pair at ``level``."""
+        if level != self.level or not len(self.pairs):
+            return [-1] * len(pairs)
+        rows = np.searchsorted(self.pairs[:, 0], pairs[:, 0]).clip(max=len(self.pairs) - 1)
+        return np.where((self.pairs[rows] == pairs).all(axis=1), rows, -1).tolist()
+
+
 @dataclass(eq=False)
 class DedupPageTable:
     """The resident representation of a deduplicated sandbox, as columns.
@@ -146,6 +178,8 @@ class DedupPageTable:
     stats: DedupStats
     base_refs: Counter[int] = field(default_factory=Counter)
     """checkpoint_id -> number of page references (refcount holdings)."""
+    memo: DedupMemo | None = None
+    """The op's memo, handed to the sandbox when a restore lands."""
 
     @cached_property
     def retained_content_bytes(self) -> int:
@@ -342,8 +376,9 @@ class _DedupOp:
     :meth:`DedupAgent.dedup` runs its steps with the whole image as one
     batch: construction classifies the zero pages, :meth:`choose` picks
     bases for the fingerprinted pages, :meth:`base_page` reads each
-    chosen one and :meth:`accept` records the patches; the agent turns
-    the finished accounts into the table and its timings.
+    chosen one the sandbox's memo has no outcome for and :meth:`accept`
+    records the patches; the agent turns the finished accounts into the
+    table, its memo and its timings.
     """
 
     def __init__(self, agent: "DedupAgent", sandbox: Sandbox):
@@ -368,7 +403,7 @@ class _DedupOp:
         self.base_refs: Counter[int] = Counter()
         self.reads_by_peer: Counter[int] = Counter()
         self.checkpoints: dict[int, BaseCheckpoint] = {}
-        """Base checkpoints read so far, resolved once each."""
+        """Base checkpoints chosen so far, resolved once each."""
 
     def choose(
         self, pages: list[int], fingerprints: Sequence[PageFingerprint]
@@ -390,27 +425,26 @@ class _DedupOp:
                 # rather than depend on state we cannot read back.
                 continue
             self.reads_by_peer[ref.node_id] += 1
+            if ref.checkpoint_id not in self.checkpoints:
+                self.checkpoints[ref.checkpoint_id] = agent.store.get(ref.checkpoint_id)
             chosen.append((index, ref))
         return chosen
 
     def base_page(self, ref: PageRef) -> np.ndarray:
         """Read-only view of a chosen base page, through the store's cache."""
-        checkpoint_id = ref.checkpoint_id
-        if checkpoint_id not in self.checkpoints:
-            self.checkpoints[checkpoint_id] = self.agent.store.get(checkpoint_id)
-        return self.agent.base_page_bytes(
-            self.checkpoints[checkpoint_id], ref.page_index
-        )
+        return self.agent.base_page_bytes(self.checkpoints[ref.checkpoint_id], ref.page_index)
 
     def accept(
-        self, chosen: list[tuple[int, PageRef]], patches: Sequence[Patch | None]
+        self, chosen: list[tuple[int, PageRef]], patches: list[Patch | None]
     ) -> None:
         """Record a batch's patches (aligned with ``chosen``, in page
-        order, whose base pages were all read): ``None`` or a patch at or
-        over the cutoff leaves the page unique."""
+        order): ``None`` or a patch at or over the cutoff leaves the page
+        unique and becomes ``None`` in ``patches``, which then holds each
+        pair's outcome."""
         page_size = self.image.page_size
-        for (index, ref), patch in zip(chosen, patches):
+        for j, ((index, ref), patch) in enumerate(zip(chosen, patches)):
             if patch is None or patch.size_bytes >= self.unique_cap:
+                patches[j] = None
                 continue
             self.kinds[index] = PageKind.PATCHED
             self.patched.append((index, ref, patch))
@@ -542,7 +576,7 @@ class DedupAgent:
         the corresponding lifecycle transitions.
         """
         op = _DedupOp(self, sandbox)
-        self._classify(op)
+        memo = self._classify(op)
         return self._finish_dedup(
             sandbox,
             op.image,
@@ -551,38 +585,54 @@ class DedupAgent:
             op.stats(),
             op.base_refs,
             op.reads_by_peer,
+            memo,
         )
 
-    def _classify(self, op: _DedupOp) -> None:
+    def _classify(self, op: _DedupOp) -> DedupMemo:
         """Classify every page of ``op`` as one batch — one marker scan
-        fingerprints every nonzero page, one registry round-trip
-        picks every base page, base-page fetches are grouped by
-        checkpoint through the LRU cache, and one ``compute_patches``
-        call patches every chosen page."""
+        fingerprints every nonzero page (a restored sandbox reuses its
+        memo's), one registry round-trip picks every base page, a pair
+        the memo decided at this level takes its outcome, the other
+        pairs' base pages are read grouped by checkpoint through the
+        LRU cache, and one ``compute_patches`` call patches them.
+        Returns the op's memo."""
         page_size = op.image.page_size
         data = op.image.data
-        fingerprints = batch_page_fingerprints(
-            data, page_size, self.fingerprint_config, pages=op.pages
-        )
+        memo = op.sandbox.kept_choices
+        if memo is None:
+            fingerprints = batch_page_fingerprints(
+                data, page_size, self.fingerprint_config, pages=op.pages
+            )
+        else:
+            fingerprints = FingerprintBatch(memo.digests, None, memo.counts)
         chosen = op.choose(op.pages.tolist(), fingerprints)
+        pairs = np.array(  # (page, checkpoint, base page) rows, built by column
+            [
+                [index for index, _ in chosen],
+                [ref.checkpoint_id for _, ref in chosen],
+                [ref.page_index for _, ref in chosen],
+            ],
+            dtype=np.int32,
+        ).T
+        rows = [-1] * len(chosen) if memo is None else memo.rows(pairs, self.patch_level)
+        outcomes = [None if row < 0 else memo.outcomes[row] for row in rows]
+        todo = [j for j, row in enumerate(rows) if row < 0]
+        redo = [chosen[j] for j in todo]
 
         # Fetch grouped by checkpoint (the order the LRU cache sees).
-        bases: list[np.ndarray] = [None] * len(chosen)  # type: ignore[list-item]
-        checkpoints = np.array([ref.checkpoint_id for _, ref in chosen], dtype=np.int64)
-        for j in checkpoint_order(checkpoints).tolist():
-            bases[j] = op.base_page(chosen[j][1])
+        bases: list[np.ndarray] = [None] * len(redo)  # type: ignore[list-item]
+        for j in checkpoint_order(pairs[todo, 1]).tolist():
+            bases[j] = op.base_page(redo[j][1])
 
         # The aligned diff runs as a single 2-D numpy operation over the
         # whole batch, and pages falling back to anchor matching reuse
         # cached base-page anchor indexes (made only when a fallback
         # needs one; an entry shares the page's read-only view with
         # ``base_page_cache`` and builds each of its halves on first use).
-        targets = [
-            data[index * page_size : (index + 1) * page_size] for index, _ in chosen
-        ]
+        targets = [data[index * page_size : (index + 1) * page_size] for index, _ in redo]
 
         def anchor_index_for(j: int) -> AnchorIndex:
-            ref = chosen[j][1]
+            ref = redo[j][1]
             return cached_anchor_index(
                 self.anchor_index_cache,
                 (ref.checkpoint_id, ref.page_index),
@@ -597,7 +647,12 @@ class DedupAgent:
             index_provider=anchor_index_for,
             max_size=op.unique_cap,
         )
-        op.accept(chosen, patches)
+        for j, patch in zip(todo, patches):
+            outcomes[j] = patch
+        op.accept(chosen, outcomes)
+        return DedupMemo(
+            self.patch_level, fingerprints.digests, fingerprints.counts, pairs, tuple(outcomes)
+        )
 
     def _finish_dedup(
         self,
@@ -608,11 +663,13 @@ class DedupAgent:
         stats: DedupStats,
         base_refs: Counter[int],
         reads_by_peer: Counter[int],
+        memo: DedupMemo | None = None,
     ) -> DedupOutcome:
         """Tail of the dedup op (and of its test oracle): refcounts, table, timings.
 
         ``kinds`` holds each page's :class:`PageKind` code and ``patched``
-        the patched pages' ``(page, base, patch)`` in page order.
+        the patched pages' ``(page, base, patch)`` in page order; the
+        table carries ``memo``.
         """
         try:
             retry_ms, retries = self._retry_plan("registry-lookup")
@@ -646,6 +703,7 @@ class DedupAgent:
             full_size_bytes=sandbox.profile.memory_bytes,
             stats=stats,
             base_refs=base_refs,
+            memo=memo,
         )
 
         full_pages, scale_up = self._full_scale(image.num_pages)

@@ -19,6 +19,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol
 
+import numpy as np
+
 from repro.core.optimizer import FunctionModel, Objective, solve
 from repro.workload.functionbench import FunctionProfile
 
@@ -79,18 +81,14 @@ class FunctionStats:
         return len(self.arrivals) / RATE_WINDOW_MS
 
     def peak_rate(self, now: float) -> float:
-        """lambda_max: the busiest sub-window's rate (req/ms)."""
+        """lambda_max: the busiest sub-window's rate (req/ms) — the most
+        arrivals, up to and including one, at most a sub-window before it."""
         self._trim(now)
         if not self.arrivals:
             return 0.0
-        best = 0
-        window: deque = deque()
-        for t in self.arrivals:
-            window.append(t)
-            while window and window[0] < t - RATE_SUBWINDOW_MS:
-                window.popleft()
-            best = max(best, len(window))
-        return best / RATE_SUBWINDOW_MS
+        times = np.fromiter(self.arrivals, float, len(self.arrivals))
+        first = np.searchsorted(times, times - RATE_SUBWINDOW_MS)
+        return int((np.arange(1, len(times) + 1) - first).max()) / RATE_SUBWINDOW_MS
 
     def record_dedup_start(self, duration_ms: float) -> None:
         self.dedup_start_ms += EWMA_ALPHA * (duration_ms - self.dedup_start_ms)
@@ -124,8 +122,8 @@ class ClusterView:
     """Per function: sandboxes currently in (or entering) dedup state."""
     used_bytes: int
     capacity_bytes: int
-    rate_shares: dict[str, float]
-    """Per function share of total arrival rate (for budget splitting)."""
+    function_stats: Mapping[str, FunctionStats]
+    """Per function arrival estimators, read by :meth:`rate_share`."""
     registry_available: bool = True
     """False while a fingerprint-registry shard is down: the fleet
     degrades to warm/cold-only and no new dedup ops are admitted
@@ -140,6 +138,13 @@ class ClusterView:
         if self.capacity_bytes == 0:
             return 0.0
         return max(0.0, 1.0 - self.used_bytes / self.capacity_bytes)
+
+    def rate_share(self, function: str) -> float:
+        """``function``'s share of the total mean arrival rate (for
+        budget splitting; 0.0 while nothing arrived in the window)."""
+        rates = {fn: stats.mean_rate(self.now) for fn, stats in self.function_stats.items()}
+        total_rate = sum(rates.values())
+        return rates.get(function, 0.0) / total_rate if total_rate > 0 else 0.0
 
 
 class LifecyclePolicy(Protocol):
@@ -244,7 +249,7 @@ class MedesPolicy:
         total = self.config.memory_budget_bytes
         if total is None:
             return None
-        share = view.rate_shares.get(function, 0.0)
+        share = view.rate_share(function)
         if share <= 0.0:
             # Inactive functions get a minimal slice: one warm sandbox.
             return float(self.stats[function].profile.memory_bytes)

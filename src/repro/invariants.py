@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator
 
+from repro.core.agent import DedupPageTable
 from repro.sandbox.node import AccountingError, Node
 from repro.sandbox.state import SandboxState
 from repro.storage.store import TieredCheckpointStore
@@ -65,6 +66,11 @@ def _problems(platform: Platform) -> Iterator[str]:
     tables += [(residents[i], t) for i, t in platform.controller.inflight_tables().items()]
     checkpoints = {checkpoint.checkpoint_id: checkpoint for checkpoint in store}
     kept: list = []  # (sandbox, its kept delta), for the table domain check
+    memos = [  # (sandbox, a memo of its, its page count), for the kept choices check
+        (s, t.memo, len(t.entries))
+        for s, t in tables
+        if isinstance(t, DedupPageTable) and t.memo is not None
+    ]
 
     if log.arrived != len(log.inflight) + len(log.rows):
         yield f"request log: {log.arrived} arrived != {len(log.inflight)} + {len(log.rows)} done"
@@ -83,11 +89,23 @@ def _problems(platform: Platform) -> Iterator[str]:
                 if parked or s.image is not None:
                     also = " and its image" if s.image is not None else ""
                     yield f"kept delta: sandbox {s.sandbox_id} in {s.state.value} keeps it{also}"
+            if s.kept_choices is not None:
+                pages = s.image.num_pages if s.image is not None else 0
+                memos.append((s, s.kept_choices, pages))
+                if s.state in (SandboxState.DEDUP, SandboxState.RESTORING):
+                    yield f"kept choices: sandbox {s.sandbox_id} in {s.state.value} keeps them"
         if node.reclaimable_bytes() != node.recomputed_reclaimable_bytes():
             yield f"reclaimable bytes: node {node.node_id}: {node.reclaimable_bytes()} != recount"
         replicas = catalog.replica_bytes(node.node_id) if catalog is not None else 0
         if node.template_replica_bytes() != replicas:
             yield f"node template charges: node {node.node_id}: the catalog places {replicas}"
+
+    for sandbox, memo, pages in memos:
+        level, memo_pages = platform.agents[sandbox.node_id].patch_level, memo.pairs[:, 0]
+        if memo.level != level:
+            yield f"kept choices: sandbox {sandbox.sandbox_id}: memo level {memo.level} != {level}"
+        if memo_pages.size and not 0 <= memo_pages.min() <= memo_pages.max() < pages:
+            yield f"kept choices: sandbox {sandbox.sandbox_id}: memo pages outside its {pages}"
 
     held: Counter[int] = Counter()
     for sandbox, table in tables + kept:

@@ -338,13 +338,18 @@ class FingerprintBatch(Sequence):
     so a dedup op never builds per-page objects; everything else can
     treat the batch as a read-only sequence of :class:`PageFingerprint`
     — ``len``, indexing, iteration and ``==`` against any sequence of
-    them — which materialises the pages it touches.
+    them — which materialises the pages it touches.  A batch kept for
+    the registry alone (a dedup memo's) has ``offsets=None``.
     """
 
     __slots__ = ("digests", "offsets", "counts")
 
-    def __init__(self, digests: np.ndarray, offsets: np.ndarray, counts: np.ndarray):
-        if len(digests) != len(offsets) or len(digests) != int(counts.sum()):
+    def __init__(
+        self, digests: np.ndarray, offsets: np.ndarray | None, counts: np.ndarray
+    ):
+        if len(digests) != int(counts.sum()) or (
+            offsets is not None and len(offsets) != len(digests)
+        ):
             raise ValueError("digests/offsets/counts length mismatch")
         self.digests = digests
         self.offsets = offsets

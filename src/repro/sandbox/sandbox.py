@@ -11,6 +11,7 @@ from repro.storage.tiers import StorageTier
 from repro.workload.functionbench import FunctionProfile
 
 if TYPE_CHECKING:
+    from repro.core.agent import DedupMemo
     from repro.templates.delta import TemplateDeltaTable
 
 #: Signature of a transition observer: (sandbox, old_state, new_state).
@@ -40,7 +41,8 @@ class Sandbox:
     table while deduplicated; a dedup op drops the image when it starts,
     and only a landing restore holds both, for one event.  A warm
     sandbox forked from a template delta keeps that delta instead of
-    the rebuilt image, and holds at most one of the two.
+    the rebuilt image, and holds at most one of the two; a restored one
+    keeps its last dedup op's memo beside the image.
     """
 
     profile: FunctionProfile
@@ -58,6 +60,10 @@ class Sandbox:
     content without the bytes, which its next template park reuses.  It
     holds no catalog references; whatever needs bytes re-synthesizes the
     image and drops it."""
+    kept_choices: DedupMemo | None = None
+    """The memo of the dedup op a restore rebuilt this sandbox from: its
+    next dedup op reuses the fingerprints and every pair outcome the
+    registry picks again.  Dropped with the image."""
     last_used_at: float = 0.0
     last_idle_at: float = 0.0
     busy_request_id: int | None = None

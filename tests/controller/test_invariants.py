@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.agent import DedupMemo
 from repro.core.policy import MedesPolicyConfig
 from repro.faults.schedule import FaultSchedule, FaultsConfig, NodeCrash
 from repro.invariants import check
@@ -257,6 +258,14 @@ def _keep_delta_while_parked(platform, mp):
     mp.setattr(parked, "kept_delta", parked.dedup_table)
 
 
+def _keep_choices_while_parked(platform, mp):
+    residents = [s for node in platform.nodes for s in node.sandboxes.values()]
+    parked = next(s for s in residents if s.state is SandboxState.DEDUP)
+    level = platform.agents[parked.node_id].patch_level
+    empty = np.empty(0, dtype=np.int64)
+    mp.setattr(parked, "kept_choices", DedupMemo(level, empty, empty, empty.reshape(0, 3), ()))
+
+
 def _drop_idle_warm(platform, mp):
     bucket = next(b for b in platform.controller._index.idle_warm.values() if b)
     mp.delitem(bucket, next(iter(bucket)))
@@ -287,6 +296,7 @@ CORRUPTIONS = {
     "evictable": _misdefine_evictable,
     "parked image": _attach_image,
     "kept delta": _keep_delta_while_parked,
+    "kept choices": _keep_choices_while_parked,
     "checkpoint refcount": lambda p, mp: _bump(mp, next(iter(p.store)), "refcount"),
     "segment refcount": lambda p, mp: _bump(mp, _segment(p), "refcount"),
     "template sharers": lambda p, mp: mp.setitem(_segment(p).sharers, 99, 1),

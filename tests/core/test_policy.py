@@ -2,15 +2,30 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.optimizer import Objective
 from repro.core.policy import (
+    RATE_SUBWINDOW_MS,
+    RATE_WINDOW_MS,
     ClusterView,
     Decision,
     FunctionStats,
     MedesPolicy,
     MedesPolicyConfig,
+)
+from tests.oracles.policy_rates import peak_rate_reference
+
+#: Gaps between arrivals: ties, exactly one sub-window or one rate
+#: window, or anything up to past the window.  Whole milliseconds, so a
+#: gap of one (sub-)window lands exactly on its boundary.
+_GAPS = st.one_of(
+    st.just(0), st.just(int(RATE_SUBWINDOW_MS)), st.just(int(RATE_WINDOW_MS)),
+    st.integers(0, 2 * int(RATE_SUBWINDOW_MS)),
 )
 
 
@@ -26,7 +41,7 @@ def make_view(**overrides) -> ClusterView:
         dedup_counts={"LinAlg": 0},
         used_bytes=1 << 30,
         capacity_bytes=4 << 30,
-        rate_shares={"LinAlg": 1.0},
+        function_stats={},
     )
     base.update(overrides)
     return ClusterView(**base)
@@ -46,6 +61,15 @@ class TestFunctionStats:
         assert mean == pytest.approx(60 / 120_000.0)
         peak = stats.peak_rate(60_000.0)
         assert peak >= mean
+
+    @given(gaps=st.lists(_GAPS, min_size=1, max_size=60), wait=_GAPS)
+    def test_peak_rate_matches_the_sliding_loop(self, linalg_profile, gaps, wait):
+        arrivals = [float(t) for t in itertools.accumulate(gaps)]
+        now = arrivals[-1] + wait
+        stats = FunctionStats(profile=linalg_profile)
+        for t in arrivals:
+            stats.record_arrival(t)
+        assert stats.peak_rate(now) == peak_rate_reference(arrivals, now)
 
     def test_window_trimming(self, linalg_profile):
         stats = FunctionStats(profile=linalg_profile)
@@ -140,14 +164,19 @@ class TestDecisions:
         policy = make_policy(
             stats, objective=Objective.MEMORY, memory_budget_bytes=budget
         )
-        view = make_view(rate_shares={"LinAlg": 0.25})
+        other = next(name for name in stats if name != "LinAlg")
+        stats["LinAlg"].record_arrival(50_000.0)
+        for t in (51_000.0, 52_000.0, 53_000.0):
+            stats[other].record_arrival(t)
+        view = make_view(function_stats=stats)
+        assert view.rate_share("LinAlg") == pytest.approx(0.25)
         assert policy._function_budget("LinAlg", view) == pytest.approx(budget * 0.25)
 
     def test_inactive_function_gets_minimal_budget(self, stats, linalg_profile):
         policy = make_policy(
             stats, objective=Objective.MEMORY, memory_budget_bytes=2 << 30
         )
-        view = make_view(rate_shares={})
+        view = make_view(function_stats=stats)  # nothing arrived yet
         assert policy._function_budget("LinAlg", view) == float(
             linalg_profile.memory_bytes
         )

@@ -9,7 +9,9 @@ against (``tests/core/test_batch_equivalence.py``) and the baseline
 ``benchmarks/bench_dedup_throughput.py`` times it against.  It decides
 each page's kind and patch itself; only the tail — refcounts, the page
 table's columns built from those decisions, the timings — is the
-agent's own.
+agent's own.  It keeps no memo and reads none: a restored sandbox's
+``kept_choices`` is ignored, so a re-dedup that starts from them is
+held to it too (``tests/core/test_redup_memo.py``).
 """
 
 from __future__ import annotations
