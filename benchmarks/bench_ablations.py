@@ -16,8 +16,6 @@ Each ablation toggles one mechanism on the representative workload:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from benchmarks.conftest import write_result
@@ -117,73 +115,6 @@ def test_ablation_fingerprint_strategy(benchmark):
         content_scale=SCALE,
         aslr=True,
     )
-
-
-def test_ablation_hash_kind(benchmark):
-    """SHA-1 vs the vectorized polynomial digest (``hash_kind=POLY64``).
-
-    The polynomial digest exists purely for fingerprint throughput (one
-    matmul instead of one SHA-1 call per chunk), so the ablation checks
-    what that trade buys and costs: identical similarity detection —
-    per-function savings must match SHA-1's to within noise — and
-    comparable collision behaviour at truncated digest widths, measured
-    as duplicate digests over a population of random chunks against the
-    birthday-bound expectation.
-    """
-    import numpy as np
-
-    from repro._util import hash_rows_sha1, poly_hash_rows, rng_for
-    from repro.memory.fingerprint import HashKind
-
-    sha1_config = FingerprintConfig(hash_kind=HashKind.SHA1)
-    poly_config = FingerprintConfig(hash_kind=HashKind.POLY64)
-
-    # Collision rates at a deliberately narrow digest (birthday regime).
-    bits, chunks = 20, 20_000
-    matrix = rng_for("ablation-hash-kind").integers(
-        0, 256, size=(chunks, sha1_config.chunk_size), dtype=np.uint8
-    )
-    expected = chunks * (chunks - 1) / 2 ** (bits + 1)
-    sha1_dupes = chunks - len(np.unique(hash_rows_sha1(matrix, bits)))
-    poly_dupes = chunks - len(np.unique(poly_hash_rows(matrix, bits)))
-
-    suite = FunctionBenchSuite.default()
-    sha1_savings = measure_function_savings(
-        suite, content_scale=SCALE, aslr=True, fingerprint=sha1_config
-    )
-    poly_savings = measure_function_savings(
-        suite, content_scale=SCALE, aslr=True, fingerprint=poly_config
-    )
-    mean_sha1 = sum(m.savings_fraction for m in sha1_savings.values()) / len(suite)
-    mean_poly = sum(m.savings_fraction for m in poly_savings.values()) / len(suite)
-
-    text = render_table(
-        ["metric", "sha1", "poly64"],
-        [
-            (
-                f"collisions, {chunks:,} chunks @ {bits}-bit digests"
-                f" (birthday ~{expected:.0f})",
-                str(sha1_dupes),
-                str(poly_dupes),
-            ),
-            (
-                "mean savings, ASLR'd sandboxes",
-                f"{mean_sha1 * 100:.1f}%",
-                f"{mean_poly * 100:.1f}%",
-            ),
-        ],
-        title="Ablation: chunk digest kind (SHA-1 vs vectorized polynomial)",
-    )
-    write_result("ablation_hash_kind", text)
-
-    # Both digests sit in the birthday regime (well-mixed truncations):
-    # neither collides an order of magnitude more than the expectation.
-    assert sha1_dupes < expected * 3
-    assert poly_dupes < expected * 3
-    # Same sampled offsets, equally-mixed digests: savings must agree.
-    assert abs(mean_sha1 - mean_poly) < 0.02
-
-    benchmark(poly_hash_rows, matrix, 64)
 
 
 def test_ablation_dedup_abort(benchmark, workload):

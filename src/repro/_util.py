@@ -346,77 +346,6 @@ def hash_rows_sha1(matrix: np.ndarray, bits: int = 64) -> np.ndarray:
     return words & np.uint64((1 << bits) - 1)
 
 
-#: Odd multiplier of the vectorised polynomial chunk hash (the golden-
-#: ratio constant of splitmix64 — odd, so multiplication is a bijection
-#: on Z/2^64).
-_POLY_R = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _fmix64(h: np.ndarray) -> np.ndarray:
-    """Murmur3's 64-bit finalizer, vectorised (avalanches every bit)."""
-    h = h ^ (h >> np.uint64(33))
-    h = h * np.uint64(0xFF51AFD7ED558CCD)
-    h = h ^ (h >> np.uint64(33))
-    h = h * np.uint64(0xC4CEB9FE1A85EC53)
-    return h ^ (h >> np.uint64(33))
-
-
-def poly_hash_bytes(data: bytes, bits: int = 64) -> int:
-    """Scalar reference of :func:`poly_hash_rows` for one chunk.
-
-    Pure-Python big-int evaluation (Horner + the same finalizer), kept
-    deliberately independent of the vectorised kernel so equivalence
-    properties test two implementations, not one against itself.
-    """
-    if not 1 <= bits <= 64:
-        raise ValueError(f"bits must be in [1, 64], got {bits}")
-    mask64 = (1 << 64) - 1
-    r = int(_POLY_R)
-    h = 0
-    for byte in data:
-        h = (h * r + byte) & mask64
-    h ^= h >> 33
-    h = (h * 0xFF51AFD7ED558CCD) & mask64
-    h ^= h >> 33
-    h = (h * 0xC4CEB9FE1A85EC53) & mask64
-    h ^= h >> 33
-    return h & ((1 << bits) - 1)
-
-
-def poly_hash_rows(matrix: np.ndarray, bits: int = 64) -> np.ndarray:
-    """Fully vectorised polynomial digest of every row of a chunk matrix.
-
-    Each row's bytes are evaluated as a polynomial in ``_POLY_R`` over
-    Z/2^64 — one integer matmul for the whole matrix, no per-chunk
-    Python work at all — then passed through a murmur-style finalizer so
-    truncation to small ``bits`` keeps well-mixed bits.  This is the
-    non-cryptographic ``hash_kind`` of the fingerprint scan: unlike the
-    SHA-1 path it is trivially invertible (content-designable
-    collisions), so it is an opt-in throughput/collision trade-off, not
-    a default.  Deterministic across platforms and runs.
-    """
-    if not 1 <= bits <= 64:
-        raise ValueError(f"bits must be in [1, 64], got {bits}")
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise ValueError("expected a (chunks, chunk_size) matrix")
-    if matrix.shape[0] == 0:
-        return np.empty(0, dtype=np.uint64)
-    chunk_size = matrix.shape[1]
-    # powers[j] = R ** (chunk_size - 1 - j) mod 2**64, so earlier bytes
-    # get higher powers (a conventional polynomial evaluation).
-    powers = np.empty(chunk_size, dtype=np.uint64)
-    acc = 1  # Python ints: no numpy scalar-overflow warnings
-    r = int(_POLY_R)
-    for j in range(chunk_size - 1, -1, -1):
-        powers[j] = acc
-        acc = (acc * r) & ((1 << 64) - 1)
-    mixed = _fmix64(matrix.astype(np.uint64) @ powers)
-    if bits == 64:
-        return mixed
-    return mixed & np.uint64((1 << bits) - 1)
-
-
 _K = TypeVar("_K", bound=Hashable)
 _V = TypeVar("_V")
 

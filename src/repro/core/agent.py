@@ -71,7 +71,7 @@ from repro.sandbox.sandbox import METADATA_BYTES_PER_PAGE, Sandbox
 from repro.sim.network import RdmaFabric
 from repro.storage.prefetch import WorkingSetRecorder
 from repro.storage.store import TieredCheckpointStore
-from repro.storage.tiers import StorageTier
+from repro.storage.tiers import StorageTier, remote_dram_read_ms, ssd_read_ms
 from repro.templates.catalog import TemplateCatalog
 from repro.templates.delta import (
     TemplateDeltaTable,
@@ -1025,7 +1025,6 @@ class DedupAgent:
         :meth:`RdmaFabric.batch_read_ms`.
         """
         assert isinstance(self.store, TieredCheckpointStore)
-        config = self.store.config
         fabric_plan: dict[int, tuple[int, int]] = {}
         remote_dram_bytes = 0
         ssd_bytes: Counter[int] = Counter()
@@ -1042,7 +1041,7 @@ class DedupAgent:
                 ssd_bytes[checkpoint.node_id] += nbytes
         cost = self.fabric.batch_read_ms(fabric_plan, local_peer=self.node_id)
         if remote_dram_bytes:
-            cost = max(cost, config.remote_dram_read_ms(remote_dram_bytes))
+            cost = max(cost, remote_dram_read_ms(remote_dram_bytes))
         for node_id in sorted(ssd_bytes):
-            cost = max(cost, config.ssd_read_ms(ssd_bytes[node_id]))
+            cost = max(cost, ssd_read_ms(ssd_bytes[node_id]))
         return cost

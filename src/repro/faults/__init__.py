@@ -11,7 +11,7 @@ injects nothing and leaves healthy runs unchanged.
 
 from repro.faults.health import FaultDomainHealth, FaultRuntime, RegistryUnavailable
 from repro.faults.injector import FaultInjector
-from repro.faults.retry import RetryExhausted, RetryOutcome, RetryPolicy, TransientFaults
+from repro.faults.retry import RetryExhausted, RetryOutcome, TransientFaults
 from repro.faults.schedule import (
     FaultSchedule,
     FaultsConfig,
@@ -33,7 +33,6 @@ __all__ = [
     "RegistryUnavailable",
     "RetryExhausted",
     "RetryOutcome",
-    "RetryPolicy",
     "ShardOutage",
     "TransientFaults",
 ]

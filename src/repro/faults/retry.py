@@ -5,7 +5,7 @@ fetches over the fabric and fingerprint-registry RPCs — and both can fail
 transiently (dropped completion, queue-pair reset, shard fail-over).  The
 client-side discipline is classic: each attempt is bounded by a timeout,
 failed attempts back off exponentially with jitter, and after
-``max_attempts`` the op surfaces :class:`RetryExhausted` so the caller can
+:data:`MAX_ATTEMPTS` the op surfaces :class:`RetryExhausted` so the caller can
 fall through its degradation ladder (replica → cold start).
 
 Every millisecond spent retrying is *charged in the cost model as real
@@ -24,43 +24,29 @@ from dataclasses import dataclass
 from repro._util import rng_for
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Client-side retry discipline for fabric and registry RPCs."""
+#: Client-side retry discipline for fabric and registry RPCs.
+MAX_ATTEMPTS = 4
+"""Total tries per op (first attempt included)."""
+TIMEOUT_MS = 15.0
+"""Per-attempt timeout charged when the attempt fails."""
+BACKOFF_BASE_MS = 5.0
+"""Backoff before the second attempt; doubles per further retry."""
+BACKOFF_CAP_MS = 200.0
+"""Upper bound on any single backoff interval."""
+JITTER = 0.2
+"""Relative jitter applied to each backoff (+-``JITTER`` fraction)."""
 
-    max_attempts: int = 4
-    """Total tries per op (first attempt included)."""
 
-    timeout_ms: float = 15.0
-    """Per-attempt timeout charged when the attempt fails."""
+def backoff_ms(retry_index: int, unit: float) -> float:
+    """Jittered backoff before retry ``retry_index`` (0-based).
 
-    backoff_base_ms: float = 5.0
-    """Backoff before the second attempt; doubles per further retry."""
-
-    backoff_cap_ms: float = 200.0
-    """Upper bound on any single backoff interval."""
-
-    jitter: float = 0.2
-    """Relative jitter applied to each backoff (+-``jitter`` fraction)."""
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if min(self.timeout_ms, self.backoff_base_ms, self.backoff_cap_ms) <= 0:
-            raise ValueError("retry timing parameters must be positive")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-
-    def backoff_ms(self, retry_index: int, unit: float) -> float:
-        """Jittered backoff before retry ``retry_index`` (0-based).
-
-        ``unit`` is a uniform draw in [0, 1) supplied by the caller so
-        the jitter shares the op's deterministic random stream.
-        """
-        if retry_index < 0:
-            raise ValueError("retry_index must be non-negative")
-        base = min(self.backoff_cap_ms, self.backoff_base_ms * 2.0**retry_index)
-        return base * (1.0 + self.jitter * (2.0 * unit - 1.0))
+    ``unit`` is a uniform draw in [0, 1) supplied by the caller so the
+    jitter shares the op's deterministic random stream.
+    """
+    if retry_index < 0:
+        raise ValueError("retry_index must be non-negative")
+    base = min(BACKOFF_CAP_MS, BACKOFF_BASE_MS * 2.0**retry_index)
+    return base * (1.0 + JITTER * (2.0 * unit - 1.0))
 
 
 class RetryExhausted(RuntimeError):
@@ -102,11 +88,10 @@ class TransientFaults:
     or simulated time, so the stream is identical across runs.
     """
 
-    def __init__(self, probability: float, retry: RetryPolicy, *, seed: int):
+    def __init__(self, probability: float, *, seed: int):
         if not 0.0 <= probability < 1.0:
             raise ValueError("transient failure probability must be in [0, 1)")
         self.probability = probability
-        self.retry = retry
         self.seed = seed
         self._draws = 0
         #: Cumulative counters surfaced into ``RunMetrics`` at run end.
@@ -121,18 +106,16 @@ class TransientFaults:
             return RetryOutcome(attempts=0, charged_ms=0.0, succeeded=True)
         rng = rng_for("transient-rpc", self.seed, op, self._draws)
         charged = 0.0
-        for attempt in range(self.retry.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if float(rng.random()) >= self.probability:
                 if attempt:
                     self.retried_attempts += attempt
                     self.charged_backoff_ms += charged
                 return RetryOutcome(attempts=attempt, charged_ms=charged, succeeded=True)
-            charged += self.retry.timeout_ms
-            if attempt + 1 < self.retry.max_attempts:
-                charged += self.retry.backoff_ms(attempt, float(rng.random()))
-        self.retried_attempts += self.retry.max_attempts
+            charged += TIMEOUT_MS
+            if attempt + 1 < MAX_ATTEMPTS:
+                charged += backoff_ms(attempt, float(rng.random()))
+        self.retried_attempts += MAX_ATTEMPTS
         self.charged_backoff_ms += charged
         self.exhausted_ops += 1
-        return RetryOutcome(
-            attempts=self.retry.max_attempts, charged_ms=charged, succeeded=False
-        )
+        return RetryOutcome(attempts=MAX_ATTEMPTS, charged_ms=charged, succeeded=False)

@@ -159,7 +159,7 @@ class FaultsConfig:
     """The ``ClusterConfig.faults`` knob.
 
     The default, an empty ``FaultsConfig()``, injects nothing.  Retries
-    follow the default :class:`~repro.faults.retry.RetryPolicy`.
+    follow the constants of :mod:`repro.faults.retry`.
     """
 
     schedule: FaultSchedule = field(default_factory=FaultSchedule)

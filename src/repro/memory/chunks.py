@@ -16,6 +16,11 @@ from repro._util import run_lengths, run_starts
 DEFAULT_CHUNK_SIZE = 64
 #: Default digest width for chunk hashes.
 DEFAULT_DIGEST_BITS = 64
+#: Marker: sample when the low byte of the 2-byte window tail equals 0x77.
+#: With uniform content this samples ~1/256 positions, i.e. ~16 candidate
+#: chunks per 4 KiB page — comfortably above the default cardinality of 5.
+MARKER_MASK = 0x00FF
+MARKER_VALUE = 0x0077
 
 
 def rolling_last2(data: np.ndarray) -> np.ndarray:
@@ -33,25 +38,6 @@ def rolling_last2(data: np.ndarray) -> np.ndarray:
     return result
 
 
-def _single_byte_marker(mask: int, value: int) -> tuple[int, int] | None:
-    """Reduce a marker to a one-byte test when its mask allows it.
-
-    With a mask confined to the low byte, ``(last2 & mask) == value``
-    only ever inspects ``data[i]`` — the rolling high byte is masked off
-    — so the scan can be a single byte compare instead of materializing
-    rolling 16-bit values (5 full-buffer passes).  Only valid for
-    positions >= 1 (position 0's rolling value is defined as 0); callers
-    guard with their ``min_position``.  Returns ``(mask, value)`` as byte
-    operands, or None when the marker genuinely needs the high byte.
-    """
-    if mask & ~0xFF:
-        return None
-    if value & ~0xFF:
-        # The required value has high bits the mask can never produce.
-        return (0, 1)  # matches nothing: (byte & 0) == 1 is always false
-    return (mask, value)
-
-
 def marker_positions(
     data: np.ndarray,
     *,
@@ -62,20 +48,12 @@ def marker_positions(
     """Window-end positions whose last-two-byte value matches the marker.
 
     Only positions ``>= min_position`` qualify (so a full chunk fits
-    before the window end).  This is the per-page reference scan; the
-    batch path's :func:`batch_marker_ends` additionally short-circuits
-    single-byte markers.
+    before the window end).  This is the per-page reference scan of
+    :func:`batch_marker_ends`.
     """
     last2 = rolling_last2(data)
     hits = np.flatnonzero((last2 & mask) == value)
     return hits[hits >= min_position]
-
-
-def _byte_marker_matches(data: np.ndarray, byte_marker: tuple[int, int]) -> np.ndarray:
-    bmask, bvalue = byte_marker
-    if bmask == 0xFF:
-        return data == np.uint8(bvalue)
-    return (data & np.uint8(bmask)) == np.uint8(bvalue)
 
 
 def enforce_spacing(
@@ -162,37 +140,20 @@ def batch_enforce_spacing(
     return kept
 
 
-def batch_marker_ends(
-    data: np.ndarray,
-    page_size: int,
-    *,
-    mask: int,
-    value: int,
-    min_position: int,
-) -> np.ndarray:
-    """Marker positions of *every page* of a flat buffer, in one scan.
+def batch_marker_ends(data: np.ndarray, page_size: int, *, min_position: int) -> np.ndarray:
+    """:data:`MARKER_MASK`/:data:`MARKER_VALUE` positions of *every page*
+    of a flat buffer, in one byte compare.
 
-    Equivalent to calling :func:`marker_positions` page by page, but the
-    rolling-value computation runs once over the whole buffer.  Returned
-    positions are absolute buffer offsets; callers split them per page
-    (``positions // page_size``).  Two per-page semantics are preserved:
-
-    * the rolling value of each page's position 0 is defined as 0 (the
-      window never spans a page boundary), and
-    * ``min_position`` applies to the *page-relative* offset.
+    Equivalent to calling :func:`marker_positions` page by page.  The
+    mask keeps only the low byte of the rolling value, so the test reads
+    ``data[i]`` alone and never spans a page boundary; a page's position
+    0 (whose per-page rolling value is defined as 0) is below
+    ``min_position``, which applies to the *page-relative* offset.
+    Returned positions are absolute buffer offsets.
     """
     if len(data) % page_size != 0:
         raise ValueError("buffer length must be a multiple of page_size")
-    byte_marker = _single_byte_marker(mask, value) if min_position >= 1 else None
-    if byte_marker is not None:
-        # Page starts (whose per-page rolling value is defined as 0) are
-        # position 0 of their page, always below min_position >= 1.
-        hits = np.flatnonzero(_byte_marker_matches(data, byte_marker))
-        return hits[(hits % page_size) >= min_position]
-    last2 = rolling_last2(data)
-    # Reset at page starts: the per-page scan defines position 0 as 0.
-    last2[::page_size] = 0
-    hits = np.flatnonzero((last2 & mask) == value)
-    if min_position > 0:
-        hits = hits[(hits % page_size) >= min_position]
-    return hits
+    if min_position < 1:
+        raise ValueError("min_position must be at least 1")
+    hits = np.flatnonzero(data == np.uint8(MARKER_VALUE))
+    return hits[(hits % page_size) >= min_position]

@@ -25,13 +25,13 @@ from repro._util import (
     gather_chunks,
     hash_bytes,
     hash_rows_sha1,
-    poly_hash_bytes,
-    poly_hash_rows,
     rng_for,
 )
 from repro.memory.chunks import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_DIGEST_BITS,
+    MARKER_MASK,
+    MARKER_VALUE,
     batch_enforce_spacing,
     batch_marker_ends,
     enforce_spacing,
@@ -55,28 +55,6 @@ class SamplingStrategy(enum.Enum):
     FIXED_OFFSETS = "fixed-offsets"
 
 
-class HashKind(enum.Enum):
-    """Which digest function hashes the sampled chunks.
-
-    ``SHA1`` is the paper's choice and the default: cryptographic, so an
-    adversarial tenant cannot engineer chunk collisions.  ``POLY64`` is
-    a fully vectorised polynomial digest (one integer matmul over the
-    gathered chunk matrix, no per-chunk Python or C-hashlib calls) — an
-    opt-in throughput/collision trade-off for trusted single-tenant
-    deployments, ablated by ``benchmarks/bench_fingerprint_kernel.py``.
-    The two kinds produce disjoint digest spaces in practice, so a
-    registry must be populated and queried with one consistent config.
-    """
-
-    SHA1 = "sha1"
-    POLY64 = "poly64"
-
-#: Marker: sample when the low byte of the 2-byte window tail equals 0x77.
-#: With uniform content this samples ~1/256 positions, i.e. ~16 candidate
-#: chunks per 4 KiB page — comfortably above the default cardinality of 5.
-MARKER_MASK = 0x00FF
-MARKER_VALUE = 0x0077
-
 #: Default fingerprint set cardinality (number of chunk digests per page).
 DEFAULT_CARDINALITY = 5
 
@@ -88,10 +66,7 @@ class FingerprintConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
     cardinality: int = DEFAULT_CARDINALITY
     digest_bits: int = DEFAULT_DIGEST_BITS
-    marker_mask: int = MARKER_MASK
-    marker_value: int = MARKER_VALUE
     strategy: SamplingStrategy = SamplingStrategy.VALUE_SAMPLED
-    hash_kind: HashKind = HashKind.SHA1
 
     def __post_init__(self) -> None:
         if self.chunk_size <= 2:
@@ -152,28 +127,18 @@ def sample_chunk_offsets(page: np.ndarray, config: FingerprintConfig) -> np.ndar
     if config.strategy is SamplingStrategy.FIXED_OFFSETS:
         return _fixed_offsets(len(page), config)
     ends = marker_positions(
-        page,
-        mask=config.marker_mask,
-        value=config.marker_value,
-        min_position=config.chunk_size - 1,
+        page, mask=MARKER_MASK, value=MARKER_VALUE, min_position=config.chunk_size - 1
     )
     ends = enforce_spacing(ends, config.chunk_size)
     starts = ends[: config.cardinality] - (config.chunk_size - 1)
     return starts.astype(np.int64)
 
 
-def _hash_chunk_scalar(chunk: bytes, cfg: FingerprintConfig) -> int:
-    """One chunk's digest on the scalar (per-page oracle) path."""
-    if cfg.hash_kind is HashKind.POLY64:
-        return poly_hash_bytes(chunk, cfg.digest_bits)
-    return hash_bytes(chunk, cfg.digest_bits)
-
-
 def page_fingerprint(page: np.ndarray, config: FingerprintConfig | None = None) -> PageFingerprint:
     """Compute the value-sampled fingerprint of one page.
 
     The page-at-a-time reference implementation: chunk selection and
-    hashing run scalar (big-int SHA-1 / pure-Python polynomial), kept
+    hashing run scalar (one SHA-1 call per chunk), kept
     deliberately independent of the batch kernel it serves as the
     bit-identical oracle for.
     """
@@ -181,7 +146,7 @@ def page_fingerprint(page: np.ndarray, config: FingerprintConfig | None = None) 
     raw = page.tobytes()
     starts = sample_chunk_offsets(page, cfg)
     digests = tuple(
-        _hash_chunk_scalar(raw[int(s) : int(s) + cfg.chunk_size], cfg) for s in starts
+        hash_bytes(raw[int(s) : int(s) + cfg.chunk_size], cfg.digest_bits) for s in starts
     )
     return PageFingerprint(digests=digests, offsets=tuple(int(s) for s in starts))
 
@@ -238,13 +203,7 @@ def batch_sample_chunk_starts(
         ).reshape(-1)
         counts = np.full(num_pages, len(offsets), dtype=np.int64)
         return starts, counts
-    ends = batch_marker_ends(
-        data,
-        page_size,
-        mask=cfg.marker_mask,
-        value=cfg.marker_value,
-        min_position=cfg.chunk_size - 1,
-    )
+    ends = batch_marker_ends(data, page_size, min_position=cfg.chunk_size - 1)
     kept = batch_enforce_spacing(
         ends, page_size, cfg.chunk_size, cap=cfg.cardinality
     )
@@ -283,11 +242,7 @@ def batch_fingerprint_arrays(
         counts = all_counts[indices]
         starts = all_starts[concat_ranges(bounds[indices], counts)]
         page_bases = np.repeat(indices * page_size, counts)
-    matrix = gather_chunks(data, starts, cfg.chunk_size)
-    if cfg.hash_kind is HashKind.POLY64:
-        digests = poly_hash_rows(matrix, cfg.digest_bits)
-    else:
-        digests = hash_rows_sha1(matrix, cfg.digest_bits)
+    digests = hash_rows_sha1(gather_chunks(data, starts, cfg.chunk_size), cfg.digest_bits)
     return digests, starts - page_bases, counts
 
 

@@ -22,7 +22,7 @@ from repro.core.policy import FunctionStats, LifecyclePolicy, MedesPolicy, Medes
 from repro.core.registry import FingerprintRegistry, ShardedFingerprintRegistry
 from repro.faults.health import FaultDomainHealth, FaultRuntime
 from repro.faults.injector import FaultInjector
-from repro.faults.retry import RetryPolicy, TransientFaults
+from repro.faults.retry import TransientFaults
 from repro.invariants import check, liveness
 from repro.platform.config import ClusterConfig, ColdStartMode
 from repro.platform.metrics import RunMetrics
@@ -125,16 +125,11 @@ class Platform:
             health=FaultDomainHealth(nodes=config.nodes, shards=config.registry_shards),
             transients=TransientFaults(
                 config.faults.rpc_failure_prob,
-                RetryPolicy(),
                 seed=stable_seed("transient-rpc", config.seed, config.faults.seed),
             ),
         )
         self.templates: TemplateCatalog | None = (
-            TemplateCatalog(
-                config.templates,
-                config.storage,
-                content_scale=config.content_scale,
-            )
+            TemplateCatalog(config.templates, content_scale=config.content_scale)
             if config.template_sharing
             else None
         )

@@ -29,7 +29,14 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.sandbox.checkpoint import BaseCheckpoint, CheckpointStore
-from repro.storage.tiers import StorageConfig, StorageTier, TierAccount
+from repro.storage.tiers import (
+    StorageConfig,
+    StorageTier,
+    TierAccount,
+    remote_dram_read_ms,
+    ssd_read_ms,
+    ssd_write_ms,
+)
 
 
 @dataclass(frozen=True)
@@ -55,8 +62,7 @@ class TemplatePool:
     here at the charged read cost.
     """
 
-    def __init__(self, config: StorageConfig, *, capacity_bytes: int) -> None:
-        self.config = config
+    def __init__(self, *, capacity_bytes: int) -> None:
         self.account = TierAccount(capacity_bytes)
 
     def fits(self, nbytes: int) -> bool:
@@ -65,7 +71,7 @@ class TemplatePool:
     def publish_ms(self, nbytes: int) -> float:
         """Charge ``nbytes`` into the pool; returns the fabric write cost."""
         self.account.charge(nbytes)
-        return self.config.remote_dram_write_ms(nbytes)
+        return remote_dram_read_ms(nbytes)
 
     def withdraw(self, nbytes: int) -> None:
         """Release ``nbytes`` (a segment retired by the catalog)."""
@@ -73,7 +79,7 @@ class TemplatePool:
 
     def read_ms(self, nbytes: int) -> float:
         """One batched promote-read of ``nbytes`` out of the pool."""
-        return self.config.remote_dram_read_ms(nbytes)
+        return remote_dram_read_ms(nbytes)
 
     @property
     def used_bytes(self) -> int:
@@ -86,15 +92,12 @@ class TieredCheckpointStore(CheckpointStore):
 
     def __init__(self, config: StorageConfig, *, nodes: int) -> None:
         super().__init__()
-        self.config = config
         self.remote_dram = TierAccount(config.remote_dram_capacity_bytes)
         self.ssd: dict[int, TierAccount] = {
             node_id: TierAccount(config.ssd_capacity_bytes) for node_id in range(nodes)
         }
         # sandbox_id -> (node_id, nbytes) of SSD-parked dedup tables.
         self._tables: dict[int, tuple[int, int]] = {}
-        self.demotions = 0
-        self.promotions = 0
 
     # ---------------------------------------------------- checkpoint tiers
 
@@ -134,14 +137,13 @@ class TieredCheckpointStore(CheckpointStore):
         if self.remote_dram.fits(nbytes):
             self.remote_dram.charge(nbytes)
             checkpoint.tier = StorageTier.REMOTE_DRAM
-            cost_ms = self.config.remote_dram_write_ms(nbytes)
+            cost_ms = remote_dram_read_ms(nbytes)
         elif self.ssd[checkpoint.node_id].fits(nbytes):
             self.ssd[checkpoint.node_id].charge(nbytes)
             checkpoint.tier = StorageTier.LOCAL_SSD
-            cost_ms = self.config.ssd_write_ms(nbytes)
+            cost_ms = ssd_write_ms(nbytes)
         else:
             return None
-        self.demotions += 1
         return TierMove(tier=checkpoint.tier, cost_ms=cost_ms, nbytes=nbytes)
 
     def promote_checkpoint(self, checkpoint: BaseCheckpoint) -> TierMove:
@@ -159,21 +161,20 @@ class TieredCheckpointStore(CheckpointStore):
             )
         nbytes = checkpoint.full_size_bytes
         if checkpoint.tier is StorageTier.REMOTE_DRAM:
-            cost_ms = self.config.remote_dram_read_ms(nbytes)
+            cost_ms = remote_dram_read_ms(nbytes)
         else:
-            cost_ms = self.config.ssd_read_ms(nbytes)
+            cost_ms = ssd_read_ms(nbytes)
         account.release(nbytes)
         checkpoint.tier = StorageTier.NODE_DRAM
-        self.promotions += 1
         return TierMove(tier=StorageTier.NODE_DRAM, cost_ms=cost_ms, nbytes=nbytes)
 
     def fetch_cost_ms(self, checkpoint: BaseCheckpoint, nbytes: int) -> float:
         """One batched read of ``nbytes`` from wherever the checkpoint
         lives, for restores that read through without promoting."""
         if checkpoint.tier is StorageTier.REMOTE_DRAM:
-            return self.config.remote_dram_read_ms(nbytes)
+            return remote_dram_read_ms(nbytes)
         if checkpoint.tier is StorageTier.LOCAL_SSD:
-            return self.config.ssd_read_ms(nbytes)
+            return ssd_read_ms(nbytes)
         raise RuntimeError(
             f"checkpoint {checkpoint.checkpoint_id} is in node DRAM; "
             "reads go through the RDMA fabric"
@@ -216,8 +217,7 @@ class TieredCheckpointStore(CheckpointStore):
             raise RuntimeError(f"sandbox {sandbox_id} table already demoted")
         self.ssd[node_id].charge(nbytes)
         self._tables[sandbox_id] = (node_id, nbytes)
-        self.demotions += 1
-        return self.config.ssd_write_ms(nbytes)
+        return ssd_write_ms(nbytes)
 
     def promote_table(self, sandbox_id: int) -> float:
         """Read a parked table back for a restore; returns the SSD read
@@ -227,8 +227,7 @@ class TieredCheckpointStore(CheckpointStore):
         except KeyError:
             raise RuntimeError(f"sandbox {sandbox_id} table not demoted") from None
         self.ssd[node_id].release(nbytes)
-        self.promotions += 1
-        return self.config.ssd_read_ms(nbytes)
+        return ssd_read_ms(nbytes)
 
     def release_table(self, sandbox_id: int) -> None:
         """Drop a parked table without reading it (purge of a cold sandbox)."""

@@ -19,16 +19,16 @@ Costs are charged per *batched* operation: a restore issues one
 sequential read per tier channel, so a transfer of ``n`` bytes pays one
 device latency plus ``n / bandwidth`` — mirroring how
 :meth:`repro.sim.network.RdmaFabric.batch_read_ms` charges pipelined
-fabric reads.  Defaults are calibrated to commodity parts (~100 us NVMe
-read latency, sequential bandwidth below the 10 Gbps fabric line rate,
-writes slower than reads), keeping the tier ordering
+fabric reads.  The timings are constants calibrated to commodity parts
+(~100 us NVMe read latency, sequential bandwidth below the 10 Gbps
+fabric line rate, writes slower than reads), keeping the tier ordering
 ``NODE_DRAM < REMOTE_DRAM < LOCAL_SSD`` in fetch cost.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro._util import MIB
 
@@ -46,48 +46,63 @@ class StorageTier(enum.Enum):
     """The owning worker's NVMe drive (per-node capacity)."""
 
 
+#: Device timings of the non-DRAM tiers (commodity parts, see above).
+REMOTE_DRAM_LATENCY_US = 10.0
+"""Per-batched-read latency of the far-memory pool (fabric hop)."""
+REMOTE_DRAM_GBPS = 10.0
+"""Line rate of the far-memory fabric (payload serialisation)."""
+SSD_READ_LATENCY_US = 100.0
+"""Device latency of one batched NVMe read (writes pay it too)."""
+SSD_READ_MB_PER_S = 800.0
+"""Sequential NVMe read bandwidth."""
+SSD_WRITE_MB_PER_S = 400.0
+"""Sequential NVMe write bandwidth (parking cost)."""
+
+
+def remote_dram_read_ms(nbytes: int) -> float:
+    """One batched read of ``nbytes`` from the far-memory pool; a write
+    costs the same (the link is symmetric)."""
+    if nbytes < 0:
+        raise ValueError("negative transfer size")
+    if nbytes == 0:
+        return 0.0
+    return REMOTE_DRAM_LATENCY_US / 1e3 + nbytes * 8 / (REMOTE_DRAM_GBPS * 1e9) * 1e3
+
+
+def ssd_read_ms(nbytes: int) -> float:
+    """One batched sequential read of ``nbytes`` from NVMe."""
+    if nbytes < 0:
+        raise ValueError("negative transfer size")
+    if nbytes == 0:
+        return 0.0
+    return SSD_READ_LATENCY_US / 1e3 + nbytes / (SSD_READ_MB_PER_S * MIB) * 1e3
+
+
+def ssd_write_ms(nbytes: int) -> float:
+    """One batched sequential write of ``nbytes`` to NVMe."""
+    if nbytes < 0:
+        raise ValueError("negative transfer size")
+    if nbytes == 0:
+        return 0.0
+    return SSD_READ_LATENCY_US / 1e3 + nbytes / (SSD_WRITE_MB_PER_S * MIB) * 1e3
+
+
 @dataclass(frozen=True)
 class StorageConfig:
-    """Capacities and device timings of the non-DRAM tiers."""
+    """Capacities of the non-DRAM tiers, and whether restores prefetch."""
 
     remote_dram_mb: float = 2048.0
     """Cluster-wide capacity of the fabric-attached memory pool."""
 
-    remote_dram_latency_us: float = 10.0
-    """Per-batched-read latency of the far-memory pool (fabric hop)."""
-
-    remote_dram_gbps: float = 10.0
-    """Line rate of the far-memory fabric (payload serialisation)."""
-
     ssd_capacity_mb: float = 8192.0
     """Per-node NVMe capacity available for demoted state."""
-
-    ssd_read_latency_us: float = 100.0
-    """Device latency of one batched NVMe read."""
-
-    ssd_read_mb_per_s: float = 800.0
-    """Sequential NVMe read bandwidth."""
-
-    ssd_write_mb_per_s: float = 400.0
-    """Sequential NVMe write bandwidth (demotion cost)."""
 
     prefetch: bool = True
     """Record restore working sets and prefetch them on later restores."""
 
     def __post_init__(self) -> None:
-        positive = (
-            self.remote_dram_latency_us,
-            self.remote_dram_gbps,
-            self.ssd_read_latency_us,
-            self.ssd_read_mb_per_s,
-            self.ssd_write_mb_per_s,
-        )
-        if min(positive) <= 0:
-            raise ValueError("storage tier timings must be positive")
         if self.remote_dram_mb < 0 or self.ssd_capacity_mb < 0:
             raise ValueError("tier capacities must be non-negative")
-
-    # ------------------------------------------------------------- costs
 
     @property
     def remote_dram_capacity_bytes(self) -> int:
@@ -96,35 +111,6 @@ class StorageConfig:
     @property
     def ssd_capacity_bytes(self) -> int:
         return int(self.ssd_capacity_mb * MIB)
-
-    def remote_dram_read_ms(self, nbytes: int) -> float:
-        """One batched read of ``nbytes`` from the far-memory pool."""
-        if nbytes < 0:
-            raise ValueError("negative read size")
-        if nbytes == 0:
-            return 0.0
-        serialize = nbytes * 8 / (self.remote_dram_gbps * 1e9) * 1e3
-        return self.remote_dram_latency_us / 1e3 + serialize
-
-    def remote_dram_write_ms(self, nbytes: int) -> float:
-        """Demoting ``nbytes`` into the far-memory pool (symmetric link)."""
-        return self.remote_dram_read_ms(nbytes)
-
-    def ssd_read_ms(self, nbytes: int) -> float:
-        """One batched sequential read of ``nbytes`` from NVMe."""
-        if nbytes < 0:
-            raise ValueError("negative read size")
-        if nbytes == 0:
-            return 0.0
-        return self.ssd_read_latency_us / 1e3 + nbytes / (self.ssd_read_mb_per_s * MIB) * 1e3
-
-    def ssd_write_ms(self, nbytes: int) -> float:
-        """One batched sequential write of ``nbytes`` to NVMe."""
-        if nbytes < 0:
-            raise ValueError("negative write size")
-        if nbytes == 0:
-            return 0.0
-        return self.ssd_read_latency_us / 1e3 + nbytes / (self.ssd_write_mb_per_s * MIB) * 1e3
 
 
 class TierCapacityError(RuntimeError):
@@ -137,8 +123,6 @@ class TierAccount:
 
     capacity_bytes: int
     used_bytes: int = 0
-    charges: int = field(default=0, repr=False)
-    """Lifetime number of charge operations (observability)."""
 
     def fits(self, nbytes: int) -> bool:
         return self.used_bytes + nbytes <= self.capacity_bytes
@@ -152,7 +136,6 @@ class TierAccount:
                 f"({self.used_bytes}/{self.capacity_bytes})"
             )
         self.used_bytes += nbytes
-        self.charges += 1
 
     def release(self, nbytes: int) -> None:
         if nbytes < 0:
@@ -162,7 +145,3 @@ class TierAccount:
                 f"tier accounting underflow ({self.used_bytes} - {nbytes})"
             )
         self.used_bytes -= nbytes
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self.used_bytes

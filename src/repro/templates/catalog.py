@@ -38,7 +38,6 @@ from repro.memory.layout import PlacedRegion, SharingScope
 from repro.memory.patch import AnchorIndex, cached_anchor_index
 from repro.memory.synth import template_region_content
 from repro.storage.store import TemplatePool
-from repro.storage.tiers import StorageConfig
 
 if TYPE_CHECKING:
     from repro.templates.delta import TemplateDeltaTable
@@ -135,25 +134,14 @@ class TemplateCatalog:
     """The cluster's template directory: segment dedup, refcounts,
     pool/replica residency, and the hot-window eviction guard."""
 
-    def __init__(
-        self,
-        config: TemplateConfig,
-        storage: StorageConfig,
-        *,
-        content_scale: float,
-    ) -> None:
+    def __init__(self, config: TemplateConfig, *, content_scale: float) -> None:
         self.config = config
         self.content_scale = content_scale
-        self.pool = TemplatePool(storage, capacity_bytes=int(config.pool_mb * MIB))
+        self.pool = TemplatePool(capacity_bytes=int(config.pool_mb * MIB))
         self._segments: dict[SegmentKey, TemplateSegment] = {}
         self._ids = itertools.count(1)
         self.live_deltas = 0
         """Parked sandboxes currently holding segment references."""
-        self.segments_created = 0
-        self.segment_hits = 0
-        """Shareable regions served by an already-published segment."""
-        self.promotions = 0
-        self.promoted_bytes = 0
 
     # ---------------------------------------------------------- identity
 
@@ -207,7 +195,6 @@ class TemplateCatalog:
             existing = self._segments.get(key)
             if existing is not None:
                 segments.append(existing)
-                self.segment_hits += 1
             elif key not in seen:
                 seen.add(key)
                 missing.append(region)
@@ -234,7 +221,6 @@ class TemplateCatalog:
             self._segments[key] = segment
             segments.append(segment)
             created.append(segment)
-            self.segments_created += 1
         return segments, created, publish_ms
 
     def _full_bytes(self, scaled_size: int) -> int:
@@ -337,9 +323,6 @@ class TemplateCatalog:
             segment.replicas.add(node_id)
         for segment in self.segments_for(keys):
             segment.last_fork_ms = max(segment.last_fork_ms, now)
-        if promoted:
-            self.promotions += len(promoted)
-            self.promoted_bytes += nbytes
         return promoted, nbytes, cost_ms
 
     def is_hot(self, segment: TemplateSegment, now: float) -> bool:

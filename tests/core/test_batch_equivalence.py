@@ -23,7 +23,7 @@ import pytest
 from repro.core.agent import DedupAgent
 from repro.core.costs import CostModel
 from repro.core.registry import FingerprintRegistry, PageRef
-from repro.faults.retry import RetryPolicy, TransientFaults
+from repro.faults.retry import TransientFaults
 from repro.memory.fingerprint import FingerprintConfig, SamplingStrategy, image_fingerprints
 from repro.sandbox.checkpoint import BaseCheckpoint, CheckpointStore
 from repro.sandbox.sandbox import Sandbox
@@ -53,7 +53,7 @@ def _transients(probability: float) -> TransientFaults | None:
     exhausts none of its first 24."""
     if not probability:
         return None
-    return TransientFaults(probability, RetryPolicy(), seed=9)
+    return TransientFaults(probability, seed=9)
 
 
 def _build_agents(

@@ -1,54 +1,50 @@
-"""Retry policy and the seeded transient-RPC failure model."""
+"""Retry discipline (timeouts, jittered backoff) and the seeded
+transient-RPC failure model."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.faults.retry import RetryPolicy, TransientFaults
+from repro._util import rng_for
+from repro.faults.retry import (
+    BACKOFF_BASE_MS,
+    BACKOFF_CAP_MS,
+    JITTER,
+    MAX_ATTEMPTS,
+    TIMEOUT_MS,
+    TransientFaults,
+    backoff_ms,
+)
 
 
 class TestRetryPolicy:
     def test_defaults_valid(self):
-        policy = RetryPolicy()
-        assert policy.max_attempts >= 1
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_attempts": 0},
-            {"timeout_ms": 0.0},
-            {"backoff_base_ms": -1.0},
-            {"backoff_cap_ms": 0.0},
-            {"jitter": 1.0},
-            {"jitter": -0.1},
-        ],
-    )
-    def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
+        assert MAX_ATTEMPTS >= 1
+        assert 0 < TIMEOUT_MS and 0 < BACKOFF_BASE_MS < BACKOFF_CAP_MS
+        assert 0.0 <= JITTER < 1.0
 
     def test_backoff_doubles_until_cap(self):
-        policy = RetryPolicy(backoff_base_ms=10.0, backoff_cap_ms=35.0, jitter=0.0)
-        assert policy.backoff_ms(0, 0.5) == 10.0
-        assert policy.backoff_ms(1, 0.5) == 20.0
-        assert policy.backoff_ms(2, 0.5) == 35.0  # capped, not 40
-        assert policy.backoff_ms(5, 0.5) == 35.0
+        # A draw of 0.5 is the jitter's midpoint: no jitter at all.
+        assert backoff_ms(0, 0.5) == 5.0
+        assert backoff_ms(1, 0.5) == 10.0
+        assert backoff_ms(5, 0.5) == 160.0
+        assert backoff_ms(6, 0.5) == 200.0  # capped, not 320
+        assert backoff_ms(9, 0.5) == 200.0
 
     def test_backoff_jitter_bounds(self):
-        policy = RetryPolicy(backoff_base_ms=10.0, jitter=0.2)
-        low = policy.backoff_ms(0, 0.0)
-        high = policy.backoff_ms(0, 1.0 - 1e-12)
-        assert low == pytest.approx(8.0)
-        assert high == pytest.approx(12.0)
+        low = backoff_ms(0, 0.0)
+        high = backoff_ms(0, 1.0 - 1e-12)
+        assert low == pytest.approx(4.0)
+        assert high == pytest.approx(6.0)
 
     def test_backoff_rejects_negative_index(self):
         with pytest.raises(ValueError):
-            RetryPolicy().backoff_ms(-1, 0.5)
+            backoff_ms(-1, 0.5)
 
 
 class TestTransientFaults:
     def test_zero_probability_never_fails_or_draws_rng(self):
-        model = TransientFaults(0.0, RetryPolicy(), seed=1)
+        model = TransientFaults(0.0, seed=1)
         for _ in range(100):
             plan = model.plan("restore-fetch")
             assert plan.succeeded and plan.attempts == 0 and plan.charged_ms == 0.0
@@ -57,8 +53,8 @@ class TestTransientFaults:
         assert model.exhausted_ops == 0
 
     def test_deterministic_across_instances(self):
-        a = TransientFaults(0.4, RetryPolicy(), seed=7)
-        b = TransientFaults(0.4, RetryPolicy(), seed=7)
+        a = TransientFaults(0.4, seed=7)
+        b = TransientFaults(0.4, seed=7)
         plans_a = [a.plan("op") for _ in range(50)]
         plans_b = [b.plan("op") for _ in range(50)]
         assert plans_a == plans_b
@@ -66,29 +62,31 @@ class TestTransientFaults:
         assert a.charged_backoff_ms == b.charged_backoff_ms
 
     def test_seed_and_op_change_the_stream(self):
-        base = [TransientFaults(0.4, RetryPolicy(), seed=7).plan("op") for _ in range(1)]
+        base = [TransientFaults(0.4, seed=7).plan("op") for _ in range(1)]
         other_seed = [
-            TransientFaults(0.4, RetryPolicy(), seed=8).plan("op") for _ in range(1)
+            TransientFaults(0.4, seed=8).plan("op") for _ in range(1)
         ]
         # Over many draws the streams must diverge somewhere.
-        a = TransientFaults(0.4, RetryPolicy(), seed=7)
-        b = TransientFaults(0.4, RetryPolicy(), seed=8)
+        a = TransientFaults(0.4, seed=7)
+        b = TransientFaults(0.4, seed=8)
         assert [a.plan("op") for _ in range(50)] != [b.plan("op") for _ in range(50)]
         del base, other_seed
 
     def test_exhaustion_charges_all_attempts(self):
-        policy = RetryPolicy(max_attempts=3, timeout_ms=10.0, jitter=0.0)
-        model = TransientFaults(0.999, policy, seed=3)
+        model = TransientFaults(0.999, seed=3)
         plan = model.plan("registry-lookup")
         assert not plan.succeeded
-        assert plan.attempts == 3
-        # 3 timeouts + 2 backoffs (none after the final attempt).
-        expected = 3 * 10.0 + policy.backoff_ms(0, 0.0) + policy.backoff_ms(1, 0.0)
-        assert plan.charged_ms == pytest.approx(expected)
+        assert plan.attempts == MAX_ATTEMPTS
+        # Every attempt's draw fails it; the draw after each failed
+        # attempt but the last jitters that attempt's backoff.
+        draws = rng_for("transient-rpc", 3, "registry-lookup", 1).random(2 * MAX_ATTEMPTS)
+        assert all(draws[0::2] < 0.999)
+        backoffs = sum(backoff_ms(i, float(draws[2 * i + 1])) for i in range(MAX_ATTEMPTS - 1))
+        assert plan.charged_ms == pytest.approx(MAX_ATTEMPTS * TIMEOUT_MS + backoffs)
         assert model.exhausted_ops == 1
 
     def test_counters_accumulate(self):
-        model = TransientFaults(0.5, RetryPolicy(), seed=11)
+        model = TransientFaults(0.5, seed=11)
         plans = [model.plan("op") for _ in range(200)]
         failed_attempts = sum(p.attempts for p in plans)
         assert model.retried_attempts == failed_attempts
@@ -100,4 +98,4 @@ class TestTransientFaults:
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
-            TransientFaults(1.0, RetryPolicy(), seed=0)
+            TransientFaults(1.0, seed=0)

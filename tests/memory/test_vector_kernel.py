@@ -2,10 +2,9 @@
 
 Every batch kernel of the VectorCDC-style rewrite is pinned against its
 scalar oracle here: segmented greedy thinning vs ``enforce_spacing``,
-gathered chunk hashing vs ``page_fingerprint``, the vectorised
-polynomial digest vs its pure-Python reference, and the batched anchor
+gathered chunk hashing vs ``page_fingerprint``, and the batched anchor
 fallback vs ``compute_patch_reference`` (duplicate-heavy page- and
-region-sized inputs included) — across page sizes, marker configs,
+region-sized inputs included) — across page sizes, marker densities,
 ASLR'd synthetic images and sampling strategies.  Digests wider than
 the registry's ``uint64`` column are refused by the config itself.
 The copy-coverage bound that lets
@@ -24,19 +23,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._util import (
-    MIB,
-    gather_chunks,
-    hash_bytes,
-    hash_rows_sha1,
-    poly_hash_bytes,
-    poly_hash_rows,
+from repro._util import MIB, gather_chunks, hash_bytes, hash_rows_sha1
+from repro.memory.chunks import (
+    MARKER_MASK,
+    MARKER_VALUE,
+    batch_enforce_spacing,
+    batch_marker_ends,
+    enforce_spacing,
+    marker_positions,
 )
-from repro.memory.chunks import batch_enforce_spacing, batch_marker_ends, enforce_spacing
 from repro.memory.fingerprint import (
     DEFAULT_CARDINALITY,
     FingerprintConfig,
-    HashKind,
     SamplingStrategy,
     batch_fingerprint_arrays,
     batch_page_fingerprints,
@@ -62,8 +60,6 @@ from tests.oracles.patch_scalar import (
 )
 from tests.oracles.patch_wire import CopyOp, InsertOp, OpPatch, deserialize, serialize
 
-MARKER_BYTE = 0x77
-
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
@@ -78,9 +74,9 @@ def page_buffers(draw) -> tuple[int, np.ndarray]:
     marker_rich = draw(st.booleans())
     rng = _rng(seed)
     if marker_rich:
-        # Heavy marker density (runs of 0x77 included), so spacing and
+        # Heavy marker density (runs of the marker byte included), so spacing and
         # cardinality caps actually bind.
-        alphabet = np.array([0, 1, MARKER_BYTE, MARKER_BYTE], dtype=np.uint8)
+        alphabet = np.array([0, 1, MARKER_VALUE, MARKER_VALUE], dtype=np.uint8)
         data = rng.choice(alphabet, size=page_size * num_pages)
     else:
         data = rng.integers(0, 256, size=page_size * num_pages, dtype=np.uint8)
@@ -89,21 +85,37 @@ def page_buffers(draw) -> tuple[int, np.ndarray]:
 
 @st.composite
 def fp_configs(draw) -> FingerprintConfig:
-    strategy = draw(st.sampled_from(list(SamplingStrategy)))
-    hash_kind = draw(st.sampled_from(list(HashKind)))
-    digest_bits = draw(st.sampled_from([16, 64]))
-    marker_mask, marker_value = draw(
-        st.sampled_from([(0x00FF, 0x0077), (0x0003, 0x0001), (0xFFFF, 0x7777)])
-    )
     return FingerprintConfig(
         chunk_size=draw(st.sampled_from([8, 16, 64])),
         cardinality=draw(st.sampled_from([1, 3, DEFAULT_CARDINALITY])),
-        digest_bits=digest_bits,
-        marker_mask=marker_mask,
-        marker_value=marker_value,
-        strategy=strategy,
-        hash_kind=hash_kind,
+        digest_bits=draw(st.sampled_from([16, 64])),
+        strategy=draw(st.sampled_from(list(SamplingStrategy))),
     )
+
+
+class TestMarkerScan:
+    @given(page_buffers(), st.integers(min_value=1, max_value=70))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_page_scan(self, buf, min_position):
+        page_size, data = buf
+        got = batch_marker_ends(data, page_size, min_position=min_position)
+        expected = [
+            base
+            + marker_positions(
+                data[base : base + page_size],
+                mask=MARKER_MASK,
+                value=MARKER_VALUE,
+                min_position=min_position,
+            )
+            for base in range(0, len(data), page_size)
+        ]
+        np.testing.assert_array_equal(
+            got, np.concatenate(expected) if expected else np.empty(0, dtype=np.int64)
+        )
+
+    def test_rejects_page_start(self):
+        with pytest.raises(ValueError, match="min_position"):
+            batch_marker_ends(np.zeros(64, dtype=np.uint8), 64, min_position=0)
 
 
 class TestSegmentedThinning:
@@ -116,9 +128,7 @@ class TestSegmentedThinning:
     def test_matches_per_page_enforce_spacing(self, buf, cap, spacing):
         page_size, data = buf
         num_pages = len(data) // page_size
-        hits = batch_marker_ends(
-            data, page_size, mask=0x00FF, value=MARKER_BYTE, min_position=spacing - 1
-        )
+        hits = batch_marker_ends(data, page_size, min_position=spacing - 1)
         kept = batch_enforce_spacing(hits, page_size, spacing, cap=cap)
         pages = hits // page_size
         expected = [
@@ -180,33 +190,6 @@ class TestBatchFingerprintEquivalence:
         got = batch_page_fingerprints(image.data, image.page_size, cfg)
         expected = [page_fingerprint(page, cfg) for _, page in image.iter_pages()]
         assert got == expected
-
-
-class TestPolyHash:
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.integers(min_value=1, max_value=8),
-        st.sampled_from([8, 64]),
-        st.sampled_from([16, 32, 64]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_rows_match_scalar(self, seed, rows, chunk, bits):
-        matrix = _rng(seed).integers(0, 256, size=(rows, chunk), dtype=np.uint8)
-        vec = poly_hash_rows(matrix, bits).tolist()
-        assert vec == [poly_hash_bytes(row.tobytes(), bits) for row in matrix]
-
-    def test_poly_config_rejects_wide_digests(self):
-        with pytest.raises(ValueError, match="digest_bits"):
-            FingerprintConfig(hash_kind=HashKind.POLY64, digest_bits=128)
-
-    def test_disjoint_from_sha1(self):
-        data = _rng(5).integers(0, 256, size=2 * 4096, dtype=np.uint8)
-        sha = batch_page_fingerprints(data, 4096, FingerprintConfig())
-        poly = batch_page_fingerprints(
-            data, 4096, FingerprintConfig(hash_kind=HashKind.POLY64)
-        )
-        assert [fp.offsets for fp in sha] == [fp.offsets for fp in poly]
-        assert all(a.digests != b.digests for a, b in zip(sha, poly))
 
 
 class TestGatheredChunkDigests:

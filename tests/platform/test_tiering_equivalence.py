@@ -33,16 +33,7 @@ MEDES = MedesPolicyConfig(idle_period_ms=5_000.0, alpha=25.0)
 
 #: A deliberately extreme storage configuration: if any off-path code
 #: read it, the run could not stay identical to the defaults.
-PERTURBED_STORAGE = StorageConfig(
-    remote_dram_mb=1.0,
-    remote_dram_latency_us=9_999.0,
-    remote_dram_gbps=0.001,
-    ssd_capacity_mb=1.0,
-    ssd_read_latency_us=99_999.0,
-    ssd_read_mb_per_s=0.5,
-    ssd_write_mb_per_s=0.25,
-    prefetch=False,
-)
+PERTURBED_STORAGE = StorageConfig(remote_dram_mb=1.0, ssd_capacity_mb=1.0, prefetch=False)
 
 
 def assert_storage_inert(kind, config, suite, trace, **build_kwargs):

@@ -6,7 +6,7 @@ import pytest
 
 from repro._util import MIB
 from repro.storage.store import TieredCheckpointStore
-from repro.storage.tiers import StorageConfig, StorageTier
+from repro.storage.tiers import StorageConfig, StorageTier, remote_dram_read_ms
 from repro.sandbox.checkpoint import BaseCheckpoint
 from tests.conftest import TEST_SCALE
 
@@ -121,7 +121,7 @@ class TestCheckpointMoves:
             store.fetch_cost_ms(checkpoint, 4096)
         store.demote_checkpoint(checkpoint)
         remote_cost = store.fetch_cost_ms(checkpoint, 4096)
-        assert remote_cost == store.config.remote_dram_read_ms(4096)
+        assert remote_cost == remote_dram_read_ms(4096)
 
     def test_remove_releases_tier_account(self, store, checkpoint):
         store.add(checkpoint)
@@ -129,12 +129,13 @@ class TestCheckpointMoves:
         store.remove(checkpoint.checkpoint_id)
         assert store.remote_dram.used_bytes == 0
 
-    def test_counters(self, store, checkpoint):
+    def test_round_trip_moves(self, store, checkpoint):
         store.add(checkpoint)
-        store.demote_checkpoint(checkpoint)
-        store.promote_checkpoint(checkpoint)
-        assert store.demotions == 1
-        assert store.promotions == 1
+        down = store.demote_checkpoint(checkpoint)
+        up = store.promote_checkpoint(checkpoint)
+        assert (down.tier, up.tier) == (StorageTier.REMOTE_DRAM, StorageTier.NODE_DRAM)
+        assert down.nbytes == up.nbytes == checkpoint.full_size_bytes
+        assert down.cost_ms == up.cost_ms == remote_dram_read_ms(down.nbytes)
 
 
 class TestDedupColdTables:

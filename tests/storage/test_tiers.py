@@ -1,4 +1,4 @@
-"""Tests for the tier model: StorageConfig costs and TierAccount."""
+"""Tests for the tier model: StorageConfig, the device costs and TierAccount."""
 
 from __future__ import annotations
 
@@ -10,6 +10,9 @@ from repro.storage.tiers import (
     StorageTier,
     TierAccount,
     TierCapacityError,
+    remote_dram_read_ms,
+    ssd_read_ms,
+    ssd_write_ms,
 )
 
 
@@ -18,20 +21,6 @@ class TestStorageConfig:
         config = StorageConfig()
         assert config.remote_dram_capacity_bytes == 2048 * MIB
         assert config.ssd_capacity_bytes == 8192 * MIB
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"remote_dram_latency_us": 0},
-            {"remote_dram_gbps": -1},
-            {"ssd_read_latency_us": 0},
-            {"ssd_read_mb_per_s": 0},
-            {"ssd_write_mb_per_s": -5},
-        ],
-    )
-    def test_rejects_non_positive_timings(self, kwargs):
-        with pytest.raises(ValueError, match="positive"):
-            StorageConfig(**kwargs)
 
     @pytest.mark.parametrize(
         "kwargs", [{"remote_dram_mb": -1}, {"ssd_capacity_mb": -1}]
@@ -46,25 +35,18 @@ class TestStorageConfig:
         assert config.remote_dram_capacity_bytes == 0
 
     def test_zero_byte_reads_free(self):
-        config = StorageConfig()
-        assert config.remote_dram_read_ms(0) == 0.0
-        assert config.ssd_read_ms(0) == 0.0
-        assert config.ssd_write_ms(0) == 0.0
+        assert remote_dram_read_ms(0) == 0.0
+        assert ssd_read_ms(0) == 0.0
+        assert ssd_write_ms(0) == 0.0
 
     def test_negative_sizes_rejected(self):
-        config = StorageConfig()
-        for cost in (
-            config.remote_dram_read_ms,
-            config.ssd_read_ms,
-            config.ssd_write_ms,
-        ):
+        for cost in (remote_dram_read_ms, ssd_read_ms, ssd_write_ms):
             with pytest.raises(ValueError):
                 cost(-1)
 
     def test_batched_read_pays_one_latency(self):
-        config = StorageConfig()
-        one = config.ssd_read_ms(1 * MIB)
-        two = config.ssd_read_ms(2 * MIB)
+        one = ssd_read_ms(1 * MIB)
+        two = ssd_read_ms(2 * MIB)
         # Doubling the bytes must not double the latency component.
         assert two < 2 * one
 
@@ -72,15 +54,13 @@ class TestStorageConfig:
         """One batched transfer orders NODE_DRAM < REMOTE_DRAM < LOCAL_SSD."""
         from repro.sim.network import RdmaFabric
 
-        config = StorageConfig()
         nbytes = 4 * MIB
         fabric_ms = RdmaFabric().batch_read_ms({1: (1, nbytes)}, local_peer=0)
-        assert fabric_ms < config.remote_dram_read_ms(nbytes)
-        assert config.remote_dram_read_ms(nbytes) < config.ssd_read_ms(nbytes)
+        assert fabric_ms < remote_dram_read_ms(nbytes)
+        assert remote_dram_read_ms(nbytes) < ssd_read_ms(nbytes)
 
     def test_ssd_writes_slower_than_reads(self):
-        config = StorageConfig()
-        assert config.ssd_write_ms(4 * MIB) > config.ssd_read_ms(4 * MIB)
+        assert ssd_write_ms(4 * MIB) > ssd_read_ms(4 * MIB)
 
 
 class TestTierAccount:
@@ -89,7 +69,7 @@ class TestTierAccount:
         assert account.fits(100)
         account.charge(60)
         assert account.used_bytes == 60
-        assert account.free_bytes == 40
+        assert account.fits(40)
         assert not account.fits(41)
         account.release(60)
         assert account.used_bytes == 0
@@ -113,12 +93,13 @@ class TestTierAccount:
         with pytest.raises(ValueError):
             account.release(-1)
 
-    def test_charges_counter(self):
+    def test_charges_accumulate(self):
         account = TierAccount(capacity_bytes=100)
         account.charge(10)
         account.charge(10)
+        assert account.used_bytes == 20
         account.release(20)
-        assert account.charges == 2
+        assert account.used_bytes == 0
 
 
 class TestStorageTier:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.storage.tiers import StorageConfig
 from repro.templates.catalog import (
     TemplateCatalog,
     TemplateConfig,
@@ -18,7 +17,6 @@ from tests.conftest import TEST_SCALE
 def make_catalog(pool_mb=512.0, hot_window_ms=120_000.0) -> TemplateCatalog:
     return TemplateCatalog(
         TemplateConfig(pool_mb=pool_mb, hot_window_ms=hot_window_ms),
-        StorageConfig(),
         content_scale=TEST_SCALE,
     )
 
@@ -32,13 +30,11 @@ class TestSegmentDedup:
     def test_publish_once_then_hit(self, regions):
         catalog = make_catalog()
         segments, created, publish_ms = catalog.ensure_segments(regions)
-        assert created and publish_ms > 0
+        assert created == segments and publish_ms > 0
         assert len(segments) == len(catalog.shareable_regions(regions))
         again, created_again, again_ms = catalog.ensure_segments(regions)
         assert not created_again and again_ms == 0.0
         assert [s.segment_id for s in again] == [s.segment_id for s in segments]
-        assert catalog.segment_hits == len(segments)
-        assert catalog.segments_created == len(segments)
 
     def test_pool_charged_at_full_scale(self, regions):
         catalog = make_catalog()
@@ -143,7 +139,6 @@ class TestResidency:
         assert catalog.missing_on(0, keys) == []
         again, zero_bytes, zero_ms = catalog.promote(0, keys, now=20.0)
         assert again == [] and zero_bytes == 0 and zero_ms == 0.0
-        assert catalog.promotions == len(keys)
 
     def test_replica_bytes_per_node_and_cluster(self, regions):
         catalog = make_catalog()

@@ -24,7 +24,6 @@ from repro.memory.synth import template_region_content
 from repro.sandbox.checkpoint import BaseCheckpoint, CheckpointStore
 from repro.sandbox.sandbox import Sandbox
 from repro.sim.network import RdmaFabric
-from repro.storage.tiers import StorageConfig
 from repro.templates.catalog import TemplateCatalog, TemplateConfig, TemplateSegment
 from repro.templates.delta import build_delta_table, reconstruct_image
 from repro.workload.functionbench import FunctionBenchSuite
@@ -228,7 +227,7 @@ def build_template_agent(linalg_profile) -> tuple[DedupAgent, TemplateCatalog]:
     store = CheckpointStore()
     registry = FingerprintRegistry()
     catalog = TemplateCatalog(
-        TemplateConfig(pool_mb=512.0), StorageConfig(), content_scale=TEST_SCALE
+        TemplateConfig(pool_mb=512.0), content_scale=TEST_SCALE
     )
     agent = DedupAgent(
         0,

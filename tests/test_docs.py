@@ -3,12 +3,40 @@ and every documented experiment id must exist."""
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import pathlib
 import re
 
 import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _setting_leaves(config, prefix: str = ""):
+    """Dotted names of ``config``'s fields, nested config objects expanded."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from _setting_leaves(value, f"{prefix}{field.name}.")
+        else:
+            yield f"{prefix}{field.name}"
+
+
+def _config_objects():
+    """``ClusterConfig()``, every config object nested in it, and
+    ``MedesPolicyConfig()``."""
+    from repro.core.policy import MedesPolicyConfig
+    from repro.platform.config import ClusterConfig
+
+    pending = [ClusterConfig(), MedesPolicyConfig()]
+    while pending:
+        config = pending.pop()
+        yield config
+        for field in dataclasses.fields(config):
+            value = getattr(config, field.name)
+            if dataclasses.is_dataclass(value):
+                pending.append(value)
 
 
 class TestReadme:
@@ -57,22 +85,24 @@ class TestCliDocAgreement:
             assert "write_result(" in text, bench.name
 
     def test_documented_config_fields_exist(self):
-        """Every `ClusterConfig.<name>` in the prose names a real field,
-        so a deleted flag cannot live on in the docs."""
-        import dataclasses
-
-        from repro.platform.config import ClusterConfig
-
-        fields = {field.name for field in dataclasses.fields(ClusterConfig)}
+        """Every `<Config>.<name>` in the prose, for ``ClusterConfig``,
+        the config classes nested in it and ``MedesPolicyConfig``, names
+        a real field or member, so a deleted setting cannot live on in
+        the docs."""
+        members = {
+            type(config).__name__: {field.name for field in dataclasses.fields(config)}
+            | set(dir(config))
+            for config in _config_objects()
+        }
         for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
             text = (REPO_ROOT / doc).read_text()
-            for name in re.findall(r"`ClusterConfig\.(\w+)", text):
-                assert name in fields, f"{doc}: ClusterConfig.{name}"
+            for owner, name in re.findall(r"`(\w+Config|FaultSchedule)\.(\w+)", text):
+                if owner in members:
+                    assert name in members[owner], f"{doc}: {owner}.{name}"
 
     def test_config_table_has_one_row_per_field(self):
         """DESIGN.md's ``ClusterConfig`` table names each field in
         exactly one row, and nothing else."""
-        import dataclasses
 
         from repro.platform.config import ClusterConfig
 
@@ -120,14 +150,55 @@ UNREFERENCED_ALLOWED = {
 }
 
 
+#: Leaves of ``ClusterConfig()`` (nested configs expanded) and of
+#: ``MedesPolicyConfig()`` that nothing in ``src/``, ``benchmarks/`` or
+#: ``examples/`` passes by keyword, each with why it stays a setting.
+#: A leaf nobody sets becomes a constant instead; the list may shrink,
+#: never grow.
+SETTINGS_ALLOWED = {
+    "storage.remote_dram_mb": "capacity: tests shrink it to force tier overflow",
+    "storage.ssd_capacity_mb": "capacity: tests shrink it to force tier overflow",
+    "templates.hot_window_ms": "the hot-replica guard's window; tests shrink it to drop replicas",
+    "faults.schedule.shard_outages": "fault-schedule entry: an input, like the trace",
+    "faults.schedule.link_degradations": "fault-schedule entry: an input, like the trace",
+    "faults.schedule.link_partitions": "fault-schedule entry: an input, like the trace",
+    "MedesPolicyConfig.per_function_alpha": "per-function latency bounds (paper §5.3)",
+}
+
+
+class TestEverySettingHasASetter:
+    """A setting stays only if something that ships sets it: every leaf
+    is passed by keyword in ``src/``, ``benchmarks/`` or ``examples/``,
+    or is listed in :data:`SETTINGS_ALLOWED` with its reason."""
+
+    def test_every_leaf_is_set_or_allowed(self):
+        from repro.core.policy import MedesPolicyConfig
+        from repro.platform.config import ClusterConfig
+
+        keywords = {
+            node.arg
+            for top in ("src", "benchmarks", "examples")
+            for path in (REPO_ROOT / top).rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.keyword)
+        }
+        leaves = [
+            *_setting_leaves(ClusterConfig()),
+            *_setting_leaves(MedesPolicyConfig(), "MedesPolicyConfig."),
+        ]
+        unset = {leaf for leaf in leaves if leaf.rpartition(".")[2] not in keywords}
+        unlisted = sorted(unset - SETTINGS_ALLOWED.keys())
+        assert not unlisted, f"only tests set these; make them constants: {unlisted}"
+        stale = SETTINGS_ALLOWED.keys() - unset
+        assert not stale, f"set now or gone; drop from the allow-list: {sorted(stale)}"
+
+
 class TestNoUnreferencedCode:
     """Code in ``src/`` that only tests reach drifts from the code that
     replaced it; the allow-list above may shrink, never grow."""
 
     @staticmethod
     def unreferenced() -> set[str]:
-        import ast
-
         src = REPO_ROOT / "src"
         trees = {path: ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))}
         names: set[str] = set()
@@ -170,8 +241,6 @@ class TestNoUnreferencedCode:
 
 def _reads_a_config(node) -> bool:
     """``config.<field>`` or ``<anything>.config.<field>``."""
-    import ast
-
     value = node.value
     if isinstance(value, ast.Name):
         return value.id == "config"
@@ -185,8 +254,6 @@ class TestNoDeadConfigField:
     riding along on another object's attribute of the same name."""
 
     def test_every_field_is_read(self):
-        import ast
-        import dataclasses
 
         from repro.platform.config import ClusterConfig
 
@@ -209,7 +276,6 @@ class TestNoProcessGlobalIds:
     ran in the process."""
 
     def test_no_module_level_counter(self):
-        import ast
 
         for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
             for node in ast.parse(path.read_text()).body:
