@@ -12,7 +12,6 @@ import pytest
 
 from benchmarks.conftest import write_result
 from repro.analysis.experiments import run_fig8
-from repro.analysis.study import per_function_microbench
 from repro.core.agent import DedupAgent
 from repro.core.costs import CostModel
 from repro.core.registry import FingerprintRegistry, PageRef

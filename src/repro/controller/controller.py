@@ -66,7 +66,7 @@ from repro.storage.store import TieredCheckpointStore
 from repro.storage.tiers import StorageTier
 from repro.templates.catalog import TemplateCatalog, TemplatePoolFull
 from repro.templates.delta import TemplateDeltaTable
-from repro.workload.functionbench import FunctionBenchSuite
+from repro.workload.functionbench import FunctionBenchSuite, FunctionProfile
 
 if TYPE_CHECKING:
     from repro.core.agent import DedupPageTable
@@ -239,7 +239,7 @@ class ClusterController:
             list(zip(request_ids, functions)), [-0.5 * s * s for s in sigmas], sigmas
         )
 
-    def _exec_ms(self, record: RequestRecord) -> float:
+    def _exec_ms(self, record: RequestRecord, profile: FunctionProfile) -> float:
         """Execution time for a request: identical across platforms.
 
         Seeded only from the request identity (not the platform), so
@@ -247,7 +247,6 @@ class ClusterController:
         Figure-7a's paired comparison is apples to apples: the draw is
         ``rng_for("exec-time", request_id, function).lognormal(...)``.
         """
-        profile = self.suite.get(record.function)
         sigma = profile.exec_cv
         sample = self._exec_draws.draw(
             (record.request_id, record.function), -0.5 * sigma * sigma, sigma
@@ -255,7 +254,7 @@ class ClusterController:
         return profile.exec_time_ms * sample
 
     def used_bytes(self) -> int:
-        return sum(node.used_bytes() for node in self.nodes)
+        return self._usage.used_total
 
     def live_counts(self) -> tuple[dict[str, int], dict[str, int]]:
         """Per-function (serving-capable count, dedup count)."""
@@ -315,8 +314,6 @@ class ClusterController:
         record = self.metrics.on_arrival(request_id, function, now)
         self._domain_for(function, tenant)
         self.policy.on_arrival(function, now)
-        if function in self.stats:
-            self.stats[function].record_arrival(now)
         if not self._try_dispatch(record):
             self._enqueue(record)
 
@@ -389,7 +386,9 @@ class ClusterController:
 
     def _start_warm(self, sandbox: Sandbox, record: RequestRecord) -> None:
         now = self.sim.now
-        self._timers_for(sandbox).cancel_all()
+        timers = self._timers.get(sandbox.sandbox_id)
+        if timers is not None:
+            timers.cancel_all()
         sandbox.busy_request_id = record.request_id
         sandbox.transition(SandboxState.RUNNING, now)
         record.start_type = StartType.WARM
@@ -570,7 +569,7 @@ class ClusterController:
         already_started: bool = False,
     ) -> None:
         """Schedule execution; startup (unless already elapsed) + exec."""
-        exec_ms = self._exec_ms(record)
+        exec_ms = self._exec_ms(record, sandbox.profile)
         record.exec_ms = exec_ms
         delay = exec_ms if already_started else record.startup_ms + exec_ms
 

@@ -30,6 +30,7 @@ proven bit-identical to a scan-driven controller at ``48cbd51``, where
 from __future__ import annotations
 
 from bisect import insort
+from collections import defaultdict
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.sandbox.sandbox import Sandbox
@@ -44,11 +45,11 @@ class SandboxIndex:
 
     def __init__(self) -> None:
         #: function -> {sandbox_id: sandbox} in WARM with no request.
-        self.idle_warm: dict[str, dict[int, Sandbox]] = {}
+        self.idle_warm: dict[str, dict[int, Sandbox]] = defaultdict(dict)
         #: function -> {sandbox_id: sandbox} in DEDUP with no request.
-        self.restorable: dict[str, dict[int, Sandbox]] = {}
+        self.restorable: dict[str, dict[int, Sandbox]] = defaultdict(dict)
         #: function -> {sandbox_id: sandbox} mid-dedup with no request.
-        self.abortable: dict[str, dict[int, Sandbox]] = {}
+        self.abortable: dict[str, dict[int, Sandbox]] = defaultdict(dict)
         #: function -> sandboxes in a LIVE state.
         self.live_count: dict[str, int] = {}
         #: function -> sandboxes in a DEDUP state.
@@ -56,18 +57,21 @@ class SandboxIndex:
         self.warm_census = 0
         self.dedup_census = 0
         self.total = 0
+        #: The candidate sets, by ``SandboxState.candidates``.
+        self._candidates = (self.idle_warm, self.restorable, self.abortable)
 
     # ------------------------------------------------------------ events
 
     def on_spawn(self, sandbox: Sandbox) -> None:
-        """A sandbox entered the cluster (state SPAWNING)."""
+        """A sandbox entered the cluster (state SPAWNING: no candidate)."""
         self.total += 1
-        self.refresh(sandbox)
 
     def on_transition(
         self, sandbox: Sandbox, old_state: SandboxState, new_state: SandboxState
     ) -> None:
-        """Observer for :meth:`Sandbox.transition`."""
+        """Observer for :meth:`Sandbox.transition`: the sandbox leaves
+        only its old state's candidate set and, if idle, joins only its
+        new state's."""
         function = sandbox.function
         live_delta = new_state.live - old_state.live
         if live_delta:
@@ -79,32 +83,27 @@ class SandboxIndex:
         self.warm_census += new_state.census_warm - old_state.census_warm
         if new_state is SandboxState.PURGED:
             self.total -= 1
-        self.refresh(sandbox)
+        if old_state.candidates is not None:
+            self._candidates[old_state.candidates][function].pop(sandbox.sandbox_id, None)
+        if new_state.candidates is not None and sandbox.busy_request_id is None:
+            self._candidates[new_state.candidates][function][sandbox.sandbox_id] = sandbox
 
     def refresh(self, sandbox: Sandbox) -> None:
-        """Recompute the candidate-set membership of one sandbox.
+        """Put one sandbox in, or take it out of, its state's candidate
+        set by its busy flag.
 
-        Called from the transition observer and — because base
-        demarcation toggles ``busy_request_id`` without a state
-        transition — explicitly by the controller wherever the busy
-        flag changes outside :meth:`Sandbox.transition`.
+        Base demarcation toggles ``busy_request_id`` without a state
+        transition, so the controller calls this wherever the busy flag
+        changes outside :meth:`Sandbox.transition`.
         """
-        function = sandbox.function
-        for candidates in (self.idle_warm, self.restorable, self.abortable):
-            bucket = candidates.get(function)
-            if bucket is not None:
-                bucket.pop(sandbox.sandbox_id, None)
-        if sandbox.busy_request_id is not None:
+        slot = sandbox.state.candidates
+        if slot is None:
             return
-        if sandbox.state is SandboxState.WARM:
-            target = self.idle_warm
-        elif sandbox.state is SandboxState.DEDUP:
-            target = self.restorable
-        elif sandbox.state is SandboxState.DEDUPING:
-            target = self.abortable
+        candidates = self._candidates[slot][sandbox.function]
+        if sandbox.busy_request_id is None:
+            candidates[sandbox.sandbox_id] = sandbox
         else:
-            return
-        target.setdefault(function, {})[sandbox.sandbox_id] = sandbox
+            candidates.pop(sandbox.sandbox_id, None)
 
     def recount(self, sandboxes: Iterable[Sandbox]) -> Iterator[str]:
         """Scan ``sandboxes`` (every resident) into each set and counter
@@ -126,7 +125,7 @@ class SandboxIndex:
                 if state is idle_state and sandbox.busy_request_id is None:
                     candidates.setdefault(function, {})[sandbox.sandbox_id] = sandbox
         for name, held in vars(self).items():
-            if _nonempty(held) != _nonempty(vars(scan)[name]):
+            if name != "_candidates" and _nonempty(held) != _nonempty(vars(scan)[name]):
                 yield (
                     f"dispatch index: {name}: holds {_nonempty(held)}, "
                     f"the residents give {_nonempty(vars(scan)[name])}"
@@ -161,6 +160,8 @@ class NodeUsageIndex:
             for node in self._nodes.values()
         }
         self._order: list[tuple[int, int]] = sorted(self._keys.values())
+        #: The cluster's used bytes: the nodes' charges, kept summed.
+        self.used_total = sum(used for used, _ in self._order)
 
     def update(self, node: "Node") -> None:
         """Re-key one node after its memory charge changed."""
@@ -168,6 +169,7 @@ class NodeUsageIndex:
         new_key = (node.used_bytes(), node.node_id)
         if new_key == old_key:
             return
+        self.used_total += new_key[0] - old_key[0]
         self._order.remove(old_key)
         insort(self._order, new_key)
         self._keys[node.node_id] = new_key
@@ -187,7 +189,11 @@ class NodeUsageIndex:
         ]
 
     def recount(self) -> Iterator[str]:
-        """Yield a message if the order is not the nodes' charges sorted."""
+        """Yield a message if the order is not the nodes' charges sorted,
+        or the total not their sum."""
         keys = sorted((node.used_bytes(), node_id) for node_id, node in self._nodes.items())
         if self._order != keys or sorted(self._keys.values()) != keys:
             yield f"node order: holds {self._order}, the nodes' charges sort to {keys}"
+        used = sum(used for used, _ in keys)
+        if self.used_total != used:
+            yield f"cluster used bytes: holds {self.used_total}, the nodes' charges sum to {used}"

@@ -257,14 +257,20 @@ class TierSample:
     on SSD."""
 
 
+#: Rows a :class:`ColumnTimeline` holds as tuples before storing them as
+#: one block: a numpy scalar store per field costs more than the row.
+ROW_BLOCK = 64
+
+
 class ColumnTimeline:
     """A growable numpy column store behind a list-of-samples API.
 
     Cluster-scale replays sample the memory/tier timelines millions of
     times; one Python object per sample does not survive that.  Samples
     are stored as per-field numpy columns (float64 for ``float`` fields,
-    int64 for ``int`` fields) with amortized-doubling growth, while the
-    exterior API stays the familiar list of frozen sample dataclasses:
+    int64 for ``int`` fields) with amortized-doubling growth, written in
+    blocks of :data:`ROW_BLOCK` rows that any read flushes first, while
+    the exterior API stays the familiar list of frozen sample dataclasses:
     ``append`` takes a sample object, iteration/indexing yield sample
     objects, and equality works against both other timelines and plain
     lists of samples — so existing tests and reports are unchanged.
@@ -273,7 +279,7 @@ class ColumnTimeline:
     field across every sample without materializing any objects.
     """
 
-    __slots__ = ("_sample_type", "_names", "_columns", "_size")
+    __slots__ = ("_sample_type", "_names", "_columns", "_size", "_block", "_pending")
 
     def __init__(self, sample_type: type, samples: Iterator | None = None):
         self._sample_type = sample_type
@@ -284,6 +290,8 @@ class ColumnTimeline:
             self._names += (spec.name,)
             self._columns.append(np.empty(0, dtype=dtype))
         self._size = 0
+        self._block: list = [None] * ROW_BLOCK
+        self._pending = 0  # rows in the block, not yet in the columns
         for sample in samples or ():
             self.append(sample)
 
@@ -300,27 +308,44 @@ class ColumnTimeline:
 
     def append_row(self, *values) -> None:
         """Fast path: append one sample from positional field values."""
+        pending = self._pending
+        self._block[pending] = values
+        self._pending = pending = pending + 1
+        if pending == ROW_BLOCK:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Store the block of appended rows in the columns, in order."""
+        pending = self._pending
+        if not pending:
+            return
         size = self._size
-        if size >= self._columns[0].size:
-            self._grow(size + 1)
-        for column, value in zip(self._columns, values):
-            column[size] = value
-        self._size = size + 1
+        stop = size + pending
+        if stop > self._columns[0].size:
+            self._grow(stop)
+        for column, values in zip(self._columns, zip(*self._block[:pending])):
+            column[size:stop] = values
+        self._size = stop
+        self._pending = 0
 
     def column(self, name: str) -> np.ndarray:
         """Numpy view of one field across all samples (no copies)."""
+        self._flush()
         return self._columns[self._names.index(name)][: self._size]
 
     def __len__(self) -> int:
+        self._flush()
         return self._size
 
     def __iter__(self):
+        self._flush()
         sample_type = self._sample_type
         columns = [column[: self._size].tolist() for column in self._columns]
         for row in zip(*columns):
             yield sample_type(*row)
 
     def __getitem__(self, index: int):
+        self._flush()
         if not -self._size <= index < self._size:
             raise IndexError(f"sample index {index} out of range ({self._size})")
         if index < 0:
@@ -330,7 +355,9 @@ class ColumnTimeline:
         )
 
     def __eq__(self, other) -> bool:
+        self._flush()
         if isinstance(other, ColumnTimeline):
+            other._flush()
             return (
                 self._sample_type is other._sample_type
                 and self._size == other._size
@@ -378,10 +405,12 @@ class _CompletedRows(ColumnTimeline):
 
     def take(self, rows: np.ndarray) -> list[list]:
         """Each field over ``rows``, as lists of Python numbers."""
+        self._flush()
         return [column[: self._size][rows].tolist() for column in self._columns]
 
     def values_at(self, row: int) -> list:
         """The fields of one row, as Python numbers."""
+        self._flush()
         return [column.item(row) for column in self._columns]
 
 

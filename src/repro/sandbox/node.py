@@ -132,13 +132,15 @@ class Node:
         if self.on_used_changed is not None:
             self.on_used_changed(self)
 
-    def _recharge(self, sandbox: Sandbox, charged: int) -> None:
-        """Re-derive a resident's charge, and whether eviction could
-        free it, from the sandbox as it is now."""
+    def _recharge(self, sandbox: Sandbox, charged: int, charge: int | None = None) -> None:
+        """Re-derive a resident's charge (unless it is known to be
+        ``charge``), and whether eviction could free it, from the
+        sandbox as it is now."""
         sandbox_id = sandbox.sandbox_id
-        charge = sandbox.memory_bytes()
+        if charge is None:
+            charge = sandbox.memory_bytes()
         reclaimable = charge if sandbox.evictable else 0
-        self._reclaimable += reclaimable - self._reclaimable_charges.get(sandbox_id, 0)
+        self._reclaimable += reclaimable - self._reclaimable_charges[sandbox_id]
         self._reclaimable_charges[sandbox_id] = reclaimable
         if charge != charged:
             self._sandbox_charges[sandbox_id] = charge
@@ -147,10 +149,13 @@ class Node:
     def _on_sandbox_transition(
         self, sandbox: Sandbox, old_state: SandboxState, new_state: SandboxState
     ) -> None:
-        """Transition observer: recharge the sandbox at its new footprint."""
+        """Transition observer: recharge the sandbox at its new footprint.
+        Between two full-footprint states (a warm hit's two) the charge
+        stays, as the CoW discount resets only before DEDUP or PURGED."""
         charged = self._sandbox_charges.get(sandbox.sandbox_id)
         if charged is not None:  # else not (or no longer) resident here
-            self._recharge(sandbox, charged)
+            keeps = old_state.full_footprint and new_state.full_footprint
+            self._recharge(sandbox, charged, charged if keeps else None)
 
     # --------------------------------------------------------- residents
 
@@ -167,6 +172,7 @@ class Node:
             )
         self.sandboxes[sandbox.sandbox_id] = sandbox
         self._sandbox_charges[sandbox.sandbox_id] = 0
+        self._reclaimable_charges[sandbox.sandbox_id] = 0
         sandbox.observers.append(self._on_sandbox_transition)
         self._recharge(sandbox, 0)
 

@@ -87,18 +87,17 @@ class Sandbox:
     """Dedup domain the sandbox shares state in (DESIGN.md §15) — every
     registry/template interaction on this sandbox's behalf is scoped to
     this domain.  "" is the global domain of ``dedup_domains=off``."""
+    function: str = field(init=False, repr=False, compare=False)
+    """The profile's name, copied once: a replay reads it per event."""
     observers: list[TransitionObserver] = field(default_factory=list, compare=False)
     """Transition hooks (node accounting, controller indexes).  Each is
     called *after* the state and timestamps update, so it observes the
     post-transition sandbox.  Observers must not transition sandboxes."""
 
     def __post_init__(self) -> None:
+        self.function = self.profile.name
         self.last_used_at = self.created_at
         self.last_idle_at = self.created_at
-
-    @property
-    def function(self) -> str:
-        return self.profile.name
 
     @property
     def assignable(self) -> bool:
@@ -117,7 +116,8 @@ class Sandbox:
     def transition(self, new_state: SandboxState, now: float) -> None:
         """Move the lifecycle forward, enforcing Figure 4b."""
         old_state = self.state
-        check_transition(old_state, new_state)
+        if new_state not in old_state.allowed:
+            check_transition(old_state, new_state)  # raises
         self.state = new_state
         if new_state is SandboxState.WARM:
             self.last_idle_at = now

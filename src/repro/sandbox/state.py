@@ -53,10 +53,16 @@ class SandboxState(enum.Enum):
     """Deduplicated, or on the way in."""
     census_warm: bool
     """Counted as warm-ish by the memory-timeline census."""
+    candidates: int | None
+    """Which dispatch-candidate set holds an idle sandbox in this state:
+    0 warm start, 1 restore, 2 dedup abort; None for no set."""
 
 
-def _describe(state: SandboxState, allowed: tuple[SandboxState, ...], *facts: str) -> None:
+def _describe(
+    state: SandboxState, allowed: tuple[SandboxState, ...], *facts: str, candidates=None
+) -> None:
     state.allowed = allowed
+    state.candidates = candidates
     for name in ("full_footprint", "assignable", "live", "dedup", "census_warm"):
         setattr(state, name, name in facts)
 
@@ -73,9 +79,10 @@ _describe(
     "assignable",
     "live",
     "census_warm",
+    candidates=0,
 )
-_describe(_S.DEDUPING, (_S.DEDUP, _S.WARM), "full_footprint", "live", "dedup")
-_describe(_S.DEDUP, (_S.RESTORING, _S.PURGED), "assignable", "live", "dedup")
+_describe(_S.DEDUPING, (_S.DEDUP, _S.WARM), "full_footprint", "live", "dedup", candidates=2)
+_describe(_S.DEDUP, (_S.RESTORING, _S.PURGED), "assignable", "live", "dedup", candidates=1)
 _describe(_S.RESTORING, (_S.RUNNING, _S.WARM), "live")
 _describe(_S.PURGED, ())
 del _S

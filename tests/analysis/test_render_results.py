@@ -7,8 +7,6 @@ result objects (no platform runs needed).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.experiments import (
     Fig8Result,
     Fig12Result,

@@ -18,6 +18,7 @@ from repro.sandbox.state import SandboxState
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
 from tests.conftest import check_every_instant
+from tests.oracles.policy_rates import peak_rate_reference
 
 SCALE = 1.0 / 256.0
 
@@ -82,6 +83,24 @@ class TestDispatch:
         trace = Trace.from_arrivals([(0.0, "Vanilla"), (2_000.0, "LinAlg")])
         _, report = run_medes(trace, pair_suite)
         assert report.metrics.cold_starts() == 2
+
+
+class TestArrivalStatistics:
+    def test_each_arrival_is_recorded_once(self, pair_suite):
+        """The policy's rate estimators see every arrival exactly once:
+        per function, the request count and lambda_max are the trace's."""
+        arrivals = [
+            (0.0, "Vanilla"), (10.0, "Vanilla"), (15.0, "LinAlg"), (15.0, "Vanilla"),
+            (2_000.0, "LinAlg"), (31_000.0, "Vanilla"), (31_000.0, "LinAlg"),
+        ]
+        platform, _ = run_medes(Trace.from_arrivals(arrivals), pair_suite)
+        now = platform.sim.now
+        assert set(platform.controller.stats) >= {"Vanilla", "LinAlg"}
+        for function, stats in platform.controller.stats.items():
+            times = [t for t, f in arrivals if f == function]
+            assert stats.observed_requests == len(times)
+            assert stats.peak_rate(now) == peak_rate_reference(times, now)
+            assert stats.peak_rate(now) > 0 or not times  # the window still holds them
 
 
 class TestDedupLifecycle:

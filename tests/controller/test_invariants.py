@@ -305,6 +305,7 @@ CORRUPTIONS = {
     "parked tables": lambda p, mp: mp.setitem(p.controller._parked, -1, None),
     "dispatch index": _drop_idle_warm,
     "node order": lambda p, mp: mp.setattr(p.controller._usage, "_order", []),
+    "cluster used bytes": lambda p, mp: _bump(mp, p.controller._usage, "used_total"),
     "registry claims": lambda p, mp: mp.setattr(p.registry._refs, "domain_of", {}),
     "registry rows sorted": _swap_first_and_last_rows,
     "registry domain": _rename_domain,

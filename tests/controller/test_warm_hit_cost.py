@@ -18,7 +18,7 @@ import sys
 import textwrap
 
 #: Primitive calls of the replay below over its requests, as measured.
-MEASURED_CALLS_PER_REQUEST = 337_731 / 3_705
+MEASURED_CALLS_PER_REQUEST = 249_881 / 3_705
 BOUND = MEASURED_CALLS_PER_REQUEST * 1.02
 
 SCRIPT = textwrap.dedent(

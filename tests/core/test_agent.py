@@ -12,7 +12,7 @@ from repro.core.agent import DedupAgent, PageKind
 from repro.core.costs import CostModel
 from repro.core.policy import MedesPolicyConfig
 from repro.core.registry import FingerprintRegistry, PageRef
-from repro.memory.fingerprint import FingerprintConfig, page_fingerprint
+from repro.memory.fingerprint import page_fingerprint
 from repro.platform.config import ClusterConfig
 from repro.platform.metrics import StartType
 from repro.platform.platform import PlatformKind, build_platform

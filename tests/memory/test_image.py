@@ -12,7 +12,6 @@ from repro.memory.image import (
     synthesize_image,
 )
 from repro.memory.layout import standard_layout
-from tests.conftest import TEST_SCALE
 
 
 @pytest.fixture(scope="module")

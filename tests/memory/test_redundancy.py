@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro._util import rng_for
 from repro.memory.redundancy import (

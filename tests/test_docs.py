@@ -4,6 +4,7 @@ and every documented experiment id must exist."""
 from __future__ import annotations
 
 import ast
+import contextlib
 import dataclasses
 import pathlib
 import re
@@ -296,3 +297,55 @@ class TestNoProcessGlobalIds:
                 if ledger not in path.parents:
                     match = old.search(path.read_text())
                     assert match is None, f"{path.relative_to(REPO_ROOT)}: {match[0]}"
+
+
+def _string_annotation_names(tree: ast.AST) -> set[str]:
+    """Names inside quoted annotations (``node: "Node"``): uses too."""
+    notes = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            notes += [arg.annotation for arg in every if arg is not None]
+            notes.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            notes.append(node.annotation)
+    names = set()
+    for sub in (sub for note in notes if note is not None for sub in ast.walk(note)):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            with contextlib.suppress(SyntaxError):
+                parsed = ast.parse(sub.value, mode="eval")
+                names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+class TestNoUnusedImports:
+    """pyflakes' F401, which CI's ``ruff check`` runs, checked offline:
+    every name an import binds is read in its module.  A name listed in
+    ``__all__`` or in a quoted annotation counts as read; a ``noqa``
+    line is skipped."""
+
+    def test_every_imported_name_is_read(self):
+        unused = []
+        for top in ("src", "tests", "benchmarks", "examples"):
+            for path in sorted((REPO_ROOT / top).rglob("*.py")):
+                source = path.read_text()
+                tree, lines = ast.parse(source), source.splitlines()
+                read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+                read |= _string_annotation_names(tree)
+                for node in ast.walk(tree):
+                    targets = getattr(node, "targets", [])
+                    if any(getattr(target, "id", None) == "__all__" for target in targets):
+                        read |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+                for node in ast.walk(tree):
+                    if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                        continue
+                    if getattr(node, "module", None) == "__future__":
+                        continue
+                    if "noqa" in lines[node.lineno - 1]:
+                        continue
+                    for alias in node.names:
+                        bound = alias.asname or alias.name.partition(".")[0]
+                        if bound not in read and alias.name != "*":
+                            unused.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno} {bound}")
+        assert not unused, f"unused imports (F401): {unused}"
