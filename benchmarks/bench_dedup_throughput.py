@@ -32,11 +32,10 @@ import argparse
 import json
 import math
 import pathlib
-import platform
 import statistics
 import time
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import environment, write_result
 from repro.analysis.tables import render_table
 from repro.core.agent import DedupAgent
 from repro.core.costs import CostModel
@@ -190,7 +189,7 @@ def run_matrix(
             "content_scale": f"1/{scale_denom}",
             "ops_per_config": ops,
             "reps_per_op": reps,
-            "python": platform.python_version(),
+            **environment(),
         },
         "results": results,
         "summary": {

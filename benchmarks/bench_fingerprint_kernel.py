@@ -36,12 +36,11 @@ import argparse
 import json
 import math
 import pathlib
-import platform
 import time
 
 import numpy as np
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import environment, write_result
 from repro._util import hash_bytes_many, rng_for
 from repro.analysis.tables import render_table
 from repro.memory.chunks import batch_marker_ends
@@ -147,7 +146,7 @@ def run_sweep(
             "reps": reps,
             "chunk_size": FingerprintConfig().chunk_size,
             "cardinality": FingerprintConfig().cardinality,
-            "python": platform.python_version(),
+            **environment(),
         },
         "results": results,
         "summary": {

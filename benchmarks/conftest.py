@@ -13,7 +13,10 @@ Run with::
 
 from __future__ import annotations
 
+import os
 import pathlib
+import platform
+import time
 
 import pytest
 
@@ -26,6 +29,15 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 def pressure_sweep():
     """The Figures 10-11 pool-size sweep, shared across bench modules."""
     return run_pressure()
+
+
+def environment() -> dict:
+    """What a ``BENCH_*.json`` snapshot was measured on, and when."""
+    return {
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "date": time.strftime("%Y-%m-%d", time.gmtime()),
+    }
 
 
 def write_result(name: str, text: str) -> pathlib.Path:

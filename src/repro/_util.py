@@ -329,18 +329,20 @@ def hash_rows_sha1(matrix: np.ndarray, bits: int = 64) -> np.ndarray:
     """Truncated SHA-1 digest of every row of a uint8 chunk matrix.
 
     Row ``i``'s value equals ``hash_bytes(matrix[i].tobytes(), bits)``
-    for any ``bits <= 64``.  The rows are hashed straight from the
-    C-contiguous matrix (hashlib accepts the row views' buffers), so no
-    per-chunk ``bytes`` object is ever materialized — pair with
-    :func:`gather_chunks` for the slice-free fingerprint hash path.
+    for any ``bits <= 64``.  The rows are hashed as ``memoryview``
+    slices of one ``bytes`` copy of the matrix and each digest's first
+    8 bytes read through one strided view of the joined digests — pair
+    with :func:`gather_chunks` for the slice-free fingerprint hash path.
     """
     if not 1 <= bits <= 64:
         raise ValueError(f"bits must be in [1, 64], got {bits}")
-    matrix = np.ascontiguousarray(matrix)
+    rows, width = matrix.shape
+    flat = memoryview(matrix.tobytes())
     sha1 = hashlib.sha1
-    words = np.frombuffer(
-        b"".join(sha1(row).digest()[:8] for row in matrix), dtype="<u8"
+    digests = b"".join(
+        [sha1(flat[at : at + width]).digest() for at in range(0, rows * width, width)]
     )
+    words = np.ndarray((rows,), dtype="<u8", buffer=digests, strides=(20,))
     if bits == 64:
         return words.copy()
     return words & np.uint64((1 << bits) - 1)

@@ -41,20 +41,19 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
 from repro.core.costs import PIPELINE_BATCH_PAGES, CostModel, pipelined_ms
-from repro.core.registry import FingerprintRegistry, PageRef
+from repro.core.registry import FingerprintRegistry
 from repro.faults.health import RegistryUnavailable
 from repro.faults.retry import RetryExhausted, TransientFaults
 from repro.memory.fingerprint import (
     FingerprintBatch,
     FingerprintConfig,
-    PageFingerprint,
     batch_page_fingerprints,
     nonzero_page_mask,
 )
@@ -136,13 +135,13 @@ class DedupMemo:
     outcomes: tuple[Patch | None, ...]
     """Each pair's kept patch (shared with the table), or ``None`` if discarded."""
 
-    def rows(self, pairs: np.ndarray, level: int) -> list[int]:
+    def rows(self, pairs: np.ndarray, level: int) -> np.ndarray:
         """Each of ``pairs``' row here, or -1 where this memo did not
         decide that pair at ``level``."""
         if level != self.level or not len(self.pairs):
-            return [-1] * len(pairs)
+            return np.full(len(pairs), -1)
         rows = np.searchsorted(self.pairs[:, 0], pairs[:, 0]).clip(max=len(self.pairs) - 1)
-        return np.where((self.pairs[rows] == pairs).all(axis=1), rows, -1).tolist()
+        return np.where((self.pairs[rows] == pairs).all(axis=1), rows, -1)
 
 
 @dataclass(eq=False)
@@ -151,9 +150,9 @@ class DedupPageTable:
 
     ``entries`` holds one :class:`PageKind` code per page.  The patched
     pages, in page order, have one row each in ``patched`` (page index),
-    ``base_checkpoint``, ``base_node`` and ``base_page`` (the base's
-    :class:`PageRef` fields) and ``patches``; ``unique`` holds the unique
-    pages' bytes, one row per page in page order.  Also records
+    ``base_checkpoint``, ``base_node`` and ``base_page`` (the base page's
+    address) and ``patches``; ``unique`` holds the unique pages' bytes,
+    one row per page in page order.  Also records
     everything needed to rebuild the original :class:`MemoryImage` (its
     metadata fields), so restores reconstruct a byte-identical image.
     """
@@ -375,10 +374,11 @@ class _DedupOp:
 
     :meth:`DedupAgent.dedup` runs its steps with the whole image as one
     batch: construction classifies the zero pages, :meth:`choose` picks
-    bases for the fingerprinted pages, :meth:`base_page` reads each
-    chosen one the sandbox's memo has no outcome for and :meth:`accept`
+    bases for the fingerprinted pages, the agent reads each chosen base
+    page the sandbox's memo has no outcome for and :meth:`accept`
     records the patches; the agent turns the finished accounts into the
-    table, its memo and its timings.
+    table, its memo and its timings.  Chosen and kept pairs are int64
+    columns ``(page, checkpoint, node, base page)``: no per-pair object.
     """
 
     def __init__(self, agent: "DedupAgent", sandbox: Sandbox):
@@ -396,68 +396,65 @@ class _DedupOp:
         self.kinds = np.where(nonzero, PageKind.UNIQUE, PageKind.ZERO).astype(np.uint8)
         """Each page's :class:`PageKind` code; a content page stays
         unique unless :meth:`accept` patches it."""
-        self.patched: list[tuple[int, PageRef, Patch]] = []
+        self.patched = np.empty((4, 0), dtype=np.int64)
+        """The patched pages' columns, in page order."""
+        self.patches: tuple[Patch, ...] = ()
         self.zero_pages = image.num_pages - int(self.pages.size)
         self.saved = self.zero_pages * image.page_size
         self.same_fn = self.cross_fn = 0
         self.base_refs: Counter[int] = Counter()
         self.reads_by_peer: Counter[int] = Counter()
         self.checkpoints: dict[int, BaseCheckpoint] = {}
-        """Base checkpoints chosen so far, resolved once each."""
+        """The chosen base checkpoints, resolved once each."""
 
-    def choose(
-        self, pages: list[int], fingerprints: Sequence[PageFingerprint]
-    ) -> list[tuple[int, PageRef]]:
-        """One registry round-trip for ``pages`` (absolute indices,
-        aligned with ``fingerprints``): the pages that got a readable
-        base, as ``(page index, base ref)``; the rest stay unique."""
+    def choose(self, fingerprints: FingerprintBatch) -> np.ndarray:
+        """One registry round-trip for :attr:`pages` (aligned with
+        ``fingerprints``): the columns of the pages that got a readable
+        base; the rest stay unique."""
         agent = self.agent
         choices = agent.registry.choose_base_pages(
             fingerprints, agent.node_id, self.sandbox.domain
         )
-        chosen: list[tuple[int, PageRef]] = []
-        for index, choice in zip(pages, choices):
-            if choice is None:
-                continue
-            ref, _overlap = choice
-            if ref.node_id != agent.node_id and not agent.fabric.peer_available(ref.node_id):
-                # The base's node is unreachable: keep the page unique
-                # rather than depend on state we cannot read back.
-                continue
-            self.reads_by_peer[ref.node_id] += 1
-            if ref.checkpoint_id not in self.checkpoints:
-                self.checkpoints[ref.checkpoint_id] = agent.store.get(ref.checkpoint_id)
-            chosen.append((index, ref))
+        # A base on an unreachable node leaves its page unique rather
+        # than depend on state we cannot read back.
+        reachable = np.ones(len(choices.nodes), dtype=bool)
+        for node in set(choices.nodes.tolist()):
+            if node != agent.node_id and not agent.fabric.peer_available(node):
+                reachable &= choices.nodes != node
+        chosen = np.stack(
+            (self.pages[choices.positions], choices.checkpoints, choices.nodes, choices.pages)
+        )[:, reachable]
+        # Counted in C, keyed in order of first appearance: the order a
+        # per-pair loop made, which the simulated float sums follow.
+        self.reads_by_peer = Counter(chosen[2].tolist())
+        self.checkpoints = {
+            checkpoint_id: agent.store.get(checkpoint_id)
+            for checkpoint_id in dict.fromkeys(chosen[1].tolist())
+        }
         return chosen
 
-    def base_page(self, ref: PageRef) -> np.ndarray:
-        """Read-only view of a chosen base page, through the store's cache."""
-        return self.agent.base_page_bytes(self.checkpoints[ref.checkpoint_id], ref.page_index)
-
-    def accept(
-        self, chosen: list[tuple[int, PageRef]], patches: list[Patch | None]
-    ) -> None:
-        """Record a batch's patches (aligned with ``chosen``, in page
-        order): ``None`` or a patch at or over the cutoff leaves the page
-        unique and becomes ``None`` in ``patches``, which then holds each
-        pair's outcome."""
-        page_size = self.image.page_size
-        for j, ((index, ref), patch) in enumerate(zip(chosen, patches)):
-            if patch is None or patch.size_bytes >= self.unique_cap:
-                patches[j] = None
-                continue
-            self.kinds[index] = PageKind.PATCHED
-            self.patched.append((index, ref, patch))
-            self.saved += page_size - patch.size_bytes
-            self.base_refs[ref.checkpoint_id] += 1
-            if self.checkpoints[ref.checkpoint_id].function == self.sandbox.function:
-                self.same_fn += 1
-            else:
-                self.cross_fn += 1
+    def accept(self, chosen: np.ndarray, outcomes: list[Patch | None]) -> list[Patch | None]:
+        """Record the patches of ``chosen``'s pairs (``outcomes``, aligned):
+        ``None`` or a patch at or over the cutoff leaves the page unique.
+        Returns each pair's outcome, ``None`` where it was discarded."""
+        cap = self.unique_cap
+        sizes = np.array(
+            [cap if patch is None else patch.size_bytes for patch in outcomes], dtype=np.int64
+        )
+        keep = sizes < cap
+        self.patched = kept = chosen[:, keep]
+        self.patches = tuple(compress(outcomes, keep.tolist()))
+        self.kinds[kept[0]] = PageKind.PATCHED
+        self.saved += kept.shape[1] * self.image.page_size - int(sizes[keep].sum())
+        self.base_refs = Counter(kept[1].tolist())
+        same = [self.checkpoints[c].function == self.sandbox.function for c in self.base_refs]
+        self.same_fn = sum(compress(self.base_refs.values(), same))
+        self.cross_fn = kept.shape[1] - self.same_fn
+        return [patch if k else None for patch, k in zip(outcomes, keep.tolist())]
 
     def stats(self) -> DedupStats:
         """The finished op's counts."""
-        patched = len(self.patched)
+        patched = len(self.patches)
         return DedupStats(
             total_pages=self.image.num_pages,
             zero_pages=self.zero_pages,
@@ -582,6 +579,7 @@ class DedupAgent:
             op.image,
             op.kinds,
             op.patched,
+            op.patches,
             op.stats(),
             op.base_refs,
             op.reads_by_peer,
@@ -605,37 +603,31 @@ class DedupAgent:
             )
         else:
             fingerprints = FingerprintBatch(memo.digests, None, memo.counts)
-        chosen = op.choose(op.pages.tolist(), fingerprints)
-        pairs = np.array(  # (page, checkpoint, base page) rows, built by column
-            [
-                [index for index, _ in chosen],
-                [ref.checkpoint_id for _, ref in chosen],
-                [ref.page_index for _, ref in chosen],
-            ],
-            dtype=np.int32,
-        ).T
-        rows = [-1] * len(chosen) if memo is None else memo.rows(pairs, self.patch_level)
-        outcomes = [None if row < 0 else memo.outcomes[row] for row in rows]
-        todo = [j for j, row in enumerate(rows) if row < 0]
-        redo = [chosen[j] for j in todo]
+        chosen = op.choose(fingerprints)
+        pairs = chosen[[0, 1, 3]].astype(np.int32).T  # (page, checkpoint, base page) rows
+        rows = np.full(len(pairs), -1) if memo is None else memo.rows(pairs, self.patch_level)
+        outcomes = [None if row < 0 else memo.outcomes[row] for row in rows.tolist()]
+        todo = np.flatnonzero(rows < 0)
+        checkpoints, base_pages = chosen[1, todo].tolist(), chosen[3, todo].tolist()
 
         # Fetch grouped by checkpoint (the order the LRU cache sees).
-        bases: list[np.ndarray] = [None] * len(redo)  # type: ignore[list-item]
-        for j in checkpoint_order(pairs[todo, 1]).tolist():
-            bases[j] = op.base_page(redo[j][1])
+        bases: list[np.ndarray] = [None] * len(todo)  # type: ignore[list-item]
+        for j in checkpoint_order(chosen[1, todo]).tolist():
+            bases[j] = self.base_page_bytes(op.checkpoints[checkpoints[j]], base_pages[j])
 
-        # The aligned diff runs as a single 2-D numpy operation over the
-        # whole batch, and pages falling back to anchor matching reuse
-        # cached base-page anchor indexes (made only when a fallback
-        # needs one; an entry shares the page's read-only view with
+        # The aligned diff runs as 2-D numpy passes over blocks of the
+        # batch, and pages falling back to anchor matching reuse cached
+        # base-page anchor indexes (made only when a fallback needs one;
+        # an entry shares the page's read-only view with
         # ``base_page_cache`` and builds each of its halves on first use).
-        targets = [data[index * page_size : (index + 1) * page_size] for index, _ in redo]
+        targets = [
+            data[index * page_size : (index + 1) * page_size] for index in chosen[0, todo].tolist()
+        ]
 
         def anchor_index_for(j: int) -> AnchorIndex:
-            ref = redo[j][1]
             return cached_anchor_index(
                 self.anchor_index_cache,
-                (ref.checkpoint_id, ref.page_index),
+                (checkpoints[j], base_pages[j]),
                 bases[j],
                 self.patch_level,
             )
@@ -647,9 +639,9 @@ class DedupAgent:
             index_provider=anchor_index_for,
             max_size=op.unique_cap,
         )
-        for j, patch in zip(todo, patches):
+        for j, patch in zip(todo.tolist(), patches):
             outcomes[j] = patch
-        op.accept(chosen, outcomes)
+        outcomes = op.accept(chosen, outcomes)
         return DedupMemo(
             self.patch_level, fingerprints.digests, fingerprints.counts, pairs, tuple(outcomes)
         )
@@ -659,7 +651,8 @@ class DedupAgent:
         sandbox: Sandbox,
         image: MemoryImage,
         kinds: np.ndarray,
-        patched: Sequence[tuple[int, PageRef, Patch]],
+        patched: np.ndarray,
+        patches: tuple[Patch, ...],
         stats: DedupStats,
         base_refs: Counter[int],
         reads_by_peer: Counter[int],
@@ -667,9 +660,10 @@ class DedupAgent:
     ) -> DedupOutcome:
         """Tail of the dedup op (and of its test oracle): refcounts, table, timings.
 
-        ``kinds`` holds each page's :class:`PageKind` code and ``patched``
-        the patched pages' ``(page, base, patch)`` in page order; the
-        table carries ``memo``.
+        ``kinds`` holds each page's :class:`PageKind` code; ``patched``
+        holds the patched pages' int64 columns ``(page, checkpoint,
+        node, base page)`` in page order and ``patches`` their patches;
+        the table carries ``memo``.
         """
         try:
             retry_ms, retries = self._retry_plan("registry-lookup")
@@ -681,9 +675,7 @@ class DedupAgent:
         for checkpoint_id, count in base_refs.items():
             self.store.get(checkpoint_id).acquire(count)
 
-        rows = [(page, ref.checkpoint_id, ref.node_id, ref.page_index) for page, ref, _ in patched]
-        columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
-        pages, checkpoints, nodes, base_pages = columns
+        pages, checkpoints, nodes, base_pages = patched
         table = DedupPageTable(
             function=sandbox.function,
             instance_seed=image.instance_seed,
@@ -697,7 +689,7 @@ class DedupAgent:
             base_checkpoint=checkpoints,
             base_node=nodes,
             base_page=base_pages,
-            patches=tuple(patch for _, _, patch in patched),
+            patches=patches,
             unique=image.data.reshape(image.num_pages, image.page_size)[kinds == PageKind.UNIQUE],
             page_digests=image.page_digests(),
             full_size_bytes=sandbox.profile.memory_bytes,

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -351,6 +351,18 @@ def _overlaps(
     return page, ref_id, run_lengths(starts, len(pairs))
 
 
+class BaseChoices(NamedTuple):
+    """:meth:`FingerprintRegistry.choose_base_pages`' winners as columns:
+    per query that got a base, in query order, its position in the
+    batch, the base page's address and the overlap it won with."""
+
+    positions: np.ndarray
+    checkpoints: np.ndarray
+    nodes: np.ndarray
+    pages: np.ndarray
+    overlaps: np.ndarray
+
+
 def _best_candidates(
     refs: _RefTable,
     page: np.ndarray,
@@ -358,17 +370,15 @@ def _best_candidates(
     overlap: np.ndarray,
     page_starts: np.ndarray,
     local_node_id: int,
-    num_pages: int,
-) -> list[tuple[PageRef, int] | None]:
+) -> BaseChoices:
     """Selection rule shared by every registry variant.
 
     The candidate with the maximum sampled-chunk overlap wins; among
     equals, a page local to ``local_node_id`` is preferred (avoiding a
     remote read), then the lowest address for determinism.
     """
-    result: list[tuple[PageRef, int] | None] = [None] * num_pages
     if not len(page):
-        return result
+        return BaseChoices(*np.empty((5, 0), dtype=np.int64))
     score = 2 * overlap + (refs.columns[_NODE][ref_id] == local_node_id)
     best = np.maximum.reduceat(score, page_starts)
     tied = np.flatnonzero(
@@ -377,12 +387,7 @@ def _best_candidates(
     checkpoint, node, index = refs.columns[:, ref_id[tied]]
     tied = tied[np.lexsort((node, index, checkpoint, page[tied]))]
     winners = tied[run_starts(page[tied])]
-    table = refs.refs
-    for at, ref, shared in zip(
-        page[winners].tolist(), ref_id[winners].tolist(), overlap[winners].tolist()
-    ):
-        result[at] = (table[ref], shared)
-    return result
+    return BaseChoices(page[winners], *refs.columns[:, ref_id[winners]], overlap[winners])
 
 
 class FingerprintRegistry:
@@ -578,18 +583,21 @@ class FingerprintRegistry:
 
         Returns ``(ref, overlap)`` or None when no candidate exists.
         """
-        return self.choose_base_pages([fingerprint], local_node_id, domain)[0]
+        choices = self.choose_base_pages([fingerprint], local_node_id, domain)
+        if not len(choices.positions):
+            return None
+        _, checkpoint, node, page, overlap = (int(column[0]) for column in choices)
+        return PageRef(checkpoint, node, page), overlap
 
     def choose_base_pages(
         self,
         fingerprints: Sequence[PageFingerprint],
         local_node_id: int,
         domain: str = GLOBAL_DOMAIN,
-    ) -> list[tuple[PageRef, int] | None]:
-        """Batch :meth:`choose_base_page` — one result per fingerprint."""
-        return _best_candidates(
-            self._refs, *self._match(fingerprints, domain), local_node_id, len(fingerprints)
-        )
+    ) -> BaseChoices:
+        """Batch :meth:`choose_base_page`: the winners as columns, one
+        entry per fingerprint that got a base."""
+        return _best_candidates(self._refs, *self._match(fingerprints, domain), local_node_id)
 
     # --------------------------------------------------- domain inspection
 

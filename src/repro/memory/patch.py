@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._util import run_starts
+
 #: The wire format: a header, then each op — an INSERT's literal bytes
 #: follow its record.
 _HEADER = struct.Struct("<2sBBIII")  # magic, version, flags, target_len, base_len, op_count
@@ -187,7 +189,7 @@ def _batch_aligned_runs(neq: np.ndarray) -> list[tuple[bool, list[int]]]:
     # Flat positions of the boolean XOR of adjacent columns (no int8
     # widening as in ``np.diff``; a 2-D ``np.nonzero`` costs ten times
     # the flat one).
-    rows, cols = np.divmod(np.flatnonzero(neq[:, 1:] != neq[:, :-1]), n - 1)
+    rows, cols = np.divmod((neq[:, 1:] != neq[:, :-1]).ravel().nonzero()[0], n - 1)
     changes = (cols + 1).tolist()
     ends = np.cumsum(np.bincount(rows, minlength=k)).tolist()
     first_unequal = neq[:, 0].tolist()
@@ -219,7 +221,7 @@ def _match_len(a: np.ndarray, b: np.ndarray) -> int:
     start, width = 0, _MATCH_FIRST_SLICE
     while start < n:
         stop = min(start + width, n)
-        neq = np.flatnonzero(a[start:stop] != b[start:stop])
+        neq = (a[start:stop] != b[start:stop]).nonzero()[0]
         if neq.size:
             return start + int(neq[0])
         start, width = stop, width * _MATCH_SLICE_GROWTH
@@ -240,9 +242,9 @@ def _back_match_len(target: np.ndarray, base: np.ndarray, i: int, src: int, limi
     done, width = 0, _MATCH_FIRST_SLICE
     while done < m:
         step = min(width, m - done)
-        neq = np.flatnonzero(
+        neq = (
             target[i - done - step : i - done] != base[src - done - step : src - done]
-        )
+        ).nonzero()[0]
         if neq.size:
             return done + step - (int(neq[-1]) + 1)
         done, width = done + step, width * _MATCH_SLICE_GROWTH
@@ -284,32 +286,37 @@ def _table_slots(entries: int) -> int:
     return max(_MIN_SEEN_SLOTS, 1 << (8 * entries - 1).bit_length())
 
 
+#: Multipliers the one-key anchor layout tries, in order: an indexed
+#: window's key is ``a * M ^ b`` (uint64) for the first ``M`` under which
+#: no two distinct windows of the base share a key.
+_KEY_MULTIPLIERS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0xD6E8FEB86659FD93)
+
+
 @dataclass(frozen=True)
 class SortedAnchors:
     """The half of an :class:`AnchorIndex` a probe searches.
 
-    Each indexed window is keyed by its exact 16 bytes, packed as two
-    little-endian uint64 halves (``a``, ``b``) so lookups are native
-    integer searchsorted instead of byte-string hashing.  Entries are
-    sorted by ``(a, b)`` with duplicate windows collapsed to their
-    smallest base offset — a leftmost binary search therefore reproduces
-    the first-offset-wins semantics of a dict built with ``setdefault``.
+    Each indexed window's 16 bytes are two little-endian uint64 halves
+    (``a``, ``b``), keyed as one u64 ``a * multiplier ^ b``; entries are
+    sorted by key, and ``multiplier`` makes the key one-to-one on the
+    base's windows (see :func:`build_anchor_index`), so a key and its
+    ``a`` pin the window.  Duplicate windows collapse to their smallest
+    base offset — a leftmost binary search therefore reproduces the
+    first-offset-wins semantics of a dict built with ``setdefault``.
     """
 
+    keys: np.ndarray
     a: np.ndarray
-    b: np.ndarray
     srcs: np.ndarray
-    has_dup_a: bool
-    #: Right boundary of the run of equal ``a`` values starting at each
-    #: position (a leftmost search always lands on a run start, so this
-    #: replaces the ``side="right"`` search at query time).
-    aend: np.ndarray
-    #: Membership table over mixed bits of ``a``, sized to the index
+    multiplier: np.uint64
+    #: Membership table over the keys' high bits, sized to the index
     #: (see :data:`_MIN_SEEN_SLOTS`) — a probe whose slot is unset
     #: cannot match, and the fill stays at or below one in eight, so at
-    #: least seven in eight missing positions are dropped before any
+    #: least seven in eight missing positions are dropped before the
     #: binary search runs.
     seen: np.ndarray
+    #: ``64 - log2(len(seen))``: a key's slot is ``key >> seen_shift``.
+    seen_shift: np.uint64
 
 
 class AnchorIndex:
@@ -372,13 +379,12 @@ class AnchorIndex:
         hit of the unbounded sweep at a position below ``stop`` (no
         bound when ``None``).  With ``stride`` 8 (the level-1 residue
         sweep) one zero-copy u64 view at byte offset ``start`` holds
-        both key halves of every probed window, as its elements ``k``
-        and ``k + 1``; with ``stride`` 1 (the dense level-2 sweep) one
+        both halves of every probed window, as its elements ``k`` and
+        ``k + 1``; with ``stride`` 1 (the dense level-2 sweep) one
         window-value pass over the probed slice covers every position.
-        The work past the ``seen`` filter is one searchsorted over the
-        surviving positions plus, where the index repeats an ``a`` half,
-        a lock-step bisection of ``b`` inside each run — no
-        per-candidate Python.
+        Each window is keyed as the index keys its own; past the
+        ``seen`` filter the work is one searchsorted over the surviving
+        keys and one exact compare — no per-candidate Python.
         """
         count = (len(target_bytes) - ANCHOR_SIZE - start) // stride + 1
         if stop is not None:
@@ -389,36 +395,19 @@ class AnchorIndex:
         if stride == 8:
             u = np.frombuffer(target_bytes, dtype="<u8", offset=start, count=count + 1)
         else:
-            # Both key halves of the last probed window: count + 15 bytes.
+            # Both halves of the last probed window: count + 15 bytes.
             u = _window_values(memoryview(target_bytes)[start : start + count + 15])
         ta = u[:count]
-        sel = index.seen[_seen_slots(ta, len(index.seen))].nonzero()[0]
+        keys = ta * index.multiplier ^ u[8 // stride :][:count]
+        sel = index.seen[keys >> index.seen_shift].nonzero()[0]
         if not sel.size:
             return _EMPTY_I64, _EMPTY_I64
-        ta = ta[sel]
-        tb = u[sel + 8 // stride]
-        lo = np.searchsorted(index.a, ta)
-        last = len(index.a) - 1
-        if index.has_dup_a:
-            # Leftmost ``b >= tb`` inside each run ``[lo, aend[lo])`` of
-            # the matched ``a``: every candidate halves its own run each
-            # round, so the loop runs log2(longest run) times however
-            # many candidates there are.
-            keep = (index.a[np.minimum(lo, last)] == ta).nonzero()[0]
-            sel, ta, tb, lo = sel[keep], ta[keep], tb[keep], lo[keep]
-            hi = index.aend[lo]
-            while True:
-                todo = lo < hi
-                if not todo.any():
-                    break
-                mid = (lo + hi) >> 1
-                right = todo & (index.b[np.minimum(mid, last)] < tb)
-                lo = np.where(right, mid + 1, lo)
-                hi = np.where(todo & ~right, mid, hi)
-        # ``lo`` past its run lands on another ``a`` (or, clamped, on a
-        # smaller ``b``), so one exact compare settles every candidate.
-        loc = np.minimum(lo, last)
-        hit = ((index.a[loc] == ta) & (index.b[loc] == tb)).nonzero()[0]
+        keys = keys[sel]
+        loc = np.searchsorted(index.keys, keys)
+        np.minimum(loc, len(index.keys) - 1, out=loc)
+        # The key is one-to-one on indexed windows, and with ``a`` it
+        # pins ``b``: a window is indexed iff both match at ``loc``.
+        hit = ((index.keys[loc] == keys) & (index.a[loc] == ta[sel])).nonzero()[0]
         return start + stride * sel[hit], index.srcs[loc[hit]]
 
 
@@ -452,55 +441,62 @@ def _copy_bounds(targets: np.ndarray, indexes: "list[AnchorIndex]") -> list[int]
     k, n = targets.shape
     if n < ANCHOR_SIZE:  # bases shorter than an anchor: nothing to copy
         return [0] * k
-    tables = np.stack([index.word_table() for index in indexes])
+    tables = np.concatenate([index.word_table() for index in indexes])
+    width = len(tables) // k  # every base is n bytes: one table size
     whole = targets if n % 8 == 0 else np.ascontiguousarray(targets[:, : n - n % 8])
-    slot = _seen_slots(whole.view("<u8"), 8 * tables.shape[1])
+    slot = _seen_slots(whole.view("<u8"), 8 * width)
     # Row r's bits live at flat offset r * table bytes.
     at = (slot >> np.uint64(3)).astype(np.intp)
-    at += (np.arange(k, dtype=np.intp) * tables.shape[1])[:, None]
-    found = (tables.reshape(-1)[at] >> (slot & np.uint64(7)).astype(np.uint8)) & np.uint8(1)
+    at += (np.arange(k, dtype=np.intp) * width)[:, None]
+    found = (tables[at] >> (slot & np.uint64(7)).astype(np.uint8)) & np.uint8(1)
     windows = found
     for w in range(1, _COPY_MIN_WORDS):
         windows = windows[:, :-1] & found[:, w:]
-    count = np.count_nonzero(windows, axis=1)
-    runs = windows[:, :1].sum(axis=1) + np.count_nonzero(
-        windows[:, 1:] > windows[:, :-1], axis=1
+    count = windows.sum(axis=1, dtype=np.int64)
+    runs = windows[:, :1].sum(axis=1, dtype=np.int64) + (windows[:, 1:] > windows[:, :-1]).sum(
+        axis=1, dtype=np.int64
     )
     return (8 * count + _COPY_RUN_SLACK * runs).tolist()
 
 
 def build_anchor_index(base: bytes | np.ndarray, level: int = 1) -> AnchorIndex:
-    """An :class:`AnchorIndex` of ``base`` with its sorted anchors built."""
+    """An :class:`AnchorIndex` of ``base`` with its sorted anchors built.
+
+    One stable sort on the key per multiplier tried: offsets are
+    increasing, so a run of equal keys starts at its smallest offset and
+    collapses to it.  A run of two distinct windows (a key collision)
+    moves the build to the next of :data:`_KEY_MULTIPLIERS`; should all
+    collide, the last one's colliding windows keep their first: probes
+    stay exact on what is indexed, and patches valid if larger.
+    """
     index = AnchorIndex(base, level)
     step = max(1, ANCHOR_SIZE // 2) if level <= 1 else max(1, ANCHOR_SIZE // 4)
     m = index.base_len - ANCHOR_SIZE + 1
-    if m <= 0:
-        empty = np.empty(0, dtype=np.uint64)
-        index.anchors = SortedAnchors(
-            a=empty,
-            b=empty,
-            srcs=_EMPTY_I64,
-            has_dup_a=False,
-            aend=_EMPTY_I64,
-            seen=np.zeros(_MIN_SEEN_SLOTS, dtype=bool),
-        )
-        return index
-    offs = np.arange(0, m, step, dtype=np.int64)
-    # One window-value pass serves both key halves (offs + 8 is at most
-    # the last window start, m - 1 + 8 <= len - 8).
-    vals = _window_values(index.base)
-    a = vals[offs]
-    b = vals[offs + 8]
-    order = np.lexsort((offs, b, a))
-    a, b, offs = a[order], b[order], offs[order]
-    if len(a) > 1:
-        keep = np.concatenate(([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])))
-        a, b, offs = a[keep], b[keep], offs[keep]
-    has_dup_a = bool((a[1:] == a[:-1]).any()) if len(a) > 1 else False
-    aend = np.searchsorted(a, a, side="right")
-    seen = np.zeros(_table_slots(len(a)), dtype=bool)
-    seen[_seen_slots(a, len(seen))] = True
-    index.anchors = SortedAnchors(a=a, b=b, srcs=offs, has_dup_a=has_dup_a, aend=aend, seen=seen)
+    offs = np.arange(0, max(m, 0), step, dtype=np.int64)
+    # One window-value pass serves both halves (offs + 8 is at most the
+    # last window start, m - 1 + 8 <= len - 8).
+    vals = _window_values(index.base) if m > 0 else np.empty(0, dtype="<u8")
+    a, b = vals[offs], vals[offs + 8]
+    for multiplier in map(np.uint64, _KEY_MULTIPLIERS):
+        keys = a * multiplier ^ b
+        order = np.argsort(keys, kind="stable")
+        keys, a_sorted = keys[order], a[order]
+        # Equal keys and equal ``a`` pin equal ``b``: the same window.
+        same = keys[1:] == keys[:-1]
+        if (a_sorted[1:][same] == a_sorted[:-1][same]).all():
+            break
+    first = run_starts(keys)
+    seen = np.zeros(_table_slots(len(first)), dtype=bool)
+    seen_shift = np.uint64(64 - (len(seen).bit_length() - 1))
+    seen[keys[first] >> seen_shift] = True
+    index.anchors = SortedAnchors(
+        keys=keys[first],
+        a=a_sorted[first],
+        srcs=offs[order][first],
+        multiplier=multiplier,
+        seen=seen,
+        seen_shift=seen_shift,
+    )
     return index
 
 
@@ -678,8 +674,8 @@ def _patch_stack(
     k, n = targets.shape
     threshold = max(64, int(n * ALIGNED_FALLBACK_RATIO))
     neq = targets != bases
-    # Row by row: a 1-D count is SIMD-fast, the axis-wise one is not.
-    differing = [np.count_nonzero(row) for row in neq]
+    # The smallest accumulator that holds n: a uint64 one halves the speed.
+    differing = neq.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(n)).tolist()
     identical = [n >= MIN_COPY_RUN and not d for d in differing]
     if max_size is None:
         dense = [False] * k
@@ -771,9 +767,7 @@ def compute_patches(
     b_arrs = [_as_array(b) for b in bases]
     patches: list[Patch | None] = [None] * len(t_arrs)
 
-    def _index_for(j: int) -> AnchorIndex | None:
-        return index_provider(j) if index_provider is not None else None
-
+    _index_for = index_provider or (lambda j: None)
     by_len: dict[int, list[int]] = {}
     for j, (t, b) in enumerate(zip(t_arrs, b_arrs)):
         if len(t) == len(b):

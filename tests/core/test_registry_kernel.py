@@ -51,6 +51,22 @@ def make_fp(digests) -> PageFingerprint:
     return PageFingerprint(digests=tuple(digests), offsets=tuple(range(len(digests))))
 
 
+def choice_columns(choices) -> list[list[int]]:
+    """Per-query ``(ref, overlap)`` or ``None`` choices as the columns
+    ``choose_base_pages`` returns: position, checkpoint, node, base page
+    and overlap of each query that got a base."""
+    rows = [
+        (at, choice[0].checkpoint_id, choice[0].node_id, choice[0].page_index, choice[1])
+        for at, choice in enumerate(choices)
+        if choice is not None
+    ]
+    return [list(column) for column in zip(*rows)] or [[] for _ in range(5)]
+
+
+def as_lists(choices) -> list[list[int]]:
+    return [column.tolist() for column in choices]
+
+
 class OracleRegistry:
     """The pre-columnar registry: buckets are Python lists."""
 
@@ -216,9 +232,9 @@ def replay(registry, oracle, ops, compare_digest_lookups: bool = True) -> None:
             expected = oracle.lookup_batch(fingerprints, domain)
             assert registry.lookup_batch(fingerprints, domain) == expected
             oracle.lookup_batch(fingerprints, domain)
-            assert registry.choose_base_pages(fingerprints, local, domain) == [
-                oracle.best(counts, local) for counts in expected
-            ]
+            assert as_lists(registry.choose_base_pages(fingerprints, local, domain)) == (
+                choice_columns([oracle.best(counts, local) for counts in expected])
+            )
         for domain in DOMAINS:
             assert registry.domain_digests(domain) == oracle.domain_digests(domain)
         assert registry.domains() == tuple(sorted(oracle.partitions))
@@ -276,9 +292,11 @@ def test_a_lookup_cannot_see_another_domains_identical_page():
     registry.register_page(make_ref(1, 0), make_fp([1, 2, 3]), "tenant:a")
     registry.register_page(make_ref(2, 0), make_fp([1, 2, 3]), "tenant:b")
     for domain, checkpoint in (("tenant:a", 1), ("tenant:b", 2)):
-        [choice] = registry.choose_base_pages([make_fp([1, 2, 3])], 0, domain)
-        assert choice == (make_ref(checkpoint, 0), 3)
-    assert registry.choose_base_pages([make_fp([1, 2, 3])], 0, "") == [None]
+        choices = registry.choose_base_pages([make_fp([1, 2, 3])], 0, domain)
+        assert as_lists(choices) == choice_columns([(make_ref(checkpoint, 0), 3)])
+    assert as_lists(registry.choose_base_pages([make_fp([1, 2, 3])], 0, "")) == (
+        choice_columns([None])
+    )
 
 
 def test_a_retired_checkpoints_ids_are_reused_without_aliasing():

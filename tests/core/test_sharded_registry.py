@@ -15,6 +15,7 @@ from repro.core.registry import (
     ShardedFingerprintRegistry,
 )
 from repro.memory.fingerprint import PageFingerprint
+from tests.core.test_registry_kernel import as_lists, choice_columns
 
 
 def fp(*digests: int) -> PageFingerprint:
@@ -62,7 +63,7 @@ class TestApiEquivalence:
             per_page = self._populated(make())
             batched = self._populated(make())
             expected = [per_page.choose_base_page(q, 0) for q in queries]
-            assert batched.choose_base_pages(queries, 0) == expected
+            assert as_lists(batched.choose_base_pages(queries, 0)) == choice_columns(expected)
             assert batched.stats == per_page.stats
 
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 7])

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro._util import MIB, gather_chunks, hash_bytes, hash_rows_sha1
@@ -296,15 +296,15 @@ class TestDuplicateHeavyAnchorMatching:
         """Tripwire for the per-candidate ``searchsorted`` loop.
 
         One probe sweep over a 32 KiB low-entropy pair whose index
-        repeats ``a`` halves must make the same small number of
-        ``searchsorted`` calls whether it returns a handful of
-        candidates or thousands.
+        repeats ``a`` halves must make exactly one ``searchsorted``
+        call whether it returns a handful of candidates or thousands.
         """
         rng = _rng(3)
         n = 32768
         base = rng.choice(np.array([0, 0, 0, 7], dtype=np.uint8), size=n)
         index = build_anchor_index(base, level)
-        assert index.anchors.has_dup_a
+        halves = index.anchors.a
+        assert len(np.unique(halves)) < len(halves)  # the index's ``a`` halves repeat
         stride = 8 if level == 1 else 1
         rich = np.roll(base, 24).tobytes()  # every probed window is indexed
         poor = rng.integers(0, 256, size=n, dtype=np.uint8)
@@ -330,7 +330,51 @@ class TestDuplicateHeavyAnchorMatching:
             counts[name] = (len(searches), len(positions))
         assert counts["rich"][1] > 20 * max(1, counts["poor"][1])
         assert counts["rich"][1] > 1000
-        assert 1 <= counts["rich"][0] == counts["poor"][0] <= 2, counts
+        assert counts["rich"][0] == counts["poor"][0] == 1, counts
+
+    @given(duplicate_heavy_pairs(), st.sampled_from([1, 2]))
+    @settings(max_examples=30, deadline=None)
+    def test_a_key_collision_moves_the_index_to_the_next_multiplier(self, pair, level):
+        """With a first multiplier of 0 every window is keyed by its
+        ``b`` half alone, so two windows with equal ``b`` and different
+        ``a`` collide: the index takes the next multiplier, and its
+        probes and patches are the scalar oracle's.  With 0 the only
+        multiplier, the colliding windows keep their first: what is
+        indexed probes exactly and every patch still round-trips."""
+        target, base = pair
+        step, stride = (8, 8) if level == 1 else (4, 1)
+        base_bytes, target_bytes = base.tobytes(), target.tobytes()
+        windows: dict[bytes, int] = {}
+        for off in range(0, len(base_bytes) - ANCHOR_SIZE + 1, step):
+            windows.setdefault(base_bytes[off : off + ANCHOR_SIZE], off)
+        halves = {}
+        for window in windows:
+            halves.setdefault(window[8:], set()).add(window[:8])
+        assume(max(map(len, halves.values())) > 1)  # ``b`` alone collides
+        expected = [
+            (at, windows[target_bytes[at : at + ANCHOR_SIZE]])
+            for at in range(0, len(target_bytes) - ANCHOR_SIZE + 1, stride)
+            if target_bytes[at : at + ANCHOR_SIZE] in windows
+        ]
+        multipliers = patch_module._KEY_MULTIPLIERS
+        for first_only in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(
+                    patch_module, "_KEY_MULTIPLIERS", (0,) if first_only else (0, *multipliers)
+                )
+                index = build_anchor_index(base, level)
+                positions, srcs = index.probe(target_bytes, 0, stride)
+                (got,) = compute_patches(
+                    [target], [base], level=level, index_provider=lambda j: index
+                )
+            hits = list(zip(positions.tolist(), srcs.tolist()))
+            assert apply_patch(got, base) == target.tobytes()
+            if first_only:
+                assert set(hits) <= set(expected)
+            else:
+                assert int(index.anchors.multiplier) == multipliers[0]
+                assert hits == expected
+                assert got == compute_patch_reference(target, base, level=level)
 
 
 #: Buffer sizes the copy-coverage bound is exercised at (one of them

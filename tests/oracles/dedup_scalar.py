@@ -45,7 +45,8 @@ def dedup_reference(agent: DedupAgent, sandbox: Sandbox) -> DedupOutcome:
     page_size = image.page_size
     unique_cap = int(UNIQUE_THRESHOLD * page_size)
     kinds: list[PageKind] = []
-    patched: list = []
+    patched: list[tuple[int, int, int, int]] = []
+    patches: list = []
     base_refs: Counter[int] = Counter()
     reads_by_peer: Counter[int] = Counter()
     zero_pages = unique_pages = patched_pages = 0
@@ -80,7 +81,8 @@ def dedup_reference(agent: DedupAgent, sandbox: Sandbox) -> DedupOutcome:
             unique_pages += 1
             continue
         kinds.append(PageKind.PATCHED)
-        patched.append((index, ref, patch))
+        patched.append((index, ref.checkpoint_id, ref.node_id, ref.page_index))
+        patches.append(patch)
         patched_pages += 1
         saved += page_size - patch.size_bytes
         base_refs[ref.checkpoint_id] += 1
@@ -100,5 +102,12 @@ def dedup_reference(agent: DedupAgent, sandbox: Sandbox) -> DedupOutcome:
         image_content_bytes=image.nbytes,
     )
     return agent._finish_dedup(
-        sandbox, image, np.array(kinds, dtype=np.uint8), patched, stats, base_refs, reads_by_peer
+        sandbox,
+        image,
+        np.array(kinds, dtype=np.uint8),
+        np.array(patched, dtype=np.int64).reshape(-1, 4).T.copy(),
+        tuple(patches),
+        stats,
+        base_refs,
+        reads_by_peer,
     )
