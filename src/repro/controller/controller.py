@@ -46,15 +46,12 @@ from repro.faults.retry import RetryExhausted
 from repro.memory.fingerprint import batch_page_fingerprints
 from repro.platform.config import ClusterConfig
 from repro.platform.metrics import (
-    BaseOpRecord,
     DedupOpRecord,
     RequestRecord,
     RestoreOpRecord,
     RunMetrics,
     StartType,
-    TemplateForkRecord,
     TemplateOpRecord,
-    TierOpRecord,
 )
 from repro.sandbox.checkpoint import BaseCheckpoint, CheckpointStore
 from repro.sandbox.node import EvictionOrder, Node, rank_victims
@@ -273,12 +270,6 @@ class ClusterController:
             templates_available=self.templates is not None,
         )
 
-    @property
-    def parked_tables(self) -> int:
-        """Sandboxes whose table is parked on SSD (the platform's tier
-        sampler reads it)."""
-        return len(self._parked)
-
     def sandbox_census(self) -> tuple[int, int, int]:
         """(warm-ish, dedup, total) sandbox counts for memory sampling."""
         index = self._index
@@ -456,23 +447,6 @@ class ClusterController:
                 node.pin_template(segment.segment_id, segment.full_bytes)
             self.metrics.template_promotions += len(outcome.promoted)
             self.metrics.template_promote_bytes += outcome.promoted_bytes
-            self.metrics.template_forks.append(
-                TemplateForkRecord(
-                    function=sandbox.function,
-                    sandbox_id=sandbox.sandbox_id,
-                    started_ms=now,
-                    promote_ms=timings.promote_ms + promote_ms,
-                    apply_ms=timings.apply_ms,
-                    restore_ms=timings.restore_ms,
-                    promoted_bytes=outcome.promoted_bytes,
-                    patched_pages=table.patched_pages,
-                    unique_pages=table.unique_index.size,
-                    zero_pages=len(table.zero_pages),
-                    retry_ms=timings.retry_ms,
-                    retries=timings.retries,
-                    cow_shared_bytes=table.cow_shareable_full_bytes,
-                )
-            )
         else:
             self.metrics.restore_ops.append(
                 RestoreOpRecord(
@@ -766,7 +740,6 @@ class ClusterController:
         segment = victims[0]
         self.templates.drop_replica(node.node_id, segment)
         node.unpin_template(segment.segment_id)
-        self.metrics.template_replica_evictions += 1
         return True
 
     def _park_victim_as_template(self, sandbox: Sandbox) -> bool:
@@ -881,7 +854,6 @@ class ClusterController:
             # down no new dedup ops are admitted; stay warm and re-ask
             # after the next idle period.  (Template parking needs no
             # registry, so a catalog keeps the consultation open.)
-            self.metrics.dedup_deferrals += 1
             timers.idle = self.sim.after(idle_period, lambda: self._on_idle_expiry(sandbox))
             return
         decision = self.policy.decide_idle(sandbox.function, self.build_view())
@@ -894,7 +866,6 @@ class ClusterController:
             # Pool full or publish retry storm: fall down one rung.
             if registry_down:
                 # No dedup rung during the outage; stay warm and re-ask.
-                self.metrics.dedup_deferrals += 1
                 timers.idle = self.sim.after(
                     idle_period, lambda: self._on_idle_expiry(sandbox)
                 )
@@ -1001,7 +972,7 @@ class ClusterController:
             self._purge(victim, reason="ssd-pressure")
             if not self._parkable(sandbox):
                 return False
-        cost_ms = store.demote_table(sandbox.sandbox_id, node_id, nbytes)
+        store.demote_table(sandbox.sandbox_id, node_id, nbytes)
         sandbox.table_tier = StorageTier.LOCAL_SSD
         self.nodes[node_id].recharge_sandbox(sandbox.sandbox_id)
         self._parked[sandbox.sandbox_id] = sandbox
@@ -1010,7 +981,6 @@ class ClusterController:
             self.metrics.template_delta_spill_bytes += nbytes
         else:
             self.metrics.table_demotions += 1
-            self._note_tier_op("demote", "table", StorageTier.LOCAL_SSD, nbytes, cost_ms)
         self._drain_queue()  # the freed DRAM may admit queued work
         return True
 
@@ -1038,22 +1008,7 @@ class ClusterController:
             self.metrics.template_delta_unspill_bytes += nbytes
         else:
             self.metrics.table_promotions += 1
-            self._note_tier_op("promote", "table", StorageTier.NODE_DRAM, nbytes, cost_ms)
         return cost_ms
-
-    def _note_tier_op(
-        self, kind: str, subject: str, tier: StorageTier, nbytes: int, cost_ms: float
-    ) -> None:
-        self.metrics.tier_ops.append(
-            TierOpRecord(
-                time_ms=self.sim.now,
-                kind=kind,
-                subject=subject,
-                tier=tier.value,
-                nbytes=nbytes,
-                cost_ms=cost_ms,
-            )
-        )
 
     def _promote_checkpoints(self, table) -> float:
         """Bring demoted base checkpoints a restore will read back into
@@ -1080,7 +1035,6 @@ class ClusterController:
             move = store.promote_checkpoint(checkpoint)
             node.recharge_checkpoint(checkpoint.checkpoint_id)
             self.metrics.checkpoint_promotions += 1
-            self._note_tier_op("promote", "checkpoint", move.tier, move.nbytes, move.cost_ms)
             total_ms += move.cost_ms
         return total_ms
 
@@ -1094,7 +1048,6 @@ class ClusterController:
             return False
         self.nodes[checkpoint.node_id].recharge_checkpoint(checkpoint.checkpoint_id)
         self.metrics.checkpoint_demotions += 1
-        self._note_tier_op("demote", "checkpoint", move.tier, move.nbytes, move.cost_ms)
         return True
 
     # -------------------------------------------------------------- dedup
@@ -1108,7 +1061,7 @@ class ClusterController:
         requests or re-enter the idle machinery mid-demarcation.  The
         registry contents become visible immediately — the simulation
         collapses the op's effect to its start, like the dedup op does —
-        but the time is charged and surfaced in ``metrics.base_ops``.
+        but the time is charged.
         """
         self._ensure_image(sandbox)
         assert sandbox.image is not None
@@ -1145,14 +1098,6 @@ class ClusterController:
         self.metrics.bases_created += 1
 
         full_pages = max(1, round(image.num_pages / self.config.content_scale))
-        record = BaseOpRecord(
-            function=sandbox.function,
-            sandbox_id=sandbox.sandbox_id,
-            started_ms=self.sim.now,
-            checkpoint_ms=COSTS.checkpoint_ms(full_pages),
-            register_ms=COSTS.register_ms(full_pages),
-        )
-        self.metrics.base_ops.append(record)
         sandbox.busy_request_id = _BASE_OP_BUSY
         self._note_candidacy_change(sandbox)
 
@@ -1164,7 +1109,9 @@ class ClusterController:
             if sandbox.state is SandboxState.WARM:
                 self._arm_idle_timers(sandbox)
 
-        self.sim.after(record.total_ms, finish_base_op)
+        self.sim.after(
+            COSTS.checkpoint_ms(full_pages) + COSTS.register_ms(full_pages), finish_base_op
+        )
 
     def _note_candidacy_change(self, sandbox: Sandbox) -> None:
         """``busy_request_id`` or ``is_base`` changed without a state
@@ -1208,7 +1155,6 @@ class ClusterController:
             # Registry lookups timed out past the retry budget: defer
             # the dedup (no refcounts were acquired) and stay warm.
             sandbox.transition(SandboxState.WARM, self.sim.now)
-            self.metrics.dedup_deferrals += 1
             self._arm_idle_timers(sandbox)
             return False
         if (

@@ -28,9 +28,7 @@ class RegistryUnavailable(RuntimeError):
 class FaultDomainHealth:
     """Mutable health bitmap over the cluster's failure domains."""
 
-    def __init__(self, *, nodes: int, shards: int):
-        self.total_nodes = nodes
-        self.total_shards = shards
+    def __init__(self) -> None:
         self.down_nodes: set[int] = set()
         self.down_shards: set[int] = set()
         self.degraded_links: set[int] = set()
@@ -42,18 +40,6 @@ class FaultDomainHealth:
     def registry_available(self) -> bool:
         """Whether new dedup ops may be admitted (all shards serving)."""
         return not self.down_shards
-
-    @property
-    def nodes_up(self) -> int:
-        return self.total_nodes - len(self.down_nodes)
-
-    @property
-    def shards_up(self) -> int:
-        return self.total_shards - len(self.down_shards)
-
-    @property
-    def impaired_links(self) -> int:
-        return len(self.degraded_links | self.partitioned_links)
 
 
 @dataclass

@@ -85,23 +85,14 @@ class FaultInjector:
     # ----------------------------------------------------------- recording
 
     def _record(self, kind: str, domain: str) -> None:
-        """Append the fault event and an availability sample at `now`."""
+        """Append the fault event at `now`."""
         # Imported here, not at module scope: the fault layer sits below
         # repro.platform in the import graph (agents import faults), and
         # repro.platform.metrics pulls the whole platform package in.
-        from repro.platform.metrics import AvailabilitySample, FaultEventRecord
+        from repro.platform.metrics import FaultEventRecord
 
-        health = self.runtime.health
         self.metrics.fault_events.append(
             FaultEventRecord(time_ms=self.sim.now, kind=kind, domain=domain)
-        )
-        self.metrics.availability_timeline.append(
-            AvailabilitySample(
-                time_ms=self.sim.now,
-                nodes_up=health.nodes_up,
-                shards_up=health.shards_up,
-                degraded_links=health.impaired_links,
-            )
         )
 
     # --------------------------------------------------------- node faults
@@ -134,10 +125,7 @@ class FaultInjector:
         # The replacement shard comes up empty and must re-ingest its
         # slice of the digest space before serving; charge that rebuild
         # and only mark the shard healthy once it completes.
-        rebuild_ms = self._rebuild_cost_ms()
-        self.metrics.shard_rebuilds += 1
-        self.metrics.shard_rebuild_ms += rebuild_ms
-        self.sim.after(rebuild_ms, lambda: self._finish_shard_heal(outage.shard))
+        self.sim.after(self._rebuild_cost_ms(), lambda: self._finish_shard_heal(outage.shard))
 
     def _rebuild_cost_ms(self) -> float:
         """One shard's share of re-registering every surviving base."""

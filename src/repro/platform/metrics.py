@@ -98,25 +98,6 @@ class DedupOpRecord:
 
 
 @dataclass(frozen=True)
-class BaseOpRecord:
-    """One base demarcation: checkpoint capture + registry registration.
-
-    Both phases were previously uncharged (``CostModel.register_ms`` was
-    dead code), understating the §7.7 overhead of creating a base.
-    """
-
-    function: str
-    sandbox_id: int
-    started_ms: float
-    checkpoint_ms: float
-    register_ms: float
-
-    @property
-    def total_ms(self) -> float:
-        return self.checkpoint_ms + self.register_ms
-
-
-@dataclass(frozen=True)
 class RestoreOpRecord:
     """One restore op (dedup start) with the Figure-8 phase breakdown.
 
@@ -177,48 +158,6 @@ class TemplateOpRecord:
     retained_full_bytes: int
 
 
-@dataclass(frozen=True)
-class TemplateForkRecord:
-    """One template fork (TEMPLATE start): promote + delta apply."""
-
-    function: str
-    sandbox_id: int
-    started_ms: float
-    promote_ms: float
-    """Charged remote-DRAM → node-DRAM promotion of segments forked on
-    this node for the first time (0 once replicas are warm)."""
-    apply_ms: float
-    restore_ms: float
-    promoted_bytes: int
-    patched_pages: int
-    unique_pages: int
-    zero_pages: int
-    retry_ms: float = 0.0
-    """Transient-RPC timeout/backoff latency charged to the op (faults)."""
-    retries: int = 0
-    cow_shared_bytes: int = 0
-    """Clean template pages the forked sandbox maps copy-on-write from
-    the node's replicas — discounted from its warm DRAM charge."""
-
-    @property
-    def total_ms(self) -> float:
-        return self.promote_ms + self.apply_ms + self.restore_ms + self.retry_ms
-
-
-@dataclass(frozen=True, slots=True)
-class TemplateSample:
-    """Template catalog occupancy at one sampling instant."""
-
-    time_ms: float
-    pool_used_bytes: int
-    """Remote-DRAM template pool occupancy (authoritative copies)."""
-    replica_bytes: int
-    """Node-DRAM template replicas across the cluster (fork caches)."""
-    segments: int
-    live_deltas: int
-    """Parked sandboxes currently holding a template delta table."""
-
-
 @dataclass(frozen=True, slots=True)
 class MemorySample:
     """Cluster memory usage at one sampling instant."""
@@ -230,33 +169,6 @@ class MemorySample:
     total_sandboxes: int
 
 
-@dataclass(frozen=True)
-class TierOpRecord:
-    """One charged tier move (demotion or promotion), tiering only."""
-
-    time_ms: float
-    kind: str
-    """"demote" or "promote"."""
-    subject: str
-    """"checkpoint" or "table"."""
-    tier: str
-    """Destination tier value (e.g. "local-ssd")."""
-    nbytes: int
-    cost_ms: float
-
-
-@dataclass(frozen=True, slots=True)
-class TierSample:
-    """Occupancy of the non-DRAM tiers at one sampling instant."""
-
-    time_ms: float
-    remote_dram_bytes: int
-    ssd_bytes: int
-    cold_tables: int
-    """Sandboxes whose table (patch table or template delta) is parked
-    on SSD."""
-
-
 #: Rows a :class:`ColumnTimeline` holds as tuples before storing them as
 #: one block: a numpy scalar store per field costs more than the row.
 ROW_BLOCK = 64
@@ -265,8 +177,8 @@ ROW_BLOCK = 64
 class ColumnTimeline:
     """A growable numpy column store behind a list-of-samples API.
 
-    Cluster-scale replays sample the memory/tier timelines millions of
-    times; one Python object per sample does not survive that.  Samples
+    Cluster-scale replays sample the memory timeline and log requests
+    millions of times; one Python object per sample does not survive that.  Samples
     are stored as per-field numpy columns (float64 for ``float`` fields,
     int64 for ``int`` fields) with amortized-doubling growth, written in
     blocks of :data:`ROW_BLOCK` rows that any read flushes first, while
@@ -535,16 +447,6 @@ _HEAL_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class AvailabilitySample:
-    """Cluster availability right after a fault event took effect."""
-
-    time_ms: float
-    nodes_up: int
-    shards_up: int
-    degraded_links: int
-
-
 @dataclass
 class RunMetrics:
     """Everything measured during one platform run."""
@@ -554,7 +456,6 @@ class RunMetrics:
     """Every request by id, in arrival order (a mapping of records)."""
     dedup_ops: list[DedupOpRecord] = field(default_factory=list)
     restore_ops: list[RestoreOpRecord] = field(default_factory=list)
-    base_ops: list[BaseOpRecord] = field(default_factory=list)
     memory_timeline: ColumnTimeline = field(
         default_factory=lambda: ColumnTimeline(MemorySample)
     )
@@ -566,20 +467,12 @@ class RunMetrics:
     prewarm_spawns: int = 0
     sandboxes_created: int = 0
     bases_created: int = 0
-    tier_ops: list[TierOpRecord] = field(default_factory=list)
-    """Charged demotions/promotions (empty unless checkpoint tiering)."""
-    tier_timeline: ColumnTimeline = field(
-        default_factory=lambda: ColumnTimeline(TierSample)
-    )
-    """Sampled non-DRAM tier occupancy (empty unless checkpoint tiering)."""
     checkpoint_demotions: int = 0
     checkpoint_promotions: int = 0
     table_demotions: int = 0
     """Dedup patch tables parked on SSD instead of purged."""
     table_promotions: int = 0
     """Parked tables read back for a restore."""
-    prefetch_recordings: int = 0
-    """Restore working sets recorded (first restores of a key)."""
     prefetched_restores: int = 0
     """Restores whose base reads were issued as one recorded prefetch."""
     prefetch_hit_pages: int = 0
@@ -594,14 +487,8 @@ class RunMetrics:
     anchor_index_cache_misses: int = 0
     fault_events: list[FaultEventRecord] = field(default_factory=list)
     """Injected faults and heals, in firing order (empty without faults)."""
-    availability_timeline: list[AvailabilitySample] = field(default_factory=list)
-    """Availability after each fault event (empty without faults)."""
     rpc_retries: int = 0
     """Failed transient-RPC attempts that were retried (fault layer)."""
-    retry_backoff_ms: float = 0.0
-    """Total timeout + backoff latency charged to retried ops."""
-    rpc_exhausted_ops: int = 0
-    """Ops whose every retry attempt failed (fell down the ladder)."""
     restore_replica_fallbacks: int = 0
     """Dedup sandboxes re-homed onto byte-identical replica base pages
     after their original base died."""
@@ -613,9 +500,6 @@ class RunMetrics:
     restore_cold_fallbacks: int = 0
     """Dispatches that fell through failed dedup candidates to a cold
     start."""
-    dedup_deferrals: int = 0
-    """Dedup ops skipped or abandoned because the registry was
-    unavailable (warm-only degradation)."""
     requests_rescheduled: int = 0
     """In-flight requests whose node crashed and that were re-dispatched."""
     crash_purged_sandboxes: int = 0
@@ -623,18 +507,8 @@ class RunMetrics:
     crash_reconciled_refs: int = 0
     """Orphaned base refcounts released or re-homed during crash
     reconciliation."""
-    shard_rebuilds: int = 0
-    shard_rebuild_ms: float = 0.0
-    """Charged time rebuilding lost registry shards from surviving
-    agents' base checkpoints."""
     template_ops: list[TemplateOpRecord] = field(default_factory=list)
     """Templatize ops (empty unless template sharing is on)."""
-    template_forks: list[TemplateForkRecord] = field(default_factory=list)
-    """Template fork restores (empty unless template sharing is on)."""
-    template_timeline: ColumnTimeline = field(
-        default_factory=lambda: ColumnTimeline(TemplateSample)
-    )
-    """Sampled template catalog occupancy (empty unless template sharing)."""
     template_segments_created: int = 0
     """Distinct (content, size) template segments published to the pool."""
     template_segments_shared: int = 0
@@ -644,9 +518,6 @@ class RunMetrics:
     template_promotions: int = 0
     """Charged pool → node-DRAM segment promotions (first fork per node)."""
     template_promote_bytes: int = 0
-    template_replica_evictions: int = 0
-    """Node-DRAM template replicas dropped under placement pressure (the
-    pool copy survives, so this never loses content)."""
     template_fork_fallbacks: int = 0
     """Dispatches where a template fork failed (transient faults) and the
     request fell through to the dedup/cold rungs."""

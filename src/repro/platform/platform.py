@@ -32,7 +32,6 @@ from repro.sim.engine import Simulator
 from repro.sim.network import RdmaFabric
 from repro.storage.prefetch import WorkingSetRecorder
 from repro.storage.store import TieredCheckpointStore
-from repro.storage.tiers import StorageTier
 from repro.templates.catalog import TemplateCatalog
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
@@ -122,7 +121,7 @@ class Platform:
         self.basemgr = BaseSandboxManager(self.store)
         self.faults = FaultRuntime(
             config=config.faults,
-            health=FaultDomainHealth(nodes=config.nodes, shards=config.registry_shards),
+            health=FaultDomainHealth(),
             transients=TransientFaults(
                 config.faults.rpc_failure_prob,
                 seed=stable_seed("transient-rpc", config.seed, config.faults.seed),
@@ -228,22 +227,6 @@ class Platform:
         self.metrics.memory_timeline.append_row(
             self.sim.now, self.controller.used_bytes(), warm, dedup, total
         )
-        if isinstance(self.store, TieredCheckpointStore):
-            occupancy = self.store.tier_used_bytes()
-            self.metrics.tier_timeline.append_row(
-                self.sim.now,
-                occupancy[StorageTier.REMOTE_DRAM],
-                occupancy[StorageTier.LOCAL_SSD],
-                self.controller.parked_tables,
-            )
-        if self.templates is not None:
-            self.metrics.template_timeline.append_row(
-                self.sim.now,
-                self.templates.pool.used_bytes,
-                self.templates.replica_bytes(),
-                len(self.templates),
-                self.templates.live_deltas,
-            )
 
     def _inject_arrivals(self, trace: Trace) -> None:
         """Schedule the trace's arrivals on the simulator.
@@ -307,7 +290,6 @@ class Platform:
                 raise liveness(self)
         check(self)
         if self.recorder is not None:
-            self.metrics.prefetch_recordings = self.recorder.recordings
             self.metrics.prefetched_restores = self.recorder.prefetched_restores
             self.metrics.prefetch_hit_pages = self.recorder.hit_pages
             self.metrics.prefetch_miss_pages = self.recorder.miss_pages
@@ -317,10 +299,7 @@ class Platform:
         self.metrics.base_page_cache_misses = pages.misses
         self.metrics.anchor_index_cache_hits = anchors.hits
         self.metrics.anchor_index_cache_misses = anchors.misses
-        transients = self.faults.transients
-        self.metrics.rpc_retries = transients.retried_attempts
-        self.metrics.retry_backoff_ms = transients.charged_backoff_ms
-        self.metrics.rpc_exhausted_ops = transients.exhausted_ops
+        self.metrics.rpc_retries = self.faults.transients.retried_attempts
         return RunReport(
             platform_name=self.name,
             config=self.config,

@@ -117,6 +117,23 @@ def check_every_instant(platform, probe=lambda platform: platform.sim.now) -> li
     return checked
 
 
+def record_replica_drops(platform) -> list:
+    """Make ``platform``'s template catalog log each replica the
+    controller drops under placement pressure (a crash drops a node's
+    replicas through ``drop_replicas``, not here); returns the log of
+    ``(node, segment id)``, filled in as the run goes."""
+    catalog = platform.templates
+    drop = catalog.drop_replica
+    dropped: list = []
+
+    def logged(node_id, segment) -> None:
+        dropped.append((node_id, segment.segment_id))
+        drop(node_id, segment)
+
+    catalog.drop_replica = logged
+    return dropped
+
+
 @pytest.fixture(scope="session")
 def small_suite() -> FunctionBenchSuite:
     return FunctionBenchSuite.subset(["Vanilla", "LinAlg", "RNNModel"])

@@ -227,21 +227,40 @@ class TestMultiCandidateDispatch:
         assert records[5].start_type is StartType.DEDUP
 
 class TestBaseOpAccounting:
-    def test_base_demarcation_charged_and_recorded(self, pair_suite):
+    def test_base_stays_busy_for_checkpoint_and_register(self, pair_suite, monkeypatch):
+        """Demarcation charges both phases: the base serves nothing for
+        exactly ``checkpoint_ms + register_ms`` after it is made."""
         platform = build_platform(
             PlatformKind.MEDES, config(), pair_suite, medes=medes()
+        )
+        controller = platform.controller
+        made = []  # (time, base sandbox, its busy marker)
+        make_base = controller._make_base
+
+        def spy(sandbox):
+            make_base(sandbox)
+            made.append((platform.sim.now, sandbox, sandbox.busy_request_id))
+
+        monkeypatch.setattr(controller, "_make_base", spy)
+        busy = check_every_instant(
+            platform, lambda p: [(p.sim.now, base.busy_request_id) for _, base, _ in made]
         )
         report = platform.run(
             Trace.from_arrivals([(0.0, "Vanilla"), (1.0, "Vanilla")])
         )
-        assert len(report.metrics.base_ops) == report.metrics.bases_created == 1
-        record = report.metrics.base_ops[0]
-        assert record.function == "Vanilla"
-        # Both phases carry real cost now (register_ms was dead code).
-        assert record.checkpoint_ms > 0
-        assert record.register_ms > 0
-        assert record.total_ms == record.checkpoint_ms + record.register_ms
-        assert record.checkpoint_ms >= COSTS.checkpoint_fixed_ms
+        assert len(made) == report.metrics.bases_created == 1
+        ((made_at, base, marker),) = made
+        assert base.function == "Vanilla"
+        assert marker is not None
+        full_pages = max(1, round(base.image.num_pages / SCALE))
+        checkpoint_ms = COSTS.checkpoint_ms(full_pages)
+        register_ms = COSTS.register_ms(full_pages)
+        assert checkpoint_ms >= COSTS.checkpoint_fixed_ms
+        assert register_ms > 0
+        after = [sample[0] for sample in busy if sample and sample[0][0] > made_at]
+        freed_at = next(now for now, holder in after if holder != marker)
+        assert all(holder == marker for now, holder in after if now < freed_at)
+        assert freed_at == made_at + (checkpoint_ms + register_ms)
 
 
 class TestStarvationPath:

@@ -21,9 +21,18 @@ from repro.sandbox.node import AccountingError
 from repro.storage.tiers import StorageTier
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
-from tests.conftest import check_every_instant
+from tests.conftest import check_every_instant, record_replica_drops
 
 KEEP_DEDUP_MS = 12_000.0
+
+
+def parked_tables(platform) -> int:
+    """Residents whose table is parked on SSD."""
+    return sum(
+        sandbox.table_tier is not None
+        for node in platform.nodes
+        for sandbox in node.sandboxes.values()
+    )
 
 
 def build(*, nodes=2, node_memory_mb=100.0, **features):
@@ -82,7 +91,7 @@ PARKS_ONE_TABLE = pytest.mark.parametrize(
 @PARKS_ONE_TABLE
 def test_a_parked_table_is_purged_one_window_after_it_parks(arrivals, template_sharing):
     platform = build(template_sharing=template_sharing)
-    parked = check_every_instant(platform, lambda p: (p.sim.now, p.controller.parked_tables))
+    parked = check_every_instant(platform, lambda p: (p.sim.now, parked_tables(p)))
     metrics = platform.run(Trace.from_arrivals(arrivals)).metrics
     changes = [(now, count) for (now, count), (_, was) in zip(parked[1:], parked) if count != was]
     assert [count for _, count in changes] == [1, 0]
@@ -105,7 +114,7 @@ def test_a_failed_start_leaves_the_table_parked(arrivals, template_sharing, monk
     late_ms = 13_000.0 if template_sharing else 20_000.0
     late = [(late_ms, "LinAlg")] * (1 if template_sharing else 2)
     platform = build(template_sharing=template_sharing)
-    controller, metrics = platform.controller, platform.metrics
+    metrics = platform.metrics
     attempts, snapshots = [], []
 
     def fail(*args, **kwargs):
@@ -119,9 +128,9 @@ def test_a_failed_start_leaves_the_table_parked(arrivals, template_sharing, monk
         spawned = [s for s in node.sandboxes.values() if s.sandbox_id not in residents]
         return (
             sandbox.table_tier,
-            controller.parked_tables,
+            parked_tables(platform),
+            metrics.table_demotions,
             metrics.table_promotions,
-            list(metrics.tier_ops),
             node.used_bytes() - sum(s.memory_bytes() for s in spawned),
         )
 
@@ -176,7 +185,8 @@ def test_hot_template_replicas_cannot_starve_a_queued_request():
     ]
     platform = build(template_sharing=True)
     check_every_instant(platform)
+    dropped = record_replica_drops(platform)
     metrics = platform.run(Trace.from_arrivals(arrivals)).metrics
     assert all(record.completion_ms is not None for record in metrics.requests.values())
     assert metrics.start_counts() == {StartType.COLD: 5, StartType.TEMPLATE: 2}
-    assert metrics.template_replica_evictions > 0
+    assert dropped

@@ -3,7 +3,7 @@
 Node crashes, registry-shard outages and link faults are injected on
 the simulator clock; every run must complete all requests (degradation,
 never failure), reconcile refcounts, and surface the recovery in the
-fault metrics (availability timeline, MTTR, fallback counters).  A run
+fault metrics (fault events, MTTR, fallback counters).  A run
 returns only once every request completed; ``check`` recounts the rest.
 """
 
@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro._util import hash_bytes
 from repro.core.policy import MedesPolicyConfig
+from repro.core.registry import PageRef
 from repro.faults.schedule import (
     FaultSchedule,
     FaultsConfig,
@@ -23,6 +25,8 @@ from repro.faults.schedule import (
 from repro.invariants import check
 from repro.platform.config import ClusterConfig
 from repro.platform.platform import PlatformKind, build_platform
+from repro.sandbox.checkpoint import BaseCheckpoint
+from repro.sandbox.state import SandboxState
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
 
@@ -84,7 +88,7 @@ class TestNodeCrash:
         assert metrics.crash_purged_sandboxes > 0
         events = [e.kind for e in metrics.fault_events]
         assert events.count("node-crash") == 1
-        assert metrics.availability_timeline[0].nodes_up == 1
+        assert platform.faults.health.down_nodes == {1}
         check(platform)
 
     def test_restart_restores_capacity_and_mttr(self):
@@ -100,11 +104,10 @@ class TestNodeCrash:
         kinds = [e.kind for e in metrics.fault_events]
         assert kinds == ["node-crash", "node-restored"]
         assert metrics.mttr_ms() == pytest.approx(30_000.0)
+        # The restarted node is usable again: post-restart requests may
+        # land there.
         assert not platform.faults.health.down_nodes
         assert platform.fabric.peer_available(1)
-        # The restarted node is usable again: post-restart requests may
-        # land there, and the final health sample shows full capacity.
-        assert metrics.availability_timeline[-1].nodes_up == 2
         check(platform)
 
     def test_mid_restore_crash_is_survived(self):
@@ -121,22 +124,81 @@ class TestNodeCrash:
         platform, _ = run_faulty(faults, arrivals=arrivals)
         check(platform)
 
-    def test_both_fallback_counters_surface(self):
-        """A crash wiping node 1 forces the restore fallback ladder; the
-        run records either a replica re-home or a cold fallback."""
+    def test_crash_rehomes_onto_a_same_domain_twin(self):
+        """A parked sandbox whose base dies moves onto a byte-identical
+        live twin: every row that named the dead base names the twin,
+        the refcounts move once, and the next restore is byte-exact."""
+        crash_ms = 21_000.0
         faults = FaultsConfig(
-            schedule=FaultSchedule(node_crashes=(NodeCrash(at_ms=45_000.0, node_id=1),))
+            schedule=FaultSchedule(node_crashes=(NodeCrash(at_ms=crash_ms, node_id=0),))
         )
-        _, report = run_faulty(faults, arrivals=DEDUP_WORKLOAD)
+        suite = FunctionBenchSuite.subset(["Vanilla", "LinAlg"])
+        config = ClusterConfig(
+            nodes=2,
+            node_memory_mb=512.0,
+            content_scale=SCALE,
+            seed=4,
+            verify_restores=True,
+            faults=faults,
+        )
+        platform = build_platform(PlatformKind.MEDES, config, suite, medes=MEDES)
+        seen: dict = {}
+
+        def plant_twin() -> None:
+            """Copy the parked Vanilla sandbox's one base (on node 0)
+            onto node 1, as a base of its own in the same domain."""
+            (sandbox,) = [
+                s
+                for s in platform.nodes[1].sandboxes.values()
+                if s.state is SandboxState.DEDUP and s.function == "Vanilla"
+            ]
+            table = sandbox.dedup_table
+            (base_id,) = table.base_refs
+            base = platform.store.get(base_id)
+            assert base.node_id == 0
+            twin = BaseCheckpoint(
+                function=base.function,
+                node_id=1,
+                image=base.image,
+                owner_sandbox_id=base.owner_sandbox_id,
+                full_size_bytes=base.full_size_bytes,
+                owner_resident=False,
+                domain=base.domain,
+            )
+            platform.basemgr.add_base(twin)
+            platform.nodes[1].pin_checkpoint(twin)
+            for index in range(base.image.num_pages):
+                platform.registry.register_page_location(
+                    PageRef(twin.checkpoint_id, 1, index),
+                    hash_bytes(base.image.page_bytes(index)),
+                    twin.domain,
+                )
+            rows = table.base_checkpoint == base_id
+            seen.update(sandbox=sandbox, base=base, twin=twin)
+            seen.update(moved=int(rows.sum()), pages=table.base_page[rows].copy())
+
+        def after_crash() -> None:
+            table = seen["sandbox"].dedup_table
+            base, twin = seen["base"], seen["twin"]
+            assert set(table.base_checkpoint.tolist()) == {twin.checkpoint_id}
+            assert set(table.base_node.tolist()) == {1}
+            for old, new in zip(seen["pages"].tolist(), table.base_page.tolist()):
+                assert twin.image.page_bytes(new) == base.image.page_bytes(old)
+            assert dict(table.base_refs) == {twin.checkpoint_id: seen["moved"]}
+            seen["refcounts"] = (base.refcount, twin.refcount)
+
+        platform.sim.at(crash_ms - 1.0, plant_twin)
+        platform.sim.at(crash_ms + 0.5, after_crash)
+        report = platform.run(Trace.from_arrivals(DEDUP_WORKLOAD))
         metrics = report.metrics
-        # The reconciliation path ran: state referencing the dead node
-        # was either purged, re-homed, or never existed (scheduling is
-        # free to have kept everything on node 0 — but the counters must
-        # never go negative / half-counted).
-        assert metrics.restore_replica_fallbacks >= 0
-        assert metrics.restore_cold_fallbacks >= 0
-        assert metrics.requests_rescheduled >= 0
-        assert metrics.crash_reconciled_refs >= 0
+        assert seen["moved"] > 1
+        assert seen["refcounts"] == (0, seen["moved"])
+        assert metrics.restore_replica_fallbacks == 1
+        # The next restore of the rehomed sandbox ran, verified.
+        sandbox_id = seen["sandbox"].sandbox_id
+        restored = [op for op in metrics.restore_ops if op.sandbox_id == sandbox_id]
+        assert [op.started_ms for op in restored] == [26_000.0]
+        check(platform)
 
 
 class TestShardOutage:
@@ -149,13 +211,13 @@ class TestShardOutage:
     def test_warm_only_degradation_and_recovery(self):
         platform, report = run_faulty(self.OUTAGE, arrivals=DEDUP_WORKLOAD)
         metrics = report.metrics
-        # During the outage the idle machinery defers dedup decisions.
-        assert metrics.dedup_deferrals > 0
-        assert metrics.shard_rebuilds == 1
-        assert metrics.shard_rebuild_ms > 0.0
         kinds = [e.kind for e in metrics.fault_events]
         assert kinds.count("shard-down") == 1
         assert kinds.count("shard-restored") == 1
+        # From the outage until the rebuilt shard serves, the idle
+        # machinery defers dedup: no op starts in between.
+        down, healed = (e.time_ms for e in metrics.fault_events)
+        assert not [op for op in metrics.dedup_ops if down <= op.started_ms < healed]
         # MTTR includes the charged rebuild: strictly > the raw outage.
         assert metrics.mttr_ms() > 40_000.0
         assert platform.faults.health.registry_available()
@@ -219,14 +281,15 @@ class TestTransientRpcFaults:
         platform, report = run_faulty(faults, arrivals=DEDUP_WORKLOAD)
         metrics = report.metrics
         assert metrics.rpc_retries > 0
-        assert metrics.retry_backoff_ms > 0.0
+        backoff_ms = platform.faults.transients.charged_backoff_ms
+        assert backoff_ms > 0.0
         charged = sum(op.retry_ms for op in metrics.dedup_ops) + sum(
             op.retry_ms for op in metrics.restore_ops
         )
         exhausted_charge = sum(
             r.retry_penalty_ms for r in metrics.requests.values()
         )
-        assert charged + exhausted_charge == pytest.approx(metrics.retry_backoff_ms)
+        assert charged + exhausted_charge == pytest.approx(backoff_ms)
         check(platform)
 
     def test_exhaustion_falls_through_not_fails(self):

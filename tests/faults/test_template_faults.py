@@ -15,6 +15,7 @@ from repro.core.policy import MedesPolicyConfig
 from repro.faults.schedule import FaultSchedule, FaultsConfig, NodeCrash, ShardOutage
 from repro.invariants import check
 from repro.platform.config import ClusterConfig
+from repro.platform.metrics import StartType
 from repro.platform.platform import PlatformKind, build_platform
 from repro.templates.catalog import TemplateConfig
 from repro.workload.functionbench import FunctionBenchSuite
@@ -78,9 +79,14 @@ class TestNodeCrash:
         the pool re-promotes instead of falling cold."""
         platform, report = run_faulty(self.CRASH)
         metrics = report.metrics
-        assert metrics.template_forks, "workload must fork templates"
-        late = [f for f in metrics.template_forks if f.started_ms > 40_000.0]
-        assert late, "forks must survive the crash"
+        # A fork is a TEMPLATE start: it starts at arrival + queued.
+        forks = [
+            r.arrival_ms + r.queued_ms
+            for r in metrics.requests.values()
+            if r.start_type is StartType.TEMPLATE
+        ]
+        assert forks, "workload must fork templates"
+        assert [at for at in forks if at > 40_000.0], "forks must survive the crash"
         check(platform)
 
     def test_restart_and_repromote(self):

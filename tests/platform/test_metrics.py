@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -15,7 +16,6 @@ from repro.platform.metrics import (
     RequestRecord,
     RunMetrics,
     StartType,
-    TierSample,
     improvement_factors,
 )
 
@@ -195,7 +195,11 @@ class TestColumnTimeline:
         assert a == b
         b.append(_sample(2))
         assert a != b
-        assert ColumnTimeline(MemorySample) != ColumnTimeline(TierSample)
+        # Same columns, another sample type: not equal.
+        twin = dataclasses.make_dataclass(
+            "MemorySampleTwin", [(f.name, f.type) for f in dataclasses.fields(MemorySample)]
+        )
+        assert ColumnTimeline(MemorySample) != ColumnTimeline(twin)
 
     def test_column_views_and_dtypes(self):
         timeline = ColumnTimeline(MemorySample)

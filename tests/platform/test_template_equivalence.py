@@ -39,7 +39,8 @@ PERTURBED_TEMPLATES = TemplateConfig(
 
 def assert_templates_inert(kind, config, suite, trace, **build_kwargs):
     """Two template-off runs — default vs perturbed config — must match."""
-    baseline = build_platform(kind, config, suite, **build_kwargs).run(trace)
+    platform = build_platform(kind, config, suite, **build_kwargs)
+    baseline = platform.run(trace)
     perturbed = build_platform(
         kind,
         replace(config, templates=PERTURBED_TEMPLATES),
@@ -50,20 +51,18 @@ def assert_templates_inert(kind, config, suite, trace, **build_kwargs):
     assert perturbed.metrics == baseline.metrics
     metrics = baseline.metrics
     assert metrics.template_ops == []
-    assert metrics.template_forks == []
-    assert len(metrics.template_timeline) == 0
+    assert StartType.TEMPLATE not in metrics.start_counts()
     assert metrics.template_segments_created == 0
     assert metrics.template_segments_shared == 0
     assert metrics.template_promotions == 0
     assert metrics.template_promote_bytes == 0
-    assert metrics.template_replica_evictions == 0
+    assert platform.templates is None  # so no replica is ever dropped
     assert metrics.template_fork_fallbacks == 0
     assert metrics.template_pool_rejections == 0
     assert metrics.template_evict_parks == 0
     assert metrics.template_delta_spills == 0
     assert metrics.template_delta_spill_bytes == 0
     assert metrics.template_delta_unspill_bytes == 0
-    assert StartType.TEMPLATE not in metrics.start_counts()
     return baseline
 
 
@@ -129,9 +128,7 @@ class TestTemplatesOnBehaviour:
         report = platform.run(trace)
         metrics = report.metrics
         assert metrics.template_ops, "idle sandboxes must park as templates"
-        assert metrics.template_forks, "repeat arrivals must fork templates"
-        assert len(metrics.template_timeline) > 0
-        assert metrics.start_counts().get(StartType.TEMPLATE, 0) > 0
+        assert metrics.start_counts()[StartType.TEMPLATE] > 0, "repeat arrivals must fork"
         assert metrics.template_segments_created > 0
         # Two functions share at least the runtime segment.
         assert metrics.template_segments_shared > 0
@@ -144,7 +141,8 @@ class TestTemplatesOnBehaviour:
         suite, config, trace = pressure_workload()
         config = replace(config, template_sharing=True, verify_restores=True)
         report = build_platform(PlatformKind.MEDES, config, suite, medes=MEDES).run(trace)
-        assert report.metrics.template_forks  # ran to completion, verified
+        # Ran to completion, every fork verified.
+        assert report.metrics.start_counts()[StartType.TEMPLATE] > 0
 
     def test_templates_relieve_pressure(self):
         """Sharing on must not degrade the latency tail.

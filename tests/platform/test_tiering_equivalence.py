@@ -3,10 +3,11 @@
 ``ClusterConfig.checkpoint_tiering`` follows the PR-1/PR-2 equivalence
 discipline: with the flag off (the default) every run must produce the
 exact ``RunMetrics`` the untiered code produced — the ``StorageConfig``
-is inert, no tier records appear, restore records keep their zero-valued
-tiering fields.  These tests pin that across the three platforms and the
-pressure/starvation/burst workloads, by perturbing the storage
-configuration wildly under a disabled flag and requiring identical runs.
+is inert, no table moves to SSD or back, restore records keep their
+zero-valued tiering fields.  These tests pin that across the three
+platforms and the pressure/starvation/burst workloads, by perturbing the
+storage configuration wildly under a disabled flag and requiring
+identical runs.
 
 With the flag *on*, runs must stay deterministic (same seed, same
 metrics) and actually exercise the tier machinery under pressure.
@@ -44,9 +45,7 @@ def assert_storage_inert(kind, config, suite, trace, **build_kwargs):
     ).run(trace)
     assert perturbed.duration_ms == baseline.duration_ms
     assert perturbed.metrics == baseline.metrics
-    assert baseline.metrics.tier_ops == []
-    assert baseline.metrics.tier_timeline == []
-    assert baseline.metrics.table_demotions == 0
+    assert baseline.metrics.table_demotions == baseline.metrics.table_promotions == 0
     assert baseline.metrics.prefetched_restores == 0
     assert all(
         not op.prefetched and op.promote_ms == 0.0
@@ -117,8 +116,7 @@ class TestTieringOnBehaviour:
         report = platform.run(trace)
         metrics = report.metrics
         assert metrics.table_demotions > 0, "pressure must park tables on SSD"
-        assert metrics.tier_ops, "tier moves must be recorded"
-        assert metrics.tier_timeline, "tier occupancy must be sampled"
+        assert metrics.table_promotions > 0, "parked tables must be read back"
         # Recorded restores appear once a working set repeats.
         if metrics.prefetched_restores:
             assert any(op.prefetched for op in metrics.restore_ops)

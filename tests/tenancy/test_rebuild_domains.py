@@ -152,7 +152,8 @@ class TestRebuildUnderDomainsEndToEnd:
             medes=MedesPolicyConfig(idle_period_ms=5_000.0, alpha=25.0),
         )
         report = platform.run(trace)
-        assert report.metrics.shard_rebuilds == 1
+        kinds = [event.kind for event in report.metrics.fault_events]
+        assert kinds.count("shard-restored") == 1  # rebuilt, then healed
         assert report.metrics.cross_domain_replica_skips == 0
         # The rebuilt partitions hold every registered base again, each
         # under its function's tenant; check() proves them pure.

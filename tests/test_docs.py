@@ -194,6 +194,53 @@ class TestEverySettingHasASetter:
         assert not stale, f"set now or gone; drop from the allow-list: {sorted(stale)}"
 
 
+#: ``RunMetrics`` fields that nothing in ``src/``, ``benchmarks/`` or
+#: ``examples/`` reads, each with why it stays; empty, and it may shrink,
+#: never grow.
+METRICS_ALLOWED: dict[str, str] = {}
+
+
+def _attribute_reads(tree: ast.AST) -> set[str]:
+    """Names read as ``<x>.<name>``: an attribute in Load context that is
+    not the receiver of ``.append`` or ``.append_row`` (a write to the
+    list or timeline it names).  An assignment target is in Store
+    context, so ``<x>.<name> += 1`` is no read either."""
+    receivers = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("append", "append_row")
+    }
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in receivers
+    }
+
+
+class TestEveryMetricHasAReader:
+    """A ``RunMetrics`` field ships with its reader: every field is read
+    in ``src/``, ``benchmarks/`` or ``examples/``, or is listed in
+    :data:`METRICS_ALLOWED` with its reason.  A field only tests read is
+    run history nothing uses, filled on every run."""
+
+    def test_every_field_is_read_or_allowed(self):
+        from repro.platform.metrics import RunMetrics
+
+        reads = {
+            name
+            for top in ("src", "benchmarks", "examples")
+            for path in (REPO_ROOT / top).rglob("*.py")
+            for name in _attribute_reads(ast.parse(path.read_text()))
+        }
+        unread = {field.name for field in dataclasses.fields(RunMetrics)} - reads
+        unlisted = sorted(unread - METRICS_ALLOWED.keys())
+        assert not unlisted, f"only tests read these; delete them and what fills them: {unlisted}"
+        stale = METRICS_ALLOWED.keys() - unread
+        assert not stale, f"read now or gone; drop from the allow-list: {sorted(stale)}"
+
+
 class TestNoUnreferencedCode:
     """Code in ``src/`` that only tests reach drifts from the code that
     replaced it; the allow-list above may shrink, never grow."""
@@ -349,3 +396,49 @@ class TestNoUnusedImports:
                         if bound not in read and alias.name != "*":
                             unused.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno} {bound}")
         assert not unused, f"unused imports (F401): {unused}"
+
+
+def _doc_files() -> list[pathlib.Path]:
+    """The root ``*.md`` files, ``docs/`` and ``benchmarks/**/*.md``."""
+    return sorted(
+        {
+            *REPO_ROOT.glob("*.md"),
+            *REPO_ROOT.glob("docs/**/*.md"),
+            *REPO_ROOT.glob("benchmarks/**/*.md"),
+        }
+    )
+
+
+class TestDocReferencesResolve:
+    """A moved or deleted file or section cannot leave a dangling
+    reference behind in the docs or the code."""
+
+    def test_relative_links_resolve(self):
+        links = []
+        for doc in _doc_files():
+            for target in re.findall(r"\]\(([^)\s]+)\)", doc.read_text()):
+                if re.match(r"[a-z]+:", target) or target.startswith("#"):
+                    continue  # a URL or an anchor in the same file
+                links.append((doc, target.partition("#")[0]))
+        assert links, "no relative link found: the pattern went stale"
+        dangling = [
+            f"{doc.relative_to(REPO_ROOT)}: {target}"
+            for doc, target in links
+            if not (doc.parent / target).exists()
+        ]
+        assert not dangling, f"links to nothing: {dangling}"
+
+    def test_design_section_references_name_a_section(self):
+        design = (REPO_ROOT / "DESIGN.md").read_text()
+        sections = set(re.findall(r"^## (\d+)\.", design, re.MULTILINE))
+        cited: dict[str, set[str]] = {}
+        sources = [p for top in ("src", "tests") for p in (REPO_ROOT / top).rglob("*.py")]
+        for path in [*sources, *_doc_files()]:
+            # "DESIGN.md §7", and each of "DESIGN.md §7, §16 and §18".
+            text = path.read_text()
+            for run in re.findall(r"DESIGN\.md,?\s+((?:§\d+(?:,\s*|\s+and\s+)?)+)", text):
+                for number in re.findall(r"§(\d+)", run):
+                    cited.setdefault(number, set()).add(str(path.relative_to(REPO_ROOT)))
+        assert cited, "no DESIGN.md § reference found: the pattern went stale"
+        missing = {n: sorted(paths) for n, paths in cited.items() if n not in sections}
+        assert not missing, f"DESIGN.md has no such section: {missing}"
