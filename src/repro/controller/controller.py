@@ -34,7 +34,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from repro._util import SeededLognormal, hash_bytes, stable_seed
+from repro._util import SeededLognormal, hash_rows_sha1, stable_seed
 from repro.controller.index import NodeUsageIndex, SandboxIndex
 from repro.core.agent import DedupAgent
 from repro.core.basemgr import BaseSandboxManager
@@ -43,7 +43,7 @@ from repro.core.policy import ClusterView, Decision, FunctionStats, LifecyclePol
 from repro.core.registry import FingerprintRegistry, PageRef
 from repro.faults.health import RegistryUnavailable
 from repro.faults.retry import RetryExhausted
-from repro.memory.fingerprint import batch_page_fingerprints
+from repro.memory.fingerprint import SamplingStrategy, batch_page_fingerprints
 from repro.platform.config import ClusterConfig
 from repro.platform.metrics import (
     DedupOpRecord,
@@ -848,14 +848,8 @@ class ClusterController:
             # Base sandboxes stay warm while they anchor dedup state.
             timers.idle = self.sim.after(idle_period, lambda: self._on_idle_expiry(sandbox))
             return
-        registry_down = not self._faults.health.registry_available()
-        if registry_down and self.templates is None:
-            # Degradation ladder (DESIGN.md §11): with a registry shard
-            # down no new dedup ops are admitted; stay warm and re-ask
-            # after the next idle period.  (Template parking needs no
-            # registry, so a catalog keeps the consultation open.)
-            timers.idle = self.sim.after(idle_period, lambda: self._on_idle_expiry(sandbox))
-            return
+        # With a registry shard down the policy keeps the sandbox warm
+        # unless a template catalog can park it (DESIGN.md §11).
         decision = self.policy.decide_idle(sandbox.function, self.build_view())
         if decision is Decision.KEEP_WARM:
             timers.idle = self.sim.after(idle_period, lambda: self._on_idle_expiry(sandbox))
@@ -864,7 +858,7 @@ class ClusterController:
             if self._begin_templatize(sandbox):
                 return
             # Pool full or publish retry storm: fall down one rung.
-            if registry_down:
+            if not self._faults.health.registry_available():
                 # No dedup rung during the outage; stay warm and re-ask.
                 timers.idle = self.sim.after(
                     idle_period, lambda: self._on_idle_expiry(sandbox)
@@ -1052,7 +1046,7 @@ class ClusterController:
 
     # -------------------------------------------------------------- dedup
 
-    def _make_base(self, sandbox: Sandbox) -> None:
+    def _make_base(self, sandbox: Sandbox, trial: DedupPageTable | None = None) -> None:
         """Demarcate a warm sandbox as a base (Section 4.1.3).
 
         Checkpointing the image and registering every page's fingerprint
@@ -1061,7 +1055,8 @@ class ClusterController:
         requests or re-enter the idle machinery mid-demarcation.  The
         registry contents become visible immediately — the simulation
         collapses the op's effect to its start, like the dedup op does —
-        but the time is charged.
+        but the time is charged.  ``trial`` is the table of a trial dedup
+        op on the same image, whose memo already holds its fingerprints.
         """
         self._ensure_image(sandbox)
         assert sandbox.image is not None
@@ -1078,21 +1073,24 @@ class ClusterController:
         node.pin_checkpoint(checkpoint)
         agent = self.agents[sandbox.node_id]
         image = checkpoint.image
-        fingerprints = batch_page_fingerprints(
-            image.data, image.page_size, agent.fingerprint_config
-        )
+        value_sampled = agent.fingerprint_config.strategy is SamplingStrategy.VALUE_SAMPLED
+        if trial is not None and value_sampled:
+            fingerprints = trial.image_fingerprints()
+        else:
+            fingerprints = batch_page_fingerprints(
+                image.data, image.page_size, agent.fingerprint_config
+            )
         refs = [
             PageRef(checkpoint.checkpoint_id, sandbox.node_id, index)
             for index in range(len(fingerprints))
         ]
         self.registry.register_pages(refs, fingerprints, checkpoint.domain)
-        for index, ref in enumerate(refs):
+        page_digests = hash_rows_sha1(image.data.reshape(image.num_pages, image.page_size))
+        for ref, page_digest in zip(refs, page_digests.tolist()):
             # The full-page replica index (exact content digests) backs
             # crash rehoming: byte-identical pages on surviving bases
             # can absorb a dead base's patch references unchanged.
-            self.registry.register_page_location(
-                ref, hash_bytes(image.page_bytes(index)), checkpoint.domain
-            )
+            self.registry.register_page_location(ref, page_digest, checkpoint.domain)
         sandbox.is_base = True
         sandbox.base_checkpoint_id = checkpoint.checkpoint_id
         self.metrics.bases_created += 1
@@ -1163,7 +1161,7 @@ class ClusterController:
         ):
             self._release_base_refs(outcome.table)
             sandbox.transition(SandboxState.WARM, self.sim.now)
-            self._make_base(sandbox)
+            self._make_base(sandbox, outcome.table)
             return True
         sandbox.image = sandbox.kept_choices = None
         started = self.sim.now

@@ -211,6 +211,13 @@ class DedupPageTable:
         rows = out.reshape(len(self.entries), self.page_size)
         rows[self.entries == PageKind.UNIQUE] = self.unique
 
+    def image_fingerprints(self) -> FingerprintBatch:
+        """Every page's value-sampled fingerprint, from :attr:`memo`: a
+        zero page holds no marker byte, so it samples no chunk."""
+        counts = np.zeros(len(self.entries), dtype=np.int64)
+        counts[self.entries != PageKind.ZERO] = self.memo.counts
+        return FingerprintBatch(self.memo.digests, None, counts)
+
 
 def checkpoint_order(checkpoints: np.ndarray) -> np.ndarray:
     """Positions of ``checkpoints`` grouped by value: groups in order of

@@ -31,7 +31,6 @@ class FaultDomainHealth:
     def __init__(self) -> None:
         self.down_nodes: set[int] = set()
         self.down_shards: set[int] = set()
-        self.degraded_links: set[int] = set()
         self.partitioned_links: set[int] = set()
 
     def node_up(self, node_id: int) -> bool:

@@ -170,12 +170,10 @@ class FaultInjector:
 
     def _degrade_link(self, link: LinkDegradation) -> None:
         self.fabric.degrade_peer(link.peer, link.latency_factor)
-        self.runtime.health.degraded_links.add(link.peer)
         self._record("link-degraded", f"link:{link.peer}")
 
     def _heal_degraded(self, link: LinkDegradation) -> None:
         self.fabric.heal_peer(link.peer)
-        self.runtime.health.degraded_links.discard(link.peer)
         self._record("link-restored", f"link:{link.peer}")
 
     def _partition_link(self, link: LinkPartition) -> None:

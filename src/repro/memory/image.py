@@ -103,7 +103,11 @@ class MemoryImage:
         words = np.ascontiguousarray(self.data).view("<u8")
         words = words.reshape(self.num_pages, self.page_size // 8)
         digests = np.empty((self.num_pages, 2), dtype=np.uint64)
-        np.matmul(words, key_a, out=digests[:, 0])
+        # ``einsum`` wraps in uint64 as ``matmul`` does, with less
+        # overhead.  Lane B stays a ``matmul``: an ``einsum`` there is
+        # faster alone but skips the native copy of the view, and the
+        # process's next large temporary then page-faults (DESIGN.md §20).
+        np.einsum("ij,j->i", words, key_a, out=digests[:, 0])
         np.matmul(words.view(">u8"), key_b, out=digests[:, 1])
         digests.setflags(write=False)
         return digests

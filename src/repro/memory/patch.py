@@ -56,11 +56,11 @@ STACK_ROWS = 64
 #: holds an anchor and is at least ``MIN_ANCHOR_MATCH`` long, and at most
 #: 7 of its leading bytes precede the first aligned word in it.
 _COPY_MIN_WORDS = (max(MIN_ANCHOR_MATCH, ANCHOR_SIZE) - 7) // 8
-#: What :meth:`AnchorIndex.copy_bound` grants each run of windows on top
-#: of 8 bytes per window.  The COPYs whose whole words lie in one maximal
-#: run of ``w`` base-resident words are disjoint and reach less than 8
-#: bytes past either end of it, so they total at most ``8 * w + 14``
-#: bytes, and the run holds ``w - _COPY_MIN_WORDS + 1`` windows of
+#: What the COPYs drawing on one run of windows copy on top of 8 bytes
+#: per window.  The COPYs whose whole words lie in one maximal run of
+#: ``w`` base-resident words are disjoint and reach less than 8 bytes
+#: past either end of it, so they total at most ``8 * w + 14`` bytes,
+#: and the run holds ``w - _COPY_MIN_WORDS + 1`` windows of
 #: ``_COPY_MIN_WORDS`` consecutive words.
 _COPY_RUN_SLACK = 8 * (_COPY_MIN_WORDS - 1) + 14
 
@@ -322,8 +322,8 @@ class SortedAnchors:
 class AnchorIndex:
     """Anchor index over one base buffer, in two halves built on first use.
 
-    The *word table* (:meth:`word_table`, 4 KiB for a page) answers the
-    copy-coverage bound and is built by the first bound; the *sorted
+    The *word table* (:meth:`word_table`, 8 KiB for a page) answers the
+    copy-saving bound and is built by the first bound; the *sorted
     anchors* (:meth:`sorted_anchors`, ≈16 KiB for a page) serve
     :meth:`probe` and are built by the first probe, through
     :func:`build_anchor_index`.  Both depend only on the base bytes and
@@ -414,29 +414,39 @@ class AnchorIndex:
 def _build_word_bits(base: bytes | np.ndarray) -> np.ndarray:
     """Packed table of ``base``'s u64 word at every byte offset.
 
-    Sized like ``seen`` — 8 bits per word, so 4 KiB for a 4 KiB page and
-    at most one bit in eight set.
+    Sized for two entries a word, so 16 bits per word: 8 KiB for a 4 KiB
+    page and at most one bit in sixteen set, half the false hits of a
+    ``seen``-sized table.
     """
     vals = _window_values(base)
-    table = np.zeros(_table_slots(len(vals)), dtype=bool)
+    table = np.zeros(_table_slots(2 * len(vals)), dtype=bool)
     table[_seen_slots(vals, len(table))] = True
     return np.packbits(table, bitorder="little")
 
 
 def _copy_bounds(targets: np.ndarray, indexes: "list[AnchorIndex]") -> list[int]:
-    """Upper bound on the bytes any anchor patch of each target row COPYs.
+    """Upper bound on the bytes any anchor patch of each target row saves.
 
+    A patch's saving is ``n + _HEADER.size`` less its size: what its
+    COPYs copy, net of their records and of its INSERT headers.
     ``targets`` is a C-contiguous ``(k, n)`` stack and ``indexes[r]``
-    the index of row ``r``'s base, every base ``n`` bytes long.  Exact
+    the index of row ``r``'s base, every base ``n`` bytes long.  Sound
     for every level and never looks at the sorted anchors: each COPY
     contains ``_COPY_MIN_WORDS`` consecutive aligned target words, and
     each of those occurs somewhere in the base (the bytes it was copied
-    from), so with ``P`` windows of that many consecutive words found in
-    the base's word table and ``R`` runs of such windows, no set of
-    COPYs covers more than ``8 * P + _COPY_RUN_SLACK * R`` bytes (see
-    :data:`_COPY_RUN_SLACK`).  False positives of the table only loosen
-    the bound.  One pass for the stack: the rows' word tables stacked,
-    one slot computation over all aligned words, one gather.
+    from).  So with ``P`` windows of that many consecutive words found
+    in the base's word table and ``R`` runs of such windows, the COPYs
+    drawing on a run of ``p`` windows copy at most ``8 * p +
+    _COPY_RUN_SLACK`` bytes (see :data:`_COPY_RUN_SLACK`) and pay at
+    least one COPY record.  Neighbouring runs are at least one unfound
+    word apart, so the COPYs drawing on them either leave a literal
+    between them, which pays an INSERT header, or meet inside that word
+    and copy at least 6 bytes less than the two runs' slack.  No patch saves
+    more than ``8 * P + (_COPY_RUN_SLACK - _COPY.size) * R -
+    _INSERT_HDR.size * (R - 1)``; a run no COPY draws on only lowers
+    it, and false positives of the table only loosen it.  One pass for
+    the stack: the rows' word tables stacked, one slot computation over
+    all aligned words, one gather.
     """
     k, n = targets.shape
     if n < ANCHOR_SIZE:  # bases shorter than an anchor: nothing to copy
@@ -456,7 +466,8 @@ def _copy_bounds(targets: np.ndarray, indexes: "list[AnchorIndex]") -> list[int]
     runs = windows[:, :1].sum(axis=1, dtype=np.int64) + (windows[:, 1:] > windows[:, :-1]).sum(
         axis=1, dtype=np.int64
     )
-    return (8 * count + _COPY_RUN_SLACK * runs).tolist()
+    joins = np.maximum(runs - 1, 0)
+    return (8 * count + (_COPY_RUN_SLACK - _COPY.size) * runs - _INSERT_HDR.size * joins).tolist()
 
 
 def build_anchor_index(base: bytes | np.ndarray, level: int = 1) -> AnchorIndex:
@@ -666,10 +677,11 @@ def _patch_stack(
     * *sparse* (the rest): runs extracted, aligned patch built.
 
     Every row that falls back — all dense ones, the sparse ones over the
-    threshold — takes its copy-coverage bound in one
-    :func:`_copy_bounds` pass; a dense row the bound cannot dismiss has
-    its runs extracted after all and goes to the matcher like a sparse
-    one.  The provider is consulted once per fallback row, in row order.
+    threshold — takes its copy-saving bound in one :func:`_copy_bounds`
+    pass; a dense row the bound cannot dismiss goes to the matcher with
+    no aligned patch, which would be no smaller than the cutoff: the
+    anchor patch is returned, kept or not.  The provider is consulted
+    once per fallback row, in row order.
     """
     k, n = targets.shape
     threshold = max(64, int(n * ALIGNED_FALLBACK_RATIO))
@@ -706,8 +718,8 @@ def _patch_stack(
         for r, bound in zip(fallback, bounds):
             # A dense row's aligned patch is no smaller than the cutoff.
             size = aligned_size(r, max_size)
-            # Header plus the literals no COPY can cover: can an anchor
-            # patch beat the aligned one and the cutoff?
+            # Header plus the target less what COPYs could save: can an
+            # anchor patch beat the aligned one and the cutoff?
             if n + _HEADER.size - bound < min(size, max_size):
                 to_matcher.append(r)
             elif size >= max_size:
@@ -717,10 +729,9 @@ def _patch_stack(
                 patches[r] = _seal(
                     [b"", _INSERT_HDR.pack(TAG_INSERT, n), targets[r].tobytes()], n, n, 1
                 )
-        diff_rows([r for r in to_matcher if patches[r] is None])
     for r in to_matcher:
         alt = _anchor_patch(targets[r], bases[r], level, index=indexes[r])
-        if alt.size_bytes < patches[r].size_bytes:
+        if patches[r] is None or alt.size_bytes < patches[r].size_bytes:
             patches[r] = alt
     return patches  # type: ignore[return-value]
 
@@ -749,10 +760,11 @@ def compute_patches(
     otherwise that patch is ``>= max_size`` too: ``result[j]`` is still a
     valid patch of the pair, but may be the one-INSERT literal.  What
     this buys: an equal-length pair that reaches the anchor fallback
-    first asks the copy-coverage bound (:func:`_copy_bounds`) whether
+    first asks the copy-saving bound (:func:`_copy_bounds`) whether
     any anchor patch could come in under ``min(aligned size,
-    max_size)``, and skips the matcher — and, for a discarded pair,
-    sizing its runs and encoding them — when none can.
+    max_size)``, and skips the matcher when none can; a pair that is
+    discarded whatever it is patched with skips sizing its runs and
+    encoding them.
 
     ``index_provider(j)`` may return an :class:`AnchorIndex` for pair
     ``j`` (or ``None``); it is only consulted for pairs that reach the

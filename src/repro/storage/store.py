@@ -205,19 +205,19 @@ class TieredCheckpointStore(CheckpointStore):
     def ssd_fits(self, node_id: int, nbytes: int) -> bool:
         return self.ssd[node_id].fits(nbytes)
 
-    def demote_table(self, sandbox_id: int, node_id: int, nbytes: int) -> float:
+    def demote_table(self, sandbox_id: int, node_id: int, nbytes: int) -> None:
         """Park a sandbox's table (patch table or template delta) on
         ``node_id``'s SSD.
 
-        Returns the charged SSD write cost.  The caller keeps the table
-        object itself (it is the sandbox's ``dedup_table``); the store
-        only accounts for the bytes and remembers where they are.
+        The caller keeps the table object itself (it is the sandbox's
+        ``dedup_table``); the store only accounts for the bytes and
+        remembers where they are.  The SSD write is charged to no
+        latency (DESIGN.md §9).
         """
         if sandbox_id in self._tables:
             raise RuntimeError(f"sandbox {sandbox_id} table already demoted")
         self.ssd[node_id].charge(nbytes)
         self._tables[sandbox_id] = (node_id, nbytes)
-        return ssd_write_ms(nbytes)
 
     def promote_table(self, sandbox_id: int) -> float:
         """Read a parked table back for a restore; returns the SSD read

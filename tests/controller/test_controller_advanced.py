@@ -237,8 +237,8 @@ class TestBaseOpAccounting:
         made = []  # (time, base sandbox, its busy marker)
         make_base = controller._make_base
 
-        def spy(sandbox):
-            make_base(sandbox)
+        def spy(sandbox, *trial):
+            make_base(sandbox, *trial)
             made.append((platform.sim.now, sandbox, sandbox.busy_request_id))
 
         monkeypatch.setattr(controller, "_make_base", spy)

@@ -149,6 +149,24 @@ class TestDecisions:
         )
         assert policy.decide_idle("LinAlg", pressured) is Decision.DEDUP
 
+    @pytest.mark.parametrize("templates", [False, True])
+    def test_registry_outage_keeps_warm_unless_a_template_parks(self, stats, templates):
+        """Under pressure the policy would dedup.  With a registry shard
+        down it keeps the sandbox warm, or parks it as a template where a
+        catalog exists: the controller asks the policy and has no guard
+        of its own (DESIGN.md §11)."""
+        policy = make_policy(stats, alpha=1.05)
+        for t in range(0, 60_000, 200):
+            stats["LinAlg"].record_arrival(float(t))
+        outage = make_view(
+            live_counts={"LinAlg": 3},
+            used_bytes=int(3.9 * (1 << 30)),
+            registry_available=False,
+            templates_available=templates,
+        )
+        expected = Decision.TEMPLATE if templates else Decision.KEEP_WARM
+        assert policy.decide_idle("LinAlg", outage) is expected
+
     def test_no_live_sandboxes_keeps_warm(self, stats):
         policy = make_policy(stats)
         view = make_view(live_counts={})

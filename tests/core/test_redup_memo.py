@@ -18,13 +18,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.controller.controller as controller_module
 import repro.core.agent as agent_module
+from repro._util import hash_bytes
 from repro.core.agent import DedupAgent, DedupMemo
 from repro.core.costs import CostModel
 from repro.core.policy import MedesPolicyConfig
-from repro.core.registry import PageRef
+from repro.core.registry import FingerprintRegistry, PageRef
 from repro.invariants import check
-from repro.memory.fingerprint import image_fingerprints
+from repro.memory.fingerprint import (
+    FingerprintConfig,
+    SamplingStrategy,
+    batch_page_fingerprints,
+    digest_arrays,
+    image_fingerprints,
+)
 from repro.platform.config import ClusterConfig
 from repro.platform.platform import PlatformKind, build_platform
 from repro.sandbox.checkpoint import BaseCheckpoint
@@ -154,11 +162,16 @@ def test_an_unchanged_re_dedup_fingerprints_and_encodes_nothing(suite, work, cod
     )  # kept patches are shared, not copied
 
 
-def _replayed():
+def _replayed(fingerprint: FingerprintConfig | None = None):
     """One LinAlg sandbox on one node deduped, restored at 20 s and
     deduped again, checked at every instant."""
     config = ClusterConfig(
-        nodes=1, node_memory_mb=512.0, content_scale=1.0 / 256.0, seed=9, verify_restores=True
+        nodes=1,
+        node_memory_mb=512.0,
+        content_scale=1.0 / 256.0,
+        seed=9,
+        verify_restores=True,
+        fingerprint=fingerprint or FingerprintConfig(),
     )
     platform = build_platform(
         PlatformKind.MEDES,
@@ -212,3 +225,52 @@ def test_a_kept_memo_off_its_level_or_pages_is_caught(fault):
     warm.kept_choices = DedupMemo(level, empty, empty, np.array([[page, 1, 0]]), (None,))
     with pytest.raises(AccountingError, match="^kept choices: "):
         check(platform)
+
+
+@pytest.mark.parametrize("strategy", list(SamplingStrategy))
+def test_a_base_made_from_a_trial_op_registers_what_a_fresh_scan_does(monkeypatch, strategy):
+    """A trial op that saved too little turns its sandbox into a base.
+    Under value sampling the base registers the op's memo, a zero page
+    counting no chunk, with no second scan; fixed offsets sample zero
+    pages too, so that base is scanned.  Either way it registers what a
+    fresh scan does, and the page digests of one row hash over the image
+    are what page-by-page hashing gives."""
+    config = FingerprintConfig(strategy=strategy)
+    scans = []
+    scan = controller_module.batch_page_fingerprints
+    monkeypatch.setattr(
+        controller_module,
+        "batch_page_fingerprints",
+        lambda *args, **kwargs: scans.append(args) or scan(*args, **kwargs),
+    )
+    registered = {}
+    register = FingerprintRegistry.register_pages
+
+    def recording_register(registry, refs, fingerprints, domain):
+        registered[refs[0].checkpoint_id] = [a.copy() for a in digest_arrays(fingerprints)]
+        return register(registry, refs, fingerprints, domain)
+
+    monkeypatch.setattr(FingerprintRegistry, "register_pages", recording_register)
+    made = []
+    make_base = controller_module.ClusterController._make_base
+
+    def recording_make_base(controller, sandbox, trial=None):
+        make_base(controller, sandbox, trial)
+        checkpoint = controller.store.get(sandbox.base_checkpoint_id)
+        made.append((trial is not None, checkpoint, controller.registry))
+
+    monkeypatch.setattr(controller_module.ClusterController, "_make_base", recording_make_base)
+    _replayed(config)
+    assert made and all(from_trial for from_trial, _, _ in made)
+    assert len(scans) == (0 if strategy is SamplingStrategy.VALUE_SAMPLED else len(made))
+    for _, checkpoint, registry in made:
+        image = checkpoint.image
+        fresh = batch_page_fingerprints(image.data, image.page_size, config)
+        digests, counts = registered[checkpoint.checkpoint_id]
+        assert np.array_equal(digests, fresh.digests)
+        assert np.array_equal(counts, fresh.counts)
+        zero = ~image.data.reshape(image.num_pages, -1).any(axis=1)
+        assert zero.any() and counts[zero].any() == (strategy is SamplingStrategy.FIXED_OFFSETS)
+        for index in range(image.num_pages):
+            ref = PageRef(checkpoint.checkpoint_id, checkpoint.node_id, index)
+            assert ref in registry.page_replicas(hash_bytes(image.page_bytes(index)))

@@ -120,7 +120,8 @@ class TestHealedRunsAreConsistent:
         health = platform.faults.health
         assert not health.down_nodes
         assert not health.down_shards
-        assert not health.degraded_links and not health.partitioned_links
+        assert not health.partitioned_links
+        assert all(platform.fabric.link_factor(node) == 1.0 for node in range(2))
         check(platform)
 
 

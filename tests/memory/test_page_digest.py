@@ -1,7 +1,7 @@
 """The per-page digest column: kernel against its oracle, and what it sees.
 
-``MemoryImage.page_digests`` is two uint64 matmuls, one of them over a
-byte-swapped view; ``tests/oracles/page_digest_scalar.py`` is the same
+``MemoryImage.page_digests`` is a uint64 ``einsum`` and a uint64 matmul,
+the second over a byte-swapped view; ``tests/oracles/page_digest_scalar.py`` is the same
 definition in Python integers.  Beyond agreeing with the oracle, the
 column must see every single-bit change, a pair of top-bit flips (which
 lane A alone can cancel: ``2**63 * (k_i + k_j)`` is 0 mod 2**64 whenever

@@ -7,15 +7,16 @@ fallback vs ``compute_patch_reference`` (duplicate-heavy page- and
 region-sized inputs included) — across page sizes, marker densities,
 ASLR'd synthetic images and sampling strategies.  Digests wider than
 the registry's ``uint64`` column are refused by the config itself.
-The copy-coverage bound that lets
+The copy-saving bound that lets
 ``compute_patches(max_size=...)`` skip the anchor matcher is pinned
-against the scalar matcher's actual COPYs, and the matcher's windowed
+against the scalar matcher's actual patches, and the matcher's windowed
 probes against the window-by-window scan on template-region-sized pairs.
 The scalar oracles live in ``tests/oracles/patch_scalar.py``.
 """
 
 from __future__ import annotations
 
+import struct
 import sys
 
 import numpy as np
@@ -417,12 +418,41 @@ def planted_copy_pairs(draw) -> tuple[np.ndarray, np.ndarray]:
     return target, base
 
 
-bound_pairs = st.one_of(duplicate_heavy_pairs(sizes=BOUND_SIZES), planted_copy_pairs())
+@st.composite
+def spliced_pairs(draw) -> tuple[np.ndarray, np.ndarray]:
+    """A target spliced end to end from stretches of a random base.
+
+    Neighbouring COPYs meet inside a word with no literal between them:
+    the case in which the bound's INSERT header per pair of neighbouring
+    runs is closest to what the patch pays.
+    """
+    n = draw(st.sampled_from(BOUND_SIZES))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.integers(0, 256, size=n, dtype=np.uint8)
+    target = np.empty(n, dtype=np.uint8)
+    at = 0
+    while at < n:
+        length = min(int(rng.integers(MIN_ANCHOR_MATCH, 64)), n - at)
+        src = int(rng.integers(0, n - length + 1))
+        target[at : at + length] = base[src : src + length]
+        at += length
+    return target, base
+
+
+bound_pairs = st.one_of(
+    duplicate_heavy_pairs(sizes=BOUND_SIZES), planted_copy_pairs(), spliced_pairs()
+)
 
 
 def _scalar_anchor_patch(target: np.ndarray, base: np.ndarray, level: int) -> Patch:
     ops = _anchor_ops_scalar(target, base, level)
     return Patch(serialize(OpPatch(ops=tuple(ops), target_len=len(target), base_len=len(base))))
+
+
+#: Wire bytes of a COPY record (tag, source offset, length) and of an
+#: INSERT header (tag, length).
+COPY_RECORD = struct.calcsize("<BII")
+INSERT_HEADER = struct.calcsize("<BI")
 
 
 def _copy_bound_constants(min_match: int) -> tuple[int, int]:
@@ -431,60 +461,84 @@ def _copy_bound_constants(min_match: int) -> tuple[int, int]:
     return words, 8 * (words - 1) + 14
 
 
+def _saving(patch: Patch) -> int:
+    """What a one-COPY patch saves, as the bound counts it: the bytes it
+    copies less its COPY record."""
+    ops = deserialize(patch.blob).ops
+    assert sum(isinstance(op, CopyOp) for op in ops) == 1
+    return patch.copied_bytes - COPY_RECORD
+
+
 class TestCopyCoverageBound:
     @given(bound_pairs, st.sampled_from([1, 2]))
     @settings(max_examples=120, deadline=None)
     def test_bound_covers_the_scalar_matchers_copies(self, pair, level):
+        """The bound is on what a patch saves against the bare target: no
+        patch the scalar matcher writes is under the floor it sets."""
         target, base = pair
         scalar = _scalar_anchor_patch(target, base, level)
         bound = build_anchor_index(base, level).copy_bound(target)
-        assert bound >= scalar.copied_bytes
         assert len(target) + patch_module._HEADER.size - bound <= scalar.size_bytes
 
     def test_constants_are_derived_from_the_matchers(self):
         words, slack = _copy_bound_constants(MIN_ANCHOR_MATCH)
         assert words >= 1, "a COPY must contain a whole aligned word"
         assert (patch_module._COPY_MIN_WORDS, patch_module._COPY_RUN_SLACK) == (words, slack)
+        assert (patch_module._COPY.size, patch_module._INSERT_HDR.size) == (
+            COPY_RECORD,
+            INSERT_HEADER,
+        )
 
     @pytest.mark.parametrize("min_match", [ANCHOR_SIZE, MIN_ANCHOR_MATCH, 32, 41])
     def test_shortest_copy_is_covered_wherever_it_starts(self, monkeypatch, min_match):
-        """The bound must follow ``MIN_ANCHOR_MATCH``.
+        """The bound must follow ``MIN_ANCHOR_MATCH`` and the COPY record.
 
-        The shortest COPY the matcher can emit, planted at every target
-        residue mod 8 in unrelated bytes, is found by the scalar matcher
-        and covered by the bound — for the shipped constant and for
-        lowered/raised ones once the bound's constants are re-derived.
-        With the matcher lowered and the bound's constants left behind,
-        the same pairs break the bound.
+        At every target residue mod 8, the shortest COPY the matcher can
+        emit is planted mid-target, and the longest one with no more
+        whole aligned words at the target's end, which lies 7 bytes past
+        its last whole word (7 bytes either side of the words is the
+        bound's tight case).  The target's other bytes are one value the
+        base never holds, so the scalar matcher copies exactly the plant
+        and no other target word is in the base (only a false hit of the
+        word table could find one).  The bound covers
+        what each saves — for the shipped constant and for lowered/raised
+        ones once the bound's constants are re-derived.  With the matcher
+        lowered and the bound's constants left behind, the same pairs
+        break the bound; so does a bound that charges a COPY record more
+        than its ``COPY_RECORD`` bytes.
         """
         shipped = (patch_module._COPY_MIN_WORDS, patch_module._COPY_RUN_SLACK)
         monkeypatch.setattr(patch_module, "MIN_ANCHOR_MATCH", min_match)
         shortest = max(min_match, ANCHOR_SIZE)
-        rng = _rng(min_match)
-        n = 1024
-        pairs = []
-        for dst in range(200, 208):
-            base = rng.integers(0, 256, size=n, dtype=np.uint8)
-            target = rng.integers(0, 256, size=n, dtype=np.uint8)
-            target[dst : dst + shortest] = base[512 : 512 + shortest]
-            pairs.append((target, base))
-
-        def violations() -> int:
-            count = 0
-            for target, base in pairs:
-                copied = _scalar_anchor_patch(target, base, 2).copied_bytes
-                assert copied >= shortest
-                count += build_anchor_index(base, 2).copy_bound(target) < copied
-            return count
-
         words, slack = _copy_bound_constants(min_match)
+        rng = _rng(min_match)
+        n = 1023
+        pairs = []
+        for residue in range(8):
+            longest = (-residue) % 8 + 8 * words + 7
+            for length, dst in ((shortest, 200 + residue), (longest, n - longest)):
+                if length >= shortest:
+                    base = rng.integers(0, 0xFF, size=n, dtype=np.uint8)
+                    target = np.full(n, 0xFF, dtype=np.uint8)
+                    target[dst : dst + length] = base[512 : 512 + length]
+                    pairs.append((target, base, length))
+
+        def room() -> list[int]:
+            """The bound less what the scalar matcher saves, by pair."""
+            left = []
+            for target, base, length in pairs:
+                scalar = _scalar_anchor_patch(target, base, 2)
+                assert scalar.copied_bytes == length
+                left.append(build_anchor_index(base, 2).copy_bound(target) - _saving(scalar))
+            return left
+
         monkeypatch.setattr(patch_module, "_COPY_MIN_WORDS", words)
         monkeypatch.setattr(patch_module, "_COPY_RUN_SLACK", slack)
-        assert violations() == 0
+        assert min(room()) == 0  # covered, and tight at residue 1
         if (words, slack) < shipped:
             monkeypatch.setattr(patch_module, "_COPY_MIN_WORDS", shipped[0])
             monkeypatch.setattr(patch_module, "_COPY_RUN_SLACK", shipped[1])
-            assert violations() > 0
+            assert min(room()) < 0
 
     @given(bound_pairs, st.sampled_from([1, 2]))
     @settings(max_examples=80, deadline=None)
@@ -679,6 +733,50 @@ class TestRowTriage:
             assert (index.word_bits is not None) == (kind == "dense")
             assert index.anchors is None
             assert (patch.size_bytes >= 3072) == (kind == "dense")
+
+    def test_saving_bound_dismisses_unprobed_and_dense_rows_skip_the_aligned_encode(
+        self, codec_calls
+    ):
+        """A fixed dense batch of pages at the agent's cutoff.
+
+        A ``planted`` row is unrelated bytes with 40 shortest COPYs of
+        its base planted 96 bytes apart, each holding one window: the
+        words they cover would let a bound that charges no COPY record
+        pass the row to the matcher (its floor 4112 - 40 * 30 is under
+        the cutoff), but what they save does not.  A ``shifted`` row is
+        its base rolled: dense by its differing bytes, yet its anchor
+        patch is small.  The planted rows are dismissed without a probe
+        (their indexes never sort), and the shifted ones reach the
+        matcher without their runs extracted.
+        """
+        rng = _rng(14)
+        n, cutoff = 4096, 3072
+        kinds = ["planted", "shifted"] * 4
+        bases = [rng.integers(0, 256, size=n, dtype=np.uint8) for _ in kinds]
+        targets = []
+        for kind, base in zip(kinds, bases):
+            if kind == "planted":
+                target = rng.integers(0, 256, size=n, dtype=np.uint8)
+                for dst in range(1, 40 * 96, 96):
+                    src = int(rng.integers(0, n - MIN_ANCHOR_MATCH))
+                    target[dst : dst + MIN_ANCHOR_MATCH] = base[src : src + MIN_ANCHOR_MATCH]
+            else:
+                target = np.roll(base, 8 * int(rng.integers(1, 5)))  # on the level-1 grid
+            targets.append(target)
+        indexes = [AnchorIndex(base, 1) for base in bases]
+        got = compute_patches(
+            targets, bases, level=1, index_provider=lambda j: indexes[j], max_size=cutoff
+        )
+        assert codec_calls["run_rows"] == 0
+        assert codec_calls["matcher"] == kinds.count("shifted")
+        for patch, kind, index, target, base in zip(got, kinds, indexes, targets, bases):
+            assert apply_patch(patch, base) == target.tobytes()
+            assert (index.anchors is not None) == (kind == "shifted")
+            reference = patch_module.compute_patch(target, base)
+            if kind == "shifted":
+                assert patch == reference and patch.size_bytes < cutoff
+            else:
+                assert reference.size_bytes >= cutoff
 
     @pytest.mark.parametrize("cutoff", [None, 3072])
     def test_identical_rows_never_enter_run_extraction(self, codec_calls, cutoff):
