@@ -10,7 +10,10 @@ million requests, and reports per point:
 
 * **requests/s** — completed requests per wall-clock second,
 * **events/s** — simulator callbacks dispatched per wall-clock second,
-* **peak RSS** — the point's own high-water resident set.
+* **peak RSS** — the point's own high-water resident set,
+* **GC** — the replay's cyclic-GC passes per generation and their
+  seconds (timed through ``gc.callbacks``; no GC setting is changed), and
+  the GC-tracked objects alive when the replay ends.
 
 Each point runs in its own subprocess (``--single``) so peak RSS is an
 honest per-configuration measurement rather than the maximum across the
@@ -34,6 +37,7 @@ The registry-population micro-benchmark that used to live here moved to
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import pathlib
@@ -46,7 +50,7 @@ _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if __package__ in (None, ""):  # script mode: `python benchmarks/bench_scalability.py`
     sys.path.insert(0, str(_REPO_ROOT))
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import environment, write_result
 from repro.analysis.tables import render_table
 from repro.platform.config import ClusterConfig
 from repro.platform.platform import ARRIVAL_CHUNK, PlatformKind, build_platform
@@ -81,6 +85,22 @@ SMOKE_DURATION_MIN = 6.0
 SMOKE_COPIES = 3
 
 
+class GcClock:
+    """A ``gc.callbacks`` hook: passes per generation and their seconds."""
+
+    def __init__(self) -> None:
+        self.passes = [0, 0, 0]
+        self.seconds = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.passes[info["generation"]] += 1
+            self.seconds += time.perf_counter() - self._started
+
+
 def run_point(
     nodes: int,
     target_requests: int,
@@ -105,9 +125,14 @@ def run_point(
         seed=seed,
     )
     platform = build_platform(PlatformKind.MEDES, config, suite)
+    gc_clock = GcClock()
+    gc.callbacks.append(gc_clock)
     replay_start = time.perf_counter()
-    report = platform.run(trace)
-    replay_s = time.perf_counter() - replay_start
+    try:
+        report = platform.run(trace)
+    finally:
+        replay_s = time.perf_counter() - replay_start
+        gc.callbacks.remove(gc_clock)
 
     events = platform.sim.events_processed
     completed = sum(report.metrics.start_counts().values())
@@ -124,6 +149,9 @@ def run_point(
         "req_per_s": round(completed / replay_s, 1),
         "events_per_s": round(events / replay_s, 1),
         "peak_rss_mb": round(peak_rss_mb, 1),
+        "gc_s": round(gc_clock.seconds, 3),
+        "gc_passes": gc_clock.passes,
+        "gc_tracked_objects": len(gc.get_objects()),
         "pending_events_after": platform.sim.pending_events,
         "p50_e2e_ms": round(report.metrics.e2e_percentile(50), 2),
         "p99_e2e_ms": round(report.metrics.e2e_percentile(99), 2),
@@ -168,7 +196,7 @@ def run_curve(args: argparse.Namespace) -> dict:
             f"[bench_scalability]   {point['completed']} completed in "
             f"{point['replay_s']:.1f}s: {point['req_per_s']:.0f} req/s, "
             f"{point['events_per_s']:.0f} events/s, "
-            f"{point['peak_rss_mb']:.0f} MB peak RSS",
+            f"{point['peak_rss_mb']:.0f} MB peak RSS, {point['gc_s']:.1f}s in GC",
             flush=True,
         )
         points.append(point)
@@ -176,6 +204,7 @@ def run_curve(args: argparse.Namespace) -> dict:
         "benchmark": "cluster_scale_replay",
         "platform": "medes",
         "smoke": bool(args.smoke),
+        **environment(),
         "config": {
             "duration_min": args.duration_min,
             "copies": args.copies,
@@ -199,11 +228,23 @@ def write_report(report: dict) -> None:
             f"{point['req_per_s']:.0f}",
             f"{point['events_per_s']:.0f}",
             f"{point['peak_rss_mb']:.0f}",
+            f"{point['gc_s']:.2f}",
+            point["gc_tracked_objects"],
         )
         for point in report["points"]
     ]
     text = render_table(
-        ["nodes", "requests", "completed", "events", "req/s", "events/s", "peak RSS MB"],
+        [
+            "nodes",
+            "requests",
+            "completed",
+            "events",
+            "req/s",
+            "events/s",
+            "peak RSS MB",
+            "GC s",
+            "GC-tracked objects",
+        ],
         rows,
         title="Cluster-scale trace replay (full Medes platform)",
     )
@@ -264,6 +305,7 @@ def test_cluster_replay_smoke():
     assert point["req_per_s"] > 0
     assert point["events_per_s"] > point["req_per_s"]
     assert point["peak_rss_mb"] > 0
+    assert sum(point["gc_passes"]) > 0 and point["gc_tracked_objects"] > 0
     # Keep-alive and idle timers legitimately outlive the drained trace.
     assert point["pending_events_after"] >= 0
 

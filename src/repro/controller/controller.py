@@ -32,9 +32,9 @@ import math
 import operator
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from repro._util import SeededLognormal, hash_rows_sha1, stable_seed
+from repro._util import SeededLognormal, stable_seed
 from repro.controller.index import NodeUsageIndex, SandboxIndex
 from repro.core.agent import DedupAgent
 from repro.core.basemgr import BaseSandboxManager
@@ -43,7 +43,7 @@ from repro.core.policy import ClusterView, Decision, FunctionStats, LifecyclePol
 from repro.core.registry import FingerprintRegistry, PageRef
 from repro.faults.health import RegistryUnavailable
 from repro.faults.retry import RetryExhausted
-from repro.memory.fingerprint import SamplingStrategy, batch_page_fingerprints
+from repro.memory.fingerprint import SamplingStrategy
 from repro.platform.config import ClusterConfig
 from repro.platform.metrics import (
     DedupOpRecord,
@@ -92,6 +92,12 @@ def _parked_order(sandbox: Sandbox) -> tuple[bool, float, int]:
 
 @dataclass
 class _SandboxTimers:
+    """A sandbox's armed lifecycle timers, and the callbacks they fire:
+    built once with the sandbox, so a request schedules no new one."""
+
+    complete: Callable[[], None]
+    idle_expired: Callable[[], None]
+    keep_alive_expired: Callable[[], None]
     idle: Timer | None = None
     keep_alive: Timer | None = None
     keep_dedup: Timer | None = None
@@ -204,11 +210,25 @@ class ClusterController:
     def _function_sandboxes(self, function: str) -> dict[int, Sandbox]:
         return self._by_function.setdefault(function, {})
 
-    def _timers_for(self, sandbox: Sandbox) -> _SandboxTimers:
-        timers = self._timers.get(sandbox.sandbox_id)
-        if timers is None:
-            timers = self._timers[sandbox.sandbox_id] = _SandboxTimers()
-        return timers
+    def _lifecycle(self, sandbox: Sandbox) -> _SandboxTimers:
+        """The sandbox's lifecycle callbacks; a completion reads its
+        request from ``_inflight`` by the sandbox's busy request id."""
+
+        def complete() -> None:
+            now = self.sim.now
+            _, _, record = self._inflight.pop(sandbox.busy_request_id)
+            self.metrics.on_completion(record, now)
+            sandbox.busy_request_id = None
+            sandbox.served_requests += 1
+            sandbox.transition(SandboxState.WARM, now)
+            self._arm_idle_timers(sandbox)
+            self._drain_queue()
+
+        return _SandboxTimers(
+            complete,
+            lambda: self._on_idle_expiry(sandbox),
+            lambda: self._on_keep_alive_expiry(sandbox),
+        )
 
     def _ensure_image(self, sandbox: Sandbox) -> None:
         """Lazily synthesize the (post-execution) memory image.
@@ -377,9 +397,7 @@ class ClusterController:
 
     def _start_warm(self, sandbox: Sandbox, record: RequestRecord) -> None:
         now = self.sim.now
-        timers = self._timers.get(sandbox.sandbox_id)
-        if timers is not None:
-            timers.cancel_all()
+        self._timers[sandbox.sandbox_id].cancel_all()
         sandbox.busy_request_id = record.request_id
         sandbox.transition(SandboxState.RUNNING, now)
         record.start_type = StartType.WARM
@@ -466,7 +484,7 @@ class ClusterController:
                     retries=timings.retries,
                 )
             )
-        self._timers_for(sandbox).cancel_all()
+        self._timers[sandbox.sandbox_id].cancel_all()
         sandbox.busy_request_id = record.request_id
         sandbox.transition(SandboxState.RESTORING, now)
         if sandbox.function in self.stats:
@@ -546,18 +564,7 @@ class ClusterController:
         exec_ms = self._exec_ms(record, sandbox.profile)
         record.exec_ms = exec_ms
         delay = exec_ms if already_started else record.startup_ms + exec_ms
-
-        def complete() -> None:
-            now = self.sim.now
-            self._inflight.pop(record.request_id, None)
-            self.metrics.on_completion(record, now)
-            sandbox.busy_request_id = None
-            sandbox.served_requests += 1
-            sandbox.transition(SandboxState.WARM, now)
-            self._arm_idle_timers(sandbox)
-            self._drain_queue()
-
-        timer = self.sim.after(delay, complete)
+        timer = self.sim.after(delay, self._timers[sandbox.sandbox_id].complete)
         self._inflight[record.request_id] = (timer, sandbox, record)
 
     # ------------------------------------------------------------- spawn
@@ -574,6 +581,7 @@ class ClusterController:
             domain=self._function_domain.get(profile.name, ""),
         )
         node.admit(sandbox)
+        self._timers[sandbox_id] = self._lifecycle(sandbox)
         # After the node's accounting observer, so index reads see
         # up-to-date memory charges.
         sandbox.observers.append(self._index.on_transition)
@@ -775,7 +783,7 @@ class ClusterController:
         except (TemplatePoolFull, RetryExhausted):
             self.metrics.template_pool_rejections += 1
             return False
-        self._timers_for(sandbox).cancel_all()
+        self._timers[sandbox.sandbox_id].cancel_all()
         sandbox.transition(SandboxState.DEDUPING, self.sim.now)
         self._complete_templatize(sandbox, outcome, self.sim.now)
         self.metrics.template_evict_parks += 1
@@ -825,34 +833,32 @@ class ClusterController:
 
     def _arm_idle_timers(self, sandbox: Sandbox) -> None:
         """Arm the idle-period and keep-alive timers of an idle warm sandbox."""
-        timers = self._timers_for(sandbox)
+        timers = self._timers[sandbox.sandbox_id]
         timers.cancel_all()
         function = sandbox.function
         idle_period = self.policy.idle_period_ms(function)
         if idle_period is not None:
-            timers.idle = self.sim.after(idle_period, lambda: self._on_idle_expiry(sandbox))
+            timers.idle = self.sim.after(idle_period, timers.idle_expired)
         keep_alive = self.policy.keep_alive_ms(function, self.sim.now)
-        timers.keep_alive = self.sim.after(
-            keep_alive, lambda: self._on_keep_alive_expiry(sandbox)
-        )
+        timers.keep_alive = self.sim.after(keep_alive, timers.keep_alive_expired)
 
     def _on_idle_expiry(self, sandbox: Sandbox) -> None:
         """Idle period elapsed: consult the policy (Medes only)."""
         if not sandbox.idle_warm:
             return
-        timers = self._timers_for(sandbox)
+        timers = self._timers[sandbox.sandbox_id]
         idle_period = self.policy.idle_period_ms(sandbox.function)
         if idle_period is None:
             return
         if sandbox.is_base:
             # Base sandboxes stay warm while they anchor dedup state.
-            timers.idle = self.sim.after(idle_period, lambda: self._on_idle_expiry(sandbox))
+            timers.idle = self.sim.after(idle_period, timers.idle_expired)
             return
         # With a registry shard down the policy keeps the sandbox warm
         # unless a template catalog can park it (DESIGN.md §11).
         decision = self.policy.decide_idle(sandbox.function, self.build_view())
         if decision is Decision.KEEP_WARM:
-            timers.idle = self.sim.after(idle_period, lambda: self._on_idle_expiry(sandbox))
+            timers.idle = self.sim.after(idle_period, timers.idle_expired)
             return
         if decision is Decision.TEMPLATE:
             if self._begin_templatize(sandbox):
@@ -860,9 +866,7 @@ class ClusterController:
             # Pool full or publish retry storm: fall down one rung.
             if not self._faults.health.registry_available():
                 # No dedup rung during the outage; stay warm and re-ask.
-                timers.idle = self.sim.after(
-                    idle_period, lambda: self._on_idle_expiry(sandbox)
-                )
+                timers.idle = self.sim.after(idle_period, timers.idle_expired)
                 return
             # Fall through to the base rule and the dedup op below.
         # The D/B > T rule: a function with heavy dedup traffic gets an
@@ -871,7 +875,7 @@ class ClusterController:
             sandbox.function
         ):
             self._make_base(sandbox)
-            timers.idle = self.sim.after(idle_period, lambda: self._on_idle_expiry(sandbox))
+            timers.idle = self.sim.after(idle_period, timers.idle_expired)
             return
         became_base = self._begin_dedup(sandbox)
         if became_base:
@@ -882,22 +886,19 @@ class ClusterController:
     def _on_keep_alive_expiry(self, sandbox: Sandbox) -> None:
         if not sandbox.idle_warm:
             return
+        timers = self._timers[sandbox.sandbox_id]
         now = self.sim.now
         keep_alive = self.policy.keep_alive_ms(sandbox.function, now)
         idle_for = now - sandbox.last_used_at
         if idle_for + 1e-6 < keep_alive:
             # The policy's window moved (adaptive); re-arm for the rest.
-            self._timers_for(sandbox).keep_alive = self.sim.after(
-                keep_alive - idle_for, lambda: self._on_keep_alive_expiry(sandbox)
-            )
+            timers.keep_alive = self.sim.after(keep_alive - idle_for, timers.keep_alive_expired)
             return
         if sandbox.is_base and sandbox.base_checkpoint_id is not None:
             checkpoint = self.store.get(sandbox.base_checkpoint_id)
             if checkpoint.pinned:
                 # Keep the anchor warm; re-check one keep-alive later.
-                self._timers_for(sandbox).keep_alive = self.sim.after(
-                    keep_alive, lambda: self._on_keep_alive_expiry(sandbox)
-                )
+                timers.keep_alive = self.sim.after(keep_alive, timers.keep_alive_expired)
                 return
         function = sandbox.function
         self._purge(sandbox, reason="keep-alive")
@@ -906,7 +907,7 @@ class ClusterController:
             self.sim.after(delay, lambda: self.spawn_prewarmed(function))
 
     def _arm_keep_dedup(self, sandbox: Sandbox) -> None:
-        self._timers_for(sandbox).keep_dedup = self.sim.after(
+        self._timers[sandbox.sandbox_id].keep_dedup = self.sim.after(
             self.policy.keep_dedup_ms(sandbox.function),
             lambda: self._on_keep_dedup_expiry(sandbox),
         )
@@ -1071,31 +1072,15 @@ class ClusterController:
         )
         self.basemgr.add_base(checkpoint)
         node.pin_checkpoint(checkpoint)
-        agent = self.agents[sandbox.node_id]
-        image = checkpoint.image
-        value_sampled = agent.fingerprint_config.strategy is SamplingStrategy.VALUE_SAMPLED
-        if trial is not None and value_sampled:
-            fingerprints = trial.image_fingerprints()
-        else:
-            fingerprints = batch_page_fingerprints(
-                image.data, image.page_size, agent.fingerprint_config
-            )
-        refs = [
-            PageRef(checkpoint.checkpoint_id, sandbox.node_id, index)
-            for index in range(len(fingerprints))
-        ]
-        self.registry.register_pages(refs, fingerprints, checkpoint.domain)
-        page_digests = hash_rows_sha1(image.data.reshape(image.num_pages, image.page_size))
-        for ref, page_digest in zip(refs, page_digests.tolist()):
-            # The full-page replica index (exact content digests) backs
-            # crash rehoming: byte-identical pages on surviving bases
-            # can absorb a dead base's patch references unchanged.
-            self.registry.register_page_location(ref, page_digest, checkpoint.domain)
+        config = self.agents[sandbox.node_id].fingerprint_config
+        memo = trial is not None and config.strategy is SamplingStrategy.VALUE_SAMPLED
+        fingerprints = trial.image_fingerprints() if memo else None
+        self.registry.register_base(checkpoint, config, fingerprints)
         sandbox.is_base = True
         sandbox.base_checkpoint_id = checkpoint.checkpoint_id
         self.metrics.bases_created += 1
 
-        full_pages = max(1, round(image.num_pages / self.config.content_scale))
+        full_pages = max(1, round(checkpoint.image.num_pages / self.config.content_scale))
         sandbox.busy_request_id = _BASE_OP_BUSY
         self._note_candidacy_change(sandbox)
 
@@ -1143,7 +1128,7 @@ class ClusterController:
         Otherwise the op's table holds all the sandbox keeps, and the
         image is released at once rather than when the op lands.
         """
-        self._timers_for(sandbox).cancel_all()
+        self._timers[sandbox.sandbox_id].cancel_all()
         sandbox.transition(SandboxState.DEDUPING, self.sim.now)
         self._ensure_image(sandbox)
         agent = self.agents[sandbox.node_id]
@@ -1218,7 +1203,7 @@ class ClusterController:
             self.metrics.template_pool_rejections += 1
             return False
         sandbox.image = sandbox.kept_delta = sandbox.kept_choices = None
-        self._timers_for(sandbox).cancel_all()
+        self._timers[sandbox.sandbox_id].cancel_all()
         sandbox.transition(SandboxState.DEDUPING, self.sim.now)
         started = self.sim.now
 
@@ -1538,11 +1523,10 @@ class ClusterController:
     def _purge(self, sandbox: Sandbox, *, reason: str) -> None:
         if sandbox.state is SandboxState.PURGED:
             return  # nested eviction may race a stale candidate list
-        self._timers_for(sandbox).cancel_all()
-        self._timers.pop(sandbox.sandbox_id, None)
+        self._timers.pop(sandbox.sandbox_id).cancel_all()
         pending = self._pending_dedups.pop(sandbox.sandbox_id, None)
         if pending is not None:
-            # Mid-dedup purge: the completion timer lives outside
+            # Mid-dedup purge: the op's completion timer lives outside
             # _SandboxTimers and the op already acquired base refcounts;
             # cancel and roll back so the stale finish_dedup never fires
             # on a purged sandbox and the base checkpoints can retire.

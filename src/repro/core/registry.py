@@ -42,13 +42,21 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from repro._util import concat_ranges, run_lengths, run_starts
-from repro.memory.fingerprint import FingerprintConfig, PageFingerprint, digest_arrays
+from repro._util import concat_ranges, hash_rows_sha1, run_lengths, run_starts
+from repro.memory.fingerprint import (
+    FingerprintConfig,
+    PageFingerprint,
+    batch_page_fingerprints,
+    digest_arrays,
+)
 from repro.tenancy.domains import GLOBAL_DOMAIN
+
+if TYPE_CHECKING:
+    from repro.sandbox.checkpoint import BaseCheckpoint
 
 #: Reference size used for the registry's own memory accounting: digest
 #: (8 B) + per-ref (node, checkpoint, page ~ 12 B) in a compact table.
@@ -492,6 +500,30 @@ class FingerprintRegistry:
         return self.shards[page_digest % len(self.shards)].add_location(
             domain, page_digest, ref, self.max_refs_per_digest
         )
+
+    def register_base(
+        self,
+        checkpoint: BaseCheckpoint,
+        config: FingerprintConfig,
+        fingerprints: Sequence[PageFingerprint] | None = None,
+    ) -> None:
+        """Register every page of a base checkpoint: its sampled digests
+        (``fingerprints``, else a scan under ``config``) and its
+        full-content location.  The location index backs crash
+        rehoming: byte-identical pages on surviving bases can absorb a
+        dead base's patch references unchanged."""
+        image = checkpoint.image
+        if fingerprints is None:
+            fingerprints = batch_page_fingerprints(image.data, image.page_size, config)
+        refs = [
+            PageRef(checkpoint.checkpoint_id, checkpoint.node_id, index)
+            for index in range(len(fingerprints))
+        ]
+        domain = checkpoint.domain
+        self.register_pages(refs, fingerprints, domain)
+        page_digests = hash_rows_sha1(image.data.reshape(image.num_pages, image.page_size))
+        for ref, page_digest in zip(refs, page_digests.tolist()):
+            self.register_page_location(ref, page_digest, domain)
 
     def page_replicas(
         self, page_digest: int, domain: str = GLOBAL_DOMAIN

@@ -21,10 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro._util import hash_bytes
 from repro.core.costs import COSTS
-from repro.core.registry import PageRef
-from repro.memory.fingerprint import batch_page_fingerprints
 
 if TYPE_CHECKING:
     from repro.controller.controller import ClusterController
@@ -149,19 +146,7 @@ class FaultInjector:
                 continue
             if not checkpoint.registered:
                 continue
-            image = checkpoint.image
-            fingerprints = batch_page_fingerprints(
-                image.data, image.page_size, self.config.fingerprint
-            )
-            refs = [
-                PageRef(checkpoint.checkpoint_id, checkpoint.node_id, index)
-                for index in range(len(fingerprints))
-            ]
-            self.registry.register_pages(refs, fingerprints, checkpoint.domain)
-            for index, ref in enumerate(refs):
-                self.registry.register_page_location(
-                    ref, hash_bytes(image.page_bytes(index)), checkpoint.domain
-                )
+            self.registry.register_base(checkpoint, self.config.fingerprint)
         self.runtime.health.down_shards.discard(shard)
         self._record("shard-restored", f"shard:{shard}")
         self.controller.on_fault_heal()

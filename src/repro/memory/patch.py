@@ -303,6 +303,8 @@ class SortedAnchors:
     ``a`` pin the window.  Duplicate windows collapse to their smallest
     base offset — a leftmost binary search therefore reproduces the
     first-offset-wins semantics of a dict built with ``setdefault``.
+    When no multiplier is one-to-one, ``shared_keys`` is set and a key's
+    entries are sorted by ``a``.
     """
 
     keys: np.ndarray
@@ -317,6 +319,7 @@ class SortedAnchors:
     seen: np.ndarray
     #: ``64 - log2(len(seen))``: a key's slot is ``key >> seen_shift``.
     seen_shift: np.uint64
+    shared_keys: bool = False
 
 
 class AnchorIndex:
@@ -404,10 +407,15 @@ class AnchorIndex:
             return _EMPTY_I64, _EMPTY_I64
         keys = keys[sel]
         loc = np.searchsorted(index.keys, keys)
+        ta = ta[sel]
+        if index.shared_keys:  # find ``a`` within each shared key's run
+            end = np.searchsorted(index.keys, keys, side="right")
+            for j in np.flatnonzero(end - loc > 1).tolist():
+                loc[j] += np.searchsorted(index.a[loc[j] : end[j]], ta[j])
         np.minimum(loc, len(index.keys) - 1, out=loc)
-        # The key is one-to-one on indexed windows, and with ``a`` it
-        # pins ``b``: a window is indexed iff both match at ``loc``.
-        hit = ((index.keys[loc] == keys) & (index.a[loc] == ta[sel])).nonzero()[0]
+        # With ``a``, the key pins ``b``: a window is indexed iff both
+        # match at ``loc``.
+        hit = ((index.keys[loc] == keys) & (index.a[loc] == ta)).nonzero()[0]
         return start + stride * sel[hit], index.srcs[loc[hit]]
 
 
@@ -477,8 +485,9 @@ def build_anchor_index(base: bytes | np.ndarray, level: int = 1) -> AnchorIndex:
     increasing, so a run of equal keys starts at its smallest offset and
     collapses to it.  A run of two distinct windows (a key collision)
     moves the build to the next of :data:`_KEY_MULTIPLIERS`; should all
-    collide, the last one's colliding windows keep their first: probes
-    stay exact on what is indexed, and patches valid if larger.
+    collide, the last one's entries are sorted by key and then ``a``, and
+    probes search a shared key's run by ``a``, so every window stays
+    indexed at its smallest offset.
     """
     index = AnchorIndex(base, level)
     step = max(1, ANCHOR_SIZE // 2) if level <= 1 else max(1, ANCHOR_SIZE // 4)
@@ -495,8 +504,15 @@ def build_anchor_index(base: bytes | np.ndarray, level: int = 1) -> AnchorIndex:
         # Equal keys and equal ``a`` pin equal ``b``: the same window.
         same = keys[1:] == keys[:-1]
         if (a_sorted[1:][same] == a_sorted[:-1][same]).all():
+            shared = False
             break
-    first = run_starts(keys)
+    else:
+        keys = a * multiplier ^ b
+        order = np.lexsort((a, keys))  # stable: a window's run starts at its first offset
+        keys, a_sorted, shared = keys[order], a[order], True
+    first = run_starts(keys) if not shared else np.flatnonzero(
+        np.r_[True, (keys[1:] != keys[:-1]) | (a_sorted[1:] != a_sorted[:-1])]
+    )
     seen = np.zeros(_table_slots(len(first)), dtype=bool)
     seen_shift = np.uint64(64 - (len(seen).bit_length() - 1))
     seen[keys[first] >> seen_shift] = True
@@ -507,6 +523,7 @@ def build_anchor_index(base: bytes | np.ndarray, level: int = 1) -> AnchorIndex:
         multiplier=multiplier,
         seen=seen,
         seen_shift=seen_shift,
+        shared_keys=shared,
     )
     return index
 

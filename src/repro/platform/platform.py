@@ -40,8 +40,9 @@ from repro.workload.trace import Trace
 RUN_TAIL_MS = 60_000.0
 #: Period of the cluster memory sampler (Fig 2 and Fig 9 timelines).
 MEMORY_SAMPLE_INTERVAL_MS = 10_000.0
-#: Upcoming arrivals resident on the event heap at once
-#: (``Simulator.schedule_stream``); any size replays bit-identically.
+#: Arrivals whose labels and execution-time draws are prepared at once
+#: (the window of ``Simulator.schedule_stream``); any size replays
+#: bit-identically.
 ARRIVAL_CHUNK = 4096
 
 
@@ -231,10 +232,10 @@ class Platform:
     def _inject_arrivals(self, trace: Trace) -> None:
         """Schedule the trace's arrivals on the simulator.
 
-        Only ``ARRIVAL_CHUNK`` upcoming arrivals sit on the heap
-        at once (``Simulator.schedule_stream``).  Each chunk's labels
-        are decoded from the trace's columns in one pass, and the
-        controller seeds the chunk's execution-time draws in one batch;
+        The whole trace is one cursor on the heap
+        (``Simulator.schedule_stream``).  Each ``ARRIVAL_CHUNK`` window's
+        labels are decoded from the trace's columns in one pass, and the
+        controller seeds the window's execution-time draws in one batch;
         an arrival is then a call ``submit(request_id, function, tenant)``.
         """
         submit = self.controller.submit

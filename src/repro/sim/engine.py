@@ -18,12 +18,12 @@ The loop is built to survive cluster-scale replays (millions of events):
   place, so long runs with heavy timer churn (idle/keep-alive timers
   cancelled by dispatch) don't accumulate garbage.
 * **Streamed scheduling** — :meth:`Simulator.schedule_stream` schedules a
-  large time-sorted sequence of callbacks while keeping only a small
-  window of entries resident, *bit-identical* to scheduling them all up
+  large time-sorted sequence of callbacks as one cursor timer that
+  occupies a single heap slot, *bit-identical* to scheduling them all up
   front: the sequence numbers for the whole stream are reserved at call
-  time, so every entry gets exactly the (time, seq) pair eager
-  scheduling would have given it, and same-time ties against unrelated
-  events resolve identically.
+  time, and each time the cursor fires it goes back on the heap with the
+  next entry's exact (time, seq) pair, so same-time ties against
+  unrelated events resolve as eager scheduling would resolve them.
 
 Times are floating-point **milliseconds** throughout the reproduction.
 """
@@ -83,8 +83,16 @@ _COMPACT_MIN_CANCELLED = 512
 _COMPACT_FRACTION = 0.5
 
 #: Default window of a :meth:`Simulator.schedule_stream` call: how many
-#: entries of the stream are resident on the heap at once.
+#: entries of ``times`` are read (and announced to ``on_chunk``) at once.
 STREAM_CHUNK = 4096
+
+
+def _stream_floor(time: float, now: float, index: int) -> float:
+    """A stream entry's time below ``now``: float noise is clamped to
+    ``now``, anything more means the stream was not sorted."""
+    if time < now - 1e-9:
+        raise SimulationError(f"stream time {time} at index {index} below {now} (unsorted?)")
+    return now
 
 
 class Simulator:
@@ -192,19 +200,19 @@ class Simulator:
         on_chunk: Callable[[int, int], None] | None = None,
     ) -> int:
         """Schedule ``make_callback(i)`` at ``times[i]`` for every ``i``,
-        keeping only ~``chunk_size`` entries of the stream resident.
+        with one heap slot for the whole stream.
 
         ``times`` (a list, tuple or numpy column) must be sorted
-        non-decreasing with ``times[0] >= now``.
-        The whole stream's sequence numbers are reserved immediately:
-        entry ``i`` is created with the exact (time, seq) pair that
-        ``self.at(times[i], make_callback(i))`` called up front — before
-        any later scheduling — would have produced, so the replay is
-        bit-identical to eager scheduling while resident heap state stays
-        O(chunk) instead of O(len(times)).  Entries materialize chunk by
-        chunk: the last entry of each chunk pushes the next one after its
-        own callback runs, and ``on_chunk(start, stop)`` is told about
-        each chunk just before its entries are made (a caller batching
+        non-decreasing with ``times[0] >= now``.  The whole stream's
+        sequence numbers are reserved immediately, and a single cursor
+        timer walks the stream: when it fires for entry ``i`` it calls
+        ``make_callback(i)()`` and goes back on the heap as entry
+        ``i + 1``, with exactly the (time, seq) pair that
+        ``self.at(times[i + 1], ...)`` called up front — before any later
+        scheduling — would have produced.  The replay is bit-identical to
+        eager scheduling.  ``times`` is read ``chunk_size`` entries at a
+        time, and ``on_chunk(start, stop)`` is told about each window just
+        before its first entry goes on the heap (a caller batching
         per-entry preparation hooks in here).  Stream entries expose no
         :class:`Timer` and cannot be cancelled.  Returns the number of
         scheduled callbacks.
@@ -218,36 +226,38 @@ class Simulator:
         self._next_seq = base + count
         heap = self._heap
         heappush = heapq.heappush
+        index = start = stop = 0
+        window: Sequence[float] = ()
 
-        def push_chunk(start: int) -> None:
-            stop = min(start + chunk_size, count)
+        def load() -> None:
+            nonlocal start, stop, window
+            start, stop = index, min(index + chunk_size, count)
             if on_chunk is not None:
                 on_chunk(start, stop)
-            floor = self._now
             window = times[start:stop]
             if not isinstance(window, (list, tuple)):
                 window = window.tolist()  # a numpy column: Python floats
-            for i, time in enumerate(window, start):
-                if time < floor:
-                    if time < floor - 1e-9:
-                        raise SimulationError(
-                            f"stream time {time} at index {i} below {floor} (unsorted?)"
-                        )
-                    time = floor
-                floor = time
-                callback = make_callback(i)
-                if i == stop - 1 and stop < count:
-                    callback = _chained(callback, push_chunk, stop)
-                heappush(heap, (time, base + i, Timer(time, callback, self)))
 
-        def _chained(callback, refill, next_start):
-            def run_and_refill() -> None:
-                callback()
-                refill(next_start)
+        def fire() -> None:
+            nonlocal index
+            make_callback(index)()
+            index += 1
+            if index < count:
+                if index == stop:
+                    load()
+                time = window[index - start]
+                if time < self._now:
+                    time = _stream_floor(time, self._now, index)
+                cursor.time = time
+                cursor._queued = True  # noqa: SLF001 — Timer's own module
+                heappush(heap, (time, base + index, cursor))
 
-            return run_and_refill
-
-        push_chunk(0)
+        load()
+        time = window[0]
+        if time < self._now:
+            time = _stream_floor(time, self._now, 0)
+        cursor = Timer(time, fire, self)
+        heappush(heap, (time, base, cursor))
         return count
 
     # ----------------------------------------------------------- dispatch

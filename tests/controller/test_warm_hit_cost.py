@@ -6,7 +6,8 @@ arrival, dispatch, the execution-time draw, completion, timers.  A run
 under ``cProfile`` counts them exactly, the same in every process, so
 the bound is tight: the measured count plus 2 %.  A change that adds
 per-request calls on this path fails here; one that removes some
-lowers the measured count.
+lowers the measured count.  A warm hit also schedules only callbacks
+its sandbox already owns.
 """
 
 from __future__ import annotations
@@ -17,8 +18,16 @@ import subprocess
 import sys
 import textwrap
 
+from repro.core.policy import MedesPolicyConfig
+from repro.platform.config import ClusterConfig
+from repro.platform.metrics import StartType
+from repro.platform.platform import PlatformKind, build_platform
+from repro.sim.engine import Simulator
+from repro.workload.functionbench import FunctionBenchSuite
+from repro.workload.trace import Trace
+
 #: Primitive calls of the replay below over its requests, as measured.
-MEASURED_CALLS_PER_REQUEST = 249_881 / 3_705
+MEASURED_CALLS_PER_REQUEST = 241_263 / 3_705
 BOUND = MEASURED_CALLS_PER_REQUEST * 1.02
 
 SCRIPT = textwrap.dedent(
@@ -61,3 +70,27 @@ def test_calls_per_request_within_budget():
     assert run["warm"] > 0.9 * run["requests"]  # the path measured is the warm hit
     per_request = run["calls"] / run["requests"]
     assert per_request <= BOUND, f"{per_request:.2f} calls a request, budget {BOUND:.2f}"
+
+
+def test_a_warm_hit_schedules_no_new_callback(monkeypatch):
+    """50 warm hits of one sandbox schedule its completion, idle-expiry
+    and keep-alive-expiry callbacks over and over: at most three
+    distinct objects, whatever the number of hits."""
+    at, scheduled = Simulator.at, []
+
+    def spying_at(sim, time, callback):
+        scheduled.append((sim.now, callback))  # held: no id is reused
+        return at(sim, time, callback)
+
+    monkeypatch.setattr(Simulator, "at", spying_at)
+    suite = FunctionBenchSuite.subset(["Vanilla"])
+    config = ClusterConfig(nodes=1, node_memory_mb=1024.0, content_scale=1.0 / 256.0)
+    medes = MedesPolicyConfig(idle_period_ms=60_000.0)
+    platform = build_platform(PlatformKind.MEDES, config, suite, medes=medes)
+    report = platform.run(Trace.from_arrivals([(2_000.0 * i, "Vanilla") for i in range(51)]))
+    starts = [record.start_type for record in report.metrics.requests.values()]
+    assert starts == [StartType.COLD] + [StartType.WARM] * 50
+    assert report.metrics.sandboxes_created == 1
+    warm = [callback for now, callback in scheduled if 2_000.0 <= now < 101_000.0]
+    assert len(warm) >= 150  # each hit: its completion, idle and keep-alive timers
+    assert len({id(callback) for callback in warm}) <= 3

@@ -20,6 +20,7 @@ import pytest
 
 import repro.controller.controller as controller_module
 import repro.core.agent as agent_module
+import repro.core.registry as registry_module
 from repro._util import hash_bytes
 from repro.core.agent import DedupAgent, DedupMemo
 from repro.core.costs import CostModel
@@ -237,9 +238,9 @@ def test_a_base_made_from_a_trial_op_registers_what_a_fresh_scan_does(monkeypatc
     are what page-by-page hashing gives."""
     config = FingerprintConfig(strategy=strategy)
     scans = []
-    scan = controller_module.batch_page_fingerprints
+    scan = registry_module.batch_page_fingerprints
     monkeypatch.setattr(
-        controller_module,
+        registry_module,
         "batch_page_fingerprints",
         lambda *args, **kwargs: scans.append(args) or scan(*args, **kwargs),
     )

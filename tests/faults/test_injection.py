@@ -13,7 +13,7 @@ import pytest
 
 from repro._util import hash_bytes
 from repro.core.policy import MedesPolicyConfig
-from repro.core.registry import PageRef
+from repro.core.registry import PageRef, ShardedFingerprintRegistry
 from repro.faults.schedule import (
     FaultSchedule,
     FaultsConfig,
@@ -22,7 +22,9 @@ from repro.faults.schedule import (
     NodeCrash,
     ShardOutage,
 )
+from repro.faults.injector import FaultInjector
 from repro.invariants import check
+from repro.memory.fingerprint import batch_page_fingerprints
 from repro.platform.config import ClusterConfig
 from repro.platform.platform import PlatformKind, build_platform
 from repro.sandbox.checkpoint import BaseCheckpoint
@@ -232,6 +234,24 @@ class TestShardOutage:
         assert registered, "run must have demarcated at least one base"
         assert platform.registry.digest_count > 0
 
+    def test_heal_rebuilds_what_a_registry_that_never_failed_holds(self, monkeypatch):
+        """Right after a shard heals, every shard's digest buckets and
+        page-location entries equal those of a registry that never
+        failed: the surviving bases registered page by page, each page's
+        location digest its own SHA-1."""
+        heal = FaultInjector._finish_shard_heal
+        healed = []
+
+        def recording_heal(injector, shard):
+            heal(injector, shard)
+            healed.append((_shard_tables(injector.registry), _shard_tables(_oracle(injector))))
+
+        monkeypatch.setattr(FaultInjector, "_finish_shard_heal", recording_heal)
+        run_faulty(self.OUTAGE, arrivals=DEDUP_WORKLOAD, registry_shards=4)
+        ((rebuilt, oracle),) = healed
+        assert rebuilt == oracle
+        assert all(tables for tables in oracle)  # every shard holds base pages
+
     def test_dedup_resumes_after_heal(self):
         arrivals = DEDUP_WORKLOAD + [(150_000.0, "Vanilla"), (151_000.0, "LinAlg")]
         platform, report = run_faulty(self.OUTAGE, arrivals=arrivals)
@@ -239,6 +259,37 @@ class TestShardOutage:
             op for op in report.metrics.dedup_ops if op.started_ms > 70_000.0
         ]
         assert late_ops, "dedup must resume once the shard heals"
+
+
+def _oracle(injector) -> ShardedFingerprintRegistry:
+    """The surviving registered bases, registered afresh page by page."""
+    config = injector.config
+    registry = ShardedFingerprintRegistry(config.registry_shards, config.fingerprint)
+    for checkpoint in injector.store:
+        if not checkpoint.registered or checkpoint.node_id in injector.runtime.health.down_nodes:
+            continue
+        image = checkpoint.image
+        fingerprints = batch_page_fingerprints(image.data, image.page_size, config.fingerprint)
+        for index, fingerprint in enumerate(fingerprints):
+            ref = PageRef(checkpoint.checkpoint_id, checkpoint.node_id, index)
+            registry.register_page(ref, fingerprint, checkpoint.domain)
+            page_digest = hash_bytes(image.page_bytes(index))
+            registry.register_page_location(ref, page_digest, checkpoint.domain)
+    return registry
+
+
+def _shard_tables(registry) -> list[dict]:
+    """Per shard and domain: the digest buckets and the location buckets."""
+    return [
+        {
+            domain: (
+                shard.domain_digests(domain),
+                {digest: tuple(refs) for digest, refs in shard.locations.get(domain, {}).items()},
+            )
+            for domain in sorted({*shard.rows, *shard.locations})
+        }
+        for shard in registry.shards
+    ]
 
 
 class TestLinkFaults:

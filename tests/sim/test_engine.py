@@ -280,11 +280,11 @@ class TestScheduleStream:
         assert stream_seen == eager_seen
         assert {type(now) for now, _ in stream_seen} == {float}
 
-    def test_stream_keeps_window_resident(self):
+    def test_stream_occupies_one_heap_slot(self):
         times = [float(i) for i in range(100)]
         sim = Simulator()
         sim.schedule_stream(times, lambda i: lambda: None, chunk_size=8)
-        assert sim.pending_events == 8
+        assert sim.pending_events == 1
         sim.run()
         assert sim.events_processed == 100
 
@@ -302,7 +302,8 @@ class TestScheduleStream:
 
     def test_stream_announces_each_chunk_before_making_it(self):
         """``on_chunk(start, stop)`` precedes the chunk's ``make_callback``
-        calls and the chunks tile the stream."""
+        calls, each of which is made when its entry fires, and the chunks
+        tile the stream."""
         sim = Simulator()
         log = []
 
@@ -316,7 +317,7 @@ class TestScheduleStream:
             chunk_size=3,
             on_chunk=lambda start, stop: log.append((start, stop)),
         )
-        assert log == [(0, 3), 0, 1, 2]
+        assert log == [(0, 3)]
         sim.run()
         assert log == [(0, 3), 0, 1, 2, (3, 6), 3, 4, 5, (6, 7), 6]
 
@@ -354,3 +355,53 @@ class TestScheduleStream:
         stream_sim.run()
         assert stream_seen == eager_seen
         assert stream_sim.events_processed == eager_sim.events_processed
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=6),
+                st.sampled_from(("none", "after0", "same", "later")),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_stream_with_follow_ups_fires_like_eager(self, entries, chunk):
+        """Stream entries that schedule ``after(0)`` and same-time ``at``
+        events, some tying with later entries, and an event scheduled
+        after the stream at its last time: the cursor fires all of them
+        in eager scheduling's order and count."""
+        entries = sorted(entries, key=lambda entry: entry[0])
+        times = [float(time) for time, _ in entries]
+
+        def replay(schedule):
+            sim = Simulator()
+            seen = []
+
+            def entry(i):
+                def fire():
+                    seen.append(("stream", i, sim.now))
+                    kind = entries[i][1]
+                    if kind == "after0":
+                        sim.after(0.0, lambda: seen.append(("after0", i, sim.now)))
+                    elif kind == "same":
+                        sim.at(sim.now, lambda: seen.append(("same", i, sim.now)))
+                    elif kind == "later":
+                        sim.at(sim.now + 1.0, lambda: seen.append(("later", i, sim.now)))
+
+                return fire
+
+            schedule(sim, entry)
+            sim.at(times[-1], lambda: seen.append(("outside", -1, sim.now)))
+            sim.run()
+            return seen, sim.events_processed
+
+        def eager(sim, entry):
+            for i, time in enumerate(times):
+                sim.at(time, entry(i))
+
+        def streamed(sim, entry):
+            sim.schedule_stream(times, entry, chunk_size=chunk)
+
+        assert replay(streamed) == replay(eager)
