@@ -9,7 +9,7 @@ replaced, on identical buffers:
 * ``legacy`` — the pre-rewrite batch path, reimplemented inline below:
   one vectorized marker scan, then a *hit-by-hit Python loop* for the
   spacing/cardinality thinning, a Python list of ``raw[s : s + 64]``
-  slice objects, and ``hash_bytes_many`` over those slices.
+  slice objects, and a batched per-chunk SHA-1 over those slices.
 * ``sha1`` — the current kernel: segmented vectorized thinning
   (``batch_enforce_spacing``), one fancy-indexed gather
   (``gather_chunks``), and slice-free row hashing (``hash_rows_sha1``).
@@ -33,6 +33,7 @@ or via pytest for a reduced smoke configuration.  Results land in
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import pathlib
@@ -41,7 +42,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import environment, write_result
-from repro._util import hash_bytes_many, rng_for
+from repro._util import rng_for
 from repro.analysis.tables import render_table
 from repro.memory.chunks import batch_marker_ends
 from repro.memory.fingerprint import FingerprintConfig, batch_fingerprint_arrays
@@ -52,6 +53,12 @@ OUTPUT_JSON = REPO_ROOT / "BENCH_fingerprint_kernel.json"
 DEFAULT_PAGE_SIZE = 4096
 DEFAULT_SIZES = (4096, 16384, 65536, 262144)
 DEFAULT_REPS = 3
+
+
+def hash_bytes_many(chunks: list[bytes], bits: int) -> np.ndarray:
+    """The legacy chunk hash: each chunk's SHA-1, truncated to ``bits``."""
+    words = np.frombuffer(b"".join(hashlib.sha1(c).digest()[:8] for c in chunks), dtype="<u8")
+    return words & np.uint64((1 << bits) - 1) if bits < 64 else words.copy()
 
 
 def legacy_batch_fingerprints(

@@ -8,9 +8,11 @@ process and is never used for seeding).
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 from collections import OrderedDict
-from typing import Generic, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Generic, Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -50,15 +52,11 @@ def rng_for(*parts: object) -> np.random.Generator:
 
 # ------------------------------------------------ batched generator seeding
 #
-# ``np.random.PCG64(seed)`` spends ~10 us turning one integer into a
-# generator state: a ``SeedSequence`` object, its entropy pool, four
-# output words, a bit generator.  The arithmetic behind it is a fixed
-# sequence of uint32 multiply/xor/shift steps (``SeedSequence``, from
-# O'Neill's ``seed_seq_fe``) followed by two steps of PCG64's 128-bit
-# LCG, and it is the same sequence for every seed below 2**128 — so it
-# runs over an array of seeds at once.  NumPy guarantees the stream of
-# both pieces (NEP 19); ``tests/test_util.py`` compares this kernel with
-# ``np.random.PCG64`` itself and is the alarm should that ever change.
+# ``np.random.PCG64(seed)`` spends ~10 us building a state that fixed
+# uint32 multiply/xor/shift steps (``SeedSequence``) and two 128-bit LCG
+# steps compute, the same steps for every seed — so they run over an
+# array of seeds.  NumPy keeps both streams (NEP 19); ``tests/test_util.py``
+# compares these kernels with numpy itself.
 
 
 def _uint32_chain(start: int, multiplier: int, length: int) -> tuple[np.uint32, ...]:
@@ -159,6 +157,86 @@ def pcg64_seed_states(seeds: np.ndarray) -> np.ndarray:
     return states
 
 
+def pcg64_first_words(states: np.ndarray) -> np.ndarray:
+    """``PCG64.random_raw()`` from each row: an LCG step, then XSL-RR."""
+    lo, hi, inc_lo, inc_hi = states.T
+    hi, lo = _pcg_multiply(hi, lo)
+    lo = lo + inc_lo
+    hi = hi + inc_hi + (lo < inc_lo)
+    rot, value = hi >> np.uint64(58), hi ^ lo
+    return (value >> rot) | (value << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
+# ------------------------------------------------ the one-word normal draw
+#
+# numpy's normal is a ziggurat: word r gives the layer r & 0xff, the sign
+# r >> 8 & 1 and the magnitude r >> 9 (52 bits); under its layer's k the
+# draw is ±magnitude * w[layer], from r alone (98.5 % of draws).  w and k
+# are private to numpy's C source, so they are read back, not copied.
+
+_PCG_MULT = int(_PCG_MULT_HI) << 64 | int(_PCG_MULT_LO)
+#: Smaller batches skip the array passes (and the read-back).
+_ONE_WORD_MIN_KEYS = 16
+_Probe = Callable[[int], tuple[float, bool]]
+
+
+def _crafted_normal() -> _Probe:
+    """numpy's normal on the words ``word``, 0, and whether it read one:
+    the states after a step are ``word`` (high half 0: XSL-RR puts out
+    ``word``) and ``pad * (2**64 + 1)`` (``pad`` makes the increment odd)."""
+    bit_generator = np.random.PCG64(0)
+    normal = np.random.Generator(bit_generator).standard_normal
+    state, inverse = bit_generator.state, pow(_PCG_MULT, -1, 1 << 128)
+
+    def draw(word: int) -> tuple[float, bool]:
+        pad = ~word & 1
+        inc = ((pad << 64 | pad) - word * _PCG_MULT) % (1 << 128)
+        state["state"] = {"state": (word - inc) * inverse % (1 << 128), "inc": inc}
+        bit_generator.state = state
+        return normal(), bit_generator.state["state"]["state"] == word
+
+    return draw
+
+
+def _read_one_word_tables(normal_of: _Probe) -> tuple[np.ndarray, np.ndarray]:
+    """``(w, bound)``: ``w[i]`` is the draw at layer ``i``, magnitude 1;
+    bound ``i``, ``⌊2**52 w[i-1] / w[i]⌋ - 1`` (``w[255]`` above layer 0;
+    numpy's ``k`` is 1 or 2 higher), stands if the draw at ``bound - 1``
+    reads one word and is ``±(bound - 1) w[i]``, else it is 0 (layer 1)."""
+    widths = np.array([normal_of(layer | 1 << 9)[0] for layer in range(256)])
+    estimates = np.floor(2.0**52 * np.roll(widths, 1) / widths)
+    bounds = np.zeros(256, dtype=np.uint64)
+    for layer in range(256):
+        magnitude, sign = min(int(estimates[layer]) - 1, 1 << 52) - 1, layer & 1
+        if magnitude >= 0:
+            value, one_word = normal_of(layer | sign << 8 | magnitude << 9)
+            if one_word and value == (-1.0) ** sign * (magnitude * widths[layer]):
+                bounds[layer] = magnitude + 1
+    return widths, bounds
+
+
+_one_word_tables = functools.cache(lambda: _read_one_word_tables(_crafted_normal()))
+
+
+def _one_word_lognormals(
+    states: np.ndarray, means: Sequence[float], sigmas: Sequence[float]
+) -> tuple[list[float], list[int]]:
+    """``exp(mean + sigma * x)`` where numpy settles ``x`` on the first word
+    (``math.exp`` is libm's, as numpy's; ``np.exp`` differs), and the rows
+    left to numpy: the rest, an ``exp`` past 709 and a sigma numpy rejects."""
+    widths, bounds = _one_word_tables()
+    word = pcg64_first_words(states)
+    layer = (word & np.uint64(0xFF)).astype(np.intp)
+    magnitude = (word >> np.uint64(9)) & np.uint64(2**52 - 1)
+    x = magnitude * widths[layer]
+    np.negative(x, out=x, where=(word & np.uint64(0x100)).astype(bool))
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    args = np.asarray(means, dtype=np.float64) + sigmas * x
+    settled = (magnitude < bounds[layer]) & (args < 709.0) & ~np.signbit(sigmas)
+    values = list(map(math.exp, np.where(settled, args, 0.0).tolist()))
+    return values, np.flatnonzero(~settled).tolist()
+
+
 #: ``hashlib``'s digest method, to map over a batch of hash objects.
 _SHA256_DIGEST = type(hashlib.sha256()).digest
 
@@ -167,15 +245,12 @@ class SeededLognormal:
     """``rng_for(*label, *key).lognormal(mean, sigma)`` for many keys,
     bit for bit, without building a generator per key.
 
-    :meth:`prime` draws a whole batch of keys at once.  It builds every
-    key's seed text — the exact text :func:`stable_seed` hashes, with
-    the text of each distinct string part cached — hashes the batch,
-    seeds it in one :func:`pcg64_seed_states` call, then loads each
-    state into the one ``PCG64`` this object owns and draws with
-    numpy's own ``lognormal`` (whose ziggurat tables are numpy-internal:
-    nothing about the distribution is restated here).  :meth:`draw`
-    reads a primed key's value; a key outside the latest batch is drawn
-    on the spot, as a batch of one.
+    :meth:`prime` builds a batch's seed texts (exactly what :func:`stable_seed`
+    hashes; each distinct string's text cached), hashes and seeds them in
+    one :func:`pcg64_seed_states` call and ends in :func:`_one_word_lognormals`;
+    the keys it leaves, and batches under ``_ONE_WORD_MIN_KEYS``, load their
+    state into this object's ``PCG64`` and call numpy's ``lognormal``.
+    :meth:`draw` pops a primed key's value, or draws a batch of one.
     """
 
     def __init__(self, *label: object):
@@ -206,31 +281,31 @@ class SeededLognormal:
         # stable_seed reads the first 8 bytes of each 32-byte digest.
         digests = b"".join(map(_SHA256_DIGEST, map(hashlib.sha256, map(str.encode, texts))))
         states = pcg64_seed_states(np.frombuffer(digests, dtype="<u8")[::4])
+        if len(texts) < _ONE_WORD_MIN_KEYS:
+            values, rows = [0.0] * len(texts), range(len(texts))
+        else:
+            values, rows = _one_word_lognormals(states, means, sigmas)
         bit_generator, state, lognormal = self._bit_generator, self._state, self._lognormal
         words = state["state"]
-        values = [0.0] * len(texts)
-        for row, ((lo, hi, inc_lo, inc_hi), mean, sigma) in enumerate(
-            zip(states.tolist(), means, sigmas)
-        ):
+        for row in rows:
+            lo, hi, inc_lo, inc_hi = states[row].tolist()
             words["state"] = hi << 64 | lo
             words["inc"] = inc_hi << 64 | inc_lo
             bit_generator.state = state
-            values[row] = lognormal(mean, sigma)
+            values[row] = lognormal(means[row], sigmas[row])
         return values
 
     def prime(
         self, keys: Sequence[tuple], means: Sequence[float], sigmas: Sequence[float]
     ) -> None:
         """Draw ``keys`` (tuples of the parts after the label, all of one
-        length), key ``i`` with ``means[i]`` and ``sigmas[i]``, replacing
-        the previous batch."""
-        self._drawn = dict(zip(keys, self._draw_many(keys, means, sigmas)))
+        length) with ``means[i]`` and ``sigmas[i]``, beside undrawn ones."""
+        self._drawn.update(zip(keys, self._draw_many(keys, means, sigmas)))
 
     def draw(self, key: tuple, mean: float, sigma: float) -> float:
-        """One lognormal draw from the fresh generator of ``key``.  A
-        primed key returns the value :meth:`prime` drew for it, with the
-        parameters given there."""
-        value = self._drawn.get(key)
+        """The lognormal of ``key``'s fresh generator; a primed key's is the
+        one :meth:`prime` drew, with the parameters given there."""
+        value = self._drawn.pop(key, None)
         if value is None:
             value = self._draw_many((key,), (mean,), (sigma,))[0]
         return value
@@ -246,31 +321,6 @@ def hash_bytes(data: bytes, bits: int = 64) -> int:
         raise ValueError(f"bits must be in [1, 160], got {bits}")
     full = int.from_bytes(hashlib.sha1(data).digest(), "little")
     return full & ((1 << bits) - 1)
-
-
-def hash_bytes_many(chunks: Iterable[bytes], bits: int = 64) -> np.ndarray:
-    """Batched :func:`hash_bytes`: one truncated SHA-1 digest per chunk.
-
-    Returns a uint64 array whose elements equal
-    ``[hash_bytes(c, bits) for c in chunks]`` for any ``bits <= 64``:
-    truncating the little-endian 160-bit digest integer to ``bits`` bits
-    only ever consumes the first 8 digest bytes, so each digest is read
-    as a single ``<u8`` word and masked vectorised.  The fingerprint
-    scan hashes gathered rows instead (:func:`hash_rows_sha1`); this one
-    serves the pre-gather kernel that
-    ``benchmarks/bench_fingerprint_kernel.py`` keeps as its comparator.
-    ``bits > 64`` does not fit the array dtype; callers needing the full
-    digest width fall back to :func:`hash_bytes`.
-    """
-    if not 1 <= bits <= 64:
-        raise ValueError(f"bits must be in [1, 64], got {bits}")
-    sha1 = hashlib.sha1
-    words = np.frombuffer(
-        b"".join(sha1(chunk).digest()[:8] for chunk in chunks), dtype="<u8"
-    )
-    if bits == 64:
-        return words.copy()
-    return words & np.uint64((1 << bits) - 1)
 
 
 def concat_ranges(range_starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

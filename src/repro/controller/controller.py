@@ -832,9 +832,8 @@ class ClusterController:
     # ---------------------------------------------------------- lifecycle
 
     def _arm_idle_timers(self, sandbox: Sandbox) -> None:
-        """Arm the idle-period and keep-alive timers of an idle warm sandbox."""
+        """Arm an idle warm sandbox's idle and keep-alive timers; none may be armed."""
         timers = self._timers[sandbox.sandbox_id]
-        timers.cancel_all()
         function = sandbox.function
         idle_period = self.policy.idle_period_ms(function)
         if idle_period is not None:
@@ -1090,6 +1089,8 @@ class ClusterController:
             sandbox.busy_request_id = None
             self._note_candidacy_change(sandbox)
             if sandbox.state is SandboxState.WARM:
+                # The idle expiry that made it a base re-armed them.
+                self._timers[sandbox.sandbox_id].cancel_all()
                 self._arm_idle_timers(sandbox)
 
         self.sim.after(

@@ -137,7 +137,6 @@ class TestChangesLog:
 #: "debt" entries are reached only by tests and wait to get a shipping
 #: caller, move to ``tests/oracles/`` or be deleted (ROADMAP item 1(c)).
 UNREFERENCED_ALLOWED = {
-    "repro._util:hash_bytes_many": "bench: inline comparator of bench_fingerprint_kernel",
     "repro.core.basemgr:BaseSandboxManager.retire_unreferenced": "tracer binds it",
     "repro.core.registry:FingerprintRegistry.choose_base_page": "tracer binds it; benches call it",
     "repro.memory.synth:build_region": "tracer binds it",
