@@ -9,7 +9,7 @@ replaced, on identical buffers:
 * ``legacy`` — the pre-rewrite batch path, reimplemented inline below:
   one vectorized marker scan, then a *hit-by-hit Python loop* for the
   spacing/cardinality thinning, a Python list of ``raw[s : s + 64]``
-  slice objects, and a batched per-chunk SHA-1 over those slices.
+  slice objects, and ``hash_bytes_many`` over those slices.
 * ``sha1`` — the current kernel: segmented vectorized thinning
   (``batch_enforce_spacing``), one fancy-indexed gather
   (``gather_chunks``), and slice-free row hashing (``hash_rows_sha1``).
@@ -24,8 +24,9 @@ where the legacy path's per-hit interpreter dispatch dominates.
 
 Run standalone for the full sweep::
 
-    PYTHONPATH=src python benchmarks/bench_fingerprint_kernel.py
+    PYTHONPATH=src:. python benchmarks/bench_fingerprint_kernel.py
 
+from the repo root (``hash_bytes_many`` lives in ``tests/oracles/``),
 or via pytest for a reduced smoke configuration.  Results land in
 ``BENCH_fingerprint_kernel.json`` at the repo root.
 """
@@ -33,7 +34,6 @@ or via pytest for a reduced smoke configuration.  Results land in
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import pathlib
@@ -46,6 +46,7 @@ from repro._util import rng_for
 from repro.analysis.tables import render_table
 from repro.memory.chunks import batch_marker_ends
 from repro.memory.fingerprint import FingerprintConfig, batch_fingerprint_arrays
+from tests.oracles.chunk_hashes import hash_bytes_many
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT_JSON = REPO_ROOT / "BENCH_fingerprint_kernel.json"
@@ -53,12 +54,6 @@ OUTPUT_JSON = REPO_ROOT / "BENCH_fingerprint_kernel.json"
 DEFAULT_PAGE_SIZE = 4096
 DEFAULT_SIZES = (4096, 16384, 65536, 262144)
 DEFAULT_REPS = 3
-
-
-def hash_bytes_many(chunks: list[bytes], bits: int) -> np.ndarray:
-    """The legacy chunk hash: each chunk's SHA-1, truncated to ``bits``."""
-    words = np.frombuffer(b"".join(hashlib.sha1(c).digest()[:8] for c in chunks), dtype="<u8")
-    return words & np.uint64((1 << bits) - 1) if bits < 64 else words.copy()
 
 
 def legacy_batch_fingerprints(

@@ -52,11 +52,15 @@ def rng_for(*parts: object) -> np.random.Generator:
 
 # ------------------------------------------------ batched generator seeding
 #
-# ``np.random.PCG64(seed)`` spends ~10 us building a state that fixed
-# uint32 multiply/xor/shift steps (``SeedSequence``) and two 128-bit LCG
-# steps compute, the same steps for every seed — so they run over an
-# array of seeds.  NumPy keeps both streams (NEP 19); ``tests/test_util.py``
-# compares these kernels with numpy itself.
+# ``np.random.PCG64(seed)`` spends ~10 us turning one integer into a
+# generator state: a ``SeedSequence`` object, its entropy pool, four
+# output words, a bit generator.  The arithmetic behind it is a fixed
+# sequence of uint32 multiply/xor/shift steps (``SeedSequence``, from
+# O'Neill's ``seed_seq_fe``) followed by two steps of PCG64's 128-bit
+# LCG, and it is the same sequence for every seed below 2**128 — so it
+# runs over an array of seeds at once.  NumPy guarantees the stream of
+# both pieces (NEP 19); ``tests/test_util.py`` compares this kernel with
+# ``np.random.PCG64`` itself and is the alarm should that ever change.
 
 
 def _uint32_chain(start: int, multiplier: int, length: int) -> tuple[np.uint32, ...]:
@@ -83,19 +87,22 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
-def _pcg_multiply(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(hi, lo) * multiplier mod 2**128`` on uint64 arrays.
-
-    uint64 products wrap, which is the reduction wanted everywhere but
-    in the carry of ``lo * MULT_LO`` into the high half; that one comes
-    from the four 32-bit partial products.
+def _pcg_step(
+    hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(hi, lo) * multiplier + (inc_hi, inc_lo) mod 2**128``: one LCG
+    step on uint64 arrays.  Products and sums wrap, which is the
+    reduction wanted everywhere but in the carries into the high half:
+    that of ``lo * MULT_LO`` comes from the four 32-bit partial
+    products, that of ``+ inc_lo`` from the low half wrapping below it.
     """
     a0, a1 = lo & _LOW32, lo >> _SHIFT32
     b0, b1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _SHIFT32
     p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
     middle = (p00 >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
     carry = a1 * b1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (middle >> _SHIFT32)
-    return carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO, lo * _PCG_MULT_LO
+    hi, lo = carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO, lo * _PCG_MULT_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
 
 
 def pcg64_seed_states(seeds: np.ndarray) -> np.ndarray:
@@ -148,21 +155,14 @@ def pcg64_seed_states(seeds: np.ndarray) -> np.ndarray:
     inc_lo = (seq_lo << one) | one
     lo = inc_lo + init_lo
     hi = inc_hi + init_hi + (lo < inc_lo)
-    hi, lo = _pcg_multiply(hi, lo)
-    states = np.empty(seeds.shape + (4,), dtype="<u8")
-    states[..., 0] = lo + inc_lo
-    states[..., 1] = hi + inc_hi + (states[..., 0] < lo)
-    states[..., 2] = inc_lo
-    states[..., 3] = inc_hi
-    return states
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    return np.stack((lo, hi, inc_lo, inc_hi), axis=-1).astype("<u8", copy=False)
 
 
 def pcg64_first_words(states: np.ndarray) -> np.ndarray:
     """``PCG64.random_raw()`` from each row: an LCG step, then XSL-RR."""
     lo, hi, inc_lo, inc_hi = states.T
-    hi, lo = _pcg_multiply(hi, lo)
-    lo = lo + inc_lo
-    hi = hi + inc_hi + (lo < inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
     rot, value = hi >> np.uint64(58), hi ^ lo
     return (value >> rot) | (value << ((np.uint64(64) - rot) & np.uint64(63)))
 
@@ -175,8 +175,6 @@ def pcg64_first_words(states: np.ndarray) -> np.ndarray:
 # are private to numpy's C source, so they are read back, not copied.
 
 _PCG_MULT = int(_PCG_MULT_HI) << 64 | int(_PCG_MULT_LO)
-#: Smaller batches skip the array passes (and the read-back).
-_ONE_WORD_MIN_KEYS = 16
 _Probe = Callable[[int], tuple[float, bool]]
 
 
@@ -245,12 +243,15 @@ class SeededLognormal:
     """``rng_for(*label, *key).lognormal(mean, sigma)`` for many keys,
     bit for bit, without building a generator per key.
 
-    :meth:`prime` builds a batch's seed texts (exactly what :func:`stable_seed`
-    hashes; each distinct string's text cached), hashes and seeds them in
-    one :func:`pcg64_seed_states` call and ends in :func:`_one_word_lognormals`;
-    the keys it leaves, and batches under ``_ONE_WORD_MIN_KEYS``, load their
-    state into this object's ``PCG64`` and call numpy's ``lognormal``.
-    :meth:`draw` pops a primed key's value, or draws a batch of one.
+    :meth:`prime` draws a whole batch of keys at once.  It builds every
+    key's seed text — the exact text :func:`stable_seed` hashes, with
+    the text of each distinct string part cached — hashes the batch and
+    seeds it in one :func:`pcg64_seed_states` call.
+    :func:`_one_word_lognormals` settles every key whose first word
+    decides numpy's normal; each key it leaves is loaded into the one
+    ``PCG64`` this object owns and drawn with numpy's own ``lognormal``.
+    :meth:`draw` pops a primed key's value, so only undrawn keys stay
+    primed; a key no batch holds is drawn on the spot, as a batch of one.
     """
 
     def __init__(self, *label: object):
@@ -281,10 +282,7 @@ class SeededLognormal:
         # stable_seed reads the first 8 bytes of each 32-byte digest.
         digests = b"".join(map(_SHA256_DIGEST, map(hashlib.sha256, map(str.encode, texts))))
         states = pcg64_seed_states(np.frombuffer(digests, dtype="<u8")[::4])
-        if len(texts) < _ONE_WORD_MIN_KEYS:
-            values, rows = [0.0] * len(texts), range(len(texts))
-        else:
-            values, rows = _one_word_lognormals(states, means, sigmas)
+        values, rows = _one_word_lognormals(states, means, sigmas)
         bit_generator, state, lognormal = self._bit_generator, self._state, self._lognormal
         words = state["state"]
         for row in rows:
@@ -299,12 +297,14 @@ class SeededLognormal:
         self, keys: Sequence[tuple], means: Sequence[float], sigmas: Sequence[float]
     ) -> None:
         """Draw ``keys`` (tuples of the parts after the label, all of one
-        length) with ``means[i]`` and ``sigmas[i]``, beside undrawn ones."""
+        length), key ``i`` with ``means[i]`` and ``sigmas[i]``, beside the
+        keys earlier batches primed and :meth:`draw` has not read yet."""
         self._drawn.update(zip(keys, self._draw_many(keys, means, sigmas)))
 
     def draw(self, key: tuple, mean: float, sigma: float) -> float:
-        """The lognormal of ``key``'s fresh generator; a primed key's is the
-        one :meth:`prime` drew, with the parameters given there."""
+        """One lognormal draw from the fresh generator of ``key``.  A
+        primed key returns the value :meth:`prime` drew for it, with the
+        parameters given there, and is forgotten."""
         value = self._drawn.pop(key, None)
         if value is None:
             value = self._draw_many((key,), (mean,), (sigma,))[0]
