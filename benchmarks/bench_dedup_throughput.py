@@ -18,6 +18,10 @@ level 1 (the default, sparse anchor probing) leaves less scalar work to
 vectorize than level 2 (dense probing, the VectorCDC-style content
 scanning case), so both are reported.
 
+Standalone, it also fits each level's op time as intercept + slope x
+nonzero pages over content scales 1/512 to 1/32 (:func:`fit_op_cost`),
+so the op's fixed cost is tracked beside its throughput.
+
 Run standalone for the full matrix::
 
     PYTHONPATH=src:. python benchmarks/bench_dedup_throughput.py
@@ -33,6 +37,7 @@ import json
 import math
 import pathlib
 import statistics
+import subprocess
 import time
 
 from benchmarks.conftest import environment, write_result
@@ -54,6 +59,8 @@ DEFAULT_PROFILES = ("Vanilla", "LinAlg", "ImagePro", "MapReduce")
 DEFAULT_SCALE_DENOM = 32
 DEFAULT_OPS = 4
 DEFAULT_REPS = 5
+#: Content scales of the op-cost fit: 15-20 up to ~200 content pages.
+FIT_SCALE_DENOMS = (512, 256, 128, 64, 32)
 
 
 def _make_agent(profile, profile_name: str, scale: float, level: int) -> DedupAgent:
@@ -114,6 +121,7 @@ def run_config(
 
     total_batch = total_ref = 0.0
     pages = 0
+    op_minima: list[tuple[int, float]] = []  # (nonzero pages, batch seconds) per op
     batch_samples: list[float] = []  # pages/s, one per (op, rep) run
     ref_samples: list[float] = []
     for k in range(ops):
@@ -133,6 +141,7 @@ def run_config(
             best_ref = min(best_ref, dt)
             ref_samples.append(op_pages / dt)
         pages += len(outcome.table.entries)
+        op_minima.append((int(outcome.table.memo.counts.size), best_batch))
         total_batch += best_batch
         total_ref += best_ref
     return {
@@ -149,7 +158,54 @@ def run_config(
         "reference_pages_per_s_median": round(statistics.median(ref_samples), 1),
         "reference_pages_per_s_stdev": round(_stdev(ref_samples), 1),
         "speedup": round(total_ref / total_batch, 3),
+        "op_minima": op_minima,
     }
+
+
+def fit_op_cost(
+    profiles=DEFAULT_PROFILES,
+    levels=(1, 2),
+    scale_denoms=FIT_SCALE_DENOMS,
+    ops: int = 2,
+    reps: int = 3,
+) -> dict:
+    """Least-squares fit of a dedup op's time as intercept + slope x
+    nonzero pages, per level, over the paired minima of every op at
+    every content scale in ``scale_denoms``: the intercept is the op's
+    fixed cost, the slope its cost per page."""
+    suite = FunctionBenchSuite.default()
+    fits = {}
+    for level in levels:
+        points = [
+            point
+            for denom in scale_denoms
+            for name in profiles
+            for point in run_config(
+                suite, name, aslr=False, level=level, scale=1.0 / denom, ops=ops, reps=reps
+            )["op_minima"]
+        ]
+        pages = [float(p) for p, _ in points]
+        seconds = [s for _, s in points]
+        slope, intercept = statistics.linear_regression(pages, seconds)
+        fits[str(level)] = {
+            "intercept_us": round(intercept * 1e6, 1),
+            "slope_us_per_page": round(slope * 1e6, 2),
+            "ops": len(points),
+            "pages": [int(min(pages)), int(max(pages))],
+        }
+    return {
+        "scales": [f"1/{denom}" for denom in scale_denoms],
+        "sha": _git_sha(),
+        **environment(),
+        "by_level": fits,
+    }
+
+
+def _git_sha() -> str:
+    done = subprocess.run(
+        ["git", "describe", "--always", "--dirty"], cwd=REPO_ROOT, capture_output=True, text=True
+    )
+    return done.stdout.strip() or "unknown"
 
 
 def _stdev(samples: list[float]) -> float:
@@ -236,10 +292,21 @@ def main(argv: list[str] | None = None) -> None:
         ops=args.ops,
         reps=args.reps,
     )
+    report["op_cost_fit"] = fit_op_cost(
+        profiles=tuple(args.profiles.split(",")),
+        levels=tuple(int(x) for x in args.levels.split(",")),
+    )
+    for result in report["results"]:
+        del result["op_minima"]
     OUTPUT_JSON.write_text(json.dumps(report, indent=2) + "\n")
     text = _render(report)
     write_result("dedup_throughput", text)
     print(text)
+    for level, fit in report["op_cost_fit"]["by_level"].items():
+        print(
+            f"level {level} op cost: {fit['intercept_us']:.0f} us + "
+            f"{fit['slope_us_per_page']:.2f} us x nonzero pages ({fit['ops']} ops)"
+        )
     print(f"\nwrote {OUTPUT_JSON}")
 
 

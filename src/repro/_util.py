@@ -328,11 +328,10 @@ def concat_ranges(range_starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
     The CSR expansion: range ``i`` contributes ``lengths[i]`` consecutive
     indices from ``range_starts[i]``."""
-    total = int(lengths.sum())
-    if total == 0:
+    ends = lengths.cumsum()
+    if not len(ends) or not ends[-1]:
         return np.empty(0, dtype=np.int64)
-    offsets = np.repeat(range_starts - (np.cumsum(lengths) - lengths), lengths)
-    return np.arange(total, dtype=np.int64) + offsets
+    return np.arange(ends[-1], dtype=np.int64) + (range_starts - ends + lengths).repeat(lengths)
 
 
 def run_starts(values: np.ndarray) -> np.ndarray:
@@ -340,7 +339,7 @@ def run_starts(values: np.ndarray) -> np.ndarray:
     change = np.empty(len(values), dtype=bool)
     change[:1] = True
     np.not_equal(values[1:], values[:-1], out=change[1:])
-    return np.flatnonzero(change)
+    return change.nonzero()[0]
 
 
 def run_lengths(starts: np.ndarray, total: int) -> np.ndarray:
@@ -356,23 +355,19 @@ def gather_chunks(data: np.ndarray, starts: np.ndarray, chunk_size: int) -> np.n
     """Gather ``chunk_size``-byte chunks of ``data`` at ``starts``.
 
     One numpy gather builds the ``(len(starts), chunk_size)`` uint8
-    matrix that the batched chunk-hash kernels consume — replacing a
-    Python-level loop of ``data[s : s + chunk_size]`` slice objects on
-    the fingerprint hot path.  The gather fancy-indexes a zero-copy
-    sliding-window *view* along its first axis only, which avoids
-    materializing the ``(chunks, chunk_size)`` int64 index matrix a
-    broadcast ``starts[:, None] + arange`` gather would build (8x the
-    output's size in indices alone).  ``starts`` must satisfy
-    ``0 <= s <= len(data) - chunk_size`` (unchecked beyond numpy's own
-    bounds errors).
+    matrix that the batched chunk-hash kernels consume.  It
+    fancy-indexes a strided view with a window at every byte offset
+    along its first axis only, so no ``(chunks, chunk_size)`` index
+    matrix is built.  ``starts`` must satisfy ``0 <= s <= len(data) -
+    chunk_size`` (unchecked beyond numpy's own bounds errors).
     """
     if data.dtype != np.uint8:
         raise ValueError("expected uint8 data")
-    starts = np.asarray(starts, dtype=np.int64)
-    if starts.size == 0:
-        return np.empty((0, chunk_size), dtype=np.uint8)
-    windows = np.lib.stride_tricks.sliding_window_view(np.ascontiguousarray(data), chunk_size)
-    return np.ascontiguousarray(windows[starts])
+    data = np.ascontiguousarray(data)
+    windows = np.ndarray(
+        (max(len(data) - chunk_size + 1, 0), chunk_size), np.uint8, data, strides=(1, 1)
+    )
+    return windows[np.asarray(starts, dtype=np.int64)]
 
 
 def hash_rows_sha1(matrix: np.ndarray, bits: int = 64) -> np.ndarray:

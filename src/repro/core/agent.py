@@ -85,7 +85,8 @@ UNIQUE_THRESHOLD = 0.75
 
 class PageKind(enum.IntEnum):
     """Disposition of one page after the dedup op: the codes of
-    :attr:`DedupPageTable.entries`."""
+    :attr:`DedupPageTable.entries`.  Arrays are compared with a code's
+    ``value``: numpy takes a slow path for an ``IntEnum`` member."""
 
     ZERO = 0
     UNIQUE = 1
@@ -140,8 +141,8 @@ class DedupMemo:
         decide that pair at ``level``."""
         if level != self.level or not len(self.pairs):
             return np.full(len(pairs), -1)
-        rows = np.searchsorted(self.pairs[:, 0], pairs[:, 0]).clip(max=len(self.pairs) - 1)
-        return np.where((self.pairs[rows] == pairs).all(axis=1), rows, -1)
+        rows = np.minimum(self.pairs[:, 0].searchsorted(pairs[:, 0]), len(self.pairs) - 1)
+        return np.where(np.logical_and.reduce(self.pairs[rows] == pairs, axis=1), rows, -1)
 
 
 @dataclass(eq=False)
@@ -209,24 +210,24 @@ class DedupPageTable:
         """Copy the unique pages into ``out``, a zeroed buffer of the
         image's size (zero pages are then already materialized)."""
         rows = out.reshape(len(self.entries), self.page_size)
-        rows[self.entries == PageKind.UNIQUE] = self.unique
+        rows[self.entries == PageKind.UNIQUE.value] = self.unique
 
     def image_fingerprints(self) -> FingerprintBatch:
         """Every page's value-sampled fingerprint, from :attr:`memo`: a
         zero page holds no marker byte, so it samples no chunk."""
         counts = np.zeros(len(self.entries), dtype=np.int64)
-        counts[self.entries != PageKind.ZERO] = self.memo.counts
+        counts[self.entries != PageKind.ZERO.value] = self.memo.counts
         return FingerprintBatch(self.memo.digests, None, counts)
 
 
-def checkpoint_order(checkpoints: np.ndarray) -> np.ndarray:
+def checkpoint_order(checkpoints: list[int]) -> list[int]:
     """Positions of ``checkpoints`` grouped by value: groups in order of
     first appearance, positions ascending within each — the order base
     pages are read in, which the LRU cache's hit counts depend on."""
-    _, first, inverse = np.unique(checkpoints, return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return np.argsort(rank[inverse], kind="stable")
+    groups: dict[int, list[int]] = {}
+    for position, checkpoint_id in enumerate(checkpoints):
+        groups.setdefault(checkpoint_id, []).append(position)
+    return [position for group in groups.values() for position in group]
 
 
 @dataclass(frozen=True)
@@ -397,22 +398,14 @@ class _DedupOp:
         self.image = image
         self.unique_cap = int(UNIQUE_THRESHOLD * image.page_size)
         nonzero = nonzero_page_mask(image.data, image.page_size)
-        self.pages = np.flatnonzero(nonzero)
+        self.pages = nonzero.nonzero()[0]
         """Indices of the pages with content: each goes through
         :meth:`choose` exactly once."""
-        self.kinds = np.where(nonzero, PageKind.UNIQUE, PageKind.ZERO).astype(np.uint8)
+        self.kinds = nonzero.astype(np.uint8)  # PageKind.UNIQUE is 1, ZERO is 0
         """Each page's :class:`PageKind` code; a content page stays
         unique unless :meth:`accept` patches it."""
-        self.patched = np.empty((4, 0), dtype=np.int64)
-        """The patched pages' columns, in page order."""
-        self.patches: tuple[Patch, ...] = ()
-        self.zero_pages = image.num_pages - int(self.pages.size)
+        self.zero_pages = image.num_pages - len(self.pages)
         self.saved = self.zero_pages * image.page_size
-        self.same_fn = self.cross_fn = 0
-        self.base_refs: Counter[int] = Counter()
-        self.reads_by_peer: Counter[int] = Counter()
-        self.checkpoints: dict[int, BaseCheckpoint] = {}
-        """The chosen base checkpoints, resolved once each."""
 
     def choose(self, fingerprints: FingerprintBatch) -> np.ndarray:
         """One registry round-trip for :attr:`pages` (aligned with
@@ -422,22 +415,27 @@ class _DedupOp:
         choices = agent.registry.choose_base_pages(
             fingerprints, agent.node_id, self.sandbox.domain
         )
+        chosen = np.array(choices[:4])
+        chosen[0] = self.pages[chosen[0]]
+        nodes = chosen[2].tolist()
         # A base on an unreachable node leaves its page unique rather
         # than depend on state we cannot read back.
-        reachable = np.ones(len(choices.nodes), dtype=bool)
-        for node in set(choices.nodes.tolist()):
-            if node != agent.node_id and not agent.fabric.peer_available(node):
-                reachable &= choices.nodes != node
-        chosen = np.stack(
-            (self.pages[choices.positions], choices.checkpoints, choices.nodes, choices.pages)
-        )[:, reachable]
-        # Counted in C, keyed in order of first appearance: the order a
-        # per-pair loop made, which the simulated float sums follow.
-        self.reads_by_peer = Counter(chosen[2].tolist())
+        down = [
+            node
+            for node in set(nodes)
+            if node != agent.node_id and not agent.fabric.peer_available(node)
+        ]
+        if down:
+            chosen = chosen[:, ~np.isin(chosen[2], down)]
+            nodes = chosen[2].tolist()
+        # Keyed in order of first appearance: the order a per-pair loop
+        # made, which the simulated float sums follow.
+        self.reads_by_peer = Counter(nodes)
         self.checkpoints = {
             checkpoint_id: agent.store.get(checkpoint_id)
             for checkpoint_id in dict.fromkeys(chosen[1].tolist())
         }
+        """The chosen base checkpoints, resolved once each."""
         return chosen
 
     def accept(self, chosen: np.ndarray, outcomes: list[Patch | None]) -> list[Patch | None]:
@@ -445,19 +443,23 @@ class _DedupOp:
         ``None`` or a patch at or over the cutoff leaves the page unique.
         Returns each pair's outcome, ``None`` where it was discarded."""
         cap = self.unique_cap
-        sizes = np.array(
-            [cap if patch is None else patch.size_bytes for patch in outcomes], dtype=np.int64
+        keep = [patch is not None and patch.size_bytes < cap for patch in outcomes]
+        self.patches = patches = tuple(compress(outcomes, keep))
+        self.patched = kept = chosen[:, np.array(keep, dtype=bool)]
+        """The patched pages' columns, in page order."""
+        self.kinds[kept[0]] = PageKind.PATCHED.value
+        self.saved += len(patches) * self.image.page_size - sum(
+            patch.size_bytes for patch in patches
         )
-        keep = sizes < cap
-        self.patched = kept = chosen[:, keep]
-        self.patches = tuple(compress(outcomes, keep.tolist()))
-        self.kinds[kept[0]] = PageKind.PATCHED
-        self.saved += kept.shape[1] * self.image.page_size - int(sizes[keep].sum())
         self.base_refs = Counter(kept[1].tolist())
-        same = [self.checkpoints[c].function == self.sandbox.function for c in self.base_refs]
-        self.same_fn = sum(compress(self.base_refs.values(), same))
-        self.cross_fn = kept.shape[1] - self.same_fn
-        return [patch if k else None for patch, k in zip(outcomes, keep.tolist())]
+        function = self.sandbox.function
+        self.same_fn = sum(
+            count
+            for checkpoint_id, count in self.base_refs.items()
+            if self.checkpoints[checkpoint_id].function == function
+        )
+        self.cross_fn = len(patches) - self.same_fn
+        return [patch if k else None for patch, k in zip(outcomes, keep)]
 
     def stats(self) -> DedupStats:
         """The finished op's counts."""
@@ -601,36 +603,36 @@ class DedupAgent:
         pairs' base pages are read grouped by checkpoint through the
         LRU cache, and one ``compute_patches`` call patches them.
         Returns the op's memo."""
-        page_size = op.image.page_size
-        data = op.image.data
+        image = op.image
+        page_size = image.page_size
         memo = op.sandbox.kept_choices
         if memo is None:
             fingerprints = batch_page_fingerprints(
-                data, page_size, self.fingerprint_config, pages=op.pages
+                image.data, page_size, self.fingerprint_config, pages=op.pages
             )
         else:
             fingerprints = FingerprintBatch(memo.digests, None, memo.counts)
         chosen = op.choose(fingerprints)
         pairs = chosen[[0, 1, 3]].astype(np.int32).T  # (page, checkpoint, base page) rows
-        rows = np.full(len(pairs), -1) if memo is None else memo.rows(pairs, self.patch_level)
-        outcomes = [None if row < 0 else memo.outcomes[row] for row in rows.tolist()]
-        todo = np.flatnonzero(rows < 0)
-        checkpoints, base_pages = chosen[1, todo].tolist(), chosen[3, todo].tolist()
+        outcomes: list[Patch | None] = [None] * len(pairs)
+        todo = np.arange(len(pairs))
+        if memo is not None:
+            rows = memo.rows(pairs, self.patch_level)
+            outcomes = [None if row < 0 else memo.outcomes[row] for row in rows.tolist()]
+            todo = (rows < 0).nonzero()[0]
+        pages, checkpoints, _, base_pages = chosen[:, todo].tolist()
 
         # Fetch grouped by checkpoint (the order the LRU cache sees).
         bases: list[np.ndarray] = [None] * len(todo)  # type: ignore[list-item]
-        for j in checkpoint_order(chosen[1, todo]).tolist():
+        for j in checkpoint_order(checkpoints):
             bases[j] = self.base_page_bytes(op.checkpoints[checkpoints[j]], base_pages[j])
 
-        # The aligned diff runs as 2-D numpy passes over blocks of the
-        # batch, and pages falling back to anchor matching reuse cached
-        # base-page anchor indexes (made only when a fallback needs one;
-        # an entry shares the page's read-only view with
-        # ``base_page_cache`` and builds each of its halves on first use).
-        targets = [
-            data[index * page_size : (index + 1) * page_size] for index in chosen[0, todo].tolist()
-        ]
-
+        # The targets are rows of the image and the bases rows of one
+        # stack, so the codec diffs them in 2-D numpy passes; pages
+        # falling back to anchor matching reuse cached base-page anchor
+        # indexes (made only when a fallback needs one; an entry shares
+        # the page's read-only view with ``base_page_cache`` and builds
+        # each of its halves on first use).
         def anchor_index_for(j: int) -> AnchorIndex:
             return cached_anchor_index(
                 self.anchor_index_cache,
@@ -640,8 +642,8 @@ class DedupAgent:
             )
 
         patches = compute_patches(
-            targets,
-            bases,
+            image.data.reshape(image.num_pages, page_size)[pages],
+            np.array(bases, dtype=np.uint8).reshape(len(bases), page_size),
             level=self.patch_level,
             index_provider=anchor_index_for,
             max_size=op.unique_cap,
@@ -683,6 +685,7 @@ class DedupAgent:
             self.store.get(checkpoint_id).acquire(count)
 
         pages, checkpoints, nodes, base_pages = patched
+        rows = image.data.reshape(image.num_pages, image.page_size)
         table = DedupPageTable(
             function=sandbox.function,
             instance_seed=image.instance_seed,
@@ -697,7 +700,7 @@ class DedupAgent:
             base_node=nodes,
             base_page=base_pages,
             patches=patches,
-            unique=image.data.reshape(image.num_pages, image.page_size)[kinds == PageKind.UNIQUE],
+            unique=rows[kinds == PageKind.UNIQUE.value],
             page_digests=image.page_digests(),
             full_size_bytes=sandbox.profile.memory_bytes,
             stats=stats,
@@ -829,7 +832,7 @@ class DedupAgent:
         checkpoints = table.base_checkpoint.tolist()
         pages, base_pages = table.patched.tolist(), table.base_page.tolist()
         checkpoint = None
-        for j in checkpoint_order(table.base_checkpoint).tolist():
+        for j in checkpoint_order(checkpoints):
             if checkpoint is None or checkpoint.checkpoint_id != checkpoints[j]:
                 checkpoint = self.store.get(checkpoints[j])
             apply_patch_into(

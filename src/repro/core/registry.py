@@ -189,8 +189,8 @@ class _Rows:
 
     def bounds(self, digests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(first row, row count)`` of each queried digest's bucket."""
-        first = np.searchsorted(self.digests, digests, "left")
-        return first, np.searchsorted(self.digests, digests, "right") - first
+        first = self.digests.searchsorted(digests, "left")
+        return first, self.digests.searchsorted(digests, "right") - first
 
     def insert(self, digests: np.ndarray, ref_ids: np.ndarray, cap: int) -> int:
         """Add ``(digest, ref)`` rows, given in registration order.
@@ -316,14 +316,18 @@ def _by_shard(n_shards: int, digests: np.ndarray, aligned: np.ndarray):
         yield shard, digests[mine], aligned[mine]
 
 
-def _distinct_in_page(digests: np.ndarray, page_of: np.ndarray, width: int) -> np.ndarray:
-    """Mask of each digest's first occurrence within its own page."""
+def _distinct_in_page(digests: np.ndarray, page_of: np.ndarray) -> np.ndarray:
+    """Mask of each digest's first occurrence within its own page.
+
+    One stable sort by digest: a digest's run lists its occurrences in
+    batch order, so its repeats on one page are adjacent in the run."""
     distinct = np.ones(len(digests), dtype=bool)
-    for gap in range(1, width):
-        repeat = digests[gap:] == digests[:-gap]
-        if repeat.any():
-            repeat &= page_of[gap:] == page_of[:-gap]
-            distinct[gap:] &= ~repeat
+    order = digests.argsort(kind="stable")
+    ordered = digests[order]
+    repeat = (ordered[1:] == ordered[:-1]).nonzero()[0]
+    if len(repeat):
+        on_page = page_of[order]
+        distinct[order[repeat[on_page[repeat + 1] == on_page[repeat]] + 1]] = False
     return distinct
 
 
@@ -342,17 +346,17 @@ def _overlaps(
     many of a page's digests each ref holds.  Returns page-major
     ``(page, ref id, overlap)`` columns, one entry per distinct pair.
     """
-    pages: list[np.ndarray] = []
-    ids: list[np.ndarray] = []
+    found: list[np.ndarray] = []
     for shard, mine_digests, mine_pages in _by_shard(len(stores), digests, page_of):
         rows = stores[shard]
         if rows is not None:
             first, held = rows.bounds(mine_digests)
-            pages.append(np.repeat(mine_pages, held))
-            ids.append(rows.ref_ids[concat_ranges(first, held)])
-    if not pages:
+            found.append(
+                (mine_pages * id_space).repeat(held) + rows.ref_ids[concat_ranges(first, held)]
+            )
+    if not found:
         return (np.empty(0, dtype=np.int64),) * 3
-    pairs = np.concatenate(pages) * id_space + np.concatenate(ids)
+    pairs = found[0] if len(found) == 1 else np.concatenate(found)
     pairs.sort()
     starts = run_starts(pairs)
     page, ref_id = np.divmod(pairs[starts], id_space)
@@ -387,15 +391,13 @@ def _best_candidates(
     """
     if not len(page):
         return BaseChoices(*np.empty((5, 0), dtype=np.int64))
-    score = 2 * overlap + (refs.columns[_NODE][ref_id] == local_node_id)
-    best = np.maximum.reduceat(score, page_starts)
-    tied = np.flatnonzero(
-        score == np.repeat(best, run_lengths(page_starts, len(page)))
+    checkpoint, node, index = refs.columns[:, ref_id]
+    score = 2 * overlap + (node == local_node_id)
+    # ``page`` is sorted, so sorting by page first leaves its runs where they are.
+    winners = np.lexsort((node, index, checkpoint, -score, page))[page_starts]
+    return BaseChoices(
+        page[winners], checkpoint[winners], node[winners], index[winners], overlap[winners]
     )
-    checkpoint, node, index = refs.columns[:, ref_id[tied]]
-    tied = tied[np.lexsort((node, index, checkpoint, page[tied]))]
-    winners = tied[run_starts(page[tied])]
-    return BaseChoices(page[winners], *refs.columns[:, ref_id[winners]], overlap[winners])
 
 
 class FingerprintRegistry:
@@ -559,7 +561,7 @@ class FingerprintRegistry:
 
     def _digest_lookups(self, digests: np.ndarray, distinct: np.ndarray) -> int:
         """Digest-level traffic of one batch: each page's distinct digests."""
-        return int(np.count_nonzero(distinct))
+        return np.count_nonzero(distinct)
 
     def _match(
         self, fingerprints: Sequence[PageFingerprint], domain: str
@@ -569,8 +571,8 @@ class FingerprintRegistry:
         Returns its ``(page, ref id, overlap)`` columns plus the start of
         each page's run of candidates."""
         digests, counts = digest_arrays(fingerprints)
-        page_of = np.repeat(np.arange(len(counts)), counts)
-        distinct = _distinct_in_page(digests, page_of, int(counts.max(initial=0)))
+        page_of = np.arange(len(counts)).repeat(counts)
+        distinct = _distinct_in_page(digests, page_of)
         stats = self.stats
         stats.page_lookups += len(counts)
         stats.digest_lookups += self._digest_lookups(digests, distinct)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import run_lengths, run_starts
+from repro._util import run_starts
 
 #: Default chunk size in bytes (the paper's RSC size).
 DEFAULT_CHUNK_SIZE = 64
@@ -95,49 +95,35 @@ def batch_enforce_spacing(
     (``tests/memory/test_vector_kernel.py``).
 
     The greedy recurrence ("keep a hit iff it is >= ``spacing`` past the
-    last kept hit of its page") looks inherently serial, but at most
-    ``cap`` hits survive per page, so it resolves in at most ``cap``
-    *rounds* over the whole buffer: each round picks the first surviving
-    hit of every page simultaneously (a segmented ``minimum.reduceat``),
-    then kills every hit within ``spacing`` of its page's pick.  ``cap``
-    is ~5 (the fingerprint cardinality), so the per-hit Python loop this
-    replaces becomes ~5 full-array passes.
+    last kept hit of its page") is a walk: a page's first hit is kept,
+    and each kept hit's successor is the first hit at least ``spacing``
+    past it — if that one is still on its page.  One ``searchsorted``
+    gives every hit its successor (a sentinel where it would leave the
+    page), so the walk is ``cap - 1`` pointer hops, each over every page
+    at once.
     """
     if spacing <= 0:
         raise ValueError("spacing must be positive")
     if cap <= 0:
         raise ValueError("cap must be positive")
+    positions = positions.astype(np.int64, copy=False)
     n = len(positions)
     if n == 0:
-        return positions.astype(np.int64, copy=False)
-    positions = positions.astype(np.int64, copy=False)
-    pages = positions // page_size
-    # Hits are sorted, so each page's hits are one contiguous segment.
-    seg_starts = run_starts(pages)
-    seg_of = np.repeat(np.arange(len(seg_starts), dtype=np.int64), run_lengths(seg_starts, n))
-    index = np.arange(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    kept_rounds: list[np.ndarray] = []
-    for _ in range(cap):
-        masked = np.where(alive, index, n)
-        first = np.minimum.reduceat(masked, seg_starts)
-        have = first < n
-        if not have.any():
-            break
-        picks = positions[first[have]]
-        kept_rounds.append(picks)
-        # Everything on a picked page below pick+spacing dies (the pick
-        # itself included — it has been consumed); pages with no pick
-        # left have no alive hits anyway.
-        threshold = np.full(len(seg_starts), np.iinfo(np.int64).min, dtype=np.int64)
-        threshold[have] = picks + spacing
-        alive &= positions >= threshold[seg_of]
-    if not kept_rounds:
-        return np.empty(0, dtype=np.int64)
-    kept = np.concatenate(kept_rounds)
-    # Absolute positions encode (page, offset) order directly.
-    kept.sort()
-    return kept
+        return positions
+    # Hit n is the sentinel: past the last hit, on no page, its own successor.
+    page_of = np.empty(n + 1, dtype=np.int64)
+    pages, page_of[n] = np.floor_divide(positions, page_size, out=page_of[:n]), -1
+    successor = np.empty(n + 1, dtype=np.int64)
+    successor[:n], successor[n] = positions.searchsorted(positions + spacing), n
+    successor[:n][page_of[successor[:n]] != pages] = n
+    # Hits are sorted, so each page's hits are one run, kept in order.
+    heads = run_starts(pages)
+    hops = np.empty((cap, len(heads)), dtype=np.int64)
+    hops[0] = heads
+    for step in range(1, cap):
+        hops[step] = successor[hops[step - 1]]
+    kept = hops.T.ravel()
+    return positions[kept[kept < n]]
 
 
 def batch_marker_ends(data: np.ndarray, page_size: int, *, min_position: int) -> np.ndarray:
@@ -155,5 +141,5 @@ def batch_marker_ends(data: np.ndarray, page_size: int, *, min_position: int) ->
         raise ValueError("buffer length must be a multiple of page_size")
     if min_position < 1:
         raise ValueError("min_position must be at least 1")
-    hits = np.flatnonzero(data == np.uint8(MARKER_VALUE))
+    hits = (data == np.uint8(MARKER_VALUE)).nonzero()[0]
     return hits[(hits % page_size) >= min_position]

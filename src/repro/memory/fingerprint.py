@@ -173,7 +173,7 @@ def nonzero_page_mask(data: np.ndarray, page_size: int) -> np.ndarray:
         raise ValueError("buffer length must be a multiple of page_size")
     if len(data) == 0:
         return np.zeros(0, dtype=bool)
-    return data.reshape(-1, page_size).any(axis=1)
+    return np.logical_or.reduce(data.reshape(-1, page_size), axis=1)
 
 
 def batch_sample_chunk_starts(
@@ -207,7 +207,7 @@ def batch_sample_chunk_starts(
     kept = batch_enforce_spacing(
         ends, page_size, cfg.chunk_size, cap=cfg.cardinality
     )
-    counts = np.bincount(kept // page_size, minlength=num_pages).astype(np.int64)
+    counts = np.bincount(kept // page_size, minlength=num_pages).astype(np.int64, copy=False)
     return kept - (cfg.chunk_size - 1), counts
 
 
@@ -229,21 +229,18 @@ def batch_fingerprint_arrays(
     — with no per-page tuple built until a caller asks for one.
     """
     cfg = config or FingerprintConfig()
-    all_starts, all_counts = batch_sample_chunk_starts(data, page_size, cfg)
-    if pages is None:
-        starts = all_starts
-        counts = all_counts
-        page_bases = np.repeat(
-            np.arange(len(all_counts), dtype=np.int64) * page_size, counts
-        )
-    else:
+    starts, counts = batch_sample_chunk_starts(data, page_size, cfg)
+    if pages is not None:
         indices = np.asarray(pages, dtype=np.int64)
-        bounds = np.concatenate(([0], np.cumsum(all_counts)))
-        counts = all_counts[indices]
-        starts = all_starts[concat_ranges(bounds[indices], counts)]
-        page_bases = np.repeat(indices * page_size, counts)
+        ends = counts.cumsum()
+        counts = counts[indices]
+        # Pages in order that hold every chunk (a zero page samples
+        # none) select them all, as they are.
+        if counts.sum() != len(starts) or np.count_nonzero(indices[1:] <= indices[:-1]):
+            starts = starts[concat_ranges(ends[indices] - counts, counts)]
     digests = hash_rows_sha1(gather_chunks(data, starts, cfg.chunk_size), cfg.digest_bits)
-    return digests, starts - page_bases, counts
+    # Every sampled chunk lies within its page.
+    return digests, starts % page_size, counts
 
 
 def batch_page_fingerprints(

@@ -188,10 +188,10 @@ def _batch_aligned_runs(neq: np.ndarray) -> list[tuple[bool, list[int]]]:
     k, n = neq.shape
     # Flat positions of the boolean XOR of adjacent columns (no int8
     # widening as in ``np.diff``; a 2-D ``np.nonzero`` costs ten times
-    # the flat one).
-    rows, cols = np.divmod((neq[:, 1:] != neq[:, :-1]).ravel().nonzero()[0], n - 1)
-    changes = (cols + 1).tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=k)).tolist()
+    # the flat one).  Row j's run from flat offset j * (n - 1).
+    flat = (neq[:, 1:] != neq[:, :-1]).ravel().nonzero()[0]
+    changes = (flat % (n - 1) + 1).tolist()
+    ends = flat.searchsorted(np.arange(1, k + 1) * (n - 1)).tolist()
     first_unequal = neq[:, 0].tolist()
     return [
         (first_unequal[j], [0, *changes[start:end], n])
@@ -460,22 +460,23 @@ def _copy_bounds(targets: np.ndarray, indexes: "list[AnchorIndex]") -> list[int]
     if n < ANCHOR_SIZE:  # bases shorter than an anchor: nothing to copy
         return [0] * k
     tables = np.concatenate([index.word_table() for index in indexes])
-    width = len(tables) // k  # every base is n bytes: one table size
+    bits = 8 * (len(tables) // k)  # every base is n bytes: one table size
     whole = targets if n % 8 == 0 else np.ascontiguousarray(targets[:, : n - n % 8])
-    slot = _seen_slots(whole.view("<u8"), 8 * width)
-    # Row r's bits live at flat offset r * table bytes.
-    at = (slot >> np.uint64(3)).astype(np.intp)
-    at += (np.arange(k, dtype=np.intp) * width)[:, None]
-    found = (tables[at] >> (slot & np.uint64(7)).astype(np.uint8)) & np.uint8(1)
+    # Row r's slots are bits r * bits onwards (``bits`` is a power of two).
+    slot = _seen_slots(whole.view("<u8"), bits) | (
+        np.arange(k, dtype=np.uint64) * np.uint64(bits)
+    )[:, None]
+    found = (tables[slot >> np.uint64(3)] >> (slot & np.uint64(7)).astype(np.uint8)) & np.uint8(1)
     windows = found
     for w in range(1, _COPY_MIN_WORDS):
         windows = windows[:, :-1] & found[:, w:]
-    count = windows.sum(axis=1, dtype=np.int64)
-    runs = windows[:, :1].sum(axis=1, dtype=np.int64) + (windows[:, 1:] > windows[:, :-1]).sum(
-        axis=1, dtype=np.int64
-    )
-    joins = np.maximum(runs - 1, 0)
-    return (8 * count + (_COPY_RUN_SLACK - _COPY.size) * runs - _INSERT_HDR.size * joins).tolist()
+    counts = np.add.reduce(windows, axis=1, dtype=np.int64).tolist()
+    # n >= ANCHOR_SIZE leaves every row at least one window.
+    runs = windows[:, 0] + np.add.reduce(windows[:, 1:] > windows[:, :-1], axis=1, dtype=np.int64)
+    return [
+        8 * count + (_COPY_RUN_SLACK - _COPY.size) * run - _INSERT_HDR.size * max(run - 1, 0)
+        for count, run in zip(counts, runs.tolist())
+    ]
 
 
 def build_anchor_index(base: bytes | np.ndarray, level: int = 1) -> AnchorIndex:
@@ -704,28 +705,22 @@ def _patch_stack(
     threshold = max(64, int(n * ALIGNED_FALLBACK_RATIO))
     neq = targets != bases
     # The smallest accumulator that holds n: a uint64 one halves the speed.
-    differing = neq.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(n)).tolist()
-    identical = [n >= MIN_COPY_RUN and not d for d in differing]
-    if max_size is None:
-        dense = [False] * k
-    else:
+    differing = np.add.reduce(neq.view(np.uint8), axis=1, dtype=np.min_scalar_type(n)).tolist()
+    # A dense row differs in at least this many bytes (none without a cutoff).
+    dense_from = n + 1
+    if max_size is not None:
         dense_from = max(threshold + 1, max_size) - _HEADER.size - _INSERT_HDR.size
-        dense = [d >= dense_from for d in differing]
-
-    def diff_rows(rows: list[int]) -> None:
-        if rows:
-            for r, (first_unequal, bounds) in zip(rows, _batch_aligned_runs(neq[rows])):
-                patches[r] = _patch_from_runs(targets[r].tobytes(), first_unequal, bounds)
-
-    def aligned_size(r: int, undiffed: int) -> int:
-        return undiffed if patches[r] is None else patches[r].size_bytes
 
     # Each row's aligned patch, where it has been diffed, until a better
     # candidate replaces it; the identical rows share one single-COPY patch.
     single_copy = _seal([b"", _COPY.pack(TAG_COPY, 0, n)], n, n, 1)
-    patches: list[Patch | None] = [single_copy if same else None for same in identical]
-    diff_rows([r for r in range(k) if not (identical[r] or dense[r])])
-    fallback = [r for r in range(k) if dense[r] or aligned_size(r, 0) > threshold]
+    patches = [None if d or n < MIN_COPY_RUN else single_copy for d in differing]
+    sparse = [r for r, d in enumerate(differing) if d < dense_from and patches[r] is None]
+    if sparse:
+        for r, (first_unequal, bounds) in zip(sparse, _batch_aligned_runs(neq[sparse])):
+            patches[r] = _patch_from_runs(targets[r].tobytes(), first_unequal, bounds)
+    # Dense rows (no patch yet) and rows with a poor aligned patch fall back.
+    fallback = [r for r, p in enumerate(patches) if p is None or p.size_bytes > threshold]
     indexes = {r: index_for(r) for r in fallback}
     to_matcher = fallback
     if max_size is not None and fallback:
@@ -734,7 +729,7 @@ def _patch_stack(
         to_matcher = []
         for r, bound in zip(fallback, bounds):
             # A dense row's aligned patch is no smaller than the cutoff.
-            size = aligned_size(r, max_size)
+            size = max_size if patches[r] is None else patches[r].size_bytes
             # Header plus the target less what COPYs could save: can an
             # anchor patch beat the aligned one and the cutoff?
             if n + _HEADER.size - bound < min(size, max_size):
@@ -754,8 +749,8 @@ def _patch_stack(
 
 
 def compute_patches(
-    targets: "list[bytes | np.ndarray]",
-    bases: "list[bytes | np.ndarray]",
+    targets: "list[bytes | np.ndarray] | np.ndarray",
+    bases: "list[bytes | np.ndarray] | np.ndarray",
     *,
     level: int = 1,
     index_provider=None,
@@ -768,7 +763,9 @@ def compute_patches(
     common case) are grouped by length and diffed in 2-D numpy passes of
     up to ``STACK_ROWS`` rows (:func:`_patch_stack`), so the per-pair
     dispatch overhead of the aligned path is paid once per block.  Only
-    pairs whose aligned patch is poor proceed to anchor matching.
+    pairs whose aligned patch is poor proceed to anchor matching.  Two
+    ``(pairs, length)`` uint8 stacks (the dedup agent's rows of an image
+    and of its fetched base pages) are diffed block by block as they are.
 
     ``max_size`` is the caller's discard cutoff — "I keep only patches
     smaller than this" (the dedup agent's unique-page cap).  Then
@@ -792,37 +789,56 @@ def compute_patches(
     """
     if len(targets) != len(bases):
         raise ValueError("targets/bases length mismatch")
+    _index_for = index_provider or (lambda j: None)
+    patches: list[Patch | None] = [None] * len(targets)
+    for block, target_rows, base_rows in _equal_length_blocks(targets, bases):
+        if target_rows.shape[1] == 0:
+            stack = [_seal([b""], 0, 0, 0)] * len(block)
+        else:
+            stack = _patch_stack(
+                target_rows,
+                base_rows,
+                lambda r, block=block: _index_for(block[r]),
+                level,
+                max_size,
+            )
+        for j, patch in zip(block, stack):
+            patches[j] = patch
+    for j, patch in enumerate(patches):
+        if patch is None:  # unequal lengths: anchor matching only
+            patches[j] = compute_patch(
+                targets[j], bases[j], level=level, anchor_index=_index_for(j)
+            )
+    return patches  # type: ignore[return-value]
+
+
+def _equal_length_blocks(targets, bases):
+    """``(pair indices, target stack, base stack)`` per block of at most
+    :data:`STACK_ROWS` equal-length pairs.  Two ``(pairs, length)`` stacks
+    are cut into slices as they are; a list of pairs is grouped by length
+    and each block's rows joined."""
+    if isinstance(targets, np.ndarray) and isinstance(bases, np.ndarray):
+        targets, bases = _as_array(targets), _as_array(bases)
+        if targets.ndim != 2 or targets.shape != bases.shape:
+            raise ValueError("expected two (pairs, length) stacks of one shape")
+        for at in range(0, len(targets), STACK_ROWS):
+            block = range(at, min(at + STACK_ROWS, len(targets)))
+            yield block, targets[at : block.stop], bases[at : block.stop]
+        return
     t_arrs = [_as_array(t) for t in targets]
     b_arrs = [_as_array(b) for b in bases]
-    patches: list[Patch | None] = [None] * len(t_arrs)
-
-    _index_for = index_provider or (lambda j: None)
     by_len: dict[int, list[int]] = {}
     for j, (t, b) in enumerate(zip(t_arrs, b_arrs)):
         if len(t) == len(b):
             by_len.setdefault(len(t), []).append(j)
     for n, idxs in by_len.items():
-        if n == 0:
-            for j in idxs:
-                patches[j] = _seal([b""], 0, 0, 0)
-            continue
         for at in range(0, len(idxs), STACK_ROWS):
             block = idxs[at : at + STACK_ROWS]
-            stack = _patch_stack(
+            yield (
+                block,
                 np.concatenate([t_arrs[j] for j in block]).reshape(len(block), n),
                 np.concatenate([b_arrs[j] for j in block]).reshape(len(block), n),
-                lambda r, block=block: _index_for(block[r]),
-                level,
-                max_size,
             )
-            for j, patch in zip(block, stack):
-                patches[j] = patch
-    for j, patch in enumerate(patches):
-        if patch is None:  # unequal lengths: anchor matching only
-            patches[j] = compute_patch(
-                t_arrs[j], b_arrs[j], level=level, anchor_index=_index_for(j)
-            )
-    return patches  # type: ignore[return-value]
 
 
 def apply_patch(patch: Patch, base: bytes | np.ndarray) -> bytes:

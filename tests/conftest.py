@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -9,14 +11,41 @@ from repro.invariants import check
 from repro.memory import patch as patch_module
 from repro.workload.functionbench import FunctionBenchSuite
 
-# Keep property tests fast and robust under CI load.
+# Keep property tests fast and robust under CI load.  Tier-1 draws its
+# examples from a seed fixed per test (``derandomize``), so its verdict is
+# a function of the commit; the "explore" profile (``HYPOTHESIS_PROFILE=
+# explore``, CI's "Property exploration" leg) runs the same properties on
+# random draws, at least EXPLORE_EXAMPLES examples each.
 settings.register_profile(
     "repro",
     max_examples=50,
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("repro")
+EXPLORE_EXAMPLES = 500
+settings.register_profile(
+    "explore", settings.get_profile("repro"), derandomize=False, max_examples=EXPLORE_EXAMPLES
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repro"))
+
+
+def pytest_collection_modifyitems(items) -> None:
+    """Under "explore", lift every property's own ``max_examples`` to at
+    least :data:`EXPLORE_EXAMPLES` (ten times tier-1's default) and draw
+    at random, whatever its ``@settings`` fixed."""
+    if settings.default.max_examples < EXPLORE_EXAMPLES:
+        return
+    for item in items:
+        test = getattr(getattr(item, "obj", None), "__func__", getattr(item, "obj", None))
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is not None and hasattr(test, "hypothesis"):
+            test._hypothesis_internal_use_settings = settings(
+                own,
+                derandomize=False,
+                database=settings.default.database,
+                max_examples=max(own.max_examples, EXPLORE_EXAMPLES),
+            )
 
 #: Tiny content scale used by tests that touch real bytes.
 TEST_SCALE = 1.0 / 256.0

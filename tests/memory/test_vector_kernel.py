@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro._util import MIB, gather_chunks, hash_bytes, hash_rows_sha1
@@ -119,6 +119,13 @@ class TestMarkerScan:
             batch_marker_ends(np.zeros(64, dtype=np.uint8), 64, min_position=0)
 
 
+def _marked(page_size: int, num_pages: int, *offsets: int) -> tuple[int, np.ndarray]:
+    """A zeroed buffer with a marker byte at each absolute offset."""
+    data = np.zeros(page_size * num_pages, dtype=np.uint8)
+    data[list(offsets)] = MARKER_VALUE
+    return page_size, data
+
+
 class TestSegmentedThinning:
     @given(
         page_buffers(),
@@ -126,6 +133,18 @@ class TestSegmentedThinning:
         st.sampled_from([4, 8, 16, 64]),
     )
     @settings(max_examples=80, deadline=None)
+    # Hits exactly ``spacing`` apart: each is its predecessor's successor.
+    @example(_marked(64, 1, 10, 18, 26, 34), 5, 8)
+    # The first hit's ``+ spacing`` lands on the next page: no successor.
+    @example(_marked(64, 2, 60, 84, 100), 5, 16)
+    # More hits on one page than ``cap``.
+    @example(_marked(64, 1, 8, 16, 24, 32, 40, 48, 56), 3, 8)
+    # Empty pages between the pages with hits.
+    @example(_marked(64, 4, 20, 40, 200, 230), 2, 16)
+    # A single hit in the whole buffer.
+    @example(_marked(128, 3, 130), 5, 4)
+    # A hit at the last legal offset, after one within ``spacing`` of it.
+    @example(_marked(64, 2, 60, 63, 127), 5, 4)
     def test_matches_per_page_enforce_spacing(self, buf, cap, spacing):
         page_size, data = buf
         num_pages = len(data) // page_size
