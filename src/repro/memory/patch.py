@@ -188,7 +188,7 @@ def _batch_aligned_runs(neq: np.ndarray) -> list[tuple[bool, list[int]]]:
     k, n = neq.shape
     # Flat positions of the boolean XOR of adjacent columns (no int8
     # widening as in ``np.diff``; a 2-D ``np.nonzero`` costs ten times
-    # the flat one).  Row j's run from flat offset j * (n - 1).
+    # the flat one).  Row j's changes start at flat offset j * (n - 1).
     flat = (neq[:, 1:] != neq[:, :-1]).ravel().nonzero()[0]
     changes = (flat % (n - 1) + 1).tolist()
     ends = flat.searchsorted(np.arange(1, k + 1) * (n - 1)).tolist()
@@ -701,7 +701,7 @@ def _patch_stack(
     anchor patch is returned, kept or not.  The provider is consulted
     once per fallback row, in row order.
     """
-    k, n = targets.shape
+    n = targets.shape[1]
     threshold = max(64, int(n * ALIGNED_FALLBACK_RATIO))
     neq = targets != bases
     # The smallest accumulator that holds n: a uint64 one halves the speed.
