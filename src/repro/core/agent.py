@@ -627,8 +627,8 @@ class DedupAgent:
         for j in checkpoint_order(checkpoints):
             bases[j] = self.base_page_bytes(op.checkpoints[checkpoints[j]], base_pages[j])
 
-        # The targets are rows of the image and the bases rows of one
-        # stack, so the codec diffs them in 2-D numpy passes; pages
+        # The targets are rows of the image, so the codec diffs them and
+        # each block's bases in 2-D numpy passes; pages
         # falling back to anchor matching reuse cached base-page anchor
         # indexes (made only when a fallback needs one; an entry shares
         # the page's read-only view with ``base_page_cache`` and builds
@@ -643,7 +643,7 @@ class DedupAgent:
 
         patches = compute_patches(
             image.data.reshape(image.num_pages, page_size)[pages],
-            np.array(bases, dtype=np.uint8).reshape(len(bases), page_size),
+            bases,
             level=self.patch_level,
             index_provider=anchor_index_for,
             max_size=op.unique_cap,

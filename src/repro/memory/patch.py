@@ -763,9 +763,10 @@ def compute_patches(
     common case) are grouped by length and diffed in 2-D numpy passes of
     up to ``STACK_ROWS`` rows (:func:`_patch_stack`), so the per-pair
     dispatch overhead of the aligned path is paid once per block.  Only
-    pairs whose aligned patch is poor proceed to anchor matching.  Two
-    ``(pairs, length)`` uint8 stacks (the dedup agent's rows of an image
-    and of its fetched base pages) are diffed block by block as they are.
+    pairs whose aligned patch is poor proceed to anchor matching.  A
+    ``(pairs, length)`` uint8 target stack (the dedup agent's rows of
+    its image) is diffed block by block as it is, against each block's
+    bases (its fetched base pages) joined once.
 
     ``max_size`` is the caller's discard cutoff — "I keep only patches
     smaller than this" (the dedup agent's unique-page cap).  Then
@@ -814,16 +815,21 @@ def compute_patches(
 
 def _equal_length_blocks(targets, bases):
     """``(pair indices, target stack, base stack)`` per block of at most
-    :data:`STACK_ROWS` equal-length pairs.  Two ``(pairs, length)`` stacks
-    are cut into slices as they are; a list of pairs is grouped by length
-    and each block's rows joined."""
-    if isinstance(targets, np.ndarray) and isinstance(bases, np.ndarray):
-        targets, bases = _as_array(targets), _as_array(bases)
-        if targets.ndim != 2 or targets.shape != bases.shape:
-            raise ValueError("expected two (pairs, length) stacks of one shape")
+    :data:`STACK_ROWS` equal-length pairs.  A ``(pairs, length)`` target
+    stack is cut into slices as it is, and each block's bases — a stack
+    of the same shape, or one array per pair — are sliced or joined; a
+    list of pairs is grouped by length and each block's rows joined.
+    Only one block's joined rows are alive at a time."""
+    if isinstance(targets, np.ndarray):
+        targets = _as_array(targets)
+        if targets.ndim != 2:
+            raise ValueError("expected a (pairs, length) target stack")
         for at in range(0, len(targets), STACK_ROWS):
             block = range(at, min(at + STACK_ROWS, len(targets)))
-            yield block, targets[at : block.stop], bases[at : block.stop]
+            stack, rows = targets[at : block.stop], bases[at : block.stop]
+            if not isinstance(rows, np.ndarray):
+                rows = np.concatenate(rows)
+            yield block, stack, _as_array(rows).reshape(stack.shape)
         return
     t_arrs = [_as_array(t) for t in targets]
     b_arrs = [_as_array(b) for b in bases]
