@@ -420,11 +420,8 @@ class _DedupOp:
         nodes = chosen[2].tolist()
         # A base on an unreachable node leaves its page unique rather
         # than depend on state we cannot read back.
-        down = [
-            node
-            for node in set(nodes)
-            if node != agent.node_id and not agent.fabric.peer_available(node)
-        ]
+        me, fabric = agent.node_id, agent.fabric
+        down = [node for node in set(nodes) if node != me and not fabric.peer_available(node)]
         if down:
             chosen = chosen[:, ~np.isin(chosen[2], down)]
             nodes = chosen[2].tolist()
@@ -452,12 +449,8 @@ class _DedupOp:
             patch.size_bytes for patch in patches
         )
         self.base_refs = Counter(kept[1].tolist())
-        function = self.sandbox.function
-        self.same_fn = sum(
-            count
-            for checkpoint_id, count in self.base_refs.items()
-            if self.checkpoints[checkpoint_id].function == function
-        )
+        checkpoints, fn = self.checkpoints, self.sandbox.function
+        self.same_fn = sum(k for c, k in self.base_refs.items() if checkpoints[c].function == fn)
         self.cross_fn = len(patches) - self.same_fn
         return [patch if k else None for patch, k in zip(outcomes, keep)]
 
