@@ -37,7 +37,6 @@ import json
 import math
 import pathlib
 import statistics
-import subprocess
 import time
 
 from benchmarks.conftest import environment, write_result
@@ -195,17 +194,11 @@ def fit_op_cost(
         }
     return {
         "scales": [f"1/{denom}" for denom in scale_denoms],
-        "sha": _git_sha(),
+        "ops_per_scale_and_profile": ops,
+        "reps_per_op": reps,
         **environment(),
         "by_level": fits,
     }
-
-
-def _git_sha() -> str:
-    done = subprocess.run(
-        ["git", "describe", "--always", "--dirty"], cwd=REPO_ROOT, capture_output=True, text=True
-    )
-    return done.stdout.strip() or "unknown"
 
 
 def _stdev(samples: list[float]) -> float:
@@ -295,6 +288,7 @@ def main(argv: list[str] | None = None) -> None:
     report["op_cost_fit"] = fit_op_cost(
         profiles=tuple(args.profiles.split(",")),
         levels=tuple(int(x) for x in args.levels.split(",")),
+        reps=args.reps,
     )
     for result in report["results"]:
         del result["op_minima"]

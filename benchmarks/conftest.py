@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import pathlib
 import platform
+import subprocess
 import time
 
 import pytest
@@ -32,11 +33,19 @@ def pressure_sweep():
 
 
 def environment() -> dict:
-    """What a ``BENCH_*.json`` snapshot was measured on, and when."""
+    """What a ``BENCH_*.json`` snapshot was measured on, and when, and
+    from which commit (``git describe --always --dirty``)."""
+    done = subprocess.run(
+        ["git", "describe", "--always", "--dirty"],
+        cwd=pathlib.Path(__file__).parent,
+        capture_output=True,
+        text=True,
+    )
     return {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "date": time.strftime("%Y-%m-%d", time.gmtime()),
+        "sha": done.stdout.strip() or "unknown",
     }
 
 

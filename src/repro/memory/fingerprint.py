@@ -187,10 +187,10 @@ def batch_sample_chunk_starts(
     offsets sorted page-major (exactly the concatenation of each page's
     :func:`sample_chunk_offsets`, shifted by the page base), ``counts``
     is the per-page chunk count (length ``num_pages``).  The marker scan
-    runs once over the whole buffer and the greedy spacing/cardinality
-    thinning resolves in ``cardinality`` vectorised rounds
-    (:func:`~repro.memory.chunks.batch_enforce_spacing`) — no per-hit
-    Python loop remains.
+    runs once over the whole buffer; the greedy thinning
+    (:func:`~repro.memory.chunks.batch_enforce_spacing`) is one
+    ``searchsorted`` for each hit's next legal successor on its page plus
+    ``cardinality - 1`` pointer hops over all pages, no per-hit loop.
     """
     cfg = config or FingerprintConfig()
     num_pages = len(data) // page_size
@@ -232,12 +232,8 @@ def batch_fingerprint_arrays(
     starts, counts = batch_sample_chunk_starts(data, page_size, cfg)
     if pages is not None:
         indices = np.asarray(pages, dtype=np.int64)
-        ends = counts.cumsum()
-        counts = counts[indices]
-        # Pages in order that hold every chunk (a zero page samples
-        # none) select them all, as they are.
-        if counts.sum() != len(starts) or np.count_nonzero(indices[1:] <= indices[:-1]):
-            starts = starts[concat_ranges(ends[indices] - counts, counts)]
+        ends, counts = counts.cumsum(), counts[indices]
+        starts = starts[concat_ranges(ends[indices] - counts, counts)]
     digests = hash_rows_sha1(gather_chunks(data, starts, cfg.chunk_size), cfg.digest_bits)
     # Every sampled chunk lies within its page.
     return digests, starts % page_size, counts

@@ -764,9 +764,9 @@ def compute_patches(
     up to ``STACK_ROWS`` rows (:func:`_patch_stack`), so the per-pair
     dispatch overhead of the aligned path is paid once per block.  Only
     pairs whose aligned patch is poor proceed to anchor matching.  A
-    ``(pairs, length)`` uint8 target stack (the dedup agent's rows of
-    its image) is diffed block by block as it is, against each block's
-    bases (its fetched base pages) joined once.
+    ``(pairs, length)`` uint8 target stack (the agent's image rows) is
+    diffed block by block against each block's bases joined once: uint8
+    arrays each as long as a row, or a stack of its shape (else ValueError).
 
     ``max_size`` is the caller's discard cutoff — "I keep only patches
     smaller than this" (the dedup agent's unique-page cap).  Then
@@ -828,8 +828,12 @@ def _equal_length_blocks(targets, bases):
             block = range(at, min(at + STACK_ROWS, len(targets)))
             stack, rows = targets[at : block.stop], bases[at : block.stop]
             if not isinstance(rows, np.ndarray):
-                rows = np.concatenate(rows)
-            yield block, stack, _as_array(rows).reshape(stack.shape)
+                if set(map(len, rows)) != {stack.shape[1]}:
+                    raise ValueError("every base must be as long as a target row")
+                rows = np.concatenate(rows).reshape(stack.shape)
+            elif rows.shape != stack.shape:
+                raise ValueError("base stack must match the target stack's shape")
+            yield block, stack, _as_array(rows)
         return
     t_arrs = [_as_array(t) for t in targets]
     b_arrs = [_as_array(b) for b in bases]

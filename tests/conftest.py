@@ -33,13 +33,18 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repro"))
 def pytest_collection_modifyitems(items) -> None:
     """Under "explore", lift every property's own ``max_examples`` to at
     least :data:`EXPLORE_EXAMPLES` (ten times tier-1's default) and draw
-    at random, whatever its ``@settings`` fixed."""
+    at random, whatever its ``@settings`` fixed.
+
+    Hypothesis has no public hook for this: it relies on the private
+    ``_hypothesis_internal_use_settings`` attribute that ``@given`` reads
+    on each call (Hypothesis 6.155).  A property without it raises
+    ``AttributeError`` here rather than run at its tier-1 count."""
     if settings.default.max_examples < EXPLORE_EXAMPLES:
         return
     for item in items:
         test = getattr(getattr(item, "obj", None), "__func__", getattr(item, "obj", None))
-        own = getattr(test, "_hypothesis_internal_use_settings", None)
-        if own is not None and hasattr(test, "hypothesis"):
+        if hasattr(test, "hypothesis"):
+            own = test._hypothesis_internal_use_settings
             test._hypothesis_internal_use_settings = settings(
                 own,
                 derandomize=False,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -696,6 +697,43 @@ class TestRowTriage:
                     assert patch == ref
                 else:
                     assert ref.size_bytes >= cutoff
+
+    @given(
+        triage_batches(),
+        st.sampled_from([1, 2]),
+        st.sampled_from([3, None]),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_target_stack_patches_as_its_rows_do(
+        self, batch, level, block_rows, base_stack, cut
+    ):
+        # The dedup agent hands its image rows as one (pairs, length)
+        # stack and its bases as per-pair views (or a stack); blocks of 3
+        # rows cross block edges inside one batch.
+        n, targets, bases = batch
+        cutoff = n // 2 if cut else None
+        reference = compute_patches(targets, bases, level=level, max_size=cutoff)
+        rows = np.stack(bases) if base_stack else bases
+        with mock.patch.object(
+            patch_module, "STACK_ROWS", block_rows or patch_module.STACK_ROWS
+        ):
+            got = compute_patches(np.stack(targets), rows, level=level, max_size=cutoff)
+        assert got == reference
+
+    def test_a_target_stack_refuses_bases_of_another_length(self):
+        stack = np.zeros((2, 16), dtype=np.uint8)
+        wrong = (
+            [stack[0], stack[1, :8]],
+            # 8 + 24 bytes join to the stack's 32: still refused.
+            [stack[0, :8], np.zeros(24, dtype=np.uint8)],
+            np.zeros((2, 8), dtype=np.uint8),
+            np.zeros(32, dtype=np.uint8),
+        )
+        for bases in wrong:
+            with pytest.raises(ValueError):
+                compute_patches(stack, bases)
 
     @given(st.sampled_from(TRIAGE_SIZES), st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2]))
     @settings(max_examples=120, deadline=None)
