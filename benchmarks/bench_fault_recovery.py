@@ -28,9 +28,8 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import platform as platform_module
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import environment, write_result
 
 from repro.analysis.experiments import full_workload
 from repro.analysis.tables import render_table
@@ -55,10 +54,10 @@ OUTAGE_FRACTION = 0.1
 MEDES = MedesPolicyConfig()
 
 
-def crash_schedule(crashes: int, duration_min: float) -> FaultsConfig | None:
+def crash_schedule(crashes: int, duration_min: float) -> FaultsConfig:
     """0/1/2 staggered crash+restart events inside the trace window."""
     if crashes == 0:
-        return None
+        return FaultsConfig()
     duration_ms = duration_min * 60_000.0
     events = tuple(
         NodeCrash(
@@ -123,7 +122,7 @@ def run_sweep(
             "trace_minutes": duration_min,
             "outage_minutes": OUTAGE_FRACTION * duration_min,
             "seed": seed,
-            "python": platform_module.python_version(),
+            **environment(),
         },
         "results": results,
     }

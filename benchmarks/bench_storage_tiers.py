@@ -31,9 +31,8 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import platform as platform_module
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import environment, write_result
 
 from repro.analysis.experiments import full_workload
 from repro.analysis.tables import render_table
@@ -131,7 +130,7 @@ def run_sweep(
             "nodes": nodes,
             "trace_minutes": duration_min,
             "seed": seed,
-            "python": platform_module.python_version(),
+            **environment(),
         },
         "results": results,
     }

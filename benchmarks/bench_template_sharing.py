@@ -32,9 +32,8 @@ import argparse
 import json
 import math
 import pathlib
-import platform as platform_module
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import environment, write_result
 
 from repro.analysis.experiments import full_workload
 from repro.analysis.tables import render_table
@@ -139,7 +138,7 @@ def run_sweep(
             "nodes": nodes,
             "trace_minutes": duration_min,
             "seed": seed,
-            "python": platform_module.python_version(),
+            **environment(),
         },
         "results": results,
     }

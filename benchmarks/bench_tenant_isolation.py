@@ -33,9 +33,8 @@ import argparse
 import json
 import math
 import pathlib
-import platform as platform_module
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import environment, write_result
 
 from repro.analysis.experiments import full_workload
 from repro.analysis.tables import render_table
@@ -200,7 +199,7 @@ def run_sweep(
             "trace_minutes": duration_min,
             "seed": seed,
             "attack_rounds": attack_rounds,
-            "python": platform_module.python_version(),
+            **environment(),
         },
         "results": results,
         "leak_signal": leak_curve(attack_rounds, seed),
