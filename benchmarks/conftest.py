@@ -1,14 +1,9 @@
-"""Shared infrastructure for the benchmark harness.
+"""Shared infrastructure for the benchmark scripts.
 
-Every benchmark module reproduces one table or figure of the paper's
-evaluation: a module-scoped fixture runs the experiment driver, writes
-the rendered table(s) to ``benchmarks/results/<experiment>.txt``, and
-the benchmark tests measure the core operations that experiment leans
-on while asserting the reproduced *shape* (who wins, rough factors).
-
-Run with::
-
-    pytest benchmarks/ --benchmark-only
+The paper's figures and tables are measured and checked by
+``python -m benchmarks.claims``; the ``bench_*.py`` scripts measure the
+extensions and write ``BENCH_*.json`` snapshots.  Both persist their
+rendered tables under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -19,17 +14,7 @@ import platform
 import subprocess
 import time
 
-import pytest
-
-from repro.analysis.experiments import run_pressure
-
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-@pytest.fixture(scope="session")
-def pressure_sweep():
-    """The Figures 10-11 pool-size sweep, shared across bench modules."""
-    return run_pressure()
 
 
 def environment() -> dict:

@@ -13,13 +13,13 @@ Run:
 from __future__ import annotations
 
 from repro.analysis.study import (
-    FIG1_CHUNK_SIZES,
     cross_function_matrix,
     measure_function_savings,
+    render_redundancy,
     same_function_redundancy,
     savings_timeline,
 )
-from repro.analysis.tables import render_matrix, render_table
+from repro.analysis.tables import render_matrix
 from repro.workload.azure import AzureTraceGenerator
 from repro.workload.functionbench import FunctionBenchSuite
 
@@ -30,18 +30,8 @@ def main() -> None:
     print("Measuring same-function redundancy (Fig 1a/1b)...\n")
     for aslr in (False, True):
         data = same_function_redundancy(suite, aslr=aslr)
-        rows = [
-            [fn] + [f"{by_chunk[c]:.3f}" for c in FIG1_CHUNK_SIZES]
-            for fn, by_chunk in data.items()
-        ]
         label = "enabled" if aslr else "disabled"
-        print(
-            render_table(
-                ["function"] + [f"{c}B" for c in FIG1_CHUNK_SIZES],
-                rows,
-                title=f"Same-function redundancy, ASLR {label}",
-            )
-        )
+        print(render_redundancy(data, f"Same-function redundancy, ASLR {label}"))
         print()
 
     print("Measuring cross-function redundancy (Fig 1c)...\n")

@@ -2,9 +2,9 @@
 
 Each ``run_*`` function reproduces one experiment of Section 7 at
 benchmark-friendly scale and returns a result object whose ``render()``
-prints the same rows/series the paper reports.  The benchmark harness
-under ``benchmarks/`` calls these drivers; EXPERIMENTS.md records the
-measured values against the paper's.
+prints the same rows/series the paper reports.  The claims table
+(``benchmarks/claims.py``) runs these drivers and writes their measured
+values against the paper's into EXPERIMENTS.md.
 
 Scale note: the paper replays 1-hour Azure traces (5x rate) on a 19-node
 cluster.  These drivers default to 15-30 minute synthetic traces on a

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro._util import stable_seed
+from repro.analysis.tables import render_table
 from repro.core.agent import DedupAgent
 from repro.core.costs import CostModel
 from repro.core.registry import FingerprintRegistry, PageRef
@@ -52,6 +53,12 @@ def same_function_redundancy(
             for chunk in chunk_sizes
         }
     return results
+
+
+def render_redundancy(redundancy: dict[str, dict[int, float]], title: str) -> str:
+    """A Figure 1a/1b table: redundancy by function and chunk size."""
+    rows = [[fn] + [f"{by[c]:.3f}" for c in FIG1_CHUNK_SIZES] for fn, by in redundancy.items()]
+    return render_table(["function"] + [f"{c}B" for c in FIG1_CHUNK_SIZES], rows, title=title)
 
 
 def cross_function_matrix(

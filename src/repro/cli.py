@@ -19,22 +19,24 @@ from repro.platform import ClusterConfig, PlatformKind, build_platform
 from repro.workload import AzureTraceGenerator, FunctionBenchSuite
 from repro.workload.trace_io import dump_trace
 
+#: Experiment id -> (description, driver).
 _EXPERIMENTS = {
-    "fig7": "Figure 7: e2e latency improvements vs both baselines (P1 policy)",
-    "fig8": "Figure 8: dedup-start breakdown vs cold start",
-    "fig9": "Figure 9: cluster memory usage under the P2 policy",
-    "fig10": "Figures 10-11: cold starts/latency under memory pressure",
-    "fig12": "Figure 12: keep-alive period sweep vs Medes",
-    "fig13": "Figure 13: emulated Catalyzer with and without Medes",
-    "fig14": "Figure 14: RSC chunk-size sensitivity",
-    "fig15": "Figure 15: keep-dedup period sensitivity",
-    "fig16": "Figure 16: fingerprint cardinality sensitivity",
-    "sec77": "Section 7.7: dedup agent and controller overheads",
+    "fig7": ("Figure 7: e2e latency improvements vs both baselines (P1)", experiments.run_fig7),
+    "fig8": ("Figure 8: dedup-start breakdown vs cold start", experiments.run_fig8),
+    "fig9": ("Figure 9: cluster memory usage under the P2 policy", experiments.run_fig9),
+    "fig10": ("Figures 10-11: cold starts/latency under memory pressure", experiments.run_pressure),
+    "fig12": ("Figure 12: keep-alive period sweep vs Medes", experiments.run_fig12),
+    "fig13": ("Figure 13: emulated Catalyzer with and without Medes", experiments.run_fig13),
+    "fig14": ("Figure 14: RSC chunk-size sensitivity", experiments.run_fig14),
+    "fig15": ("Figure 15: keep-dedup period sensitivity", experiments.run_fig15),
+    "fig16": ("Figure 16: fingerprint cardinality sensitivity", experiments.run_fig16),
+    "sec77": ("Section 7.7: dedup agent and controller overheads", experiments.run_overheads),
 }
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
-    print(tables.render_table(["id", "description"], sorted(_EXPERIMENTS.items())))
+    rows = sorted((name, description) for name, (description, _) in _EXPERIMENTS.items())
+    print(tables.render_table(["id", "description"], rows))
     return 0
 
 
@@ -54,19 +56,8 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
 def _cmd_study(args: argparse.Namespace) -> int:
     suite = FunctionBenchSuite.default()
     redundancy = study.same_function_redundancy(suite, aslr=args.aslr)
-    chunk_sizes = study.FIG1_CHUNK_SIZES
-    rows = [
-        [fn] + [f"{by_chunk[c]:.3f}" for c in chunk_sizes]
-        for fn, by_chunk in redundancy.items()
-    ]
     label = "ASLR on" if args.aslr else "ASLR off"
-    print(
-        tables.render_table(
-            ["function"] + [f"{c}B" for c in chunk_sizes],
-            rows,
-            title=f"Fig 1: same-function memory redundancy ({label})",
-        )
-    )
+    print(study.render_redundancy(redundancy, f"Fig 1: same-function memory redundancy ({label})"))
     print()
     matrix = study.cross_function_matrix(suite)
     print(
@@ -97,24 +88,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.duration is not None and name not in ("fig8", "sec77"):
         kwargs["duration_min"] = args.duration
-    runners = {
-        "fig7": experiments.run_fig7,
-        "fig8": experiments.run_fig8,
-        "fig9": experiments.run_fig9,
-        "fig10": experiments.run_pressure,
-        "fig12": experiments.run_fig12,
-        "fig13": experiments.run_fig13,
-        "fig14": experiments.run_fig14,
-        "fig15": experiments.run_fig15,
-        "fig16": experiments.run_fig16,
-        "sec77": experiments.run_overheads,
-    }
-    if name == "fig8":
-        result = experiments.run_fig8()
-    elif name == "sec77":
-        result = experiments.run_overheads()
-    else:
-        result = runners[name](**kwargs)
+    result = _EXPERIMENTS[name][1](**kwargs)
     print(result.render())
     return 0
 

@@ -1,7 +1,8 @@
 """Smoke tests for the experiment drivers (tiny durations).
 
 Each driver must run end-to-end and render; the full-scale shapes are
-validated in the benchmark harness.
+the claims in ``benchmarks/claims.py`` (Fig 7's run in
+``test_claims.py``, every claim in CI's scorecard job).
 """
 
 from __future__ import annotations

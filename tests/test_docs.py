@@ -415,7 +415,8 @@ class TestDocReferencesResolve:
     def test_relative_links_resolve(self):
         links = []
         for doc in _doc_files():
-            for target in re.findall(r"\]\(([^)\s]+)\)", doc.read_text()):
+            prose = re.sub(r"`[^`\n]*`", "", doc.read_text())  # a code span links nowhere
+            for target in re.findall(r"\]\(([^)\s]+)\)", prose):
                 if re.match(r"[a-z]+:", target) or target.startswith("#"):
                     continue  # a URL or an anchor in the same file
                 links.append((doc, target.partition("#")[0]))
