@@ -229,19 +229,19 @@ def _sec77_digest(r) -> dict:
 
 def _aslr() -> dict:
     """Mean saved MB a sandbox, keyed ``aslr_<on|off>_<cardinality>``."""
-    grid = {}
-    for aslr in (False, True):
-        for cardinality in (5, 20):
-            fingerprint = FingerprintConfig(cardinality=cardinality)
-            savings = study.measure_function_savings(SUITE, content_scale=SCALE, aslr=aslr,
-                                                     fingerprint=fingerprint)
-            grid[f"aslr_{'on' if aslr else 'off'}_{cardinality}"] = np.mean(
-                [m.saved_mb for m in savings.values()])
-    return grid
+
+    def saved_mb(aslr: bool, cardinality: int) -> float:
+        fingerprint = FingerprintConfig(cardinality=cardinality)
+        savings = study.measure_function_savings(
+            SUITE, content_scale=SCALE, aslr=aslr, fingerprint=fingerprint)
+        return np.mean([m.saved_mb for m in savings.values()])
+
+    return {f"aslr_{'on' if aslr else 'off'}_{c}": saved_mb(aslr, c)
+            for aslr in (False, True) for c in (5, 20)}
 
 
 def _scalability() -> dict:
-    """The cluster-scale snapshot, whose full run takes ~10 minutes."""
+    """The cluster-scale snapshot (a ~10-minute run); it names no sha, `97df46a` wrote it."""
     snapshot = json.loads((ROOT / "BENCH_scalability.json").read_text())
     points = snapshot["points"]
     return dict(stamp=f"`BENCH_scalability.json`, {snapshot['date']}, `97df46a`",
