@@ -485,13 +485,14 @@ CLAIMS: tuple[Claim, ...] = (
 def render_line(line: str, claim: Claim, digests: dict[str, dict]) -> str:
     """A table row's last two cells, or a deviation's list item, rewritten."""
     measured, failed = claim.verdict(digests)
+    quoted = lambda checks: "; ".join(f"`{check}`" for check in checks)
     if claim.expected == "deviates":
         flag = "" if failed else " ❗ The paper's shape holds now: restate or drop this."
         return (f"{line.split('.', 1)[0]}. **{claim.section}.** <!-- claim: {claim.id} --> "
                 f"*Issue:* {claim.shape}<br>*Decision:* {claim.decision}<br>*Thresholds, "
-                f"the paper's shape:* {'; '.join(claim.checks)}.<br>*Observed impact:* "
+                f"the paper's shape:* {quoted(claim.checks)}.<br>*Observed impact:* "
                 f"{measured} (paper: {claim.paper}).{flag}")
-    shape = claim.shape if claim.as_expected(failed) else "❌ fails: " + "; ".join(failed)
+    shape = claim.shape if claim.as_expected(failed) else f"❌ fails: {quoted(failed)}"
     first, paper = line.split("|")[1:3]
     return f"|{first}|{paper}| {measured} | {shape} |"
 
